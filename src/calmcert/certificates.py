@@ -15,7 +15,9 @@ upgrade to a decisive conclusion.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
+
+# scipy.optimize is imported where an LP or NNLS is solved: it is most of the
+# package's import time, and group-Lasso and nuclear solves never need it.
 
 from . import regularizers as rz
 from .cones import (TrivialityVerdict, preimage, polar_cone,
@@ -354,6 +356,7 @@ def _strictly_positive_point(w_basis):
     w_basis: (k x d) matrix whose columns span the subspace of achievable
     margin vectors.  Tries the all-ones target first, then a micro-LP.
     """
+    import scipy.optimize
     k, d = w_basis.shape
     if k == 0:
         return np.zeros(0)

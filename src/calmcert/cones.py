@@ -13,7 +13,9 @@ only answer Nontrivial-with-witness or Unknown.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
+
+# scipy.optimize is imported where an LP or NNLS is solved: it is most of the
+# package's import time, and group-Lasso and nuclear solves never need it.
 
 from .linalg import Subspace, Tolerances, DEFAULT_TOL, null_space, intersect_subspaces
 
@@ -116,6 +118,7 @@ class SubspacePlusRays(ConeDescription):
         return np.stack(self.rays, axis=1)
 
     def residual(self, w):
+        import scipy.optimize
         w = np.asarray(w, dtype=float)
         wp = w - self.span.project(w)
         r = self._ray_matrix()
@@ -130,6 +133,7 @@ class SubspacePlusRays(ConeDescription):
 
     def project(self, w):
         """Projection onto the cone (exact: NNLS on the span complement)."""
+        import scipy.optimize
         w = np.asarray(w, dtype=float)
         ws = self.span.project(w)
         wp = w - ws
@@ -439,6 +443,7 @@ def _lp_probe_rays(b_map, n_basis, span_basis, ray_matrix, cone, n_sub, tol):
     Returns (verdict_or_None, trouble_flag); any candidate witness is verified
     by exact membership before being reported.
     """
+    import scipy.optimize
     ydim, d = b_map.shape
     ds = span_basis.shape[1]
     k = ray_matrix.shape[1]
@@ -586,6 +591,7 @@ def _decide_polyhedral(n_sub, cone, b_map, a, e, tol):
             else:
                 degenerate = True
     if degenerate:
+        import scipy.optimize
         trouble = False
         bounds = [(-1.0, 1.0)] * d
         a_ub = ap if ap.shape[0] else None

@@ -10,10 +10,18 @@ materialized to dense at desk scale.
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import Tolerances, DEFAULT_TOL
+
+
+def _frozen(array):
+    """Mark a cached array read-only, so no caller can edit the shared copy."""
+    array.flags.writeable = False
+    return array
 
 
 class InstanceError(ValueError):
@@ -36,12 +44,15 @@ class LinearOp:
     forward differences: all vertical entries (x_{i+1,j} - x_{i,j}, zero in
     the last row) first, then all horizontal ones (x_{i,j+1} - x_{i,j}, zero
     in the last column), each block row-major over (i, j).
+
+    An operator is immutable: the dense matrix is a private read-only copy,
+    so its norm and identity test are computed once.
     """
 
     def __init__(self, kind, **params):
         self.kind = kind
         self.params = params
-        self._dense = self._materialize()
+        self._dense = _frozen(self._materialize())
 
     @classmethod
     def dense(cls, matrix):
@@ -61,7 +72,7 @@ class LinearOp:
 
     def _materialize(self):
         if self.kind == "dense":
-            m = np.asarray(self.params["matrix"], dtype=float)
+            m = np.array(self.params["matrix"], dtype=float)
             if m.ndim != 2:
                 raise ValueError("dense operator must be 2-D")
             if not np.all(np.isfinite(m)):
@@ -111,7 +122,7 @@ class LinearOp:
     def cols(self):
         return self._dense.shape[1]
 
-    @property
+    @cached_property
     def is_identity(self):
         if self.kind == "identity":
             return True
@@ -125,6 +136,10 @@ class LinearOp:
         return self._dense.T @ np.asarray(y, dtype=float)
 
     def op_norm(self):
+        return self._op_norm
+
+    @cached_property
+    def _op_norm(self):
         if self._dense.size == 0:
             return 0.0
         return float(np.linalg.norm(self._dense, 2))
@@ -151,6 +166,21 @@ def materialize(op):
 
 # ---------------------------------------------------------------------------
 # regularizer specification (behavior lives in regularizers.py)
+
+
+class GroupSegments(NamedTuple):
+    """The non-empty groups laid out back to back, for segment reductions.
+
+    perm lists the indices of the non-empty groups one group after another,
+    segment j starting at starts[j]; owner[i] is the segment holding index
+    i, so a per-segment array a reads a[owner] per index.  Empty groups are
+    skipped: they contribute nothing, and np.add.reduceat would misread a
+    zero-length segment.
+    """
+
+    perm: np.ndarray
+    starts: np.ndarray
+    owner: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -194,18 +224,29 @@ class RegularizerSpec:
         else:
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
 
-    @property
+    # Cached per spec (the spec is frozen); the arrays are read-only.
+
+    @cached_property
     def A(self):
-        return np.asarray([list(r) for r in self.matrix], dtype=float).reshape(
-            len(self.matrix), self.dim if self.matrix else 0)
+        return _frozen(np.asarray([list(r) for r in self.matrix], dtype=float)
+                       .reshape(len(self.matrix), self.dim if self.matrix else 0))
 
-    @property
+    @cached_property
     def c(self):
-        return np.asarray(self.offset, dtype=float)
+        return _frozen(np.asarray(self.offset, dtype=float))
 
-    @property
+    @cached_property
     def group_slices(self):
-        return [np.asarray(g, dtype=int) for g in self.groups]
+        return tuple(_frozen(np.asarray(g, dtype=np.intp)) for g in self.groups)
+
+    @cached_property
+    def segments(self):
+        sizes = np.asarray([len(g) for g in self.groups if g], dtype=np.intp)
+        perm = np.asarray([i for g in self.groups for i in g], dtype=np.intp)
+        owner = np.empty(self.dim, dtype=np.intp)
+        owner[perm] = np.repeat(np.arange(sizes.size), sizes)
+        return GroupSegments(_frozen(perm), _frozen(np.cumsum(sizes) - sizes),
+                             _frozen(owner))
 
     def to_json_dict(self):
         if self.kind == "group_lasso":
@@ -341,6 +382,9 @@ def _number(value, path):
         v = float(value)
     except (TypeError, ValueError):
         raise InstanceError(path, f"expected a number, got {value!r}") from None
+    except OverflowError:
+        raise InstanceError(path, "value must be finite (too large for a "
+                                  "double)") from None
     if not np.isfinite(v):
         raise InstanceError(path, "value must be finite")
     return v
@@ -349,6 +393,14 @@ def _number(value, path):
 def _vector(value, path):
     if not isinstance(value, list):
         raise InstanceError(path, "expected an array of numbers")
+    # fast path for the common all-numeric case; anything it does not accept
+    # goes through the per-entry check, whose error names the entry
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is not None and out.ndim == 1 and np.all(np.isfinite(out)):
+        return out
     return np.asarray([_number(v, f"{path}[{i}]") for i, v in enumerate(value)])
 
 

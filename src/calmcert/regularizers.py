@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.optimize
+
+# scipy.optimize is imported where an LP or NNLS is solved: it is most of the
+# package's import time, and group-Lasso and nuclear solves never need it.
 
 from .linalg import Subspace, Tolerances, DEFAULT_TOL
 from .cones import (SubspaceCone, SubspacePlusRays, PolyhedralCone,
@@ -48,10 +50,17 @@ def _mat(reg, y):
     return np.asarray(y, dtype=float).reshape(reg.m, reg.n)
 
 
+def group_norms(reg, y):
+    """||y_J|| for each non-empty group J, in the order of reg.segments."""
+    seg = reg.segments
+    return np.sqrt(np.add.reduceat(np.asarray(y, dtype=float)[seg.perm] ** 2,
+                                   seg.starts))
+
+
 def value(reg, y):
     y = np.asarray(y, dtype=float)
     if reg.kind == "group_lasso":
-        return reg.weight * sum(float(np.linalg.norm(y[g])) for g in reg.group_slices)
+        return reg.weight * float(group_norms(reg, y).sum())
     if reg.kind == "nuclear":
         return reg.weight * float(np.linalg.svd(_mat(reg, y), compute_uv=False).sum())
     slack = DEFAULT_TOL.member * max(1.0, float(np.linalg.norm(y)))
@@ -66,12 +75,12 @@ def prox(reg, t, y):
         raise ValueError("prox step must be positive")
     y = np.asarray(y, dtype=float)
     if reg.kind == "group_lasso":
-        out = y.copy()
+        # zero when ||y_J|| <= tw, else shrink by 1 - tw/||y_J||
+        nrm = group_norms(reg, y)
         tw = t * reg.weight
-        for g in reg.group_slices:
-            nrm = float(np.linalg.norm(y[g]))
-            out[g] = 0.0 if nrm <= tw else (1.0 - tw / nrm) * y[g]
-        return out
+        fac = 1.0 - tw / np.maximum(nrm, tw)
+        owner = reg.segments.owner
+        return np.where((nrm <= tw)[owner], 0.0, fac[owner] * y)
     if reg.kind == "nuclear":
         u, s, vt = np.linalg.svd(_mat(reg, y), full_matrices=False)
         s = np.clip(s - t * reg.weight, 0.0, None)
@@ -83,12 +92,9 @@ def prox_conjugate(reg, t, y):
     """Prox of g* (independent implementations where the dual set is known)."""
     y = np.asarray(y, dtype=float)
     if reg.kind == "group_lasso":
-        out = y.copy()
-        for g in reg.group_slices:
-            nrm = float(np.linalg.norm(y[g]))
-            if nrm > reg.weight:
-                out[g] = reg.weight / nrm * y[g]
-        return out
+        # project each y_J onto the w-ball; fmax keeps y_J when its norm is NaN
+        fac = reg.weight / np.fmax(group_norms(reg, y), reg.weight)
+        return fac[reg.segments.owner] * y
     if reg.kind == "nuclear":
         u, s, vt = np.linalg.svd(_mat(reg, y), full_matrices=False)
         return (u @ np.diag(np.clip(s, None, reg.weight)) @ vt).ravel()
@@ -100,6 +106,7 @@ def prox_conjugate(reg, t, y):
 
 
 def polyhedron_is_nonempty(a, c):
+    import scipy.optimize
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
     if a.shape[0] == 0:
@@ -117,6 +124,7 @@ def project_polyhedron(point, a, c, e=None, rhs=None, tol=1e-9):
     size; a candidate is accepted when primal feasible and the residual
     direction lies in the cone of its active rows (NNLS check).
     """
+    import scipy.optimize
     point = np.asarray(point, dtype=float)
     a = np.asarray(a, dtype=float).reshape(-1, point.size)
     c = np.asarray(c, dtype=float)
@@ -162,6 +170,7 @@ def project_polyhedron(point, a, c, e=None, rhs=None, tol=1e-9):
 
 def _normal_cone_coefficients(a, c, x, v, tol):
     """NNLS fit of v by active rows of {A y <= c} at x; (residual, ok)."""
+    import scipy.optimize
     scale = max(1.0, float(np.linalg.norm(x)))
     act = [i for i in range(a.shape[0]) if a[i] @ x >= c[i] - tol * scale]
     if not act:
@@ -180,15 +189,15 @@ def subdiff_contains(reg, x, v, tol=DEFAULT_TOL):
     v = np.asarray(v, dtype=float)
     t = tol.member
     if reg.kind == "group_lasso":
+        # active group (||x_J|| > t): v_J = w x_J / ||x_J||; else ||v_J|| <= w
         w = reg.weight
-        for g in reg.group_slices:
-            nx = float(np.linalg.norm(x[g]))
-            if nx > t:
-                if float(np.linalg.norm(v[g] - w * x[g] / nx)) > t * max(1.0, w):
-                    return False
-            elif float(np.linalg.norm(v[g])) > w + t * max(1.0, w):
-                return False
-        return True
+        owner = reg.segments.owner
+        nx = group_norms(reg, x)
+        active = nx > t
+        unit = w * x / np.where(active, nx, 1.0)[owner]
+        resid = np.where(active[owner], v - unit, v)
+        bound = np.where(active, t * max(1.0, w), w + t * max(1.0, w))
+        return not np.any(group_norms(reg, resid) > bound)
     if reg.kind == "nuclear":
         return float(np.linalg.norm(x - prox(reg, 1.0, x + v))) \
             <= t * max(1.0, float(np.linalg.norm(x + v)))
@@ -419,6 +428,7 @@ class PolyhedralFace:
     is_polyhedral = True
 
     def __init__(self, reg, y_bar, tol):
+        import scipy.optimize
         self.reg = reg
         self.y_bar = np.asarray(y_bar, dtype=float)
         self.dim = reg.dim
@@ -586,6 +596,7 @@ def ri_intersects_range(reg, y_bar, k_op, tol=DEFAULT_TOL, x_bar=None):
 
 def _ri_group_lasso(face, k, tol):
     """Feasibility of (Kx)_J = t_J y_J with t_J >= 1 (homogeneous margin)."""
+    import scipy.optimize
     reg = face.reg
     rows = []
     for gi in face.interior:
@@ -629,6 +640,7 @@ def _max_margin_lp(a, c, e, rhs, implicit, tol, basis=None):
     With basis Q given, y = Q z ranges over a subspace.  Returns
     (status, margin, y) with status in {'ok', 'infeasible', 'trouble'}.
     """
+    import scipy.optimize
     dim = a.shape[1]
     q = basis if basis is not None else np.eye(dim)
     free = ~implicit
@@ -664,6 +676,7 @@ def _implicit_face_rows(a, c, e, rhs, tol):
     Decided row by row (max slack of row i over the face, capped at 1) so
     that degenerate vertices returned by a single LP cannot misclassify.
     """
+    import scipy.optimize
     m, dim = a.shape
     implicit = np.zeros(m, dtype=bool)
     feas = scipy.optimize.linprog(np.zeros(dim), A_ub=a, b_ub=c,
@@ -729,17 +742,14 @@ def project_multiplier(reg, z, y, tol=DEFAULT_TOL):
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
     if reg.kind == "group_lasso":
-        out = y.copy()
+        # active group: w z_J / ||z_J||; else y_J pulled into the w-ball
         w = reg.weight
-        for g in reg.group_slices:
-            nz = float(np.linalg.norm(z[g]))
-            if nz > tol.member:
-                out[g] = w * z[g] / nz
-            else:
-                ny = float(np.linalg.norm(y[g]))
-                if ny > w:
-                    out[g] = w / ny * y[g]
-        return out
+        owner = reg.segments.owner
+        nz = group_norms(reg, z)
+        active = nz > tol.member
+        fac = w / np.fmax(group_norms(reg, y), w)
+        return np.where(active[owner], w * z / np.where(active, nz, 1.0)[owner],
+                        fac[owner] * y)
     if reg.kind == "nuclear":
         return prox_conjugate(reg, 1.0, y)
     res, _ = _normal_cone_coefficients(reg.A, reg.c, z, y, tol.member)
@@ -747,5 +757,6 @@ def project_multiplier(reg, z, y, tol=DEFAULT_TOL):
            if reg.A[i] @ z >= reg.c[i] - tol.member * max(1.0, np.linalg.norm(z))]
     if not act:
         return np.zeros_like(y)
+    import scipy.optimize
     lam, _ = scipy.optimize.nnls(reg.A[act].T, y)
     return reg.A[act].T @ lam

@@ -57,8 +57,7 @@ def _dual_feasibility(reg, y):
     """Violation of the dual-norm bound (0 for feasible multipliers)."""
     y = np.asarray(y, dtype=float)
     if reg.kind == "group_lasso":
-        return max(0.0, max(float(np.linalg.norm(y[g])) for g in reg.group_slices)
-                   - reg.weight)
+        return max(0.0, float(rz.group_norms(reg, y).max(initial=0.0)) - reg.weight)
     if reg.kind == "nuclear":
         s = np.linalg.svd(y.reshape(reg.m, reg.n), compute_uv=False)
         return max(0.0, float(s[0]) - reg.weight) if s.size else 0.0

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from calmcert.linalg import Tolerances, null_space, range_space
-from calmcert.model import (InstanceError, LinearOp, load_instance,
-                            instance_to_json, instance_hash, materialize)
+from calmcert.model import (InstanceError, LinearOp, group_lasso, load_instance,
+                            instance_to_json, instance_hash, materialize,
+                            polyhedral_indicator)
 
 TOL = Tolerances()
 
@@ -139,3 +140,45 @@ def test_v_of_matches_definition():
     x = np.array([2.0])
     assert np.allclose(inst.v_of(x), -(1.0 / inst.mu) *
                        materialize(inst.phi).T @ (materialize(inst.phi) @ x - inst.b))
+
+
+@pytest.mark.parametrize("entry, message", [
+    (10 ** 400, "finite"),              # a JSON integer too large for a double
+    (None, "expected a number"),
+    ([1.0, 2.0], "expected a number"),
+    ("nan", "finite"),
+    ("1,5", "expected a number"),
+], ids=["huge-integer", "null", "nested", "nan-string", "comma"])
+def test_bad_vector_entry_names_the_entry(entry, message):
+    text = json.dumps(minimal_doc(b=[1.0, 2.0, entry],
+                                  phi={"kind": "dense", "rows": 3, "cols": 1,
+                                       "entries": [1.0, 1.0, 1.0]}))
+    with pytest.raises(InstanceError, match=r"^b\[2\]: .*" + message):
+        load_instance(text)
+
+
+def test_cached_arrays_are_read_only():
+    reg = group_lasso([[1], [0, 2]], 3)
+    box = polyhedral_indicator(np.eye(2), np.ones(2))
+    op = LinearOp.grad1d(3)
+    for arr in (box.A, box.c, reg.group_slices[0], *reg.segments, op._dense):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
+def test_operator_constants_computed_once(monkeypatch):
+    source = np.array([[3.0, 0.0], [0.0, 4.0]])
+    op = LinearOp.dense(source)
+    source[0, 0] = 100.0                 # the operator keeps its own copy
+    assert op.op_norm() == pytest.approx(4.0)
+    assert not op.is_identity
+    inst = load_instance(json.dumps(minimal_doc()))
+    norms = (inst.phi.op_norm(), inst.k.op_norm())
+
+    def no_norm(*args, **kwargs):
+        raise AssertionError("operator norm recomputed")
+
+    monkeypatch.setattr(np.linalg, "norm", no_norm)
+    assert op.op_norm() == pytest.approx(4.0)
+    pert = inst.perturbed(db=np.ones(1))
+    assert (pert.phi.op_norm(), pert.k.op_norm()) == norms
