@@ -1,13 +1,15 @@
 """Closed convex cone descriptions and the kernel-intersection decision.
 
 The certificates all reduce to one question: given a subspace N and a
-described closed convex cone C, is N cap C = {0}?  Exact answers come from
-subspace algebra plus activation-pattern enumeration over ray / inequality
-subsets; each 1-dimensional pattern subspace is settled by an exact
-membership test, degenerate higher-dimensional patterns fall back to a tiny
-LP whose candidate witnesses are re-verified before being reported, and the
-embedded-PSD degenerate case uses an alternating-projection probe that can
-only answer Nontrivial-with-witness or Unknown.
+described closed convex cone C, is N cap C = {0}?  Subspace cones are
+settled by subspace algebra.  Polyhedral cones, cones generated by rays and
+preimages of those are written as one system Q = {z : G z <= 0, H z = 0}
+with a coordinate projection F onto kernel coordinates, and settled by one
+LP for a relative-interior point of Q: a nontrivial answer carries a
+witness in N cap C, a trivial one the LP duals (a Stiemke/Gordan
+alternative), each verified before it is reported.  The embedded-PSD
+degenerate case uses an alternating-projection probe that can only answer
+Nontrivial-with-witness or Unknown.
 """
 
 from dataclasses import dataclass
@@ -19,19 +21,42 @@ import numpy as np
 
 from .linalg import Subspace, Tolerances, DEFAULT_TOL, null_space, intersect_subspaces
 
-PATTERN_CAP = 20          # hard cap on rays / inequality rows, per contract
-ENUM_LIMIT = 4096         # subsets enumerated exhaustively below this count
+
+@dataclass
+class DualCertificate:
+    """Proof that F z = z[:d] vanishes on Q = {z : G z <= 0, H z = 0}.
+
+    G and H have unit rows.  mu >= 0 with mu >= 1 on the rows `implicit`
+    and G^T mu + H^T beta = 0 force those rows to be tight on all of Q, so
+    Q lies in null([H; G_implicit]); F is zero on that null space.
+    """
+    g: np.ndarray
+    h: np.ndarray
+    d: int
+    implicit: np.ndarray            # boolean mask over the rows of G
+    mu: np.ndarray
+    beta: np.ndarray
+
+    def verify(self, tol=DEFAULT_TOL):
+        i = self.implicit
+        if np.any(self.mu < 0) or np.any(self.mu[i] < 1.0):
+            return False
+        if np.linalg.norm(self.g.T @ self.mu + self.h.T @ self.beta) > tol.member:
+            return False
+        span = null_space(np.vstack([self.h, self.g[i]]), tol)
+        return float(np.linalg.norm(span.basis[:self.d])) <= tol.member
 
 
 @dataclass
 class TrivialityVerdict:
     outcome: str                    # "trivial" | "nontrivial" | "unknown"
-    witness: np.ndarray = None      # unit vector, set iff nontrivial
+    witness: np.ndarray = None      # unit vector in N cap C, set iff nontrivial
     reason: str = ""
+    certificate: DualCertificate = None   # verified; trivial ray/polyhedral only
 
     @classmethod
-    def trivial(cls):
-        return cls("trivial")
+    def trivial(cls, certificate=None):
+        return cls("trivial", certificate=certificate)
 
     @classmethod
     def nontrivial(cls, witness):
@@ -118,15 +143,8 @@ class SubspacePlusRays(ConeDescription):
         return np.stack(self.rays, axis=1)
 
     def residual(self, w):
-        import scipy.optimize
         w = np.asarray(w, dtype=float)
-        wp = w - self.span.project(w)
-        r = self._ray_matrix()
-        if r.shape[1] == 0:
-            return float(np.linalg.norm(wp))
-        rp = r - self.span.project(r)
-        _, res = scipy.optimize.nnls(rp, wp)
-        return float(res)
+        return float(np.linalg.norm(w - self.project(w)))
 
     def member(self, w, tol):
         return self.residual(w) <= tol * max(1.0, float(np.linalg.norm(w)))
@@ -430,193 +448,79 @@ def _verify_witness(n_sub, cone, w, tol):
     return w
 
 
-def _subsets_by_size(k):
-    from itertools import combinations
-    for size in range(1, k + 1):
-        for combo in combinations(range(k), size):
-            yield list(combo)
+def _unit_rows(mat, src_norms, tol):
+    """Rows of mat at unit norm; rows the map left at roundoff size
+    (norm <= tol.rank * the norm of their source row) carry no constraint."""
+    nrm = np.linalg.norm(mat, axis=1)
+    keep = nrm > tol.rank * src_norms
+    return mat[keep] / nrm[keep, None]
 
 
-def _lp_probe_rays(b_map, n_basis, span_basis, ray_matrix, cone, n_sub, tol):
-    """Full-pattern LP over {B xi = S s + R lam, lam >= 0, sum lam = 1}.
+def _rays_system(n_sub, k, span, rays, tol):
+    """(G, H, d) over z = (xi, s, lam): M xi = S s + R lam, lam >= 0.
 
-    Returns (verdict_or_None, trouble_flag); any candidate witness is verified
-    by exact membership before being reported.
+    M = N, or K N for a preimage; M is scaled to unit largest column, which
+    leaves the cone of directions xi unchanged.  F keeps the xi block.
     """
-    import scipy.optimize
-    ydim, d = b_map.shape
-    ds = span_basis.shape[1]
-    k = ray_matrix.shape[1]
-    nvar = d + ds + k
-    a_eq = np.zeros((ydim + 1, nvar))
-    a_eq[:ydim, :d] = b_map
-    a_eq[:ydim, d:d + ds] = -span_basis
-    a_eq[:ydim, d + ds:] = -ray_matrix
-    a_eq[ydim, d + ds:] = 1.0
-    b_eq = np.zeros(ydim + 1)
-    b_eq[ydim] = 1.0
-    big = 1e6
-    bounds = [(-big, big)] * (d + ds) + [(0.0, 1.0)] * k
-    trouble = False
-    for j in range(d):
-        for sign in (1.0, -1.0):
-            c = np.zeros(nvar)
-            c[j] = -sign
-            res = scipy.optimize.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-                                         method="highs")
-            if res.status == 2:       # infeasible: no pattern point at all
-                return None, trouble
-            if not res.success:
-                trouble = True
-                continue
-            xi = res.x[:d]
-            if np.abs(xi[j]) > 1e-7:
-                w = _verify_witness(n_sub, cone, n_basis @ xi, tol)
-                if w is not None:
-                    return TrivialityVerdict.nontrivial(w), trouble
-                trouble = True
-    return None, trouble
+    m = n_sub.basis if k is None else k @ n_sub.basis
+    scale = float(np.linalg.norm(m, axis=0).max(initial=0.0)) or 1.0
+    k_norms = 1.0 if k is None else np.linalg.norm(k, axis=1)
+    r = np.stack(rays, axis=1)
+    s = span.basis
+    src = np.sqrt((k_norms / scale) ** 2 + np.sum(s ** 2, axis=1)
+                  + np.sum(r ** 2, axis=1))
+    h = _unit_rows(np.hstack([m / scale, -s, -r]), src, tol)
+    g = np.hstack([np.zeros((r.shape[1], m.shape[1] + s.shape[1])),
+                   -np.eye(r.shape[1])])
+    return g, h, n_sub.dim
 
 
-def _decide_rays(n_sub, cone, b_map, span, rays, tol, side_member=None):
-    """Pattern enumeration for N cap (span + cone(rays)) through the map B.
+def _decide(n_sub, cone, g, h, d, tol):
+    """Decide N cap C = {0} as: is z[:d] zero on all of Q = {G z <= 0, H z = 0}?
 
-    b_map sends kernel coordinates xi to the carrier space of span/rays;
-    side_member tests membership there (defaults to the cone itself, which
-    is correct when the carrier space IS the ambient space).
+    One LP, max sum t over G z + t <= 0, H z = 0, 0 <= t <= 1, gives a
+    relative-interior point z* of Q; its implicit equalities are the rows
+    with t = 0, and span Q = null([H; G_I]).  F z = z[:d] is nonzero on Q
+    exactly when it is nonzero on that span: then z* + eps b, with b the
+    span direction F stretches most and its sign chosen so that F z* and
+    F b do not cancel, is a witness in Q.  Otherwise the LP duals are the
+    certificate.  Both are verified before they are reported.
     """
-    if side_member is None:
-        side_member = cone.member
-    d = b_map.shape[1]
-    k = len(rays)
-    if k > PATTERN_CAP:
-        return TrivialityVerdict.unknown(
-            f"combinatorial limit: {k} rays exceeds cap {PATTERN_CAP}")
-    ray_mat = (np.stack(rays, axis=1) if rays
-               else np.zeros((b_map.shape[0], 0)))
-
-    def pattern_subspace(cols):
-        w_basis = np.hstack([span.basis] + [ray_mat[:, [i]] for i in cols]) \
-            if cols else span.basis
-        wsub = Subspace(b_map.shape[0], w_basis)
-        comp = wsub.complement()
-        if comp.dim == 0:
-            return Subspace.full(d)
-        return null_space(comp.basis.T @ b_map, tol)
-
-    # empty pattern: exact subspace phase; its candidates are members by
-    # construction, so a verification failure is a conditioning problem
-    x0 = pattern_subspace([])
-    if x0.dim > 0:
-        w = _verify_witness(n_sub, cone, n_sub.basis @ x0.basis[:, 0], tol)
-        if w is not None:
-            return TrivialityVerdict.nontrivial(w)
-        return TrivialityVerdict.unknown(
-            "ill-conditioned span-pattern intersection")
-    # the full pattern bounds every other one: nothing to find when empty
-    if k > 0 and pattern_subspace(list(range(k))).dim == 0:
-        return TrivialityVerdict.trivial()
-    degenerate = 2 ** k > ENUM_LIMIT
-    if not degenerate:
-        for cols in _subsets_by_size(k):
-            xp = pattern_subspace(cols)
-            if xp.dim == 0:
-                continue
-            if xp.dim == 1:
-                xi = xp.basis[:, 0]
-                for sign in (1.0, -1.0):
-                    cand = sign * xi
-                    if side_member(b_map @ cand, tol.member):
-                        w = _verify_witness(n_sub, cone, n_sub.basis @ cand, tol)
-                        if w is not None:
-                            return TrivialityVerdict.nontrivial(w)
-            else:
-                degenerate = True
-    if degenerate and k > 0:
-        verdict, trouble = _lp_probe_rays(b_map, n_sub.basis, span.basis,
-                                          ray_mat, cone, n_sub, tol)
-        if verdict is not None:
-            return verdict
-        if trouble:
-            return TrivialityVerdict.unknown("LP probe inconclusive on a "
-                                             "degenerate ray pattern")
-    return TrivialityVerdict.trivial()
-
-
-def _decide_polyhedral(n_sub, cone, b_map, a, e, tol):
-    """Pattern enumeration for N cap {A w <= 0, E w = 0} through the map B."""
-    d = b_map.shape[1]
-    ap = a @ b_map
-    ep = e @ b_map
-    m = ap.shape[0]
-    if m > PATTERN_CAP:
-        return TrivialityVerdict.unknown(
-            f"combinatorial limit: {m} inequality rows exceeds cap {PATTERN_CAP}")
-
-    def tight_subspace(rows):
-        stack = np.vstack([ap[rows], ep]) if rows else ep
-        if stack.shape[0] == 0:
-            return Subspace.full(d)
-        return null_space(stack, tol)
-
-    lin = tight_subspace(list(range(m)))
-    if lin.dim > 0:
-        w = _verify_witness(n_sub, cone, n_sub.basis @ lin.basis[:, 0], tol)
-        if w is not None:
-            return TrivialityVerdict.nontrivial(w)
-        return TrivialityVerdict.unknown(
-            "ill-conditioned lineality intersection")
-    # the equality-only pattern bounds every other one
-    if tight_subspace([]).dim == 0:
-        return TrivialityVerdict.trivial()
-    degenerate = 2 ** m > ENUM_LIMIT
-    if not degenerate:
-        dead_masks = []
-        for rows in [[]] + list(_subsets_by_size(m)):
-            mask = sum(1 << i for i in rows)
-            if any(mask & dm == dm for dm in dead_masks):
-                continue        # a subset already had a zero intersection
-            xp = tight_subspace(rows)
-            if xp.dim == 0:
-                dead_masks.append(mask)
-                continue
-            if xp.dim == 1:
-                xi = xp.basis[:, 0]
-                for sign in (1.0, -1.0):
-                    cand = sign * xi
-                    if cone.member(b_map @ cand, tol.member):
-                        w = _verify_witness(n_sub, cone, n_sub.basis @ cand, tol)
-                        if w is not None:
-                            return TrivialityVerdict.nontrivial(w)
-            else:
-                degenerate = True
-    if degenerate:
+    m, dz = g.shape
+    z_star, implicit = np.zeros(dz), np.zeros(m, dtype=bool)
+    mu, beta = np.zeros(m), np.zeros(h.shape[0])
+    if m:
         import scipy.optimize
-        trouble = False
-        bounds = [(-1.0, 1.0)] * d
-        a_ub = ap if ap.shape[0] else None
-        b_ub = np.zeros(ap.shape[0]) if ap.shape[0] else None
-        a_eq = ep if ep.shape[0] else None
-        b_eq = np.zeros(ep.shape[0]) if ep.shape[0] else None
-        for j in range(d):
-            for sign in (1.0, -1.0):
-                c = np.zeros(d)
-                c[j] = -sign
-                res = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=b_ub,
-                                             A_eq=a_eq, b_eq=b_eq,
-                                             bounds=bounds, method="highs")
-                if not res.success:
-                    trouble = True
-                    continue
-                if np.abs(res.x[j]) > 1e-7:
-                    w = _verify_witness(n_sub, cone, n_sub.basis @ res.x, tol)
-                    if w is not None:
-                        return TrivialityVerdict.nontrivial(w)
-                    trouble = True
-        if trouble:
-            return TrivialityVerdict.unknown("LP probe inconclusive on a "
-                                             "degenerate inequality pattern")
-    return TrivialityVerdict.trivial()
+        res = scipy.optimize.linprog(
+            np.concatenate([np.zeros(dz), -np.ones(m)]),
+            A_ub=np.hstack([g, np.eye(m)]), b_ub=np.zeros(m),
+            A_eq=np.hstack([h, np.zeros((h.shape[0], m))]),
+            b_eq=np.zeros(h.shape[0]),
+            bounds=[(None, None)] * dz + [(0.0, 1.0)] * m, method="highs")
+        if res.status != 0:
+            return TrivialityVerdict.unknown(f"cone LP failed: {res.message}")
+        z_star, implicit = res.x[:dz], res.x[dz:] < 0.5
+        mu, beta = np.clip(-res.ineqlin.marginals, 0.0, None), -res.eqlin.marginals
+    basis = null_space(np.vstack([h, g[implicit]]), tol).basis
+    _, gains, vt = np.linalg.svd(basis[:d], full_matrices=False)
+    if gains.size and gains[0] > tol.member:
+        b = basis @ vt[0]
+        z_c = basis @ (basis.T @ z_star)
+        if z_c[:d] @ b[:d] < 0:                   # F z* and F b must not cancel
+            b = -b
+        # G z* <= -1 off the implicit rows, so this step stays inside Q
+        eps = 0.5 / max(float(np.abs(g @ b).max(initial=0.0)), 1e-12)
+        w = _verify_witness(n_sub, cone, n_sub.basis @ (z_c + eps * b)[:d], tol)
+        if w is None:
+            return TrivialityVerdict.unknown("cone witness failed verification")
+        return TrivialityVerdict.nontrivial(w)
+    low = float(mu[implicit].min(initial=1.0))    # scale to min mu_I = 1
+    if low > 0:
+        mu, beta = mu / low, beta / low
+    cert = DualCertificate(g, h, d, implicit, mu, beta)
+    if not cert.verify(tol):
+        return TrivialityVerdict.unknown("dual certificate failed verification")
+    return TrivialityVerdict.trivial(cert)
 
 
 def _psd_probe(n_sub, cone, k_mat, inner_psd, tol, seed):
@@ -662,10 +566,13 @@ def trivial_intersection(n_sub, cone, tol=DEFAULT_TOL, seed=0):
         return TrivialityVerdict.nontrivial(w)
 
     if isinstance(cone, SubspacePlusRays):
-        return _decide_rays(n_sub, cone, n_sub.basis, cone.span, cone.rays, tol)
+        return _decide(n_sub, cone,
+                       *_rays_system(n_sub, None, cone.span, cone.rays, tol), tol)
 
-    if isinstance(cone, PolyhedralCone):
-        return _decide_polyhedral(n_sub, cone, n_sub.basis, cone.A, cone.E, tol)
+    if isinstance(cone, PolyhedralCone):      # z = xi: A N xi <= 0, E N xi = 0
+        rows = [_unit_rows(m @ n_sub.basis, np.linalg.norm(m, axis=1), tol)
+                for m in (cone.A, cone.E)]
+        return _decide(n_sub, cone, *rows, n_sub.dim, tol)
 
     if isinstance(cone, PsdCone):
         return _psd_probe(n_sub, cone, None, cone, tol, seed)
@@ -673,9 +580,8 @@ def trivial_intersection(n_sub, cone, tol=DEFAULT_TOL, seed=0):
     if isinstance(cone, PreimageCone):
         inner = cone.inner
         if isinstance(inner, SubspacePlusRays):
-            return _decide_rays(n_sub, cone, cone.K @ n_sub.basis,
-                                inner.span, inner.rays, tol,
-                                side_member=inner.member)
+            return _decide(n_sub, cone, *_rays_system(
+                n_sub, cone.K, inner.span, inner.rays, tol), tol)
         if isinstance(inner, PsdCone):
             return _psd_probe(n_sub, cone, cone.K, inner, tol, seed)
         return TrivialityVerdict.unknown(
@@ -713,9 +619,5 @@ def tangent_with_range_restriction(face, z, k_op, tol=DEFAULT_TOL):
     comp = imk.complement()
     e_all = np.vstack([e, comp.basis.T]) if e.shape[0] else comp.basis.T
     scale = max(1.0, float(np.linalg.norm(z)))
-    active = []
-    for i in range(a.shape[0]):
-        if a[i] @ z >= c[i] - 10 * tol.member * scale:
-            active.append(i)
-    a_act = a[active] if active else np.zeros((0, a.shape[1]))
+    a_act = a[a @ z >= c - 10 * tol.member * scale]
     return PolyhedralCone(a_act, e_all, ambient=face.dim)

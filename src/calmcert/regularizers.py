@@ -57,6 +57,17 @@ def group_norms(reg, y):
                                    seg.starts))
 
 
+def active_groups(reg, x, tol=DEFAULT_TOL):
+    """(||x_J||, ||x_J|| > tol.member * max(1, ||x||)) per non-empty group.
+
+    The one activity rule of the group-Lasso branches (membership, tangent
+    cone, multiplier refinement), on the scale of ||x|| as in the faces'
+    tangent cones, so that rescaling the data does not change it.
+    """
+    nx = group_norms(reg, x)
+    return nx, nx > tol.member * max(1.0, float(np.linalg.norm(x)))
+
+
 def value(reg, y):
     y = np.asarray(y, dtype=float)
     if reg.kind == "group_lasso":
@@ -168,15 +179,14 @@ def project_polyhedron(point, a, c, e=None, rhs=None, tol=1e-9):
     raise RuntimeError("polyhedral projection failed (no valid active set)")
 
 
-def _normal_cone_coefficients(a, c, x, v, tol):
-    """NNLS fit of v by active rows of {A y <= c} at x; (residual, ok)."""
+def _normal_cone_fit(a, c, x, v, tol):
+    """NNLS fit of v by the rows of {A y <= c} active at x: (fit, residual)."""
     import scipy.optimize
-    scale = max(1.0, float(np.linalg.norm(x)))
-    act = [i for i in range(a.shape[0]) if a[i] @ x >= c[i] - tol * scale]
-    if not act:
-        return float(np.linalg.norm(v)), len(act)
-    _, res = scipy.optimize.nnls(a[act].T, np.asarray(v, dtype=float))
-    return float(res), len(act)
+    act = a[a @ x >= c - tol * max(1.0, float(np.linalg.norm(x)))]
+    if not act.shape[0]:
+        return np.zeros_like(v), float(np.linalg.norm(v))
+    lam, res = scipy.optimize.nnls(act.T, v)
+    return act.T @ lam, float(res)
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +199,10 @@ def subdiff_contains(reg, x, v, tol=DEFAULT_TOL):
     v = np.asarray(v, dtype=float)
     t = tol.member
     if reg.kind == "group_lasso":
-        # active group (||x_J|| > t): v_J = w x_J / ||x_J||; else ||v_J|| <= w
+        # active group: v_J = w x_J / ||x_J||; else ||v_J|| <= w
         w = reg.weight
         owner = reg.segments.owner
-        nx = group_norms(reg, x)
-        active = nx > t
+        nx, active = active_groups(reg, x, tol)
         unit = w * x / np.where(active, nx, 1.0)[owner]
         resid = np.where(active[owner], v - unit, v)
         bound = np.where(active, t * max(1.0, w), w + t * max(1.0, w))
@@ -204,7 +213,7 @@ def subdiff_contains(reg, x, v, tol=DEFAULT_TOL):
     scale = max(1.0, float(np.linalg.norm(x)))
     if reg.A.shape[0] and float(np.max(reg.A @ x - reg.c)) > t * scale:
         return False
-    res, _ = _normal_cone_coefficients(reg.A, reg.c, x, v, t)
+    _, res = _normal_cone_fit(reg.A, reg.c, x, v, t)
     return res <= t * max(1.0, float(np.linalg.norm(v)))
 
 
@@ -466,9 +475,7 @@ class PolyhedralFace:
     def tangent_at(self, x, tol=DEFAULT_TOL):
         x = np.asarray(x, dtype=float)
         scale = max(1.0, float(np.linalg.norm(x)))
-        act = [i for i in range(self.A.shape[0])
-               if self.A[i] @ x >= self.c[i] - 10 * tol.member * scale]
-        a = self.A[act] if act else np.zeros((0, self.dim))
+        a = self.A[self.A @ x >= self.c - 10 * tol.member * scale]
         e = self.E if self.E.shape[0] else None
         return PolyhedralCone(a, e, ambient=self.dim)
 
@@ -511,14 +518,14 @@ def tangent_subdiff(reg, x_bar, y_bar, tol=DEFAULT_TOL):
         raise ValueError("y_bar is not in dg(x_bar)")
     if reg.kind == "group_lasso":
         comps = []
-        w = reg.weight
-        for g in reg.group_slices:
+        _, active = active_groups(reg, x_bar, tol)
+        ratios = group_norms(reg, y_bar) / reg.weight
+        groups = [g for g in reg.group_slices if len(g)]
+        for g, act, ny in zip(groups, active, ratios):
             nb = len(g)
-            nx = float(np.linalg.norm(x_bar[g]))
-            if nx > tol.member:
+            if act:
                 comps.append((g, SubspaceCone.zero(nb)))
                 continue
-            ny = float(np.linalg.norm(y_bar[g])) / w
             if ny < 1.0 - tol.member:
                 comps.append((g, SubspaceCone.full(nb)))
             else:
@@ -528,9 +535,8 @@ def tangent_subdiff(reg, x_bar, y_bar, tol=DEFAULT_TOL):
     if reg.kind == "polyhedral_indicator":
         a, c = reg.A, reg.c
         scale = max(1.0, float(np.linalg.norm(x_bar)))
-        act = [i for i in range(a.shape[0])
-               if a[i] @ x_bar >= c[i] - tol.member * scale]
-        rays = [a[i] for i in act if np.linalg.norm(a[i]) > tol.member]
+        rays = [r for r in a[a @ x_bar >= c - tol.member * scale]
+                if np.linalg.norm(r) > tol.member]
         ny = float(np.linalg.norm(y_bar))
         span = (Subspace(reg.dim, y_bar.reshape(-1, 1)) if ny > tol.member
                 else Subspace.zero(reg.dim))
@@ -745,18 +751,10 @@ def project_multiplier(reg, z, y, tol=DEFAULT_TOL):
         # active group: w z_J / ||z_J||; else y_J pulled into the w-ball
         w = reg.weight
         owner = reg.segments.owner
-        nz = group_norms(reg, z)
-        active = nz > tol.member
+        nz, active = active_groups(reg, z, tol)
         fac = w / np.fmax(group_norms(reg, y), w)
         return np.where(active[owner], w * z / np.where(active, nz, 1.0)[owner],
                         fac[owner] * y)
     if reg.kind == "nuclear":
         return prox_conjugate(reg, 1.0, y)
-    res, _ = _normal_cone_coefficients(reg.A, reg.c, z, y, tol.member)
-    act = [i for i in range(reg.A.shape[0])
-           if reg.A[i] @ z >= reg.c[i] - tol.member * max(1.0, np.linalg.norm(z))]
-    if not act:
-        return np.zeros_like(y)
-    import scipy.optimize
-    lam, _ = scipy.optimize.nnls(reg.A[act].T, y)
-    return reg.A[act].T @ lam
+    return _normal_cone_fit(reg.A, reg.c, z, y, tol.member)[0]

@@ -303,6 +303,34 @@ def test_tv_2d_integration():
     assert report.cond_suf.outcome == report.cond_nes.outcome
 
 
+def _tv4_doc(scale):
+    """TV denoising of a noisy three-level 4x4 image, (b, weight) * scale."""
+    from calmcert.gallery import tv_groups
+    rng = np.random.default_rng([0, 5])
+    img = np.zeros((4, 4))
+    ci, cj = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    levels = rng.uniform(-1.0, 1.0, size=3)
+    img[:ci, :] = levels[0]
+    img[ci:, :cj] = levels[1]
+    img[ci:, cj:] = levels[2]
+    b = img.ravel() + 0.05 * rng.standard_normal(16)
+    return {"phi": {"kind": "identity", "dim": 16},
+            "b": [float(v) for v in scale * b], "mu": 1.0,
+            "k": {"kind": "grad2d", "n1": 4, "n2": 4},
+            "reg": {"kind": "group_lasso", "dim": 32, "groups": tv_groups(4, 4),
+                    "weight": 0.1 * scale}}
+
+
+def test_tv_verdicts_do_not_change_with_scale():
+    # group activity is judged relative to ||K x_bar||: at 1e5 an absolute
+    # threshold rejected the solver's own multiplier
+    for scale in (1e-3, 1.0, 1e3, 1e5):
+        inst = make(_tv4_doc(scale))
+        report = certify_primal_dual(inst, solve(inst))
+        assert report.conclusion_solution_map.status == "isolated_calm", scale
+        assert report.conclusion_primal_dual.status == "not_isolated_calm", scale
+
+
 def test_polyhedral_with_dense_k_pipeline():
     doc = {"phi": {"kind": "dense", "rows": 1, "cols": 2,
                    "entries": [1.0, 0.3]},

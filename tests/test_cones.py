@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,11 @@ from calmcert.cones import (PolyhedralCone, PreimageCone, PsdCone,
                             polar_cone, preimage, simplify,
                             tangent_with_range_restriction,
                             trivial_intersection)
+from calmcert.certificates import certify_primal_dual
+from calmcert.cli import run
 from calmcert.linalg import Subspace, Tolerances
-from calmcert.model import LinearOp, materialize
+from calmcert.model import LinearOp, load_instance, materialize
+from calmcert.solver import solve
 
 TOL = Tolerances()
 
@@ -100,11 +105,27 @@ def test_zero_kernel_always_trivial():
     assert v.is_trivial
 
 
-def test_ray_cap_yields_unknown():
-    rays = [np.eye(25)[i] for i in range(21)]
-    cone = SubspacePlusRays(Subspace.zero(25), rays)
-    v = trivial_intersection(Subspace.full(25), cone, TOL)
-    assert v.is_unknown and "combinatorial limit" in v.reason
+def test_ray_count_has_no_cap(tmp_path):
+    # l1 with Phi = [I_k I_k], b = mu 1: x_bar = 0 and every y_i = 1, so the
+    # tangent cone is the orthant of 2k rays, and Ker Phi = {(u, -u)} meets
+    # it only at 0
+    mu = 0.7
+    for k in (12, 25):
+        phi = np.hstack([np.eye(k), np.eye(k)])
+        doc = {"phi": {"kind": "dense", "rows": k, "cols": 2 * k,
+                       "entries": phi.ravel().tolist()},
+               "b": [mu] * k, "mu": mu, "k": {"kind": "identity", "dim": 2 * k},
+               "reg": {"kind": "group_lasso", "dim": 2 * k,
+                       "groups": [[i] for i in range(2 * k)], "weight": 1.0}}
+        path = tmp_path / f"dup{k}.json"
+        path.write_text(json.dumps(doc))
+        inst = load_instance(path.read_text())
+        report = certify_primal_dual(inst, solve(inst))
+        assert report.conclusion_solution_map.status == "isolated_calm"
+        assert report.conclusion_primal_dual.status == "isolated_calm"
+        assert report.cond_suf.certificate.verify(TOL)
+        assert not report.has_unknown
+        assert run(["certify", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_witness_soundness_random():

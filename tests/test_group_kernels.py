@@ -52,9 +52,10 @@ def ref_dual_feasibility(reg, y):
 def ref_subdiff_contains(reg, x, v, tol):
     t = tol.member
     w = reg.weight
+    on = t * max(1.0, float(np.linalg.norm(x)))
     for g in reg.group_slices:
         nx = float(np.linalg.norm(x[g]))
-        if nx > t:
+        if nx > on:
             if float(np.linalg.norm(v[g] - w * x[g] / nx)) > t * max(1.0, w):
                 return False
         elif float(np.linalg.norm(v[g])) > w + t * max(1.0, w):
@@ -65,9 +66,10 @@ def ref_subdiff_contains(reg, x, v, tol):
 def ref_project_multiplier(reg, z, y, tol):
     out = y.copy()
     w = reg.weight
+    on = tol.member * max(1.0, float(np.linalg.norm(z)))
     for g in reg.group_slices:
         nz = float(np.linalg.norm(z[g]))
-        if nz > tol.member:
+        if nz > on:
             out[g] = w * z[g] / nz
         else:
             ny = float(np.linalg.norm(y[g]))
@@ -112,8 +114,8 @@ def cases(draw):
     perturbed by noise of a drawn size, and a free point y.
 
     Each group of x is free, zero, or on an edge: ||x_J|| exactly at the
-    membership tolerance, y_J exactly at the prox or dual-ball threshold,
-    and v_J exactly on the membership bound.
+    activity threshold tol.member * max(1, ||x||), y_J exactly at the prox
+    or dual-ball threshold, and v_J exactly on the membership bound.
     """
     groups, dim = draw(partitions())
     reg = group_lasso(groups, dim, weight=draw(st.floats(0.05, 5.0)))
@@ -122,6 +124,7 @@ def cases(draw):
     x, y, d = draw(vec), draw(vec), draw(vec)
     w = reg.weight
     v = np.zeros(dim)
+    edges = []
     for g in reg.group_slices:
         if not len(g):
             continue
@@ -130,7 +133,7 @@ def cases(draw):
         if kind != "free":
             x[g] = 0.0
         if kind == "edge":
-            x[g[0]] = sign * TOL.member
+            edges.append((g[0], sign))
             y[g] = 0.0
             y[g[-1]] = sign * draw(st.sampled_from([t * w, w]))
             v[g[0]] = sign * (w + TOL.member * max(1.0, w))
@@ -142,6 +145,9 @@ def cases(draw):
             nd = float(np.linalg.norm(d[g]))
             if nd > 0.0:
                 v[g] = draw(st.floats(0.0, 1.0)) * w * d[g] / nd
+    on = TOL.member * max(1.0, float(np.linalg.norm(x)))
+    for i, sign in edges:
+        x[i] = sign * on
     v = v + draw(st.sampled_from([0.0, 0.0, 1e-9, 1e-6, 1e-3, 1.0])) * d
     return reg, t, x, v, y
 
