@@ -22,7 +22,7 @@ import numpy as np
 from . import regularizers as rz
 from .cones import (TrivialityVerdict, preimage, polar_cone,
                     tangent_with_range_restriction, trivial_intersection)
-from .linalg import null_space
+from .linalg import Subspace, null_space
 from .model import materialize
 from .solver import kkt_residual
 
@@ -273,7 +273,8 @@ def certify_primal_dual(instance, pair, seed=0):
     x = np.asarray(pair.x_bar, dtype=float)
     y = report.y_used
     kx = instance.k.apply(x)
-    kernel_kt = null_space(materialize(instance.k).T, tol)
+    kernel_kt = (Subspace.zero(instance.dim_y) if instance.k.is_identity
+                 else null_space(materialize(instance.k).T, tol))
 
     tangent_sub = rz.tangent_subdiff(reg, kx, y, tol)
     if tangent_sub is None:

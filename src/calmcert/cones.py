@@ -181,13 +181,13 @@ class PolyhedralCone(ConeDescription):
         self.E = e if e is not None and e.size else np.zeros((0, self.ambient))
 
     def member(self, w, tol):
+        """A w <= 0 and E w = 0, each row i at slack tol ||row_i|| max(1, ||w||),
+        so that rescaling a row does not change the test."""
         w = np.asarray(w, dtype=float)
-        slack = tol * max(1.0, float(np.linalg.norm(w)))
-        if self.A.shape[0] and float(np.max(self.A @ w)) > slack:
+        scale = tol * max(1.0, float(np.linalg.norm(w)))
+        if np.any(self.A @ w > scale * np.linalg.norm(self.A, axis=1)):
             return False
-        if self.E.shape[0] and float(np.max(np.abs(self.E @ w))) > slack:
-            return False
-        return True
+        return not np.any(np.abs(self.E @ w) > scale * np.linalg.norm(self.E, axis=1))
 
     def residual(self, w):
         w = np.asarray(w, dtype=float)
@@ -355,6 +355,16 @@ def _block_to_polyhedral(cone, ix, ambient, tol):
     return None
 
 
+def _pull_back_rows(rows, k, tol):
+    """rows @ k without the rows K maps to roundoff size (norm <= tol.rank *
+    ||row|| ||K||_F): their constraint holds for every w, and their
+    direction is noise that a per-row membership slack would not forgive."""
+    out = rows @ k
+    keep = np.linalg.norm(out, axis=1) > \
+        tol.rank * np.linalg.norm(rows, axis=1) * np.linalg.norm(k)
+    return out[keep]
+
+
 def simplify(cone, tol=DEFAULT_TOL):
     """Flatten products and push preimages inward where this is exact."""
     if isinstance(cone, ProductCone):
@@ -393,7 +403,9 @@ def simplify(cone, tol=DEFAULT_TOL):
                 return SubspaceCone.full(k.shape[1])
             return SubspaceCone(null_space(comp.basis.T @ k, tol))
         if isinstance(inner, PolyhedralCone):
-            return PolyhedralCone(inner.A @ k, inner.E @ k, ambient=k.shape[1])
+            return PolyhedralCone(_pull_back_rows(inner.A, k, tol),
+                                  _pull_back_rows(inner.E, k, tol),
+                                  ambient=k.shape[1])
         return PreimageCone(k, inner)
     if isinstance(cone, SubspacePlusRays) and not cone.rays:
         return SubspaceCone(cone.span)
@@ -603,11 +615,13 @@ def tangent_with_range_restriction(face, z, k_op, tol=DEFAULT_TOL):
     are supported only when the restriction is vacuous (Im K = Y).
     """
     from .linalg import range_space
-    k = k_op if isinstance(k_op, np.ndarray) else k_op._dense
     z = np.asarray(z, dtype=float)
-    imk = range_space(k, tol)
     if not face.contains(z, 10 * tol.member):
         raise ValueError("base point is not a member of the face")
+    if getattr(k_op, "is_identity", False):       # Im K = Y
+        return face.tangent_at(z, tol)
+    k = k_op if isinstance(k_op, np.ndarray) else k_op._dense
+    imk = range_space(k, tol)
     if imk.residual(z) > 10 * tol.member * max(1.0, float(np.linalg.norm(z))):
         raise ValueError("base point is not in the range of K")
     if imk.dim == imk.ambient_dim:

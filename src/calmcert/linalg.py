@@ -62,23 +62,31 @@ class Subspace:
             raise ValueError("basis rows do not match ambient dimension")
         self.basis = _reorthonormalize(basis)
 
+    @classmethod
+    def _orthonormal(cls, basis):
+        """Subspace over a basis that is orthonormal by construction (no QR)."""
+        sub = cls.__new__(cls)
+        sub.ambient_dim = basis.shape[0]
+        sub.basis = basis
+        return sub
+
     @property
     def dim(self):
         return self.basis.shape[1]
 
     @classmethod
     def full(cls, n):
-        return cls(n, np.eye(n))
+        return cls._orthonormal(np.eye(n))
 
     @classmethod
     def zero(cls, n):
-        return cls(n, np.zeros((n, 0)))
+        return cls._orthonormal(np.zeros((n, 0)))
 
     @classmethod
     def span_of(cls, vectors, tol=DEFAULT_TOL):
         """Subspace spanned by the given vectors (rows or a single vector)."""
         v = np.atleast_2d(np.asarray(vectors, dtype=float))
-        return cls(v.shape[1], _orth_columns(v.T, tol.rank))
+        return cls._orthonormal(_orth_columns(v.T, tol.rank))
 
     def project(self, w):
         w = np.asarray(w, dtype=float)
@@ -99,7 +107,7 @@ class Subspace:
         if self.dim == n:
             return Subspace.zero(n)
         u, s, _ = np.linalg.svd(self.basis, full_matrices=True)
-        return Subspace(n, u[:, self.dim:])
+        return Subspace._orthonormal(u[:, self.dim:])
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -156,24 +164,33 @@ def null_space(a, tol=DEFAULT_TOL):
     if smax == 0.0:
         return Subspace.full(n)
     r = int(np.sum(s > tol.rank * smax))
-    return Subspace(n, vt[r:].T)
+    return Subspace._orthonormal(vt[r:].T)
 
 
 def range_space(a, tol=DEFAULT_TOL):
     """Orthonormal basis of the column space at the relative rank tolerance."""
     a = _as_matrix(a)
-    return Subspace(a.shape[0], _orth_columns(a, tol.rank))
+    return Subspace._orthonormal(_orth_columns(a, tol.rank))
 
 
 def intersect_subspaces(p, q, tol=DEFAULT_TOL):
-    """P cap Q via the null space of stacked orthogonal-complement projectors."""
+    """P cap Q from the principal angles between P and Q.
+
+    With S the basis of smaller dimension and T the other, the singular
+    values of the residual S - T (T^T S) (n x dim S) are the sines of the
+    principal angles (Bjorck & Golub, Math. Comp. 27, 1973), and
+    P cap Q = S V[:, sin <= tol.rank].  The threshold is absolute, since the
+    sines lie in [0, 1].  The null space of the projector stack
+    [I - P P^T; I - Q Q^T] used before kept singular values up to
+    tol.rank * sigma_max(stack), with sigma_max in [1, sqrt 2]; the stack's
+    singular value for an angle theta is sqrt(2) sin(theta / 2).  When P and
+    Q were both R^n the stack was pure roundoff, which that relative
+    threshold could read as full rank, returning {0}.
+    """
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
-    n = p.ambient_dim
     if p.dim == 0 or q.dim == 0:
-        return Subspace.zero(n)
-    stack = np.vstack([
-        np.eye(n) - p.basis @ p.basis.T,
-        np.eye(n) - q.basis @ q.basis.T,
-    ])
-    return null_space(stack, tol)
+        return Subspace.zero(p.ambient_dim)
+    s, t = (p.basis, q.basis) if p.dim <= q.dim else (q.basis, p.basis)
+    _, sines, vt = np.linalg.svd(s - t @ (t.T @ s), full_matrices=False)
+    return Subspace._orthonormal(s @ vt[sines <= tol.rank].T)

@@ -148,7 +148,7 @@ class LinearOp:
         if self.kind == "dense":
             m = self._dense
             return {"kind": "dense", "rows": m.shape[0], "cols": m.shape[1],
-                    "entries": [float(v) for v in m.ravel()]}
+                    "entries": m.ravel().tolist()}
         if self.kind == "identity":
             return {"kind": "identity", "dim": self.params["dim"]}
         if self.kind == "grad1d":
@@ -259,8 +259,8 @@ class RegularizerSpec:
         a = self.A
         return {"kind": "polyhedral_indicator",
                 "A": {"kind": "dense", "rows": a.shape[0], "cols": a.shape[1],
-                      "entries": [float(v) for v in a.ravel()]},
-                "c": [float(v) for v in self.c]}
+                      "entries": a.ravel().tolist()},
+                "c": self.c.tolist()}
 
 
 def group_lasso(groups, dim, weight=1.0):
@@ -336,7 +336,7 @@ class ProblemInstance:
     def to_json_dict(self):
         out = {
             "phi": self.phi.to_json_dict(),
-            "b": [float(v) for v in self.b],
+            "b": self.b.tolist(),
             "mu": float(self.mu),
             "k": self.k.to_json_dict(),
             "reg": self.reg.to_json_dict(),
@@ -500,5 +500,26 @@ def instance_to_json(instance):
 
 
 def instance_hash(instance):
-    """sha256 of the canonical instance serialization."""
-    return hashlib.sha256(instance_to_json(instance).encode()).hexdigest()
+    """sha256 of the canonical instance serialization, floats in binary.
+
+    Hashed: the canonical JSON (`instance_to_json`) without b and without
+    the entries of each dense operator (kind, rows and cols stay), then the
+    little-endian float64 bytes of b and of the dense phi, k and reg.A, in
+    that order.  The header fixes every length, and shortest-repr text and
+    float64 are in bijection on finite floats, so two instances hash alike
+    exactly when their canonical JSON is the same.
+    """
+    doc = instance.to_json_dict()
+    del doc["b"]
+    arrays = [instance.b]
+    dense = [(doc["phi"], instance.phi._dense), (doc["k"], instance.k._dense)]
+    if instance.reg.kind == "polyhedral_indicator":
+        dense.append((doc["reg"]["A"], instance.reg.A))
+    for part, matrix in dense:
+        if part["kind"] == "dense":
+            del part["entries"]
+            arrays.append(matrix)
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<f8"))
+    return digest.hexdigest()

@@ -440,3 +440,34 @@ def test_srcq_consistent_with_bounded_sweeps_on_curated_suite():
                 report.conclusion_primal_dual.status == "not_isolated_calm"
         if name in ("lasso_scalar", "lasso_coordinate", "tv_grad1d"):
             assert not report.srcq.is_nontrivial
+
+
+def test_identity_k_certificate_stays_at_subspace_size(monkeypatch):
+    # K = I Lasso, n = 200: no SVD of a matrix with more than n rows (the
+    # 2n x n projector stack), none of K itself (Im K and Ker K* are known
+    # when K = I) and no QR of an n x n basis (the identity).
+    rng = np.random.default_rng(4)
+    n, m = 200, 100
+    phi = rng.standard_normal((m, n)) / np.sqrt(m)
+    x0 = np.zeros(n)
+    x0[rng.choice(n, size=12, replace=False)] = rng.choice([-1.0, 1.0], size=12)
+    b = phi @ x0 + 0.01 * rng.standard_normal(m)
+    doc = l1_doc(phi, b)
+    doc["reg"]["weight"] = 0.1 * float(np.max(np.abs(phi.T @ b)))
+    inst = make(doc)
+    pair = solve(inst)
+    shapes = {"svd": [], "qr": []}
+    for name in shapes:
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            shapes[_name].append(np.shape(a))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    report = certify_primal_dual(inst, pair)
+    assert report.conclusion_primal_dual.status in ("isolated_calm",
+                                                    "not_isolated_calm")
+    assert shapes["svd"], "the certificate computes Ker Phi by an SVD"
+    assert all(rows <= n for rows, _ in shapes["svd"])
+    assert (n, n) not in shapes["svd"]
+    assert (n, n) not in shapes["qr"]

@@ -147,25 +147,35 @@ def check_verdict(n_sub, cone, v):
 
 
 def scaled(cone, s):
-    """The same cone with its rows (polyhedral) or K (preimage) times s."""
+    """The same cone with its rows (polyhedral) or K (preimage) times s.
+
+    s = "rows" multiplies the rows of a polyhedral cone by 1e12 and 1e-12
+    in turn, so that neighbouring rows are 24 orders of magnitude apart.
+    """
     if isinstance(cone, PolyhedralCone):
+        if s == "rows":
+            return PolyhedralCone(
+                cone.A * np.where(np.arange(len(cone.A)) % 2, 1e-12, 1e12)[:, None],
+                cone.E * np.where(np.arange(len(cone.E)) % 2, 1e12, 1e-12)[:, None],
+                ambient=cone.ambient)
         return PolyhedralCone(s * cone.A, s * cone.E, ambient=cone.ambient)
-    if isinstance(cone, PreimageCone):
+    if isinstance(cone, PreimageCone) and s != "rows":
         return PreimageCone(s * cone.K, cone.inner)
     return cone
 
 
 @SETTINGS
-@given(cones(), st.sampled_from([1e-9, 1e9]))
+@given(cones(), st.sampled_from([1e-12, 1e-9, 1e9, 1e12, "rows"]))
 def test_decision_matches_pattern_enumeration(case, s):
     n_sub, cone, _ = case
     v = trivial_intersection(n_sub, cone, TOL)
     check_verdict(n_sub, cone, v)
     assert v.outcome == ref_decide(n_sub, cone)
-    # rescaled data may end undecided (membership slack is absolute), but
-    # never with the opposite verdict
-    rescaled = trivial_intersection(n_sub, scaled(cone, s), TOL)
-    assert rescaled.outcome in (v.outcome, "unknown")
+    # membership slack is per row, so rescaling rows or K changes nothing
+    cone = scaled(cone, s)
+    rescaled = trivial_intersection(n_sub, cone, TOL)
+    check_verdict(n_sub, cone, rescaled)
+    assert rescaled.outcome == v.outcome
 
 
 def test_drawn_cases_cover_every_kind_and_outcome():

@@ -188,6 +188,38 @@ def test_zero_product_affine_region():
     assert out["zero_products"] == 200     # z = 0 on the flat piece
 
 
+def test_zero_product_centres_off_graph_pair_on_the_graph():
+    # v = 1 + 1e-9 is not a subgradient of |.| at 0; the graph point with the
+    # same prox argument is (1e-9, 1), and samples taken about it keep
+    # <z, w> >= 0 (about (0, 1 + 1e-9) it would be -1e-3 d for d > 0)
+    out = zero_product_check(l1(1), np.array([0.0]), np.array([1.0 + 1e-9]),
+                             n_samples=200, seed=3)
+    assert out["positivity_violations"] == 0
+    assert abs(out["center_shift"] - 1e-9) <= 1e-15
+
+
+def test_zero_product_on_a_solved_lasso_has_no_positivity_violation():
+    # the solver leaves (x_bar, v_bar) off the graph by its KKT error, which
+    # division by t = 1e-6 magnified past the positivity slack
+    rng = np.random.default_rng(6)
+    phi = rng.standard_normal((20, 40)) / np.sqrt(20)
+    x0 = np.zeros(40)
+    x0[[3, 17]] = [1.5, -1.2]
+    b = phi @ x0 + 0.01 * rng.standard_normal(20)
+    inst = load_instance({
+        "phi": {"kind": "dense", "rows": 20, "cols": 40,
+                "entries": phi.ravel().tolist()},
+        "b": b.tolist(), "mu": 1.0, "k": {"kind": "identity", "dim": 40},
+        "reg": {"kind": "group_lasso", "dim": 40,
+                "groups": [[i] for i in range(40)],
+                "weight": 0.1 * float(np.abs(phi.T @ b).max())}})
+    pair = solve(inst)
+    out = zero_product_check(inst.reg, pair.x_bar, pair.y_bar, n_samples=200,
+                             seed=0)
+    assert out["positivity_violations"] == 0
+    assert out["center_shift"] <= 1e-8
+
+
 def test_zero_product_group_lasso_active():
     reg = group_lasso([[0, 1], [2]], 3)
     x = np.array([0.6, 0.8, 0.0])

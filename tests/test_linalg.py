@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from calmcert.linalg import (Tolerances, Subspace, svd, sym_eig, null_space,
                              range_space, intersect_subspaces)
@@ -161,3 +162,118 @@ def test_subspace_reorthonormalization():
     s = Subspace(3, np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]]))
     assert s.dim == 1
     assert np.allclose(s.basis.T @ s.basis, np.eye(1))
+
+
+# ---------------------------------------------------------------------------
+# principal-angle intersection against the projector stack it replaced
+
+
+def ref_intersect(p, q, tol):
+    """The projector-stack intersection, kept only as the reference: the
+    null space of [I - P P^T; I - Q Q^T] at tol.rank * sigma_max(stack)."""
+    n = p.ambient_dim
+    if p.dim == 0 or q.dim == 0:
+        return np.zeros((n, 0))
+    if p.dim == n and q.dim == n:
+        # the stack is zero up to roundoff here; unless the bases were
+        # exactly orthogonal, its relative threshold read that roundoff as
+        # full rank and the replaced code returned {0}
+        return np.eye(n)
+    stack = np.vstack([np.eye(n) - p.basis @ p.basis.T,
+                       np.eye(n) - q.basis @ q.basis.T])
+    return null_space(stack, tol).basis
+
+
+def orthonormal(rng, n, k):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0][:, :k]
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(P, Q, kind) over the cases the intersection must get right.  The
+    near-parallel angles keep clear of (tol.rank, 2 tol.rank], where the
+    stack's threshold (its singular value is sqrt(2) sin(theta/2), cut at
+    tol.rank * sigma_max with sigma_max in [1, sqrt 2]) and the sines'
+    threshold may disagree."""
+    kind = draw(st.sampled_from(["equal", "nested", "orthogonal", "random",
+                                 "dim0", "full", "near_parallel"]))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(1, n))
+    p = orthonormal(rng, n, k)
+    if kind == "equal":
+        q = p @ orthonormal(rng, k, k)             # same span, another basis
+    elif kind == "nested":
+        q = np.hstack([p, rng.standard_normal((n, draw(st.integers(0, n))))])
+    elif kind == "orthogonal":
+        basis = orthonormal(rng, n, n)
+        j = draw(st.integers(0, n))
+        p, q = basis[:, :j], basis[:, j:]
+    elif kind == "random":
+        q = rng.standard_normal((n, draw(st.integers(1, n))))
+    elif kind == "dim0":
+        q = np.zeros((n, 0))
+    elif kind == "full":
+        q = rng.standard_normal((n, n))
+    else:
+        if k == n:
+            p, k = p[:, :n - 1], n - 1
+        basis = orthonormal(rng, n, n)
+        p, u = basis[:, :k], basis[:, k]
+        theta = draw(st.sampled_from([1e-13, 1e-11, 1e-9 / 2, 1e-7, 1e-4, 0.3]))
+        q = p.copy()
+        if k:
+            q[:, 0] = np.cos(theta) * p[:, 0] + np.sin(theta) * u
+    if draw(st.booleans()):
+        p, q = q, p
+    return Subspace(n, p), Subspace(n, q), kind
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(subspace_pairs())
+def test_intersection_matches_projector_stack(case):
+    p, q, _ = case
+    got = intersect_subspaces(p, q, TOL).basis
+    want = ref_intersect(p, q, TOL)
+    assert got.shape[1] == want.shape[1]
+    assert np.abs(got.T @ got - np.eye(got.shape[1])).max(initial=0.0) <= 1e-12
+    for j in range(got.shape[1]):
+        w = got[:, j]
+        assert np.linalg.norm(w - want @ (want.T @ w)) <= 1e-8
+        assert p.contains(w, 1e-8) and q.contains(w, 1e-8)
+
+
+def test_intersection_pairs_cover_every_dimension_outcome():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(subspace_pairs())
+    def collect(case):
+        p, q, kind = case
+        d = intersect_subspaces(p, q, TOL).dim
+        seen.add((kind, "zero" if d == 0 else "min" if d == min(p.dim, q.dim)
+                  else "between"))
+
+    collect()
+    for kind in ("equal", "nested", "full", "random", "near_parallel"):
+        assert (kind, "min") in seen
+    for kind in ("orthogonal", "dim0", "random"):
+        assert (kind, "zero") in seen
+    assert ("near_parallel", "between") in seen
+
+
+def test_constructed_bases_are_orthonormal_without_qr(monkeypatch):
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((3, 7))
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda m, *args, **kw: calls.append(m.shape) or qr(m, *args, **kw))
+    spaces = [Subspace.full(7), Subspace.zero(7), null_space(a, TOL)]
+    spaces.append(spaces[2].complement())
+    spaces.append(intersect_subspaces(spaces[2], spaces[0], TOL))
+    spaces += [range_space(a.T, TOL), Subspace.span_of(a, TOL)]
+    assert calls == []
+    assert [s.dim for s in spaces] == [7, 0, 4, 3, 4, 3, 3]
+    for s in spaces:
+        assert np.abs(s.basis.T @ s.basis - np.eye(s.dim)).max(initial=0.0) <= 1e-12

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -182,3 +184,78 @@ def test_operator_constants_computed_once(monkeypatch):
     assert op.op_norm() == pytest.approx(4.0)
     pert = inst.perturbed(db=np.ones(1))
     assert (pert.phi.op_norm(), pert.k.op_norm()) == norms
+
+
+# ---------------------------------------------------------------------------
+# canonical text and instance hash
+
+
+PINNED_DOC = {"phi": {"kind": "dense", "rows": 2, "cols": 2,
+                      "entries": [0.1, -0.0, 1e-300, 3.0]},
+              "b": [1.5, -2.25], "mu": 0.5,
+              "k": {"kind": "dense", "rows": 3, "cols": 2,
+                    "entries": [1.0, 0.0, 0.0, 1.0, 1.0, -1.0]},
+              "reg": {"kind": "polyhedral_indicator",
+                      "A": {"kind": "dense", "rows": 2, "cols": 3,
+                            "entries": [1.0, 0.0, 0.0, 0.0, -1.0, 2.5e-7]},
+                      "c": [1.0, 0.3333333333333333]},
+              "tol": {"rank": 1e-10}}
+
+
+def with_phi(doc, entries):
+    out = json.loads(json.dumps(doc))
+    out["phi"]["entries"] = entries
+    return load_instance(out)
+
+
+def test_instance_to_json_text_is_pinned():
+    assert instance_to_json(load_instance(PINNED_DOC)) == (
+        '{"b": [1.5, -2.25], "k": {"cols": 2, "entries": [1.0, 0.0, 0.0, 1.0, '
+        '1.0, -1.0], "kind": "dense", "rows": 3}, "mu": 0.5, "phi": {"cols": '
+        '2, "entries": [0.1, -0.0, 1e-300, 3.0], "kind": "dense", "rows": 2}, '
+        '"reg": {"A": {"cols": 3, "entries": [1.0, 0.0, 0.0, 0.0, -1.0, '
+        '2.5e-07], "kind": "dense", "rows": 2}, "c": [1.0, 0.3333333333333333]'
+        ', "kind": "polyhedral_indicator"}, "tol": {"kkt": 1e-10, "member": '
+        '1e-07, "rank": 1e-10}}')
+
+
+def test_instance_hash_follows_its_definition():
+    inst = load_instance(PINNED_DOC)
+    header = json.loads(instance_to_json(inst))
+    del header["b"]
+    for part in (header["phi"], header["k"], header["reg"]["A"]):
+        del part["entries"]
+    digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode())
+    for values in ([1.5, -2.25], PINNED_DOC["phi"]["entries"],
+                   PINNED_DOC["k"]["entries"],
+                   PINNED_DOC["reg"]["A"]["entries"]):
+        digest.update(struct.pack(f"<{len(values)}d", *values))
+    assert instance_hash(inst) == digest.hexdigest()
+
+
+def test_instance_hash_survives_json_round_trip():
+    inst = load_instance(PINNED_DOC)
+    again = load_instance(instance_to_json(inst))
+    assert instance_hash(again) == instance_hash(inst)
+
+
+def test_instance_hash_sees_every_bit():
+    entries = PINNED_DOC["phi"]["entries"]
+    base = instance_hash(load_instance(PINNED_DOC))
+    one_ulp = [float(np.nextafter(entries[0], 1.0))] + entries[1:]
+    signed_zero = [entries[0], 0.0] + entries[2:]     # -0.0 becomes 0.0
+    for changed in (one_ulp, signed_zero):
+        assert instance_to_json(with_phi(PINNED_DOC, changed)) != \
+            instance_to_json(load_instance(PINNED_DOC))
+        assert instance_hash(with_phi(PINNED_DOC, changed)) != base
+    b_zero = load_instance(minimal_doc(b=[0.0]))
+    b_negzero = load_instance(minimal_doc(b=[-0.0]))
+    assert instance_hash(b_zero) != instance_hash(b_negzero)
+
+
+def test_instance_hash_tells_identity_from_dense_identity():
+    structured = load_instance(minimal_doc())
+    dense = load_instance(minimal_doc(
+        k={"kind": "dense", "rows": 1, "cols": 1, "entries": [1.0]}))
+    assert np.array_equal(materialize(structured.k), materialize(dense.k))
+    assert instance_hash(structured) != instance_hash(dense)
