@@ -119,8 +119,12 @@ class CertificateReport:
 # multiplier validation / refinement
 
 
-def _prepare_multiplier(instance, pair):
-    """Validate the KKT pair; refine a near-feasible multiplier once."""
+def prepare_multiplier(instance, pair):
+    """Validate the KKT pair; refine a near-feasible multiplier once.
+
+    Returns (x_bar, y, residuals), y being the multiplier the certificates
+    use (their y_used).
+    """
     tol = instance.tol
     scale = 1.0 + float(np.linalg.norm(instance.b))
     x = np.asarray(pair.x_bar, dtype=float)
@@ -194,10 +198,11 @@ def _compose_solution_conclusion(cond_suf, cond_nes, qualified, qgc):
     return Conclusion("inconclusive", reason="no decisive branch")
 
 
-def certify_solution_map(instance, pair, seed=0):
-    """Certificate for the optimal-solution mapping at (b, mu) for x_bar."""
+def _solution_map(instance, pair, seed):
+    """(report, tangent, kx): the solution-map report, the tangent cone of
+    the conjugate face of y_used at kx = K x_bar, and kx."""
     tol = instance.tol
-    x, y, _ = _prepare_multiplier(instance, pair)
+    x, y, _ = prepare_multiplier(instance, pair)
     v = instance.v_of(x)
     reg = instance.reg
     kx = instance.k.apply(x)
@@ -212,16 +217,20 @@ def certify_solution_map(instance, pair, seed=0):
     tangent = face.tangent_at(kx, tol)
     cond_suf = trivial_intersection(kernel_phi, preimage(instance.k, tangent, tol),
                                     tol, seed=seed)
-    restricted = tangent_with_range_restriction(face, kx, instance.k, tol)
-    if restricted is None:
-        cond_nes = TrivialityVerdict.unknown(
-            "range-restricted tangent cone has no exact description for this face")
+    if instance.k.is_identity:      # Im K = Y: the restriction changes nothing
+        cond_nes = cond_suf
     else:
-        cond_nes = trivial_intersection(
-            kernel_phi, preimage(instance.k, restricted, tol), tol, seed=seed)
+        restricted = tangent_with_range_restriction(face, kx, instance.k, tol)
+        if restricted is None:
+            cond_nes = TrivialityVerdict.unknown(
+                "range-restricted tangent cone has no exact description for "
+                "this face")
+        else:
+            cond_nes = trivial_intersection(
+                kernel_phi, preimage(instance.k, restricted, tol), tol, seed=seed)
 
     qual_polyhedral = qgc.polyhedral_conjugate_face
-    qual_ri = rz.ri_intersects_range(reg, y, instance.k, tol, x_bar=kx)
+    qual_ri = rz.ri_intersects_range(face, instance.k, tol, x_bar=kx)
     qualified = qual_polyhedral or qual_ri == "yes"
     if qualified:
         if not cond_suf.is_unknown and not cond_nes.is_unknown \
@@ -239,13 +248,19 @@ def certify_solution_map(instance, pair, seed=0):
                                          "under the qualification")
 
     conclusion = _compose_solution_conclusion(cond_suf, cond_nes, qualified, qgc)
-    return CertificateReport(
+    report = CertificateReport(
         v_bar=v, y_used=y,
         cond_suf=cond_suf, cond_nes=cond_nes,
         qual_polyhedral=qual_polyhedral, qual_ri=qual_ri,
         qgc=qgc, conclusion_solution_map=conclusion,
         notes={"face": face.describe(), "seed": int(seed)},
     )
+    return report, tangent, kx
+
+
+def certify_solution_map(instance, pair, seed=0):
+    """Certificate for the optimal-solution mapping at (b, mu) for x_bar."""
+    return _solution_map(instance, pair, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +281,14 @@ def _verdict_flag(v):
 
 
 def certify_primal_dual(instance, pair, seed=0):
-    """Certificate for the primal-dual solution mapping at (b, mu, 0)."""
-    report = certify_solution_map(instance, pair, seed=seed)
+    """Certificate for the primal-dual solution mapping at (b, mu, 0).
+
+    Reuses the face and tangent cone the solution-map certificate decided on.
+    """
+    report, tangent, kx = _solution_map(instance, pair, seed)
     tol = instance.tol
     reg = instance.reg
-    x = np.asarray(pair.x_bar, dtype=float)
     y = report.y_used
-    kx = instance.k.apply(x)
     kernel_kt = (Subspace.zero(instance.dim_y) if instance.k.is_identity
                  else null_space(materialize(instance.k).T, tol))
 
@@ -284,8 +300,7 @@ def certify_primal_dual(instance, pair, seed=0):
         srcq = trivial_intersection(kernel_kt, tangent_sub, tol, seed=seed)
 
     # condition (iii) first: Ker K* against the normal cone (polar of tangent)
-    face = rz.conj_subdiff_face(reg, y, tol)
-    polar = polar_cone(face.tangent_at(kx, tol), tol)
+    polar = polar_cone(tangent, tol)
     if polar is None:
         cond_iii = "unknown"
     else:

@@ -5,6 +5,7 @@ Exit codes: 0 decisive, 2 completed with Unknown verdicts, 1 error.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -19,7 +20,9 @@ from .reporting import report_document, save_report, tolerances_from_overrides
 from .solver import SolverConfig, SolverError, kkt_residual, solve
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built once per process (it holds no state)."""
     p = argparse.ArgumentParser(
         prog="calmcert",
         description="Certify isolated calmness of regularized least-squares "
@@ -201,7 +204,7 @@ def run(argv):
             return code
         if args.verb == "lab":
             kx = instance.k.apply(pair.x_bar)
-            y = ct.certify_solution_map(instance, pair, seed=args.seed).y_used
+            _, y, _ = ct.prepare_multiplier(instance, pair)
             kernel = em.kernel_formula_check(instance.reg, kx, y,
                                              n_dirs=min(args.samples, 50),
                                              seed=args.seed, tol=instance.tol)

@@ -1,15 +1,20 @@
 """Closed convex cone descriptions and the kernel-intersection decision.
 
 The certificates all reduce to one question: given a subspace N and a
-described closed convex cone C, is N cap C = {0}?  Subspace cones are
-settled by subspace algebra.  Polyhedral cones, cones generated by rays and
-preimages of those are written as one system Q = {z : G z <= 0, H z = 0}
-with a coordinate projection F onto kernel coordinates, and settled by one
-LP for a relative-interior point of Q: a nontrivial answer carries a
-witness in N cap C, a trivial one the LP duals (a Stiemke/Gordan
-alternative), each verified before it is reported.  The embedded-PSD
-degenerate case uses an alternating-projection probe that can only answer
-Nontrivial-with-witness or Unknown.
+described closed convex cone C, is N cap C = {0}?  Every cone is one of
+five flat descriptions: a subspace, a subspace plus rays, a polyhedral cone
+{A w <= 0, E w = 0}, an embedded PSD cone, or the preimage under K of one
+that has no exact push-in.  The regularizers write their cones in these
+forms directly, group-Lasso ones included, whatever the number of groups.
+
+Subspace cones are settled by subspace algebra.  Polyhedral cones, cones
+generated by rays and preimages of those are written as one system
+Q = {z : G z <= 0, H z = 0} with a coordinate projection F onto kernel
+coordinates, and settled by one LP for a relative-interior point of Q: a
+nontrivial answer carries a witness in N cap C, a trivial one the LP duals
+(a Stiemke/Gordan alternative), each verified before it is reported.  The
+embedded-PSD degenerate case uses an alternating-projection probe that can
+only answer Nontrivial-with-witness or Unknown.
 """
 
 from dataclasses import dataclass
@@ -282,27 +287,6 @@ def make_psd_embedded(u, v, p, kernel_basis, m, n):
     return PsdCone(u, v, p, kernel_basis, m, n)
 
 
-class ProductCone(ConeDescription):
-    """Product over disjoint coordinate blocks; blocks partition the ambient."""
-
-    def __init__(self, ambient, components):
-        # components: list of (index_array, cone over the block coordinates)
-        self.ambient = int(ambient)
-        self.components = [(np.asarray(ix, dtype=int), cone) for ix, cone in components]
-        covered = sorted(i for ix, _ in self.components for i in ix)
-        if covered != list(range(self.ambient)):
-            raise ValueError("product blocks must partition the ambient dimension")
-
-    def member(self, w, tol):
-        w = np.asarray(w, dtype=float)
-        return all(cone.member(w[ix], tol) for ix, cone in self.components)
-
-    def residual(self, w):
-        w = np.asarray(w, dtype=float)
-        return float(np.sqrt(sum(cone.residual(w[ix]) ** 2
-                                 for ix, cone in self.components)))
-
-
 class PreimageCone(ConeDescription):
     """{w : K w in inner}; kept as a node only when no exact push-in exists."""
 
@@ -322,39 +306,6 @@ class PreimageCone(ConeDescription):
 # structural simplification
 
 
-def _embed_rows(rows, ix, ambient):
-    out = np.zeros((rows.shape[0], ambient))
-    out[:, ix] = rows
-    return out
-
-
-def _block_to_polyhedral(cone, ix, ambient, tol):
-    """(A, E) rows of a block cone embedded in the ambient space, or None."""
-    if isinstance(cone, SubspaceCone):
-        comp = cone.subspace.complement()
-        return np.zeros((0, ambient)), _embed_rows(comp.basis.T, ix, ambient)
-    if isinstance(cone, PolyhedralCone):
-        return _embed_rows(cone.A, ix, ambient), _embed_rows(cone.E, ix, ambient)
-    if isinstance(cone, SubspacePlusRays) and len(cone.rays) <= 1:
-        lin = cone.span
-        if not cone.rays:
-            comp = lin.complement()
-            return np.zeros((0, ambient)), _embed_rows(comp.basis.T, ix, ambient)
-        r = cone.rays[0]
-        rperp = r - lin.project(r)
-        nrm = np.linalg.norm(rperp)
-        if nrm <= tol.member:          # ray inside span: block is the span
-            comp = lin.complement()
-            return np.zeros((0, ambient)), _embed_rows(comp.basis.T, ix, ambient)
-        rperp = rperp / nrm
-        w = Subspace(lin.ambient_dim,
-                     np.hstack([lin.basis, rperp.reshape(-1, 1)]))
-        comp = w.complement()
-        a = _embed_rows(-rperp.reshape(1, -1), ix, ambient)
-        return a, _embed_rows(comp.basis.T, ix, ambient)
-    return None
-
-
 def _pull_back_rows(rows, k, tol):
     """rows @ k without the rows K maps to roundoff size (norm <= tol.rank *
     ||row|| ||K||_F): their constraint holds for every w, and their
@@ -366,37 +317,10 @@ def _pull_back_rows(rows, k, tol):
 
 
 def simplify(cone, tol=DEFAULT_TOL):
-    """Flatten products and push preimages inward where this is exact."""
-    if isinstance(cone, ProductCone):
-        comps = [(ix, simplify(c, tol)) for ix, c in cone.components]
-        n = cone.ambient
-        if all(isinstance(c, (SubspaceCone, SubspacePlusRays)) for _, c in comps):
-            span_cols, rays = [], []
-            for ix, c in comps:
-                sub = c.subspace if isinstance(c, SubspaceCone) else c.span
-                if sub.dim:
-                    span_cols.append(_embed_rows(sub.basis.T, ix, n).T)
-                if isinstance(c, SubspacePlusRays):
-                    for r in c.rays:
-                        rr = np.zeros(n)
-                        rr[ix] = r
-                        rays.append(rr)
-            basis = np.hstack(span_cols) if span_cols else np.zeros((n, 0))
-            span = Subspace(n, basis)
-            if rays:
-                return SubspacePlusRays(span, rays)
-            return SubspaceCone(span)
-        blocks = [_block_to_polyhedral(c, ix, n, tol) for ix, c in comps]
-        if all(b is not None for b in blocks):
-            a = np.vstack([b[0] for b in blocks])
-            e = np.vstack([b[1] for b in blocks])
-            return PolyhedralCone(a, e, ambient=n)
-        return ProductCone(n, comps)
+    """Push preimages inward where this is exact."""
     if isinstance(cone, PreimageCone):
         inner = simplify(cone.inner, tol)
         k = cone.K
-        if k.shape[0] == k.shape[1] and np.allclose(k, np.eye(k.shape[0])):
-            return inner
         if isinstance(inner, SubspaceCone):
             comp = inner.subspace.complement()
             if comp.dim == 0:
@@ -413,10 +337,15 @@ def simplify(cone, tol=DEFAULT_TOL):
 
 
 def preimage(k_op, cone, tol=DEFAULT_TOL):
-    """Cone {w : K w in C}, eagerly simplified when exact (subspaces, polyhedra)."""
+    """Cone {w : K w in C}, eagerly simplified when exact (subspaces, polyhedra).
+
+    For an operator with is_identity set the preimage is C itself.
+    """
     k = k_op if isinstance(k_op, np.ndarray) else k_op._dense
     if cone.ambient != k.shape[0]:
         raise ValueError("operator rows must match cone ambient dimension")
+    if getattr(k_op, "is_identity", False):
+        return simplify(cone, tol)
     return simplify(PreimageCone(k, cone), tol)
 
 

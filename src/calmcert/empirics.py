@@ -113,11 +113,19 @@ def perturbation_sweep(instance, pair, radii, n_per_radius=16, seed=0, cfg=None)
 def instability_probe(instance, pair, witness, t_grid):
     """Build alternate solutions x_t along a witness and verify them by KKT.
 
-    x_t is the projection of x_bar + t*witness onto the solution-set face;
-    b_t := b + Phi(x_t - x_bar) makes x_t optimal for P(b_t, mu) whenever the
-    face membership holds, which is re-verified through the KKT residuals.
-    A ratio of None means b_t = b exactly (alternate solution of the SAME
-    problem, the strongest possible refutation).
+    For K = I the base point is x0 = face.project(x_bar), the face point
+    nearest the computed x_bar, with data b0 = b + Phi(x0 - x_bar): x_bar
+    lies off the face by the solver error, which would otherwise enter every
+    Phi(x_t - x_bar) and bound the ratios.  x0 is verified by KKT for b0 at
+    the alternates' bound, and its shift ||x0 - x_bar|| and
+    ||Phi(x0 - x_bar)|| are reported.  x_t is the projection of
+    x0 + t*witness onto the face.  For other K the base is x_bar itself, and
+    x_t = x_bar + t*witness when K x_t lies on the face.
+    b_t := b0 + Phi(x_t - x0) makes x_t optimal for P(b_t, mu) whenever the
+    face membership holds, which is re-verified through the KKT residuals;
+    distances are measured from (x0, b0).  A ratio of None means b_t = b0
+    exactly (alternate solution of the SAME problem, the strongest possible
+    refutation).
     """
     tol = instance.tol
     x_bar = np.asarray(pair.x_bar, dtype=float)
@@ -128,15 +136,25 @@ def instability_probe(instance, pair, witness, t_grid):
     except ValueError as exc:
         return {"available": False, "reason": str(exc), "entries": []}
     scale = 1.0 + float(np.linalg.norm(instance.b))
+    bound = max(1e-10, 10 * tol.kkt) * scale
+    identity = instance.k.is_identity
+    x0, db0 = x_bar, np.zeros_like(instance.b)
+    base = {"base_shift": 0.0, "base_db_norm": 0.0, "base_verified": None}
+    if identity:
+        x0 = face.project(x_bar)
+        db0 = instance.phi.apply(x0 - x_bar)
+        res0 = kkt_residual(instance.perturbed(db0, 0.0), x0, y)
+        base = {"base_shift": float(np.linalg.norm(x0 - x_bar)),
+                "base_db_norm": float(np.linalg.norm(db0)),
+                "base_verified": max(res0.values()) <= bound}
     entries = []
     for t in t_grid:
         t = float(t)
-        cand = x_bar + t * w
+        cand = x0 + t * w
         kc = instance.k.apply(cand)
-        if instance.k.is_identity:
-            proj = face.project(kc)
-            x_t = proj
-            proj_res = float(np.linalg.norm(kc - proj))
+        if identity:
+            x_t = face.project(kc)
+            proj_res = float(np.linalg.norm(kc - x_t))
         else:
             if face.contains(kc, 10 * tol.member):
                 x_t = cand
@@ -146,17 +164,17 @@ def instability_probe(instance, pair, witness, t_grid):
                                 "reason": "projection onto the preimage of the "
                                           "face is not available for this K"})
                 continue
-        db = instance.phi.apply(x_t - x_bar)
+        db = instance.phi.apply(x_t - x0)
         b_dist = float(np.linalg.norm(db))
         if b_dist <= 1e-13 * scale:
             # the witness lies in Ker Phi to float precision: construct the
             # alternate solution for the SAME data, exactly
             db = np.zeros_like(db)
             b_dist = 0.0
-        pert = instance.perturbed(db, 0.0)
+        pert = instance.perturbed(db0 + db, 0.0)
         res = kkt_residual(pert, x_t, y)
-        verified = max(res.values()) <= max(1e-10, 10 * tol.kkt) * scale
-        x_dist = float(np.linalg.norm(x_t - x_bar))
+        verified = max(res.values()) <= bound
+        x_dist = float(np.linalg.norm(x_t - x0))
         ratio = None if b_dist == 0.0 else x_dist / b_dist
         entries.append({"t": t, "available": True, "x_dist": x_dist,
                         "b_dist": b_dist, "ratio": ratio,
@@ -166,11 +184,12 @@ def instability_probe(instance, pair, witness, t_grid):
     usable = [e for e in entries if e.get("available")]
     finite = [e["ratio"] for e in usable if e["ratio"] is not None]
     min_ratio = min(finite) if finite else None
-    refuted = bool(usable) and all(e["verified"] for e in usable) and \
+    refuted = base["base_verified"] is not False and bool(usable) and \
+        all(e["verified"] for e in usable) and \
         all(e["x_dist"] > 0 for e in usable) and \
         (min_ratio is None or min_ratio >= 1e6)
     return {"available": bool(usable), "entries": entries,
-            "min_ratio": min_ratio, "refuted": refuted}
+            "min_ratio": min_ratio, "refuted": refuted, **base}
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +243,17 @@ def second_subderivative_estimate(reg, x_bar, v_bar, w, t_grid, perturb=1e-3,
     faces, e.g. embedded PSD blocks in a rotated basis).  Both stay within
     the locality radius `perturb` of w.
     """
-    fn = _strict_value_fn(reg)
+    return _quotients(_strict_value_fn(reg), x_bar, v_bar, w, t_grid, perturb,
+                      refine_above, _face_projector(reg, v_bar))
+
+
+def _quotients(fn, x_bar, v_bar, w, t_grid, perturb, refine_above, projector):
+    """second_subderivative_estimate for the value function fn, refining
+    with projector (onto the conjugate face of v_bar, or None)."""
     x_bar = np.asarray(x_bar, dtype=float)
     v_bar = np.asarray(v_bar, dtype=float)
     w = np.asarray(w, dtype=float)
     base = fn(x_bar)
-    projector = None
-    projector_ready = False
 
     def quotient(t, direction):
         val = fn(x_bar + t * direction)
@@ -249,9 +272,6 @@ def second_subderivative_estimate(reg, x_bar, v_bar, w, t_grid, perturb=1e-3,
                     wp = w.copy()
                     wp[i] += sgn * perturb
                     q = min(q, quotient(t, wp))
-            if not projector_ready:
-                projector = _face_projector(reg, v_bar)
-                projector_ready = True
             if projector is not None:
                 secant = (projector(x_bar + t * w) - x_bar) / t
                 if float(np.linalg.norm(secant - w)) <= perturb:
@@ -275,13 +295,16 @@ def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0,
 
     Directions are half uniform on the sphere, half projected onto the
     computed tangent cone so both classes are exercised; the acceptance
-    standard is zero disagreements.
+    standard is zero disagreements.  One conjugate face gives both the
+    tangent cone and the secant projector of the quotient refinement.
     """
     tol = tol or rz.DEFAULT_TOL
     rng = np.random.default_rng(seed)
     x_bar = np.asarray(x_bar, dtype=float)
     v_bar = np.asarray(v_bar, dtype=float)
-    cone = rz.tangent_conj_subdiff(reg, v_bar, x_bar, tol)
+    face = rz.conj_subdiff_face(reg, v_bar, tol)
+    cone = rz.member_tangent(face, x_bar, tol)
+    fn = _strict_value_fn(reg)
     n = x_bar.size
     dirs = []
     for i in range(n_dirs):
@@ -295,8 +318,8 @@ def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0,
     agreements, disagreements, details = 0, 0, []
     for d in dirs:
         member = cone.member(d, tol.member)
-        q = second_subderivative_estimate(reg, x_bar, v_bar, d, [t],
-                                          refine_above=threshold)[0]
+        q = _quotients(fn, x_bar, v_bar, d, [t], 1e-3, threshold,
+                       face.project)[0]
         est_member = q <= threshold
         ok = member == est_member
         agreements += ok

@@ -173,7 +173,8 @@ class GroupSegments(NamedTuple):
 
     perm lists the indices of the non-empty groups one group after another,
     segment j starting at starts[j]; owner[i] is the segment holding index
-    i, so a per-segment array a reads a[owner] per index.  Empty groups are
+    i, so a per-segment array a reads a[owner] per index; groups[j] is the
+    position in RegularizerSpec.groups of segment j.  Empty groups are
     skipped: they contribute nothing, and np.add.reduceat would misread a
     zero-length segment.
     """
@@ -181,6 +182,7 @@ class GroupSegments(NamedTuple):
     perm: np.ndarray
     starts: np.ndarray
     owner: np.ndarray
+    groups: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -241,12 +243,14 @@ class RegularizerSpec:
 
     @cached_property
     def segments(self):
-        sizes = np.asarray([len(g) for g in self.groups if g], dtype=np.intp)
+        groups = np.asarray([j for j, g in enumerate(self.groups) if g],
+                            dtype=np.intp)
+        sizes = np.asarray([len(self.groups[j]) for j in groups], dtype=np.intp)
         perm = np.asarray([i for g in self.groups for i in g], dtype=np.intp)
         owner = np.empty(self.dim, dtype=np.intp)
         owner[perm] = np.repeat(np.arange(sizes.size), sizes)
         return GroupSegments(_frozen(perm), _frozen(np.cumsum(sizes) - sizes),
-                             _frozen(owner))
+                             _frozen(owner), _frozen(groups))
 
     def to_json_dict(self):
         if self.kind == "group_lasso":

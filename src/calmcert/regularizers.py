@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import Subspace, Tolerances, DEFAULT_TOL
 from .cones import (SubspaceCone, SubspacePlusRays, PolyhedralCone,
-                    ProductCone, make_psd_embedded, simplify)
+                    make_psd_embedded)
 
 
 @dataclass(frozen=True)
@@ -268,8 +268,21 @@ def _offdiag_max(mat):
 # faces of the conjugate subdifferential
 
 
+def _segment_columns(values, mask, owner):
+    """One column per segment selected by mask, holding values on its indices."""
+    rank = np.cumsum(mask) - 1
+    idx = np.flatnonzero(mask[owner])
+    out = np.zeros((values.size, int(np.count_nonzero(mask))))
+    out[idx, rank[owner[idx]]] = values[idx]
+    return out
+
+
 class GroupLassoFace:
-    """F(y) = prod over groups of a ray R+ y_J (boundary) or {0} (interior)."""
+    """F(y) = prod over groups of a ray R+ y_J (boundary) or {0} (interior).
+
+    A group is boundary when ||y_J|| / w is within tol.member of 1; empty
+    groups are interior.  Everything is computed on reg.segments.
+    """
 
     is_polyhedral = True
 
@@ -277,22 +290,30 @@ class GroupLassoFace:
         self.reg = reg
         self.y_bar = np.asarray(y_bar, dtype=float)
         self.dim = reg.dim
-        w = reg.weight
-        self.boundary, self.interior = [], []
-        for gi, g in enumerate(reg.group_slices):
-            ratio = float(np.linalg.norm(self.y_bar[g])) / w
-            if ratio > 1.0 + tol.member:
-                raise ValueError(
-                    f"group {gi}: ||y_J|| exceeds the dual bound by {ratio - 1.0:.3g}")
-            if abs(ratio - 1.0) <= tol.member:
-                self.boundary.append(gi)
-            else:
-                self.interior.append(gi)
+        seg = reg.segments
+        norms = group_norms(reg, self.y_bar)
+        ratio = norms / reg.weight
+        over = np.flatnonzero(ratio > 1.0 + tol.member)
+        if over.size:
+            j = over[0]
+            raise ValueError(f"group {seg.groups[j]}: ||y_J|| exceeds the dual "
+                             f"bound by {ratio[j] - 1.0:.3g}")
+        self._on = np.abs(ratio - 1.0) <= tol.member      # per segment
+        # u_J = y_J / ||y_J|| on boundary groups, zero elsewhere
+        self._u = np.where(self._on[seg.owner], self.y_bar, 0.0) \
+            / np.where(self._on, norms, 1.0)[seg.owner]
+        on_group = np.zeros(len(reg.groups), dtype=bool)
+        on_group[seg.groups[self._on]] = True
+        self.boundary = np.flatnonzero(on_group).tolist()
+        self.interior = np.flatnonzero(~on_group).tolist()
 
     def _unit(self, gi):
-        g = self.reg.group_slices[gi]
-        u = self.y_bar[g]
-        return u / np.linalg.norm(u)
+        return self._u[self.reg.group_slices[gi]]
+
+    def _along(self, x):
+        """<u_J, x_J> per segment (zero on interior groups)."""
+        seg = self.reg.segments
+        return np.add.reduceat((self._u * x)[seg.perm], seg.starts)
 
     def contains(self, x, tol):
         x = np.asarray(x, dtype=float)
@@ -301,29 +322,23 @@ class GroupLassoFace:
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for gi in self.boundary:
-            g = self.reg.group_slices[gi]
-            u = self._unit(gi)
-            out[g] = max(0.0, float(u @ x[g])) * u
-        return out
+        return np.maximum(self._along(x), 0.0)[self.reg.segments.owner] * self._u
 
     def tangent_at(self, x, tol=DEFAULT_TOL):
-        """Per group: span (moving ray point), ray (vertex), or {0} (interior)."""
+        """Per group: span (moving ray point), ray (vertex), or {0} (interior).
+
+        The span's columns are the u_J of the moving groups, unit vectors
+        with disjoint supports, so they are orthonormal as they stand.
+        """
         x = np.asarray(x, dtype=float)
-        comps = []
-        scale = max(1.0, float(np.linalg.norm(x)))
-        for gi, g in enumerate(self.reg.group_slices):
-            nb = len(g)
-            if gi in self.interior:
-                comps.append((g, SubspaceCone.zero(nb)))
-                continue
-            u = self._unit(gi)
-            if float(u @ x[g]) > tol.member * scale:
-                comps.append((g, SubspaceCone(Subspace(nb, u.reshape(-1, 1)))))
-            else:
-                comps.append((g, SubspacePlusRays(Subspace.zero(nb), [u])))
-        return simplify(ProductCone(self.dim, comps), tol)
+        owner = self.reg.segments.owner
+        moving = self._on & \
+            (self._along(x) > tol.member * max(1.0, float(np.linalg.norm(x))))
+        vertex = self._on & ~moving
+        span = Subspace._orthonormal(_segment_columns(self._u, moving, owner))
+        if vertex.any():
+            return SubspacePlusRays(span, _segment_columns(self._u, vertex, owner).T)
+        return SubspaceCone(span)
 
     def polyhedral_system(self):
         """(A, c, E, e) with F = {y : A y <= c, E y = e}."""
@@ -496,14 +511,18 @@ def conj_subdiff_face(reg, y_bar, tol=DEFAULT_TOL):
     return PolyhedralFace(reg, y_bar, tol)
 
 
-def tangent_conj_subdiff(reg, y_bar, x_bar, tol=DEFAULT_TOL):
-    """Tangent cone T_{dg*(y_bar)}(x_bar); x_bar must be a face member."""
-    face = conj_subdiff_face(reg, y_bar, tol)
+def member_tangent(face, x_bar, tol=DEFAULT_TOL):
+    """face.tangent_at(x_bar) after checking that x_bar is a face member."""
     x_bar = np.asarray(x_bar, dtype=float)
     if not face.contains(x_bar, 10 * tol.member):
         dist = float(np.linalg.norm(x_bar - face.project(x_bar)))
         raise ValueError(f"x_bar is not in the conjugate face (distance {dist:.3g})")
     return face.tangent_at(x_bar, tol)
+
+
+def tangent_conj_subdiff(reg, y_bar, x_bar, tol=DEFAULT_TOL):
+    """Tangent cone T_{dg*(y_bar)}(x_bar); x_bar must be a face member."""
+    return member_tangent(conj_subdiff_face(reg, y_bar, tol), x_bar, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -517,21 +536,19 @@ def tangent_subdiff(reg, x_bar, y_bar, tol=DEFAULT_TOL):
     if not subdiff_contains(reg, x_bar, y_bar, tol):
         raise ValueError("y_bar is not in dg(x_bar)")
     if reg.kind == "group_lasso":
-        comps = []
+        # per group: {0} when active, free when ||y_J|| < w (interior), and
+        # the half-space <y_J, w_J> <= 0 when inactive on the boundary
+        seg = reg.segments
         _, active = active_groups(reg, x_bar, tol)
-        ratios = group_norms(reg, y_bar) / reg.weight
-        groups = [g for g in reg.group_slices if len(g)]
-        for g, act, ny in zip(groups, active, ratios):
-            nb = len(g)
-            if act:
-                comps.append((g, SubspaceCone.zero(nb)))
-                continue
-            if ny < 1.0 - tol.member:
-                comps.append((g, SubspaceCone.full(nb)))
-            else:
-                comps.append((g, PolyhedralCone(y_bar[g].reshape(1, -1),
-                                                ambient=nb)))
-        return simplify(ProductCone(reg.dim, comps), tol)
+        free = ~active & (group_norms(reg, y_bar) / reg.weight < 1.0 - tol.member)
+        tight = ~active & ~free
+        eye = np.eye(reg.dim)
+        in_perm = seg.owner[seg.perm]           # segment of each perm entry
+        if not tight.any():
+            return SubspaceCone(Subspace._orthonormal(
+                eye[:, seg.perm[free[in_perm]]]))
+        return PolyhedralCone(_segment_columns(y_bar, tight, seg.owner).T,
+                              eye[seg.perm[active[in_perm]]], ambient=reg.dim)
     if reg.kind == "polyhedral_indicator":
         a, c = reg.A, reg.c
         scale = max(1.0, float(np.linalg.norm(x_bar)))
@@ -571,19 +588,22 @@ def tangent_subdiff(reg, x_bar, y_bar, tol=DEFAULT_TOL):
 # relative interior of the face versus the range of K
 
 
-def ri_intersects_range(reg, y_bar, k_op, tol=DEFAULT_TOL, x_bar=None):
-    """Does Im K meet ri(dg*(y_bar))?  Returns 'yes' | 'no' | 'unknown'."""
+def ri_intersects_range(face, k_op, tol=DEFAULT_TOL, x_bar=None):
+    """Does Im K meet the relative interior of the conjugate face?
+
+    Returns 'yes' | 'no' | 'unknown'.  K = I is read from the operator's
+    is_identity; a plain matrix is never taken as the identity.
+    """
     from .model import materialize
-    k = materialize(k_op) if not isinstance(k_op, np.ndarray) else k_op
-    face = conj_subdiff_face(reg, y_bar, tol)
-    identity = k.shape[0] == k.shape[1] and np.allclose(k, np.eye(k.shape[0]))
-    if reg.kind == "group_lasso":
-        if identity or not face.boundary:
+    kind = face.reg.kind
+    if getattr(k_op, "is_identity", False):         # Im K = Y
+        if kind != "polyhedral_indicator":
             return "yes"
-        return _ri_group_lasso(face, k, tol)
-    if reg.kind == "nuclear":
-        if identity:
-            return "yes"
+        return "yes" if polyhedron_is_nonempty(face.A, face.c) else "no"
+    k = k_op if isinstance(k_op, np.ndarray) else materialize(k_op)
+    if kind == "group_lasso":
+        return _ri_group_lasso(face, k, tol) if face.boundary else "yes"
+    if kind == "nuclear":
         if x_bar is not None and face.contains(np.asarray(x_bar, dtype=float),
                                                10 * tol.member):
             if face.rank_at(x_bar, tol) == face.p:
@@ -595,8 +615,6 @@ def ri_intersects_range(reg, y_bar, k_op, tol=DEFAULT_TOL, x_bar=None):
             if gap <= tol.member * max(1.0, float(np.linalg.norm(target))):
                 return "yes"
         return "unknown"
-    if identity:
-        return "yes" if polyhedron_is_nonempty(face.A, face.c) else "no"
     return _ri_polyhedral(face, k, tol)
 
 

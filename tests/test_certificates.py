@@ -471,3 +471,32 @@ def test_identity_k_certificate_stays_at_subspace_size(monkeypatch):
     assert all(rows <= n for rows, _ in shapes["svd"])
     assert (n, n) not in shapes["svd"]
     assert (n, n) not in shapes["qr"]
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_primal_dual_builds_its_geometry_once(monkeypatch):
+    # K = I: one conjugate face and one tangent cone serve both certificates
+    # (Ker Phi against T, and the polar of the same T), the necessary
+    # condition is the sufficient one, and the three cone decisions are
+    # Ker Phi vs T, Ker K* vs T_dg and Ker K* vs the polar of T.
+    import calmcert.certificates as ct
+    from calmcert import regularizers as rz
+    inst = instance_for("lasso_segment")
+    pair = solve(inst)
+    counts = {}
+    _count_calls(monkeypatch, rz, "conj_subdiff_face", counts)
+    _count_calls(monkeypatch, rz.GroupLassoFace, "tangent_at", counts)
+    _count_calls(monkeypatch, ct, "trivial_intersection", counts)
+    report = certify_primal_dual(inst, pair)
+    assert report.conclusion_primal_dual.status == "not_isolated_calm"
+    assert report.cond_nes is report.cond_suf
+    assert counts == {"conj_subdiff_face": 1, "tangent_at": 1,
+                      "trivial_intersection": 3}

@@ -54,19 +54,6 @@ def test_polyhedral_membership():
     assert not cone.member(np.array([-1.0, 0.5]), 1e-7)
 
 
-def test_product_flattening_to_rays():
-    from calmcert.cones import ProductCone
-    cone = ProductCone(3, [
-        (np.array([0, 1]), SubspacePlusRays(Subspace.zero(2),
-                                            [np.array([0.6, 0.8])])),
-        (np.array([2]), SubspaceCone.zero(1)),
-    ])
-    flat = simplify(cone, TOL)
-    assert isinstance(flat, SubspacePlusRays)
-    assert flat.member(np.array([0.6, 0.8, 0.0]), 1e-8)
-    assert not flat.member(np.array([0.6, 0.8, 0.1]), 1e-7)
-
-
 # ---------------------------------------------------------------------------
 # trivial_intersection examples
 

@@ -291,3 +291,92 @@ def test_positivity_across_catalog():
             inner = float(s.z @ s.w)
             assert inner >= -1e-8 * (1.0 + np.linalg.norm(s.z) *
                                      np.linalg.norm(s.w))
+
+
+def test_kernel_formula_check_builds_one_face(monkeypatch):
+    # the tangent cone and the secant projector of every refined quotient
+    # come from the same face
+    counts = []
+    original = rz.conj_subdiff_face
+    monkeypatch.setattr(rz, "conj_subdiff_face",
+                        lambda *a, **k: counts.append(1) or original(*a, **k))
+    out = kernel_formula_check(l1(2), np.array([1.0, 0.0]),
+                               np.array([1.0, 0.5]), n_dirs=40, seed=0)
+    assert out["disagreements"] == 0
+    assert any(not d["member"] for d in out["details"])   # refined quotients
+    assert len(counts) == 1
+
+
+def test_lab_runs_no_cone_decision(monkeypatch, tmp_path):
+    # lab needs only the validated multiplier, not a whole certificate
+    import calmcert.certificates as ct
+    import calmcert.cones as cones
+    from calmcert.cli import run
+    calls = []
+    original = cones.trivial_intersection
+    for module in (cones, ct):
+        monkeypatch.setattr(module, "trivial_intersection",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance_for("lasso_segment").to_json_dict()))
+    out = tmp_path / "lab.json"
+    assert run(["lab", str(path), "--out", str(out), "--samples", "20"]) == 0
+    assert json.loads(out.read_text())["payload"]["kernel_formula"]["n"] == 20
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# probe base point on the face
+
+
+def _duplicated_group_instance(seed):
+    """Group Lasso (groups of 4, n = 20, m = 10) with an active group's
+    columns copied onto an inactive group: a segment of solutions."""
+    rng = np.random.default_rng(seed)
+    n, m, size = 20, 10, 4
+    groups = [list(range(g * size, (g + 1) * size)) for g in range(n // size)]
+    phi = rng.standard_normal((m, n)) / np.sqrt(m)
+    active = rng.choice(len(groups), size=2, replace=False)
+    x0 = np.zeros(n)
+    for g in active:
+        x0[groups[g]] = rng.choice([-1.0, 1.0], size=size) * \
+            rng.uniform(1.0, 2.0, size=size)
+    src = int(active[0])
+    dst = int(rng.choice([g for g in range(len(groups)) if g not in active]))
+    phi[:, groups[dst]] = phi[:, groups[src]]
+    x0[groups[src]] *= 2.0
+    b = phi @ x0 + 0.01 * rng.standard_normal(m)
+    weight = 0.1 * float(np.max(np.abs(phi.T @ b)))
+    doc = {"phi": {"kind": "dense", "rows": m, "cols": n,
+                   "entries": phi.ravel().tolist()},
+           "b": b.tolist(), "mu": 1.0, "k": {"kind": "identity", "dim": n},
+           "reg": {"kind": "group_lasso", "dim": n, "groups": groups,
+                   "weight": weight}}
+    return load_instance(json.dumps(doc))
+
+
+def test_probe_measures_from_the_face_point():
+    # x_bar lies off the face by the solver error (~1e-9); measured from
+    # x_bar, ||b_t - b|| was that error and the ratio at t = 1e-3 fell under
+    # 1e6.  From x0 = face.project(x_bar) the alternates solve the same data.
+    from calmcert.certificates import certify_solution_map
+    inst = _duplicated_group_instance(3)
+    pair = solve(inst)
+    report = certify_solution_map(inst, pair)
+    witness = report.conclusion_solution_map.witness
+    assert report.conclusion_solution_map.status == "not_isolated_calm"
+    out = instability_probe(inst, pair, witness, [1e-1, 1e-2, 1e-3])
+    assert out["refuted"]
+    assert all(e["ratio"] is None and e["verified"] for e in out["entries"])
+    assert out["base_verified"]
+    assert 0.0 < out["base_shift"] <= 1e-6
+    assert out["base_db_norm"] <= 1e-6
+    # a face direction outside Ker Phi moves the data: no refutation
+    face = rz.conj_subdiff_face(inst.reg, pair.y_bar, TOL)
+    g = inst.reg.group_slices[face.boundary[0]]
+    w = np.zeros(inst.dim_x)
+    w[g] = pair.y_bar[g] / np.linalg.norm(pair.y_bar[g])
+    assert float(np.linalg.norm(inst.phi.apply(w))) > 0.1
+    out = instability_probe(inst, pair, w, [1e-1, 1e-2, 1e-3])
+    assert out["base_verified"] and not out["refuted"]
+    assert all(e["verified"] and e["ratio"] < 1e3 for e in out["entries"])

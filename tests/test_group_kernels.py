@@ -1,8 +1,10 @@
-"""Loop-free group-Lasso kernels against the per-group reference loops.
+"""Loop-free group-Lasso kernels and cones against per-group references.
 
-The reference functions below are the per-group loops the kernels replaced;
-they live here only, as the oracle.  Partitions are drawn unsorted and
-non-contiguous, as singletons, as one big group, and with empty groups.
+The reference functions below are the per-group loops the kernels replaced,
+and the product of per-group cones that the face and tangent cones were
+assembled from; they live here only, as the oracle.  Partitions are drawn
+unsorted and non-contiguous, as singletons, as one big group, and with
+empty groups.
 """
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from calmcert import regularizers as rz
-from calmcert.linalg import Tolerances
+from calmcert.cones import PolyhedralCone, SubspaceCone, SubspacePlusRays
+from calmcert.linalg import Subspace, Tolerances
 from calmcert.model import group_lasso
 from calmcert.solver import _dual_feasibility
 
@@ -225,3 +228,218 @@ def test_empty_group_contributes_nothing(groups):
             assert rz.subdiff_contains(r, x, v, TOL)
             assert rz.subdiff_contains(r, x, y, TOL) == \
                 ref_subdiff_contains(reg, x, y, TOL)
+
+
+# ---------------------------------------------------------------------------
+# faces and tangent cones against the product of per-group cones
+
+
+def ref_product(n, comps):
+    """Flatten a product of per-group cones, as the former ProductCone and
+    its simplify branch did: subspace/ray blocks into one span plus rays,
+    otherwise every block into rows of one polyhedral cone."""
+    if all(isinstance(c, (SubspaceCone, SubspacePlusRays)) for _, c in comps):
+        cols, rays = [], []
+        for ix, c in comps:
+            sub = c.subspace if isinstance(c, SubspaceCone) else c.span
+            if sub.dim:
+                col = np.zeros((n, sub.dim))
+                col[ix] = sub.basis
+                cols.append(col)
+            for r in getattr(c, "rays", []):
+                ray = np.zeros(n)
+                ray[ix] = r
+                rays.append(ray)
+        span = Subspace(n, np.hstack(cols) if cols else np.zeros((n, 0)))
+        return SubspacePlusRays(span, rays) if rays else SubspaceCone(span)
+    a_rows, e_rows = [np.zeros((0, n))], [np.zeros((0, n))]
+    for ix, c in comps:
+        if isinstance(c, SubspaceCone):
+            a, e = np.zeros((0, len(ix))), c.subspace.complement().basis.T
+        else:
+            a, e = c.A, c.E
+        for rows, out in ((a, a_rows), (e, e_rows)):
+            full = np.zeros((rows.shape[0], n))
+            full[:, ix] = rows
+            out.append(full)
+    return PolyhedralCone(np.vstack(a_rows), np.vstack(e_rows), ambient=n)
+
+
+def ref_face(reg, y, tol):
+    """(boundary, interior) group ids, one group at a time."""
+    boundary, interior = [], []
+    for gi, g in enumerate(reg.group_slices):
+        ratio = float(np.linalg.norm(y[g])) / reg.weight
+        if ratio > 1.0 + tol.member:
+            raise ValueError(
+                f"group {gi}: ||y_J|| exceeds the dual bound by {ratio - 1.0:.3g}")
+        (boundary if abs(ratio - 1.0) <= tol.member else interior).append(gi)
+    return boundary, interior
+
+
+def ref_unit(reg, y, gi):
+    g = reg.group_slices[gi]
+    return y[g] / np.linalg.norm(y[g])
+
+
+def ref_face_project(reg, y, boundary, x):
+    out = np.zeros_like(x)
+    for gi in boundary:
+        u = ref_unit(reg, y, gi)
+        out[reg.group_slices[gi]] = max(0.0, float(u @ x[reg.group_slices[gi]])) * u
+    return out
+
+
+def ref_tangent_at(reg, y, boundary, x, tol):
+    comps = []
+    scale = max(1.0, float(np.linalg.norm(x)))
+    for gi, g in enumerate(reg.group_slices):
+        nb = len(g)
+        if gi not in boundary:
+            comps.append((g, SubspaceCone.zero(nb)))
+            continue
+        u = ref_unit(reg, y, gi)
+        if float(u @ x[g]) > tol.member * scale:
+            comps.append((g, SubspaceCone(Subspace(nb, u.reshape(-1, 1)))))
+        else:
+            comps.append((g, SubspacePlusRays(Subspace.zero(nb), [u])))
+    return ref_product(reg.dim, comps)
+
+
+def ref_tangent_subdiff(reg, x, y, tol):
+    comps = []
+    _, active = rz.active_groups(reg, x, tol)
+    ratios = rz.group_norms(reg, y) / reg.weight
+    for g, act, ny in zip([g for g in reg.group_slices if len(g)], active, ratios):
+        nb = len(g)
+        if act:
+            comps.append((g, SubspaceCone.zero(nb)))
+        elif ny < 1.0 - tol.member:
+            comps.append((g, SubspaceCone.full(nb)))
+        else:
+            comps.append((g, PolyhedralCone(y[g].reshape(1, -1), ambient=nb)))
+    return ref_product(reg.dim, comps)
+
+
+def assert_same_span(p, q):
+    assert p.dim == q.dim
+    gap = p.basis @ p.basis.T - q.basis @ q.basis.T
+    assert float(np.abs(gap).max(initial=0.0)) <= 1e-12
+
+
+def assert_same_cone(new, ref, probes):
+    """Same variant, span, rays and rows, and the same membership answers."""
+    assert type(new) is type(ref)
+    if isinstance(ref, SubspaceCone):
+        assert_same_span(new.subspace, ref.subspace)
+        generators = list(ref.subspace.basis.T)
+    elif isinstance(ref, SubspacePlusRays):
+        assert_same_span(new.span, ref.span)
+        assert len(new.rays) == len(ref.rays)
+        for r_new, r_ref in zip(new.rays, ref.rays):
+            assert np.allclose(r_new, r_ref, rtol=0.0, atol=1e-15)
+        generators = list(ref.span.basis.T) + list(ref.rays)
+    else:
+        assert np.array_equal(new.A, ref.A) and np.array_equal(new.E, ref.E)
+        generators = [-r for r in ref.A]
+    generators += [-g for g in generators] + [sum(generators, np.zeros(ref.ambient))]
+    for w in list(probes) + generators:
+        assert new.member(w, 1e-9) == ref.member(w, 1e-9)
+
+
+@st.composite
+def face_cases(draw):
+    """A partition, a weight w, a multiplier y and a point x on its face.
+
+    Each group is interior (||y_J|| < w, x_J = 0), boundary (y_J = w u_J,
+    x_J = c u_J with c = 0, a vertex, or c > 0, moving) or an edge: y_J
+    and x_J have one nonzero entry, ||y_J|| / w sits on a face or cone
+    threshold and x_J on the tangent's and the activity threshold
+    tol.member * max(1, ||x||).  One entry keeps those values exact in any
+    summation order.  Rarely a group exceeds the dual bound.
+    """
+    groups, dim = draw(partitions())
+    reg = group_lasso(groups, dim, weight=draw(st.floats(0.05, 5.0)))
+    w = reg.weight
+    y, x = np.zeros(dim), np.zeros(dim)
+    direction = st.lists(entries, min_size=1, max_size=dim).map(np.array)
+    edges = []
+    for g in reg.group_slices:
+        if not len(g):
+            continue
+        kind = draw(st.sampled_from(["interior", "boundary", "boundary", "edge",
+                                     "edge"]))
+        if kind == "edge":
+            sign = draw(st.sampled_from([1.0, -1.0]))
+            ratio = draw(st.sampled_from([1.0, 1.0 - TOL.member, 1.0 + TOL.member,
+                                          1.0 - 2 * TOL.member, 1.0 + 1e-3]))
+            y[g[-1]] = sign * ratio * w
+            if abs(ratio - 1.0) <= TOL.member:
+                edges.append((g[-1], sign, draw(st.sampled_from([0.0, 1.0, 2.0]))))
+            continue
+        d = np.round(np.resize(draw(direction), len(g)), 3)
+        if not np.any(d):
+            d[0] = 1.0
+        u = d / np.linalg.norm(d)
+        if kind == "interior":
+            y[g] = draw(st.floats(0.0, 0.99)) * w * u
+        else:
+            y[g] = w * u
+            x[g] = draw(st.sampled_from([0.0, draw(st.floats(0.1, 3.0))])) * u
+    on = TOL.member * max(1.0, float(np.linalg.norm(x)))
+    for i, sign, c in edges:
+        x[i] = sign * c * on
+    return reg, y, x
+
+
+@SETTINGS
+@given(face_cases())
+def test_group_face_and_cones_match_product_reference(case):
+    reg, y, x = case
+    rng = np.random.default_rng(0)
+    probes = list(rng.standard_normal((6, reg.dim))) + [x, -x, y]
+    try:
+        boundary, interior = ref_face(reg, y, TOL)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            rz.conj_subdiff_face(reg, y, TOL)
+        assert str(info.value) == str(exc)
+        return
+    face = rz.conj_subdiff_face(reg, y, TOL)
+    assert face.describe() == {"kind": "group_lasso", "boundary_groups": boundary,
+                               "interior_groups": interior}
+    for z in probes:
+        assert_close(face.project(z), ref_face_project(reg, y, boundary, z), z)
+    assert face.contains(x, 10 * TOL.member)
+    assert_same_cone(face.tangent_at(x, TOL),
+                     ref_tangent_at(reg, y, boundary, x, TOL), probes)
+    if not rz.subdiff_contains(reg, x, y, TOL):   # y_J just past the bound
+        with pytest.raises(ValueError, match="not in dg"):
+            rz.tangent_subdiff(reg, x, y, TOL)
+        return
+    assert_same_cone(rz.tangent_subdiff(reg, x, y, TOL),
+                     ref_tangent_subdiff(reg, x, y, TOL), probes)
+
+
+def test_group_cone_reference_cases_cover_every_variant():
+    """The drawn cases reach every cone variant and the dual-bound error."""
+    seen = set()
+
+    @settings(SETTINGS, max_examples=100)
+    @given(face_cases())
+    def collect(case):
+        reg, y, x = case
+        try:
+            face = rz.conj_subdiff_face(reg, y, TOL)
+        except ValueError:
+            seen.add("error")
+            return
+        seen.add(("tangent", type(face.tangent_at(x, TOL)).__name__))
+        if rz.subdiff_contains(reg, x, y, TOL):
+            seen.add(("subdiff",
+                      type(rz.tangent_subdiff(reg, x, y, TOL)).__name__))
+
+    collect()
+    assert seen == {"error", ("tangent", "SubspaceCone"),
+                    ("tangent", "SubspacePlusRays"), ("subdiff", "SubspaceCone"),
+                    ("subdiff", "PolyhedralCone")}

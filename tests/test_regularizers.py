@@ -333,38 +333,40 @@ def test_group_lasso_conjugate_growth_inequality():
 
 def test_ri_identity_always_yes():
     from calmcert.model import LinearOp
-    assert rz.ri_intersects_range(GL, np.array([0.6, 0.8, 0.5]),
-                                  LinearOp.identity(3), TOL) == "yes"
+    face = rz.conj_subdiff_face(GL, np.array([0.6, 0.8, 0.5]), TOL)
+    assert rz.ri_intersects_range(face, LinearOp.identity(3), TOL) == "yes"
 
 
 def test_ri_nuclear_nondegenerate_yes():
     from calmcert.model import LinearOp
-    out = rz.ri_intersects_range(NUC, np.diag([1.0, 0.5]).ravel(),
-                                 LinearOp.identity(4), TOL,
+    face = rz.conj_subdiff_face(NUC, np.diag([1.0, 0.5]).ravel(), TOL)
+    out = rz.ri_intersects_range(face, LinearOp.identity(4), TOL,
                                  x_bar=np.diag([1.0, 0.0]).ravel())
     assert out == "yes"
 
 
 def test_ri_group_lasso_orthogonal_range_no():
-    reg = group_lasso([[0, 1]], 2)
+    face = rz.conj_subdiff_face(group_lasso([[0, 1]], 2), np.array([1.0, 0.0]),
+                                TOL)
     k = np.array([[0.0], [1.0]])        # Im K orthogonal to the boundary ray
-    assert rz.ri_intersects_range(reg, np.array([1.0, 0.0]), k, TOL) == "no"
+    assert rz.ri_intersects_range(face, k, TOL) == "no"
 
 
 def test_ri_group_lasso_aligned_range_yes():
-    reg = group_lasso([[0, 1]], 2)
+    face = rz.conj_subdiff_face(group_lasso([[0, 1]], 2), np.array([1.0, 0.0]),
+                                TOL)
     k = np.array([[1.0], [0.0]])
-    assert rz.ri_intersects_range(reg, np.array([1.0, 0.0]), k, TOL) == "yes"
+    assert rz.ri_intersects_range(face, k, TOL) == "yes"
 
 
 def test_ri_polyhedral_paths():
-    k = np.array([[1.0], [0.0]])
     # face of BOX exposed by (1, 0) is {1} x [-1, 1]; the x-axis hits its
     # relative interior at (1, 0)
-    out = rz.ri_intersects_range(BOX, np.array([1.0, 0.0]), k, TOL)
+    face = rz.conj_subdiff_face(BOX, np.array([1.0, 0.0]), TOL)
+    out = rz.ri_intersects_range(face, np.array([[1.0], [0.0]]), TOL)
     assert out == "yes"
     k2 = np.array([[0.0], [1.0]])       # Im K = y-axis misses {1} x [-1,1]
-    out2 = rz.ri_intersects_range(BOX, np.array([1.0, 0.0]), k2, TOL)
+    out2 = rz.ri_intersects_range(face, k2, TOL)
     assert out2 == "no"
 
 
@@ -374,10 +376,11 @@ def test_ri_polyhedral_endpoint_is_not_relative_interior():
     reg = polyhedral_indicator(np.array([[-1.0, 0.0], [1.0, 0.0],
                                          [0.0, 1.0], [0.0, -1.0]]),
                                np.array([0.0, 1.0, 0.0, 0.0]))
+    face = rz.conj_subdiff_face(reg, np.array([0.0, 1.0]), TOL)
     k = np.array([[0.0], [1.0]])
-    assert rz.ri_intersects_range(reg, np.array([0.0, 1.0]), k, TOL) == "no"
+    assert rz.ri_intersects_range(face, k, TOL) == "no"
     k2 = np.array([[1.0], [0.0]])       # the x-axis passes through (1/2, 0)
-    assert rz.ri_intersects_range(reg, np.array([0.0, 1.0]), k2, TOL) == "yes"
+    assert rz.ri_intersects_range(face, k2, TOL) == "yes"
 
 
 def test_qgc_flags_catalog():
