@@ -1,12 +1,16 @@
 """Machine verdicts for isolated calmness of the solution mappings.
 
 certify_solution_map: is the optimal-solution map of P(b, mu) isolated calm
-at (b, mu) for x_bar?  Decided through Ker Phi against the (range-restricted)
-tangent cone of the conjugate-subdifferential face, with qualification flags
-that close the necessary/sufficient gap.
+at (b, mu) for x_bar?  Decided by whether Phi is injective on the
+(range-restricted) tangent cone T of the conjugate-subdifferential face
+(Ker Phi cap T = {0}), with qualification flags that close the
+necessary/sufficient gap.
 
 certify_primal_dual: the same for the primal-dual (Lagrange) solution map,
 adding the adjoint-kernel condition Ker K* cap T_{dg(Kx)}(y) = {0}.
+
+Each condition hands its operator, Phi or K^T, to trivial_intersection;
+neither Ker Phi nor Ker K* is ever formed.
 
 Verdict logic is three-valued and conservative: Unknown cone answers never
 upgrade to a decisive conclusion.
@@ -22,8 +26,8 @@ import numpy as np
 from . import regularizers as rz
 from .cones import (TrivialityVerdict, preimage, polar_cone,
                     tangent_with_range_restriction, trivial_intersection)
-from .linalg import Subspace, null_space
-from .model import materialize
+from .linalg import null_space
+from .model import LinearOp, materialize
 from .solver import kkt_residual
 
 
@@ -212,11 +216,11 @@ def _solution_map(instance, pair, seed):
         raise CertificateError(
             f"K x_bar is not in the conjugate face of y_used (distance {dist:.3g})")
     qgc = rz.qgc_flags(reg)
-    kernel_phi = null_space(materialize(instance.phi), tol)
 
     tangent = face.tangent_at(kx, tol)
-    cond_suf = trivial_intersection(kernel_phi, preimage(instance.k, tangent, tol),
-                                    tol, seed=seed)
+    cond_suf = trivial_intersection(instance.phi,
+                                    preimage(instance.k, tangent, tol), tol,
+                                    seed=seed)
     if instance.k.is_identity:      # Im K = Y: the restriction changes nothing
         cond_nes = cond_suf
     else:
@@ -227,7 +231,8 @@ def _solution_map(instance, pair, seed):
                 "this face")
         else:
             cond_nes = trivial_intersection(
-                kernel_phi, preimage(instance.k, restricted, tol), tol, seed=seed)
+                instance.phi, preimage(instance.k, restricted, tol), tol,
+                seed=seed)
 
     qual_polyhedral = qgc.polyhedral_conjugate_face
     qual_ri = rz.ri_intersects_range(face, instance.k, tol, x_bar=kx)
@@ -289,22 +294,23 @@ def certify_primal_dual(instance, pair, seed=0):
     tol = instance.tol
     reg = instance.reg
     y = report.y_used
-    kernel_kt = (Subspace.zero(instance.dim_y) if instance.k.is_identity
-                 else null_space(materialize(instance.k).T, tol))
+    # K^T as an operator (K = I is its own), so ||K^T|| is computed once
+    kt = instance.k if instance.k.is_identity \
+        else LinearOp.dense(materialize(instance.k).T)
 
     tangent_sub = rz.tangent_subdiff(reg, kx, y, tol)
     if tangent_sub is None:
         srcq = TrivialityVerdict.unknown(
             "tangent cone to dg(K x_bar) not representable for this multiplier")
     else:
-        srcq = trivial_intersection(kernel_kt, tangent_sub, tol, seed=seed)
+        srcq = trivial_intersection(kt, tangent_sub, tol, seed=seed)
 
     # condition (iii) first: Ker K* against the normal cone (polar of tangent)
     polar = polar_cone(tangent, tol)
     if polar is None:
         cond_iii = "unknown"
     else:
-        v3 = trivial_intersection(kernel_kt, polar, tol, seed=seed)
+        v3 = trivial_intersection(kt, polar, tol, seed=seed)
         cond_iii = _verdict_flag(v3)
     cond_i = _combine("yes" if report.qual_polyhedral else "no",
                       _verdict_flag(srcq))

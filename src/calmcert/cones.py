@@ -1,20 +1,28 @@
 """Closed convex cone descriptions and the kernel-intersection decision.
 
-The certificates all reduce to one question: given a subspace N and a
-described closed convex cone C, is N cap C = {0}?  Every cone is one of
-five flat descriptions: a subspace, a subspace plus rays, a polyhedral cone
+The certificates all reduce to one question: given an operator M (Phi, or
+K^T for the adjoint-kernel conditions) and a described closed convex cone
+C, is {w in C : M w = 0} = {0}?  Every cone is one of five flat
+descriptions: a subspace, a subspace plus rays, a polyhedral cone
 {A w <= 0, E w = 0}, an embedded PSD cone, or the preimage under K of one
 that has no exact push-in.  The regularizers write their cones in these
 forms directly, group-Lasso ones included, whatever the number of groups.
 
-Subspace cones are settled by subspace algebra.  Polyhedral cones, cones
-generated by rays and preimages of those are written as one system
-Q = {z : G z <= 0, H z = 0} with a coordinate projection F onto kernel
-coordinates, and settled by one LP for a relative-interior point of Q: a
-nontrivial answer carries a witness in N cap C, a trivial one the LP duals
-(a Stiemke/Gordan alternative), each verified before it is reported.  The
-embedded-PSD degenerate case uses an alternating-projection probe that can
-only answer Nontrivial-with-witness or Unknown.
+Every exact cone is one system Q = {z : G z <= 0, H z = 0} with M in its
+equality block, and a linear map F with F Q = Ker M cap C (G = -I on lam):
+
+  span(B) + rays R           z = (xi, lam)     H = [M B, M R]     F = [B R]
+  {A w <= 0, E w = 0}        z = w             H = [M; E], G = A  F = I
+  preimage of span(S) + R    z = (w, s, lam)   H = [M 0 0; K -S -R]
+
+F keeps w in the preimage.  The kernel of M is never formed.  When F
+vanishes on null(H) the equalities decide; otherwise one LP for a
+relative-interior point of Q does.  A nontrivial answer carries a witness
+w in C with M w = 0, a trivial one the LP duals (a Stiemke/Gordan
+alternative, zero when the equalities decide), each verified before it is
+reported.  The embedded-PSD degenerate case uses an alternating-projection
+probe on a kernel basis of M that can only answer Nontrivial-with-witness
+or Unknown.
 """
 
 from dataclasses import dataclass
@@ -24,20 +32,21 @@ import numpy as np
 # scipy.optimize is imported where an LP or NNLS is solved: it is most of the
 # package's import time, and group-Lasso and nuclear solves never need it.
 
-from .linalg import Subspace, Tolerances, DEFAULT_TOL, null_space, intersect_subspaces
+from .linalg import Subspace, Tolerances, DEFAULT_TOL, null_space
 
 
 @dataclass
 class DualCertificate:
-    """Proof that F z = z[:d] vanishes on Q = {z : G z <= 0, H z = 0}.
+    """Proof that F vanishes on Q = {z : G z <= 0, H z = 0}.
 
-    G and H have unit rows.  mu >= 0 with mu >= 1 on the rows `implicit`
-    and G^T mu + H^T beta = 0 force those rows to be tight on all of Q, so
-    Q lies in null([H; G_implicit]); F is zero on that null space.
+    G and H have unit-scale rows (unit rows, or M / ||M||).  mu >= 0 with
+    mu >= 1 on the rows `implicit` and G^T mu + H^T beta = 0 force those
+    rows to be tight on all of Q, so Q lies in null([H; G_implicit]); F is
+    zero on that null space.  mu = 0 when F is zero on null(H) already.
     """
     g: np.ndarray
     h: np.ndarray
-    d: int
+    f: np.ndarray
     implicit: np.ndarray            # boolean mask over the rows of G
     mu: np.ndarray
     beta: np.ndarray
@@ -48,16 +57,16 @@ class DualCertificate:
             return False
         if np.linalg.norm(self.g.T @ self.mu + self.h.T @ self.beta) > tol.member:
             return False
-        span = null_space(np.vstack([self.h, self.g[i]]), tol)
-        return float(np.linalg.norm(span.basis[:self.d])) <= tol.member
+        span = _null(np.vstack([self.h, self.g[i]]), tol)
+        return float(np.linalg.norm(self.f @ span)) <= tol.member
 
 
 @dataclass
 class TrivialityVerdict:
     outcome: str                    # "trivial" | "nontrivial" | "unknown"
-    witness: np.ndarray = None      # unit vector in N cap C, set iff nontrivial
+    witness: np.ndarray = None      # unit vector in Ker M cap C, iff nontrivial
     reason: str = ""
-    certificate: DualCertificate = None   # verified; trivial ray/polyhedral only
+    certificate: DualCertificate = None   # verified; trivial, unless M = I or PSD
 
     @classmethod
     def trivial(cls, certificate=None):
@@ -296,7 +305,11 @@ class PreimageCone(ConeDescription):
         self.ambient = self.K.shape[1]
 
     def member(self, w, tol):
-        return self.inner.member(self.K @ np.asarray(w, dtype=float), tol)
+        """K w within tol ||K||_F max(1, ||w||) of the inner cone: the error
+        K passes on from w scales with K, so rescaling K changes nothing."""
+        w = np.asarray(w, dtype=float)
+        return self.residual(w) <= \
+            tol * float(np.linalg.norm(self.K)) * max(1.0, float(np.linalg.norm(w)))
 
     def residual(self, w):
         return self.inner.residual(self.K @ np.asarray(w, dtype=float))
@@ -352,15 +365,14 @@ def preimage(k_op, cone, tol=DEFAULT_TOL):
 def polar_cone(cone, tol=DEFAULT_TOL):
     """Polar {v : <v, w> <= 0 for all w in C}; None when not representable."""
     cone = simplify(cone, tol)
-    if isinstance(cone, SubspaceCone):
-        return SubspaceCone(cone.subspace.complement())
+    if isinstance(cone, SubspaceCone):          # span(B): its equations B^T v = 0
+        return PolyhedralCone(None, cone.subspace.basis.T, ambient=cone.ambient)
     if isinstance(cone, SubspacePlusRays):
         a = np.stack(cone.rays, axis=0) if cone.rays else np.zeros((0, cone.ambient))
         return PolyhedralCone(a, cone.span.basis.T, ambient=cone.ambient)
     if isinstance(cone, PolyhedralCone):
         span = Subspace(cone.ambient, cone.E.T)
-        rays = [cone.A[i] for i in range(cone.A.shape[0])
-                if np.linalg.norm(cone.A[i]) > tol.member]
+        rays = [row for row in cone.A if np.any(row)]
         if rays:
             return SubspacePlusRays(span, rays)
         return SubspaceCone(span)
@@ -377,60 +389,69 @@ def membership(cone, w, tol):
 # the triviality decision
 
 
-def _verify_witness(n_sub, cone, w, tol):
+def _null(a, tol):
+    """Null-space basis (columns) of a stack of unit-scale rows: singular
+    values at most tol.rank count as zero."""
+    if a.shape[0] == 0:
+        return np.eye(a.shape[1])
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    return vt[int(np.sum(s > tol.rank)):].T
+
+
+def _unit_rows(mat):
+    """The nonzero rows of mat at unit norm."""
+    nrm = np.linalg.norm(mat, axis=1)
+    keep = nrm > 0
+    return mat[keep] / nrm[keep, None]
+
+
+def _verify_witness(mat, norm, cone, w, tol):
+    """w at unit norm when M w = 0 at the decision's rank scale tol.rank ||M||
+    and w is in the cone; None otherwise."""
     nrm = float(np.linalg.norm(w))
     if nrm <= 0:
         return None
     w = w / nrm
-    if n_sub.residual(w) > 10 * tol.member:
+    if np.linalg.norm(mat @ w) > 10 * tol.rank * norm:
         return None
     if not cone.member(w, 10 * tol.member):
         return None
     return w
 
 
-def _unit_rows(mat, src_norms, tol):
-    """Rows of mat at unit norm; rows the map left at roundoff size
-    (norm <= tol.rank * the norm of their source row) carry no constraint."""
-    nrm = np.linalg.norm(mat, axis=1)
-    keep = nrm > tol.rank * src_norms
-    return mat[keep] / nrm[keep, None]
+def _preimage_system(mk, k, inner):
+    """(G, H, F) over z = (w, s, lam): M w = 0, K w = S s + R lam, lam >= 0.
 
-
-def _rays_system(n_sub, k, span, rays, tol):
-    """(G, H, d) over z = (xi, s, lam): M xi = S s + R lam, lam >= 0.
-
-    M = N, or K N for a preimage; M is scaled to unit largest column, which
-    leaves the cone of directions xi unchanged.  F keeps the xi block.
+    K is scaled to unit largest column and the rows of [K, -S, -R] to unit
+    norm, which leaves Q unchanged; F keeps the w block.
     """
-    m = n_sub.basis if k is None else k @ n_sub.basis
-    scale = float(np.linalg.norm(m, axis=0).max(initial=0.0)) or 1.0
-    k_norms = 1.0 if k is None else np.linalg.norm(k, axis=1)
-    r = np.stack(rays, axis=1)
-    s = span.basis
-    src = np.sqrt((k_norms / scale) ** 2 + np.sum(s ** 2, axis=1)
-                  + np.sum(r ** 2, axis=1))
-    h = _unit_rows(np.hstack([m / scale, -s, -r]), src, tol)
-    g = np.hstack([np.zeros((r.shape[1], m.shape[1] + s.shape[1])),
-                   -np.eye(r.shape[1])])
-    return g, h, n_sub.dim
+    r, s = inner._ray_matrix(), inner.span.basis
+    n, tail = k.shape[1], s.shape[1] + r.shape[1]
+    scale = float(np.linalg.norm(k, axis=0).max(initial=0.0)) or 1.0
+    h = np.vstack([np.hstack([mk, np.zeros((mk.shape[0], tail))]),
+                   _unit_rows(np.hstack([k / scale, -s, -r]))])
+    g = np.hstack([np.zeros((r.shape[1], n + s.shape[1])), -np.eye(r.shape[1])])
+    return g, h, np.eye(n, n + tail)
 
 
-def _decide(n_sub, cone, g, h, d, tol):
-    """Decide N cap C = {0} as: is z[:d] zero on all of Q = {G z <= 0, H z = 0}?
+def _decide(mat, norm, cone, g, h, f, tol):
+    """Decide Ker M cap C = {0} as: is F zero on all of Q = {G z <= 0, H z = 0}?
 
-    One LP, max sum t over G z + t <= 0, H z = 0, 0 <= t <= 1, gives a
-    relative-interior point z* of Q; its implicit equalities are the rows
-    with t = 0, and span Q = null([H; G_I]).  F z = z[:d] is nonzero on Q
-    exactly when it is nonzero on that span: then z* + eps b, with b the
-    span direction F stretches most and its sign chosen so that F z* and
-    F b do not cancel, is a witness in Q.  Otherwise the LP duals are the
-    certificate.  Both are verified before they are reported.
+    When F vanishes on null(H), the equalities alone decide, and the
+    certificate has mu = 0.  Otherwise one LP, max sum t over
+    G z + t <= 0, H z = 0, 0 <= t <= 1, gives a relative-interior point z*
+    of Q; its implicit equalities are the rows with t = 0, and
+    span Q = null([H; G_I]).  F is nonzero on Q exactly when it is nonzero
+    on that span: then z* + eps b, with b the span direction F stretches
+    most and its sign chosen so that F z* and F b do not cancel, is a
+    witness in Q.  Otherwise the LP duals are the certificate.  Both are
+    verified before they are reported.
     """
     m, dz = g.shape
     z_star, implicit = np.zeros(dz), np.zeros(m, dtype=bool)
     mu, beta = np.zeros(m), np.zeros(h.shape[0])
-    if m:
+    basis = _null(h, tol)
+    if m and np.linalg.norm(f @ basis) > tol.member:
         import scipy.optimize
         res = scipy.optimize.linprog(
             np.concatenate([np.zeros(dz), -np.ones(m)]),
@@ -442,35 +463,37 @@ def _decide(n_sub, cone, g, h, d, tol):
             return TrivialityVerdict.unknown(f"cone LP failed: {res.message}")
         z_star, implicit = res.x[:dz], res.x[dz:] < 0.5
         mu, beta = np.clip(-res.ineqlin.marginals, 0.0, None), -res.eqlin.marginals
-    basis = null_space(np.vstack([h, g[implicit]]), tol).basis
-    _, gains, vt = np.linalg.svd(basis[:d], full_matrices=False)
+        basis = _null(np.vstack([h, g[implicit]]), tol)
+    _, gains, vt = np.linalg.svd(f @ basis, full_matrices=False)
     if gains.size and gains[0] > tol.member:
         b = basis @ vt[0]
         z_c = basis @ (basis.T @ z_star)
-        if z_c[:d] @ b[:d] < 0:                   # F z* and F b must not cancel
+        if (f @ z_c) @ (f @ b) < 0:               # F z* and F b must not cancel
             b = -b
         # G z* <= -1 off the implicit rows, so this step stays inside Q
         eps = 0.5 / max(float(np.abs(g @ b).max(initial=0.0)), 1e-12)
-        w = _verify_witness(n_sub, cone, n_sub.basis @ (z_c + eps * b)[:d], tol)
+        w = _verify_witness(mat, norm, cone, f @ (z_c + eps * b), tol)
         if w is None:
             return TrivialityVerdict.unknown("cone witness failed verification")
         return TrivialityVerdict.nontrivial(w)
     low = float(mu[implicit].min(initial=1.0))    # scale to min mu_I = 1
     if low > 0:
         mu, beta = mu / low, beta / low
-    cert = DualCertificate(g, h, d, implicit, mu, beta)
+    cert = DualCertificate(g, h, f, implicit, mu, beta)
     if not cert.verify(tol):
         return TrivialityVerdict.unknown("dual certificate failed verification")
     return TrivialityVerdict.trivial(cert)
 
 
-def _psd_probe(n_sub, cone, k_mat, inner_psd, tol, seed):
+def _psd_probe(mat, norm, cone, k_mat, inner_psd, tol, seed):
     """Alternating-projection probe for the heuristic-only PSD-degenerate case."""
+    n_sub = null_space(mat, tol)
+    if n_sub.dim == 0:
+        return TrivialityVerdict.trivial()
     rng = np.random.default_rng(seed)
-    d = n_sub.dim
     kplus = np.linalg.pinv(k_mat) if k_mat is not None else None
     for _ in range(32):
-        xi = rng.standard_normal(d)
+        xi = rng.standard_normal(n_sub.dim)
         w = n_sub.basis @ (xi / np.linalg.norm(xi))
         for _ in range(500):
             w = n_sub.project(w)
@@ -483,48 +506,52 @@ def _psd_probe(n_sub, cone, k_mat, inner_psd, tol, seed):
                 break
         nrm = float(np.linalg.norm(w))
         if nrm >= 0.5:
-            cand = _verify_witness(n_sub, cone, w, tol)
+            cand = _verify_witness(mat, norm, cone, n_sub.project(w), tol)
             if cand is not None:
                 return TrivialityVerdict.nontrivial(cand)
     return TrivialityVerdict.unknown("PSD cone, heuristic inconclusive")
 
 
-def trivial_intersection(n_sub, cone, tol=DEFAULT_TOL, seed=0):
-    """Decide N cap C = {0}; returns a verified witness when nontrivial."""
-    if n_sub.ambient_dim != cone.ambient:
-        raise ValueError("subspace and cone ambient dimensions differ")
-    if n_sub.dim == 0:
+def trivial_intersection(m, cone, tol=DEFAULT_TOL, seed=0):
+    """Decide Ker M cap C = {0}, M a LinearOp or a matrix.
+
+    A nontrivial verdict carries a verified witness, a trivial one on an
+    exact cone a verified DualCertificate.  M enters the LP system as the
+    equality block M F / ||M||, so Ker M is never formed; a singular
+    value of M F below tol.rank ||M|| counts as zero.
+    """
+    mat = m if isinstance(m, np.ndarray) else m._dense
+    if mat.shape[1] != cone.ambient:
+        raise ValueError("operator columns and cone ambient dimension differ")
+    if getattr(m, "is_identity", False):          # Ker I = {0}
         return TrivialityVerdict.trivial()
+    norm = m.op_norm() if mat is not m else \
+        float(np.linalg.norm(mat, 2)) if mat.size else 0.0
+    scale = norm or 1.0                           # M = 0 leaves zero rows
     cone = simplify(cone, tol)
 
-    if isinstance(cone, SubspaceCone):
-        inter = intersect_subspaces(n_sub, cone.subspace, tol)
-        if inter.dim == 0:
-            return TrivialityVerdict.trivial()
-        w = _verify_witness(n_sub, cone, inter.basis[:, 0], tol)
-        if w is None:
-            return TrivialityVerdict.unknown("ill-conditioned subspace intersection")
-        return TrivialityVerdict.nontrivial(w)
+    if isinstance(cone, (SubspaceCone, SubspacePlusRays)):   # F = [B R]
+        span, r = (cone.subspace, np.zeros((cone.ambient, 0))) \
+            if isinstance(cone, SubspaceCone) else (cone.span, cone._ray_matrix())
+        f = np.hstack([span.basis, r])
+        g = np.hstack([np.zeros((r.shape[1], span.dim)), -np.eye(r.shape[1])])
+        return _decide(mat, norm, cone, g, mat @ f / scale, f, tol)
 
-    if isinstance(cone, SubspacePlusRays):
-        return _decide(n_sub, cone,
-                       *_rays_system(n_sub, None, cone.span, cone.rays, tol), tol)
-
-    if isinstance(cone, PolyhedralCone):      # z = xi: A N xi <= 0, E N xi = 0
-        rows = [_unit_rows(m @ n_sub.basis, np.linalg.norm(m, axis=1), tol)
-                for m in (cone.A, cone.E)]
-        return _decide(n_sub, cone, *rows, n_sub.dim, tol)
+    if isinstance(cone, PolyhedralCone):          # z = w, F = I
+        h = np.vstack([mat / scale, _unit_rows(cone.E)])
+        return _decide(mat, norm, cone, _unit_rows(cone.A), h,
+                       np.eye(cone.ambient), tol)
 
     if isinstance(cone, PsdCone):
-        return _psd_probe(n_sub, cone, None, cone, tol, seed)
+        return _psd_probe(mat, norm, cone, None, cone, tol, seed)
 
     if isinstance(cone, PreimageCone):
         inner = cone.inner
         if isinstance(inner, SubspacePlusRays):
-            return _decide(n_sub, cone, *_rays_system(
-                n_sub, cone.K, inner.span, inner.rays, tol), tol)
+            return _decide(mat, norm, cone,
+                           *_preimage_system(mat / scale, cone.K, inner), tol)
         if isinstance(inner, PsdCone):
-            return _psd_probe(n_sub, cone, cone.K, inner, tol, seed)
+            return _psd_probe(mat, norm, cone, cone.K, inner, tol, seed)
         return TrivialityVerdict.unknown(
             f"no decision procedure for preimage of {type(inner).__name__}")
 

@@ -106,8 +106,8 @@ class Subspace:
             return Subspace.full(n)
         if self.dim == n:
             return Subspace.zero(n)
-        u, s, _ = np.linalg.svd(self.basis, full_matrices=True)
-        return Subspace._orthonormal(u[:, self.dim:])
+        q, _ = np.linalg.qr(self.basis, mode="complete")
+        return Subspace._orthonormal(q[:, self.dim:])
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -154,12 +154,16 @@ def sym_eig(s, tol=DEFAULT_TOL):
 
 
 def null_space(a, tol=DEFAULT_TOL):
-    """Orthonormal basis of {w : ||A w|| <= rank_tol * sigma_max * ||w||}."""
+    """Orthonormal basis of {w : ||A w|| <= rank_tol * sigma_max * ||w||}.
+
+    The economy V of a matrix with at least as many rows as columns is
+    already square, so the full factorization is taken only for wide A.
+    """
     a = _as_matrix(a)
     n = a.shape[1]
     if a.size == 0:
         return Subspace.full(n)
-    u, s, vt = np.linalg.svd(a, full_matrices=True)
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < n)
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return Subspace.full(n)
@@ -171,26 +175,3 @@ def range_space(a, tol=DEFAULT_TOL):
     """Orthonormal basis of the column space at the relative rank tolerance."""
     a = _as_matrix(a)
     return Subspace._orthonormal(_orth_columns(a, tol.rank))
-
-
-def intersect_subspaces(p, q, tol=DEFAULT_TOL):
-    """P cap Q from the principal angles between P and Q.
-
-    With S the basis of smaller dimension and T the other, the singular
-    values of the residual S - T (T^T S) (n x dim S) are the sines of the
-    principal angles (Bjorck & Golub, Math. Comp. 27, 1973), and
-    P cap Q = S V[:, sin <= tol.rank].  The threshold is absolute, since the
-    sines lie in [0, 1].  The null space of the projector stack
-    [I - P P^T; I - Q Q^T] used before kept singular values up to
-    tol.rank * sigma_max(stack), with sigma_max in [1, sqrt 2]; the stack's
-    singular value for an angle theta is sqrt(2) sin(theta / 2).  When P and
-    Q were both R^n the stack was pure roundoff, which that relative
-    threshold could read as full rank, returning {0}.
-    """
-    if p.ambient_dim != q.ambient_dim:
-        raise ValueError("subspaces live in different ambient spaces")
-    if p.dim == 0 or q.dim == 0:
-        return Subspace.zero(p.ambient_dim)
-    s, t = (p.basis, q.basis) if p.dim <= q.dim else (q.basis, p.basis)
-    _, sines, vt = np.linalg.svd(s - t @ (t.T @ s), full_matrices=False)
-    return Subspace._orthonormal(s @ vt[sines <= tol.rank].T)

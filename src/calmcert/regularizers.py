@@ -307,9 +307,6 @@ class GroupLassoFace:
         self.boundary = np.flatnonzero(on_group).tolist()
         self.interior = np.flatnonzero(~on_group).tolist()
 
-    def _unit(self, gi):
-        return self._u[self.reg.group_slices[gi]]
-
     def _along(self, x):
         """<u_J, x_J> per segment (zero on interior groups)."""
         seg = self.reg.segments
@@ -341,27 +338,29 @@ class GroupLassoFace:
         return SubspaceCone(span)
 
     def polyhedral_system(self):
-        """(A, c, E, e) with F = {y : A y <= c, E y = e}."""
-        n = self.dim
-        a_rows, e_rows = [], []
-        for gi, g in enumerate(self.reg.group_slices):
-            if gi in self.interior:
-                for i in g:
-                    row = np.zeros(n)
-                    row[i] = 1.0
-                    e_rows.append(row)
-                continue
-            u = self._unit(gi)
-            row = np.zeros(n)
-            row[g] = -u
-            a_rows.append(row)
-            comp = Subspace(len(g), u.reshape(-1, 1)).complement()
-            for col in comp.basis.T:
-                row = np.zeros(n)
-                row[g] = col
-                e_rows.append(row)
-        a = np.asarray(a_rows).reshape(-1, n)
-        e = np.asarray(e_rows).reshape(-1, n)
+        """(A, c, E, e) with F = {y : A y <= c, E y = e}.
+
+        A has the row -u_J of each boundary group.  E has the rows e_i of
+        the interior groups' indices and, for each boundary group, the rows
+        of the Householder reflector P = I - v v^T / (1 + |u_p|),
+        v = u_J + sign(u_p) e_p, that map u_J to a multiple of e_p, p the
+        group's first index: P u_J is zero off p, so P's other rows are an
+        orthonormal basis of the complement of u_J.
+        """
+        seg = self.reg.segments
+        owner, n, u = seg.owner, self.dim, self._u
+        a = -_segment_columns(u, self._on, owner).T
+        pivots = seg.perm[seg.starts]                 # first index per segment
+        c = 1.0 / (1.0 + np.abs(u[pivots]))           # per segment
+        v = u.copy()
+        v[pivots[self._on]] += np.where(u[pivots] < 0, -1.0, 1.0)[self._on]
+        rest = self._on[owner]                        # boundary, not a pivot
+        rest[pivots] = False
+        rows = np.flatnonzero(rest)
+        house = np.where(owner[rows, None] == owner[None, :],
+                         -(c[owner[rows]] * v[rows])[:, None] * v, 0.0)
+        house[np.arange(rows.size), rows] += 1.0
+        e = np.vstack([np.eye(n)[~self._on[owner]], house])
         return a, np.zeros(a.shape[0]), e, np.zeros(e.shape[0])
 
     def describe(self):
@@ -552,8 +551,7 @@ def tangent_subdiff(reg, x_bar, y_bar, tol=DEFAULT_TOL):
     if reg.kind == "polyhedral_indicator":
         a, c = reg.A, reg.c
         scale = max(1.0, float(np.linalg.norm(x_bar)))
-        rays = [r for r in a[a @ x_bar >= c - tol.member * scale]
-                if np.linalg.norm(r) > tol.member]
+        rays = [r for r in a[a @ x_bar >= c - tol.member * scale] if np.any(r)]
         ny = float(np.linalg.norm(y_bar))
         span = (Subspace(reg.dim, y_bar.reshape(-1, 1)) if ny > tol.member
                 else Subspace.zero(reg.dim))
@@ -619,42 +617,21 @@ def ri_intersects_range(face, k_op, tol=DEFAULT_TOL, x_bar=None):
 
 
 def _ri_group_lasso(face, k, tol):
-    """Feasibility of (Kx)_J = t_J y_J with t_J >= 1 (homogeneous margin)."""
+    """Feasibility of (Kx)_J = t_J u_J with t_J >= 1 (homogeneous margin).
+
+    With t = 1 + s and Q an orthonormal basis of Im K, x drops out: the
+    answer is yes when min over s >= 0 of ||(I - Q Q^T)(-U s - u)|| is
+    zero, U holding the u_J of the boundary groups as columns.
+    """
     import scipy.optimize
-    reg = face.reg
-    rows = []
-    for gi in face.interior:
-        g = reg.group_slices[gi]
-        rows.append(k[g, :])
-    bset = face.boundary
-    nb = len(bset)
-    kb_rows, kb_rhs, kb_dirs = [], [], []
-    for pos, gi in enumerate(bset):
-        g = reg.group_slices[gi]
-        u = face._unit(gi)
-        kb_rows.append(k[g, :])
-        col = np.zeros((len(g), nb))
-        col[:, pos] = -u
-        kb_dirs.append(col)
-        kb_rhs.append(u.reshape(-1, 1))
-    top = np.vstack(rows) if rows else np.zeros((0, k.shape[1]))
-    bot = np.vstack(kb_rows) if kb_rows else np.zeros((0, k.shape[1]))
-    m_x = np.vstack([top, bot])
-    m_u = np.vstack([np.zeros((top.shape[0], nb))] + kb_dirs) \
-        if nb else np.zeros((m_x.shape[0], 0))
-    target = np.vstack([np.zeros((top.shape[0], 1))] + kb_rhs).ravel() \
-        if (rows or kb_rhs) else np.zeros(0)
-    # eliminate the free x block, then NNLS over the nonnegative margins u
     from .linalg import _orth_columns
-    q = _orth_columns(m_x, 1e-12)
-    perp = np.eye(m_x.shape[0]) - q @ q.T
-    a_nn = perp @ m_u
-    b_nn = perp @ target
-    if a_nn.shape[1] == 0:
-        res = float(np.linalg.norm(b_nn))
-    else:
-        _, res = scipy.optimize.nnls(a_nn, b_nn)
-    return "yes" if res <= 1e3 * tol.member * max(1.0, float(np.linalg.norm(target))) \
+    u = face._u
+    q = _orth_columns(k, 1e-12)
+    a = np.column_stack([-_segment_columns(u, face._on, face.reg.segments.owner),
+                         u])
+    a -= q @ (q.T @ a)                              # (I - Q Q^T) [-U, u]
+    _, res = scipy.optimize.nnls(a[:, :-1], a[:, -1])
+    return "yes" if res <= 1e3 * tol.member * max(1.0, float(np.linalg.norm(u))) \
         else "no"
 
 

@@ -442,21 +442,33 @@ def test_srcq_consistent_with_bounded_sweeps_on_curated_suite():
             assert not report.srcq.is_nontrivial
 
 
-def test_identity_k_certificate_stays_at_subspace_size(monkeypatch):
-    # K = I Lasso, n = 200: no SVD of a matrix with more than n rows (the
-    # 2n x n projector stack), none of K itself (Im K and Ker K* are known
-    # when K = I) and no QR of an n x n basis (the identity).
-    rng = np.random.default_rng(4)
-    n, m = 200, 100
+def _lasso_doc(rng, n, size):
+    """K = I Lasso with groups of the given size, m = n / 2."""
+    m, groups = n // 2, [list(range(g, g + size)) for g in range(0, n, size)]
     phi = rng.standard_normal((m, n)) / np.sqrt(m)
     x0 = np.zeros(n)
-    x0[rng.choice(n, size=12, replace=False)] = rng.choice([-1.0, 1.0], size=12)
+    for g in rng.choice(len(groups), size=max(2, len(groups) // 15), replace=False):
+        x0[groups[g]] = rng.choice([-1.0, 1.0], size=size)
     b = phi @ x0 + 0.01 * rng.standard_normal(m)
     doc = l1_doc(phi, b)
+    doc["reg"]["groups"] = groups
     doc["reg"]["weight"] = 0.1 * float(np.max(np.abs(phi.T @ b)))
-    inst = make(doc)
-    pair = solve(inst)
-    shapes = {"svd": [], "qr": []}
+    return doc
+
+
+FACTORIZATIONS = ("svd", "qr", "eigh", "eig", "cholesky", "lstsq", "pinv")
+
+
+def test_identity_k_certificate_stays_at_subspace_size(monkeypatch):
+    # K = I: Phi is decided on T = span(B) through Phi B (m x dim T), and
+    # K^T = I needs no work, so no SVD has n columns (neither Ker Phi nor
+    # the 2n x n projector stack) and nothing of size n x n is factored
+    # (K itself, an n x n basis or a complement of T)
+    cases = [(200, 1, 4), (400, 4, 1)]           # (n, group size, seed)
+    insts = [(n, make(_lasso_doc(np.random.default_rng(seed), n, size)))
+             for n, size, seed in cases]
+    pairs = [solve(inst) for _, inst in insts]   # the solver caches ||Phi||
+    shapes = {name: [] for name in FACTORIZATIONS}
     for name in shapes:
         original = getattr(np.linalg, name)
 
@@ -464,13 +476,34 @@ def test_identity_k_certificate_stays_at_subspace_size(monkeypatch):
             shapes[_name].append(np.shape(a))
             return _original(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+    for (n, inst), pair in zip(insts, pairs):
+        for calls in shapes.values():
+            calls.clear()
+        report = certify_primal_dual(inst, pair)
+        assert report.conclusion_primal_dual.status in ("isolated_calm",
+                                                        "not_isolated_calm")
+        assert shapes["svd"], "Phi B is decided by an SVD"
+        assert all(cols < n for _, cols in shapes["svd"])
+        assert all((n, n) not in calls for calls in shapes.values())
+
+
+def test_identity_phi_is_decided_without_factoring_phi(monkeypatch):
+    # TV denoising: Phi is the identity, Ker Phi = {0} is read from the
+    # operator, and neither certificate condition factors Phi
+    inst = instance_for("tv_grad1d")
+    pair = solve(inst)
+    phi = materialize(inst.phi)
+    seen = []
+    for name in FACTORIZATIONS:
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, **kwargs):
+            seen.append(np.shape(a) == phi.shape and np.array_equal(a, phi))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
     report = certify_primal_dual(inst, pair)
-    assert report.conclusion_primal_dual.status in ("isolated_calm",
-                                                    "not_isolated_calm")
-    assert shapes["svd"], "the certificate computes Ker Phi by an SVD"
-    assert all(rows <= n for rows, _ in shapes["svd"])
-    assert (n, n) not in shapes["svd"]
-    assert (n, n) not in shapes["qr"]
+    assert report.cond_suf.is_trivial and report.cond_nes.is_trivial
+    assert not any(seen)
 
 
 def _count_calls(monkeypatch, owner, name, counts):

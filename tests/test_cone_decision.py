@@ -1,4 +1,5 @@
-"""The one-LP cone decision against an exact pattern enumeration.
+"""The one-LP cone decision against an exact pattern enumeration, and the
+one-system decision against the two-step decision it replaced.
 
 `ref_decide` below is the activation-pattern enumeration the LP replaced,
 kept here only as the oracle, in one compact exact form: a polyhedral cone
@@ -19,9 +20,12 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from calmcert.cones import (PolyhedralCone, PreimageCone, SubspacePlusRays,
-                            preimage, trivial_intersection)
+from calmcert.cones import (PolyhedralCone, PreimageCone, SubspaceCone,
+                            SubspacePlusRays, preimage, trivial_intersection)
 from calmcert.linalg import Subspace, Tolerances
+from calmcert.model import LinearOp
+
+from two_step_reference import kernel_op, ref_trivial_intersection
 
 TOL = Tolerances()
 
@@ -142,7 +146,7 @@ def check_verdict(n_sub, cone, v):
         assert abs(np.linalg.norm(v.witness) - 1.0) < 1e-9
         assert n_sub.residual(v.witness) <= 10 * TOL.member
         assert cone.member(v.witness, 10 * TOL.member)
-    elif n_sub.dim:
+    else:
         assert v.certificate is not None and v.certificate.verify(TOL)
 
 
@@ -168,12 +172,12 @@ def scaled(cone, s):
 @given(cones(), st.sampled_from([1e-12, 1e-9, 1e9, 1e12, "rows"]))
 def test_decision_matches_pattern_enumeration(case, s):
     n_sub, cone, _ = case
-    v = trivial_intersection(n_sub, cone, TOL)
+    v = trivial_intersection(kernel_op(n_sub), cone, TOL)
     check_verdict(n_sub, cone, v)
     assert v.outcome == ref_decide(n_sub, cone)
     # membership slack is per row, so rescaling rows or K changes nothing
     cone = scaled(cone, s)
-    rescaled = trivial_intersection(n_sub, cone, TOL)
+    rescaled = trivial_intersection(kernel_op(n_sub), cone, TOL)
     check_verdict(n_sub, cone, rescaled)
     assert rescaled.outcome == v.outcome
 
@@ -185,11 +189,96 @@ def test_drawn_cases_cover_every_kind_and_outcome():
     @given(cones())
     def collect(case):
         n_sub, cone, kind = case
-        seen.add((kind, trivial_intersection(n_sub, cone, TOL).outcome))
+        v = trivial_intersection(kernel_op(n_sub), cone, TOL)
+        seen.add((kind, v.outcome))
 
     collect()
     assert seen == {(k, o) for k in ("rays", "polyhedral", "preimage")
                     for o in ("trivial", "nontrivial")}
+
+
+# ---------------------------------------------------------------------------
+# near the rank threshold: the one-system decision against the two-step one
+
+
+THETAS = [0.0, 1e-13, 1e-11, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 1e-7, 1e-5, 1e-2]
+BAND = (1e-10, 1e-8)                   # a factor 10 either side of tol.rank
+
+
+@st.composite
+def threshold_pairs(draw):
+    """(M, C, theta, kind) with M = [rows of an orthonormal basis of the
+    complement of N; theta d^T], d a unit vector of N: M has singular values
+    1 and theta, and its kernel is N for theta below tol.rank and N cap d^perp
+    above it.  C is drawn by `cones`, or is a subspace cone, or a subspace
+    or ray cone that contains d."""
+    kind = draw(st.sampled_from(["cones", "subspace", "aligned"]))
+    if kind == "cones":
+        n_sub, cone, _ = draw(cones())
+        n = n_sub.ambient_dim
+    else:
+        n = draw(st.integers(1, 4))
+        n_sub = Subspace(n, int_matrix(draw, n, draw(st.integers(0, n))))
+    if not n_sub.dim:
+        n_sub = Subspace(n, np.eye(n)[:, :1])
+    d = n_sub.basis[:, 0]
+    if kind == "subspace":
+        cols = draw(st.integers(1, n))
+        cone = SubspaceCone(Subspace(n, int_matrix(draw, n, cols)))
+    elif kind == "aligned":
+        other = int_matrix(draw, n, draw(st.integers(0, 2)))
+        if draw(st.booleans()):
+            cone = SubspaceCone(Subspace(n, np.column_stack([d, other])))
+        else:
+            rays = nonzero_vectors(draw, draw(st.integers(0, 2)), n)
+            cone = SubspacePlusRays(Subspace(n, other), [d] + rays)
+    theta = draw(st.sampled_from(THETAS))
+    return np.vstack([kernel_op(n_sub), theta * d]), cone, theta, kind
+
+
+def verifies(m, cone, v):
+    """A decisive verdict carries a witness or certificate that re-verifies."""
+    if v.is_nontrivial:
+        w = v.witness
+        return (abs(np.linalg.norm(w) - 1.0) < 1e-9
+                and np.linalg.norm(m @ w) <= 10 * TOL.rank * np.linalg.norm(m, 2)
+                and cone.member(w, 10 * TOL.member))
+    return v.certificate is not None and v.certificate.verify(TOL)
+
+
+@settings(SETTINGS, max_examples=400)
+@given(threshold_pairs(), st.sampled_from([1.0, 1e-9, 1e9]))
+def test_decision_matches_two_step_reference_near_the_rank_threshold(case, s):
+    m, cone, theta, _ = case
+    m = s * m                          # the rank scale is relative to ||M||
+    v = trivial_intersection(m, cone, TOL)
+    if not v.is_unknown:
+        assert verifies(m, cone, v)
+    if BAND[0] <= theta <= BAND[1]:
+        return
+    assert not v.is_unknown, v.reason
+    assert v.outcome == ref_trivial_intersection(m, cone, TOL).outcome
+
+
+def test_threshold_pairs_flip_at_the_threshold():
+    """Some drawn pairs change verdict across the threshold, on each kind."""
+    flips = set()
+
+    @settings(SETTINGS, max_examples=200)
+    @given(threshold_pairs())
+    def collect(case):
+        m, cone, theta, kind = case
+        if not theta:
+            return
+        low, high = m.copy(), m.copy()
+        low[-1] *= 1e-11 / theta
+        high[-1] *= 1e-7 / theta
+        if trivial_intersection(low, cone, TOL).outcome \
+                != trivial_intersection(high, cone, TOL).outcome:
+            flips.add(kind)
+
+    collect()
+    assert flips == {"cones", "subspace", "aligned"}
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +289,11 @@ def test_opposing_rays_make_a_line():
     line = Subspace(2, np.array([[1.0], [0.0]]))
     cone = SubspacePlusRays(Subspace.zero(2), [np.array([1.0, 0.0]),
                                                np.array([-1.0, 0.0])])
-    v = trivial_intersection(line, cone, TOL)
+    v = trivial_intersection(kernel_op(line), cone, TOL)
     check_verdict(line, cone, v)
     assert v.is_nontrivial
     other = Subspace(2, np.array([[0.0], [1.0]]))
-    v = trivial_intersection(other, cone, TOL)
+    v = trivial_intersection(kernel_op(other), cone, TOL)
     check_verdict(other, cone, v)
     assert v.is_trivial
 
@@ -214,7 +303,7 @@ def test_kernel_of_k_is_a_witness():
     inner = SubspacePlusRays(Subspace.zero(2), [np.array([1.0, 0.0])])
     cone = preimage(k, inner, TOL)
     n_sub = Subspace(3, np.array([[1.0], [-1.0], [0.0]]))
-    v = trivial_intersection(n_sub, cone, TOL)
+    v = trivial_intersection(kernel_op(n_sub), cone, TOL)
     check_verdict(n_sub, cone, v)
     assert v.is_nontrivial
 
@@ -222,7 +311,8 @@ def test_kernel_of_k_is_a_witness():
 def test_duplicated_rows_pointed_cone_is_trivial():
     a = np.array([[-1.0, 0.0], [-1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, -1.0]])
     n_sub = Subspace.full(2)
-    v = trivial_intersection(n_sub, PolyhedralCone(a, None, ambient=2), TOL)
+    v = trivial_intersection(kernel_op(n_sub), PolyhedralCone(a, None, ambient=2),
+                             TOL)
     assert v.is_trivial
     cert = v.certificate
     assert cert.verify(TOL)
@@ -230,14 +320,35 @@ def test_duplicated_rows_pointed_cone_is_trivial():
 
 
 def test_zero_kernel_needs_no_certificate():
+    # M = I is read from the operator: its kernel is {0} before any work
     cone = SubspacePlusRays(Subspace.zero(3), [np.eye(3)[0]])
-    v = trivial_intersection(Subspace.zero(3), cone, TOL)
+    v = trivial_intersection(LinearOp.identity(3), cone, TOL)
     assert v.is_trivial and v.certificate is None
+
+
+def test_equalities_alone_decide_with_a_zero_certificate(lp_calls):
+    # an invertible matrix M: F vanishes on null(H) already, so no LP runs
+    # and the certificate is mu = 0, beta = 0 over no implicit rows
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((3, 3)) + 3 * np.eye(3)
+    rays = SubspacePlusRays(Subspace(3, rng.standard_normal((3, 1))),
+                            [np.eye(3)[0], -np.eye(3)[1]])
+    poly = PolyhedralCone(rng.standard_normal((4, 3)), None, ambient=3)
+    pre = preimage(rng.standard_normal((2, 3)),
+                   SubspacePlusRays(Subspace.zero(2), [np.ones(2)]), TOL)
+    for cone in (rays, poly, pre):
+        v = trivial_intersection(m, cone, TOL)
+        assert v.is_trivial
+        cert = v.certificate
+        assert cert.verify(TOL)
+        assert not cert.implicit.any()
+        assert not cert.mu.any() and not cert.beta.any()
+    assert lp_calls == []
 
 
 def test_tampered_certificate_fails_verification():
     a = np.array([[-1.0, 0.0], [1.0, 1.0], [0.0, -1.0]])
-    v = trivial_intersection(Subspace.full(2), PolyhedralCone(a, None, ambient=2),
+    v = trivial_intersection(np.zeros((0, 2)), PolyhedralCone(a, None, ambient=2),
                              TOL)
     cert = v.certificate
     assert cert.verify(TOL)
@@ -281,6 +392,6 @@ def test_one_lp_per_decision(lp_calls):
     n_sub, cases = _big_cases()
     for cone in cases:
         before = len(lp_calls)
-        v = trivial_intersection(n_sub, cone, TOL)
+        v = trivial_intersection(kernel_op(n_sub), cone, TOL)
         assert not v.is_unknown
         assert len(lp_calls) - before == 1

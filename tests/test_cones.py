@@ -14,6 +14,8 @@ from calmcert.linalg import Subspace, Tolerances
 from calmcert.model import LinearOp, load_instance, materialize
 from calmcert.solver import solve
 
+from two_step_reference import kernel_op
+
 TOL = Tolerances()
 
 
@@ -60,7 +62,7 @@ def test_polyhedral_membership():
 
 def test_full_cone_nontrivial():
     n = span(np.array([1.0, -1.0]) / np.sqrt(2))
-    v = trivial_intersection(n, SubspaceCone.full(2), TOL)
+    v = trivial_intersection(kernel_op(n), SubspaceCone.full(2), TOL)
     assert v.is_nontrivial
     assert abs(abs(v.witness @ (np.array([1.0, -1.0]) / np.sqrt(2))) - 1) < 1e-9
 
@@ -68,27 +70,27 @@ def test_full_cone_nontrivial():
 def test_orthogonal_lines_trivial():
     n = span(np.array([1.0, -1.0]) / np.sqrt(2))
     c = SubspaceCone(span(np.array([1.0, 1.0]) / np.sqrt(2)))
-    assert trivial_intersection(n, c, TOL).is_trivial
+    assert trivial_intersection(kernel_op(n), c, TOL).is_trivial
 
 
 def test_orthant_pattern_enumeration_trivial():
     n = span(np.array([1.0, -1.0]) / np.sqrt(2))
     orthant = SubspacePlusRays(Subspace.zero(2),
                                [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    assert trivial_intersection(n, orthant, TOL).is_trivial
+    assert trivial_intersection(kernel_op(n), orthant, TOL).is_trivial
 
 
 def test_orthant_nontrivial_when_line_enters():
     n = span(np.array([1.0, 1.0]) / np.sqrt(2))
     orthant = SubspacePlusRays(Subspace.zero(2),
                                [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    v = trivial_intersection(n, orthant, TOL)
+    v = trivial_intersection(kernel_op(n), orthant, TOL)
     assert v.is_nontrivial
     assert np.all(v.witness >= -1e-9)
 
 
 def test_zero_kernel_always_trivial():
-    v = trivial_intersection(Subspace.zero(3), SubspaceCone.full(3), TOL)
+    v = trivial_intersection(np.eye(3), SubspaceCone.full(3), TOL)
     assert v.is_trivial
 
 
@@ -127,7 +129,7 @@ def test_witness_soundness_random():
             [rng.standard_normal(d) for _ in range(nrays)]) \
             if nrays else SubspaceCone(
                 Subspace(d, rng.standard_normal((d, span_dim + 1))))
-        v = trivial_intersection(n, cone, TOL)
+        v = trivial_intersection(kernel_op(n), cone, TOL)
         if v.is_nontrivial:
             w = v.witness
             assert abs(np.linalg.norm(w) - 1.0) < 1e-9
@@ -159,7 +161,7 @@ def test_exactness_vs_sampling_oracle():
         rays = [rng.standard_normal(d) for _ in range(rng.integers(1, 5))]
         cone = SubspacePlusRays(Subspace(d, rng.standard_normal((d, span_dim))),
                                 rays)
-        v = trivial_intersection(n_sub, cone, TOL, seed=trial)
+        v = trivial_intersection(kernel_op(n_sub), cone, TOL, seed=trial)
         assert not v.is_unknown
         member = _sphere_oracle(n_sub, cone, seed=trial)
         if member is not None:
@@ -178,8 +180,8 @@ def test_monotonicity_under_ray_subsets():
         rays = [rng.standard_normal(d) for _ in range(4)]
         big = SubspacePlusRays(Subspace.zero(d), rays)
         small = SubspacePlusRays(Subspace.zero(d), rays[:2])
-        if trivial_intersection(n_sub, big, TOL).is_trivial:
-            assert trivial_intersection(n_sub, small, TOL).is_trivial
+        if trivial_intersection(kernel_op(n_sub), big, TOL).is_trivial:
+            assert trivial_intersection(kernel_op(n_sub), small, TOL).is_trivial
 
 
 def test_monotonicity_under_inequality_supersets():
@@ -191,8 +193,8 @@ def test_monotonicity_under_inequality_supersets():
         rows = rng.standard_normal((4, d))
         big = PolyhedralCone(rows[:2], None, ambient=d)
         small = PolyhedralCone(rows, None, ambient=d)
-        if trivial_intersection(n_sub, big, TOL).is_trivial:
-            assert trivial_intersection(n_sub, small, TOL).is_trivial
+        if trivial_intersection(kernel_op(n_sub), big, TOL).is_trivial:
+            assert trivial_intersection(kernel_op(n_sub), small, TOL).is_trivial
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +205,7 @@ def test_psd_probe_finds_witness():
     cone = PsdCone(np.eye(2), np.eye(2), p=2,
                    kernel_basis=np.array([[0.0], [1.0]]), m=2, n=2)
     n_sub = span(np.array([0.0, 0.0, 0.0, 1.0]))   # vec of E22
-    v = trivial_intersection(n_sub, cone, TOL, seed=4)
+    v = trivial_intersection(kernel_op(n_sub), cone, TOL, seed=4)
     assert v.is_nontrivial
     assert cone.member(v.witness, 1e-7)
 
@@ -212,7 +214,7 @@ def test_psd_probe_unknown_on_trivial():
     cone = PsdCone(np.eye(2), np.eye(2), p=2,
                    kernel_basis=np.array([[0.0], [1.0]]), m=2, n=2)
     n_sub = span(np.array([0.0, 1.0, 0.0, 0.0]))   # vec of E12: asymmetric
-    v = trivial_intersection(n_sub, cone, TOL, seed=4)
+    v = trivial_intersection(kernel_op(n_sub), cone, TOL, seed=4)
     assert v.is_unknown
     assert "heuristic" in v.reason
 
@@ -265,10 +267,10 @@ def test_preimage_rays_triviality_through_k():
     inner = SubspacePlusRays(Subspace.zero(1), [np.array([1.0])])
     cone = preimage(np.array([[1.0, 1.0]]), inner, TOL)
     n_line = span(np.array([1.0, -1.0]) / np.sqrt(2))
-    v = trivial_intersection(n_line, cone, TOL)
+    v = trivial_intersection(kernel_op(n_line), cone, TOL)
     assert v.is_nontrivial      # the whole line maps to 0, inside the ray
     n_pos = span(np.array([1.0, 1.0]) / np.sqrt(2))
-    v2 = trivial_intersection(n_pos, cone, TOL)
+    v2 = trivial_intersection(kernel_op(n_pos), cone, TOL)
     assert v2.is_nontrivial     # one side of the line maps into the ray
 
 
@@ -293,6 +295,21 @@ def test_polar_of_polyhedral_is_generated():
     assert polar.member(np.array([1.0, 0.0]), 1e-8)      # the inequality row
     assert polar.member(np.array([0.0, -5.0]), 1e-8)     # equality span
     assert not polar.member(np.array([-1.0, 0.0]), 1e-7)
+
+
+def test_polar_keeps_rows_at_any_scale():
+    # the polar of {w : s (w1 + w2) <= 0} is the ray through (1, 1) at every
+    # row scale s, so the line it spans meets it; a row kept only above an
+    # absolute norm was dropped at s = 1e-8, which left the polar {0}
+    line = kernel_op(span(np.array([1.0, 1.0])))
+    probes = [np.array([1.0, 1.0]), np.array([-1.0, -1.0]),
+              np.array([1.0, -1.0]), np.array([2.0, 1.0])]
+    for s in (1e-8, 1.0, 1e8):
+        polar = polar_cone(PolyhedralCone(s * np.array([[1.0, 1.0]]), None,
+                                          ambient=2), TOL)
+        assert [polar.member(w, 1e-9) for w in probes] == [True, False, False,
+                                                            False]
+        assert trivial_intersection(line, polar, TOL).is_nontrivial
 
 
 def test_polar_duality_roundtrip_membership():

@@ -201,6 +201,19 @@ def test_tangent_subdiff_group_lasso_cases():
     assert not cone.member(np.array([0.0, 0.0, 1.0]), 1e-7)
 
 
+def test_tangent_subdiff_keeps_rows_at_any_scale():
+    # {x : s x <= s 1} at x = 1 with y = 0: the tangent of the normal cone
+    # is the cone of the active rows, the orthant, at every row scale s
+    x, y = np.ones(2), np.zeros(2)
+    probes = [np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.array([1.0, 1.0]),
+              np.array([1.0, -1.0])]
+    for s in (1e-8, 1.0, 1e8):
+        reg = polyhedral_indicator(s * np.eye(2), s * np.ones(2))
+        cone = rz.tangent_subdiff(reg, x, y, TOL)
+        assert [cone.member(w, 1e-9) for w in probes] == [True, False, True,
+                                                          False]
+
+
 def test_tangent_subdiff_l1_active_is_zero():
     cone = rz.tangent_subdiff(l1(1), np.array([1.0]), np.array([1.0]), TOL)
     assert not cone.member(np.array([1.0]), 1e-7)
