@@ -218,12 +218,15 @@ def _solution_map(instance, pair, seed):
     qgc = rz.qgc_flags(reg)
 
     tangent = face.tangent_at(kx, tol)
-    cond_suf = trivial_intersection(instance.phi,
-                                    preimage(instance.k, tangent, tol), tol,
-                                    seed=seed)
-    if instance.k.is_identity:      # Im K = Y: the restriction changes nothing
-        cond_nes = cond_suf
+    if instance.phi.is_identity:    # Ker Phi = {0} meets every cone trivially
+        cond_suf = cond_nes = TrivialityVerdict.trivial()
+    elif instance.k.is_identity:    # Im K = Y: the restriction changes nothing
+        cond_suf = cond_nes = trivial_intersection(instance.phi, tangent, tol,
+                                                   seed=seed)
     else:
+        cond_suf = trivial_intersection(instance.phi,
+                                        preimage(instance.k, tangent, tol), tol,
+                                        seed=seed)
         restricted = tangent_with_range_restriction(face, kx, instance.k, tol)
         if restricted is None:
             cond_nes = TrivialityVerdict.unknown(

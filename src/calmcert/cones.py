@@ -32,7 +32,7 @@ import numpy as np
 # scipy.optimize is imported where an LP or NNLS is solved: it is most of the
 # package's import time, and group-Lasso and nuclear solves never need it.
 
-from .linalg import Subspace, Tolerances, DEFAULT_TOL, null_space
+from .linalg import Subspace, Tolerances, DEFAULT_TOL, null_space, range_space
 
 
 @dataclass
@@ -563,6 +563,24 @@ def trivial_intersection(m, cone, tol=DEFAULT_TOL, seed=0):
 # tangent cone of a face restricted to a range
 
 
+def operator_range(k_op, tol=DEFAULT_TOL):
+    """Im K of a matrix, or of a LinearOp, which factors it once."""
+    if isinstance(k_op, np.ndarray):
+        return range_space(k_op, tol)
+    return k_op.range_space(tol)
+
+
+def active_rows(a, c, x, slack):
+    """Rows i of A x <= c with a_i x >= c_i - slack ||a_i|| max(1, ||x||).
+
+    The slack scales with ||a_i||, as in PolyhedralCone.member, so that
+    rescaling a row together with c_i does not change the answer.
+    """
+    x = np.asarray(x, dtype=float)
+    scale = slack * max(1.0, float(np.linalg.norm(x)))
+    return a @ x >= c - scale * np.linalg.norm(a, axis=1)
+
+
 def tangent_with_range_restriction(face, z, k_op, tol=DEFAULT_TOL):
     """Tangent cone of (face cap Im K) at z = K x_bar, or None when unknown.
 
@@ -570,14 +588,12 @@ def tangent_with_range_restriction(face, z, k_op, tol=DEFAULT_TOL):
     equalities added to the face system before taking active rows); PSD faces
     are supported only when the restriction is vacuous (Im K = Y).
     """
-    from .linalg import range_space
     z = np.asarray(z, dtype=float)
     if not face.contains(z, 10 * tol.member):
         raise ValueError("base point is not a member of the face")
     if getattr(k_op, "is_identity", False):       # Im K = Y
         return face.tangent_at(z, tol)
-    k = k_op if isinstance(k_op, np.ndarray) else k_op._dense
-    imk = range_space(k, tol)
+    imk = operator_range(k_op, tol)
     if imk.residual(z) > 10 * tol.member * max(1.0, float(np.linalg.norm(z))):
         raise ValueError("base point is not in the range of K")
     if imk.dim == imk.ambient_dim:
@@ -588,6 +604,5 @@ def tangent_with_range_restriction(face, z, k_op, tol=DEFAULT_TOL):
     a, c, e, _ = system
     comp = imk.complement()
     e_all = np.vstack([e, comp.basis.T]) if e.shape[0] else comp.basis.T
-    scale = max(1.0, float(np.linalg.norm(z)))
-    a_act = a[a @ z >= c - 10 * tol.member * scale]
-    return PolyhedralCone(a_act, e_all, ambient=face.dim)
+    return PolyhedralCone(a[active_rows(a, c, z, 10 * tol.member)], e_all,
+                          ambient=face.dim)

@@ -84,13 +84,15 @@ def perturbation_sweep(instance, pair, radii, n_per_radius=16, seed=0, cfg=None)
                 dist = float(np.linalg.norm(sol.x_bar - x_bar))
                 ratio = dist / denom if denom > 0 else None
                 entry.update(x_dist=dist, ratio=ratio,
-                             solver_iters=sol.iterations, flag="ok")
+                             solver_iters=sol.iterations,
+                             newton_steps=sol.newton_steps, flag="ok")
                 if dist > local_cap:
                     entry["flag"] = "nonlocal"
             except SolverError as exc:
                 dist = float(np.linalg.norm(exc.pair.x_bar - x_bar))
                 entry.update(x_dist=dist, ratio=dist / denom if denom else None,
                              solver_iters=exc.pair.iterations,
+                             newton_steps=exc.pair.newton_steps,
                              flag="nonconverged")
             samples.append(entry)
             if entry["flag"] == "ok" and entry["ratio"] is not None:

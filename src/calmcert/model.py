@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import Tolerances, DEFAULT_TOL
+from .linalg import Tolerances, DEFAULT_TOL, range_space
 
 
 def _frozen(array):
@@ -46,13 +46,14 @@ class LinearOp:
     in the last column), each block row-major over (i, j).
 
     An operator is immutable: the dense matrix is a private read-only copy,
-    so its norm and identity test are computed once.
+    so its norm, identity test and range are computed once.
     """
 
     def __init__(self, kind, **params):
         self.kind = kind
         self.params = params
         self._dense = _frozen(self._materialize())
+        self._ranges = {}
 
     @classmethod
     def dense(cls, matrix):
@@ -137,6 +138,12 @@ class LinearOp:
 
     def op_norm(self):
         return self._op_norm
+
+    def range_space(self, tol=DEFAULT_TOL):
+        """Im K as a Subspace at tol.rank, factored once per rank tolerance."""
+        if tol.rank not in self._ranges:
+            self._ranges[tol.rank] = range_space(self._dense, tol)
+        return self._ranges[tol.rank]
 
     @cached_property
     def _op_norm(self):
@@ -359,7 +366,8 @@ class SolutionPair:
     y_bar: np.ndarray
     v_bar: np.ndarray
     residuals: dict
-    iterations: int = 0
+    iterations: int = 0             # first-order iterations
+    newton_steps: int = 0
 
     def to_json_dict(self):
         return {
@@ -368,6 +376,7 @@ class SolutionPair:
             "v_bar": [float(v) for v in self.v_bar],
             "residuals": {k: float(v) for k, v in self.residuals.items()},
             "iterations": int(self.iterations),
+            "newton_steps": int(self.newton_steps),
         }
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import Subspace, Tolerances, DEFAULT_TOL
 from .cones import (SubspaceCone, SubspacePlusRays, PolyhedralCone,
-                    make_psd_embedded)
+                    active_rows, make_psd_embedded, operator_range)
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def project_polyhedron(point, a, c, e=None, rhs=None, tol=1e-9):
 def _normal_cone_fit(a, c, x, v, tol):
     """NNLS fit of v by the rows of {A y <= c} active at x: (fit, residual)."""
     import scipy.optimize
-    act = a[a @ x >= c - tol * max(1.0, float(np.linalg.norm(x)))]
+    act = a[active_rows(a, c, x, tol)]
     if not act.shape[0]:
         return np.zeros_like(v), float(np.linalg.norm(v))
     lam, res = scipy.optimize.nnls(act.T, v)
@@ -487,9 +487,7 @@ class PolyhedralFace:
         return project_polyhedron(x, self.A, self.c, self.E, self.e)
 
     def tangent_at(self, x, tol=DEFAULT_TOL):
-        x = np.asarray(x, dtype=float)
-        scale = max(1.0, float(np.linalg.norm(x)))
-        a = self.A[self.A @ x >= self.c - 10 * tol.member * scale]
+        a = self.A[active_rows(self.A, self.c, x, 10 * tol.member)]
         e = self.E if self.E.shape[0] else None
         return PolyhedralCone(a, e, ambient=self.dim)
 
@@ -549,9 +547,9 @@ def tangent_subdiff(reg, x_bar, y_bar, tol=DEFAULT_TOL):
         return PolyhedralCone(_segment_columns(y_bar, tight, seg.owner).T,
                               eye[seg.perm[active[in_perm]]], ambient=reg.dim)
     if reg.kind == "polyhedral_indicator":
-        a, c = reg.A, reg.c
-        scale = max(1.0, float(np.linalg.norm(x_bar)))
-        rays = [r for r in a[a @ x_bar >= c - tol.member * scale] if np.any(r)]
+        a = reg.A
+        rays = [r for r in a[active_rows(a, reg.c, x_bar, tol.member)]
+                if np.any(r)]
         ny = float(np.linalg.norm(y_bar))
         span = (Subspace(reg.dim, y_bar.reshape(-1, 1)) if ny > tol.member
                 else Subspace.zero(reg.dim))
@@ -592,31 +590,26 @@ def ri_intersects_range(face, k_op, tol=DEFAULT_TOL, x_bar=None):
     Returns 'yes' | 'no' | 'unknown'.  K = I is read from the operator's
     is_identity; a plain matrix is never taken as the identity.
     """
-    from .model import materialize
     kind = face.reg.kind
     if getattr(k_op, "is_identity", False):         # Im K = Y
         if kind != "polyhedral_indicator":
             return "yes"
         return "yes" if polyhedron_is_nonempty(face.A, face.c) else "no"
-    k = k_op if isinstance(k_op, np.ndarray) else materialize(k_op)
+    imk = operator_range(k_op, tol)
     if kind == "group_lasso":
-        return _ri_group_lasso(face, k, tol) if face.boundary else "yes"
+        return _ri_group_lasso(face, imk.basis, tol) if face.boundary else "yes"
     if kind == "nuclear":
         if x_bar is not None and face.contains(np.asarray(x_bar, dtype=float),
                                                10 * tol.member):
             if face.rank_at(x_bar, tol) == face.p:
                 return "yes"    # nondegenerate: K x_bar itself is in the ri
-        for s_choice in (np.eye(face.p),):
-            target = face.ri_member_target(s_choice)
-            sol, res, _, _ = np.linalg.lstsq(k, target, rcond=None)
-            gap = float(np.linalg.norm(k @ sol - target))
-            if gap <= tol.member * max(1.0, float(np.linalg.norm(target))):
-                return "yes"
-        return "unknown"
-    return _ri_polyhedral(face, k, tol)
+        target = face.ri_member_target(np.eye(face.p))
+        slack = tol.member * max(1.0, float(np.linalg.norm(target)))
+        return "yes" if imk.residual(target) <= slack else "unknown"
+    return _ri_polyhedral(face, imk.basis, tol)
 
 
-def _ri_group_lasso(face, k, tol):
+def _ri_group_lasso(face, q, tol):
     """Feasibility of (Kx)_J = t_J u_J with t_J >= 1 (homogeneous margin).
 
     With t = 1 + s and Q an orthonormal basis of Im K, x drops out: the
@@ -624,9 +617,7 @@ def _ri_group_lasso(face, k, tol):
     zero, U holding the u_J of the boundary groups as columns.
     """
     import scipy.optimize
-    from .linalg import _orth_columns
     u = face._u
-    q = _orth_columns(k, 1e-12)
     a = np.column_stack([-_segment_columns(u, face._on, face.reg.segments.owner),
                          u])
     a -= q @ (q.T @ a)                              # (I - Q Q^T) [-U, u]
@@ -709,8 +700,9 @@ def _implicit_face_rows(a, c, e, rhs, tol):
     return implicit, "ok"
 
 
-def _ri_polyhedral(face, k, tol):
-    """Does Im K contain a point with margin on every non-affine-hull row?
+def _ri_polyhedral(face, q, tol):
+    """Does Im K = span(Q) contain a point with margin on every
+    non-affine-hull row?
 
     The implicit equalities are detected on the face itself; restricting to
     Im K afterwards keeps the test faithful to 'Im K meets the relative
@@ -722,8 +714,6 @@ def _ri_polyhedral(face, k, tol):
         return "no"
     if status == "trouble":
         return "unknown"
-    from .linalg import _orth_columns
-    q = _orth_columns(k, tol.rank)
     status, margin, _ = _max_margin_lp(a, c, e, rhs, implicit, tol, basis=q)
     if status == "infeasible":
         return "no"

@@ -533,3 +533,41 @@ def test_primal_dual_builds_its_geometry_once(monkeypatch):
     assert report.cond_nes is report.cond_suf
     assert counts == {"conj_subdiff_face": 1, "tangent_at": 1,
                       "trivial_intersection": 3}
+
+
+def _svds_of(monkeypatch, matrix):
+    """A list that grows by one for each np.linalg.svd call on matrix."""
+    seen = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if np.shape(a) == matrix.shape and np.array_equal(a, matrix):
+            seen.append(1)
+        return original(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return seen
+
+
+def test_k_range_is_factored_once_and_identity_phi_skips_the_preimages(
+        monkeypatch):
+    import calmcert.certificates as ct
+    # TV denoising (Phi = I, K = grad2d): Ker Phi = {0} settles both
+    # kernel conditions, so neither preimage of T nor the range-restricted
+    # tangent is built; Im K is factored once, for the ri test
+    inst = make(_tv4_doc(1.0))
+    pair = solve(inst)
+    counts = {}
+    _count_calls(monkeypatch, ct, "preimage", counts)
+    _count_calls(monkeypatch, ct, "tangent_with_range_restriction", counts)
+    svds = _svds_of(monkeypatch, materialize(inst.k))
+    report = certify_primal_dual(inst, pair)
+    assert report.cond_suf.is_trivial and report.cond_nes.is_trivial
+    assert counts == {} and len(svds) == 1
+    # Phi != I: the range restriction and the ri test share one factorization
+    inst = make(l1_doc(np.diag([1.0, 2.0, 1.0]), [1.0, 2.0, 3.0],
+                       k={"kind": "grad1d", "n": 3}, n=2))
+    pair = solve(inst)
+    svds = _svds_of(monkeypatch, materialize(inst.k))
+    report = certify_primal_dual(inst, pair)
+    assert report.qual_ri != "unknown" and not report.cond_nes.is_unknown
+    assert len(svds) == 1

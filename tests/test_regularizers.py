@@ -419,6 +419,34 @@ def test_polyhedral_face_and_tangent():
     assert not cone_corner.member(np.array([0.0, 1.0]), 1e-7)
 
 
+def test_polyhedral_active_rows_do_not_depend_on_row_scale():
+    # the box with rows and offsets scaled by s: at x = (1, 0.5) only the row
+    # of x_1 <= 1 is active at every s (an absolute slack took every row of
+    # the 1e-8 box as active, and certified the box as isolated calm)
+    from dataclasses import replace
+    from calmcert.certificates import certify_primal_dual
+    from calmcert.gallery import instance_for
+    from calmcert.solver import solve
+    x, y, v = np.array([1.0, 0.5]), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    base = instance_for("polyhedral_box")
+    verdicts = []
+    for s in (1.0, 1e-8, 1e8):
+        reg = polyhedral_indicator(s * BOX.A, s * BOX.c)
+        rays = rz.tangent_subdiff(reg, x, y, TOL).rays
+        assert np.allclose([r / np.linalg.norm(r) for r in rays], [[1.0, 0.0]])
+        rows = rz.conj_subdiff_face(reg, y, TOL).tangent_at(x, TOL).A
+        assert np.allclose(rows / np.linalg.norm(rows, axis=1, keepdims=True),
+                           [[1.0, 0.0]])
+        assert rz._normal_cone_fit(reg.A, reg.c, x, v, TOL.member)[1] \
+            == pytest.approx(1.0)
+        inst = replace(base, reg=reg)
+        report = certify_primal_dual(inst, solve(inst))
+        verdicts.append((report.conclusion_solution_map.status,
+                         report.conclusion_primal_dual.status,
+                         report.has_unknown))
+    assert verdicts == [("not_isolated_calm", "not_isolated_calm", False)] * 3
+
+
 def test_polyhedral_unbounded_face_error():
     reg = polyhedral_indicator(np.eye(2), np.ones(2))   # {y <= 1}, unbounded
     with pytest.raises(ValueError, match="unbounded face"):

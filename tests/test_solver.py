@@ -1,13 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from calmcert import regularizers as rz
+from calmcert import solver as solver_module
 from calmcert.gallery import instance_for
 from calmcert.model import load_instance, materialize
 from calmcert.solver import (SolverConfig, SolverError, kkt_residual,
                              objective, solve, solve_perturbed)
+from splitting_reference import SLOW_TV, _splitting, tv_image
 
 
 def make(doc):
@@ -136,9 +139,13 @@ def test_objective_close_to_high_accuracy_reference():
 
 
 def test_nonconvergence_carries_best_iterate():
-    inst = instance_for("tv_grad1d")
+    # the Newton finish solves tv_grad1d at the first check, to a residual
+    # of exactly 0 at b = (1, 2, 3): only an unreachable tolerance, and data
+    # whose solution (2, 2, 2.1) has no exact binary form, keep the solve
+    # from converging
+    inst = instance_for("tv_grad1d").perturbed(np.array([0.0, 0.0, 0.1]))
     with pytest.raises(SolverError) as err:
-        solve(inst, SolverConfig(max_iter=3, tol_kkt=1e-12, check_every=1))
+        solve(inst, SolverConfig(max_iter=3, tol_kkt=1e-300, check_every=1))
     assert err.value.pair is not None
     assert err.value.pair.x_bar.shape == (3,)
     assert err.value.pair.residuals["stationarity"] >= 0.0
@@ -155,3 +162,76 @@ def test_v_bar_recomputable():
     inst = instance_for("lasso_scalar")
     pair = solve(inst)
     assert np.allclose(pair.v_bar, inst.v_of(pair.x_bar), atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the Newton finish of the splitting solver against the first-order loop
+
+
+def _splitting_cases():
+    cases = {f"slow_tv{i}": tv_image(np.random.default_rng([image, 11]), n, n,
+                                     noise=noise, weight=weight)
+             for i, (n, noise, weight, image) in enumerate(SLOW_TV)}
+    for seed in range(4):
+        cases[f"tv6x6_draw{seed}"] = tv_image(np.random.default_rng([seed, 3]),
+                                              6, 6, noise=0.2, weight=0.02)
+    cases["tv4x4_scaled"] = tv_image(np.random.default_rng([0, 5]), 4, 4,
+                                     scale=1e5)
+    return cases
+
+
+SPLITTING_CASES = _splitting_cases()
+
+
+@pytest.mark.parametrize("name", sorted(SPLITTING_CASES)
+                         + ["tv_grad1d", "pd_multiplier_segment"])
+def test_newton_finish_agrees_with_first_order_reference(name):
+    inst = (instance_for(name) if name not in SPLITTING_CASES
+            else make(SPLITTING_CASES[name]))
+    cfg = SolverConfig(tol_kkt=1e-12)
+    ref = _splitting(inst, cfg, np.zeros(inst.dim_x), np.zeros(inst.dim_y))
+    new = solve(inst, cfg)
+    target = cfg.tol_kkt * (1.0 + np.linalg.norm(inst.b))
+    for pair in (ref, new):
+        assert max(kkt_residual(inst, pair.x_bar, pair.y_bar).values()) <= target
+    assert np.linalg.norm(new.x_bar - ref.x_bar) \
+        <= 1e-8 * (1.0 + np.linalg.norm(ref.x_bar))
+    assert new.iterations <= ref.iterations
+    assert ref.newton_steps == 0 and new.newton_steps > 0
+
+
+def test_newton_tries_back_off_on_a_solve_that_cannot_converge(monkeypatch):
+    tries = []
+    finish = solver_module._newton_finish
+
+    def counted(*args):
+        tries.append(1)
+        return finish(*args)
+
+    monkeypatch.setattr(solver_module, "_newton_finish", counted)
+    inst = make(SPLITTING_CASES["slow_tv0"])
+    cfg = SolverConfig(tol_kkt=1e-300, max_iter=2000, check_every=25)
+    with pytest.raises(SolverError) as err:
+        solve(inst, cfg)
+    checks = cfg.max_iter // cfg.check_every
+    assert 0 < len(tries) <= math.ceil(math.log2(checks)) + 1
+    assert err.value.pair.iterations == cfg.max_iter
+
+
+def test_tv8x8_draw_solves_within_2000_iterations():
+    # the first-order loop alone needs about 9,200 iterations here
+    inst = make(tv_image(np.random.default_rng([2, 11]), 8, 8, noise=0.05,
+                         weight=0.1))
+    pair = solve(inst, SolverConfig(max_iter=2000))
+    res = kkt_residual(inst, pair.x_bar, pair.y_bar)
+    assert max(res.values()) <= 1e-10 * (1.0 + np.linalg.norm(inst.b))
+    assert pair.iterations <= 2000
+
+
+def test_newton_steps_are_reported_apart_from_iterations():
+    inst = instance_for("tv_grad1d")
+    doc = solve(inst).to_json_dict()
+    assert doc["iterations"] % SolverConfig().check_every == 0
+    assert doc["newton_steps"] >= 1
+    fista = solve(instance_for("lasso_scalar")).to_json_dict()
+    assert fista["newton_steps"] == 0
