@@ -72,7 +72,10 @@ def _load(args):
 
 
 def _solve_pair(instance, args):
-    pair = solve(instance, SolverConfig(tol_kkt=instance.tol.kkt))
+    tol_kkt = instance.tol.kkt
+    if args.verb == "sweep":
+        tol_kkt = min(em.SWEEP_TOL_KKT, tol_kkt)
+    pair = solve(instance, SolverConfig(tol_kkt=tol_kkt))
     if args.y_override is not None:
         y = np.asarray(json.loads(Path(args.y_override).read_text()), dtype=float)
         if y.shape != pair.y_bar.shape:

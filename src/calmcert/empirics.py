@@ -53,6 +53,12 @@ class GraphSample:
     residual: float
 
 
+# KKT target of the sweep's perturbed solves (or the instance's own, if
+# finer).  Every ratio is a distance from x_bar, so a caller solves the base
+# pair to the same target (the `sweep` verb does).
+SWEEP_TOL_KKT = 1e-12
+
+
 def perturbation_sweep(instance, pair, radii, n_per_radius=16, seed=0, cfg=None):
     """Max displacement-to-perturbation ratios over random (db, dmu) spheres.
 
@@ -61,7 +67,7 @@ def perturbation_sweep(instance, pair, radii, n_per_radius=16, seed=0, cfg=None)
     non-converged solves are flagged, never dropped silently.
     """
     rng = np.random.default_rng(seed)
-    cfg = cfg or SolverConfig(tol_kkt=min(1e-12, instance.tol.kkt))
+    cfg = cfg or SolverConfig(tol_kkt=min(SWEEP_TOL_KKT, instance.tol.kkt))
     ne = len(instance.b)
     x_bar = np.asarray(pair.x_bar, dtype=float)
     local_cap = 0.1 * float(np.linalg.norm(x_bar)) + 0.1

@@ -14,14 +14,13 @@ applies.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 # scipy.optimize is imported where an LP or NNLS is solved: it is most of the
 # package's import time, and group-Lasso and nuclear solves never need it.
 
-from .linalg import Subspace, Tolerances, DEFAULT_TOL
+from .linalg import Subspace, Tolerances, DEFAULT_TOL, null_space
 from .cones import (SubspaceCone, SubspacePlusRays, PolyhedralCone,
                     active_rows, make_psd_embedded, operator_range)
 
@@ -129,11 +128,18 @@ def polyhedron_is_nonempty(a, c):
 
 
 def project_polyhedron(point, a, c, e=None, rhs=None, tol=1e-9):
-    """Projection onto {y : A y <= c, E y = rhs} by active-set enumeration.
+    """Projection onto {y : A y <= c, E y = rhs} by least-distance programming.
 
-    Exact at desk scale: subsets of inequality rows are tried by increasing
-    size; a candidate is accepted when primal feasible and the residual
-    direction lies in the cone of its active rows (NNLS check).
+    With y0 the projection of the point onto {E y = rhs} and Z an orthonormal
+    basis of Ker E, the answer is y0 + Z z for the z of least norm with
+    -(A Z) z >= h = A y0 - c.  One NNLS of [-(A Z)^T; h^T] against the last
+    unit vector solves that problem (Lawson & Hanson, Solving Least Squares
+    Problems, 1974, ch. 23): its residual vanishes only when the set is empty,
+    and its positive entries mark the active rows.  The answer is the point's
+    projection onto those rows at equality and {E y = rhs}.  h is relaxed by
+    tol * ||a_i|| * max(1, ||point||), the slack of the final feasibility
+    check, so that rows tight only at roundoff (a face's own support row, a
+    cone row that the equalities pin) do not make the set look empty.
     """
     import scipy.optimize
     point = np.asarray(point, dtype=float)
@@ -141,42 +147,30 @@ def project_polyhedron(point, a, c, e=None, rhs=None, tol=1e-9):
     c = np.asarray(c, dtype=float)
     e = np.zeros((0, point.size)) if e is None else np.asarray(e, dtype=float)
     rhs = np.zeros(e.shape[0]) if rhs is None else np.asarray(rhs, dtype=float)
-    m = a.shape[0]
-    if m > 16:
-        raise ValueError("polyhedral projection supports at most 16 rows")
-    scale = max(1.0, float(np.linalg.norm(point)))
+    slack = (tol * max(1.0, float(np.linalg.norm(point)))
+             * np.linalg.norm(np.vstack([a, e]), axis=1))
 
     def equality_projection(rows):
-        mm = np.vstack([a[rows], e]) if rows else e
-        target = np.concatenate([c[rows], rhs]) if rows else rhs
+        mm = np.vstack([a[rows], e])
         if mm.shape[0] == 0:
             return point.copy()
+        target = np.concatenate([c[rows], rhs])
         return point - mm.T @ np.linalg.pinv(mm @ mm.T) @ (mm @ point - target)
 
-    for size in range(0, m + 1):
-        for rows in combinations(range(m), size):
-            rows = list(rows)
-            y = equality_projection(rows)
-            if a.shape[0] and float(np.max(a @ y - c)) > tol * scale:
-                continue
-            if e.shape[0] and float(np.max(np.abs(e @ y - rhs))) > tol * scale:
-                continue
-            resid = point - y
-            if e.shape[0]:
-                proj = e.T @ np.linalg.pinv(e @ e.T) @ (e @ resid)
-                resid = resid - proj
-            act = [i for i in range(m) if a[i] @ y >= c[i] - 1e-7 * scale]
-            if act:
-                arows = a[act]
-                if e.shape[0]:
-                    arows = arows - (arows @ e.T) @ np.linalg.pinv(e @ e.T) @ e
-                _, nn = scipy.optimize.nnls(arows.T, resid)
-                if nn > 1e-7 * scale:
-                    continue
-            elif float(np.linalg.norm(resid)) > 1e-7 * scale:
-                continue
-            return y
-    raise RuntimeError("polyhedral projection failed (no valid active set)")
+    y = equality_projection([])
+    if a.shape[0]:
+        az = a @ null_space(e).basis
+        h = a @ y - c - slack[:a.shape[0]]
+        unit = np.zeros(az.shape[1] + 1)
+        unit[-1] = 1.0
+        lam, res = scipy.optimize.nnls(np.vstack([-az.T, h]), unit)
+        if res <= np.finfo(float).eps:
+            raise RuntimeError("polyhedral projection failed (empty set)")
+        y = equality_projection(np.flatnonzero(lam > 0.0))
+    viol = np.concatenate([a @ y - c, np.abs(e @ y - rhs)])
+    if np.any(viol > slack):
+        raise RuntimeError("polyhedral projection failed (infeasible result)")
+    return y
 
 
 def _normal_cone_fit(a, c, x, v, tol):
@@ -588,13 +582,13 @@ def ri_intersects_range(face, k_op, tol=DEFAULT_TOL, x_bar=None):
     """Does Im K meet the relative interior of the conjugate face?
 
     Returns 'yes' | 'no' | 'unknown'.  K = I is read from the operator's
-    is_identity; a plain matrix is never taken as the identity.
+    is_identity; a plain matrix is never taken as the identity.  With K = I
+    the range is the whole space, which meets the relative interior of any
+    nonempty face, and the face is nonempty: it holds K x_bar.
     """
     kind = face.reg.kind
     if getattr(k_op, "is_identity", False):         # Im K = Y
-        if kind != "polyhedral_indicator":
-            return "yes"
-        return "yes" if polyhedron_is_nonempty(face.A, face.c) else "no"
+        return "yes"
     imk = operator_range(k_op, tol)
     if kind == "group_lasso":
         return _ri_group_lasso(face, imk.basis, tol) if face.boundary else "yes"

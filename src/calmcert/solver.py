@@ -46,7 +46,6 @@ class SolverError(RuntimeError):
 class SolverConfig:
     max_iter: int = 200000
     tol_kkt: float = 1e-10
-    restart: bool = True
     check_every: int = 25
 
     def __post_init__(self):
@@ -131,7 +130,7 @@ def _fista(instance, cfg, x0):
     for it in range(1, cfg.max_iter + 1):
         grad = instance.smooth_grad(z)
         x_new = rz.prox(reg, step, z - step * grad)
-        if cfg.restart and float(np.dot(z - x_new, x_new - x)) > 0.0:
+        if float(np.dot(z - x_new, x_new - x)) > 0.0:
             theta = 1.0
             z = x_new.copy()
         else:

@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from calmcert import empirics
 from calmcert.cli import run
 from calmcert.gallery import curated_cases
+from calmcert.solver import kkt_residual
+
+from splitting_reference import SLOW_TV, tv_image
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +82,28 @@ def test_sweep_writes_json_and_csv(instances, tmp_path):
     csv_text = (tmp_path / "sweep.csv").read_text().splitlines()
     assert csv_text[0] == "radius,db_norm,dmu,x_dist,ratio,solver_iters,flag"
     assert len(csv_text) == 13
+
+
+def test_sweep_base_pair_meets_the_sweep_tolerance(tmp_path, monkeypatch):
+    # every sweep ratio is a distance from x_bar, so x_bar is solved to the
+    # KKT target of the perturbed solves, min(1e-12, tol.kkt)
+    n, noise, weight, image = SLOW_TV[1]
+    path = tmp_path / "tv.json"
+    path.write_text(json.dumps(tv_image(np.random.default_rng([image, 11]),
+                                        n, n, noise=noise, weight=weight)))
+    seen = []
+    sweep = empirics.perturbation_sweep
+
+    def recorded(instance, pair, *args, **kwargs):
+        seen.append((instance, pair))
+        return sweep(instance, pair, *args, **kwargs)
+
+    monkeypatch.setattr(empirics, "perturbation_sweep", recorded)
+    assert run(["sweep", str(path), "--radii", "1e-3", "--samples", "1",
+                "--out", str(tmp_path / "s.json")]) == 0
+    (instance, pair), = seen
+    target = min(1e-12, instance.tol.kkt) * (1.0 + np.linalg.norm(instance.b))
+    assert max(kkt_residual(instance, pair.x_bar, pair.y_bar).values()) <= target
 
 
 def test_probe_refutes_segment(instances, tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from calmcert import regularizers as rz
 from calmcert.cones import PolyhedralCone, PsdCone, SubspaceCone, SubspacePlusRays
@@ -344,10 +345,14 @@ def test_group_lasso_conjugate_growth_inequality():
 # relative interior vs range
 
 
-def test_ri_identity_always_yes():
+def test_ri_identity_always_yes(monkeypatch):
     from calmcert.model import LinearOp
     face = rz.conj_subdiff_face(GL, np.array([0.6, 0.8, 0.5]), TOL)
     assert rz.ri_intersects_range(face, LinearOp.identity(3), TOL) == "yes"
+    # a polyhedral face holds K x_bar, so K = I needs no LP to say yes
+    face = rz.conj_subdiff_face(BOX, np.array([1.0, 0.0]), TOL)
+    monkeypatch.setattr(scipy.optimize, "linprog", None)
+    assert rz.ri_intersects_range(face, LinearOp.identity(2), TOL) == "yes"
 
 
 def test_ri_nuclear_nondegenerate_yes():
