@@ -153,9 +153,8 @@ class LinearOp:
 
     def to_json_dict(self):
         if self.kind == "dense":
-            m = self._dense
-            return {"kind": "dense", "rows": m.shape[0], "cols": m.shape[1],
-                    "entries": m.ravel().tolist()}
+            return {**_dense_header(self._dense),
+                    "entries": self._dense.ravel().tolist()}
         if self.kind == "identity":
             return {"kind": "identity", "dim": self.params["dim"]}
         if self.kind == "grad1d":
@@ -164,6 +163,11 @@ class LinearOp:
 
     def __repr__(self):
         return f"LinearOp({self.kind}, shape={self.shape})"
+
+
+def _dense_header(matrix):
+    """The JSON form of a dense matrix without its entries."""
+    return {"kind": "dense", "rows": matrix.shape[0], "cols": matrix.shape[1]}
 
 
 def materialize(op):
@@ -267,10 +271,8 @@ class RegularizerSpec:
         if self.kind == "nuclear":
             return {"kind": "nuclear", "m": self.m, "n": self.n,
                     "weight": self.weight}
-        a = self.A
         return {"kind": "polyhedral_indicator",
-                "A": {"kind": "dense", "rows": a.shape[0], "cols": a.shape[1],
-                      "entries": a.ravel().tolist()},
+                "A": {**_dense_header(self.A), "entries": self.A.ravel().tolist()},
                 "c": self.c.tolist()}
 
 
@@ -353,9 +355,12 @@ class ProblemInstance:
             "reg": self.reg.to_json_dict(),
         }
         if self.tol != DEFAULT_TOL:
-            out["tol"] = {"rank": self.tol.rank, "member": self.tol.member,
-                          "kkt": self.tol.kkt}
+            out["tol"] = self._tol_json()
         return out
+
+    def _tol_json(self):
+        return {"rank": self.tol.rank, "member": self.tol.member,
+                "kkt": self.tol.kkt}
 
 
 @dataclass
@@ -520,18 +525,25 @@ def instance_hash(instance):
     little-endian float64 bytes of b and of the dense phi, k and reg.A, in
     that order.  The header fixes every length, and shortest-repr text and
     float64 are in bijection on finite floats, so two instances hash alike
-    exactly when their canonical JSON is the same.
+    exactly when their canonical JSON is the same.  The header is built
+    without the entry lists of `to_json_dict`, whose `tolist` of a large
+    dense matrix costs more than hashing its bytes.
     """
-    doc = instance.to_json_dict()
-    del doc["b"]
     arrays = [instance.b]
-    dense = [(doc["phi"], instance.phi._dense), (doc["k"], instance.k._dense)]
-    if instance.reg.kind == "polyhedral_indicator":
-        dense.append((doc["reg"]["A"], instance.reg.A))
-    for part, matrix in dense:
-        if part["kind"] == "dense":
-            del part["entries"]
-            arrays.append(matrix)
+
+    def header(matrix):
+        arrays.append(matrix)
+        return _dense_header(matrix)
+
+    doc = {"mu": float(instance.mu)}
+    for key in ("phi", "k"):
+        op = getattr(instance, key)
+        doc[key] = header(op._dense) if op.kind == "dense" else op.to_json_dict()
+    reg = instance.reg
+    doc["reg"] = ({"kind": reg.kind, "A": header(reg.A), "c": reg.c.tolist()}
+                  if reg.kind == "polyhedral_indicator" else reg.to_json_dict())
+    if instance.tol != DEFAULT_TOL:
+        doc["tol"] = instance._tol_json()
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
     for a in arrays:
         digest.update(np.ascontiguousarray(a, dtype="<f8"))

@@ -14,6 +14,7 @@ applies.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,19 +128,21 @@ def polyhedron_is_nonempty(a, c):
     return res.status in (0, 3)     # feasible (3 = unbounded ray, still nonempty)
 
 
-def project_polyhedron(point, a, c, e=None, rhs=None, tol=1e-9):
+def project_polyhedron(point, a, c, e=None, rhs=None, tol=1e-9, kernel=None):
     """Projection onto {y : A y <= c, E y = rhs} by least-distance programming.
 
     With y0 the projection of the point onto {E y = rhs} and Z an orthonormal
-    basis of Ker E, the answer is y0 + Z z for the z of least norm with
-    -(A Z) z >= h = A y0 - c.  One NNLS of [-(A Z)^T; h^T] against the last
-    unit vector solves that problem (Lawson & Hanson, Solving Least Squares
-    Problems, 1974, ch. 23): its residual vanishes only when the set is empty,
-    and its positive entries mark the active rows.  The answer is the point's
-    projection onto those rows at equality and {E y = rhs}.  h is relaxed by
-    tol * ||a_i|| * max(1, ||point||), the slack of the final feasibility
-    check, so that rows tight only at roundoff (a face's own support row, a
-    cone row that the equalities pin) do not make the set look empty.
+    basis of Ker E (kernel, when the caller has factored it), the answer is
+    y0 + Z z for the z of least norm with -(A Z) z >= h = A y0 - c.  When
+    h < 0 that z is 0, and y0 is returned without an NNLS.  Otherwise one
+    NNLS of [-(A Z)^T; h^T] against the last unit vector solves that problem
+    (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23): its
+    residual vanishes only when the set is empty, and its positive entries
+    mark the active rows.  The answer is the point's projection onto those
+    rows at equality and {E y = rhs}.  h is relaxed by tol * ||a_i|| *
+    max(1, ||point||), the slack of the final feasibility check, so that
+    rows tight only at roundoff (a face's own support row, a cone row that
+    the equalities pin) do not make the set look empty.
     """
     import scipy.optimize
     point = np.asarray(point, dtype=float)
@@ -158,9 +161,11 @@ def project_polyhedron(point, a, c, e=None, rhs=None, tol=1e-9):
         return point - mm.T @ np.linalg.pinv(mm @ mm.T) @ (mm @ point - target)
 
     y = equality_projection([])
-    if a.shape[0]:
-        az = a @ null_space(e).basis
-        h = a @ y - c - slack[:a.shape[0]]
+    h = a @ y - c - slack[:a.shape[0]]
+    if np.any(h >= 0.0):
+        if kernel is None:
+            kernel = null_space(e).basis
+        az = a @ kernel
         unit = np.zeros(az.shape[1] + 1)
         unit[-1] = 1.0
         lam, res = scipy.optimize.nnls(np.vstack([-az.T, h]), unit)
@@ -477,8 +482,13 @@ class PolyhedralFace:
             return False
         return True
 
+    @cached_property
+    def _kernel(self):
+        return null_space(self.E).basis
+
     def project(self, x):
-        return project_polyhedron(x, self.A, self.c, self.E, self.e)
+        return project_polyhedron(x, self.A, self.c, self.E, self.e,
+                                  kernel=self._kernel)
 
     def tangent_at(self, x, tol=DEFAULT_TOL):
         a = self.A[active_rows(self.A, self.c, x, 10 * tol.member)]

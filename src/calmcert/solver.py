@@ -3,27 +3,31 @@
 K = identity: FISTA with gradient-based adaptive restart.
 General K:    primal-dual splitting (gradient step on the smooth quadratic,
               proximal step on the dual of g), steps fixed from operator
-              norms so that tau * (L_f / 2 + sigma ||K||^2) < 1.  For a
-              group-Lasso g (TV included), a semismooth Newton finish on
-              F(x, y) = (grad f(x) + K^T y, K x - prox_g(K x + y)) = 0 is
-              tried at the KKT checks: steps on the generalized Jacobian of
-              the group prox, each halved until max(||stat||, ||graph||)
-              drops.  The splitting alone converges only linearly; under
-              isolated calmness, the property this package certifies, the
-              Newton steps converge fast locally (Li, Sun & Toh, SIAM J.
-              Optim. 28, 2018; Hintermueller & Stadler, SIAM J. Sci.
-              Comput. 28, 2006).  A try that fails leaves the first-order
-              iterate as it was, and doubles the number of checks until the
-              next try, so an instance where Newton cannot win pays for
-              O(log(checks)) tries.  Nuclear and polyhedral g run the
-              splitting alone.
+              norms so that tau * (L_f / 2 + sigma ||K||^2) < 1.
+
+For a group-Lasso g (l1 and TV included), both loops try a semismooth Newton
+finish at their KKT checks, on
+F(x, y) = (grad f(x) + K^T y, K x - prox_g(K x + y)) = 0: steps on the
+generalized Jacobian of the group prox, each halved until
+max(||stat||, ||graph||) drops.  The first-order loops alone converge only
+linearly; under isolated calmness, the property this package certifies, the
+Newton steps converge fast locally (Li, Sun & Toh, SIAM J. Optim. 28, 2018;
+Hintermueller & Stadler, SIAM J. Sci. Comput. 28, 2006).  For K = I the
+system is reduced exactly to the |A| unknowns of the active groups A (dx is
+-graph off A), regularized by eps = tol.rank ||Phi||^2 / mu so that
+duplicated columns keep it solvable; for general K it keeps (dx, dy_Z), with
+eps = tol.rank ||K||^2.  A try that fails leaves the first-order iterate as
+it was, and doubles the number of checks until the next try, so an instance
+where Newton cannot win pays for O(log(checks)) tries.  Nuclear and
+polyhedral g run the first-order loops alone.
 
 Convergence is declared on the KKT residuals, not on iterate increments:
 stationarity ||(1/mu) Phi^T(Phi x - b) + K^T y|| and the subgradient graph
 residual ||K x - prox_g(K x + y)||, both relative to scale = 1 + ||b||.  A
-Newton iterate is returned only when it meets that same rule.
-SolutionPair.iterations counts first-order iterations, newton_steps the
-Newton steps (linear solves) taken across all tries.
+Newton iterate is returned only when it meets that same rule; for K = I the
+pair returned is FISTA's (x, v(x)).  SolutionPair.iterations counts
+first-order iterations, newton_steps the Newton steps (linear solves) taken
+across all tries.
 """
 
 from dataclasses import dataclass
@@ -117,11 +121,13 @@ def _make_pair(instance, x, y, iters, newton_steps=0):
 
 
 def _fista(instance, cfg, x0):
-    """FISTA for K = identity; the multiplier is y = v(x) at convergence."""
+    """FISTA for K = identity; the multiplier is y = v(x) at convergence.
+    Group-Lasso regularizers get the semismooth Newton finish."""
     reg = instance.reg
     lsmooth = instance.phi.op_norm() ** 2 / instance.mu
     step = 1.0 if lsmooth == 0.0 else 1.0 / lsmooth
-    scale = 1.0 + float(np.linalg.norm(instance.b))
+    target = cfg.tol_kkt * (1.0 + float(np.linalg.norm(instance.b)))
+    tries = _NewtonTries(instance, target)
     x = np.asarray(x0, dtype=float).copy()
     z = x.copy()
     theta = 1.0
@@ -145,13 +151,16 @@ def _fista(instance, cfg, x0):
                 best_x = x.copy()
             y = instance.v_of(x)
             res = kkt_residual(instance, x, y)
-            if max(res["stationarity"], res["graph"]) <= cfg.tol_kkt * scale:
-                return _make_pair(instance, x, y, it)
+            if max(res["stationarity"], res["graph"]) <= target:
+                return _make_pair(instance, x, y, it, tries.steps)
+            found = tries.attempt(x, y)
+            if found is not None:
+                return _make_pair(instance, *found, it, tries.steps)
     y = instance.v_of(best_x)
     raise SolverError(
         f"no convergence after {cfg.max_iter} iterations "
         f"(residuals {kkt_residual(instance, best_x, y)})",
-        _make_pair(instance, best_x, y, cfg.max_iter))
+        _make_pair(instance, best_x, y, cfg.max_iter, tries.steps))
 
 
 # A Newton try gives up after this many steps, and a step after this many
@@ -160,38 +169,45 @@ _NEWTON_STEPS = 20
 _NEWTON_HALVINGS = 8
 
 
-def _newton_direction(instance, h, eps, stat, graph, u):
-    """(dx, dy) solving the generalized Jacobian system of F at (x, y).
+def _prox_jacobian(reg, u):
+    """The generalized Jacobian D = d prox_g(u) of the group prox, by group.
 
-    With D = d prox_g(u) per group J: D_J = I - c_J (I - uu^T) when
-    c_J = w / ||u_J|| < 1 (u the unit u_J) and 0 otherwise, the equations
-    H dx + K^T dy = -stat and (I - D) K dx - D dy = -graph give, on the
-    invertible blocks A, dy_A = M K_A dx + D_A^{-1} graph_A with
-    M_J = c_J / (1 - c_J) (I - uu^T) = D_J^{-1} (I - D_J), and leave
+    D_J = I - c_J (I - uu^T) when c_J = w / ||u_J|| < 1 (u the unit u_J), on
+    the invertible blocks A, and 0 otherwise.  Returns (on_a, m, along): the
+    mask of the indices in A, the per-index factor m = c_J / (1 - c_J), zero
+    off A, so that M = D^{-1}(I - D) is m (I - uu^T) on A, and along(rows),
+    (I - uu^T) rows_J per group for rows with one column per right-hand
+    side.
+    """
+    seg = reg.segments
+    owner = seg.owner
+    nrm = rz.group_norms(reg, u)
+    active = nrm > reg.weight
+    inv = np.where(active, 1.0 / np.where(active, nrm, 1.0), 0.0)
+    c = reg.weight * inv                            # zero off A
+    unit = inv[owner] * u
+
+    def along(rows):
+        dots = np.add.reduceat((unit[:, None] * rows)[seg.perm], seg.starts)
+        return rows - unit[:, None] * dots[owner]
+
+    return active[owner], (c / (1.0 - c))[owner], along
+
+
+def _newton_direction(instance, h, eps, stat, graph, u):
+    """(dx, dy) solving the generalized Jacobian system of F at (x, y), K != I.
+
+    The equations H dx + K^T dy = -stat and (I - D) K dx - D dy = -graph
+    give, on A, dy_A = M K_A dx + D_A^{-1} graph_A, and leave
     [[H + K_A^T M K_A, K_Z^T], [K_Z, -eps I]] (dx, dy_Z)
         = (-stat - K_A^T D_A^{-1} graph_A, -graph_Z),
     H = Phi^T Phi / mu.  K_Z loses rank on TV (the cycles of the grid
     graph); eps > 0 keeps the system LU-solvable.
     """
-    reg = instance.reg
-    seg = reg.segments
-    owner = seg.owner
     k = instance.k._dense
-    nrm = rz.group_norms(reg, u)
-    active = nrm > reg.weight
-    inv = np.where(active, 1.0 / np.where(active, nrm, 1.0), 0.0)
-    c = reg.weight * inv                            # zero off A
-    m = (c / (1.0 - c))[owner]
-    unit = inv[owner] * u
-
-    def along(rows):
-        """(I - uu^T) rows_J per group, rows one column per right-hand side."""
-        dots = np.add.reduceat((unit[:, None] * rows)[seg.perm], seg.starts)
-        return rows - unit[:, None] * dots[owner]
-
+    on_a, m, along = _prox_jacobian(instance.reg, u)
     mk = m[:, None] * along(k)                      # M K, zero off A
     dinv_graph = graph + m * along(graph[:, None])[:, 0]   # D^{-1} graph on A
-    on_a = active[owner]
     z = np.flatnonzero(~on_a)
     n = k.shape[1]
     kz = k[z]
@@ -209,27 +225,68 @@ def _newton_direction(instance, h, eps, stat, graph, u):
     return dx, dy
 
 
+def _identity_direction(instance, eps, stat, graph, u):
+    """(dx, dy) solving the generalized Jacobian system of F at (x, y), K = I.
+
+    The equations are H dx + dy = -stat and (I - D) dx - D dy = -graph.  On
+    Z the prox is zero, so dx_Z = -graph_Z; on A, dy_A = M_A dx_A +
+    D_A^{-1} graph_A leaves one |A| x |A| system
+    (Phi_A^T Phi_A / mu + M_A + eps I) dx_A
+        = -stat_A - Phi_A^T Phi_Z dx_Z / mu - D_A^{-1} graph_A,
+    and dy = -stat - H dx.  Duplicated columns or groups make
+    Phi_A^T Phi_A singular; eps > 0 keeps the system solvable.
+    """
+    phi = instance.phi._dense
+    on_a, m, along = _prox_jacobian(instance.reg, u)
+    a = np.flatnonzero(on_a)
+    dx = np.where(on_a, 0.0, -graph)
+    if a.size:
+        phi_a = phi[:, a]
+        cols = np.zeros((u.size, a.size))          # the columns of I on A
+        cols[a, np.arange(a.size)] = 1.0
+        lhs = phi_a.T @ phi_a / instance.mu + m[a, None] * along(cols)[a]
+        lhs[np.diag_indices(a.size)] += eps
+        dinv_graph = graph[a] + m[a] * along(graph[:, None])[a, 0]
+        rhs = -stat[a] - phi_a.T @ (phi @ dx) / instance.mu - dinv_graph
+        dx[a] = np.linalg.solve(lhs, rhs)
+    dy = -stat - phi.T @ (phi @ dx) / instance.mu
+    return dx, dy
+
+
 def _newton_finish(instance, x, y, target):
     """Semismooth Newton on F(x, y) = (grad f(x) + K^T y, K x - prox_g(K x + y)).
 
     Each step halves its length until max(||stat||, ||graph||) drops.
     Returns (x, y, steps), steps the linear solves made, with x None when
     the residual did not reach target within _NEWTON_STEPS steps or a step
-    found no decrease.  The regularization eps = tol.rank ||K||^2 is on the
-    scale of K^T K.
+    found no decrease.  The regularization eps is tol.rank ||K||^2 for
+    K != I and tol.rank ||Phi||^2 / mu for K = I, on the scale of the
+    system it regularizes.  For K = I the pair returned is FISTA's
+    (x, v(x)), and only when it too meets target.
     """
-    phi = instance.phi._dense
-    h = phi.T @ phi / instance.mu
-    eps = instance.tol.rank * instance.k.op_norm() ** 2
+    if instance.k.is_identity:
+        eps = instance.tol.rank * instance.phi.op_norm() ** 2 / instance.mu
+
+        def direction(stat, graph, u):
+            return _identity_direction(instance, eps, stat, graph, u)
+    else:
+        phi = instance.phi._dense
+        h = phi.T @ phi / instance.mu
+        eps = instance.tol.rank * instance.k.op_norm() ** 2
+
+        def direction(stat, graph, u):
+            return _newton_direction(instance, h, eps, stat, graph, u)
     stat, graph, u = _kkt_vectors(instance, x, y)
     merit = max(np.linalg.norm(stat), np.linalg.norm(graph))
-    for step in range(_NEWTON_STEPS):
-        if merit <= target:
-            return x, y, step
+    steps = 0
+    while merit > target:
+        if steps == _NEWTON_STEPS:
+            return None, None, steps
+        steps += 1
         try:
-            dx, dy = _newton_direction(instance, h, eps, stat, graph, u)
+            dx, dy = direction(stat, graph, u)
         except np.linalg.LinAlgError:
-            return None, None, step + 1
+            return None, None, steps
         t = 1.0
         for _ in range(_NEWTON_HALVINGS):
             trial = _kkt_vectors(instance, x + t * dx, y + t * dy)
@@ -238,13 +295,47 @@ def _newton_finish(instance, x, y, target):
                 break
             t /= 2.0
         else:
-            return None, None, step + 1
+            return None, None, steps
         x, y = x + t * dx, y + t * dy
         stat, graph, u = trial
         merit = trial_merit
-    if merit <= target:
-        return x, y, _NEWTON_STEPS
-    return None, None, _NEWTON_STEPS
+    if instance.k.is_identity:
+        y = instance.v_of(x)
+        if max(kkt_residual(instance, x, y).values()) > target:
+            return None, None, steps
+    return x, y, steps
+
+
+class _NewtonTries:
+    """The Newton tries of one solve, made at its failed KKT checks.
+
+    Only group-Lasso regularizers are tried.  The first try is at the first
+    check; a try that fails leaves the first-order iterate as it was and
+    doubles the number of checks until the next, so an instance where
+    Newton cannot win pays for O(log(checks)) tries.  steps counts the
+    Newton steps of all tries.
+    """
+
+    def __init__(self, instance, target):
+        self.instance = instance
+        self.target = target
+        self.enabled = instance.reg.kind == "group_lasso"
+        self.steps = 0
+        self.checks = 0
+        self.next_try, self.gap = 1, 1
+
+    def attempt(self, x, y):
+        """The Newton solution (x, y) from a failed check's pair, or None."""
+        self.checks += 1
+        if not self.enabled or self.checks != self.next_try:
+            return None
+        xn, yn, steps = _newton_finish(self.instance, x, y, self.target)
+        self.steps += steps
+        if xn is None:
+            self.gap *= 2
+            self.next_try = self.checks + self.gap
+            return None
+        return xn, yn
 
 
 def _splitting(instance, cfg, x0, y0):
@@ -261,14 +352,10 @@ def _splitting(instance, cfg, x0, y0):
         s = (-lsmooth / 2.0 + np.sqrt(lsmooth ** 2 / 4.0 + 4.0 * 0.99 * knorm ** 2)) \
             / (2.0 * knorm ** 2)
         tau = sigma = s
-    scale = 1.0 + float(np.linalg.norm(instance.b))
-    target = cfg.tol_kkt * scale
+    target = cfg.tol_kkt * (1.0 + float(np.linalg.norm(instance.b)))
+    tries = _NewtonTries(instance, target)
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0, dtype=float).copy()
-    newton_steps = 0
-    checks = 0
-    next_try, gap = 1, 1            # check of the next Newton try, and the
-                                    # gap, doubled by each failed try
     for it in range(1, cfg.max_iter + 1):
         x_new = x - tau * (instance.smooth_grad(x) + instance.k.apply_adjoint(y))
         u = y + sigma * instance.k.apply(2.0 * x_new - x)
@@ -277,19 +364,14 @@ def _splitting(instance, cfg, x0, y0):
         if it % cfg.check_every == 0 or it == cfg.max_iter:
             res = kkt_residual(instance, x, y)
             if max(res["stationarity"], res["graph"]) <= target:
-                return _make_pair(instance, x, y, it, newton_steps)
-            checks += 1
-            if reg.kind == "group_lasso" and checks == next_try:
-                xn, yn, steps = _newton_finish(instance, x, y, target)
-                newton_steps += steps
-                if xn is not None:
-                    return _make_pair(instance, xn, yn, it, newton_steps)
-                gap *= 2
-                next_try = checks + gap
+                return _make_pair(instance, x, y, it, tries.steps)
+            found = tries.attempt(x, y)
+            if found is not None:
+                return _make_pair(instance, *found, it, tries.steps)
     raise SolverError(
         f"no convergence after {cfg.max_iter} iterations "
         f"(residuals {kkt_residual(instance, x, y)})",
-        _make_pair(instance, x, y, cfg.max_iter, newton_steps))
+        _make_pair(instance, x, y, cfg.max_iter, tries.steps))
 
 
 def solve(instance, cfg=None, x0=None, y0=None):

@@ -186,6 +186,30 @@ def test_operator_constants_computed_once(monkeypatch):
     assert (pert.phi.op_norm(), pert.k.op_norm()) == norms
 
 
+def _norm_cases():
+    rng = np.random.default_rng(5)
+    low = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 20))
+    dense = {"tall": rng.standard_normal((40, 7)),
+             "wide": rng.standard_normal((7, 40)),
+             "rank_deficient": low, "rank_deficient_t": low.T,
+             "zero": np.zeros((4, 6)), "empty": np.zeros((0, 3))}
+    ops = {name: LinearOp.dense(m) for name, m in dense.items()}
+    ops.update(identity=LinearOp.identity(5), grad1d=LinearOp.grad1d(9),
+               grad2d=LinearOp.grad2d(4, 6))
+    return ops
+
+
+NORM_CASES = _norm_cases()
+
+
+@pytest.mark.parametrize("name", sorted(NORM_CASES))
+def test_op_norm_matches_the_spectral_norm(name):
+    op = NORM_CASES[name]
+    m = materialize(op)
+    want = float(np.linalg.norm(m, 2)) if m.size else 0.0
+    assert abs(op.op_norm() - want) <= 1e-12 * want
+
+
 # ---------------------------------------------------------------------------
 # canonical text and instance hash
 
@@ -259,3 +283,48 @@ def test_instance_hash_tells_identity_from_dense_identity():
         k={"kind": "dense", "rows": 1, "cols": 1, "entries": [1.0]}))
     assert np.array_equal(materialize(structured.k), materialize(dense.k))
     assert instance_hash(structured) != instance_hash(dense)
+
+
+def _entry_list_hash(instance):
+    """instance_hash as first written: through to_json_dict, entries removed."""
+    doc = instance.to_json_dict()
+    del doc["b"]
+    arrays = [instance.b]
+    dense = [(doc["phi"], instance.phi._dense), (doc["k"], instance.k._dense)]
+    if instance.reg.kind == "polyhedral_indicator":
+        dense.append((doc["reg"]["A"], instance.reg.A))
+    for part, matrix in dense:
+        if part["kind"] == "dense":
+            del part["entries"]
+            arrays.append(matrix)
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<f8"))
+    return digest.hexdigest()
+
+
+def _hash_cases():
+    rng = np.random.default_rng(6)
+    dense = {"kind": "dense", "rows": 3, "cols": 4,
+             "entries": rng.standard_normal(12).tolist()}
+    l1 = {"kind": "group_lasso", "dim": 4, "groups": [[0, 2], [1], [3]],
+          "weight": 0.3}
+    grad2d = {"kind": "grad2d", "n1": 2, "n2": 2}
+    tv = {"kind": "group_lasso", "dim": 8, "groups": [[i, 4 + i] for i in range(4)],
+          "weight": 0.1}
+    return {"dense": minimal_doc(phi=dense, b=[1.0, 2.0, 3.0],
+                                 k={"kind": "dense", "rows": 4, "cols": 4,
+                                    "entries": np.eye(4).ravel().tolist()},
+                                 reg=l1),
+            "identity": minimal_doc(phi=dense, b=[1.0, -2.0, 0.5],
+                                    k={"kind": "identity", "dim": 4}, reg=l1,
+                                    tol={"member": 1e-6}),
+            "grad2d": minimal_doc(phi={"kind": "identity", "dim": 4},
+                                  b=[0.1, 0.2, 0.3, 0.4], k=grad2d, reg=tv),
+            "polyhedral": PINNED_DOC}
+
+
+@pytest.mark.parametrize("name", ["dense", "identity", "grad2d", "polyhedral"])
+def test_instance_hash_matches_the_entry_list_algorithm(name):
+    inst = load_instance(_hash_cases()[name])
+    assert instance_hash(inst) == _entry_list_hash(inst)

@@ -48,9 +48,19 @@ def test_projection_matches_enumeration(cone, k):
         assert np.linalg.norm(got - want) <= 1e-9 * max(1.0, np.linalg.norm(p))
 
 
-def test_projection_keeps_faces_tight_at_roundoff():
+def test_projection_keeps_faces_tight_at_roundoff(monkeypatch):
     # a cone row that the equality pins (the lab's A = e1, E = 3 e1), and a
-    # box face whose support row repeats an inequality row
+    # box face whose support row repeats an inequality row; the face
+    # factors Ker E once for its three projections, and the cone needs no
+    # Ker E, because its point projects onto {E y = 0} inside the cone
+    calls = []
+    null_space = rz.null_space
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return null_space(*args, **kwargs)
+
+    monkeypatch.setattr(rz, "null_space", counted)
     a, e = np.array([[1.0, 0.0]]), np.array([[3.0, 0.0]])
     p = np.array([2.0, 1.0])
     assert np.allclose(rz.project_polyhedron(p, a, [0.0], e, [0.0]), [0.0, 1.0])
@@ -60,6 +70,7 @@ def test_projection_keeps_faces_tight_at_roundoff():
     for point in ([5.0, 5.0], [-5.0, 0.2], [0.3, -0.9]):
         want = enumerated(point, face.A, face.c, face.E, face.e)
         assert np.allclose(face.project(point), want, atol=1e-12)
+    assert len(calls) == 1
 
 
 def test_projection_solves_one_nnls(monkeypatch):
@@ -77,6 +88,22 @@ def test_projection_solves_one_nnls(monkeypatch):
     got = rz.project_polyhedron(p, a, np.ones(2 * d))
     assert np.allclose(got, np.clip(p, -1.0, 1.0))
     assert len(calls) == 1
+
+
+def test_point_inside_is_returned_without_an_nnls(monkeypatch):
+    calls = []
+    nnls = scipy.optimize.nnls
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return nnls(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "nnls", counted)
+    d = 6
+    a = np.vstack([np.eye(d), -np.eye(d)])
+    p = np.linspace(-0.9, 0.9, d)
+    assert np.array_equal(rz.project_polyhedron(p, a, np.ones(2 * d)), p)
+    assert not calls
 
 
 @pytest.mark.parametrize("a, c, e, rhs", [

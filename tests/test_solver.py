@@ -10,6 +10,7 @@ from calmcert.gallery import instance_for
 from calmcert.model import load_instance, materialize
 from calmcert.solver import (SolverConfig, SolverError, kkt_residual,
                              objective, solve, solve_perturbed)
+from fista_reference import _fista, lasso
 from splitting_reference import SLOW_TV, _splitting, tv_image
 
 
@@ -235,3 +236,95 @@ def test_newton_steps_are_reported_apart_from_iterations():
     assert doc["newton_steps"] >= 1
     fista = solve(instance_for("lasso_scalar")).to_json_dict()
     assert fista["newton_steps"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the Newton finish of FISTA (K = I) against FISTA alone
+
+
+def _both_fista(inst):
+    """(reference pair, new pair, KKT target) at tol_kkt = 1e-12."""
+    cfg = SolverConfig(tol_kkt=1e-12)
+    ref = _fista(inst, cfg, np.zeros(inst.dim_x))
+    new = solve(inst, cfg)
+    target = cfg.tol_kkt * (1.0 + np.linalg.norm(inst.b))
+    for pair in (ref, new):
+        assert np.array_equal(pair.y_bar, inst.v_of(pair.x_bar))
+        assert max(kkt_residual(inst, pair.x_bar, pair.y_bar).values()) <= target
+    return ref, new
+
+
+@pytest.mark.parametrize("n", [60, 200])
+@pytest.mark.parametrize("grouped", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_fista_newton_finish_agrees_with_reference(n, grouped, seed):
+    inst = make(lasso(np.random.default_rng([seed, n, 7]), n, grouped))
+    ref, new = _both_fista(inst)
+    assert np.linalg.norm(new.x_bar - ref.x_bar) \
+        <= 1e-8 * (1.0 + np.linalg.norm(ref.x_bar))
+    assert ref.newton_steps == 0
+
+
+DUP_DRAWS = {f"{kind}_dup{n}": (kind == "group", n)
+             for kind in ("l1", "group") for n in (60, 200)}
+
+
+@pytest.mark.parametrize("name", sorted(DUP_DRAWS) + ["lasso_segment"])
+def test_fista_newton_finish_objective_on_solution_segments(name):
+    # the solution is not unique, so the solvers may end at different points
+    # of the segment: compare objectives, not x_bar
+    if name in DUP_DRAWS:
+        grouped, n = DUP_DRAWS[name]
+        inst = make(lasso(np.random.default_rng([n, 9]), n, grouped, dup=True))
+    else:
+        inst = instance_for(name)
+    ref, new = _both_fista(inst)
+    obj_ref = objective(inst, ref.x_bar)
+    assert objective(inst, new.x_bar) == pytest.approx(obj_ref, rel=1e-12)
+
+
+def test_generic_lasso_ends_at_the_first_check():
+    # FISTA alone needs 125 iterations on this draw
+    inst = make(lasso(np.random.default_rng([0, 60, 7]), 60))
+    pair = solve(inst)
+    assert pair.iterations == SolverConfig().check_every
+    assert pair.newton_steps >= 1
+
+
+def test_identity_newton_solves_at_the_size_of_the_support(monkeypatch):
+    shapes = []
+    linsolve = np.linalg.solve
+
+    def recorded(a, b):
+        shapes.append(a.shape)
+        return linsolve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    inst = make(lasso(np.random.default_rng([0, 400, 7]), 400, grouped=True))
+    pair = solve(inst)
+    assert pair.newton_steps >= 1 and shapes
+    support = int(np.count_nonzero(pair.x_bar))
+    assert max(max(shape) for shape in shapes) <= support < inst.dim_x
+
+
+def test_zero_solution_solves_with_an_empty_active_set():
+    doc = lasso(np.random.default_rng([1, 60, 7]), 60)
+    phi = np.reshape(doc["phi"]["entries"], (30, 60))
+    doc["reg"]["weight"] = 2.0 * float(np.max(np.abs(phi.T @ doc["b"])))
+    inst = make(doc)
+    pair = solve(inst)
+    assert np.array_equal(pair.x_bar, np.zeros(60))
+    # from a point off the solution, one step with no active group lands on 0
+    x = 1e-3 * np.random.default_rng(2).standard_normal(60)
+    target = 1e-10 * (1.0 + np.linalg.norm(inst.b))
+    xn, yn, steps = solver_module._newton_finish(inst, x, inst.v_of(x), target)
+    assert np.array_equal(xn, np.zeros(60)) and steps == 1
+    assert np.array_equal(yn, inst.v_of(xn))
+
+
+@pytest.mark.parametrize("name", ["nuclear_nondegenerate", "nuclear_degenerate",
+                                  "polyhedral_box"])
+def test_fista_without_group_lasso_takes_no_newton_step(name):
+    inst = instance_for(name)
+    assert inst.k.is_identity
+    assert solve(inst).newton_steps == 0
