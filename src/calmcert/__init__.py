@@ -14,8 +14,8 @@ from .certificates import (CertificateReport, CertificateError, Conclusion,
 from .empirics import (KappaEstimate, GraphSample, perturbation_sweep,
                        instability_probe, second_subderivative_estimate,
                        kernel_formula_check, zero_product_check)
-from .cones import (TrivialityVerdict, membership, trivial_intersection,
-                    preimage, tangent_with_range_restriction)
+from .cones import (TrivialityVerdict, trivial_intersection, preimage,
+                    tangent_with_range_restriction)
 from .reporting import save_report
 
 __all__ = [name for name in dir() if not name.startswith("_")]

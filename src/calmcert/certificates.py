@@ -1,10 +1,12 @@
 """Machine verdicts for isolated calmness of the solution mappings.
 
 certify_solution_map: is the optimal-solution map of P(b, mu) isolated calm
-at (b, mu) for x_bar?  Decided by whether Phi is injective on the
-(range-restricted) tangent cone T of the conjugate-subdifferential face
-(Ker Phi cap T = {0}), with qualification flags that close the
-necessary/sufficient gap.
+at (b, mu) for x_bar?  Decided by one test, Ker Phi cap K^-1 T = {0}, with T
+the tangent cone at K x_bar of the conjugate-subdifferential face F.  For a
+polyhedral F, T is written by F's own rows, and K^-1 T_F = K^-1 T_{F cap Im K}
+(T_{F cap Im K} = T_F cap Im K): the one test is the sufficient and the
+necessary condition at once.  For a curved F the qualification flags
+(ri F meets Im K) close the gap between the two.
 
 certify_primal_dual: the same for the primal-dual (Lagrange) solution map,
 adding the adjoint-kernel condition Ker K* cap T_{dg(Kx)}(y) = {0}.
@@ -33,10 +35,6 @@ from .solver import kkt_residual
 
 class CertificateError(RuntimeError):
     """Certificate preconditions (KKT point, valid multiplier) violated."""
-
-
-class InternalInconsistency(AssertionError):
-    """Qualification holds but the two characterizations disagree."""
 
 
 @dataclass
@@ -218,42 +216,24 @@ def _solution_map(instance, pair, seed):
     qgc = rz.qgc_flags(reg)
 
     tangent = face.tangent_at(kx, tol)
+    qual_polyhedral = qgc.polyhedral_conjugate_face
+    qual_ri = rz.ri_intersects_range(face, instance.k, tol, x_bar=kx)
+    qualified = qual_polyhedral or qual_ri == "yes"
     if instance.phi.is_identity:    # Ker Phi = {0} meets every cone trivially
         cond_suf = cond_nes = TrivialityVerdict.trivial()
     elif instance.k.is_identity:    # Im K = Y: the restriction changes nothing
         cond_suf = cond_nes = trivial_intersection(instance.phi, tangent, tol,
                                                    seed=seed)
     else:
-        cond_suf = trivial_intersection(instance.phi,
-                                        preimage(instance.k, tangent, tol), tol,
-                                        seed=seed)
+        # the face's rows when it has them (None for a curved face)
         restricted = tangent_with_range_restriction(face, kx, instance.k, tol)
-        if restricted is None:
-            cond_nes = TrivialityVerdict.unknown(
-                "range-restricted tangent cone has no exact description for "
-                "this face")
-        else:
-            cond_nes = trivial_intersection(
-                instance.phi, preimage(instance.k, restricted, tol), tol,
-                seed=seed)
-
-    qual_polyhedral = qgc.polyhedral_conjugate_face
-    qual_ri = rz.ri_intersects_range(face, instance.k, tol, x_bar=kx)
-    qualified = qual_polyhedral or qual_ri == "yes"
-    if qualified:
-        if not cond_suf.is_unknown and not cond_nes.is_unknown \
-                and cond_suf.outcome != cond_nes.outcome:
-            raise InternalInconsistency(
-                "qualification holds but the sufficient and necessary "
-                f"verdicts disagree: {cond_suf.outcome} vs {cond_nes.outcome}")
-        if cond_nes.is_unknown and not cond_suf.is_unknown:
-            cond_nes = TrivialityVerdict(cond_suf.outcome, cond_suf.witness,
-                                         "equal to the unrestricted condition "
-                                         "under the qualification")
-        if cond_suf.is_unknown and not cond_nes.is_unknown:
-            cond_suf = TrivialityVerdict(cond_nes.outcome, cond_nes.witness,
-                                         "equal to the restricted condition "
-                                         "under the qualification")
+        cond_suf = trivial_intersection(
+            instance.phi,
+            preimage(instance.k, tangent if restricted is None else restricted,
+                     tol), tol, seed=seed)
+        cond_nes = cond_suf if qualified else TrivialityVerdict.unknown(
+            "range-restricted tangent cone has no exact description for "
+            "this face")
 
     conclusion = _compose_solution_conclusion(cond_suf, cond_nes, qualified, qgc)
     report = CertificateReport(
@@ -309,7 +289,7 @@ def certify_primal_dual(instance, pair, seed=0):
         srcq = trivial_intersection(kt, tangent_sub, tol, seed=seed)
 
     # condition (iii) first: Ker K* against the normal cone (polar of tangent)
-    polar = polar_cone(tangent, tol)
+    polar = polar_cone(tangent)
     if polar is None:
         cond_iii = "unknown"
     else:

@@ -2,11 +2,14 @@
 
 The certificates all reduce to one question: given an operator M (Phi, or
 K^T for the adjoint-kernel conditions) and a described closed convex cone
-C, is {w in C : M w = 0} = {0}?  Every cone is one of five flat
-descriptions: a subspace, a subspace plus rays, a polyhedral cone
-{A w <= 0, E w = 0}, an embedded PSD cone, or the preimage under K of one
-that has no exact push-in.  The regularizers write their cones in these
-forms directly, group-Lasso ones included, whatever the number of groups.
+C, is {w in C : M w = 0} = {0}?  Every cone is one of four flat
+descriptions: a subspace plus rays (a plain subspace when there are no
+rays), a polyhedral cone {A w <= 0, E w = 0}, an embedded PSD cone, or the
+preimage under K of a cone with rays or of a PSD cone.  `preimage` is the
+one push-in: it pulls a polyhedral cone, or a subspace written as the
+equations of its complement, back through K row by row.  The regularizers
+write their cones in these forms directly, group-Lasso ones included,
+whatever the number of groups.
 
 Every exact cone is one system Q = {z : G z <= 0, H z = 0} with M in its
 equality block, and a linear map F with F Q = Ker M cap C (G = -I on lam):
@@ -32,7 +35,7 @@ import numpy as np
 # scipy.optimize is imported where an LP or NNLS is solved: it is most of the
 # package's import time, and group-Lasso and nuclear solves never need it.
 
-from .linalg import Subspace, Tolerances, DEFAULT_TOL, null_space, range_space
+from .linalg import Subspace, DEFAULT_TOL, null_space, range_space
 
 
 @dataclass
@@ -97,49 +100,11 @@ class TrivialityVerdict:
 # cone variants
 
 
-class ConeDescription:
-    """Base for closed convex cones supporting membership(w, tol)."""
+class SubspacePlusRays:
+    """span + nonnegative combinations of the given rays (rays normalized);
+    with no rays, the subspace itself."""
 
-    ambient = 0
-
-    def member(self, w, tol):
-        raise NotImplementedError
-
-    def residual(self, w):
-        """Distance-like membership residual; np.inf when not computable."""
-        raise NotImplementedError
-
-
-class SubspaceCone(ConeDescription):
-    def __init__(self, subspace):
-        self.subspace = subspace
-        self.ambient = subspace.ambient_dim
-
-    @classmethod
-    def zero(cls, n):
-        return cls(Subspace.zero(n))
-
-    @classmethod
-    def full(cls, n):
-        return cls(Subspace.full(n))
-
-    def member(self, w, tol):
-        return self.subspace.contains(w, tol)
-
-    def residual(self, w):
-        return self.subspace.residual(w)
-
-    def project(self, w):
-        return self.subspace.project(w)
-
-    def __repr__(self):
-        return f"SubspaceCone(dim={self.subspace.dim}, ambient={self.ambient})"
-
-
-class SubspacePlusRays(ConeDescription):
-    """span + nonnegative combinations of the given rays (rays normalized)."""
-
-    def __init__(self, span, rays):
+    def __init__(self, span, rays=()):
         self.span = span
         self.ambient = span.ambient_dim
         rs = []
@@ -165,13 +130,13 @@ class SubspacePlusRays(ConeDescription):
 
     def project(self, w):
         """Projection onto the cone (exact: NNLS on the span complement)."""
-        import scipy.optimize
         w = np.asarray(w, dtype=float)
         ws = self.span.project(w)
-        wp = w - ws
         r = self._ray_matrix()
         if r.shape[1] == 0:
             return ws
+        import scipy.optimize
+        wp = w - ws
         rp = r - self.span.project(r)
         lam, _ = scipy.optimize.nnls(rp, wp)
         return ws + rp @ lam
@@ -181,7 +146,7 @@ class SubspacePlusRays(ConeDescription):
                 f"rays={len(self.rays)}, ambient={self.ambient})")
 
 
-class PolyhedralCone(ConeDescription):
+class PolyhedralCone:
     """{w : A w <= 0, E w = 0}; either block may be empty."""
 
     def __init__(self, a, e=None, ambient=None):
@@ -217,7 +182,7 @@ class PolyhedralCone(ConeDescription):
                 f"ambient={self.ambient})")
 
 
-class PsdCone(ConeDescription):
+class PsdCone:
     """{U_p H V_p^T embedded in R^{m x n} : H in S^p, P^T H P >= 0}.
 
     U, V are the orthogonal factors of the carrying face, p the block size,
@@ -292,12 +257,12 @@ def make_psd_embedded(u, v, p, kernel_basis, m, n):
                     h[i, j] = h[j, i] = 1.0 / np.sqrt(2.0)
                 cols.append((up @ h @ vp.T).ravel())
         basis = np.stack(cols, axis=1) if cols else np.zeros((m * n, 0))
-        return SubspaceCone(Subspace(m * n, basis))
+        return SubspacePlusRays(Subspace(m * n, basis))
     return PsdCone(u, v, p, kernel_basis, m, n)
 
 
-class PreimageCone(ConeDescription):
-    """{w : K w in inner}; kept as a node only when no exact push-in exists."""
+class PreimageCone:
+    """{w : K w in inner}, for an inner cone with rays or a PSD cone."""
 
     def __init__(self, k_matrix, inner):
         self.K = np.asarray(k_matrix, dtype=float)
@@ -316,7 +281,7 @@ class PreimageCone(ConeDescription):
 
 
 # ---------------------------------------------------------------------------
-# structural simplification
+# preimages and polars
 
 
 def _pull_back_rows(rows, k, tol):
@@ -329,60 +294,37 @@ def _pull_back_rows(rows, k, tol):
     return out[keep]
 
 
-def simplify(cone, tol=DEFAULT_TOL):
-    """Push preimages inward where this is exact."""
-    if isinstance(cone, PreimageCone):
-        inner = simplify(cone.inner, tol)
-        k = cone.K
-        if isinstance(inner, SubspaceCone):
-            comp = inner.subspace.complement()
-            if comp.dim == 0:
-                return SubspaceCone.full(k.shape[1])
-            return SubspaceCone(null_space(comp.basis.T @ k, tol))
-        if isinstance(inner, PolyhedralCone):
-            return PolyhedralCone(_pull_back_rows(inner.A, k, tol),
-                                  _pull_back_rows(inner.E, k, tol),
-                                  ambient=k.shape[1])
-        return PreimageCone(k, inner)
-    if isinstance(cone, SubspacePlusRays) and not cone.rays:
-        return SubspaceCone(cone.span)
-    return cone
-
-
 def preimage(k_op, cone, tol=DEFAULT_TOL):
-    """Cone {w : K w in C}, eagerly simplified when exact (subspaces, polyhedra).
+    """Cone {w : K w in C}.
 
-    For an operator with is_identity set the preimage is C itself.
+    A polyhedral C, or a subspace C written as the equations of its
+    complement, is pulled back through K row by row; any other C is kept as
+    a PreimageCone.  For an operator with is_identity set it is C itself.
     """
     k = k_op if isinstance(k_op, np.ndarray) else k_op._dense
     if cone.ambient != k.shape[0]:
         raise ValueError("operator rows must match cone ambient dimension")
     if getattr(k_op, "is_identity", False):
-        return simplify(cone, tol)
-    return simplify(PreimageCone(k, cone), tol)
-
-
-def polar_cone(cone, tol=DEFAULT_TOL):
-    """Polar {v : <v, w> <= 0 for all w in C}; None when not representable."""
-    cone = simplify(cone, tol)
-    if isinstance(cone, SubspaceCone):          # span(B): its equations B^T v = 0
-        return PolyhedralCone(None, cone.subspace.basis.T, ambient=cone.ambient)
-    if isinstance(cone, SubspacePlusRays):
-        a = np.stack(cone.rays, axis=0) if cone.rays else np.zeros((0, cone.ambient))
-        return PolyhedralCone(a, cone.span.basis.T, ambient=cone.ambient)
+        return cone
+    if isinstance(cone, SubspacePlusRays) and not cone.rays:
+        cone = PolyhedralCone(None, cone.span.complement().basis.T,
+                              ambient=cone.ambient)
     if isinstance(cone, PolyhedralCone):
-        span = Subspace(cone.ambient, cone.E.T)
-        rays = [row for row in cone.A if np.any(row)]
-        if rays:
-            return SubspacePlusRays(span, rays)
-        return SubspaceCone(span)
+        return PolyhedralCone(_pull_back_rows(cone.A, k, tol),
+                              _pull_back_rows(cone.E, k, tol),
+                              ambient=k.shape[1])
+    return PreimageCone(k, cone)
+
+
+def polar_cone(cone):
+    """Polar {v : <v, w> <= 0 for all w in C}; None when not representable."""
+    if isinstance(cone, SubspacePlusRays):        # R^T v <= 0, B^T v = 0
+        return PolyhedralCone(cone._ray_matrix().T, cone.span.basis.T,
+                              ambient=cone.ambient)
+    if isinstance(cone, PolyhedralCone):
+        return SubspacePlusRays(Subspace(cone.ambient, cone.E.T),
+                                [row for row in cone.A if np.any(row)])
     return None
-
-
-def membership(cone, w, tol):
-    """Algebraic membership test at tolerance tol (a Tolerances or a float)."""
-    t = tol.member if isinstance(tol, Tolerances) else float(tol)
-    return cone.member(np.asarray(w, dtype=float), t)
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +470,9 @@ def trivial_intersection(m, cone, tol=DEFAULT_TOL, seed=0):
     norm = m.op_norm() if mat is not m else \
         float(np.linalg.norm(mat, 2)) if mat.size else 0.0
     scale = norm or 1.0                           # M = 0 leaves zero rows
-    cone = simplify(cone, tol)
 
-    if isinstance(cone, (SubspaceCone, SubspacePlusRays)):   # F = [B R]
-        span, r = (cone.subspace, np.zeros((cone.ambient, 0))) \
-            if isinstance(cone, SubspaceCone) else (cone.span, cone._ray_matrix())
+    if isinstance(cone, SubspacePlusRays):        # F = [B R]
+        span, r = cone.span, cone._ray_matrix()
         f = np.hstack([span.basis, r])
         g = np.hstack([np.zeros((r.shape[1], span.dim)), -np.eye(r.shape[1])])
         return _decide(mat, norm, cone, g, mat @ f / scale, f, tol)

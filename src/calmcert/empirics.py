@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import regularizers as rz
-from .cones import PolyhedralCone, PsdCone, SubspaceCone, SubspacePlusRays
+from .cones import PolyhedralCone, PsdCone, SubspacePlusRays
 from .solver import SolverConfig, SolverError, kkt_residual, solve_perturbed
 
 
@@ -289,7 +289,7 @@ def _quotients(fn, x_bar, v_bar, w, t_grid, perturb, refine_above, projector):
 
 
 def _cone_project(cone, w):
-    if isinstance(cone, (SubspaceCone, SubspacePlusRays, PsdCone)):
+    if isinstance(cone, (SubspacePlusRays, PsdCone)):
         return cone.project(w)
     if isinstance(cone, PolyhedralCone):
         return rz.project_polyhedron(w, cone.A, np.zeros(cone.A.shape[0]),

@@ -131,9 +131,13 @@ class LinearOp:
         return m.shape[0] == m.shape[1] and np.array_equal(m, np.eye(m.shape[0]))
 
     def apply(self, x):
+        if self.is_identity:            # a copy costs less than I @ x
+            return np.array(x, dtype=float)
         return self._dense @ np.asarray(x, dtype=float)
 
     def apply_adjoint(self, y):
+        if self.is_identity:
+            return np.array(y, dtype=float)
         return self._dense.T @ np.asarray(y, dtype=float)
 
     def op_norm(self):

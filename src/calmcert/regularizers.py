@@ -22,8 +22,8 @@ import numpy as np
 # package's import time, and group-Lasso and nuclear solves never need it.
 
 from .linalg import Subspace, Tolerances, DEFAULT_TOL, null_space
-from .cones import (SubspaceCone, SubspacePlusRays, PolyhedralCone,
-                    active_rows, make_psd_embedded, operator_range)
+from .cones import (SubspacePlusRays, PolyhedralCone, active_rows,
+                    make_psd_embedded, operator_range)
 
 
 @dataclass(frozen=True)
@@ -223,34 +223,30 @@ def subdiff_contains(reg, x, v, tol=DEFAULT_TOL):
 def simultaneous_svd(x_mat, y_mat, tol=DEFAULT_TOL):
     """Common (U, V) with U^T X V and U^T Y V diagonal, both nonincreasing.
 
-    Exists whenever (X, Y) is a nuclear-norm subgradient pair; computed from
-    the SVD of X, falling back to X + 1e-6 Y for repeated singular values.
+    Exists whenever (X, Y) is a nuclear-norm subgradient pair, and is then
+    computed from one SVD of X + Y: sigma(X + Y) = sigma(X) + sigma(Y), and
+    sigma(Y) = w on the support of X and <= w off it, so the sums separate
+    that block from the rest, and a value repeated in the sums is repeated
+    in both X and Y.  Noise in X's small singular values, which would
+    decide the singular vectors of X alone, cannot.
     """
     x_mat = np.asarray(x_mat, dtype=float)
     y_mat = np.asarray(y_mat, dtype=float)
     scale = max(1.0, float(np.abs(x_mat).max(initial=0.0)),
                 float(np.abs(y_mat).max(initial=0.0)))
-
-    def attempt(base):
-        u, _, vt = np.linalg.svd(base, full_matrices=True)
-        v = vt.T
-        dx_full = u.T @ x_mat @ v
-        dy_full = u.T @ y_mat @ v
-        k = min(x_mat.shape)
-        dx = np.diag(dx_full)[:k]
-        dy = np.diag(dy_full)[:k]
-        off = max(_offdiag_max(dx_full), _offdiag_max(dy_full))
-        slack = 1e3 * tol.orth * scale
-        ok = (off <= slack
-              and np.all(dx >= -slack) and np.all(dy >= -slack)
-              and np.all(np.diff(dx) <= slack)
-              and np.all(np.diff(dy) <= slack))
-        return ok, u, v, dx, dy
-
-    ok, u, v, dx, dy = attempt(x_mat)
-    if not ok:
-        ok, u, v, dx, dy = attempt(x_mat + 1e-6 * y_mat)
-    if not ok:
+    u, _, vt = np.linalg.svd(x_mat + y_mat, full_matrices=True)
+    v = vt.T
+    dx_full = u.T @ x_mat @ v
+    dy_full = u.T @ y_mat @ v
+    k = min(x_mat.shape)
+    dx = np.diag(dx_full)[:k]
+    dy = np.diag(dy_full)[:k]
+    off = max(_offdiag_max(dx_full), _offdiag_max(dy_full))
+    slack = 1e3 * tol.orth * scale
+    if not (off <= slack
+            and np.all(dx >= -slack) and np.all(dy >= -slack)
+            and np.all(np.diff(dx) <= slack)
+            and np.all(np.diff(dy) <= slack)):
         raise ValueError("matrices admit no simultaneous ordered decomposition "
                          "(not a nuclear-norm subgradient pair?)")
     return u, v, np.clip(dx, 0.0, None), np.clip(dy, 0.0, None)
@@ -334,7 +330,7 @@ class GroupLassoFace:
         span = Subspace._orthonormal(_segment_columns(self._u, moving, owner))
         if vertex.any():
             return SubspacePlusRays(span, _segment_columns(self._u, vertex, owner).T)
-        return SubspaceCone(span)
+        return SubspacePlusRays(span)
 
     def polyhedral_system(self):
         """(A, c, E, e) with F = {y : A y <= c, E y = e}.
@@ -420,7 +416,7 @@ class NuclearFace:
 
     def tangent_at(self, x, tol=DEFAULT_TOL):
         if self.p == 0:
-            return SubspaceCone.zero(self.dim)
+            return SubspacePlusRays(Subspace.zero(self.dim))
         s = self._sbar(x)
         lam, q = np.linalg.eigh(s)
         scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
@@ -546,7 +542,7 @@ def tangent_subdiff(reg, x_bar, y_bar, tol=DEFAULT_TOL):
         eye = np.eye(reg.dim)
         in_perm = seg.owner[seg.perm]           # segment of each perm entry
         if not tight.any():
-            return SubspaceCone(Subspace._orthonormal(
+            return SubspacePlusRays(Subspace._orthonormal(
                 eye[:, seg.perm[free[in_perm]]]))
         return PolyhedralCone(_segment_columns(y_bar, tight, seg.owner).T,
                               eye[seg.perm[active[in_perm]]], ambient=reg.dim)
@@ -557,9 +553,7 @@ def tangent_subdiff(reg, x_bar, y_bar, tol=DEFAULT_TOL):
         ny = float(np.linalg.norm(y_bar))
         span = (Subspace(reg.dim, y_bar.reshape(-1, 1)) if ny > tol.member
                 else Subspace.zero(reg.dim))
-        if rays:
-            return SubspacePlusRays(span, rays)
-        return SubspaceCone(span)
+        return SubspacePlusRays(span, rays)
     # nuclear: supported cases only (interior block, or a simple unit top
     # singular value in the residual block); None propagates as Unknown
     u, v, sx, sy = simultaneous_svd(_mat(reg, x_bar), _mat(reg, y_bar), tol)
@@ -568,7 +562,7 @@ def tangent_subdiff(reg, x_bar, y_bar, tol=DEFAULT_TOL):
     r = int(np.sum(sx > tol.member * scale))
     m, n = reg.m, reg.n
     if r == m:
-        return SubspaceCone.zero(reg.dim)
+        return SubspacePlusRays(Subspace.zero(reg.dim))
     tail = sy[r:] / w
     block_cols = []
     for i in range(r, m):
@@ -576,7 +570,7 @@ def tangent_subdiff(reg, x_bar, y_bar, tol=DEFAULT_TOL):
             block_cols.append(np.outer(u[:, i], v[:, j]).ravel())
     block = Subspace(reg.dim, np.stack(block_cols, axis=1))
     if tail.size == 0 or tail[0] < 1.0 - tol.member:
-        return SubspaceCone(block)
+        return SubspacePlusRays(block)
     if tail.size == 1 or tail[1] < 1.0 - tol.member:
         grad = np.outer(u[:, r], v[:, r]).ravel()
         comp = block.complement()

@@ -20,8 +20,8 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from calmcert.cones import (PolyhedralCone, PreimageCone, SubspaceCone,
-                            SubspacePlusRays, preimage, trivial_intersection)
+from calmcert.cones import (PolyhedralCone, PreimageCone, SubspacePlusRays,
+                            preimage, trivial_intersection)
 from calmcert.linalg import Subspace, Tolerances
 from calmcert.model import LinearOp
 
@@ -224,11 +224,11 @@ def threshold_pairs(draw):
     d = n_sub.basis[:, 0]
     if kind == "subspace":
         cols = draw(st.integers(1, n))
-        cone = SubspaceCone(Subspace(n, int_matrix(draw, n, cols)))
+        cone = SubspacePlusRays(Subspace(n, int_matrix(draw, n, cols)))
     elif kind == "aligned":
         other = int_matrix(draw, n, draw(st.integers(0, 2)))
         if draw(st.booleans()):
-            cone = SubspaceCone(Subspace(n, np.column_stack([d, other])))
+            cone = SubspacePlusRays(Subspace(n, np.column_stack([d, other])))
         else:
             rays = nonzero_vectors(draw, draw(st.integers(0, 2)), n)
             cone = SubspacePlusRays(Subspace(n, other), [d] + rays)

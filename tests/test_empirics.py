@@ -246,7 +246,8 @@ def test_graph_sample_exactness_along_tangent_generators():
     x = np.array([0.6, 0.8, 0.0])
     v = np.array([0.6, 0.8, 0.4])
     cone = rz.tangent_conj_subdiff(reg, v, x, TOL)
-    for d in cone.subspace.basis.T:
+    assert not cone.rays
+    for d in cone.span.basis.T:
         s = graph_sample(reg, x, v, d, 1e-4)
         assert np.linalg.norm(s.z) <= 1e-6
         assert s.residual <= 1e-12

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from calmcert import regularizers as rz
-from calmcert.cones import PolyhedralCone, SubspaceCone, SubspacePlusRays
+from calmcert.cones import PolyhedralCone, SubspacePlusRays
 from calmcert.linalg import Subspace, Tolerances, _orth_columns
 from calmcert.model import group_lasso
 from calmcert.solver import _dual_feasibility
@@ -237,25 +237,27 @@ def test_empty_group_contributes_nothing(groups):
 def ref_product(n, comps):
     """Flatten a product of per-group cones, as the former ProductCone and
     its simplify branch did: subspace/ray blocks into one span plus rays,
-    otherwise every block into rows of one polyhedral cone."""
-    if all(isinstance(c, (SubspaceCone, SubspacePlusRays)) for _, c in comps):
+    otherwise every block into rows of one polyhedral cone (the subspace
+    blocks, which have no rays there, as the equations of their
+    complements)."""
+    if all(isinstance(c, SubspacePlusRays) for _, c in comps):
         cols, rays = [], []
         for ix, c in comps:
-            sub = c.subspace if isinstance(c, SubspaceCone) else c.span
+            sub = c.span
             if sub.dim:
                 col = np.zeros((n, sub.dim))
                 col[ix] = sub.basis
                 cols.append(col)
-            for r in getattr(c, "rays", []):
+            for r in c.rays:
                 ray = np.zeros(n)
                 ray[ix] = r
                 rays.append(ray)
         span = Subspace(n, np.hstack(cols) if cols else np.zeros((n, 0)))
-        return SubspacePlusRays(span, rays) if rays else SubspaceCone(span)
+        return SubspacePlusRays(span, rays)
     a_rows, e_rows = [np.zeros((0, n))], [np.zeros((0, n))]
     for ix, c in comps:
-        if isinstance(c, SubspaceCone):
-            a, e = np.zeros((0, len(ix))), c.subspace.complement().basis.T
+        if isinstance(c, SubspacePlusRays):
+            a, e = np.zeros((0, len(ix))), c.span.complement().basis.T
         else:
             a, e = c.A, c.E
         for rows, out in ((a, a_rows), (e, e_rows)):
@@ -296,11 +298,11 @@ def ref_tangent_at(reg, y, boundary, x, tol):
     for gi, g in enumerate(reg.group_slices):
         nb = len(g)
         if gi not in boundary:
-            comps.append((g, SubspaceCone.zero(nb)))
+            comps.append((g, SubspacePlusRays(Subspace.zero(nb))))
             continue
         u = ref_unit(reg, y, gi)
         if float(u @ x[g]) > tol.member * scale:
-            comps.append((g, SubspaceCone(Subspace(nb, u.reshape(-1, 1)))))
+            comps.append((g, SubspacePlusRays(Subspace(nb, u.reshape(-1, 1)))))
         else:
             comps.append((g, SubspacePlusRays(Subspace.zero(nb), [u])))
     return ref_product(reg.dim, comps)
@@ -313,9 +315,9 @@ def ref_tangent_subdiff(reg, x, y, tol):
     for g, act, ny in zip([g for g in reg.group_slices if len(g)], active, ratios):
         nb = len(g)
         if act:
-            comps.append((g, SubspaceCone.zero(nb)))
+            comps.append((g, SubspacePlusRays(Subspace.zero(nb))))
         elif ny < 1.0 - tol.member:
-            comps.append((g, SubspaceCone.full(nb)))
+            comps.append((g, SubspacePlusRays(Subspace.full(nb))))
         else:
             comps.append((g, PolyhedralCone(y[g].reshape(1, -1), ambient=nb)))
     return ref_product(reg.dim, comps)
@@ -330,10 +332,7 @@ def assert_same_span(p, q):
 def assert_same_cone(new, ref, probes):
     """Same variant, span, rays and rows, and the same membership answers."""
     assert type(new) is type(ref)
-    if isinstance(ref, SubspaceCone):
-        assert_same_span(new.subspace, ref.subspace)
-        generators = list(ref.subspace.basis.T)
-    elif isinstance(ref, SubspacePlusRays):
+    if isinstance(ref, SubspacePlusRays):
         assert_same_span(new.span, ref.span)
         assert len(new.rays) == len(ref.rays)
         for r_new, r_ref in zip(new.rays, ref.rays):
@@ -425,6 +424,11 @@ def test_group_cone_reference_cases_cover_every_variant():
     """The drawn cases reach every cone variant and the dual-bound error."""
     seen = set()
 
+    def variant(cone):
+        if isinstance(cone, SubspacePlusRays):
+            return "span plus rays" if cone.rays else "span"
+        return type(cone).__name__
+
     @settings(SETTINGS, max_examples=100)
     @given(face_cases())
     def collect(case):
@@ -434,15 +438,13 @@ def test_group_cone_reference_cases_cover_every_variant():
         except ValueError:
             seen.add("error")
             return
-        seen.add(("tangent", type(face.tangent_at(x, TOL)).__name__))
+        seen.add(("tangent", variant(face.tangent_at(x, TOL))))
         if rz.subdiff_contains(reg, x, y, TOL):
-            seen.add(("subdiff",
-                      type(rz.tangent_subdiff(reg, x, y, TOL)).__name__))
+            seen.add(("subdiff", variant(rz.tangent_subdiff(reg, x, y, TOL))))
 
     collect()
-    assert seen == {"error", ("tangent", "SubspaceCone"),
-                    ("tangent", "SubspacePlusRays"), ("subdiff", "SubspaceCone"),
-                    ("subdiff", "PolyhedralCone")}
+    assert seen == {"error", ("tangent", "span"), ("tangent", "span plus rays"),
+                    ("subdiff", "span"), ("subdiff", "PolyhedralCone")}
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,16 @@ def test_identity_materialization():
     assert np.array_equal(materialize(LinearOp.identity(2)), np.eye(2))
 
 
+def test_identity_apply_returns_a_fresh_copy():
+    x = np.array([1.5, -0.0, 2.0])
+    for op in (LinearOp.identity(3), LinearOp.dense(np.eye(3))):
+        for apply in (op.apply, op.apply_adjoint):
+            out = apply(x)
+            assert np.array_equal(out, x) and out.dtype == float
+            out[0] = 7.0                          # the caller owns the result
+            assert x[0] == 1.5
+
+
 def test_grad2d_2x2_hand_expansion():
     # vertical differences (x_{i+1,j} - x_{i,j}) then horizontal, row-major,
     # with zero rows in the last image row / column respectively

@@ -3,7 +3,7 @@ import pytest
 import scipy.optimize
 
 from calmcert import regularizers as rz
-from calmcert.cones import PolyhedralCone, PsdCone, SubspaceCone, SubspacePlusRays
+from calmcert.cones import PolyhedralCone, PsdCone, SubspacePlusRays
 from calmcert.linalg import Tolerances
 from calmcert.model import group_lasso, l1, nuclear, polyhedral_indicator
 
@@ -174,8 +174,8 @@ def test_tangent_conj_rejects_nonmember():
 def test_tangent_conj_nuclear_nondegenerate_is_subspace():
     cone = rz.tangent_conj_subdiff(NUC, np.diag([1.0, 0.5]).ravel(),
                                    np.diag([1.0, 0.0]).ravel(), TOL)
-    assert isinstance(cone, SubspaceCone)
-    assert cone.subspace.dim == 1
+    assert isinstance(cone, SubspacePlusRays) and not cone.rays
+    assert cone.span.dim == 1
     assert cone.member(np.diag([-3.0, 0.0]).ravel(), 1e-8)
     assert not cone.member(np.diag([0.0, 1.0]).ravel(), 1e-7)
 
@@ -234,7 +234,7 @@ def test_tangent_subdiff_polyhedral_is_cone_plus_line():
 def test_tangent_subdiff_nuclear_interior_and_boundary():
     x = np.diag([1.0, 0.0]).ravel()
     interior = rz.tangent_subdiff(NUC, x, np.diag([1.0, 0.5]).ravel(), TOL)
-    assert isinstance(interior, SubspaceCone)
+    assert isinstance(interior, SubspacePlusRays) and not interior.rays
     assert interior.member(np.array([[0.0, 0.0], [0.0, -3.0]]).ravel(), 1e-8)
     assert not interior.member(np.array([[1.0, 0.0], [0.0, 0.0]]).ravel(), 1e-7)
     boundary = rz.tangent_subdiff(NUC, x, np.eye(2).ravel(), TOL)
@@ -276,8 +276,6 @@ def test_conjugate_consistency_nuclear_diagonal():
 
 
 def _tangent_generators(cone, rng, n):
-    if isinstance(cone, SubspaceCone):
-        return list(cone.subspace.basis.T)
     if isinstance(cone, SubspacePlusRays):
         gens = list(cone.span.basis.T) + list(cone.rays)
         return gens
@@ -466,3 +464,19 @@ def test_simultaneous_svd_repeated_values():
     with pytest.raises(ValueError):
         rz.simultaneous_svd(np.array([[1.0, 0.0], [0.0, 0.0]]),
                             np.array([[0.0, 1.0], [1.0, 0.0]]), TOL)
+
+
+def test_simultaneous_svd_ignores_noise_in_small_singular_values():
+    # a solver leaves X = K x_bar a ~1e-10 second singular value: its
+    # singular vectors, taken from X alone, are noise that Y's tail block
+    # (0.5 w, below the unit block) is not diagonal in
+    rng = np.random.default_rng(8)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    w = 1.7
+    x = 2.0 * np.outer(u[:, 0], v[:, 0]) + 1e-10 * rng.standard_normal((2, 3))
+    y = w * np.outer(u[:, 0], v[:, 0]) + 0.5 * w * np.outer(u[:, 1], v[:, 1])
+    uu, vv, dx, dy = rz.simultaneous_svd(x, y, TOL)
+    assert np.allclose(dx, [2.0, 0.0], atol=1e-9)
+    assert np.allclose(dy, [w, 0.5 * w])
+    assert np.allclose(uu.T @ y @ vv, np.eye(2, 3) * dy[:, None], atol=1e-9)

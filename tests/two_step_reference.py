@@ -10,15 +10,51 @@ branches are left out, since the PSD probe was not replaced.
 
 `kernel_op(n_sub)` is the operator the new decision takes for a subspace N
 given by its basis: the rows of an orthonormal basis of its complement.
+
+The old decision branched on a separate subspace-cone class, and pushed
+preimages inward with `simplify`; both are kept here as it had them, the
+class as the no-ray `SubspacePlusRays` that replaced it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from calmcert.cones import (PolyhedralCone, PreimageCone, SubspaceCone,
-                            SubspacePlusRays, TrivialityVerdict, simplify)
+from calmcert.cones import (PolyhedralCone, PreimageCone, SubspacePlusRays,
+                            TrivialityVerdict, _pull_back_rows)
 from calmcert.linalg import DEFAULT_TOL, Subspace, null_space
+
+
+class SubspaceCone(SubspacePlusRays):
+    """span(B), the cone the old decision read by principal angles."""
+
+    def __init__(self, subspace):
+        super().__init__(subspace)
+        self.subspace = subspace
+
+    @classmethod
+    def full(cls, n):
+        return cls(Subspace.full(n))
+
+
+def simplify(cone, tol=DEFAULT_TOL):
+    """Push preimages inward where this is exact."""
+    if isinstance(cone, PreimageCone):
+        inner = simplify(cone.inner, tol)
+        k = cone.K
+        if isinstance(inner, SubspaceCone):
+            comp = inner.subspace.complement()
+            if comp.dim == 0:
+                return SubspaceCone.full(k.shape[1])
+            return SubspaceCone(null_space(comp.basis.T @ k, tol))
+        if isinstance(inner, PolyhedralCone):
+            return PolyhedralCone(_pull_back_rows(inner.A, k, tol),
+                                  _pull_back_rows(inner.E, k, tol),
+                                  ambient=k.shape[1])
+        return PreimageCone(k, inner)
+    if isinstance(cone, SubspacePlusRays) and not cone.rays:
+        return SubspaceCone(cone.span)
+    return cone
 
 
 def kernel_op(n_sub):
