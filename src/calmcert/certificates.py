@@ -154,26 +154,6 @@ def prepare_multiplier(instance, pair):
     return x, y2, res2
 
 
-def recover_multiplier(instance, x, tol=None):
-    """Find y with K* y = v(x) and y in dg(K x); error when none is found."""
-    tol = tol or instance.tol
-    v = instance.v_of(x)
-    k = materialize(instance.k)
-    y0, *_ = np.linalg.lstsq(k.T, v, rcond=None)
-    y = rz.project_multiplier(instance.reg, instance.k.apply(x), y0, tol)
-    res = kkt_residual(instance, x, y)
-    scale = 1.0 + float(np.linalg.norm(instance.b))
-    if max(res.values()) > 100 * tol.kkt * scale:
-        # one more alternating pass before giving up
-        corr, *_ = np.linalg.lstsq(k.T, v - k.T @ y, rcond=None)
-        y = rz.project_multiplier(instance.reg, instance.k.apply(x), y + corr, tol)
-        res = kkt_residual(instance, x, y)
-        if max(res.values()) > 100 * tol.kkt * scale:
-            raise CertificateError(
-                f"no multiplier with K* y = v_bar within tolerance: residuals {res}")
-    return y
-
-
 # ---------------------------------------------------------------------------
 # solution-map certificate
 

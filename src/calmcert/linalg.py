@@ -82,12 +82,6 @@ class Subspace:
     def zero(cls, n):
         return cls._orthonormal(np.zeros((n, 0)))
 
-    @classmethod
-    def span_of(cls, vectors, tol=DEFAULT_TOL):
-        """Subspace spanned by the given vectors (rows or a single vector)."""
-        v = np.atleast_2d(np.asarray(vectors, dtype=float))
-        return cls._orthonormal(_orth_columns(v.T, tol.rank))
-
     def project(self, w):
         w = np.asarray(w, dtype=float)
         return self.basis @ (self.basis.T @ w)

@@ -143,11 +143,19 @@ class LinearOp:
     def op_norm(self):
         return self._op_norm
 
+    def gram(self):
+        """A^T A, computed once per operator and read-only."""
+        return self._gram
+
     def range_space(self, tol=DEFAULT_TOL):
         """Im K as a Subspace at tol.rank, factored once per rank tolerance."""
         if tol.rank not in self._ranges:
             self._ranges[tol.rank] = range_space(self._dense, tol)
         return self._ranges[tol.rank]
+
+    @cached_property
+    def _gram(self):
+        return _frozen(self._dense.T @ self._dense)
 
     @cached_property
     def _op_norm(self):

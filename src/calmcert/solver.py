@@ -5,29 +5,37 @@ General K:    primal-dual splitting (gradient step on the smooth quadratic,
               proximal step on the dual of g), steps fixed from operator
               norms so that tau * (L_f / 2 + sigma ||K||^2) < 1.
 
-For a group-Lasso g (l1 and TV included), both loops try a semismooth Newton
-finish at their KKT checks, on
+Both loops check the KKT residuals every check_every iterations.  A solve
+given a start (x0, and y0 for general K) also checks it at iteration 0,
+before any first-order step; a cold solve starts at zero and checks first at
+check_every.
+
+For a group-Lasso g (l1 and TV included), a check that fails tries a
+semismooth Newton finish on
 F(x, y) = (grad f(x) + K^T y, K x - prox_g(K x + y)) = 0: steps on the
 generalized Jacobian of the group prox, each halved until
 max(||stat||, ||graph||) drops.  The first-order loops alone converge only
 linearly; under isolated calmness, the property this package certifies, the
 Newton steps converge fast locally (Li, Sun & Toh, SIAM J. Optim. 28, 2018;
-Hintermueller & Stadler, SIAM J. Sci. Comput. 28, 2006).  For K = I the
-system is reduced exactly to the |A| unknowns of the active groups A (dx is
--graph off A), regularized by eps = tol.rank ||Phi||^2 / mu so that
-duplicated columns keep it solvable; for general K it keeps (dx, dy_Z), with
-eps = tol.rank ||K||^2.  A try that fails leaves the first-order iterate as
-it was, and doubles the number of checks until the next try, so an instance
-where Newton cannot win pays for O(log(checks)) tries.  Nuclear and
-polyhedral g run the first-order loops alone.
+Hintermueller & Stadler, SIAM J. Sci. Comput. 28, 2006).  A perturbed
+problem's solution lies within kappa (||db|| + |dmu|) of the base pair, so a
+solve warm-started there usually ends at its start check, with no
+first-order iteration.  For K = I the system is reduced exactly to the |A|
+unknowns of the active groups A (dx is -graph off A), regularized by
+eps = tol.rank ||Phi||^2 / mu so that duplicated columns keep it solvable;
+for general K it keeps (dx, dy_Z), with eps = tol.rank ||K||^2.  A try that
+fails leaves the iterate as it was, and doubles the number of checks until
+the next try, so an instance where Newton cannot win pays for
+O(log(checks)) tries.  Nuclear and polyhedral g run the first-order loops
+alone.
 
 Convergence is declared on the KKT residuals, not on iterate increments:
 stationarity ||(1/mu) Phi^T(Phi x - b) + K^T y|| and the subgradient graph
 residual ||K x - prox_g(K x + y)||, both relative to scale = 1 + ||b||.  A
 Newton iterate is returned only when it meets that same rule; for K = I the
 pair returned is FISTA's (x, v(x)).  SolutionPair.iterations counts
-first-order iterations, newton_steps the Newton steps (linear solves) taken
-across all tries.
+first-order iterations (0 for a solve that ends at its start check),
+newton_steps the Newton steps (linear solves) taken across all tries.
 """
 
 from dataclasses import dataclass
@@ -120,15 +128,12 @@ def _make_pair(instance, x, y, iters, newton_steps=0):
     )
 
 
-def _fista(instance, cfg, x0):
-    """FISTA for K = identity; the multiplier is y = v(x) at convergence.
-    Group-Lasso regularizers get the semismooth Newton finish."""
+def _fista(instance, cfg, x, tries):
+    """FISTA for K = identity from x; the multiplier is y = v(x) at
+    convergence.  Group-Lasso regularizers get the semismooth Newton finish."""
     reg = instance.reg
     lsmooth = instance.phi.op_norm() ** 2 / instance.mu
     step = 1.0 if lsmooth == 0.0 else 1.0 / lsmooth
-    target = cfg.tol_kkt * (1.0 + float(np.linalg.norm(instance.b)))
-    tries = _NewtonTries(instance, target)
-    x = np.asarray(x0, dtype=float).copy()
     z = x.copy()
     theta = 1.0
     best_obj = objective(instance, x)
@@ -149,13 +154,9 @@ def _fista(instance, cfg, x0):
             if obj < best_obj:
                 best_obj = obj
                 best_x = x.copy()
-            y = instance.v_of(x)
-            res = kkt_residual(instance, x, y)
-            if max(res["stationarity"], res["graph"]) <= target:
-                return _make_pair(instance, x, y, it, tries.steps)
-            found = tries.attempt(x, y)
+            found = tries.check(x, instance.v_of(x), it)
             if found is not None:
-                return _make_pair(instance, *found, it, tries.steps)
+                return found
     y = instance.v_of(best_x)
     raise SolverError(
         f"no convergence after {cfg.max_iter} iterations "
@@ -194,15 +195,16 @@ def _prox_jacobian(reg, u):
     return active[owner], (c / (1.0 - c))[owner], along
 
 
-def _newton_direction(instance, h, eps, stat, graph, u):
+def _newton_direction(instance, eps, stat, graph, u):
     """(dx, dy) solving the generalized Jacobian system of F at (x, y), K != I.
 
     The equations H dx + K^T dy = -stat and (I - D) K dx - D dy = -graph
     give, on A, dy_A = M K_A dx + D_A^{-1} graph_A, and leave
     [[H + K_A^T M K_A, K_Z^T], [K_Z, -eps I]] (dx, dy_Z)
         = (-stat - K_A^T D_A^{-1} graph_A, -graph_Z),
-    H = Phi^T Phi / mu.  K_Z loses rank on TV (the cycles of the grid
-    graph); eps > 0 keeps the system LU-solvable.
+    H = Phi^T Phi / mu, from the Gram matrix that Phi caches.  K_Z loses
+    rank on TV (the cycles of the grid graph); eps > 0 keeps the system
+    LU-solvable.
     """
     k = instance.k._dense
     on_a, m, along = _prox_jacobian(instance.reg, u)
@@ -212,7 +214,7 @@ def _newton_direction(instance, h, eps, stat, graph, u):
     n = k.shape[1]
     kz = k[z]
     lhs = np.zeros((n + z.size, n + z.size))
-    lhs[:n, :n] = h + k.T @ mk
+    lhs[:n, :n] = instance.phi.gram() / instance.mu + k.T @ mk
     lhs[:n, n:] = kz.T
     lhs[n:, :n] = kz
     lhs[n:, n:][np.diag_indices(z.size)] = -eps
@@ -270,12 +272,10 @@ def _newton_finish(instance, x, y, target):
         def direction(stat, graph, u):
             return _identity_direction(instance, eps, stat, graph, u)
     else:
-        phi = instance.phi._dense
-        h = phi.T @ phi / instance.mu
         eps = instance.tol.rank * instance.k.op_norm() ** 2
 
         def direction(stat, graph, u):
-            return _newton_direction(instance, h, eps, stat, graph, u)
+            return _newton_direction(instance, eps, stat, graph, u)
     stat, graph, u = _kkt_vectors(instance, x, y)
     merit = max(np.linalg.norm(stat), np.linalg.norm(graph))
     steps = 0
@@ -307,26 +307,31 @@ def _newton_finish(instance, x, y, target):
 
 
 class _NewtonTries:
-    """The Newton tries of one solve, made at its failed KKT checks.
+    """The KKT checks of one solve, and the Newton tries made at them.
 
     Only group-Lasso regularizers are tried.  The first try is at the first
-    check; a try that fails leaves the first-order iterate as it was and
+    check: iteration 0 for a solve given a start, check_every for a cold
+    one.  A try that fails leaves the first-order iterate as it was and
     doubles the number of checks until the next, so an instance where
     Newton cannot win pays for O(log(checks)) tries.  steps counts the
     Newton steps of all tries.
     """
 
-    def __init__(self, instance, target):
+    def __init__(self, instance, cfg):
         self.instance = instance
-        self.target = target
+        self.target = cfg.tol_kkt * (1.0 + float(np.linalg.norm(instance.b)))
         self.enabled = instance.reg.kind == "group_lasso"
         self.steps = 0
         self.checks = 0
         self.next_try, self.gap = 1, 1
 
-    def attempt(self, x, y):
-        """The Newton solution (x, y) from a failed check's pair, or None."""
+    def check(self, x, y, it):
+        """The solution pair at iteration it, or None: (x, y) itself when it
+        meets the target, else a Newton try's result when this check tries
+        and the try succeeds."""
         self.checks += 1
+        if max(kkt_residual(self.instance, x, y).values()) <= self.target:
+            return _make_pair(self.instance, x, y, it, self.steps)
         if not self.enabled or self.checks != self.next_try:
             return None
         xn, yn, steps = _newton_finish(self.instance, x, y, self.target)
@@ -335,12 +340,13 @@ class _NewtonTries:
             self.gap *= 2
             self.next_try = self.checks + self.gap
             return None
-        return xn, yn
+        return _make_pair(self.instance, xn, yn, it, self.steps)
 
 
-def _splitting(instance, cfg, x0, y0):
-    """Primal-dual splitting for general K (smooth term by gradient step),
-    finished by semismooth Newton on group-Lasso regularizers."""
+def _splitting(instance, cfg, x, y, tries):
+    """Primal-dual splitting for general K from (x, y) (smooth term by
+    gradient step), finished by semismooth Newton on group-Lasso
+    regularizers."""
     reg = instance.reg
     knorm = instance.k.op_norm()
     lsmooth = instance.phi.op_norm() ** 2 / instance.mu
@@ -352,22 +358,15 @@ def _splitting(instance, cfg, x0, y0):
         s = (-lsmooth / 2.0 + np.sqrt(lsmooth ** 2 / 4.0 + 4.0 * 0.99 * knorm ** 2)) \
             / (2.0 * knorm ** 2)
         tau = sigma = s
-    target = cfg.tol_kkt * (1.0 + float(np.linalg.norm(instance.b)))
-    tries = _NewtonTries(instance, target)
-    x = np.asarray(x0, dtype=float).copy()
-    y = np.asarray(y0, dtype=float).copy()
     for it in range(1, cfg.max_iter + 1):
         x_new = x - tau * (instance.smooth_grad(x) + instance.k.apply_adjoint(y))
         u = y + sigma * instance.k.apply(2.0 * x_new - x)
         y = u - sigma * rz.prox(reg, 1.0 / sigma, u / sigma)
         x = x_new
         if it % cfg.check_every == 0 or it == cfg.max_iter:
-            res = kkt_residual(instance, x, y)
-            if max(res["stationarity"], res["graph"]) <= target:
-                return _make_pair(instance, x, y, it, tries.steps)
-            found = tries.attempt(x, y)
+            found = tries.check(x, y, it)
             if found is not None:
-                return _make_pair(instance, *found, it, tries.steps)
+                return found
     raise SolverError(
         f"no convergence after {cfg.max_iter} iterations "
         f"(residuals {kkt_residual(instance, x, y)})",
@@ -375,27 +374,33 @@ def _splitting(instance, cfg, x0, y0):
 
 
 def solve(instance, cfg=None, x0=None, y0=None):
-    """Solve P(b, mu) to KKT residuals <= tol_kkt * (1 + ||b||)."""
+    """Solve P(b, mu) to KKT residuals <= tol_kkt * (1 + ||b||).
+
+    A solve given a start x0 (with y0, or zero; v(x0) when K = I) makes its
+    first KKT check, and so its first Newton try, there, before any
+    first-order step; a cold solve starts at zero and checks first at
+    check_every.
+    """
     cfg = cfg or SolverConfig()
-    if x0 is None:
-        x0 = np.zeros(instance.dim_x)
+    tries = _NewtonTries(instance, cfg)
+    x = np.zeros(instance.dim_x) if x0 is None else np.array(x0, dtype=float)
+    y = np.zeros(instance.dim_y) if y0 is None else np.array(y0, dtype=float)
+    if x0 is not None:
+        found = tries.check(x, instance.v_of(x) if instance.k.is_identity
+                            else y, 0)
+        if found is not None:
+            return found
     if instance.k.is_identity:
-        return _fista(instance, cfg, x0)
-    if y0 is None:
-        y0 = np.zeros(instance.dim_y)
-    return _splitting(instance, cfg, x0, y0)
+        return _fista(instance, cfg, x, tries)
+    return _splitting(instance, cfg, x, y, tries)
 
 
 def solve_perturbed(instance, db, dmu, warm, cfg=None):
-    """Solve P(b + db, mu + dmu) warm-started at a known solution pair."""
+    """Solve P(b + db, mu + dmu) warm-started at a known solution pair.
+
+    The start check returns the pair itself, with iterations == 0, when it
+    already meets the target (as it does for db = 0, dmu = 0)."""
     if instance.mu + dmu <= 0:
         raise ValueError("perturbed mu must stay positive")
-    db = np.zeros(len(instance.b)) if db is None else np.asarray(db, dtype=float)
     pert = instance.perturbed(db, dmu)
-    cfg = cfg or SolverConfig()
-    if float(np.linalg.norm(db)) == 0.0 and dmu == 0.0:
-        res = kkt_residual(pert, warm.x_bar, warm.y_bar)
-        scale = 1.0 + float(np.linalg.norm(pert.b))
-        if max(res.values()) <= cfg.tol_kkt * scale:
-            return _make_pair(pert, warm.x_bar, warm.y_bar, 0)
     return solve(pert, cfg, x0=warm.x_bar, y0=warm.y_bar)

@@ -350,22 +350,6 @@ def test_polyhedral_with_dense_k_pipeline():
     assert report.cond_suf.outcome == report.cond_nes.outcome
 
 
-def test_recover_multiplier_from_primal_only():
-    from calmcert.certificates import recover_multiplier
-    inst = instance_for("pd_multiplier_segment")
-    pair = solve(inst)
-    y = recover_multiplier(inst, pair.x_bar)
-    from calmcert.solver import kkt_residual
-    res = kkt_residual(inst, pair.x_bar, y)
-    scale = 1.0 + np.linalg.norm(inst.b)
-    assert max(res.values()) <= 100 * inst.tol.kkt * scale
-    # and a failure is reported, not guessed: impossible stationarity target
-    from calmcert.certificates import CertificateError
-    bad = instance_for("lasso_scalar")
-    with pytest.raises(CertificateError, match="multiplier"):
-        recover_multiplier(bad, np.array([5.0]))
-
-
 def test_not_isolated_calm_witnesses_are_valid_everywhere():
     # witness validity across whatever random instances come out negative
     from calmcert.cones import preimage

@@ -196,6 +196,19 @@ def test_operator_constants_computed_once(monkeypatch):
     assert (pert.phi.op_norm(), pert.k.op_norm()) == norms
 
 
+def test_gram_is_computed_once_and_shared_by_perturbed_instances():
+    source = np.array([[1.0, 2.0], [0.0, 3.0], [4.0, 0.0]])
+    op = LinearOp.dense(source)
+    gram = op.gram()
+    assert np.array_equal(gram, source.T @ source)
+    assert op.gram() is gram
+    with pytest.raises(ValueError, match="read-only"):
+        gram[0, 0] = 1.0
+    inst = load_instance(json.dumps(minimal_doc()))
+    pert = inst.perturbed(db=np.ones(1), dmu=0.5)
+    assert pert.phi.gram() is inst.phi.gram()
+
+
 def _norm_cases():
     rng = np.random.default_rng(5)
     low = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 20))

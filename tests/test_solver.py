@@ -70,6 +70,42 @@ def test_perturbed_identity_returns_warm():
     assert np.array_equal(again.x_bar, pair.x_bar)
 
 
+@pytest.mark.parametrize("name", ["l1", "group", "tv_grad1d"])
+def test_solve_from_a_solution_ends_at_its_start_check(name):
+    if name == "tv_grad1d":
+        inst = instance_for(name)
+    else:
+        inst = make(lasso(np.random.default_rng([0, 60, 7]), 60,
+                          grouped=name == "group"))
+    pair = solve(inst)
+    again = solve(inst, x0=pair.x_bar, y0=pair.y_bar)
+    assert again.iterations == 0 and again.newton_steps == 0
+    assert np.array_equal(again.x_bar, pair.x_bar)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_warm_perturbed_tv_solves_take_no_first_order_iteration(seed):
+    # under isolated calmness the perturbed solution is within
+    # kappa ||db|| of the base pair, where Newton converges from the start
+    inst = make(tv_image(np.random.default_rng([seed, 13]), 6, 6, noise=0.2,
+                         weight=0.02))
+    cfg = SolverConfig(tol_kkt=1e-12)
+    pair = solve(inst, cfg)
+    rng = np.random.default_rng(seed)
+    for radius in (1e-2, 1e-3):
+        d = rng.standard_normal(inst.b.size)
+        db = radius * d / np.linalg.norm(d)
+        warm = solve_perturbed(inst, db, 0.0, pair, cfg)
+        assert warm.iterations == 0 and warm.newton_steps <= 4
+        pert = inst.perturbed(db)
+        target = cfg.tol_kkt * (1.0 + np.linalg.norm(pert.b))
+        assert max(kkt_residual(pert, warm.x_bar, warm.y_bar).values()) \
+            <= target
+        cold = solve(pert, cfg)
+        assert np.linalg.norm(warm.x_bar - cold.x_bar) \
+            <= 1e-9 * (1.0 + np.linalg.norm(cold.x_bar))
+
+
 def test_perturbed_b_and_mu_closed_forms():
     inst = make(l1_doc([[1.0]], [3.0]))
     pair = solve(inst)
@@ -201,7 +237,8 @@ def test_newton_finish_agrees_with_first_order_reference(name):
     assert ref.newton_steps == 0 and new.newton_steps > 0
 
 
-def test_newton_tries_back_off_on_a_solve_that_cannot_converge(monkeypatch):
+def _assert_tries_back_off(monkeypatch, far_start):
+    """A solve that cannot converge makes O(log(checks)) Newton tries."""
     tries = []
     finish = solver_module._newton_finish
 
@@ -212,11 +249,23 @@ def test_newton_tries_back_off_on_a_solve_that_cannot_converge(monkeypatch):
     monkeypatch.setattr(solver_module, "_newton_finish", counted)
     inst = make(SPLITTING_CASES["slow_tv0"])
     cfg = SolverConfig(tol_kkt=1e-300, max_iter=2000, check_every=25)
-    with pytest.raises(SolverError) as err:
-        solve(inst, cfg)
+    x0 = None
     checks = cfg.max_iter // cfg.check_every
+    if far_start:
+        x0 = np.random.default_rng(5).standard_normal(inst.dim_x)
+        checks += 1                     # the start check, at iteration 0
+    with pytest.raises(SolverError) as err:
+        solve(inst, cfg, x0=x0)
     assert 0 < len(tries) <= math.ceil(math.log2(checks)) + 1
     assert err.value.pair.iterations == cfg.max_iter
+
+
+def test_newton_tries_back_off_on_a_solve_that_cannot_converge(monkeypatch):
+    _assert_tries_back_off(monkeypatch, far_start=False)
+
+
+def test_newton_tries_back_off_from_a_far_start(monkeypatch):
+    _assert_tries_back_off(monkeypatch, far_start=True)
 
 
 def test_tv8x8_draw_solves_within_2000_iterations():
