@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .linalg import Tolerances, Subspace, svd, sym_eig, null_space, range_space
+from .linalg import Tolerances, Subspace, null_space, range_space
 from .model import (LinearOp, ProblemInstance, RegularizerSpec, SolutionPair,
                     InstanceError, load_instance, instance_hash, materialize,
                     group_lasso, l1, nuclear, polyhedral_indicator)

@@ -29,6 +29,7 @@ or Unknown.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -126,6 +127,8 @@ class SubspacePlusRays:
         return float(np.linalg.norm(w - self.project(w)))
 
     def member(self, w, tol):
+        """residual(w) <= tol * max(1, ||w||); an array of slacks gives one
+        answer per slack from one residual."""
         return self.residual(w) <= tol * max(1.0, float(np.linalg.norm(w)))
 
     def project(self, w):
@@ -159,14 +162,19 @@ class PolyhedralCone:
         self.A = a if a is not None and a.size else np.zeros((0, self.ambient))
         self.E = e if e is not None and e.size else np.zeros((0, self.ambient))
 
+    @cached_property
+    def _row_norms(self):
+        return np.linalg.norm(self.A, axis=1), np.linalg.norm(self.E, axis=1)
+
     def member(self, w, tol):
         """A w <= 0 and E w = 0, each row i at slack tol ||row_i|| max(1, ||w||),
         so that rescaling a row does not change the test."""
         w = np.asarray(w, dtype=float)
         scale = tol * max(1.0, float(np.linalg.norm(w)))
-        if np.any(self.A @ w > scale * np.linalg.norm(self.A, axis=1)):
+        a_norms, e_norms = self._row_norms
+        if np.any(self.A @ w > scale * a_norms):
             return False
-        return not np.any(np.abs(self.E @ w) > scale * np.linalg.norm(self.E, axis=1))
+        return not np.any(np.abs(self.E @ w) > scale * e_norms)
 
     def residual(self, w):
         w = np.asarray(w, dtype=float)
@@ -503,13 +511,6 @@ def trivial_intersection(m, cone, tol=DEFAULT_TOL, seed=0):
 # tangent cone of a face restricted to a range
 
 
-def operator_range(k_op, tol=DEFAULT_TOL):
-    """Im K of a matrix, or of a LinearOp, which factors it once."""
-    if isinstance(k_op, np.ndarray):
-        return range_space(k_op, tol)
-    return k_op.range_space(tol)
-
-
 def active_rows(a, c, x, slack):
     """Rows i of A x <= c with a_i x >= c_i - slack ||a_i|| max(1, ||x||).
 
@@ -533,7 +534,8 @@ def tangent_with_range_restriction(face, z, k_op, tol=DEFAULT_TOL):
         raise ValueError("base point is not a member of the face")
     if getattr(k_op, "is_identity", False):       # Im K = Y
         return face.tangent_at(z, tol)
-    imk = operator_range(k_op, tol)
+    imk = range_space(k_op, tol) if isinstance(k_op, np.ndarray) \
+        else k_op.range_space(tol)            # a LinearOp factors it once
     if imk.residual(z) > 10 * tol.member * max(1.0, float(np.linalg.norm(z))):
         raise ValueError("base point is not in the range of K")
     if imk.dim == imk.ambient_dim:

@@ -4,7 +4,10 @@ Nothing here trusts the cone machinery: sweeps re-solve perturbed problems,
 the instability probe constructs explicit alternate solutions and re-checks
 their optimality residuals, and the difference-quotient laboratory compares
 tangent-cone membership against second-order quotients and proximal graph
-samples.
+samples.  The laboratory evaluates in stacks: the candidate directions of a
+refined quotient take one regularizer value call, and all graph samples of
+a zero-product check one prox call, each row giving bit for bit what it
+gives on its own.
 """
 
 from dataclasses import dataclass
@@ -13,6 +16,7 @@ import numpy as np
 
 from . import regularizers as rz
 from .cones import PolyhedralCone, PsdCone, SubspacePlusRays
+from .linalg import row_dots, row_norms
 from .solver import SolverConfig, SolverError, kkt_residual, solve_perturbed
 
 
@@ -205,23 +209,24 @@ def instability_probe(instance, pair, witness, t_grid):
 
 
 def _strict_value_fn(reg):
-    """Regularizer value with machine-precision domain checks.
+    """Regularizer value with machine-precision domain checks, for one point
+    or a stack of points (rows); a callable reg is applied row by row.
 
     The catalog value() applies the membership tolerance to the polyhedral
     indicator; inside an O(t^2) difference quotient that slack would absorb
     genuine constraint violations, so the quotient lab uses a strict one.
     """
     if callable(reg):
-        return reg
-    if reg.kind == "polyhedral_indicator":
-        a, c = reg.A, reg.c
-
         def fn(z):
-            if a.shape[0]:
-                slack = 1e-12 * max(1.0, float(np.linalg.norm(z)))
-                if float(np.max(a @ z - c)) > slack:
-                    return np.inf
-            return 0.0
+            z = np.asarray(z, dtype=float)
+            return reg(z) if z.ndim == 1 else np.array([reg(r) for r in z])
+
+        return fn
+    if reg.kind == "polyhedral_indicator":
+        def fn(z):
+            z = np.asarray(z, dtype=float)
+            out = rz.indicator_value(reg.A, reg.c, z, 1e-12)
+            return float(out) if z.ndim == 1 else out
 
         return fn
     return lambda z: rz.value(reg, z)
@@ -256,35 +261,42 @@ def second_subderivative_estimate(reg, x_bar, v_bar, w, t_grid, perturb=1e-3,
 
 
 def _quotients(fn, x_bar, v_bar, w, t_grid, perturb, refine_above, projector):
-    """second_subderivative_estimate for the value function fn, refining
-    with projector (onto the conjugate face of v_bar, or None)."""
+    """second_subderivative_estimate for the value function fn (one point or
+    a stack of rows), refining with projector (onto the conjugate face of
+    v_bar, or None).
+
+    A refined quotient is the least of the raw one and those of its
+    candidates: the 2n directions w +- perturb e_i, and the face-projected
+    secant when it lies within perturb of w.  One fn call scores all the
+    candidates of a step t.
+    """
     x_bar = np.asarray(x_bar, dtype=float)
     v_bar = np.asarray(v_bar, dtype=float)
     w = np.asarray(w, dtype=float)
     base = fn(x_bar)
 
-    def quotient(t, direction):
-        val = fn(x_bar + t * direction)
-        if not np.isfinite(val):
-            return np.inf
-        return (val - base - t * float(v_bar @ direction)) / (0.5 * t * t)
+    def quotient(t, directions):
+        val = fn(x_bar + t * directions)
+        with np.errstate(invalid="ignore"):
+            q = (val - base - t * row_dots(directions, v_bar)) / (0.5 * t * t)
+        return np.where(np.isfinite(val), q, np.inf)
 
     cutoff = np.inf if refine_above is None else float(refine_above)
     out = []
     for t in t_grid:
         t = float(t)
-        q = quotient(t, w)
+        q = float(quotient(t, w))
         if q > cutoff or not np.isfinite(q):
-            for i in range(w.size):
-                for sgn in (1.0, -1.0):
-                    wp = w.copy()
-                    wp[i] += sgn * perturb
-                    q = min(q, quotient(t, wp))
+            coord = np.arange(w.size)
+            candidates = np.repeat(w[None, :], 2 * w.size, axis=0)
+            candidates[2 * coord, coord] += perturb
+            candidates[2 * coord + 1, coord] -= perturb
             if projector is not None:
                 secant = (projector(x_bar + t * w) - x_bar) / t
                 if float(np.linalg.norm(secant - w)) <= perturb:
-                    q = min(q, quotient(t, secant))
-        out.append(float(q))
+                    candidates = np.vstack([candidates, secant])
+            q = min(q, float(quotient(t, candidates).min()))
+        out.append(q)
     return out
 
 
@@ -332,7 +344,9 @@ def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0,
         ok = member == est_member
         agreements += ok
         disagreements += not ok
-        details.append({"member": bool(member), "quotient": q,
+        # an infinite quotient (a step off the domain of g) is written null
+        details.append({"member": bool(member),
+                        "quotient": q if np.isfinite(q) else None,
                         "estimator_member": bool(est_member)})
     return {"n": len(dirs), "agreements": agreements,
             "disagreements": disagreements, "details": details}
@@ -343,7 +357,9 @@ def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0,
 
 
 def graph_sample(reg, x_bar, v_bar, d, t):
-    """Exact subgradient-graph point from one prox evaluation."""
+    """Exact subgradient-graph point from one prox evaluation, with the
+    fixed-point residual of a second one; zero_product_check builds the
+    same points for a whole stack of directions, without the residual."""
     x_bar = np.asarray(x_bar, dtype=float)
     v_bar = np.asarray(v_bar, dtype=float)
     p = x_bar + v_bar + t * np.asarray(d, dtype=float)
@@ -351,6 +367,14 @@ def graph_sample(reg, x_bar, v_bar, d, t):
     s = p - u
     res = float(np.linalg.norm(u - rz.prox(reg, 1.0, u + s)))
     return GraphSample(t=t, w=(u - x_bar) / t, z=(s - v_bar) / t, residual=res)
+
+
+def _members(cone, w, slacks):
+    """cone.member(w, s) for each slack s; a SubspacePlusRays reads its NNLS
+    residual once for all of them."""
+    if isinstance(cone, SubspacePlusRays):
+        return cone.member(w, np.asarray(slacks))
+    return [cone.member(w, s) for s in slacks]
 
 
 def zero_product_check(reg, x_bar, v_bar, n_samples=200, seed=0,
@@ -372,6 +396,11 @@ def zero_product_check(reg, x_bar, v_bar, n_samples=200, seed=0,
     magnify past the positivity slack.  Centred on the graph, firm
     nonexpansiveness of the prox makes <z, w> >= 0 hold up to roundoff.
     The shift ||x' - x_bar|| is reported as "center_shift".
+
+    The n_samples directions are drawn as one (n_samples, n) array, the
+    stream of n_samples single draws, and the samples, the graph_sample
+    points of those directions, come from one prox call on their stack.
+    "min_inner" is null when there are no samples.
     """
     cone_tol = cone_tol or rz.DEFAULT_TOL
     rng = np.random.default_rng(seed)
@@ -384,31 +413,34 @@ def zero_product_check(reg, x_bar, v_bar, n_samples=200, seed=0,
     if t_primal is None:
         return {"available": False,
                 "reason": "tangent cone to dg(x_bar) not representable"}
-    n = x_bar.size
-    counts = {"n": 0, "positivity_violations": 0, "forward_violations": 0,
-              "backward_violations": 0, "zero_products": 0,
-              "both_members": 0, "min_inner": np.inf,
+    d = rng.standard_normal((n_samples, x_bar.size))
+    d /= row_norms(d)[:, None]
+    p = x_bar + v_bar + t * d
+    u = np.ascontiguousarray(rz.prox(reg, 1.0, p))
+    w = (u - x_bar) / t
+    z = (p - u - v_bar) / t
+    inner = row_dots(z, w)
+    norms = row_norms(z) * row_norms(w)
+    near_zero = inner <= tol * (norms + 1.0)
+    loose = 3.0 * np.sqrt(np.maximum(inner, 0.0) + tol) + 10 * tol
+    counts = {"n": n_samples,
+              "positivity_violations": int(np.sum(inner < -1e-8 * (1.0 + norms))),
+              "forward_violations": 0, "backward_violations": 0,
+              "zero_products": int(np.sum(near_zero)), "both_members": 0,
+              "min_inner": float(np.min(inner / (1.0 + norms))) if n_samples
+              else None,
               "center_shift": float(np.linalg.norm(x_bar - x_in))}
-    for _ in range(n_samples):
-        d = rng.standard_normal(n)
-        d /= np.linalg.norm(d)
-        sample = graph_sample(reg, x_bar, v_bar, d, t)
-        w, z = sample.w, sample.z
-        inner = float(z @ w)
-        norms = float(np.linalg.norm(z) * np.linalg.norm(w))
-        counts["n"] += 1
-        counts["min_inner"] = min(counts["min_inner"], inner / (1.0 + norms))
-        if inner < -1e-8 * (1.0 + norms):
-            counts["positivity_violations"] += 1
-        near_zero = inner <= tol * (norms + 1.0)
-        loose = 3.0 * np.sqrt(max(inner, 0.0) + tol) + 10 * tol
-        if near_zero:
-            counts["zero_products"] += 1
-            if not (t_primal.member(z, loose) and t_dual.member(w, loose)):
-                counts["forward_violations"] += 1
-        if t_primal.member(z, 10 * tol) and t_dual.member(w, 10 * tol):
+    strict = 10 * tol
+    for i in range(n_samples):
+        # a w is tested only when z passes a slack, as loose >= strict
+        slacks = (strict, loose[i]) if near_zero[i] else (strict,)
+        z_in = _members(t_primal, z[i], slacks)
+        w_in = _members(t_dual, w[i], slacks) if any(z_in) else z_in
+        if near_zero[i] and not (z_in[1] and w_in[1]):
+            counts["forward_violations"] += 1
+        if z_in[0] and w_in[0]:
             counts["both_members"] += 1
-            if abs(inner) > 10 * tol * (norms + 1.0):
+            if abs(inner[i]) > 10 * tol * (norms[i] + 1.0):
                 counts["backward_violations"] += 1
     counts["available"] = True
     return counts

@@ -127,24 +127,18 @@ def _orth_columns(a, tol_rank):
     return u[:, :r]
 
 
-def svd(a):
-    """Full SVD a = U diag(sigma) V^T with U, V orthogonal, sigma nonincreasing."""
-    a = _as_matrix(a)
-    u, s, vt = np.linalg.svd(a, full_matrices=True)
-    return u, s, vt.T
+def row_dots(a, b):
+    """<a, b> over the last axis, broadcast over the others: a @ b for two
+    vectors, and for a stack of rows bit for bit what a_i @ b_i gives on
+    each row (a matrix-vector product sums in another order)."""
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def sym_eig(s, tol=DEFAULT_TOL):
-    """Eigendecomposition of a symmetric matrix, eigenvalues nonincreasing."""
-    s = _as_matrix(s)
-    if s.shape[0] != s.shape[1]:
-        raise ValueError("sym_eig requires a square matrix")
-    scale = max(1.0, float(np.abs(s).max()))
-    if np.abs(s - s.T).max() > tol.orth * scale:
-        raise ValueError("sym_eig requires a symmetric matrix")
-    lam, q = np.linalg.eigh(0.5 * (s + s.T))
-    order = np.argsort(lam)[::-1]
-    return q[:, order], lam[order]
+def row_norms(a):
+    """||a|| over the last axis, bit for bit np.linalg.norm of each row."""
+    return np.sqrt(row_dots(a, a))
 
 
 def null_space(a, tol=DEFAULT_TOL):

@@ -161,6 +161,8 @@ class LinearOp:
     def _op_norm(self):
         if self._dense.size == 0:
             return 0.0
+        if self.is_identity:
+            return 1.0
         return float(np.linalg.norm(self._dense, 2))
 
     def to_json_dict(self):
@@ -391,7 +393,9 @@ class SolutionPair:
             "x_bar": [float(v) for v in self.x_bar],
             "y_bar": [float(v) for v in self.y_bar],
             "v_bar": [float(v) for v in self.v_bar],
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
+            # null: not finite (gap_proxy when g(K x) or g*(y) is infinite)
+            "residuals": {k: float(v) if np.isfinite(v) else None
+                          for k, v in self.residuals.items()},
             "iterations": int(self.iterations),
             "newton_steps": int(self.newton_steps),
         }

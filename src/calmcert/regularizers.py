@@ -21,9 +21,9 @@ import numpy as np
 # scipy.optimize is imported where an LP or NNLS is solved: it is most of the
 # package's import time, and group-Lasso and nuclear solves never need it.
 
-from .linalg import Subspace, Tolerances, DEFAULT_TOL, null_space
-from .cones import (SubspacePlusRays, PolyhedralCone, active_rows,
-                    make_psd_embedded, operator_range)
+from .linalg import (Subspace, Tolerances, DEFAULT_TOL, null_space, range_space,
+                     row_norms)
+from .cones import SubspacePlusRays, PolyhedralCone, active_rows, make_psd_embedded
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,29 @@ def qgc_flags(reg):
 
 # ---------------------------------------------------------------------------
 # values and proximal maps
+#
+# value, prox and group_norms take one point, or a stack of points as the
+# rows of a 2-D array, through one code path per kind.  Each row of a stack
+# gives what it gives on its own: bit for bit for group Lasso and nuclear
+# norms, and one NNLS projection per row for the polyhedral prox.
 
 
 def _mat(reg, y):
-    return np.asarray(y, dtype=float).reshape(reg.m, reg.n)
+    y = np.asarray(y, dtype=float)
+    return y.reshape(y.shape[:-1] + (reg.m, reg.n))
+
+
+def _segment_norms(reg, yt):
+    """group_norms of y from yt = y.T: the segments run along the first
+    axis, which a stack of rows adds as a trailing one."""
+    seg = reg.segments
+    return np.sqrt(np.add.reduceat(yt[seg.perm] ** 2, seg.starts))
 
 
 def group_norms(reg, y):
-    """||y_J|| for each non-empty group J, in the order of reg.segments."""
-    seg = reg.segments
-    return np.sqrt(np.add.reduceat(np.asarray(y, dtype=float)[seg.perm] ** 2,
-                                   seg.starts))
+    """||y_J|| for each non-empty group J, in the order of reg.segments;
+    for a stack of points, one row of norms per point."""
+    return _segment_norms(reg, np.asarray(y, dtype=float).T).T
 
 
 def active_groups(reg, x, tol=DEFAULT_TOL):
@@ -68,35 +80,52 @@ def active_groups(reg, x, tol=DEFAULT_TOL):
     return nx, nx > tol.member * max(1.0, float(np.linalg.norm(x)))
 
 
+def indicator_value(a, c, y, slack):
+    """0 where A y <= c holds up to slack * max(1, ||y||), inf elsewhere;
+    per row of a stack."""
+    out = np.zeros(y.shape[:-1])
+    if a.shape[0]:
+        bound = slack * np.maximum(1.0, row_norms(y))
+        out[(y @ a.T - c).max(axis=-1) > bound] = np.inf
+    return out
+
+
 def value(reg, y):
+    """g(y) as a float, or for a stack of points (rows) the array of g(y_i)."""
     y = np.asarray(y, dtype=float)
     if reg.kind == "group_lasso":
-        return reg.weight * float(group_norms(reg, y).sum())
-    if reg.kind == "nuclear":
-        return reg.weight * float(np.linalg.svd(_mat(reg, y), compute_uv=False).sum())
-    slack = DEFAULT_TOL.member * max(1.0, float(np.linalg.norm(y)))
-    if reg.A.shape[0] and float(np.max(reg.A @ y - reg.c)) > slack:
-        return np.inf
-    return 0.0
+        # rows of a contiguous array add in the order a lone point does
+        norms = np.ascontiguousarray(_segment_norms(reg, y.T).T)
+        out = reg.weight * np.add.reduce(norms, axis=-1)
+    elif reg.kind == "nuclear":
+        sigma = np.linalg.svd(_mat(reg, y), compute_uv=False)
+        out = reg.weight * np.add.reduce(sigma, axis=-1)
+    else:
+        out = indicator_value(reg.A, reg.c, y, DEFAULT_TOL.member)
+    return float(out) if y.ndim == 1 else out
 
 
 def prox(reg, t, y):
-    """argmin_u t*g(u) + 0.5||u - y||^2."""
+    """argmin_u t*g(u) + 0.5||u - y||^2, for one point or each row of a stack."""
     if not t > 0:
         raise ValueError("prox step must be positive")
     y = np.asarray(y, dtype=float)
     if reg.kind == "group_lasso":
-        # zero when ||y_J|| <= tw, else shrink by 1 - tw/||y_J||
-        nrm = group_norms(reg, y)
+        # zero when ||y_J|| <= tw, else shrink by 1 - tw/||y_J||; indexing
+        # the first axis of y.T costs a lone point nothing
+        yt = y.T
+        nrm = _segment_norms(reg, yt)
         tw = t * reg.weight
         fac = 1.0 - tw / np.maximum(nrm, tw)
         owner = reg.segments.owner
-        return np.where((nrm <= tw)[owner], 0.0, fac[owner] * y)
+        return np.where((nrm <= tw)[owner], 0.0, fac[owner] * yt).T
     if reg.kind == "nuclear":
+        # U diag(s) V^T as (U * s) V^T: the same numbers, one product fewer
         u, s, vt = np.linalg.svd(_mat(reg, y), full_matrices=False)
         s = np.clip(s - t * reg.weight, 0.0, None)
-        return (u @ np.diag(s) @ vt).ravel()
-    return project_polyhedron(y, reg.A, reg.c)
+        return ((u * s[..., None, :]) @ vt).reshape(y.shape)
+    return np.array([project_polyhedron(r, reg.A, reg.c)
+                     for r in y.reshape(-1, reg.dim)]).reshape(y.shape)
 
 
 def prox_conjugate(reg, t, y):
@@ -593,7 +622,8 @@ def ri_intersects_range(face, k_op, tol=DEFAULT_TOL, x_bar=None):
     kind = face.reg.kind
     if getattr(k_op, "is_identity", False):         # Im K = Y
         return "yes"
-    imk = operator_range(k_op, tol)
+    imk = range_space(k_op, tol) if isinstance(k_op, np.ndarray) \
+        else k_op.range_space(tol)
     if kind == "group_lasso":
         return _ri_group_lasso(face, imk.basis, tol) if face.boundary else "yes"
     if kind == "nuclear":

@@ -8,6 +8,7 @@ from calmcert.cli import run
 from calmcert.gallery import curated_cases
 from calmcert.solver import kkt_residual
 
+from box_instances import box_document
 from splitting_reference import SLOW_TV, tv_image
 
 
@@ -170,3 +171,34 @@ def test_demo_passes(capsys):
     assert run(["demo"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not valid JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_report_is_valid_json(instances, tmp_path):
+    # a lab quotient off the domain of g, the min_inner of no samples and an
+    # infinite gap_proxy are written null, never Infinity
+    rng = np.random.default_rng(4)
+    paths = dict(instances)
+    for name, args in (("box8", (4, True, 1)), ("box12", (6, False, 2))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(box_document(rng, *args)))
+    verbs = (["solve"], ["certify"], ["certify-pd"], ["probe"],
+             ["sweep", "--radii", "1e-2", "--samples", "2"],
+             ["lab", "--samples", "20"], ["lab", "--samples", "0"])
+    out = tmp_path / "out.json"
+    for name, path in paths.items():
+        for verb in verbs:
+            out.unlink(missing_ok=True)
+            code = run([verb[0], str(path), "--out", str(out)] + verb[1:])
+            assert code in (0, 2), (name, verb)
+            doc = _strict_json(out.read_text())
+            if verb == ["lab", "--samples", "0"]:
+                assert doc["payload"]["zero_product"].get("min_inner", None) is None
+    assert run(["demo", "--out", str(out)]) == 0
+    _strict_json(out.read_text())

@@ -3,6 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import lab_reference
+from box_instances import box_document
+from calmcert import empirics
 from calmcert import regularizers as rz
 from calmcert.empirics import (graph_sample, instability_probe,
                                kernel_formula_check, perturbation_sweep,
@@ -381,3 +384,110 @@ def test_probe_measures_from_the_face_point():
     out = instability_probe(inst, pair, w, [1e-1, 1e-2, 1e-3])
     assert out["base_verified"] and not out["refuted"]
     assert all(e["verified"] and e["ratio"] < 1e3 for e in out["entries"])
+
+
+# ---------------------------------------------------------------------------
+# the stacked lab against the one-point-per-call reference
+
+
+def _lab_instance(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind in ("nuclear_nondegenerate", "nuclear_degenerate"):
+        return instance_for(kind)
+    if kind == "box":
+        return load_instance(json.dumps(box_document(rng, 6, False, 2)))
+    if kind == "nuclear6x8":
+        d = 48
+        phi = rng.standard_normal((36, d)) / 6.0
+        x0 = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 8))
+        b = phi @ x0.ravel() + 0.01 * rng.standard_normal(36)
+        reg = {"kind": "nuclear", "m": 6, "n": 8,
+               "weight": 0.2 * float(np.linalg.norm((phi.T @ b).reshape(6, 8), 2))}
+    else:
+        n, m = 40, 20
+        phi = rng.standard_normal((m, n)) / np.sqrt(m)
+        x0 = np.zeros(n)
+        x0[rng.choice(n, size=4, replace=False)] = rng.standard_normal(4)
+        b = phi @ x0 + 0.01 * rng.standard_normal(m)
+        size = 1 if kind == "l1" else 4
+        reg = {"kind": "group_lasso", "dim": n,
+               "groups": [list(range(i, i + size)) for i in range(0, n, size)],
+               "weight": 0.1 * float(np.abs(phi.T @ b).max())}
+    return load_instance({"phi": {"kind": "dense", "rows": phi.shape[0],
+                                  "cols": phi.shape[1],
+                                  "entries": phi.ravel().tolist()},
+                          "b": b.tolist(), "mu": 1.0,
+                          "k": {"kind": "identity", "dim": phi.shape[1]},
+                          "reg": reg})
+
+
+def _lab_point(inst):
+    """(g, K x_bar, y) as the lab verb takes them."""
+    from calmcert.certificates import prepare_multiplier
+    pair = solve(inst)
+    _, y, _ = prepare_multiplier(inst, pair)
+    return inst.reg, inst.k.apply(pair.x_bar), y
+
+
+def _same_float(got, want):
+    return got == want or abs(got - want) <= 1e-12 * max(abs(got), abs(want))
+
+
+LAB_KINDS = ["l1", "group", "nuclear6x8", "nuclear_nondegenerate",
+             "nuclear_degenerate", "box"]
+
+
+@pytest.mark.parametrize("kind", LAB_KINDS)
+def test_stacked_lab_matches_the_reference(kind):
+    reg, kx, y = _lab_point(_lab_instance(kind, 2))
+    for seed in (0, 1):
+        got = kernel_formula_check(reg, kx, y, seed=seed)
+        want = lab_reference.kernel_formula_check(reg, kx, y, seed=seed)
+        for key in ("n", "agreements", "disagreements"):
+            assert got[key] == want[key]
+        for g, w in zip(got["details"], want["details"]):
+            assert (g["member"], g["estimator_member"]) == \
+                (w["member"], w["estimator_member"])
+            if np.isfinite(w["quotient"]):
+                assert _same_float(g["quotient"], w["quotient"])
+            else:
+                assert g["quotient"] is None
+        got = zero_product_check(reg, kx, y, seed=seed)
+        want = lab_reference.zero_product_check(reg, kx, y, seed=seed)
+        assert set(got) == set(want)
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert _same_float(got[key], value), key
+            else:
+                assert got[key] == value, key
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    original = getattr(rz, name)
+    monkeypatch.setattr(rz, name, lambda *a, **k: calls.append(1) or original(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["group", "nuclear6x8"])
+def test_lab_regularizer_calls_do_not_grow_with_the_samples(monkeypatch, kind):
+    reg, kx, y = _lab_point(_lab_instance(kind, 3))
+    values = _counted(monkeypatch, "value")
+    out = kernel_formula_check(reg, kx, y, n_dirs=30, seed=0)
+    assert any(d["quotient"] is None or d["quotient"] > 1e-4
+               for d in out["details"])                 # some were refined
+    assert len(values) <= 3 * 30
+    proxes = _counted(monkeypatch, "prox")
+    counts = []
+    for n_samples in (20, 200):
+        proxes.clear()
+        assert zero_product_check(reg, kx, y, n_samples=n_samples)["available"]
+        counts.append(len(proxes))
+    assert counts[0] == counts[1]
+
+
+def test_callable_values_are_applied_row_by_row():
+    fn = empirics._strict_value_fn(lambda z: float(z @ z))
+    z = np.arange(6.0).reshape(3, 2)
+    assert fn(z[0]) == 1.0
+    assert np.array_equal(fn(z), [1.0, 13.0, 41.0])

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from calmcert.linalg import (Tolerances, Subspace, svd, sym_eig, null_space,
-                             range_space)
+from calmcert.linalg import Tolerances, Subspace, null_space, range_space
 
 from two_step_reference import intersect_subspaces
 
@@ -21,66 +20,6 @@ def test_tolerances_validation():
         Tolerances(rank=2.0)
     with pytest.raises(ValueError):
         Tolerances(kkt=-1e-9)
-
-
-def test_svd_identity():
-    u, s, v = svd(np.eye(2))
-    assert np.allclose(s, [1.0, 1.0])
-    assert np.allclose(u @ np.diag(s) @ v.T, np.eye(2))
-
-
-def test_svd_zero_matrix():
-    _, s, _ = svd(np.zeros((2, 2)))
-    assert np.allclose(s, 0.0)
-
-
-def test_svd_rank_one_tall():
-    # eigen-decomposition of A^T A = diag(9, 0) done by hand
-    a = np.array([[3.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-    u, s, v = svd(a)
-    assert np.allclose(s, [3.0, 0.0])
-    assert abs(abs(u[0, 0]) - 1.0) < 1e-12
-    sig = np.zeros((3, 2))
-    sig[:2, :2] = np.diag(s)
-    assert np.allclose(a, u @ sig @ v.T, atol=1e-12)
-
-
-def test_svd_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-def test_svd_reconstruction_random():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        a = rng.standard_normal((rng.integers(1, 6), rng.integers(1, 6)))
-        u, s, v = svd(a)
-        sig = np.zeros(a.shape)
-        sig[:len(s), :len(s)] = np.diag(s)
-        assert np.linalg.norm(a - u @ sig @ v.T) <= 1e-8 * max(1.0, s.max(initial=0))
-        assert np.all(np.diff(s) <= 1e-12)
-
-
-def test_sym_eig_diagonal():
-    q, lam = sym_eig(np.diag([2.0, -1.0]))
-    assert np.allclose(lam, [2.0, -1.0])
-    assert np.allclose(q @ np.diag(lam) @ q.T, np.diag([2.0, -1.0]))
-
-
-def test_sym_eig_offdiagonal():
-    # characteristic polynomial of [[0,1],[1,0]] is t^2 - 1
-    q, lam = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(lam, [1.0, -1.0])
-
-
-def test_sym_eig_zero():
-    _, lam = sym_eig(np.zeros((2, 2)))
-    assert np.allclose(lam, 0.0)
-
-
-def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_null_space_single_row():

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import struct
 
@@ -231,6 +232,20 @@ def test_op_norm_matches_the_spectral_norm(name):
     m = materialize(op)
     want = float(np.linalg.norm(m, 2)) if m.size else 0.0
     assert abs(op.op_norm() - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("op", [LinearOp.identity(7), LinearOp.dense(np.eye(7))],
+                         ids=["identity", "dense_identity"])
+def test_identity_op_norm_is_one_without_an_svd(monkeypatch, op):
+    calls = []
+    # np.linalg.norm calls the svd of its own module
+    for namespace in (vars(np.linalg), inspect.unwrap(np.linalg.norm).__globals__):
+        original = namespace["svd"]
+        monkeypatch.setitem(namespace, "svd", lambda *a, _f=original, **k:
+                            calls.append(1) or _f(*a, **k))
+    assert op.is_identity
+    assert op.op_norm() == 1.0
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
