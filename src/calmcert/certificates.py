@@ -30,7 +30,7 @@ from .cones import (TrivialityVerdict, preimage, polar_cone,
                     tangent_with_range_restriction, trivial_intersection)
 from .linalg import null_space
 from .model import LinearOp, materialize
-from .solver import kkt_residual
+from .solver import kkt_residual, kkt_within
 
 
 class CertificateError(RuntimeError):
@@ -132,10 +132,9 @@ def prepare_multiplier(instance, pair):
     x = np.asarray(pair.x_bar, dtype=float)
     y = np.asarray(pair.y_bar, dtype=float)
     res = kkt_residual(instance, x, y)
-    worst = max(res.values())
-    if worst <= tol.kkt * scale:
+    if kkt_within(res, tol.kkt * scale):
         return x, y, res
-    if worst > 100 * tol.kkt * scale:
+    if not kkt_within(res, 100 * tol.kkt * scale):
         raise CertificateError(
             f"pair is not a KKT point: residuals {res} exceed "
             f"100 * tol_kkt * scale = {100 * tol.kkt * scale:.3g}")
@@ -147,7 +146,7 @@ def prepare_multiplier(instance, pair):
     y1 = y + corr
     y2 = rz.project_multiplier(instance.reg, instance.k.apply(x), y1, tol)
     res2 = kkt_residual(instance, x, y2)
-    if max(res2.values()) > 100 * tol.kkt * scale:
+    if not kkt_within(res2, 100 * tol.kkt * scale):
         raise CertificateError(
             f"multiplier refinement failed: residuals {res2} after one "
             "alternating step")
@@ -418,7 +417,7 @@ def uniqueness_oracle(instance, pair):
         cand = x + eps * d
         res = kkt_residual(instance, cand, y)
         scale = 1.0 + float(np.linalg.norm(instance.b))
-        if max(res.values()) <= 1e3 * tol.kkt * scale:
+        if kkt_within(res, 1e3 * tol.kkt * scale):
             return cand
         return None
 

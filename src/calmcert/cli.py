@@ -15,9 +15,9 @@ import numpy as np
 from . import certificates as ct
 from . import empirics as em
 from .gallery import curated_cases
-from .model import InstanceError, load_instance
+from .model import InstanceError, load_instance, load_vector
 from .reporting import report_document, save_report, tolerances_from_overrides
-from .solver import SolverConfig, SolverError, kkt_residual, solve
+from .solver import SolverConfig, SolverError, kkt_residual, kkt_within, solve
 
 
 @functools.cache
@@ -63,8 +63,7 @@ def _parser():
 
 
 def _load(args):
-    text = Path(args.instance).read_text()
-    instance = load_instance(text)
+    instance = load_instance(Path(args.instance).read_bytes())
     tol = tolerances_from_overrides(instance.tol, args.tol_rank,
                                     args.tol_member, args.tol_kkt)
     instance.tol = tol
@@ -77,12 +76,12 @@ def _solve_pair(instance, args):
         tol_kkt = min(em.SWEEP_TOL_KKT, tol_kkt)
     pair = solve(instance, SolverConfig(tol_kkt=tol_kkt))
     if args.y_override is not None:
-        y = np.asarray(json.loads(Path(args.y_override).read_text()), dtype=float)
+        y = load_vector(Path(args.y_override).read_bytes(), "y_override")
         if y.shape != pair.y_bar.shape:
             raise InstanceError("y_override", "multiplier has the wrong dimension")
         res = kkt_residual(instance, pair.x_bar, y)
         scale = 1.0 + float(np.linalg.norm(instance.b))
-        if max(res.values()) > 100 * instance.tol.kkt * scale:
+        if not kkt_within(res, 100 * instance.tol.kkt * scale):
             raise ct.CertificateError(
                 f"override multiplier fails the KKT residuals: {res}")
         pair.y_bar = y

@@ -17,7 +17,8 @@ import numpy as np
 from . import regularizers as rz
 from .cones import PolyhedralCone, PsdCone, SubspacePlusRays
 from .linalg import row_dots, row_norms
-from .solver import SolverConfig, SolverError, kkt_residual, solve_perturbed
+from .solver import (SolverConfig, SolverError, kkt_residual, kkt_within,
+                     solve_perturbed)
 
 
 @dataclass
@@ -158,7 +159,7 @@ def instability_probe(instance, pair, witness, t_grid):
         res0 = kkt_residual(instance.perturbed(db0, 0.0), x0, y)
         base = {"base_shift": float(np.linalg.norm(x0 - x_bar)),
                 "base_db_norm": float(np.linalg.norm(db0)),
-                "base_verified": max(res0.values()) <= bound}
+                "base_verified": kkt_within(res0, bound)}
     entries = []
     for t in t_grid:
         t = float(t)
@@ -185,7 +186,7 @@ def instability_probe(instance, pair, witness, t_grid):
             b_dist = 0.0
         pert = instance.perturbed(db0 + db, 0.0)
         res = kkt_residual(pert, x_t, y)
-        verified = max(res.values()) <= bound
+        verified = kkt_within(res, bound)
         x_dist = float(np.linalg.norm(x_t - x0))
         ratio = None if b_dist == 0.0 else x_dist / b_dist
         entries.append({"t": t, "available": True, "x_dist": x_dist,

@@ -498,15 +498,40 @@ def _load_regularizer(doc, path):
     raise InstanceError(f"{path}.kind", f"unknown regularizer kind {kind!r}")
 
 
+def _parse(text, path):
+    """A JSON document (str or bytes) as the objects `json.loads` gives.
+
+    orjson parses what it accepts, about five times faster than the stdlib
+    on a large dense instance, to the same doubles: both round every decimal
+    correctly.  The stdlib parses the rest: NaN and Infinity literals,
+    numbers beyond the double range, a byte-order mark, UTF-16 or UTF-32, so
+    those keep its values and its error messages.  orjson reads an integer
+    of 2**64 or more, or below -2**63, as the nearest double, where the
+    stdlib keeps it exact; that can change only the size printed in the
+    rejection of a dimension no instance can have.
+    """
+    import orjson   # here, not at module level: `import calmcert` stays lean
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InstanceError(path, f"invalid JSON: {exc}") from None
+
+
+def load_vector(text, path):
+    """Parse a JSON array of finite numbers (str or bytes) to a float vector.
+
+    Errors carry `path`, an entry's as `path[i]`.
+    """
+    return _vector(_parse(text, path), path)
+
+
 def load_instance(text):
-    """Parse and validate an instance JSON document (string or dict)."""
-    if isinstance(text, (str, bytes)):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InstanceError("<document>", f"invalid JSON: {exc}") from None
-    else:
-        doc = text
+    """Parse and validate an instance JSON document (str, bytes or dict)."""
+    doc = _parse(text, "<document>") if isinstance(text, (str, bytes)) else text
     if not isinstance(doc, dict):
         raise InstanceError("<document>", "top level must be an object")
     phi = _load_operator(_need(doc, "phi", ""), "phi")

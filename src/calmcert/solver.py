@@ -86,6 +86,16 @@ def kkt_residual(instance, x, y):
             "graph": float(np.linalg.norm(graph))}
 
 
+def kkt_within(res, bound):
+    """Whether every residual of `kkt_residual` is at most bound.
+
+    A NaN residual fails, wherever it sits: `max(res.values()) <= bound`
+    would pass {stationarity: 0.1, graph: NaN} and fail the same values in
+    the other order.
+    """
+    return all(r <= bound for r in res.values())
+
+
 def _dual_feasibility(reg, y):
     """Violation of the dual-norm bound (0 for feasible multipliers)."""
     y = np.asarray(y, dtype=float)
@@ -301,7 +311,7 @@ def _newton_finish(instance, x, y, target):
         merit = trial_merit
     if instance.k.is_identity:
         y = instance.v_of(x)
-        if max(kkt_residual(instance, x, y).values()) > target:
+        if not kkt_within(kkt_residual(instance, x, y), target):
             return None, None, steps
     return x, y, steps
 
@@ -330,7 +340,7 @@ class _NewtonTries:
         meets the target, else a Newton try's result when this check tries
         and the try succeeds."""
         self.checks += 1
-        if max(kkt_residual(self.instance, x, y).values()) <= self.target:
+        if kkt_within(kkt_residual(self.instance, x, y), self.target):
             return _make_pair(self.instance, x, y, it, self.steps)
         if not self.enabled or self.checks != self.next_try:
             return None

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from calmcert.certificates import (CertificateError, certify_primal_dual,
-                                   certify_solution_map,
+                                   certify_solution_map, prepare_multiplier,
                                    strong_solution_equivalence,
                                    uniqueness_equivalence_check,
                                    uniqueness_oracle)
 from calmcert.gallery import instance_for, random_group_lasso_instance
 from calmcert.model import load_instance, materialize
-from calmcert.solver import solve
+from calmcert.solver import kkt_within, solve
 
 
 def make(doc):
@@ -68,6 +68,23 @@ def test_kkt_precondition_rejected():
     pair.y_bar = pair.y_bar + 0.5
     with pytest.raises(CertificateError, match="KKT"):
         certify_solution_map(inst, pair)
+
+
+@pytest.mark.parametrize("entry", [0, 1])
+def test_nan_multiplier_rejected(entry):
+    inst = instance_for("tv_grad1d")
+    pair = solve(inst)
+    pair.y_bar = pair.y_bar.copy()
+    pair.y_bar[entry] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(CertificateError):
+        prepare_multiplier(inst, pair)
+
+
+def test_nan_residual_fails_the_gate_in_either_order():
+    for res in ({"stationarity": 0.1, "graph": np.nan},
+                {"stationarity": np.nan, "graph": 0.1}):
+        assert not kkt_within(res, 1.0)
+    assert kkt_within({"stationarity": 0.1, "graph": 1.0}, 1.0)
 
 
 def test_near_kkt_multiplier_is_refined():

@@ -145,6 +145,17 @@ def test_y_override(instances, tmp_path):
                 "--y-override", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("override", ["[NaN, NaN]", "[Infinity, Infinity]"])
+def test_non_finite_y_override_is_an_error(instances, tmp_path, capsys, override):
+    y = tmp_path / "y.json"
+    y.write_text(override)
+    out = tmp_path / "r.json"
+    assert run(["certify-pd", str(instances["tv_grad1d"]),
+                "--y-override", str(y), "--out", str(out)]) == 1
+    assert "y_override[0]: value must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_byte_identical_reports(instances, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["certify", str(instances["lasso_segment"]), "--seed", "7"]

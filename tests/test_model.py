@@ -1,11 +1,17 @@
 import hashlib
 import inspect
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
+import calmcert
 from calmcert.linalg import Tolerances, null_space, range_space
 from calmcert.model import (InstanceError, LinearOp, group_lasso, load_instance,
                             instance_to_json, instance_hash, materialize,
@@ -366,3 +372,122 @@ def _hash_cases():
 def test_instance_hash_matches_the_entry_list_algorithm(name):
     inst = load_instance(_hash_cases()[name])
     assert instance_hash(inst) == _entry_list_hash(inst)
+
+
+# ---------------------------------------------------------------------------
+# the two parse paths: orjson, and the stdlib for what orjson refuses
+
+
+def _outcome(text):
+    """instance_hash of the loaded instance, or the error's (path, message)."""
+    try:
+        return instance_hash(load_instance(text))
+    except InstanceError as exc:
+        return exc.path, str(exc)
+
+
+def _stdlib_outcome(text):
+    """The same, with the document parsed by `json.loads` alone."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return "<document>", f"<document>: invalid JSON: {exc}"
+    return _outcome(doc)
+
+
+def _numbers_doc(literals):
+    """An n x 1 instance whose phi entries and b are the given literals."""
+    body = ", ".join(literals)
+    return ('{"phi": {"kind": "dense", "rows": %d, "cols": 1, "entries": [%s]}, '
+            '"b": [%s], "mu": 1.0, "k": {"kind": "identity", "dim": 1}, '
+            '"reg": {"kind": "group_lasso", "dim": 1, "groups": [[0]], '
+            '"weight": 1.0}}' % (len(literals), body, body))
+
+
+def _random_doubles():
+    bits = np.random.default_rng(20).integers(0, 2 ** 64, size=2 ** 14,
+                                              dtype=np.uint64)
+    values = bits.view(np.float64)
+    return values[np.isfinite(values)]
+
+
+@pytest.mark.parametrize("spelling", [repr, lambda v: format(v, ".24e")],
+                         ids=["shortest-repr", "25-digits"])
+def test_random_doubles_parse_alike(spelling):
+    text = _numbers_doc([spelling(float(v)) for v in _random_doubles()])
+    orjson.loads(text)                  # the fast path reads the document
+    hashed = _outcome(text)
+    assert isinstance(hashed, str) and hashed == _stdlib_outcome(text)
+    assert _outcome(text.encode()) == hashed
+
+
+def test_subnormals_signed_zeros_and_ties_parse_alike():
+    literals = ["5e-324", "-5e-324", "2.2250738585072009e-308", "1e-310",
+                "-4.9406564584124654e-324", "0.0", "-0.0", "0", "-0",
+                # halfway between two doubles: ties go to the even one
+                "9007199254740993.0", "9007199254740995.0",
+                "1.00000000000000011102230246251565404236316680908203125",
+                "1.000000000000000111022302462515654042363166809082031251",
+                "9007199254740993"]
+    text = _numbers_doc(literals)
+    orjson.loads(text)
+    inst = load_instance(text)
+    assert np.signbit(inst.b[6]) and not np.signbit(inst.b[5])
+    assert inst.b[0] == 5e-324 and inst.b[9] == 2.0 ** 53
+    assert _outcome(text) == _stdlib_outcome(text)
+
+
+def _edge_documents():
+    text = json.dumps(minimal_doc(b=["X"]))
+    dense = json.dumps(minimal_doc(phi={"kind": "dense", "rows": "R", "cols": 1,
+                                        "entries": [1.0]}))
+    return {
+        "nan": text.replace('"X"', "NaN"),
+        "infinity": text.replace('"X"', "-Infinity"),
+        "1e400": text.replace('"X"', "1e400"),
+        "10**400": text.replace('"X"', str(10 ** 400)),
+        "2**64-rows": dense.replace('"R"', str(2 ** 64)),
+        "utf8-bom-bytes": b"\xef\xbb\xbf" + text.replace('"X"', "2.5").encode(),
+        "utf8-bom-str": "\ufeff" + text.replace('"X"', "2.5"),
+        "utf16": text.replace('"X"', "2.5").encode("utf-16"),
+        "duplicate-keys": '{"mu": -1.0, ' + text.replace('"X"', "2.5")[1:],
+        "trailing-garbage": text.replace('"X"', "2.5") + " x",
+    }
+
+
+@pytest.mark.parametrize("name", list(_edge_documents()))
+def test_edge_documents_load_as_with_the_stdlib(name):
+    text = _edge_documents()[name]
+    assert _outcome(text) == _stdlib_outcome(text)
+
+
+def test_edge_document_outcomes():
+    docs = _edge_documents()
+    for name in ("nan", "infinity", "1e400", "10**400"):
+        assert _outcome(docs[name])[1].startswith("b[0]: value must be finite")
+    for name in ("utf8-bom-bytes", "utf16", "duplicate-keys"):
+        assert load_instance(docs[name]).b.tolist() == [2.5]
+    assert _outcome(docs["2**64-rows"])[0] == "phi.entries"
+    for name in ("utf8-bom-str", "trailing-garbage"):
+        assert _outcome(docs[name])[0] == "<document>"
+    with pytest.raises(InstanceError, match="^<document>: invalid JSON"):
+        load_instance(b'{"mu": "\xff"}')
+
+
+def test_integer_beyond_64_bits_keeps_the_field_path():
+    # orjson reads 2**64 + 1 as the double 2**64; only a size no instance
+    # can have is affected, and its rejection names the same field
+    text = json.dumps(minimal_doc(phi={"kind": "dense", "rows": 2 ** 64 + 1,
+                                       "cols": 1, "entries": [1.0]}))
+    assert _outcome(text)[0] == _stdlib_outcome(text)[0] == "phi.entries"
+
+
+def test_import_loads_neither_orjson_nor_scipy_optimize():
+    src = str(Path(calmcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, calmcert; "
+             "print(sorted({'orjson', 'scipy.optimize'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
