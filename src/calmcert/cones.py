@@ -24,8 +24,12 @@ relative-interior point of Q does.  A nontrivial answer carries a witness
 w in C with M w = 0, a trivial one the LP duals (a Stiemke/Gordan
 alternative, zero when the equalities decide), each verified before it is
 reported.  The embedded-PSD degenerate case uses an alternating-projection
-probe on a kernel basis of M that can only answer Nontrivial-with-witness
-or Unknown.
+probe on a kernel basis of M, its starts run as one stack, that can only
+answer Nontrivial-with-witness or Unknown.
+
+Polyhedron is the projection onto {A y <= c, E y = rhs} shared by the
+polyhedral regularizer's prox, its conjugate faces and PolyhedralCone; it
+keeps the factors of its projections for as long as its owner lives.
 """
 
 from dataclasses import dataclass
@@ -36,7 +40,7 @@ import numpy as np
 # scipy.optimize is imported where an LP or NNLS is solved: it is most of the
 # package's import time, and group-Lasso and nuclear solves never need it.
 
-from .linalg import Subspace, DEFAULT_TOL, null_space, range_space
+from .linalg import Subspace, DEFAULT_TOL, null_space, range_space, row_norms
 
 
 @dataclass
@@ -131,17 +135,22 @@ class SubspacePlusRays:
         answer per slack from one residual."""
         return self.residual(w) <= tol * max(1.0, float(np.linalg.norm(w)))
 
+    @cached_property
+    def _rays_off_span(self):
+        """The rays' components in the span's complement (columns)."""
+        r = self._ray_matrix()
+        return r - self.span.project(r)
+
     def project(self, w):
-        """Projection onto the cone (exact: NNLS on the span complement)."""
+        """Projection onto the cone (exact: NNLS on the span complement, which
+        rays that lie in the span skip)."""
         w = np.asarray(w, dtype=float)
         ws = self.span.project(w)
-        r = self._ray_matrix()
-        if r.shape[1] == 0:
+        rp = self._rays_off_span
+        if not rp.any():
             return ws
         import scipy.optimize
-        wp = w - ws
-        rp = r - self.span.project(r)
-        lam, _ = scipy.optimize.nnls(rp, wp)
+        lam, _ = scipy.optimize.nnls(rp, w - ws)
         return ws + rp @ lam
 
     def __repr__(self):
@@ -176,6 +185,15 @@ class PolyhedralCone:
             return False
         return not np.any(np.abs(self.E @ w) > scale * e_norms)
 
+    @cached_property
+    def _set(self):
+        return Polyhedron(self.A, np.zeros(self.A.shape[0]),
+                          self.E, np.zeros(self.E.shape[0]))
+
+    def project(self, w):
+        """Projection onto the cone (Polyhedron.project, factors reused)."""
+        return self._set.project(w)
+
     def residual(self, w):
         w = np.asarray(w, dtype=float)
         parts = [0.0]
@@ -188,6 +206,109 @@ class PolyhedralCone:
     def __repr__(self):
         return (f"PolyhedralCone(ineq={self.A.shape[0]}, eq={self.E.shape[0]}, "
                 f"ambient={self.ambient})")
+
+
+class Polyhedron:
+    """{y : A y <= c, E y = rhs} and the factors its projections reuse.
+
+    The set holds its row norms, A Z for an orthonormal basis Z of Ker E,
+    and, per active row set J, the factors M^T (M M^T)^+ and (M M^T)^+ of
+    M = [A_J; E].  It lives as long as its owner (a regularizer spec, a
+    polyhedral conjugate face, a PolyhedralCone) and remembers the active
+    set of its last NNLS.
+    """
+
+    def __init__(self, a, c, e=None, rhs=None):
+        self.A = np.asarray(a, dtype=float)
+        self.c = np.asarray(c, dtype=float)
+        dim = self.A.shape[1]
+        self.E = np.zeros((0, dim)) if e is None else np.asarray(e, dtype=float)
+        self.rhs = np.zeros(self.E.shape[0]) if rhs is None \
+            else np.asarray(rhs, dtype=float)
+        self._norms = np.linalg.norm(np.vstack([self.A, self.E]), axis=1)
+        self._factors = {}
+        self._last = ()
+
+    @cached_property
+    def _az(self):
+        return self.A @ null_space(self.E).basis
+
+    def _factor(self, rows):
+        """(M, target, M^T (M M^T)^+, (M M^T)^+) for the rows J at equality;
+        the last two are None when M has no rows."""
+        if rows not in self._factors:
+            mm = np.vstack([self.A[list(rows)], self.E])
+            target = np.concatenate([self.c[list(rows)], self.rhs])
+            proj = gram = None
+            if mm.shape[0]:
+                gram = np.linalg.pinv(mm @ mm.T)
+                proj = mm.T @ gram
+            self._factors[rows] = (mm, target, proj, gram)
+        return self._factors[rows]
+
+    def _onto(self, rows, point):
+        """The point's projection onto {A_J y = c_J, E y = rhs}."""
+        mm, target, proj, _ = self._factor(rows)
+        if proj is None:
+            return point.copy()
+        return point - proj @ (mm @ point - target)
+
+    def _feasible(self, y, slack):
+        m = self.A.shape[0]
+        return not ((self.A @ y - self.c > slack[:m]).any()
+                    or (np.abs(self.E @ y - self.rhs) > slack[m:]).any())
+
+    def _reuse(self, point, slack):
+        """The projection onto the last NNLS's active set when it is the KKT
+        point: every inequality multiplier positive and the result feasible
+        at the slack; None otherwise."""
+        if not self._last:
+            return None
+        mm, target, proj, gram = self._factor(self._last)
+        r = mm @ point - target
+        if not (gram[:len(self._last)] @ r > 0.0).all():
+            return None
+        y = point - proj @ r
+        return y if self._feasible(y, slack) else None
+
+    def project(self, point, tol=1e-9):
+        """Projection of a point by least-distance programming.
+
+        With y0 the projection of the point onto {E y = rhs}, the answer is
+        y0 + Z z for the z of least norm with -(A Z) z >= h = A y0 - c.  When
+        h < 0 that z is 0, and y0 is returned without an NNLS.  Otherwise the
+        active set of the last NNLS is tried (see _reuse); only when it fails
+        does one NNLS of [-(A Z)^T; h^T] against the last unit vector solve
+        the problem (Lawson & Hanson, Solving Least Squares Problems, 1974,
+        ch. 23): its residual vanishes only when the set is empty, and its
+        positive entries mark the active rows.  The answer is the point's
+        projection onto those rows at equality and {E y = rhs}, from the
+        factors of that set, the same numbers as computed afresh.  h is
+        relaxed by tol * ||a_i|| * max(1, ||point||), the slack of the final
+        feasibility check, so that rows tight only at roundoff (a face's own
+        support row, a cone row that the equalities pin) do not make the set
+        look empty.
+        """
+        point = np.asarray(point, dtype=float)
+        slack = tol * max(1.0, float(np.linalg.norm(point))) * self._norms
+        y = self._onto((), point)
+        h = self.A @ y - self.c - slack[:self.A.shape[0]]
+        if (h >= 0.0).any():
+            reused = self._reuse(point, slack)
+            if reused is not None:
+                return reused
+            import scipy.optimize
+            az = self._az
+            unit = np.zeros(az.shape[1] + 1)
+            unit[-1] = 1.0
+            lam, res = scipy.optimize.nnls(np.vstack([-az.T, h]), unit)
+            if res <= np.finfo(float).eps:
+                raise RuntimeError("polyhedral projection failed (empty set)")
+            self._last = tuple(np.flatnonzero(lam > 0.0).tolist())
+            y = self._onto(self._last, point)
+        if not self._feasible(y, slack):
+            raise RuntimeError("polyhedral projection failed (infeasible result)")
+        return y
 
 
 class PsdCone:
@@ -208,13 +329,14 @@ class PsdCone:
         self.ambient = self.m * self.n
 
     def _compress(self, w):
-        mat = np.asarray(w, dtype=float).reshape(self.m, self.n)
-        return self.U.T @ mat @ self.V
+        w = np.asarray(w, dtype=float)
+        return self.U.T @ w.reshape(w.shape[:-1] + (self.m, self.n)) @ self.V
 
     def _embed(self, h):
-        full = np.zeros((self.m, self.n))
-        full[:self.p, :self.p] = h
-        return (self.U @ full @ self.V.T).ravel()
+        full = np.zeros(h.shape[:-2] + (self.m, self.n))
+        full[..., :self.p, :self.p] = h
+        out = self.U @ full @ self.V.T
+        return out.reshape(out.shape[:-2] + (self.ambient,))
 
     def member(self, w, tol):
         slack = tol * max(1.0, float(np.linalg.norm(w)))
@@ -233,13 +355,17 @@ class PsdCone:
         return True
 
     def project(self, w):
-        """Exact projection: symmetrize the block, clip the kernel compression."""
-        c = self._compress(w)
-        h = 0.5 * (c[:self.p, :self.p] + c[:self.p, :self.p].T)
+        """Exact projection: symmetrize the block, clip the kernel compression.
+
+        For a stack of points (rows), one batched eigh projects them all.
+        """
+        c = self._compress(w)[..., :self.p, :self.p]
+        h = 0.5 * (c + c.swapaxes(-1, -2))
         if self.P.shape[1]:
             g = self.P.T @ h @ self.P
-            lam, q = np.linalg.eigh(0.5 * (g + g.T))
-            gplus = q @ np.diag(np.clip(lam, 0.0, None)) @ q.T
+            lam, q = np.linalg.eigh(0.5 * (g + g.swapaxes(-1, -2)))
+            # Q diag(lam+) Q^T as (Q * lam+) Q^T: the same numbers
+            gplus = (q * np.clip(lam, 0.0, None)[..., None, :]) @ q.swapaxes(-1, -2)
             h = h + self.P @ (gplus - self.P.T @ h @ self.P) @ self.P.T
         return self._embed(h)
 
@@ -436,27 +562,37 @@ def _decide(mat, norm, cone, g, h, f, tol):
 
 
 def _psd_probe(mat, norm, cone, k_mat, inner_psd, tol, seed):
-    """Alternating-projection probe for the heuristic-only PSD-degenerate case."""
+    """Alternating-projection probe for the heuristic-only PSD-degenerate case.
+
+    The 32 random starts in Ker M run as the rows of one stack: each
+    iteration projects the live rows onto Ker M and then onto the cone
+    (through K and its pseudo-inverse when K != I), one stacked cone
+    projection for all of them.  A row is frozen once its norm falls below
+    1e-8.  The first row, in start order, that ends at norm >= 0.5 and
+    gives a verified witness decides; otherwise the answer is Unknown.
+    """
     n_sub = null_space(mat, tol)
     if n_sub.dim == 0:
         return TrivialityVerdict.trivial()
-    rng = np.random.default_rng(seed)
+    basis = n_sub.basis
+    xi = np.random.default_rng(seed).standard_normal((32, n_sub.dim))
+    w = (xi / row_norms(xi)[:, None]) @ basis.T
     kplus = np.linalg.pinv(k_mat) if k_mat is not None else None
-    for _ in range(32):
-        xi = rng.standard_normal(n_sub.dim)
-        w = n_sub.basis @ (xi / np.linalg.norm(xi))
-        for _ in range(500):
-            w = n_sub.project(w)
-            if k_mat is None:
-                w = inner_psd.project(w)
-            else:
-                y = inner_psd.project(k_mat @ w)
-                w = w + kplus @ (y - k_mat @ w)
-            if np.linalg.norm(w) < 1e-8:
-                break
-        nrm = float(np.linalg.norm(w))
-        if nrm >= 0.5:
-            cand = _verify_witness(mat, norm, cone, n_sub.project(w), tol)
+    live = np.ones(len(w), dtype=bool)
+    for _ in range(500):
+        v = (w[live] @ basis) @ basis.T
+        if k_mat is None:
+            v = inner_psd.project(v)
+        else:
+            kv = v @ k_mat.T
+            v = v + (inner_psd.project(kv) - kv) @ kplus.T
+        w[live] = v
+        live[live] = row_norms(v) >= 1e-8
+        if not live.any():
+            break
+    for row in w:
+        if float(np.linalg.norm(row)) >= 0.5:
+            cand = _verify_witness(mat, norm, cone, n_sub.project(row), tol)
             if cand is not None:
                 return TrivialityVerdict.nontrivial(cand)
     return TrivialityVerdict.unknown("PSD cone, heuristic inconclusive")

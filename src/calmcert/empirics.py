@@ -48,16 +48,6 @@ class KappaEstimate:
         return rows
 
 
-@dataclass
-class GraphSample:
-    """A point ((x + t w), (v + t z)) on the subgradient graph."""
-
-    t: float
-    w: np.ndarray
-    z: np.ndarray
-    residual: float
-
-
 # KKT target of the sweep's perturbed solves (or the instance's own, if
 # finer).  Every ratio is a distance from x_bar, so a caller solves the base
 # pair to the same target (the `sweep` verb does).
@@ -302,11 +292,8 @@ def _quotients(fn, x_bar, v_bar, w, t_grid, perturb, refine_above, projector):
 
 
 def _cone_project(cone, w):
-    if isinstance(cone, (SubspacePlusRays, PsdCone)):
+    if isinstance(cone, (SubspacePlusRays, PsdCone, PolyhedralCone)):
         return cone.project(w)
-    if isinstance(cone, PolyhedralCone):
-        return rz.project_polyhedron(w, cone.A, np.zeros(cone.A.shape[0]),
-                                     cone.E, np.zeros(cone.E.shape[0]))
     return None
 
 
@@ -357,19 +344,6 @@ def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0,
 # zero-product property on proximal graph samples
 
 
-def graph_sample(reg, x_bar, v_bar, d, t):
-    """Exact subgradient-graph point from one prox evaluation, with the
-    fixed-point residual of a second one; zero_product_check builds the
-    same points for a whole stack of directions, without the residual."""
-    x_bar = np.asarray(x_bar, dtype=float)
-    v_bar = np.asarray(v_bar, dtype=float)
-    p = x_bar + v_bar + t * np.asarray(d, dtype=float)
-    u = rz.prox(reg, 1.0, p)
-    s = p - u
-    res = float(np.linalg.norm(u - rz.prox(reg, 1.0, u + s)))
-    return GraphSample(t=t, w=(u - x_bar) / t, z=(s - v_bar) / t, residual=res)
-
-
 def _members(cone, w, slacks):
     """cone.member(w, s) for each slack s; a SubspacePlusRays reads its NNLS
     residual once for all of them."""
@@ -398,9 +372,10 @@ def zero_product_check(reg, x_bar, v_bar, n_samples=200, seed=0,
     nonexpansiveness of the prox makes <z, w> >= 0 hold up to roundoff.
     The shift ||x' - x_bar|| is reported as "center_shift".
 
-    The n_samples directions are drawn as one (n_samples, n) array, the
-    stream of n_samples single draws, and the samples, the graph_sample
-    points of those directions, come from one prox call on their stack.
+    The n_samples directions d are drawn as one (n_samples, n) array, the
+    stream of n_samples single draws, and the graph points
+    (u, p - u) with u = prox(p), p = x_bar + v_bar + t d, come from one
+    prox call on their stack.
     "min_inner" is null when there are no samples.
     """
     cone_tol = cone_tol or rz.DEFAULT_TOL

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .cones import Polyhedron
 from .linalg import Tolerances, DEFAULT_TOL, range_space
 
 
@@ -251,7 +252,8 @@ class RegularizerSpec:
         else:
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
 
-    # Cached per spec (the spec is frozen); the arrays are read-only.
+    # Cached per spec (the spec is frozen); the arrays are read-only, and the
+    # polyhedron and the faces keep the factors they have computed.
 
     @cached_property
     def A(self):
@@ -261,6 +263,19 @@ class RegularizerSpec:
     @cached_property
     def c(self):
         return _frozen(np.asarray(self.offset, dtype=float))
+
+    @cached_property
+    def polyhedron(self):
+        """{y : A y <= c}, whose projections (the polyhedral prox) reuse its
+        factors."""
+        return Polyhedron(self.A, self.c)
+
+    @cached_property
+    def _faces(self):
+        """Polyhedral conjugate faces by (multiplier bytes, tolerances), as
+        regularizers.conj_subdiff_face builds them; LinearOp keeps its
+        ranges per rank tolerance the same way."""
+        return {}
 
     @cached_property
     def group_slices(self):
@@ -424,6 +439,32 @@ def _number(value, path):
     return v
 
 
+_INTP_MAX = int(np.iinfo(np.intp).max)
+_JSON_KINDS = {type(None): "null", bool: "a boolean", str: "a string",
+               list: "an array", dict: "an object"}
+
+
+def _int(value, path):
+    """A size or dimension field as a non-negative int.
+
+    null, booleans, strings, arrays, objects, numbers with a fraction,
+    negatives and values beyond np.intp are errors.  The errors for a value
+    too large or negative do not print it, so that they read the same
+    whichever parser read the document.
+    """
+    if isinstance(value, bool) or \
+            not isinstance(value, (int, float, np.integer, np.floating)):
+        kind = _JSON_KINDS.get(type(value), type(value).__name__)
+        raise InstanceError(path, f"expected a non-negative integer, got {kind}")
+    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+        raise InstanceError(path, f"expected an integer, got {value!r}")
+    if value < 0:
+        raise InstanceError(path, "must be non-negative")
+    if value > _INTP_MAX:
+        raise InstanceError(path, f"exceeds the largest array size {_INTP_MAX}")
+    return int(value)
+
+
 def _vector(value, path):
     if not isinstance(value, list):
         raise InstanceError(path, "expected an array of numbers")
@@ -443,23 +484,23 @@ def _load_operator(doc, path):
         raise InstanceError(path, "expected an operator object")
     kind = _need(doc, "kind", path)
     if kind == "dense":
-        rows = int(_need(doc, "rows", path))
-        cols = int(_need(doc, "cols", path))
+        rows = _int(_need(doc, "rows", path), f"{path}.rows")
+        cols = _int(_need(doc, "cols", path), f"{path}.cols")
         entries = _vector(_need(doc, "entries", path), f"{path}.entries")
         if entries.size != rows * cols:
             raise InstanceError(f"{path}.entries",
                                 f"expected {rows * cols} entries, got {entries.size}")
         return LinearOp.dense(entries.reshape(rows, cols))
     if kind == "identity":
-        return LinearOp.identity(int(_need(doc, "dim", path)))
+        return LinearOp.identity(_int(_need(doc, "dim", path), f"{path}.dim"))
     if kind == "grad1d":
-        n = int(_need(doc, "n", path))
+        n = _int(_need(doc, "n", path), f"{path}.n")
         if n < 2:
             raise InstanceError(f"{path}.n", "grad1d requires n >= 2")
         return LinearOp.grad1d(n)
     if kind == "grad2d":
-        return LinearOp.grad2d(int(_need(doc, "n1", path)),
-                               int(_need(doc, "n2", path)))
+        return LinearOp.grad2d(_int(_need(doc, "n1", path), f"{path}.n1"),
+                               _int(_need(doc, "n2", path), f"{path}.n2"))
     raise InstanceError(f"{path}.kind", f"unknown operator kind {kind!r}")
 
 
@@ -468,7 +509,7 @@ def _load_regularizer(doc, path):
         raise InstanceError(path, "expected a regularizer object")
     kind = _need(doc, "kind", path)
     if kind == "group_lasso":
-        dim = int(_need(doc, "dim", path))
+        dim = _int(_need(doc, "dim", path), f"{path}.dim")
         groups = _need(doc, "groups", path)
         weight = _number(_need(doc, "weight", path), f"{path}.weight")
         try:
@@ -476,8 +517,8 @@ def _load_regularizer(doc, path):
         except ValueError as exc:
             raise InstanceError(path, str(exc)) from None
     if kind == "nuclear":
-        m = int(_need(doc, "m", path))
-        n = int(_need(doc, "n", path))
+        m = _int(_need(doc, "m", path), f"{path}.m")
+        n = _int(_need(doc, "n", path), f"{path}.n")
         weight = _number(_need(doc, "weight", path), f"{path}.weight")
         try:
             if m > n:
@@ -507,8 +548,9 @@ def _parse(text, path):
     numbers beyond the double range, a byte-order mark, UTF-16 or UTF-32, so
     those keep its values and its error messages.  orjson reads an integer
     of 2**64 or more, or below -2**63, as the nearest double, where the
-    stdlib keeps it exact; that can change only the size printed in the
-    rejection of a dimension no instance can have.
+    stdlib keeps it exact; that changes no outcome: a vector entry becomes
+    that double either way, and a size field rejects the value (see _int)
+    without printing it.
     """
     import orjson   # here, not at module level: `import calmcert` stays lean
     try:

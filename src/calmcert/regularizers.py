@@ -21,9 +21,9 @@ import numpy as np
 # scipy.optimize is imported where an LP or NNLS is solved: it is most of the
 # package's import time, and group-Lasso and nuclear solves never need it.
 
-from .linalg import (Subspace, Tolerances, DEFAULT_TOL, null_space, range_space,
-                     row_norms)
-from .cones import SubspacePlusRays, PolyhedralCone, active_rows, make_psd_embedded
+from .linalg import Subspace, Tolerances, DEFAULT_TOL, range_space, row_norms
+from .cones import (SubspacePlusRays, PolyhedralCone, Polyhedron, active_rows,
+                    make_psd_embedded)
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,8 @@ def qgc_flags(reg):
 # value, prox and group_norms take one point, or a stack of points as the
 # rows of a 2-D array, through one code path per kind.  Each row of a stack
 # gives what it gives on its own: bit for bit for group Lasso and nuclear
-# norms, and one NNLS projection per row for the polyhedral prox.
+# norms, and one projection per row onto the spec's polyhedron for the
+# polyhedral prox.
 
 
 def _mat(reg, y):
@@ -124,7 +125,7 @@ def prox(reg, t, y):
         u, s, vt = np.linalg.svd(_mat(reg, y), full_matrices=False)
         s = np.clip(s - t * reg.weight, 0.0, None)
         return ((u * s[..., None, :]) @ vt).reshape(y.shape)
-    return np.array([project_polyhedron(r, reg.A, reg.c)
+    return np.array([reg.polyhedron.project(r)
                      for r in y.reshape(-1, reg.dim)]).reshape(y.shape)
 
 
@@ -157,54 +158,12 @@ def polyhedron_is_nonempty(a, c):
     return res.status in (0, 3)     # feasible (3 = unbounded ray, still nonempty)
 
 
-def project_polyhedron(point, a, c, e=None, rhs=None, tol=1e-9, kernel=None):
-    """Projection onto {y : A y <= c, E y = rhs} by least-distance programming.
-
-    With y0 the projection of the point onto {E y = rhs} and Z an orthonormal
-    basis of Ker E (kernel, when the caller has factored it), the answer is
-    y0 + Z z for the z of least norm with -(A Z) z >= h = A y0 - c.  When
-    h < 0 that z is 0, and y0 is returned without an NNLS.  Otherwise one
-    NNLS of [-(A Z)^T; h^T] against the last unit vector solves that problem
-    (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23): its
-    residual vanishes only when the set is empty, and its positive entries
-    mark the active rows.  The answer is the point's projection onto those
-    rows at equality and {E y = rhs}.  h is relaxed by tol * ||a_i|| *
-    max(1, ||point||), the slack of the final feasibility check, so that
-    rows tight only at roundoff (a face's own support row, a cone row that
-    the equalities pin) do not make the set look empty.
-    """
-    import scipy.optimize
+def project_polyhedron(point, a, c, e=None, rhs=None, tol=1e-9):
+    """Projection onto {y : A y <= c, E y = rhs} (see cones.Polyhedron.project),
+    for a set used once."""
     point = np.asarray(point, dtype=float)
-    a = np.asarray(a, dtype=float).reshape(-1, point.size)
-    c = np.asarray(c, dtype=float)
-    e = np.zeros((0, point.size)) if e is None else np.asarray(e, dtype=float)
-    rhs = np.zeros(e.shape[0]) if rhs is None else np.asarray(rhs, dtype=float)
-    slack = (tol * max(1.0, float(np.linalg.norm(point)))
-             * np.linalg.norm(np.vstack([a, e]), axis=1))
-
-    def equality_projection(rows):
-        mm = np.vstack([a[rows], e])
-        if mm.shape[0] == 0:
-            return point.copy()
-        target = np.concatenate([c[rows], rhs])
-        return point - mm.T @ np.linalg.pinv(mm @ mm.T) @ (mm @ point - target)
-
-    y = equality_projection([])
-    h = a @ y - c - slack[:a.shape[0]]
-    if np.any(h >= 0.0):
-        if kernel is None:
-            kernel = null_space(e).basis
-        az = a @ kernel
-        unit = np.zeros(az.shape[1] + 1)
-        unit[-1] = 1.0
-        lam, res = scipy.optimize.nnls(np.vstack([-az.T, h]), unit)
-        if res <= np.finfo(float).eps:
-            raise RuntimeError("polyhedral projection failed (empty set)")
-        y = equality_projection(np.flatnonzero(lam > 0.0))
-    viol = np.concatenate([a @ y - c, np.abs(e @ y - rhs)])
-    if np.any(viol > slack):
-        raise RuntimeError("polyhedral projection failed (infeasible result)")
-    return y
+    return Polyhedron(np.asarray(a, dtype=float).reshape(-1, point.size), c,
+                      e, rhs).project(point, tol)
 
 
 def _normal_cone_fit(a, c, x, v, tol):
@@ -470,14 +429,18 @@ class NuclearFace:
 
 
 class PolyhedralFace:
-    """Exposed face argmax_{A y <= c} <y_bar, y>, as inequalities + equalities."""
+    """Exposed face argmax_{A y <= c} <y_bar, y>, as inequalities + equalities.
+
+    Built through conj_subdiff_face, which keeps one face per multiplier on
+    the spec, so its support LP is solved once.
+    """
 
     is_polyhedral = True
 
     def __init__(self, reg, y_bar, tol):
         import scipy.optimize
         self.reg = reg
-        self.y_bar = np.asarray(y_bar, dtype=float)
+        self.y_bar = np.array(y_bar, dtype=float)     # a copy: faces are shared
         self.dim = reg.dim
         self.A = reg.A
         self.c = reg.c
@@ -508,12 +471,11 @@ class PolyhedralFace:
         return True
 
     @cached_property
-    def _kernel(self):
-        return null_space(self.E).basis
+    def _set(self):
+        return Polyhedron(self.A, self.c, self.E, self.e)
 
     def project(self, x):
-        return project_polyhedron(x, self.A, self.c, self.E, self.e,
-                                  kernel=self._kernel)
+        return self._set.project(x)
 
     def tangent_at(self, x, tol=DEFAULT_TOL):
         a = self.A[active_rows(self.A, self.c, x, 10 * tol.member)]
@@ -529,12 +491,20 @@ class PolyhedralFace:
 
 
 def conj_subdiff_face(reg, y_bar, tol=DEFAULT_TOL):
-    """Exact description of dg*(y_bar) = {x : y_bar in dg(x)}."""
+    """Exact description of dg*(y_bar) = {x : y_bar in dg(x)}.
+
+    A polyhedral face is kept on the spec, keyed by the bytes of y_bar and
+    tol, so its support LP and projection factors serve every caller.
+    """
     if reg.kind == "group_lasso":
         return GroupLassoFace(reg, y_bar, tol)
     if reg.kind == "nuclear":
         return NuclearFace(reg, y_bar, tol)
-    return PolyhedralFace(reg, y_bar, tol)
+    y_bar = np.asarray(y_bar, dtype=float)
+    key = (y_bar.tobytes(), tol)
+    if key not in reg._faces:
+        reg._faces[key] = PolyhedralFace(reg, y_bar, tol)
+    return reg._faces[key]
 
 
 def member_tangent(face, x_bar, tol=DEFAULT_TOL):

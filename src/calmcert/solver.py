@@ -115,8 +115,7 @@ def _gap_proxy(reg, kx, y):
     if reg.kind == "polyhedral_indicator":
         # g* is the support function; evaluate it at y via the face LP value
         try:
-            face = rz.PolyhedralFace(reg, y, rz.DEFAULT_TOL)
-            gstar = face.support
+            gstar = rz.conj_subdiff_face(reg, y, rz.DEFAULT_TOL).support
         except ValueError:
             return np.inf
         return abs(gstar - float(np.dot(y, kx)))

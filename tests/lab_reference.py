@@ -4,13 +4,38 @@ verbatim as the reference for the stacked one in calmcert.empirics.
 kernel_formula_check, _quotients and zero_product_check are the versions
 that scored each candidate direction, and built each graph sample, with
 its own regularizer call (and spent a second prox per sample on the
-graph_sample residual the check never reads).
+graph_sample residual the check never reads).  graph_sample, which only
+this reference and the tests call, lives here too.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from calmcert import regularizers as rz
-from calmcert.empirics import _cone_project, _strict_value_fn, graph_sample
+from calmcert.empirics import _cone_project, _strict_value_fn
+
+
+@dataclass
+class GraphSample:
+    """A point ((x + t w), (v + t z)) on the subgradient graph."""
+
+    t: float
+    w: np.ndarray
+    z: np.ndarray
+    residual: float
+
+
+def graph_sample(reg, x_bar, v_bar, d, t):
+    """Exact subgradient-graph point from one prox evaluation, with the
+    fixed-point residual of a second one."""
+    x_bar = np.asarray(x_bar, dtype=float)
+    v_bar = np.asarray(v_bar, dtype=float)
+    p = x_bar + v_bar + t * np.asarray(d, dtype=float)
+    u = rz.prox(reg, 1.0, p)
+    s = p - u
+    res = float(np.linalg.norm(u - rz.prox(reg, 1.0, u + s)))
+    return GraphSample(t=t, w=(u - x_bar) / t, z=(s - v_bar) / t, residual=res)
 
 
 def _quotients(fn, x_bar, v_bar, w, t_grid, perturb, refine_above, projector):

@@ -73,6 +73,61 @@ def test_error_exit_code_and_message(tmp_path, capsys):
     assert run(["certify", str(tmp_path / "missing.json")]) == 1
 
 
+def _one_by_one(**fields):
+    """A 1 x 1 Lasso document with the given fields replaced, each given as
+    a dotted path (phi.rows) mapped to its new value."""
+    doc = {"phi": {"kind": "dense", "rows": 1, "cols": 1, "entries": [1.0]},
+           "b": [1.0], "mu": 1.0, "k": {"kind": "identity", "dim": 1},
+           "reg": {"kind": "group_lasso", "dim": 1, "groups": [[0]],
+                   "weight": 1.0}}
+    for path, value in fields.items():
+        head, key = path.split(".")
+        doc[head][key] = value
+    return doc
+
+
+NUCLEAR = {"kind": "nuclear", "m": 1, "n": 1, "weight": 1.0}
+
+
+@pytest.mark.parametrize("field, value, doc, message", [
+    ("phi.rows", None, {}, "expected a non-negative integer, got null"),
+    ("phi.rows", True, {}, "expected a non-negative integer, got a boolean"),
+    ("phi.cols", "1", {}, "expected a non-negative integer, got a string"),
+    ("k.dim", [2], {}, "expected a non-negative integer, got an array"),
+    ("k.dim", {"n": 1}, {}, "expected a non-negative integer, got an object"),
+    ("phi.rows", 1.5, {}, "expected an integer, got 1.5"),
+    ("phi.cols", -1, {}, "must be non-negative"),
+    ("reg.dim", 2 ** 64, {}, "exceeds the largest array size"),
+    ("reg.dim", 2 ** 63, {}, "exceeds the largest array size"),
+    ("reg.dim", 1e300, {}, "exceeds the largest array size"),
+    ("k.n", 2.5, {"k": {"kind": "grad1d", "n": 2}}, "expected an integer"),
+    ("k.n1", None, {"k": {"kind": "grad2d", "n1": 1, "n2": 1}}, "got null"),
+    ("k.n2", -3, {"k": {"kind": "grad2d", "n1": 1, "n2": 1}}, "non-negative"),
+    ("reg.m", [1], {"reg": dict(NUCLEAR)}, "got an array"),
+    ("reg.n", 0.5, {"reg": dict(NUCLEAR)}, "expected an integer, got 0.5"),
+])
+def test_size_fields_are_checked_integers(tmp_path, capsys, field, value, doc,
+                                          message):
+    # each of these used to escape as TypeError or OverflowError, or (1.5)
+    # to be truncated and accepted
+    base = _one_by_one()
+    base.update(doc)
+    head, key = field.split(".")
+    base[head][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(base))
+    assert run(["certify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and message in err
+
+
+def test_integral_size_fields_load(tmp_path):
+    # a size written as 1.0 is the integer 1
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(_one_by_one(**{"phi.rows": 1.0, "k.dim": 1.0})))
+    assert run(["solve", str(path), "--out", str(tmp_path / "s.json")]) == 0
+
+
 def test_sweep_writes_json_and_csv(instances, tmp_path):
     out = tmp_path / "sweep.json"
     code = run(["sweep", str(instances["lasso_scalar"]), "--out", str(out),

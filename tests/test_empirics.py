@@ -5,10 +5,11 @@ import pytest
 
 import lab_reference
 from box_instances import box_document
+from lab_reference import graph_sample
 from calmcert import empirics
 from calmcert import regularizers as rz
-from calmcert.empirics import (graph_sample, instability_probe,
-                               kernel_formula_check, perturbation_sweep,
+from calmcert.empirics import (instability_probe, kernel_formula_check,
+                               perturbation_sweep,
                                second_subderivative_estimate,
                                zero_product_check)
 from calmcert.gallery import instance_for

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from calmcert import cones
 from calmcert import regularizers as rz
 from calmcert.cli import run
 from calmcert.linalg import Tolerances
@@ -54,13 +55,13 @@ def test_projection_keeps_faces_tight_at_roundoff(monkeypatch):
     # factors Ker E once for its three projections, and the cone needs no
     # Ker E, because its point projects onto {E y = 0} inside the cone
     calls = []
-    null_space = rz.null_space
+    null_space = cones.null_space
 
     def counted(*args, **kwargs):
         calls.append(1)
         return null_space(*args, **kwargs)
 
-    monkeypatch.setattr(rz, "null_space", counted)
+    monkeypatch.setattr(cones, "null_space", counted)
     a, e = np.array([[1.0, 0.0]]), np.array([[3.0, 0.0]])
     p = np.array([2.0, 1.0])
     assert np.allclose(rz.project_polyhedron(p, a, [0.0], e, [0.0]), [0.0, 1.0])
