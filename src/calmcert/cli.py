@@ -6,7 +6,6 @@ Exit codes: 0 decisive, 2 completed with Unknown verdicts, 1 error.
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -16,7 +15,8 @@ from . import certificates as ct
 from . import empirics as em
 from .gallery import curated_cases
 from .model import InstanceError, load_instance, load_vector
-from .reporting import report_document, save_report, tolerances_from_overrides
+from .reporting import (dumps, report_document, save_report,
+                        tolerances_from_overrides)
 from .solver import SolverConfig, SolverError, kkt_residual, kkt_within, solve
 
 
@@ -88,11 +88,12 @@ def _solve_pair(instance, args):
     return pair
 
 
-def _emit(text, out):
+def _emit(data, out):
+    """Write a report, JSON bytes or CSV text, to out or to stdout."""
     if out is not None:
-        Path(out).write_text(text)
+        Path(out).write_bytes(data if isinstance(data, bytes) else data.encode())
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(data if isinstance(data, str) else data.decode())
 
 
 def _floats(spec_text):
@@ -149,7 +150,7 @@ def _run_demo(args):
         doc = {"kind": "demo",
                "cases": [{"name": n, "expected": e, "obtained": g, "pass": ok}
                          for n, e, g, ok in rows]}
-        Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _emit(dumps(doc), args.out)
     return 0 if all_pass else 1
 
 
@@ -163,7 +164,7 @@ def run(argv):
         if args.verb == "solve":
             doc = report_document("solution", pair.to_json_dict(),
                                   instance, args.seed)
-            _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+            _emit(dumps(doc), args.out)
             return 0
         if args.verb in ("certify", "certify-pd"):
             report = (ct.certify_solution_map(instance, pair, seed=args.seed)
@@ -202,7 +203,7 @@ def run(argv):
                 payload["certificate"] = conc.to_json_dict()
                 code = 0
             doc = report_document("instability_probe", payload, instance, args.seed)
-            _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+            _emit(dumps(doc), args.out)
             return code
         if args.verb == "lab":
             kx = instance.k.apply(pair.x_bar)
@@ -215,7 +216,7 @@ def run(argv):
                                          cone_tol=instance.tol)
             payload = {"kernel_formula": kernel, "zero_product": zero}
             doc = report_document("lab", payload, instance, args.seed)
-            _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+            _emit(dumps(doc), args.out)
             return 0 if zero.get("available", False) else 2
         raise ValueError(f"unknown verb {args.verb!r}")
     except (InstanceError, FileNotFoundError) as exc:

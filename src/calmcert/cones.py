@@ -40,7 +40,8 @@ import numpy as np
 # scipy.optimize is imported where an LP or NNLS is solved: it is most of the
 # package's import time, and group-Lasso and nuclear solves never need it.
 
-from .linalg import Subspace, DEFAULT_TOL, null_space, range_space, row_norms
+from .linalg import (Subspace, DEFAULT_TOL, null_space, range_space, row_norms,
+                     spectral_norm)
 
 
 @dataclass
@@ -177,13 +178,14 @@ class PolyhedralCone:
 
     def member(self, w, tol):
         """A w <= 0 and E w = 0, each row i at slack tol ||row_i|| max(1, ||w||),
-        so that rescaling a row does not change the test."""
+        so that rescaling a row does not change the test; an array of slacks
+        gives one answer per slack from one product per block."""
         w = np.asarray(w, dtype=float)
-        scale = tol * max(1.0, float(np.linalg.norm(w)))
+        scale = np.multiply(tol, max(1.0, float(np.linalg.norm(w))))
         a_norms, e_norms = self._row_norms
-        if np.any(self.A @ w > scale * a_norms):
-            return False
-        return not np.any(np.abs(self.E @ w) > scale * e_norms)
+        return ~np.any(self.A @ w > np.multiply.outer(scale, a_norms), axis=-1) \
+            & ~np.any(np.abs(self.E @ w) > np.multiply.outer(scale, e_norms),
+                      axis=-1)
 
     @cached_property
     def _set(self):
@@ -339,20 +341,21 @@ class PsdCone:
         return out.reshape(out.shape[:-2] + (self.ambient,))
 
     def member(self, w, tol):
-        slack = tol * max(1.0, float(np.linalg.norm(w)))
+        """The compression of w vanishes off the p x p block, the block is
+        symmetric and its kernel compression is PSD, each at slack
+        tol max(1, ||w||); an array of slacks gives one answer per slack from
+        one compression."""
+        slack = np.multiply(tol, max(1.0, float(np.linalg.norm(w))))
         c = self._compress(w)
         off = c.copy()
         off[:self.p, :self.p] = 0.0
-        if c.size and float(np.abs(off).max(initial=0.0)) > slack:
-            return False
         h = c[:self.p, :self.p]
-        if float(np.abs(h - h.T).max(initial=0.0)) > slack:
-            return False
+        low = 0.0
         if self.P.shape[1]:
             g = self.P.T @ (0.5 * (h + h.T)) @ self.P
-            if float(np.linalg.eigvalsh(0.5 * (g + g.T)).min()) < -slack:
-                return False
-        return True
+            low = float(np.linalg.eigvalsh(0.5 * (g + g.T)).min())
+        return (float(np.abs(off).max(initial=0.0)) <= slack) \
+            & (float(np.abs(h - h.T).max(initial=0.0)) <= slack) & (low >= -slack)
 
     def project(self, w):
         """Exact projection: symmetrize the block, clip the kernel compression.
@@ -611,8 +614,7 @@ def trivial_intersection(m, cone, tol=DEFAULT_TOL, seed=0):
         raise ValueError("operator columns and cone ambient dimension differ")
     if getattr(m, "is_identity", False):          # Ker I = {0}
         return TrivialityVerdict.trivial()
-    norm = m.op_norm() if mat is not m else \
-        float(np.linalg.norm(mat, 2)) if mat.size else 0.0
+    norm = m.op_norm() if mat is not m else spectral_norm(mat)
     scale = norm or 1.0                           # M = 0 leaves zero rows
 
     if isinstance(cone, SubspacePlusRays):        # F = [B R]

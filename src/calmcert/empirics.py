@@ -16,7 +16,7 @@ import numpy as np
 
 from . import regularizers as rz
 from .cones import PolyhedralCone, PsdCone, SubspacePlusRays
-from .linalg import row_dots, row_norms
+from .linalg import row_dots, row_norms, spectral_norm
 from .solver import (SolverConfig, SolverError, kkt_residual, kkt_within,
                      solve_perturbed)
 
@@ -254,41 +254,44 @@ def second_subderivative_estimate(reg, x_bar, v_bar, w, t_grid, perturb=1e-3,
 def _quotients(fn, x_bar, v_bar, w, t_grid, perturb, refine_above, projector):
     """second_subderivative_estimate for the value function fn (one point or
     a stack of rows), refining with projector (onto the conjugate face of
-    v_bar, or None).
-
-    A refined quotient is the least of the raw one and those of its
-    candidates: the 2n directions w +- perturb e_i, and the face-projected
-    secant when it lies within perturb of w.  One fn call scores all the
-    candidates of a step t.
-    """
+    v_bar, or None)."""
     x_bar = np.asarray(x_bar, dtype=float)
     v_bar = np.asarray(v_bar, dtype=float)
     w = np.asarray(w, dtype=float)
     base = fn(x_bar)
-
-    def quotient(t, directions):
-        val = fn(x_bar + t * directions)
-        with np.errstate(invalid="ignore"):
-            q = (val - base - t * row_dots(directions, v_bar)) / (0.5 * t * t)
-        return np.where(np.isfinite(val), q, np.inf)
-
     cutoff = np.inf if refine_above is None else float(refine_above)
     out = []
     for t in t_grid:
         t = float(t)
-        q = float(quotient(t, w))
+        q = float(_quotient(fn, base, x_bar, v_bar, t, w)[0])
         if q > cutoff or not np.isfinite(q):
-            coord = np.arange(w.size)
-            candidates = np.repeat(w[None, :], 2 * w.size, axis=0)
-            candidates[2 * coord, coord] += perturb
-            candidates[2 * coord + 1, coord] -= perturb
-            if projector is not None:
-                secant = (projector(x_bar + t * w) - x_bar) / t
-                if float(np.linalg.norm(secant - w)) <= perturb:
-                    candidates = np.vstack([candidates, secant])
-            q = min(q, float(quotient(t, candidates).min()))
+            q = _refined(fn, base, x_bar, v_bar, w, t, q, perturb, projector)
         out.append(q)
     return out
+
+
+def _quotient(fn, base, x_bar, v_bar, t, directions):
+    """(quotients, values g(x_bar + t d)) for one direction or a stack; a
+    step off the domain of g has quotient +inf."""
+    val = fn(x_bar + t * directions)
+    with np.errstate(invalid="ignore"):
+        q = (val - base - t * row_dots(directions, v_bar)) / (0.5 * t * t)
+    return np.where(np.isfinite(val), q, np.inf), val
+
+
+def _refined(fn, base, x_bar, v_bar, w, t, q, perturb, projector):
+    """The least of w's quotient q and those of its candidates: the 2n
+    directions w +- perturb e_i, and the face-projected secant when it lies
+    within perturb of w.  One fn call scores all the candidates."""
+    coord = np.arange(w.size)
+    candidates = np.repeat(w[None, :], 2 * w.size, axis=0)
+    candidates[2 * coord, coord] += perturb
+    candidates[2 * coord + 1, coord] -= perturb
+    if projector is not None:
+        secant = (projector(x_bar + t * w) - x_bar) / t
+        if float(np.linalg.norm(secant - w)) <= perturb:
+            candidates = np.vstack([candidates, secant])
+    return min(q, float(_quotient(fn, base, x_bar, v_bar, t, candidates)[0].min()))
 
 
 def _cone_project(cone, w):
@@ -297,14 +300,61 @@ def _cone_project(cone, w):
     return None
 
 
-def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0,
-                         t=1e-5, threshold=1e-4, tol=None):
+def _reach(reg, x_bar):
+    """1 / (least curvature of g at x_bar over the directions where its
+    second subderivative grows quadratically): ||x_J|| / w over the groups
+    of two or more indices, sigma_max(X) / w for the nuclear norm, 0 for
+    the polyhedral indicator (and for l1), which has no curved piece."""
+    if reg.kind == "group_lasso":
+        big = np.diff(np.append(reg.segments.starts, reg.dim)) > 1
+        norms = rz.group_norms(reg, x_bar)[big]
+        return float(norms.max(initial=0.0)) / reg.weight
+    if reg.kind == "nuclear":
+        return spectral_norm(x_bar.reshape(reg.m, reg.n)) / reg.weight
+    return 0.0
+
+
+def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0, t=1e-5,
+                         tol=None):
     """Classify directions by the quotient estimator vs cone membership.
 
     Directions are half uniform on the sphere, half projected onto the
-    computed tangent cone so both classes are exercised; the acceptance
+    computed tangent cone T so both classes are exercised; the acceptance
     standard is zero disagreements.  One conjugate face gives both the
     tangent cone and the secant projector of the quotient refinement.
+
+    The estimator reads d as a member when its quotient
+    q = [g(x+td) - g(x) - t<v,d>] / (t^2/2) is at most the error floor
+
+        nu = 8 eps (|g(x)| + |g(x+td)| + t sum_i |v_i d_i|) / (t^2/2) + 2 rho / t,
+
+    and refines q (see second_subderivative_estimate) only above it.  A
+    member's exact second subderivative is 0, so nu bounds what is left:
+    * Roundoff.  Each term of the numerator carries an error of a few ulps
+      of its size (sum_i |v_i d_i| bounds that of the inner product), and
+      the division by t^2/2 magnifies it.
+    * The pair's backward error.  (x, v) lies at distance rho from the graph
+      point (x', v') = (prox_g(x + v), x + v - x') of dg: ||x - x'|| =
+      ||v - v'|| = rho.  The quotient's limit belongs to that point.  Using
+      v for v' shifts t<v,d> by up to t rho, which is 2 rho / t in q.
+      Moving the base point from x' to x changes the increment of g along
+      td only through the change of g's slope over distance rho, nothing on
+      the linear pieces of g (l1, the polyhedral indicator).
+    A step off the domain of g adds nothing to the roundoff term.
+
+    A non-member d at distance delta = ||d - P_T d|| from T has a positive
+    second subderivative.  Off the critical cone it grows at first order,
+    q ~ delta / t; on it, through a curved piece of g, only quadratically,
+    q >= delta^2 / reach, where reach = 1 / (least curvature of g at x):
+    ||x_J|| / w for a group of two or more indices, sigma_max(X) / w for the
+    nuclear norm, 0 where g has no curved piece (_reach).  The refinement
+    moves d by up to perturb = 1e-3, which can reach T.  So the estimator
+    separates d from T only when (delta - perturb)^2 / reach > nu: its
+    resolution is perturb + sqrt(nu * reach).  A non-member within it is
+    listed in "near_boundary" (indices into "details") and counted neither
+    as an agreement nor as a disagreement.  Each detail row carries its
+    floor nu, its distance delta (null when the cone has no projection)
+    and its resolution.
     """
     tol = tol or rz.DEFAULT_TOL
     rng = np.random.default_rng(seed)
@@ -323,33 +373,45 @@ def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0,
             if p is not None and np.linalg.norm(p) > 1e-9:
                 d = p / np.linalg.norm(p)
         dirs.append(d)
-    agreements, disagreements, details = 0, 0, []
-    for d in dirs:
+    dirs = np.reshape(dirs, (n_dirs, n))
+    perturb = 1e-3
+    base = fn(x_bar)
+    raw, values = _quotient(fn, base, x_bar, v_bar, t, dirs)
+    # a step off the domain of g adds no roundoff: its value is not summed
+    sizes = abs(float(base)) + np.where(np.isfinite(values), np.abs(values), 0.0) \
+        + t * (np.abs(dirs) @ np.abs(v_bar))
+    rho = float(np.linalg.norm(x_bar - rz.prox(reg, 1.0, x_bar + v_bar)))
+    floors = 8.0 * np.finfo(float).eps * sizes / (0.5 * t * t) + 2.0 * rho / t
+    reach = _reach(reg, x_bar)
+    agreements, disagreements, near, details = 0, 0, [], []
+    for i, d in enumerate(dirs):
         member = cone.member(d, tol.member)
-        q = _quotients(fn, x_bar, v_bar, d, [t], 1e-3, threshold,
-                       face.project)[0]
-        est_member = q <= threshold
-        ok = member == est_member
-        agreements += ok
-        disagreements += not ok
+        floor = float(floors[i])
+        q = float(raw[i])
+        if q > floor or not np.isfinite(q):
+            q = _refined(fn, base, x_bar, v_bar, d, t, q, perturb, face.project)
+        est_member = q <= floor
+        proj = _cone_project(cone, d)
+        distance = None if proj is None else float(np.linalg.norm(d - proj))
+        resolution = perturb + float(np.sqrt(floor * reach))
+        if not member and distance is not None and distance <= resolution:
+            near.append(i)
+        elif member == est_member:
+            agreements += 1
+        else:
+            disagreements += 1
         # an infinite quotient (a step off the domain of g) is written null
         details.append({"member": bool(member),
                         "quotient": q if np.isfinite(q) else None,
-                        "estimator_member": bool(est_member)})
+                        "estimator_member": bool(est_member), "floor": floor,
+                        "distance": distance, "resolution": resolution})
     return {"n": len(dirs), "agreements": agreements,
-            "disagreements": disagreements, "details": details}
+            "disagreements": disagreements, "near_boundary": near,
+            "details": details}
 
 
 # ---------------------------------------------------------------------------
 # zero-product property on proximal graph samples
-
-
-def _members(cone, w, slacks):
-    """cone.member(w, s) for each slack s; a SubspacePlusRays reads its NNLS
-    residual once for all of them."""
-    if isinstance(cone, SubspacePlusRays):
-        return cone.member(w, np.asarray(slacks))
-    return [cone.member(w, s) for s in slacks]
 
 
 def zero_product_check(reg, x_bar, v_bar, n_samples=200, seed=0,
@@ -409,9 +471,9 @@ def zero_product_check(reg, x_bar, v_bar, n_samples=200, seed=0,
     strict = 10 * tol
     for i in range(n_samples):
         # a w is tested only when z passes a slack, as loose >= strict
-        slacks = (strict, loose[i]) if near_zero[i] else (strict,)
-        z_in = _members(t_primal, z[i], slacks)
-        w_in = _members(t_dual, w[i], slacks) if any(z_in) else z_in
+        slacks = np.array((strict, loose[i]) if near_zero[i] else (strict,))
+        z_in = t_primal.member(z[i], slacks)
+        w_in = t_dual.member(w[i], slacks) if z_in.any() else z_in
         if near_zero[i] and not (z_in[1] and w_in[1]):
             counts["forward_violations"] += 1
         if z_in[0] and w_in[0]:

@@ -141,6 +141,20 @@ def row_norms(a):
     return np.sqrt(row_dots(a, a))
 
 
+def spectral_norm(a, gram=None):
+    """||A||_2 from the smaller Gram matrix: sqrt of the largest eigenvalue of
+    A A^T when A has no more rows than columns, else of A^T A (pass `gram`
+    when it is already at hand).  An empty matrix has norm 0."""
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return 0.0
+    if a.shape[0] <= a.shape[1]:
+        gram = a @ a.T
+    elif gram is None:
+        gram = a.T @ a
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+
+
 def null_space(a, tol=DEFAULT_TOL):
     """Orthonormal basis of {w : ||A w|| <= rank_tol * sigma_max * ||w||}.
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import Polyhedron
-from .linalg import Tolerances, DEFAULT_TOL, range_space
+from .linalg import Tolerances, DEFAULT_TOL, range_space, spectral_norm
 
 
 def _frozen(array):
@@ -160,11 +160,12 @@ class LinearOp:
 
     @cached_property
     def _op_norm(self):
-        if self._dense.size == 0:
+        m = self._dense
+        if m.size == 0:
             return 0.0
         if self.is_identity:
             return 1.0
-        return float(np.linalg.norm(self._dense, 2))
+        return spectral_norm(m, self.gram() if m.shape[0] > m.shape[1] else None)
 
     def to_json_dict(self):
         if self.kind == "dense":
@@ -441,7 +442,13 @@ def _number(value, path):
 
 _INTP_MAX = int(np.iinfo(np.intp).max)
 _JSON_KINDS = {type(None): "null", bool: "a boolean", str: "a string",
-               list: "an array", dict: "an object"}
+               list: "an array", dict: "an object", int: "a number",
+               float: "a number"}
+
+
+def _json_kind(value):
+    """The JSON kind of a parsed value, for error messages."""
+    return _JSON_KINDS.get(type(value), type(value).__name__)
 
 
 def _int(value, path):
@@ -454,8 +461,8 @@ def _int(value, path):
     """
     if isinstance(value, bool) or \
             not isinstance(value, (int, float, np.integer, np.floating)):
-        kind = _JSON_KINDS.get(type(value), type(value).__name__)
-        raise InstanceError(path, f"expected a non-negative integer, got {kind}")
+        raise InstanceError(path, "expected a non-negative integer, got "
+                                  f"{_json_kind(value)}")
     if isinstance(value, (float, np.floating)) and not float(value).is_integer():
         raise InstanceError(path, f"expected an integer, got {value!r}")
     if value < 0:
@@ -463,6 +470,30 @@ def _int(value, path):
     if value > _INTP_MAX:
         raise InstanceError(path, f"exceeds the largest array size {_INTP_MAX}")
     return int(value)
+
+
+def _check_groups(value, path, dim):
+    """reg.groups must be an array of arrays of indices in 0..dim-1, each
+    an integer as _int reads it.
+
+    A value that is not an array of arrays, and an index that is null, a
+    boolean, not integral or out of range, is an error that names it
+    (`path[i]`, `path[i][j]`).  An index that is a plain int in range passes
+    without building its path.
+    """
+    if not isinstance(value, list):
+        raise InstanceError(path, "expected an array of index arrays, got "
+                                  f"{_json_kind(value)}")
+    for i, group in enumerate(value):
+        if not isinstance(group, list):
+            raise InstanceError(f"{path}[{i}]", "expected an array of indices, "
+                                                f"got {_json_kind(group)}")
+        for j, index in enumerate(group):
+            if type(index) is not int or not 0 <= index < dim:
+                where = f"{path}[{i}][{j}]"
+                if _int(index, where) >= dim:
+                    raise InstanceError(where, f"index {index} is out of range "
+                                               f"for dim {dim}")
 
 
 def _vector(value, path):
@@ -511,6 +542,7 @@ def _load_regularizer(doc, path):
     if kind == "group_lasso":
         dim = _int(_need(doc, "dim", path), f"{path}.dim")
         groups = _need(doc, "groups", path)
+        _check_groups(groups, f"{path}.groups", dim)
         weight = _number(_need(doc, "weight", path), f"{path}.weight")
         try:
             return group_lasso(groups, dim, weight)

@@ -158,14 +158,6 @@ def polyhedron_is_nonempty(a, c):
     return res.status in (0, 3)     # feasible (3 = unbounded ray, still nonempty)
 
 
-def project_polyhedron(point, a, c, e=None, rhs=None, tol=1e-9):
-    """Projection onto {y : A y <= c, E y = rhs} (see cones.Polyhedron.project),
-    for a set used once."""
-    point = np.asarray(point, dtype=float)
-    return Polyhedron(np.asarray(a, dtype=float).reshape(-1, point.size), c,
-                      e, rhs).project(point, tol)
-
-
 def _normal_cone_fit(a, c, x, v, tol):
     """NNLS fit of v by the rows of {A y <= c} active at x: (fit, residual)."""
     import scipy.optimize

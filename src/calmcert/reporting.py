@@ -45,8 +45,23 @@ def _csv_text(rows):
     return buf.getvalue()
 
 
+def dumps(doc):
+    """The report text of a JSON document, as UTF-8 bytes.
+
+    orjson writes it: keys sorted, two-space indent, a trailing newline.
+    Floats are written in their shortest round-trip form (1e-05 reads
+    0.00001, 2e-09 reads 2e-9), so each parses back to the same double; a
+    float that is not finite is written null.  numpy scalars and int keys
+    are written as the stdlib writes them, numpy arrays as lists.
+    """
+    import orjson   # here, not at module level: `import calmcert` stays lean
+    return orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
+                        | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
+                        | orjson.OPT_NON_STR_KEYS)
+
+
 def save_report(report, fmt="json", instance=None, seed=0):
-    """Serialize a report object to text.
+    """Serialize a report object: JSON as bytes (see dumps), CSV as text.
 
     JSON round-trips losslessly; CSV flattens sweep samples one row per
     perturbation (other reports flatten to key/value rows).
@@ -54,15 +69,13 @@ def save_report(report, fmt="json", instance=None, seed=0):
     if isinstance(report, KappaEstimate):
         if fmt == "csv":
             return _csv_text(report.csv_rows())
-        doc = report_document("kappa_estimate", report.to_json_dict(),
-                              instance, seed)
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return dumps(report_document("kappa_estimate", report.to_json_dict(),
+                                     instance, seed))
     payload = report.to_json_dict() if hasattr(report, "to_json_dict") else report
     if fmt == "csv":
         return _csv_text(_flatten("", payload, []))
     kind = type(report).__name__.lower() if hasattr(report, "to_json_dict") else "report"
-    doc = report_document(kind, payload, instance, seed)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return dumps(report_document(kind, payload, instance, seed))
 
 
 def tolerances_from_overrides(base, rank=None, member=None, kkt=None):

@@ -71,14 +71,16 @@ def _quotients(fn, x_bar, v_bar, w, t_grid, perturb, refine_above, projector):
     return out
 
 
-def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0,
-                         t=1e-5, threshold=1e-4, tol=None):
+def kernel_formula_check(reg, x_bar, v_bar, floors, n_dirs=50, seed=0,
+                         t=1e-5, tol=None):
     """Classify directions by the quotient estimator vs cone membership.
 
     Directions are half uniform on the sphere, half projected onto the
     computed tangent cone so both classes are exercised; the acceptance
     standard is zero disagreements.  One conjugate face gives both the
     tangent cone and the secant projector of the quotient refinement.
+    Direction i is refined and classified at floors[i], where this code
+    had one fixed threshold; the lab derives the floors.
     """
     tol = tol or rz.DEFAULT_TOL
     rng = np.random.default_rng(seed)
@@ -98,11 +100,11 @@ def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0,
                 d = p / np.linalg.norm(p)
         dirs.append(d)
     agreements, disagreements, details = 0, 0, []
-    for d in dirs:
+    for d, floor in zip(dirs, floors):
         member = cone.member(d, tol.member)
-        q = _quotients(fn, x_bar, v_bar, d, [t], 1e-3, threshold,
+        q = _quotients(fn, x_bar, v_bar, d, [t], 1e-3, floor,
                        face.project)[0]
-        est_member = q <= threshold
+        est_member = q <= floor
         ok = member == est_member
         agreements += ok
         disagreements += not ok

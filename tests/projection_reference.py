@@ -1,5 +1,5 @@
 """The active-set enumeration of the polyhedral projection, kept verbatim as
-the test reference for `calmcert.regularizers.project_polyhedron`.
+the test reference for `calmcert.cones.Polyhedron.project`.
 
 It tries every subset of inequality rows by increasing size, so it is exact
 but exponential in the number of rows and refuses more than 16 of them.

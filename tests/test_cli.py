@@ -121,6 +121,35 @@ def test_size_fields_are_checked_integers(tmp_path, capsys, field, value, doc,
     assert err.startswith(f"error: {field}: ") and message in err
 
 
+@pytest.mark.parametrize("groups, field, message", [
+    (None, "reg.groups", "expected an array of index arrays, got null"),
+    ({"0": [0]}, "reg.groups", "got an object"),
+    ([5], "reg.groups[0]", "expected an array of indices, got a number"),
+    ([None], "reg.groups[0]", "got null"),
+    ([[None]], "reg.groups[0][0]", "expected a non-negative integer, got null"),
+    ([[True]], "reg.groups[0][0]", "got a boolean"),
+    ([["0"]], "reg.groups[0][0]", "got a string"),
+    ([[0.7]], "reg.groups[0][0]", "expected an integer, got 0.7"),
+    ([[-1]], "reg.groups[0][0]", "must be non-negative"),
+    ([[0, 1]], "reg.groups[0][1]", "index 1 is out of range for dim 1"),
+    ([[0], [2 ** 64]], "reg.groups[1][0]", "exceeds the largest array size"),
+])
+def test_group_indices_are_checked(tmp_path, capsys, groups, field, message):
+    # null, [[null]] and [5] used to escape as TypeError, and [[0.7]] to be
+    # truncated to [[0]] and accepted
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_one_by_one(**{"reg.groups": groups})))
+    assert run(["certify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and message in err
+
+
+def test_integral_group_indices_load(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(_one_by_one(**{"reg.groups": [[0.0]]})))
+    assert run(["solve", str(path), "--out", str(tmp_path / "s.json")]) == 0
+
+
 def test_integral_size_fields_load(tmp_path):
     # a size written as 1.0 is the integer 1
     path = tmp_path / "ok.json"
@@ -212,16 +241,21 @@ def test_non_finite_y_override_is_an_error(instances, tmp_path, capsys, override
 
 
 def test_byte_identical_reports(instances, tmp_path):
+    # every verb, with the sweep's CSV side file and a CSV report
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    argv = ["certify", str(instances["lasso_segment"]), "--seed", "7"]
-    assert run(argv + ["--out", str(a)]) == 0
-    assert run(argv + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-    argv = ["sweep", str(instances["lasso_scalar"]), "--seed", "3",
-            "--radii", "1e-2", "--samples", "5"]
-    assert run(argv + ["--out", str(a)]) == 0
-    assert run(argv + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    segment, scalar = str(instances["lasso_segment"]), str(instances["lasso_scalar"])
+    for argv in (["solve", segment], ["certify", segment],
+                 ["certify-pd", str(instances["nuclear_degenerate"])],
+                 ["probe", segment], ["lab", str(instances["nuclear_degenerate"])],
+                 ["sweep", scalar, "--radii", "1e-2", "--samples", "5"],
+                 ["certify", segment, "--format", "csv"], ["demo"]):
+        codes = [run(argv + ["--seed", "7", "--out", str(path)])
+                 for path in (a, b)]
+        assert codes[0] == codes[1] and codes[0] in (0, 2), argv
+        assert a.read_bytes() == b.read_bytes(), argv
+        if argv[0] == "sweep":
+            assert a.with_suffix(".csv").read_bytes() == \
+                b.with_suffix(".csv").read_bytes()
 
 
 def test_tolerance_overrides_recorded(instances, tmp_path):

@@ -55,6 +55,35 @@ def test_polyhedral_membership():
     assert not cone.member(np.array([-1.0, 0.5]), 1e-7)
 
 
+def _slack_cones(rng):
+    """A polyhedral cone with both blocks, one without equalities, and PSD
+    cones with a full and an empty kernel basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    r, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    return [PolyhedralCone(rng.standard_normal((4, 5)), rng.standard_normal((1, 5))),
+            PolyhedralCone(rng.standard_normal((6, 5)), None),
+            PsdCone(q, r, 2, rng.standard_normal((2, 1)), 3, 4),
+            PsdCone(q, r, 2, np.zeros((2, 0)), 3, 4)]
+
+
+def test_membership_for_an_array_of_slacks_matches_each_slack():
+    # the answer flips inside the slack range for many of the points: a
+    # point near the cone is the cone's projection plus a small offset
+    rng = np.random.default_rng(12)
+    slacks = np.geomspace(1e-12, 1.0, 25)
+    flips = 0
+    for cone in _slack_cones(rng):
+        for scale in (0.0, 1e-6, 1e-3, 1.0):
+            w = rng.standard_normal(cone.ambient)
+            w = cone.project(w) + scale * rng.standard_normal(cone.ambient)
+            got = cone.member(w, slacks)
+            want = [cone.member(w, s) for s in slacks]
+            assert got.shape == slacks.shape
+            assert list(got) == want
+            flips += len(set(want)) == 2
+    assert flips >= 4
+
+
 # ---------------------------------------------------------------------------
 # trivial_intersection examples
 

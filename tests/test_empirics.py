@@ -13,7 +13,8 @@ from calmcert.empirics import (instability_probe, kernel_formula_check,
                                second_subderivative_estimate,
                                zero_product_check)
 from calmcert.gallery import instance_for
-from calmcert.linalg import Tolerances
+from calmcert.cones import PsdCone, SubspacePlusRays
+from calmcert.linalg import Subspace, Tolerances
 from calmcert.model import group_lasso, l1, load_instance, nuclear
 from calmcert.solver import solve
 
@@ -443,9 +444,10 @@ def test_stacked_lab_matches_the_reference(kind):
     reg, kx, y = _lab_point(_lab_instance(kind, 2))
     for seed in (0, 1):
         got = kernel_formula_check(reg, kx, y, seed=seed)
-        want = lab_reference.kernel_formula_check(reg, kx, y, seed=seed)
-        for key in ("n", "agreements", "disagreements"):
-            assert got[key] == want[key]
+        floors = [row["floor"] for row in got["details"]]
+        want = lab_reference.kernel_formula_check(reg, kx, y, floors, seed=seed)
+        assert got["n"] == want["n"] == len(got["details"]) == \
+            got["agreements"] + got["disagreements"] + len(got["near_boundary"])
         for g, w in zip(got["details"], want["details"]):
             assert (g["member"], g["estimator_member"]) == \
                 (w["member"], w["estimator_member"])
@@ -492,3 +494,25 @@ def test_callable_values_are_applied_row_by_row():
     z = np.arange(6.0).reshape(3, 2)
     assert fn(z[0]) == 1.0
     assert np.array_equal(fn(z), [1.0, 13.0, 41.0])
+
+
+def _widened(cone):
+    """The cone one constraint too large: a PSD cone without the first
+    column of its kernel basis (one PSD dimension dropped), a subspace plus
+    rays with the coordinate direction farthest from it added to the span."""
+    if isinstance(cone, PsdCone):
+        return PsdCone(cone.U, cone.V, cone.p, cone.P[:, 1:], cone.m, cone.n)
+    eye = np.eye(cone.ambient)
+    far = eye[int(np.argmax([cone.residual(e) for e in eye]))]
+    span = Subspace(cone.ambient, np.column_stack([cone.span.basis, far]))
+    return SubspacePlusRays(span, cone.rays)
+
+
+@pytest.mark.parametrize("kind", ["l1", "nuclear6x8", "nuclear_degenerate"])
+def test_lab_finds_a_wrong_tangent_cone(monkeypatch, kind):
+    reg, kx, y = _lab_point(_lab_instance(kind, 2))
+    assert kernel_formula_check(reg, kx, y, seed=0)["disagreements"] == 0
+    member_tangent = rz.member_tangent
+    monkeypatch.setattr(rz, "member_tangent",
+                        lambda *a, **k: _widened(member_tangent(*a, **k)))
+    assert kernel_formula_check(reg, kx, y, seed=0)["disagreements"] >= 1

@@ -164,7 +164,7 @@ def test_reusing_projection_matches_enumeration(case):
         want = enumerated(p, a, c, e, rhs)
         scale = max(1.0, np.linalg.norm(p))
         assert np.linalg.norm(got - want) <= 1e-9 * scale
-        fresh = rz.project_polyhedron(p, a, c, e, rhs)
+        fresh = Polyhedron(a, c, e, rhs).project(p)
         assert np.linalg.norm(got - fresh) <= 1e-12 * scale
 
 

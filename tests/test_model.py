@@ -222,7 +222,10 @@ def _norm_cases():
     dense = {"tall": rng.standard_normal((40, 7)),
              "wide": rng.standard_normal((7, 40)),
              "rank_deficient": low, "rank_deficient_t": low.T,
-             "zero": np.zeros((4, 6)), "empty": np.zeros((0, 3))}
+             "zero": np.zeros((4, 6)), "empty": np.zeros((0, 3)),
+             "rank_one": np.outer(rng.standard_normal(9), rng.standard_normal(5)),
+             "row": rng.standard_normal((1, 12)),
+             "column": rng.standard_normal((12, 1))}
     ops = {name: LinearOp.dense(m) for name, m in dense.items()}
     ops.update(identity=LinearOp.identity(5), grad1d=LinearOp.grad1d(9),
                grad2d=LinearOp.grad2d(4, 6))

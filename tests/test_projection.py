@@ -44,7 +44,7 @@ def test_projection_matches_enumeration(cone, k):
     for _ in range(60):
         a, c, e, rhs = _draw(rng, cone, k)
         p = 3.0 * rng.standard_normal(a.shape[1])
-        got = rz.project_polyhedron(p, a, c, e, rhs)
+        got = cones.Polyhedron(a, c, e, rhs).project(p)
         want = enumerated(p, a, c, e, rhs)
         assert np.linalg.norm(got - want) <= 1e-9 * max(1.0, np.linalg.norm(p))
 
@@ -64,7 +64,7 @@ def test_projection_keeps_faces_tight_at_roundoff(monkeypatch):
     monkeypatch.setattr(cones, "null_space", counted)
     a, e = np.array([[1.0, 0.0]]), np.array([[3.0, 0.0]])
     p = np.array([2.0, 1.0])
-    assert np.allclose(rz.project_polyhedron(p, a, [0.0], e, [0.0]), [0.0, 1.0])
+    assert np.allclose(cones.Polyhedron(a, [0.0], e, [0.0]).project(p), [0.0, 1.0])
     box = polyhedral_indicator(np.vstack([np.eye(2), -np.eye(2)]),
                                np.array([0.3, 0.7, 1.1, 0.9]))
     face = rz.conj_subdiff_face(box, np.array([1.0, 0.0]), Tolerances())
@@ -86,7 +86,7 @@ def test_projection_solves_one_nnls(monkeypatch):
     d = 16
     a = np.vstack([np.eye(d), -np.eye(d)])
     p = np.linspace(-3.0, 3.0, d)
-    got = rz.project_polyhedron(p, a, np.ones(2 * d))
+    got = cones.Polyhedron(a, np.ones(2 * d)).project(p)
     assert np.allclose(got, np.clip(p, -1.0, 1.0))
     assert len(calls) == 1
 
@@ -103,7 +103,7 @@ def test_point_inside_is_returned_without_an_nnls(monkeypatch):
     d = 6
     a = np.vstack([np.eye(d), -np.eye(d)])
     p = np.linspace(-0.9, 0.9, d)
-    assert np.array_equal(rz.project_polyhedron(p, a, np.ones(2 * d)), p)
+    assert np.array_equal(cones.Polyhedron(a, np.ones(2 * d)).project(p), p)
     assert not calls
 
 
@@ -115,7 +115,7 @@ def test_point_inside_is_returned_without_an_nnls(monkeypatch):
 def test_projection_of_empty_set_raises(a, c, e, rhs):
     e = None if e is None else np.asarray(e)
     with pytest.raises(RuntimeError):
-        rz.project_polyhedron(np.zeros(2), np.asarray(a), np.asarray(c), e, rhs)
+        cones.Polyhedron(a, c, e, rhs).project(np.zeros(2))
 
 
 def test_box_with_32_rows_certifies(tmp_path):

@@ -1,11 +1,13 @@
 import json
+import math
+import struct
 
 import numpy as np
 
 from calmcert.certificates import certify_solution_map
 from calmcert.empirics import perturbation_sweep
 from calmcert.gallery import instance_for
-from calmcert.reporting import save_report
+from calmcert.reporting import dumps, save_report
 from calmcert.solver import solve
 
 
@@ -54,3 +56,28 @@ def test_certificate_csv_flattens_keys():
     report = certify_solution_map(inst, solve(inst))
     text = save_report(report, "csv")
     assert "conclusion_solution_map.status,isolated_calm" in text
+
+
+def test_report_text_format():
+    doc = {"b": [1e-05, 2e-09, 0.1, -0.0, 1e16, 5e-324, 1.7976931348623157e308],
+           "a": {"z": None, "y": True}, 3: "int key"}
+    text = dumps(doc)
+    assert isinstance(text, bytes) and text.endswith(b"}\n")
+    lines = text.decode().splitlines()
+    assert lines[:3] == ['{', '  "3": "int key",', '  "a": {']
+    assert lines[3:5] == ['    "y": true,', '    "z": null']
+    back = json.loads(text)
+    assert list(back) == ["3", "a", "b"] and list(back["a"]) == ["y", "z"]
+    for got, want in zip(back["b"], doc["b"]):
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def test_report_numpy_scalars_and_non_finite_values():
+    doc = {"f": np.float64(0.1), "i": np.int64(-3), "t": np.bool_(True),
+           "v": np.array([1.5, 2.0]),
+           "n": [math.inf, -math.inf, math.nan, np.float64("inf")]}
+    back = json.loads(dumps(doc))
+    assert back == {"f": 0.1, "i": -3, "t": True, "v": [1.5, 2.0],
+                    "n": [None] * 4}
+    assert json.loads(dumps({"x": 0.1})) == json.loads(
+        json.dumps({"x": np.float64(0.1)}, sort_keys=True, indent=2))

@@ -5,6 +5,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from calmcert import regularizers as rz
+from calmcert.cones import Polyhedron
 from calmcert.empirics import _strict_value_fn
 from calmcert.linalg import row_dots, row_norms
 from calmcert.model import group_lasso, nuclear, polyhedral_indicator
@@ -110,8 +111,8 @@ def polyhedral_cases(draw):
             rows.append(center + 10.0 * rng.standard_normal(d))
         else:
             far = 10.0 if kind == "vertex" else 0.1
-            rows.append(rz.project_polyhedron(
-                center + far * (a.shape[0] + 1) * rng.standard_normal(d), a, c))
+            rows.append(Polyhedron(a, c).project(
+                center + far * (a.shape[0] + 1) * rng.standard_normal(d)))
     return polyhedral_indicator(a, c), np.array(rows).reshape(len(rows), d)
 
 
