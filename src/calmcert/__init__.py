@@ -3,7 +3,8 @@
 __version__ = "0.1.0"
 
 from .linalg import Tolerances, Subspace, null_space, range_space
-from .model import (LinearOp, ProblemInstance, RegularizerSpec, SolutionPair,
+from .regularizers import GroupLasso, Nuclear, PolyhedralIndicator
+from .model import (LinearOp, ProblemInstance, SolutionPair,
                     InstanceError, load_instance, instance_hash, materialize,
                     group_lasso, l1, nuclear, polyhedral_indicator)
 from .solver import SolverConfig, SolverError, solve, solve_perturbed, kkt_residual

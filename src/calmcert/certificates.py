@@ -371,7 +371,7 @@ def uniqueness_oracle(instance, pair):
     KKT residuals of an explicit alternate point.
     """
     reg = instance.reg
-    if reg.kind != "group_lasso":
+    if not isinstance(reg, rz.GroupLasso):
         raise ValueError("uniqueness oracle supports group lasso only")
     tol = instance.tol
     x = np.asarray(pair.x_bar, dtype=float)
@@ -455,7 +455,7 @@ def uniqueness_oracle(instance, pair):
 
 def uniqueness_equivalence_check(instance, pair, oracle_budget=8, seed=0):
     """Compare the certificate conclusion with the brute-force oracle."""
-    if instance.reg.kind != "group_lasso":
+    if not isinstance(instance.reg, rz.GroupLasso):
         raise ValueError("uniqueness equivalence applies to group lasso only")
     if instance.dim_x > oracle_budget:
         raise ValueError(f"oracle budget exceeded: dim X = {instance.dim_x} "

@@ -215,7 +215,7 @@ class Polyhedron:
 
     The set holds its row norms, A Z for an orthonormal basis Z of Ker E,
     and, per active row set J, the factors M^T (M M^T)^+ and (M M^T)^+ of
-    M = [A_J; E].  It lives as long as its owner (a regularizer spec, a
+    M = [A_J; E].  It lives as long as its owner (a PolyhedralIndicator, a
     polyhedral conjugate face, a PolyhedralCone) and remembers the active
     set of its last NNLS.
     """

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import regularizers as rz
 from .cones import PolyhedralCone, PsdCone, SubspacePlusRays
-from .linalg import row_dots, row_norms, spectral_norm
+from .linalg import row_dots, row_norms
 from .solver import (SolverConfig, SolverError, kkt_residual, kkt_within,
                      solve_perturbed)
 
@@ -200,27 +200,16 @@ def instability_probe(instance, pair, witness, t_grid):
 
 
 def _strict_value_fn(reg):
-    """Regularizer value with machine-precision domain checks, for one point
-    or a stack of points (rows); a callable reg is applied row by row.
-
-    The catalog value() applies the membership tolerance to the polyhedral
-    indicator; inside an O(t^2) difference quotient that slack would absorb
-    genuine constraint violations, so the quotient lab uses a strict one.
-    """
+    """Regularizer value with machine-precision domain checks (the kind's
+    strict_value), for one point or a stack of points (rows); a callable reg
+    is applied row by row."""
     if callable(reg):
         def fn(z):
             z = np.asarray(z, dtype=float)
             return reg(z) if z.ndim == 1 else np.array([reg(r) for r in z])
 
         return fn
-    if reg.kind == "polyhedral_indicator":
-        def fn(z):
-            z = np.asarray(z, dtype=float)
-            out = rz.indicator_value(reg.A, reg.c, z, 1e-12)
-            return float(out) if z.ndim == 1 else out
-
-        return fn
-    return lambda z: rz.value(reg, z)
+    return reg.strict_value
 
 
 def _face_projector(reg, v_bar):
@@ -300,20 +289,6 @@ def _cone_project(cone, w):
     return None
 
 
-def _reach(reg, x_bar):
-    """1 / (least curvature of g at x_bar over the directions where its
-    second subderivative grows quadratically): ||x_J|| / w over the groups
-    of two or more indices, sigma_max(X) / w for the nuclear norm, 0 for
-    the polyhedral indicator (and for l1), which has no curved piece."""
-    if reg.kind == "group_lasso":
-        big = np.diff(np.append(reg.segments.starts, reg.dim)) > 1
-        norms = rz.group_norms(reg, x_bar)[big]
-        return float(norms.max(initial=0.0)) / reg.weight
-    if reg.kind == "nuclear":
-        return spectral_norm(x_bar.reshape(reg.m, reg.n)) / reg.weight
-    return 0.0
-
-
 def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0, t=1e-5,
                          tol=None):
     """Classify directions by the quotient estimator vs cone membership.
@@ -347,10 +322,10 @@ def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0, t=1e-5,
     q ~ delta / t; on it, through a curved piece of g, only quadratically,
     q >= delta^2 / reach, where reach = 1 / (least curvature of g at x):
     ||x_J|| / w for a group of two or more indices, sigma_max(X) / w for the
-    nuclear norm, 0 where g has no curved piece (_reach).  The refinement
-    moves d by up to perturb = 1e-3, which can reach T.  So the estimator
-    separates d from T only when (delta - perturb)^2 / reach > nu: its
-    resolution is perturb + sqrt(nu * reach).  A non-member within it is
+    nuclear norm, 0 where g has no curved piece (the kind's reach).  The
+    refinement moves d by up to perturb = 1e-3, which can reach T.  So the
+    estimator separates d from T only when (delta - perturb)^2 / reach > nu:
+    its resolution is perturb + sqrt(nu * reach).  A non-member within it is
     listed in "near_boundary" (indices into "details") and counted neither
     as an agreement nor as a disagreement.  Each detail row carries its
     floor nu, its distance delta (null when the cone has no projection)
@@ -382,7 +357,7 @@ def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0, t=1e-5,
         + t * (np.abs(dirs) @ np.abs(v_bar))
     rho = float(np.linalg.norm(x_bar - rz.prox(reg, 1.0, x_bar + v_bar)))
     floors = 8.0 * np.finfo(float).eps * sizes / (0.5 * t * t) + 2.0 * rho / t
-    reach = _reach(reg, x_bar)
+    reach = reg.reach(x_bar)
     agreements, disagreements, near, details = 0, 0, [], []
     for i, d in enumerate(dirs):
         member = cone.member(d, tol.member)

@@ -37,6 +37,12 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+def frozen(array):
+    """Mark a cached array read-only, so no caller can edit the shared copy."""
+    array.flags.writeable = False
+    return array
+
+
 def _as_matrix(a):
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:

@@ -11,18 +11,12 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .cones import Polyhedron
-from .linalg import Tolerances, DEFAULT_TOL, range_space, spectral_norm
-
-
-def _frozen(array):
-    """Mark a cached array read-only, so no caller can edit the shared copy."""
-    array.flags.writeable = False
-    return array
+from .linalg import Tolerances, DEFAULT_TOL, frozen, range_space, spectral_norm
+from .regularizers import (GroupLasso, Nuclear, PolyhedralIndicator,
+                           polyhedron_is_nonempty)
 
 
 class InstanceError(ValueError):
@@ -53,7 +47,7 @@ class LinearOp:
     def __init__(self, kind, **params):
         self.kind = kind
         self.params = params
-        self._dense = _frozen(self._materialize())
+        self._dense = frozen(self._materialize())
         self._ranges = {}
 
     @classmethod
@@ -156,7 +150,7 @@ class LinearOp:
 
     @cached_property
     def _gram(self):
-        return _frozen(self._dense.T @ self._dense)
+        return frozen(self._dense.T @ self._dense)
 
     @cached_property
     def _op_norm(self):
@@ -169,8 +163,7 @@ class LinearOp:
 
     def to_json_dict(self):
         if self.kind == "dense":
-            return {**_dense_header(self._dense),
-                    "entries": self._dense.ravel().tolist()}
+            return _dense_json(self._dense)
         if self.kind == "identity":
             return {"kind": "identity", "dim": self.params["dim"]}
         if self.kind == "grad1d":
@@ -186,145 +179,27 @@ def _dense_header(matrix):
     return {"kind": "dense", "rows": matrix.shape[0], "cols": matrix.shape[1]}
 
 
+def _dense_json(matrix):
+    """The JSON form of a dense matrix: its header and row-major entries."""
+    return {**_dense_header(matrix), "entries": matrix.ravel().tolist()}
+
+
 def materialize(op):
     """Dense matrix of a LinearOp (exact integer entries for gradient kinds)."""
     return op._dense.copy()
 
 
 # ---------------------------------------------------------------------------
-# regularizer specification (behavior lives in regularizers.py)
+# regularizer constructors (each kind is a class in regularizers.py)
 
 
-class GroupSegments(NamedTuple):
-    """The non-empty groups laid out back to back, for segment reductions.
-
-    perm lists the indices of the non-empty groups one group after another,
-    segment j starting at starts[j]; owner[i] is the segment holding index
-    i, so a per-segment array a reads a[owner] per index; groups[j] is the
-    position in RegularizerSpec.groups of segment j.  Empty groups are
-    skipped: they contribute nothing, and np.add.reduceat would misread a
-    zero-length segment.
-    """
-
-    perm: np.ndarray
-    starts: np.ndarray
-    owner: np.ndarray
-    groups: np.ndarray
-
-
-@dataclass(frozen=True)
-class RegularizerSpec:
-    """Catalog entry: group_lasso | nuclear | polyhedral_indicator.
-
-    group_lasso: weight * sum_J ||y_J|| over a partition of 0..dim-1.
-    nuclear:     weight * nuclear norm of the m x n matrix vec'd row-major.
-    polyhedral_indicator: indicator of {y : A y <= c}.
-    """
-
-    kind: str
-    dim: int
-    weight: float = 1.0
-    groups: tuple = ()            # group_lasso: tuple of index tuples
-    m: int = 0                    # nuclear
-    n: int = 0
-    matrix: tuple = ()            # polyhedral: rows of A, as tuples
-    offset: tuple = ()            # polyhedral: c
-
-    def __post_init__(self):
-        if self.kind == "group_lasso":
-            seen = sorted(i for g in self.groups for i in g)
-            if seen != list(range(self.dim)):
-                raise ValueError("group_lasso groups must partition 0..dim-1")
-            if not self.weight > 0:
-                raise ValueError("group_lasso weight must be positive")
-        elif self.kind == "nuclear":
-            if self.m * self.n != self.dim:
-                raise ValueError("nuclear dim must equal m*n")
-            if self.m > self.n:
-                raise ValueError("nuclear requires m <= n (transpose the model)")
-            if not self.weight > 0:
-                raise ValueError("nuclear weight must be positive")
-        elif self.kind == "polyhedral_indicator":
-            a = self.A
-            if a.shape[1] != self.dim:
-                raise ValueError("polyhedral matrix columns must match dim")
-            if len(self.offset) != a.shape[0]:
-                raise ValueError("polyhedral offset length must match rows")
-        else:
-            raise ValueError(f"unknown regularizer kind {self.kind!r}")
-
-    # Cached per spec (the spec is frozen); the arrays are read-only, and the
-    # polyhedron and the faces keep the factors they have computed.
-
-    @cached_property
-    def A(self):
-        return _frozen(np.asarray([list(r) for r in self.matrix], dtype=float)
-                       .reshape(len(self.matrix), self.dim if self.matrix else 0))
-
-    @cached_property
-    def c(self):
-        return _frozen(np.asarray(self.offset, dtype=float))
-
-    @cached_property
-    def polyhedron(self):
-        """{y : A y <= c}, whose projections (the polyhedral prox) reuse its
-        factors."""
-        return Polyhedron(self.A, self.c)
-
-    @cached_property
-    def _faces(self):
-        """Polyhedral conjugate faces by (multiplier bytes, tolerances), as
-        regularizers.conj_subdiff_face builds them; LinearOp keeps its
-        ranges per rank tolerance the same way."""
-        return {}
-
-    @cached_property
-    def group_slices(self):
-        return tuple(_frozen(np.asarray(g, dtype=np.intp)) for g in self.groups)
-
-    @cached_property
-    def segments(self):
-        groups = np.asarray([j for j, g in enumerate(self.groups) if g],
-                            dtype=np.intp)
-        sizes = np.asarray([len(self.groups[j]) for j in groups], dtype=np.intp)
-        perm = np.asarray([i for g in self.groups for i in g], dtype=np.intp)
-        owner = np.empty(self.dim, dtype=np.intp)
-        owner[perm] = np.repeat(np.arange(sizes.size), sizes)
-        return GroupSegments(_frozen(perm), _frozen(np.cumsum(sizes) - sizes),
-                             _frozen(owner), _frozen(groups))
-
-    def to_json_dict(self):
-        if self.kind == "group_lasso":
-            return {"kind": "group_lasso", "dim": self.dim,
-                    "groups": [list(g) for g in self.groups],
-                    "weight": self.weight}
-        if self.kind == "nuclear":
-            return {"kind": "nuclear", "m": self.m, "n": self.n,
-                    "weight": self.weight}
-        return {"kind": "polyhedral_indicator",
-                "A": {**_dense_header(self.A), "entries": self.A.ravel().tolist()},
-                "c": self.c.tolist()}
-
-
-def group_lasso(groups, dim, weight=1.0):
-    return RegularizerSpec(kind="group_lasso", dim=dim, weight=weight,
-                           groups=tuple(tuple(int(i) for i in g) for g in groups))
+group_lasso = GroupLasso
+nuclear = Nuclear
+polyhedral_indicator = PolyhedralIndicator
 
 
 def l1(dim, weight=1.0):
-    return group_lasso([[i] for i in range(dim)], dim, weight)
-
-
-def nuclear(m, n, weight=1.0):
-    return RegularizerSpec(kind="nuclear", dim=m * n, m=m, n=n, weight=weight)
-
-
-def polyhedral_indicator(a, c):
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
-    return RegularizerSpec(kind="polyhedral_indicator", dim=a.shape[1],
-                           matrix=tuple(tuple(float(v) for v in row) for row in a),
-                           offset=tuple(float(v) for v in c))
+    return GroupLasso([[i] for i in range(dim)], dim, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +212,7 @@ class ProblemInstance:
     b: np.ndarray
     mu: float
     k: LinearOp
-    reg: RegularizerSpec
+    reg: GroupLasso | Nuclear | PolyhedralIndicator
     tol: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
@@ -382,7 +257,7 @@ class ProblemInstance:
             "b": self.b.tolist(),
             "mu": float(self.mu),
             "k": self.k.to_json_dict(),
-            "reg": self.reg.to_json_dict(),
+            "reg": self.reg.to_json_dict(_dense_json),
         }
         if self.tol != DEFAULT_TOL:
             out["tol"] = self._tol_json()
@@ -553,8 +428,6 @@ def _load_regularizer(doc, path):
         n = _int(_need(doc, "n", path), f"{path}.n")
         weight = _number(_need(doc, "weight", path), f"{path}.weight")
         try:
-            if m > n:
-                raise ValueError("nuclear requires m <= n (transpose the model)")
             return nuclear(m, n, weight)
         except ValueError as exc:
             raise InstanceError(path, str(exc)) from None
@@ -563,11 +436,9 @@ def _load_regularizer(doc, path):
         c = _vector(_need(doc, "c", path), f"{path}.c")
         if c.size != a.shape[0]:
             raise InstanceError(f"{path}.c", "length must match rows of A")
-        reg = polyhedral_indicator(a, c)
-        from .regularizers import polyhedron_is_nonempty
         if not polyhedron_is_nonempty(a, c):
             raise InstanceError(path, "polyhedral set {y : A y <= c} is empty")
-        return reg
+        return polyhedral_indicator(a, c)
     raise InstanceError(f"{path}.kind", f"unknown regularizer kind {kind!r}")
 
 
@@ -654,9 +525,7 @@ def instance_hash(instance):
     for key in ("phi", "k"):
         op = getattr(instance, key)
         doc[key] = header(op._dense) if op.kind == "dense" else op.to_json_dict()
-    reg = instance.reg
-    doc["reg"] = ({"kind": reg.kind, "A": header(reg.A), "c": reg.c.tolist()}
-                  if reg.kind == "polyhedral_indicator" else reg.to_json_dict())
+    doc["reg"] = instance.reg.to_json_dict(header)
     if instance.tol != DEFAULT_TOL:
         doc["tol"] = instance._tol_json()
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())

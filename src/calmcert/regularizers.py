@@ -1,12 +1,12 @@
 """Regularizer catalog: values, proximal maps, subdifferentials, and the
 exact set descriptions the certificates are built from.
 
-For each catalog member (group lasso incl. l1, nuclear norm, polyhedral
-indicator) this module knows:
-  * the conjugate-subdifferential face F(y) = {x : y in dg(x)},
-  * tangent cones to F(y) at a member point,
-  * tangent cones to dg(x) at a multiplier,
-  * whether the relative interior of F(y) meets a given range.
+One class per kind (GroupLasso, l1 included; Nuclear; PolyhedralIndicator)
+holds its data and all that depends on the kind, and builds its face class
+for the conjugate-subdifferential face F(y) = {x : y in dg(x)}, which gives
+tangent cones to F(y) and decides whether ri F(y) meets a given range.  The
+module-level functions are the interface: each makes the checks shared by
+every kind and calls the kind's method.
 
 Weights are folded into g as weight * (base norm); conjugate-ball radii and
 boundary classifications are normalized by the weight so a single tolerance
@@ -15,13 +15,15 @@ applies.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 # scipy.optimize is imported where an LP or NNLS is solved: it is most of the
 # package's import time, and group-Lasso and nuclear solves never need it.
 
-from .linalg import Subspace, Tolerances, DEFAULT_TOL, range_space, row_norms
+from .linalg import (Subspace, DEFAULT_TOL, frozen, range_space, row_norms,
+                     spectral_norm)
 from .cones import (SubspacePlusRays, PolyhedralCone, Polyhedron, active_rows,
                     make_psd_embedded)
 
@@ -33,28 +35,352 @@ class QgcFlags:
     polyhedral_conjugate_face: bool
 
 
-def qgc_flags(reg):
-    """Growth-condition flags per catalog class (fixed, not computed)."""
-    if reg.kind == "group_lasso":
-        return QgcFlags(True, True, True)
-    if reg.kind == "nuclear":
-        return QgcFlags(True, True, False)
-    return QgcFlags(True, True, True)
-
-
 # ---------------------------------------------------------------------------
-# values and proximal maps
+# the catalog: one class per kind
 #
 # value, prox and group_norms take one point, or a stack of points as the
 # rows of a 2-D array, through one code path per kind.  Each row of a stack
 # gives what it gives on its own: bit for bit for group Lasso and nuclear
-# norms, and one projection per row onto the spec's polyhedron for the
-# polyhedral prox.
+# norms, and one projection per row onto the polyhedron for the polyhedral
+# prox.  The methods take float arrays; the module-level functions below
+# convert their arguments.  to_json_dict(dense) gives the instance-JSON
+# form, dense(M) being that of a matrix M.
 
 
-def _mat(reg, y):
-    y = np.asarray(y, dtype=float)
-    return y.reshape(y.shape[:-1] + (reg.m, reg.n))
+class GroupSegments(NamedTuple):
+    """The non-empty groups laid out back to back, for segment reductions.
+
+    perm lists the indices of the non-empty groups one group after another,
+    segment j starting at starts[j]; owner[i] is the segment holding index
+    i, so a per-segment array a reads a[owner] per index; groups[j] is the
+    position in GroupLasso.groups of segment j.  Empty groups are skipped:
+    they contribute nothing, and np.add.reduceat would misread a
+    zero-length segment.
+    """
+
+    perm: np.ndarray
+    starts: np.ndarray
+    owner: np.ndarray
+    groups: np.ndarray
+
+
+class _Norm:
+    """weight * a norm: g* is the indicator of the dual ball of radius weight."""
+
+    def dual_violation(self, y):
+        return max(0.0, self.dual_norm(y) - self.weight)
+
+    def conjugate_value(self, y):
+        return 0.0              # on the dual ball; leaving it is dual_violation
+
+    def strict_value(self, z):
+        return value(self, z)   # a norm has no domain to check
+
+
+class GroupLasso(_Norm):
+    """weight * sum_J ||y_J|| over a partition of 0..dim-1 into groups."""
+
+    kind = "group_lasso"
+    qgc = QgcFlags(True, True, True)
+
+    def __init__(self, groups, dim, weight=1.0):
+        self.groups = tuple(tuple(int(i) for i in g) for g in groups)
+        self.dim = dim
+        self.weight = weight
+        if sorted(i for g in self.groups for i in g) != list(range(dim)):
+            raise ValueError("group_lasso groups must partition 0..dim-1")
+        if not weight > 0:
+            raise ValueError("group_lasso weight must be positive")
+
+    @cached_property
+    def group_slices(self):
+        return tuple(frozen(np.asarray(g, dtype=np.intp)) for g in self.groups)
+
+    @cached_property
+    def segments(self):
+        groups = np.asarray([j for j, g in enumerate(self.groups) if g],
+                            dtype=np.intp)
+        sizes = np.asarray([len(self.groups[j]) for j in groups], dtype=np.intp)
+        perm = np.asarray([i for g in self.groups for i in g], dtype=np.intp)
+        owner = np.empty(self.dim, dtype=np.intp)
+        owner[perm] = np.repeat(np.arange(sizes.size), sizes)
+        return GroupSegments(frozen(perm), frozen(np.cumsum(sizes) - sizes),
+                             frozen(owner), frozen(groups))
+
+    def to_json_dict(self, dense):
+        return {"kind": self.kind, "dim": self.dim,
+                "groups": [list(g) for g in self.groups], "weight": self.weight}
+
+    def value(self, y):
+        # rows of a contiguous array add in the order a lone point does
+        norms = np.ascontiguousarray(_segment_norms(self, y.T).T)
+        return self.weight * np.add.reduce(norms, axis=-1)
+
+    def prox(self, t, y):
+        # zero when ||y_J|| <= tw, else shrink by 1 - tw/||y_J||; indexing
+        # the first axis of y.T costs a lone point nothing
+        yt = y.T
+        nrm = _segment_norms(self, yt)
+        tw = t * self.weight
+        fac = 1.0 - tw / np.maximum(nrm, tw)
+        owner = self.segments.owner
+        return np.where((nrm <= tw)[owner], 0.0, fac[owner] * yt).T
+
+    def prox_conjugate(self, t, y):
+        # project each y_J onto the w-ball; fmax keeps y_J when its norm is NaN
+        fac = self.weight / np.fmax(group_norms(self, y), self.weight)
+        return fac[self.segments.owner] * y
+
+    def dual_norm(self, y):
+        return float(group_norms(self, y).max(initial=0.0))
+
+    def subdiff_contains(self, x, v, tol):
+        # active group: v_J = w x_J / ||x_J||; else ||v_J|| <= w
+        t = tol.member
+        w = self.weight
+        owner = self.segments.owner
+        nx, active = active_groups(self, x, tol)
+        unit = w * x / np.where(active, nx, 1.0)[owner]
+        resid = np.where(active[owner], v - unit, v)
+        bound = np.where(active, t * max(1.0, w), w + t * max(1.0, w))
+        return not np.any(group_norms(self, resid) > bound)
+
+    def face(self, y_bar, tol):
+        return GroupLassoFace(self, y_bar, tol)
+
+    def tangent_subdiff(self, x_bar, y_bar, tol):
+        # per group: {0} when active, free when ||y_J|| < w (interior), and
+        # the half-space <y_J, w_J> <= 0 when inactive on the boundary
+        seg = self.segments
+        _, active = active_groups(self, x_bar, tol)
+        free = ~active & (group_norms(self, y_bar) / self.weight < 1.0 - tol.member)
+        tight = ~active & ~free
+        eye = np.eye(self.dim)
+        in_perm = seg.owner[seg.perm]           # segment of each perm entry
+        if not tight.any():
+            return SubspacePlusRays(Subspace._orthonormal(
+                eye[:, seg.perm[free[in_perm]]]))
+        return PolyhedralCone(_segment_columns(y_bar, tight, seg.owner).T,
+                              eye[seg.perm[active[in_perm]]], ambient=self.dim)
+
+    def project_multiplier(self, z, y, tol):
+        # active group: w z_J / ||z_J||; else y_J pulled into the w-ball
+        w = self.weight
+        owner = self.segments.owner
+        nz, active = active_groups(self, z, tol)
+        fac = w / np.fmax(group_norms(self, y), w)
+        return np.where(active[owner], w * z / np.where(active, nz, 1.0)[owner],
+                        fac[owner] * y)
+
+    def reach(self, x_bar):
+        """1 / (least curvature of g at x_bar): ||x_J|| / w over the groups
+        of two or more indices, 0 for l1, which has no curved piece."""
+        big = np.diff(np.append(self.segments.starts, self.dim)) > 1
+        norms = group_norms(self, x_bar)[big]
+        return float(norms.max(initial=0.0)) / self.weight
+
+    def prox_jacobian(self, u):
+        """The generalized Jacobian D = d prox_g(u) of the group prox, by group.
+
+        D_J = I - c_J (I - uu^T) when c_J = w / ||u_J|| < 1 (u the unit u_J),
+        on the invertible blocks A, and 0 otherwise.  Returns (on_a, m,
+        along): the mask of the indices in A, the per-index factor
+        m = c_J / (1 - c_J), zero off A, so that M = D^{-1}(I - D) is
+        m (I - uu^T) on A, and along(rows), (I - uu^T) rows_J per group for
+        rows with one column per right-hand side.
+        """
+        seg = self.segments
+        owner = seg.owner
+        nrm = group_norms(self, u)
+        active = nrm > self.weight
+        inv = np.where(active, 1.0 / np.where(active, nrm, 1.0), 0.0)
+        c = self.weight * inv                           # zero off A
+        unit = inv[owner] * u
+
+        def along(rows):
+            dots = np.add.reduceat((unit[:, None] * rows)[seg.perm], seg.starts)
+            return rows - unit[:, None] * dots[owner]
+
+        return active[owner], (c / (1.0 - c))[owner], along
+
+
+class Nuclear(_Norm):
+    """weight * nuclear norm of the m x n matrix, m <= n, vec'd row-major."""
+
+    kind = "nuclear"
+    qgc = QgcFlags(True, True, False)
+
+    def __init__(self, m, n, weight=1.0):
+        self.m, self.n, self.dim = m, n, m * n
+        self.weight = weight
+        if m > n:
+            raise ValueError("nuclear requires m <= n (transpose the model)")
+        if not weight > 0:
+            raise ValueError("nuclear weight must be positive")
+
+    def to_json_dict(self, dense):
+        return {"kind": self.kind, "m": self.m, "n": self.n,
+                "weight": self.weight}
+
+    def mat(self, y):
+        """y (or each row of a stack) as an m x n matrix."""
+        y = np.asarray(y, dtype=float)
+        return y.reshape(y.shape[:-1] + (self.m, self.n))
+
+    def value(self, y):
+        sigma = np.linalg.svd(self.mat(y), compute_uv=False)
+        return self.weight * np.add.reduce(sigma, axis=-1)
+
+    def prox(self, t, y):
+        # U diag(s) V^T as (U * s) V^T: the same numbers, one product fewer
+        u, s, vt = np.linalg.svd(self.mat(y), full_matrices=False)
+        s = np.clip(s - t * self.weight, 0.0, None)
+        return ((u * s[..., None, :]) @ vt).reshape(y.shape)
+
+    def prox_conjugate(self, t, y):
+        u, s, vt = np.linalg.svd(self.mat(y), full_matrices=False)
+        return (u @ np.diag(np.clip(s, None, self.weight)) @ vt).ravel()
+
+    def dual_norm(self, y):
+        return float(np.linalg.svd(self.mat(y), compute_uv=False).max(initial=0.0))
+
+    def subdiff_contains(self, x, v, tol):
+        return float(np.linalg.norm(x - prox(self, 1.0, x + v))) \
+            <= tol.member * max(1.0, float(np.linalg.norm(x + v)))
+
+    def face(self, y_bar, tol):
+        return NuclearFace(self, y_bar, tol)
+
+    def tangent_subdiff(self, x_bar, y_bar, tol):
+        # supported cases only (interior block, or a simple unit top singular
+        # value in the residual block); None propagates as Unknown
+        u, v, sx, sy = simultaneous_svd(self.mat(x_bar), self.mat(y_bar), tol)
+        scale = max(1.0, float(sx.max(initial=0.0)))
+        r = int(np.sum(sx > tol.member * scale))
+        m, n = self.m, self.n
+        if r == m:
+            return SubspacePlusRays(Subspace.zero(self.dim))
+        tail = sy[r:] / self.weight
+        block_cols = [np.outer(u[:, i], v[:, j]).ravel()
+                      for i in range(r, m) for j in range(r, n)]
+        block = Subspace(self.dim, np.stack(block_cols, axis=1))
+        if tail.size == 0 or tail[0] < 1.0 - tol.member:
+            return SubspacePlusRays(block)
+        if tail.size == 1 or tail[1] < 1.0 - tol.member:
+            grad = np.outer(u[:, r], v[:, r]).ravel()
+            comp = block.complement()
+            return PolyhedralCone(grad.reshape(1, -1), comp.basis.T,
+                                  ambient=self.dim)
+        return None
+
+    def project_multiplier(self, z, y, tol):
+        return prox_conjugate(self, 1.0, y)
+
+    def reach(self, x_bar):
+        """1 / (least curvature of g at x_bar): sigma_max(X) / w."""
+        return spectral_norm(self.mat(x_bar)) / self.weight
+
+
+class PolyhedralIndicator:
+    """The indicator of {y : A y <= c}, A a read-only (rows x dim) array.
+
+    With no rows the set is all of R^dim, and g = 0.  The polyhedron's
+    projection factors and the conjugate faces are kept, so that every
+    caller reuses them.
+    """
+
+    kind = "polyhedral_indicator"
+    qgc = QgcFlags(True, True, True)
+
+    def __init__(self, a, c):
+        self.A = frozen(np.array(a, dtype=float))
+        self.c = frozen(np.array(c, dtype=float))
+        self.dim = self.A.shape[1]
+        if self.c.shape != self.A.shape[:1]:
+            raise ValueError("polyhedral offset length must match rows")
+        # conjugate faces by (multiplier bytes, tolerances); LinearOp keeps
+        # its ranges per rank tolerance the same way
+        self._faces = {}
+
+    @cached_property
+    def polyhedron(self):
+        """{y : A y <= c}, whose projections (the prox) reuse its factors."""
+        return Polyhedron(self.A, self.c)
+
+    def to_json_dict(self, dense):
+        return {"kind": self.kind, "A": dense(self.A), "c": self.c.tolist()}
+
+    def value(self, y, slack=DEFAULT_TOL.member):
+        """0 where A y <= c holds up to slack * max(1, ||y||), inf elsewhere;
+        per row of a stack."""
+        out = np.zeros(y.shape[:-1])
+        if self.A.shape[0]:
+            bound = slack * np.maximum(1.0, row_norms(y))
+            out[(y @ self.A.T - self.c).max(axis=-1) > bound] = np.inf
+        return out
+
+    def strict_value(self, z):
+        """value() with machine-precision domain checks.
+
+        value() applies the membership tolerance; inside an O(t^2)
+        difference quotient that slack would absorb genuine constraint
+        violations, so the quotient lab uses this one.
+        """
+        out = self.value(z, 1e-12)
+        return float(out) if z.ndim == 1 else out
+
+    def prox(self, t, y):
+        return np.array([self.polyhedron.project(r)
+                         for r in y.reshape(-1, self.dim)]).reshape(y.shape)
+
+    def prox_conjugate(self, t, y):
+        return y - t * prox(self, 1.0 / t, y / t)
+
+    def dual_violation(self, y):
+        return 0.0              # g* is a support function: no dual-norm bound
+
+    def conjugate_value(self, y):
+        """g*(y), the support function, from the face LP; inf when the face
+        is empty (the set is unbounded along y)."""
+        try:
+            return conj_subdiff_face(self, y, DEFAULT_TOL).support
+        except ValueError:
+            return np.inf
+
+    def subdiff_contains(self, x, v, tol):
+        t = tol.member
+        scale = max(1.0, float(np.linalg.norm(x)))
+        if self.A.shape[0] and float(np.max(self.A @ x - self.c)) > t * scale:
+            return False
+        _, res = _normal_cone_fit(self.A, self.c, x, v, t)
+        return res <= t * max(1.0, float(np.linalg.norm(v)))
+
+    def face(self, y_bar, tol):
+        """The face of y_bar, built once per (y_bar bytes, tol), so that its
+        support LP and projection factors serve every caller."""
+        key = (y_bar.tobytes(), tol)
+        if key not in self._faces:
+            self._faces[key] = PolyhedralFace(self, y_bar, tol)
+        return self._faces[key]
+
+    def tangent_subdiff(self, x_bar, y_bar, tol):
+        a = self.A
+        rays = [r for r in a[active_rows(a, self.c, x_bar, tol.member)]
+                if np.any(r)]
+        ny = float(np.linalg.norm(y_bar))
+        span = (Subspace(self.dim, y_bar.reshape(-1, 1)) if ny > tol.member
+                else Subspace.zero(self.dim))
+        return SubspacePlusRays(span, rays)
+
+    def project_multiplier(self, z, y, tol):
+        return _normal_cone_fit(self.A, self.c, z, y, tol.member)[0]
+
+    def reach(self, x_bar):
+        return 0.0              # the indicator has no curved piece
+
+
+# ---------------------------------------------------------------------------
+# values and proximal maps
 
 
 def _segment_norms(reg, yt):
@@ -73,7 +399,7 @@ def group_norms(reg, y):
 def active_groups(reg, x, tol=DEFAULT_TOL):
     """(||x_J||, ||x_J|| > tol.member * max(1, ||x||)) per non-empty group.
 
-    The one activity rule of the group-Lasso branches (membership, tangent
+    The one activity rule of the GroupLasso methods (membership, tangent
     cone, multiplier refinement), on the scale of ||x|| as in the faces'
     tangent cones, so that rescaling the data does not change it.
     """
@@ -81,28 +407,10 @@ def active_groups(reg, x, tol=DEFAULT_TOL):
     return nx, nx > tol.member * max(1.0, float(np.linalg.norm(x)))
 
 
-def indicator_value(a, c, y, slack):
-    """0 where A y <= c holds up to slack * max(1, ||y||), inf elsewhere;
-    per row of a stack."""
-    out = np.zeros(y.shape[:-1])
-    if a.shape[0]:
-        bound = slack * np.maximum(1.0, row_norms(y))
-        out[(y @ a.T - c).max(axis=-1) > bound] = np.inf
-    return out
-
-
 def value(reg, y):
     """g(y) as a float, or for a stack of points (rows) the array of g(y_i)."""
     y = np.asarray(y, dtype=float)
-    if reg.kind == "group_lasso":
-        # rows of a contiguous array add in the order a lone point does
-        norms = np.ascontiguousarray(_segment_norms(reg, y.T).T)
-        out = reg.weight * np.add.reduce(norms, axis=-1)
-    elif reg.kind == "nuclear":
-        sigma = np.linalg.svd(_mat(reg, y), compute_uv=False)
-        out = reg.weight * np.add.reduce(sigma, axis=-1)
-    else:
-        out = indicator_value(reg.A, reg.c, y, DEFAULT_TOL.member)
+    out = reg.value(y)
     return float(out) if y.ndim == 1 else out
 
 
@@ -110,36 +418,13 @@ def prox(reg, t, y):
     """argmin_u t*g(u) + 0.5||u - y||^2, for one point or each row of a stack."""
     if not t > 0:
         raise ValueError("prox step must be positive")
-    y = np.asarray(y, dtype=float)
-    if reg.kind == "group_lasso":
-        # zero when ||y_J|| <= tw, else shrink by 1 - tw/||y_J||; indexing
-        # the first axis of y.T costs a lone point nothing
-        yt = y.T
-        nrm = _segment_norms(reg, yt)
-        tw = t * reg.weight
-        fac = 1.0 - tw / np.maximum(nrm, tw)
-        owner = reg.segments.owner
-        return np.where((nrm <= tw)[owner], 0.0, fac[owner] * yt).T
-    if reg.kind == "nuclear":
-        # U diag(s) V^T as (U * s) V^T: the same numbers, one product fewer
-        u, s, vt = np.linalg.svd(_mat(reg, y), full_matrices=False)
-        s = np.clip(s - t * reg.weight, 0.0, None)
-        return ((u * s[..., None, :]) @ vt).reshape(y.shape)
-    return np.array([reg.polyhedron.project(r)
-                     for r in y.reshape(-1, reg.dim)]).reshape(y.shape)
+    return reg.prox(t, np.asarray(y, dtype=float))
 
 
 def prox_conjugate(reg, t, y):
-    """Prox of g* (independent implementations where the dual set is known)."""
-    y = np.asarray(y, dtype=float)
-    if reg.kind == "group_lasso":
-        # project each y_J onto the w-ball; fmax keeps y_J when its norm is NaN
-        fac = reg.weight / np.fmax(group_norms(reg, y), reg.weight)
-        return fac[reg.segments.owner] * y
-    if reg.kind == "nuclear":
-        u, s, vt = np.linalg.svd(_mat(reg, y), full_matrices=False)
-        return (u @ np.diag(np.clip(s, None, reg.weight)) @ vt).ravel()
-    return y - t * prox(reg, 1.0 / t, y / t)
+    """Prox of g* (independent implementations where the dual set is known,
+    the Moreau identity elsewhere)."""
+    return reg.prox_conjugate(t, np.asarray(y, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -174,26 +459,8 @@ def _normal_cone_fit(a, c, x, v, tol):
 
 def subdiff_contains(reg, x, v, tol=DEFAULT_TOL):
     """Is v in dg(x)?"""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    t = tol.member
-    if reg.kind == "group_lasso":
-        # active group: v_J = w x_J / ||x_J||; else ||v_J|| <= w
-        w = reg.weight
-        owner = reg.segments.owner
-        nx, active = active_groups(reg, x, tol)
-        unit = w * x / np.where(active, nx, 1.0)[owner]
-        resid = np.where(active[owner], v - unit, v)
-        bound = np.where(active, t * max(1.0, w), w + t * max(1.0, w))
-        return not np.any(group_norms(reg, resid) > bound)
-    if reg.kind == "nuclear":
-        return float(np.linalg.norm(x - prox(reg, 1.0, x + v))) \
-            <= t * max(1.0, float(np.linalg.norm(x + v)))
-    scale = max(1.0, float(np.linalg.norm(x)))
-    if reg.A.shape[0] and float(np.max(reg.A @ x - reg.c)) > t * scale:
-        return False
-    _, res = _normal_cone_fit(reg.A, reg.c, x, v, t)
-    return res <= t * max(1.0, float(np.linalg.norm(v)))
+    return reg.subdiff_contains(np.asarray(x, dtype=float),
+                                np.asarray(v, dtype=float), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +519,21 @@ def _segment_columns(values, mask, owner):
     return out
 
 
-class GroupLassoFace:
+class _ProjectedFace:
+    """A face whose membership test is the distance to its projection."""
+
+    def contains(self, x, tol):
+        x = np.asarray(x, dtype=float)
+        slack = tol * max(1.0, float(np.linalg.norm(x)))
+        return float(np.linalg.norm(x - self.project(x))) <= slack
+
+
+class GroupLassoFace(_ProjectedFace):
     """F(y) = prod over groups of a ray R+ y_J (boundary) or {0} (interior).
 
     A group is boundary when ||y_J|| / w is within tol.member of 1; empty
     groups are interior.  Everything is computed on reg.segments.
     """
-
-    is_polyhedral = True
 
     def __init__(self, reg, y_bar, tol):
         self.reg = reg
@@ -286,11 +560,6 @@ class GroupLassoFace:
         """<u_J, x_J> per segment (zero on interior groups)."""
         seg = self.reg.segments
         return np.add.reduceat((self._u * x)[seg.perm], seg.starts)
-
-    def contains(self, x, tol):
-        x = np.asarray(x, dtype=float)
-        slack = tol * max(1.0, float(np.linalg.norm(x)))
-        return float(np.linalg.norm(x - self.project(x))) <= slack
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
@@ -338,24 +607,40 @@ class GroupLassoFace:
         e = np.vstack([np.eye(n)[~self._on[owner]], house])
         return a, np.zeros(a.shape[0]), e, np.zeros(e.shape[0])
 
+    def ri_meets_range(self, imk, tol, x_bar=None):
+        """Feasibility of (Kx)_J = t_J u_J with t_J >= 1 (homogeneous margin).
+
+        With t = 1 + s and Q an orthonormal basis of Im K, x drops out: the
+        answer is yes when min over s >= 0 of ||(I - Q Q^T)(-U s - u)|| is
+        zero, U holding the u_J of the boundary groups as columns.  With no
+        boundary group the face is {0}, its own relative interior.
+        """
+        if not self.boundary:
+            return "yes"
+        import scipy.optimize
+        q, u = imk.basis, self._u
+        a = np.column_stack([-_segment_columns(u, self._on, self.reg.segments.owner),
+                             u])
+        a -= q @ (q.T @ a)                              # (I - Q Q^T) [-U, u]
+        _, res = scipy.optimize.nnls(a[:, :-1], a[:, -1])
+        return "yes" if res <= 1e3 * tol.member * max(1.0, float(np.linalg.norm(u))) \
+            else "no"
+
     def describe(self):
         return {"kind": "group_lasso",
                 "boundary_groups": list(self.boundary),
                 "interior_groups": list(self.interior)}
 
 
-class NuclearFace:
+class NuclearFace(_ProjectedFace):
     """F(Y) = {U [S 0; 0 0] V^T : S psd p x p} for the unit singular block."""
-
-    is_polyhedral = False
 
     def __init__(self, reg, y_bar, tol):
         self.reg = reg
         self.y_bar = np.asarray(y_bar, dtype=float)
         self.dim = reg.dim
         w = reg.weight
-        ymat = _mat(reg, self.y_bar)
-        u, s, vt = np.linalg.svd(ymat, full_matrices=True)
+        u, s, vt = np.linalg.svd(reg.mat(self.y_bar), full_matrices=True)
         if s.size and s[0] / w > 1.0 + tol.member:
             raise ValueError(
                 f"spectral norm exceeds the dual bound by {s[0] / w - 1.0:.3g}")
@@ -364,16 +649,11 @@ class NuclearFace:
         self.p = int(np.sum(s / w >= 1.0 - tol.member))
 
     def _compress(self, x):
-        return self.U.T @ _mat(self.reg, x) @ self.V
+        return self.U.T @ self.reg.mat(x) @ self.V
 
     def _sbar(self, x):
         c = self._compress(x)
         return 0.5 * (c[:self.p, :self.p] + c[:self.p, :self.p].T)
-
-    def contains(self, x, tol):
-        x = np.asarray(x, dtype=float)
-        slack = tol * max(1.0, float(np.linalg.norm(x)))
-        return float(np.linalg.norm(x - self.project(x))) <= slack
 
     def project(self, x):
         """Zero outside the block, symmetrize, clip negative eigenvalues."""
@@ -381,10 +661,7 @@ class NuclearFace:
         if self.p == 0:
             return np.zeros(self.dim)
         lam, q = np.linalg.eigh(s)
-        s = q @ np.diag(np.clip(lam, 0.0, None)) @ q.T
-        full = np.zeros((self.reg.m, self.reg.n))
-        full[:self.p, :self.p] = s
-        return (self.U @ full @ self.V.T).ravel()
+        return self._embed(q @ np.diag(np.clip(lam, 0.0, None)) @ q.T)
 
     def rank_at(self, x, tol=DEFAULT_TOL):
         """Rank of the p x p compression of a face member."""
@@ -409,11 +686,23 @@ class NuclearFace:
     def polyhedral_system(self):
         return None
 
-    def ri_member_target(self, s_choice):
-        """Embedded matrix for a positive-definite block S (ri probe helper)."""
+    def _embed(self, s):
+        """U [S 0; 0 0] V^T for a p x p block S, vec'd."""
         full = np.zeros((self.reg.m, self.reg.n))
-        full[:self.p, :self.p] = s_choice
+        full[:self.p, :self.p] = s
         return (self.U @ full @ self.V.T).ravel()
+
+    def ri_meets_range(self, imk, tol, x_bar=None):
+        """'yes' when K x_bar is a face member of full block rank (it is in
+        the relative interior) or when Im K holds the block's identity
+        member; 'unknown' otherwise."""
+        if x_bar is not None and self.contains(np.asarray(x_bar, dtype=float),
+                                               10 * tol.member):
+            if self.rank_at(x_bar, tol) == self.p:
+                return "yes"
+        target = self._embed(np.eye(self.p))
+        slack = tol.member * max(1.0, float(np.linalg.norm(target)))
+        return "yes" if imk.residual(target) <= slack else "unknown"
 
     def describe(self):
         return {"kind": "nuclear", "p": self.p,
@@ -424,10 +713,8 @@ class PolyhedralFace:
     """Exposed face argmax_{A y <= c} <y_bar, y>, as inequalities + equalities.
 
     Built through conj_subdiff_face, which keeps one face per multiplier on
-    the spec, so its support LP is solved once.
+    the regularizer, so its support LP is solved once.
     """
-
-    is_polyhedral = True
 
     def __init__(self, reg, y_bar, tol):
         import scipy.optimize
@@ -477,26 +764,33 @@ class PolyhedralFace:
     def polyhedral_system(self):
         return self.A, self.c, self.E, self.e
 
+    def ri_meets_range(self, imk, tol, x_bar=None):
+        """Does Im K = span(Q) contain a point with margin on every
+        non-affine-hull row?
+
+        The implicit equalities are detected on the face itself; restricting
+        to Im K afterwards keeps the test faithful to 'Im K meets the
+        relative interior of the face' (mere nonemptiness of the
+        intersection is weaker).
+        """
+        a, c, e, rhs = self.polyhedral_system()
+        implicit, status = _implicit_face_rows(a, c, e, rhs, tol)
+        if status == "ok":
+            status, margin = _max_margin_lp(a, c, e, rhs, implicit, imk.basis)
+        if status == "infeasible":
+            return "no"
+        if status == "trouble":
+            return "unknown"
+        return "yes" if margin > 1e3 * tol.member or implicit.all() else "no"
+
     def describe(self):
         return {"kind": "polyhedral", "support": float(self.support),
                 "equalities": int(self.E.shape[0])}
 
 
 def conj_subdiff_face(reg, y_bar, tol=DEFAULT_TOL):
-    """Exact description of dg*(y_bar) = {x : y_bar in dg(x)}.
-
-    A polyhedral face is kept on the spec, keyed by the bytes of y_bar and
-    tol, so its support LP and projection factors serve every caller.
-    """
-    if reg.kind == "group_lasso":
-        return GroupLassoFace(reg, y_bar, tol)
-    if reg.kind == "nuclear":
-        return NuclearFace(reg, y_bar, tol)
-    y_bar = np.asarray(y_bar, dtype=float)
-    key = (y_bar.tobytes(), tol)
-    if key not in reg._faces:
-        reg._faces[key] = PolyhedralFace(reg, y_bar, tol)
-    return reg._faces[key]
+    """Exact description of dg*(y_bar) = {x : y_bar in dg(x)}."""
+    return reg.face(np.asarray(y_bar, dtype=float), tol)
 
 
 def member_tangent(face, x_bar, tol=DEFAULT_TOL):
@@ -523,50 +817,7 @@ def tangent_subdiff(reg, x_bar, y_bar, tol=DEFAULT_TOL):
     y_bar = np.asarray(y_bar, dtype=float)
     if not subdiff_contains(reg, x_bar, y_bar, tol):
         raise ValueError("y_bar is not in dg(x_bar)")
-    if reg.kind == "group_lasso":
-        # per group: {0} when active, free when ||y_J|| < w (interior), and
-        # the half-space <y_J, w_J> <= 0 when inactive on the boundary
-        seg = reg.segments
-        _, active = active_groups(reg, x_bar, tol)
-        free = ~active & (group_norms(reg, y_bar) / reg.weight < 1.0 - tol.member)
-        tight = ~active & ~free
-        eye = np.eye(reg.dim)
-        in_perm = seg.owner[seg.perm]           # segment of each perm entry
-        if not tight.any():
-            return SubspacePlusRays(Subspace._orthonormal(
-                eye[:, seg.perm[free[in_perm]]]))
-        return PolyhedralCone(_segment_columns(y_bar, tight, seg.owner).T,
-                              eye[seg.perm[active[in_perm]]], ambient=reg.dim)
-    if reg.kind == "polyhedral_indicator":
-        a = reg.A
-        rays = [r for r in a[active_rows(a, reg.c, x_bar, tol.member)]
-                if np.any(r)]
-        ny = float(np.linalg.norm(y_bar))
-        span = (Subspace(reg.dim, y_bar.reshape(-1, 1)) if ny > tol.member
-                else Subspace.zero(reg.dim))
-        return SubspacePlusRays(span, rays)
-    # nuclear: supported cases only (interior block, or a simple unit top
-    # singular value in the residual block); None propagates as Unknown
-    u, v, sx, sy = simultaneous_svd(_mat(reg, x_bar), _mat(reg, y_bar), tol)
-    w = reg.weight
-    scale = max(1.0, float(sx.max(initial=0.0)))
-    r = int(np.sum(sx > tol.member * scale))
-    m, n = reg.m, reg.n
-    if r == m:
-        return SubspacePlusRays(Subspace.zero(reg.dim))
-    tail = sy[r:] / w
-    block_cols = []
-    for i in range(r, m):
-        for j in range(r, n):
-            block_cols.append(np.outer(u[:, i], v[:, j]).ravel())
-    block = Subspace(reg.dim, np.stack(block_cols, axis=1))
-    if tail.size == 0 or tail[0] < 1.0 - tol.member:
-        return SubspacePlusRays(block)
-    if tail.size == 1 or tail[1] < 1.0 - tol.member:
-        grad = np.outer(u[:, r], v[:, r]).ravel()
-        comp = block.complement()
-        return PolyhedralCone(grad.reshape(1, -1), comp.basis.T, ambient=reg.dim)
-    return None
+    return reg.tangent_subdiff(x_bar, y_bar, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -581,50 +832,19 @@ def ri_intersects_range(face, k_op, tol=DEFAULT_TOL, x_bar=None):
     the range is the whole space, which meets the relative interior of any
     nonempty face, and the face is nonempty: it holds K x_bar.
     """
-    kind = face.reg.kind
     if getattr(k_op, "is_identity", False):         # Im K = Y
         return "yes"
     imk = range_space(k_op, tol) if isinstance(k_op, np.ndarray) \
         else k_op.range_space(tol)
-    if kind == "group_lasso":
-        return _ri_group_lasso(face, imk.basis, tol) if face.boundary else "yes"
-    if kind == "nuclear":
-        if x_bar is not None and face.contains(np.asarray(x_bar, dtype=float),
-                                               10 * tol.member):
-            if face.rank_at(x_bar, tol) == face.p:
-                return "yes"    # nondegenerate: K x_bar itself is in the ri
-        target = face.ri_member_target(np.eye(face.p))
-        slack = tol.member * max(1.0, float(np.linalg.norm(target)))
-        return "yes" if imk.residual(target) <= slack else "unknown"
-    return _ri_polyhedral(face, imk.basis, tol)
+    return face.ri_meets_range(imk, tol, x_bar)
 
 
-def _ri_group_lasso(face, q, tol):
-    """Feasibility of (Kx)_J = t_J u_J with t_J >= 1 (homogeneous margin).
-
-    With t = 1 + s and Q an orthonormal basis of Im K, x drops out: the
-    answer is yes when min over s >= 0 of ||(I - Q Q^T)(-U s - u)|| is
-    zero, U holding the u_J of the boundary groups as columns.
+def _max_margin_lp(a, c, e, rhs, implicit, q):
+    """max t s.t. a[free] y <= c[free] - t, implicit rows at equality, over
+    y = Q z in the span of Q.  Returns (status, margin) with status in
+    {'ok', 'infeasible', 'trouble'}.
     """
     import scipy.optimize
-    u = face._u
-    a = np.column_stack([-_segment_columns(u, face._on, face.reg.segments.owner),
-                         u])
-    a -= q @ (q.T @ a)                              # (I - Q Q^T) [-U, u]
-    _, res = scipy.optimize.nnls(a[:, :-1], a[:, -1])
-    return "yes" if res <= 1e3 * tol.member * max(1.0, float(np.linalg.norm(u))) \
-        else "no"
-
-
-def _max_margin_lp(a, c, e, rhs, implicit, tol, basis=None):
-    """max t s.t. a[free] y <= c[free] - t, implicit rows at equality.
-
-    With basis Q given, y = Q z ranges over a subspace.  Returns
-    (status, margin, y) with status in {'ok', 'infeasible', 'trouble'}.
-    """
-    import scipy.optimize
-    dim = a.shape[1]
-    q = basis if basis is not None else np.eye(dim)
     free = ~implicit
     nz = q.shape[1]
     cobj = np.zeros(nz + 1)
@@ -646,10 +866,10 @@ def _max_margin_lp(a, c, e, rhs, implicit, tol, basis=None):
                                  b_eq=b_eq if a_eq.size else None,
                                  bounds=bounds, method="highs")
     if res.status == 2:
-        return "infeasible", 0.0, None
+        return "infeasible", 0.0
     if res.status != 0:
-        return "trouble", 0.0, None
-    return "ok", float(res.x[-1]), q @ res.x[:nz]
+        return "trouble", 0.0
+    return "ok", float(res.x[-1])
 
 
 def _implicit_face_rows(a, c, e, rhs, tol):
@@ -690,46 +910,16 @@ def _implicit_face_rows(a, c, e, rhs, tol):
     return implicit, "ok"
 
 
-def _ri_polyhedral(face, q, tol):
-    """Does Im K = span(Q) contain a point with margin on every
-    non-affine-hull row?
-
-    The implicit equalities are detected on the face itself; restricting to
-    Im K afterwards keeps the test faithful to 'Im K meets the relative
-    interior of the face' (mere nonemptiness of the intersection is weaker).
-    """
-    a, c, e, rhs = face.polyhedral_system()
-    implicit, status = _implicit_face_rows(a, c, e, rhs, tol)
-    if status == "infeasible":
-        return "no"
-    if status == "trouble":
-        return "unknown"
-    status, margin, _ = _max_margin_lp(a, c, e, rhs, implicit, tol, basis=q)
-    if status == "infeasible":
-        return "no"
-    if status == "trouble":
-        return "unknown"
-    if margin > 1e3 * tol.member:
-        return "yes"
-    return "yes" if not (~implicit).any() else "no"
-
-
 # ---------------------------------------------------------------------------
-# multiplier refinement
+# multiplier refinement and growth conditions
 
 
 def project_multiplier(reg, z, y, tol=DEFAULT_TOL):
     """Best-effort pull of y toward dg(z) (used for near-KKT refinement)."""
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if reg.kind == "group_lasso":
-        # active group: w z_J / ||z_J||; else y_J pulled into the w-ball
-        w = reg.weight
-        owner = reg.segments.owner
-        nz, active = active_groups(reg, z, tol)
-        fac = w / np.fmax(group_norms(reg, y), w)
-        return np.where(active[owner], w * z / np.where(active, nz, 1.0)[owner],
-                        fac[owner] * y)
-    if reg.kind == "nuclear":
-        return prox_conjugate(reg, 1.0, y)
-    return _normal_cone_fit(reg.A, reg.c, z, y, tol.member)[0]
+    return reg.project_multiplier(np.asarray(z, dtype=float),
+                                  np.asarray(y, dtype=float), tol)
+
+
+def qgc_flags(reg):
+    """Growth-condition flags per catalog class (fixed, not computed)."""
+    return reg.qgc

@@ -96,30 +96,12 @@ def kkt_within(res, bound):
     return all(r <= bound for r in res.values())
 
 
-def _dual_feasibility(reg, y):
-    """Violation of the dual-norm bound (0 for feasible multipliers)."""
-    y = np.asarray(y, dtype=float)
-    if reg.kind == "group_lasso":
-        return max(0.0, float(rz.group_norms(reg, y).max(initial=0.0)) - reg.weight)
-    if reg.kind == "nuclear":
-        s = np.linalg.svd(y.reshape(reg.m, reg.n), compute_uv=False)
-        return max(0.0, float(s[0]) - reg.weight) if s.size else 0.0
-    return 0.0
-
-
 def _gap_proxy(reg, kx, y):
     """Fenchel-Young gap g(Kx) + g*(y) - <y, Kx> restricted to finite g*."""
     gval = rz.value(reg, kx)
     if not np.isfinite(gval):
         return np.inf
-    if reg.kind == "polyhedral_indicator":
-        # g* is the support function; evaluate it at y via the face LP value
-        try:
-            gstar = rz.conj_subdiff_face(reg, y, rz.DEFAULT_TOL).support
-        except ValueError:
-            return np.inf
-        return abs(gstar - float(np.dot(y, kx)))
-    return abs(gval - float(np.dot(y, kx)))
+    return abs(gval + reg.conjugate_value(y) - float(np.dot(y, kx)))
 
 
 def _make_pair(instance, x, y, iters, newton_steps=0):
@@ -130,7 +112,7 @@ def _make_pair(instance, x, y, iters, newton_steps=0):
         y_bar=np.asarray(y, dtype=float),
         v_bar=v,
         residuals={"stationarity": res["stationarity"],
-                   "dual_feas": _dual_feasibility(instance.reg, y),
+                   "dual_feas": instance.reg.dual_violation(y),
                    "gap_proxy": _gap_proxy(instance.reg, instance.k.apply(x), y)},
         iterations=iters,
         newton_steps=newton_steps,
@@ -179,31 +161,6 @@ _NEWTON_STEPS = 20
 _NEWTON_HALVINGS = 8
 
 
-def _prox_jacobian(reg, u):
-    """The generalized Jacobian D = d prox_g(u) of the group prox, by group.
-
-    D_J = I - c_J (I - uu^T) when c_J = w / ||u_J|| < 1 (u the unit u_J), on
-    the invertible blocks A, and 0 otherwise.  Returns (on_a, m, along): the
-    mask of the indices in A, the per-index factor m = c_J / (1 - c_J), zero
-    off A, so that M = D^{-1}(I - D) is m (I - uu^T) on A, and along(rows),
-    (I - uu^T) rows_J per group for rows with one column per right-hand
-    side.
-    """
-    seg = reg.segments
-    owner = seg.owner
-    nrm = rz.group_norms(reg, u)
-    active = nrm > reg.weight
-    inv = np.where(active, 1.0 / np.where(active, nrm, 1.0), 0.0)
-    c = reg.weight * inv                            # zero off A
-    unit = inv[owner] * u
-
-    def along(rows):
-        dots = np.add.reduceat((unit[:, None] * rows)[seg.perm], seg.starts)
-        return rows - unit[:, None] * dots[owner]
-
-    return active[owner], (c / (1.0 - c))[owner], along
-
-
 def _newton_direction(instance, eps, stat, graph, u):
     """(dx, dy) solving the generalized Jacobian system of F at (x, y), K != I.
 
@@ -216,7 +173,7 @@ def _newton_direction(instance, eps, stat, graph, u):
     LU-solvable.
     """
     k = instance.k._dense
-    on_a, m, along = _prox_jacobian(instance.reg, u)
+    on_a, m, along = instance.reg.prox_jacobian(u)
     mk = m[:, None] * along(k)                      # M K, zero off A
     dinv_graph = graph + m * along(graph[:, None])[:, 0]   # D^{-1} graph on A
     z = np.flatnonzero(~on_a)
@@ -248,7 +205,7 @@ def _identity_direction(instance, eps, stat, graph, u):
     Phi_A^T Phi_A singular; eps > 0 keeps the system solvable.
     """
     phi = instance.phi._dense
-    on_a, m, along = _prox_jacobian(instance.reg, u)
+    on_a, m, along = instance.reg.prox_jacobian(u)
     a = np.flatnonzero(on_a)
     dx = np.where(on_a, 0.0, -graph)
     if a.size:
@@ -318,18 +275,18 @@ def _newton_finish(instance, x, y, target):
 class _NewtonTries:
     """The KKT checks of one solve, and the Newton tries made at them.
 
-    Only group-Lasso regularizers are tried.  The first try is at the first
-    check: iteration 0 for a solve given a start, check_every for a cold
-    one.  A try that fails leaves the first-order iterate as it was and
-    doubles the number of checks until the next, so an instance where
-    Newton cannot win pays for O(log(checks)) tries.  steps counts the
-    Newton steps of all tries.
+    Only a regularizer with a prox Jacobian (group Lasso) is tried.  The
+    first try is at the first check: iteration 0 for a solve given a start,
+    check_every for a cold one.  A try that fails leaves the first-order
+    iterate as it was and doubles the number of checks until the next, so
+    an instance where Newton cannot win pays for O(log(checks)) tries.
+    steps counts the Newton steps of all tries.
     """
 
     def __init__(self, instance, cfg):
         self.instance = instance
         self.target = cfg.tol_kkt * (1.0 + float(np.linalg.norm(instance.b)))
-        self.enabled = instance.reg.kind == "group_lasso"
+        self.enabled = hasattr(instance.reg, "prox_jacobian")
         self.steps = 0
         self.checks = 0
         self.next_try, self.gap = 1, 1

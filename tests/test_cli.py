@@ -144,6 +144,72 @@ def test_group_indices_are_checked(tmp_path, capsys, groups, field, message):
     assert err.startswith(f"error: {field}: ") and message in err
 
 
+def test_nuclear_with_more_rows_than_columns_is_rejected(tmp_path, capsys):
+    doc = _one_by_one(**{"phi.cols": 2, "phi.entries": [1.0, 1.0]})
+    doc["k"] = {"kind": "identity", "dim": 2}
+    doc["reg"] = {"kind": "nuclear", "m": 2, "n": 1, "weight": 1.0}
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(doc))
+    assert run(["certify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: reg: nuclear requires m <= n")
+
+
+# g = 0 as the indicator of a polyhedron with no rows: (Phi, K), K None for
+# the identity
+ZERO_ROWS = {"line": ([[1.0, 1.0]], None),
+             "point": ([[1.0, 1.0], [0.0, 1.0]], None),
+             "k_dense": ([[1.0, 1.0], [0.0, 1.0]],
+                         [[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])}
+
+
+def _dense(matrix):
+    m = np.asarray(matrix, dtype=float)
+    return {"kind": "dense", "rows": m.shape[0], "cols": m.shape[1],
+            "entries": m.ravel().tolist()}
+
+
+def _zero_rows_path(tmp_path, case):
+    phi, k = ZERO_ROWS[case]
+    dim = len(phi[0]) if k is None else len(k)
+    doc = {"phi": _dense(phi), "b": [1.0] * len(phi), "mu": 1.0,
+           "k": {"kind": "identity", "dim": dim} if k is None else _dense(k),
+           "reg": {"kind": "polyhedral_indicator",
+                   "A": _dense(np.zeros((0, dim))), "c": []}}
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("verb", ["solve", "certify", "certify-pd", "sweep",
+                                  "probe", "lab"])
+@pytest.mark.parametrize("case", sorted(ZERO_ROWS))
+def test_zero_row_polyhedron_runs_every_verb(tmp_path, case, verb):
+    # A read as a tuple of rows lost its column count, and a zero-row
+    # polyhedron failed to load
+    path = _zero_rows_path(tmp_path, case)
+    assert run([verb, str(path), "--out", str(tmp_path / "out.json")]) == 0
+
+
+@pytest.mark.parametrize("verb", ["certify", "certify-pd"])
+def test_zero_row_polyhedron_verdicts(tmp_path, verb):
+    # with g = 0 the solutions are x_bar + Ker Phi: the line x_1 + x_2 = const
+    # for Phi = [1 1], the one point for an invertible Phi
+    out = tmp_path / "r.json"
+    assert run([verb, str(_zero_rows_path(tmp_path, "line")),
+                "--out", str(out)]) == 0
+    verdict = json.loads(out.read_text())["payload"]["conclusion_solution_map"]
+    assert verdict["status"] == "not_isolated_calm"
+    w = np.asarray(verdict["witness"])
+    assert np.allclose(np.abs(w), np.sqrt(0.5)) and abs(w.sum()) <= 1e-12
+    assert run([verb, str(_zero_rows_path(tmp_path, "point")),
+                "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["conclusion_solution_map"]["status"] == "isolated_calm"
+    if verb == "certify-pd":
+        assert payload["conclusion_primal_dual"]["status"] == "isolated_calm"
+
+
 def test_integral_group_indices_load(tmp_path):
     path = tmp_path / "ok.json"
     path.write_text(json.dumps(_one_by_one(**{"reg.groups": [[0.0]]})))

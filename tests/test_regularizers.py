@@ -67,12 +67,25 @@ def test_prox_nuclear_svt():
 
 
 def test_moreau_identity_direct_conjugates():
+    # one contract for every kind: prox(t, y) + t prox_conj(1/t, y/t) = y, a
+    # stack gives its rows' answers, and y - prox(1, y) is in dg(prox(1, y));
+    # the polyhedron with no rows is g = 0
     rng = np.random.default_rng(0)
-    for reg in (GL, l1(4), NUC):
-        for _ in range(25):
-            y = 3.0 * rand_point(reg, rng)
-            lhs = rz.prox(reg, 1.0, y) + rz.prox_conjugate(reg, 1.0, y)
-            assert np.linalg.norm(lhs - y) <= 1e-8
+    zero_rows = polyhedral_indicator(np.zeros((0, 2)), np.zeros(0))
+    for reg in (GL, l1(4), group_lasso([[0, 3], [1], [2, 4]], 5), NUC,
+                nuclear(2, 3), BOX, zero_rows):
+        ys = 3.0 * rng.standard_normal((25, reg.dim))
+        for t in (1.0, 0.3):
+            stacked = rz.prox(reg, t, ys)
+            for y, row in zip(ys, stacked):
+                lone = rz.prox(reg, t, y)
+                lhs = lone + t * rz.prox_conjugate(reg, 1.0 / t, y / t)
+                assert np.linalg.norm(lhs - y) <= 1e-8
+                assert np.linalg.norm(row - lone) \
+                    <= 1e-12 * max(1.0, np.linalg.norm(y))
+        for y in ys:
+            x = rz.prox(reg, 1.0, y)
+            assert rz.subdiff_contains(reg, x, y - x, TOL)
 
 
 def test_firm_nonexpansiveness():
