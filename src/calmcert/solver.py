@@ -22,8 +22,12 @@ problem's solution lies within kappa (||db|| + |dmu|) of the base pair, so a
 solve warm-started there usually ends at its start check, with no
 first-order iteration.  For K = I the system is reduced exactly to the |A|
 unknowns of the active groups A (dx is -graph off A), regularized by
-eps = tol.rank ||Phi||^2 / mu so that duplicated columns keep it solvable;
-for general K it keeps (dx, dy_Z), with eps = tol.rank ||K||^2.  A try that
+eps = tol.rank ||Phi||^2 / mu so that duplicated columns keep it solvable.
+For general K the system is reduced to the n unknowns dx: dy is eliminated
+exactly on A, and on the inactive rows Z through K_Z dx - eps dy_Z =
+-graph_Z, eps = tol.rank ||K||^2, which leaves the n x n Schur complement
+of the (n + |Z|) saddle system, solved and then refined once with the same
+matrix (Benzi, Golub & Liesen, Acta Numerica 14, 2005).  A try that
 fails leaves the iterate as it was, and doubles the number of checks until
 the next try, so an instance where Newton cannot win pays for
 O(log(checks)) tries.  Nuclear and polyhedral g run the first-order loops
@@ -63,6 +67,10 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tol_kkt > 0:
             raise ValueError("tol_kkt must be positive")
+        if not self.max_iter >= 1:
+            raise ValueError("max_iter must be at least 1")
+        if not self.check_every >= 1:
+            raise ValueError("check_every must be at least 1")
 
 
 def objective(instance, x):
@@ -79,11 +87,15 @@ def _kkt_vectors(instance, x, y):
     return stat, kx - rz.prox(instance.reg, 1.0, u), u
 
 
+def _residuals(stat, graph):
+    return {"stationarity": float(np.linalg.norm(stat)),
+            "graph": float(np.linalg.norm(graph))}
+
+
 def kkt_residual(instance, x, y):
     """{'stationarity', 'graph'}: zero exactly at primal-dual solutions."""
     stat, graph, _ = _kkt_vectors(instance, x, y)
-    return {"stationarity": float(np.linalg.norm(stat)),
-            "graph": float(np.linalg.norm(graph))}
+    return _residuals(stat, graph)
 
 
 def kkt_within(res, bound):
@@ -104,9 +116,12 @@ def _gap_proxy(reg, kx, y):
     return abs(gval + reg.conjugate_value(y) - float(np.dot(y, kx)))
 
 
-def _make_pair(instance, x, y, iters, newton_steps=0):
+def _make_pair(instance, x, y, iters, newton_steps=0, res=None):
+    """The SolutionPair of (x, y); res is kkt_residual(instance, x, y) when
+    the caller has it."""
     v = instance.v_of(x)
-    res = kkt_residual(instance, x, y)
+    if res is None:
+        res = kkt_residual(instance, x, y)
     return SolutionPair(
         x_bar=np.asarray(x, dtype=float),
         y_bar=np.asarray(y, dtype=float),
@@ -164,32 +179,36 @@ _NEWTON_HALVINGS = 8
 def _newton_direction(instance, eps, stat, graph, u):
     """(dx, dy) solving the generalized Jacobian system of F at (x, y), K != I.
 
-    The equations H dx + K^T dy = -stat and (I - D) K dx - D dy = -graph
-    give, on A, dy_A = M K_A dx + D_A^{-1} graph_A, and leave
-    [[H + K_A^T M K_A, K_Z^T], [K_Z, -eps I]] (dx, dy_Z)
-        = (-stat - K_A^T D_A^{-1} graph_A, -graph_Z),
-    H = Phi^T Phi / mu, from the Gram matrix that Phi caches.  K_Z loses
-    rank on TV (the cycles of the grid graph); eps > 0 keeps the system
-    LU-solvable.
+    The equations are H dx + K^T dy = -stat and (I - D) K dx - D dy = -graph,
+    H = Phi^T Phi / mu from the Gram matrix that Phi caches.  On the
+    invertible blocks A they give dy_A = M K_A dx + D_A^{-1} graph_A.  On Z,
+    where D = 0, K_Z dx = -graph_Z is regularized to
+    K_Z dx - eps dy_Z = -graph_Z, since K_Z loses rank on TV (the cycles of
+    the grid graph); so dy_Z = (K_Z dx + graph_Z) / eps.  Both read
+    dy = W K dx + q, W = M on A and I / eps on Z, which leaves the n x n
+    Schur complement of the saddle system in (dx, dy_Z):
+        S dx = (H + K^T W K) dx = -stat - K^T q.
+    S is singular exactly when the saddle system is, and np.linalg.solve
+    then raises LinAlgError.  The K_Z^T K_Z / eps term makes S about 1 / eps
+    times worse conditioned than H, and forming dy_Z divides a cancellation
+    by eps, so this dx meets H dx + K^T dy = -stat only to about 1e-7
+    relative.  One step of iterative refinement on that residual e, with
+    the same S, adds (S^{-1} e, W K S^{-1} e) and restores the accuracy of
+    an LU of the saddle system.  When K_Z has no nonzero entry nothing is
+    divided by eps, and the step is skipped.
     """
     k = instance.k._dense
     on_a, m, along = instance.reg.prox_jacobian(u)
-    mk = m[:, None] * along(k)                      # M K, zero off A
-    dinv_graph = graph + m * along(graph[:, None])[:, 0]   # D^{-1} graph on A
-    z = np.flatnonzero(~on_a)
-    n = k.shape[1]
-    kz = k[z]
-    lhs = np.zeros((n + z.size, n + z.size))
-    lhs[:n, :n] = instance.phi.gram() / instance.mu + k.T @ mk
-    lhs[:n, n:] = kz.T
-    lhs[n:, :n] = kz
-    lhs[n:, n:][np.diag_indices(z.size)] = -eps
-    rhs = np.concatenate([-stat - k.T @ np.where(on_a, dinv_graph, 0.0),
-                          -graph[z]])
-    sol = np.linalg.solve(lhs, rhs)
-    dx = sol[:n]
-    dy = np.where(on_a, mk @ dx + dinv_graph, 0.0)
-    dy[z] = sol[n:]
+    wk = np.where(on_a, m, 1.0 / eps)[:, None] * along(k)          # W K
+    q = np.where(on_a, graph + m * along(graph[:, None])[:, 0], graph / eps)
+    h = instance.phi.gram() / instance.mu
+    s = h + k.T @ wk
+    dx = np.linalg.solve(s, -stat - k.T @ q)
+    dy = wk @ dx + q
+    if np.any(k[~on_a]):
+        ddx = np.linalg.solve(s, -stat - h @ dx - k.T @ dy)
+        dx += ddx
+        dy += wk @ ddx
     return dx, dy
 
 
@@ -221,15 +240,17 @@ def _identity_direction(instance, eps, stat, graph, u):
     return dx, dy
 
 
-def _newton_finish(instance, x, y, target):
+def _newton_finish(instance, x, y, target, kkt=None):
     """Semismooth Newton on F(x, y) = (grad f(x) + K^T y, K x - prox_g(K x + y)).
 
-    Each step halves its length until max(||stat||, ||graph||) drops.
-    Returns (x, y, steps), steps the linear solves made, with x None when
-    the residual did not reach target within _NEWTON_STEPS steps or a step
-    found no decrease.  The regularization eps is tol.rank ||K||^2 for
-    K != I and tol.rank ||Phi||^2 / mu for K = I, on the scale of the
-    system it regularizes.  For K = I the pair returned is FISTA's
+    Each step halves its length until max(||stat||, ||graph||) drops.  kkt
+    is _kkt_vectors(instance, x, y) when the caller has it.  Returns
+    (x, y, steps, res), steps the linear solves made and res the
+    kkt_residual of the pair returned, with x and res None when the
+    residual did not reach target within _NEWTON_STEPS steps, a step found
+    no decrease or a Newton system was singular.  The regularization eps
+    is tol.rank ||K||^2 for K != I and tol.rank ||Phi||^2 / mu for K = I,
+    on the scale of the system it regularizes.  For K = I the pair returned is FISTA's
     (x, v(x)), and only when it too meets target.
     """
     if instance.k.is_identity:
@@ -242,34 +263,37 @@ def _newton_finish(instance, x, y, target):
 
         def direction(stat, graph, u):
             return _newton_direction(instance, eps, stat, graph, u)
-    stat, graph, u = _kkt_vectors(instance, x, y)
-    merit = max(np.linalg.norm(stat), np.linalg.norm(graph))
+    stat, graph, u = _kkt_vectors(instance, x, y) if kkt is None else kkt
+    res = _residuals(stat, graph)
+    merit = max(res.values())
     steps = 0
     while merit > target:
         if steps == _NEWTON_STEPS:
-            return None, None, steps
+            return None, None, steps, None
         steps += 1
         try:
             dx, dy = direction(stat, graph, u)
         except np.linalg.LinAlgError:
-            return None, None, steps
+            return None, None, steps, None
         t = 1.0
         for _ in range(_NEWTON_HALVINGS):
             trial = _kkt_vectors(instance, x + t * dx, y + t * dy)
-            trial_merit = max(np.linalg.norm(trial[0]), np.linalg.norm(trial[1]))
+            trial_res = _residuals(trial[0], trial[1])
+            trial_merit = max(trial_res.values())
             if trial_merit < merit:
                 break
             t /= 2.0
         else:
-            return None, None, steps
+            return None, None, steps, None
         x, y = x + t * dx, y + t * dy
         stat, graph, u = trial
-        merit = trial_merit
+        res, merit = trial_res, trial_merit
     if instance.k.is_identity:
         y = instance.v_of(x)
-        if not kkt_within(kkt_residual(instance, x, y), target):
-            return None, None, steps
-    return x, y, steps
+        res = kkt_residual(instance, x, y)
+        if not kkt_within(res, target):
+            return None, None, steps, None
+    return x, y, steps, res
 
 
 class _NewtonTries:
@@ -296,17 +320,20 @@ class _NewtonTries:
         meets the target, else a Newton try's result when this check tries
         and the try succeeds."""
         self.checks += 1
-        if kkt_within(kkt_residual(self.instance, x, y), self.target):
-            return _make_pair(self.instance, x, y, it, self.steps)
+        kkt = _kkt_vectors(self.instance, x, y)
+        res = _residuals(kkt[0], kkt[1])
+        if kkt_within(res, self.target):
+            return _make_pair(self.instance, x, y, it, self.steps, res)
         if not self.enabled or self.checks != self.next_try:
             return None
-        xn, yn, steps = _newton_finish(self.instance, x, y, self.target)
+        xn, yn, steps, res = _newton_finish(self.instance, x, y, self.target,
+                                            kkt)
         self.steps += steps
         if xn is None:
             self.gap *= 2
             self.next_try = self.checks + self.gap
             return None
-        return _make_pair(self.instance, xn, yn, it, self.steps)
+        return _make_pair(self.instance, xn, yn, it, self.steps, res)
 
 
 def _splitting(instance, cfg, x, y, tries):

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -114,6 +115,21 @@ def test_perturbed_b_and_mu_closed_forms():
     # stationarity (1/mu)(x - b) + sign(x) = 0 gives x = b - mu
     remu = solve_perturbed(inst, np.zeros(1), 1.0, pair)
     assert remu.x_bar[0] == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("field", ["max_iter", "check_every"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_fewer_than_one_iteration_or_check(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
+
+
+def test_config_accepts_one_iteration_and_one_check():
+    # the Newton try at the one check solves tv_grad1d exactly
+    pair = solve(instance_for("tv_grad1d"),
+                 SolverConfig(max_iter=1, check_every=1))
+    assert pair.iterations == 1
+    assert np.allclose(pair.x_bar, [2.0, 2.0, 2.0], atol=1e-8)
 
 
 def test_perturbed_rejects_nonpositive_mu():
@@ -288,6 +304,178 @@ def test_newton_steps_are_reported_apart_from_iterations():
 
 
 # ---------------------------------------------------------------------------
+# the K != I Newton direction against the (n + |Z|) saddle system
+
+
+def _saddle_direction(instance, eps, stat, graph, u):
+    """The reference direction: one LU of
+    [[H + K_A^T M K_A, K_Z^T], [K_Z, -eps I]] (dx, dy_Z)
+        = (-stat - K_A^T D_A^{-1} graph_A, -graph_Z)."""
+    k = instance.k._dense
+    on_a, m, along = instance.reg.prox_jacobian(u)
+    mk = m[:, None] * along(k)
+    dinv_graph = graph + m * along(graph[:, None])[:, 0]
+    z = np.flatnonzero(~on_a)
+    n = k.shape[1]
+    kz = k[z]
+    lhs = np.zeros((n + z.size, n + z.size))
+    lhs[:n, :n] = instance.phi.gram() / instance.mu + k.T @ mk
+    lhs[:n, n:] = kz.T
+    lhs[n:, :n] = kz
+    lhs[n:, n:][np.diag_indices(z.size)] = -eps
+    rhs = np.concatenate([-stat - k.T @ np.where(on_a, dinv_graph, 0.0),
+                          -graph[z]])
+    sol = np.linalg.solve(lhs, rhs)
+    dy = np.where(on_a, mk @ sol[:n] + dinv_graph, 0.0)
+    dy[z] = sol[n:]
+    return sol[:n], dy
+
+
+def _dense_k_doc(seed):
+    """Phi 12 x 8 and K 10 x 8 with normal entries, groups of two rows."""
+    rng = np.random.default_rng([seed, 17])
+    phi = rng.standard_normal((12, 8))
+    k = rng.standard_normal((10, 8))
+    doc = l1_doc(phi, rng.standard_normal(12))
+    doc["k"] = {"kind": "dense", "rows": 10, "cols": 8,
+                "entries": [float(v) for v in k.ravel()]}
+    doc["reg"] = {"kind": "group_lasso", "dim": 10,
+                  "groups": [[2 * i, 2 * i + 1] for i in range(5)],
+                  "weight": 1.0}
+    return doc
+
+
+def _try_states(monkeypatch, inst):
+    """The (x, y) at which the Newton tries of a cold solve and of a solve
+    warm-started 1e-2 away begin: first-order iterates and base pairs, whose
+    stationarity is not yet at roundoff."""
+    states = []
+    finish = solver_module._newton_finish
+
+    def recorded(instance, x, y, *args):
+        states.append((instance, x.copy(), y.copy()))
+        return finish(instance, x, y, *args)
+
+    monkeypatch.setattr(solver_module, "_newton_finish", recorded)
+    cfg = SolverConfig(tol_kkt=1e-12)
+    pair = solve(inst, cfg)
+    d = np.random.default_rng(1).standard_normal(inst.b.size)
+    solve_perturbed(inst, 1e-2 * d / np.linalg.norm(d), 0.0, pair, cfg)
+    return states
+
+
+DIRECTION_CASES = {f"slow_tv{i}": SPLITTING_CASES[f"slow_tv{i}"]
+                   for i in range(len(SLOW_TV))}
+DIRECTION_CASES.update({f"dense_k{seed}": _dense_k_doc(seed)
+                        for seed in range(4)})
+
+
+@pytest.mark.parametrize("name", sorted(DIRECTION_CASES)
+                         + ["tv_grad1d", "pd_multiplier_segment"])
+def test_schur_direction_matches_the_saddle_system(monkeypatch, name):
+    inst = (instance_for(name) if name not in DIRECTION_CASES
+            else make(DIRECTION_CASES[name]))
+    eps = inst.tol.rank * inst.k.op_norm() ** 2
+    k = inst.k._dense
+    h = inst.phi.gram() / inst.mu
+    states = _try_states(monkeypatch, inst)
+    assert states
+    for instance, x, y in states:
+        stat, graph, u = solver_module._kkt_vectors(instance, x, y)
+        dx, dy = solver_module._newton_direction(instance, eps, stat, graph, u)
+        ref_dx, ref_dy = _saddle_direction(instance, eps, stat, graph, u)
+        # relative to the step, or to the residuals it answers when the step
+        # is O(eps) itself (see the exact pd_multiplier_segment test below)
+        scale = max(np.linalg.norm(ref_dx),
+                    np.linalg.norm(stat) + np.linalg.norm(graph))
+        assert np.linalg.norm(dx - ref_dx) <= 1e-10 * scale
+        # dy is fixed only up to Ker K_Z^T by the -eps I block, where two
+        # solvers of the same system differ by far more than roundoff:
+        # compare the stationarity equation H dx + K^T dy = -stat instead
+        for ddx, ddy in ((dx, dy), (ref_dx, ref_dy)):
+            assert np.linalg.norm(h @ ddx + k.T @ ddy + stat) \
+                <= 1e-12 * np.linalg.norm(stat)
+
+
+def test_schur_direction_is_exact_where_x_stays_on_the_segment():
+    # pd_multiplier_segment warm-started 1e-2 away: x = 0 stays optimal, both
+    # rows of K = [1; 1] are in Z, and dx = -(stat + (g_1 + g_2) / eps) /
+    # (1 + 2 / eps) is 1e-11.  The Schur form returns it to the last bit;
+    # the LU of the 3 x 3 saddle system is off by about 1e-7 relative.
+    inst = instance_for("pd_multiplier_segment")
+    pair = solve(inst, SolverConfig(tol_kkt=1e-12))
+    pert = inst.perturbed(np.array([-1e-2]))
+    stat, graph, u = solver_module._kkt_vectors(pert, pair.x_bar, pair.y_bar)
+    assert not np.any(pert.reg.prox_jacobian(u)[0])
+    eps = pert.tol.rank * pert.k.op_norm() ** 2
+    dx, _ = solver_module._newton_direction(pert, eps, stat, graph, u)
+    f_eps = Fraction(eps)
+    exact = -(Fraction(stat[0]) + (Fraction(graph[0]) + Fraction(graph[1]))
+              / f_eps) / (1 + 2 / f_eps)
+    assert abs(Fraction(dx[0]) - exact) <= Fraction(1, 10 ** 15) * abs(exact)
+
+
+@pytest.mark.parametrize("name, solves", [("slow_tv2", 2), ("tv6x6_draw0", 1)])
+def test_schur_direction_refines_only_where_k_z_is_nonzero(monkeypatch, name,
+                                                            solves):
+    # slow_tv2 (8x8) has rows of grad2d in Z that are not zero rows, so S
+    # carries K_Z^T K_Z / eps and the direction is refined; in the
+    # well-conditioned 6x6 draw Z holds only the zero rows of grad2d, S is
+    # H + K_A^T M K_A, and one solve gives the LU's accuracy
+    inst = make(SPLITTING_CASES[name])
+    (instance, x, y), *_ = _try_states(monkeypatch, inst)
+    stat, graph, u = solver_module._kkt_vectors(instance, x, y)
+    on_a = instance.reg.prox_jacobian(u)[0]
+    assert np.any(instance.k._dense[~on_a]) == (solves == 2)
+    shapes = []
+    linsolve = np.linalg.solve
+
+    def recorded(a, b):
+        shapes.append(a.shape)
+        return linsolve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    eps = inst.tol.rank * inst.k.op_norm() ** 2
+    solver_module._newton_direction(instance, eps, stat, graph, u)
+    assert shapes == [(inst.dim_x, inst.dim_x)] * solves
+
+
+def test_singular_newton_system_fails_the_try():
+    # the second column of Phi and of K is zero: x_2 enters no equation, so
+    # S (and the saddle system) has a zero row, and the try gives up
+    doc = l1_doc([[1.0, 0.0]], [3.0])
+    doc["k"] = {"kind": "dense", "rows": 1, "cols": 2,
+                "entries": [1.0, 0.0]}
+    doc["reg"] = {"kind": "group_lasso", "dim": 1, "groups": [[0]],
+                  "weight": 1.0}
+    inst = make(doc)
+    stat, graph, u = solver_module._kkt_vectors(inst, np.zeros(2), np.zeros(1))
+    eps = inst.tol.rank * inst.k.op_norm() ** 2
+    with pytest.raises(np.linalg.LinAlgError):
+        solver_module._newton_direction(inst, eps, stat, graph, u)
+    with pytest.raises(np.linalg.LinAlgError):
+        _saddle_direction(inst, eps, stat, graph, u)
+    assert solver_module._newton_finish(inst, np.zeros(2), np.zeros(1),
+                                        1e-10) == (None, None, 1, None)
+    # the first-order loop still solves it: x = (2, 0), y = 1
+    pair = solve(inst)
+    assert np.allclose(pair.x_bar, [2.0, 0.0], atol=1e-8)
+    assert np.allclose(pair.y_bar, [1.0], atol=1e-8)
+
+
+@pytest.mark.parametrize("name", ["slow_tv0", "tv6x6_draw0", "tv4x4_scaled"])
+def test_solution_pair_residuals_are_those_of_the_pair(name):
+    # the residuals a check or a Newton try computed are passed to the pair,
+    # not recomputed: they must be the pair's own
+    inst = make(SPLITTING_CASES[name])
+    pair = solve(inst)
+    warm = solve(inst, x0=pair.x_bar, y0=pair.y_bar)
+    for p in (pair, warm):
+        assert p.residuals["stationarity"] \
+            == kkt_residual(inst, p.x_bar, p.y_bar)["stationarity"]
+
+
+# ---------------------------------------------------------------------------
 # the Newton finish of FISTA (K = I) against FISTA alone
 
 
@@ -366,9 +554,11 @@ def test_zero_solution_solves_with_an_empty_active_set():
     # from a point off the solution, one step with no active group lands on 0
     x = 1e-3 * np.random.default_rng(2).standard_normal(60)
     target = 1e-10 * (1.0 + np.linalg.norm(inst.b))
-    xn, yn, steps = solver_module._newton_finish(inst, x, inst.v_of(x), target)
+    xn, yn, steps, res = solver_module._newton_finish(inst, x, inst.v_of(x),
+                                                      target)
     assert np.array_equal(xn, np.zeros(60)) and steps == 1
     assert np.array_equal(yn, inst.v_of(xn))
+    assert res == kkt_residual(inst, xn, yn)
 
 
 @pytest.mark.parametrize("name", ["nuclear_nondegenerate", "nuclear_degenerate",
