@@ -1,12 +1,15 @@
 """Machine verdicts for isolated calmness of the solution mappings.
 
 certify_solution_map: is the optimal-solution map of P(b, mu) isolated calm
-at (b, mu) for x_bar?  Decided by one test, Ker Phi cap K^-1 T = {0}, with T
-the tangent cone at K x_bar of the conjugate-subdifferential face F.  For a
-polyhedral F, T is written by F's own rows, and K^-1 T_F = K^-1 T_{F cap Im K}
-(T_{F cap Im K} = T_F cap Im K): the one test is the sufficient and the
-necessary condition at once.  For a curved F the qualification flags
-(ri F meets Im K) close the gap between the two.
+at (b, mu) for x_bar?  Decided by one test for every (Phi, K),
+Ker Phi cap K^-1 T_F = {0}, with T_F the tangent cone at K x_bar of the
+conjugate-subdifferential face F: the sufficient condition.  The necessary
+condition asks the same of K^-1 T_{F cap Im K}, which lies in K^-1 T_F, so
+cond_nes takes a trivial verdict over as it stands.  It takes every verdict
+over when the two cones are equal: for a polyhedral F, since
+T_{F cap Im K} = T_F cap Im K and K^-1 (C cap Im K) = K^-1 C (Rockafellar &
+Wets, Thm 6.42), and for a curved F whose relative interior meets Im K.
+Otherwise a nontrivial cond_suf leaves cond_nes unknown.
 
 certify_primal_dual: the same for the primal-dual (Lagrange) solution map,
 adding the adjoint-kernel condition Ker K* cap T_{dg(Kx)}(y) = {0}.
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import regularizers as rz
 from .cones import (TrivialityVerdict, preimage, polar_cone,
-                    tangent_with_range_restriction, trivial_intersection)
+                    trivial_intersection)
 from .linalg import null_space
 from .model import LinearOp, materialize
 from .solver import kkt_residual, kkt_within
@@ -198,19 +201,12 @@ def _solution_map(instance, pair, seed):
     qual_polyhedral = qgc.polyhedral_conjugate_face
     qual_ri = rz.ri_intersects_range(face, instance.k, tol, x_bar=kx)
     qualified = qual_polyhedral or qual_ri == "yes"
-    if instance.phi.is_identity:    # Ker Phi = {0} meets every cone trivially
-        cond_suf = cond_nes = TrivialityVerdict.trivial()
-    elif instance.k.is_identity:    # Im K = Y: the restriction changes nothing
-        cond_suf = cond_nes = trivial_intersection(instance.phi, tangent, tol,
-                                                   seed=seed)
-    else:
-        # the face's rows when it has them (None for a curved face)
-        restricted = tangent_with_range_restriction(face, kx, instance.k, tol)
-        cond_suf = trivial_intersection(
-            instance.phi,
-            preimage(instance.k, tangent if restricted is None else restricted,
-                     tol), tol, seed=seed)
-        cond_nes = cond_suf if qualified else TrivialityVerdict.unknown(
+    cond_suf = trivial_intersection(
+        instance.phi, preimage(instance.k, tangent, tol), tol, seed=seed)
+    # K^-1 T_{F cap Im K} lies in K^-1 T_F, with equality under the
+    # qualification
+    cond_nes = cond_suf if qualified or cond_suf.is_trivial \
+        else TrivialityVerdict.unknown(
             "range-restricted tangent cone has no exact description for "
             "this face")
 

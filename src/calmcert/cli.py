@@ -15,8 +15,7 @@ from . import certificates as ct
 from . import empirics as em
 from .gallery import curated_cases
 from .model import InstanceError, load_instance, load_vector
-from .reporting import (dumps, report_document, save_report,
-                        tolerances_from_overrides)
+from .reporting import dumps, save_report, tolerances_from_overrides
 from .solver import SolverConfig, SolverError, kkt_residual, kkt_within, solve
 
 
@@ -162,9 +161,8 @@ def run(argv):
         instance = _load(args)
         pair = _solve_pair(instance, args)
         if args.verb == "solve":
-            doc = report_document("solution", pair.to_json_dict(),
-                                  instance, args.seed)
-            _emit(dumps(doc), args.out)
+            _emit(save_report(pair, args.format, instance, args.seed,
+                              kind="solution"), args.out)
             return 0
         if args.verb in ("certify", "certify-pd"):
             report = (ct.certify_solution_map(instance, pair, seed=args.seed)
@@ -202,8 +200,8 @@ def run(argv):
                                                _floats(args.t_grid))
                 payload["certificate"] = conc.to_json_dict()
                 code = 0
-            doc = report_document("instability_probe", payload, instance, args.seed)
-            _emit(dumps(doc), args.out)
+            _emit(save_report(payload, args.format, instance, args.seed,
+                              kind="instability_probe"), args.out)
             return code
         if args.verb == "lab":
             kx = instance.k.apply(pair.x_bar)
@@ -215,8 +213,8 @@ def run(argv):
                                          n_samples=args.samples, seed=args.seed,
                                          cone_tol=instance.tol)
             payload = {"kernel_formula": kernel, "zero_product": zero}
-            doc = report_document("lab", payload, instance, args.seed)
-            _emit(dumps(doc), args.out)
+            _emit(save_report(payload, args.format, instance, args.seed,
+                              kind="lab"), args.out)
             return 0 if zero.get("available", False) else 2
         raise ValueError(f"unknown verb {args.verb!r}")
     except (InstanceError, FileNotFoundError) as exc:

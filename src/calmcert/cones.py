@@ -5,11 +5,10 @@ K^T for the adjoint-kernel conditions) and a described closed convex cone
 C, is {w in C : M w = 0} = {0}?  Every cone is one of four flat
 descriptions: a subspace plus rays (a plain subspace when there are no
 rays), a polyhedral cone {A w <= 0, E w = 0}, an embedded PSD cone, or the
-preimage under K of a cone with rays or of a PSD cone.  `preimage` is the
-one push-in: it pulls a polyhedral cone, or a subspace written as the
-equations of its complement, back through K row by row.  The regularizers
-write their cones in these forms directly, group-Lasso ones included,
-whatever the number of groups.
+preimage under K of a subspace plus rays or of a PSD cone.  `preimage` is
+the one push-in: it pulls a polyhedral cone back through K row by row.  The
+regularizers write their cones in these forms directly, group-Lasso ones
+included, whatever the number of groups.
 
 Every exact cone is one system Q = {z : G z <= 0, H z = 0} with M in its
 equality block, and a linear map F with F Q = Ker M cap C (G = -I on lam):
@@ -399,7 +398,7 @@ def make_psd_embedded(u, v, p, kernel_basis, m, n):
 
 
 class PreimageCone:
-    """{w : K w in inner}, for an inner cone with rays or a PSD cone."""
+    """{w : K w in inner}, for a subspace-plus-rays or a PSD inner cone."""
 
     def __init__(self, k_matrix, inner):
         self.K = np.asarray(k_matrix, dtype=float)
@@ -434,18 +433,14 @@ def _pull_back_rows(rows, k, tol):
 def preimage(k_op, cone, tol=DEFAULT_TOL):
     """Cone {w : K w in C}.
 
-    A polyhedral C, or a subspace C written as the equations of its
-    complement, is pulled back through K row by row; any other C is kept as
-    a PreimageCone.  For an operator with is_identity set it is C itself.
+    A polyhedral C is pulled back through K row by row; any other C is kept
+    as a PreimageCone.  For an operator with is_identity set it is C itself.
     """
     k = k_op if isinstance(k_op, np.ndarray) else k_op._dense
     if cone.ambient != k.shape[0]:
         raise ValueError("operator rows must match cone ambient dimension")
     if getattr(k_op, "is_identity", False):
         return cone
-    if isinstance(cone, SubspacePlusRays) and not cone.rays:
-        cone = PolyhedralCone(None, cone.span.complement().basis.T,
-                              ambient=cone.ambient)
     if isinstance(cone, PolyhedralCone):
         return PolyhedralCone(_pull_back_rows(cone.A, k, tol),
                               _pull_back_rows(cone.E, k, tol),
@@ -665,7 +660,10 @@ def tangent_with_range_restriction(face, z, k_op, tol=DEFAULT_TOL):
 
     Polyhedral faces get the exact construction (Im K orthogonal-complement
     equalities added to the face system before taking active rows); PSD faces
-    are supported only when the restriction is vacuous (Im K = Y).
+    are supported only when the restriction is vacuous (Im K = Y).  Its
+    preimage under K is that of the face's own tangent, which is what the
+    certificates decide on; this construction is the reference the two are
+    compared against.
     """
     z = np.asarray(z, dtype=float)
     if not face.contains(z, 10 * tol.member):

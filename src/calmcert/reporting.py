@@ -60,11 +60,13 @@ def dumps(doc):
                         | orjson.OPT_NON_STR_KEYS)
 
 
-def save_report(report, fmt="json", instance=None, seed=0):
-    """Serialize a report object: JSON as bytes (see dumps), CSV as text.
+def save_report(report, fmt="json", instance=None, seed=0, kind=None):
+    """Serialize a report object or a payload dict: JSON as bytes (see
+    dumps), CSV as text.
 
-    JSON round-trips losslessly; CSV flattens sweep samples one row per
-    perturbation (other reports flatten to key/value rows).
+    JSON round-trips losslessly, under `kind` (by default the report's class
+    name in lower case, "report" for a dict); CSV flattens sweep samples one
+    row per perturbation (other reports flatten to key/value rows).
     """
     if isinstance(report, KappaEstimate):
         if fmt == "csv":
@@ -74,7 +76,9 @@ def save_report(report, fmt="json", instance=None, seed=0):
     payload = report.to_json_dict() if hasattr(report, "to_json_dict") else report
     if fmt == "csv":
         return _csv_text(_flatten("", payload, []))
-    kind = type(report).__name__.lower() if hasattr(report, "to_json_dict") else "report"
+    if kind is None:
+        kind = type(report).__name__.lower() if hasattr(report, "to_json_dict") \
+            else "report"
     return dumps(report_document(kind, payload, instance, seed))
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +283,50 @@ def test_lab_reports(instances, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["payload"]["kernel_formula"]["disagreements"] == 0
     assert doc["payload"]["zero_product"]["positivity_violations"] == 0
+
+
+@pytest.mark.parametrize("verb, kind, key", [
+    ("solve", "solution", "x_bar"),
+    ("probe", "instability_probe", "certificate.status"),
+    ("lab", "lab", "zero_product.available")])
+def test_format_csv_reaches_every_report(instances, tmp_path, verb, kind, key):
+    # --format csv flattens the payload to key,value rows; JSON keeps the kind
+    segment = str(instances["lasso_segment"])
+    out = tmp_path / "r.csv"
+    assert run([verb, segment, "--format", "csv", "--out", str(out)]) == 0
+    rows = dict(line.split(",", 1) for line in out.read_text().splitlines())
+    assert key in rows
+    assert run([verb, segment, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["kind"] == kind
+
+
+def test_solve_and_sweep_leave_scipy_unimported(tmp_path):
+    # scipy is the bulk of the import time, and neither verb needs it
+    rng = np.random.default_rng(0)
+    phi = rng.standard_normal((40, 60))
+    lasso = {"phi": {"kind": "dense", "rows": 40, "cols": 60,
+                     "entries": phi.ravel().tolist()},
+             "b": (phi[:, :5] @ rng.standard_normal(5)).tolist(), "mu": 1.0,
+             "k": {"kind": "identity", "dim": 60},
+             "reg": {"kind": "group_lasso", "dim": 60,
+                     "groups": [[i] for i in range(60)], "weight": 0.5}}
+    argv = []
+    for name, doc in (("tv", tv_image(np.random.default_rng(1), 6, 6)),
+                      ("l1", lasso)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        argv += [["solve", str(path), "--out", str(tmp_path / f"{name}.sol")],
+                 ["sweep", str(path), "--radii", "1e-2", "--samples", "2",
+                  "--out", str(tmp_path / f"{name}.sweep.json")]]
+    src = str(Path(empirics.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import json, sys; from calmcert.cli import run; "
+             "codes = [run(a) for a in json.loads(sys.argv[1])]; "
+             "print(json.dumps([codes, 'scipy' in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
+                         capture_output=True, text=True, check=True,
+                         timeout=300, env={**os.environ, "PYTHONPATH": path})
+    assert json.loads(out.stdout) == [[0, 0, 0, 0], False]
 
 
 def test_y_override(instances, tmp_path):

@@ -1,13 +1,15 @@
-"""One Ker Phi decision per K != I solution-map certificate.
+"""One Ker Phi decision per solution-map certificate, for every K.
 
-With K != I and Phi != I the certificate decides Ker Phi against the
-preimage of the face's own rows (the face tangent for a curved face), and
-the necessary condition is that same verdict under the qualification.  The
-two hand-made instances below are the ones on which the sufficient and the
-necessary condition, decided apart on two descriptions of that cone,
-disagreed: "stacked" by a null space read at a relative rank threshold,
-"window" by the two activity slacks (tol.member for the tangent, and
-10 tol.member for the face rows) around (K x_bar)_J.
+The certificate decides Ker Phi against the preimage under K of the face's
+own tangent cone.  Since K^-1 (C cap Im K) = K^-1 C, that is also the
+preimage of the range-restricted tangent of a polyhedral face, so the one
+verdict is the necessary condition too; for a curved face it is when the
+qualification holds or the verdict is trivial.  The two hand-made instances
+below are the ones on which the sufficient and the necessary condition,
+once decided apart on two descriptions of that cone, disagreed: "stacked"
+by a null space read at a relative rank threshold, "window" by the two
+activity slacks (tol.member for the tangent, and 10 tol.member for the face
+rows) around (K x_bar)_J.
 """
 
 import json
@@ -19,7 +21,7 @@ import calmcert.certificates as ct
 from calmcert import cones
 from calmcert import regularizers as rz
 from calmcert.cli import run
-from calmcert.cones import PolyhedralCone, SubspacePlusRays, preimage
+from calmcert.cones import SubspacePlusRays, preimage
 from calmcert.linalg import Subspace
 from calmcert.model import load_instance, materialize
 from calmcert.solver import solve
@@ -34,8 +36,9 @@ STACKED = {"phi": dense_doc([[1.0, 1.0]]), "b": [3.0], "mu": 1.0,
            "reg": {"kind": "group_lasso", "dim": 4, "groups": [[0, 2], [1, 3]],
                    "weight": 1.0}}
 
-# the solver's x_bar is (2.5e-7, 2.5e-7), so each (K x_bar)_J = 5e-7 lies
-# between the two activity slacks
+# the solution set is the segment x_1 + x_2 = 5e-7, x >= 0; the solver's
+# x_bar is (2.5e-7, 2.5e-7), so each (K x_bar)_J = 5e-7 lies between the two
+# activity slacks
 WINDOW = {"phi": dense_doc([[1.0, 1.0]]), "b": [2.0 + 5e-7], "mu": 1.0,
           "k": dense_doc([[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]]),
           "reg": {"kind": "group_lasso", "dim": 3, "groups": [[0], [1], [2]],
@@ -69,6 +72,19 @@ def test_window_between_the_activity_slacks_gets_a_verdict(tmp_path, verb):
     code, status, _ = _run(tmp_path, WINDOW, verb)
     assert code == 0
     assert status in ("isolated_calm", "not_isolated_calm")
+
+
+@pytest.mark.parametrize("delta", [2e-7, 3e-7, 5e-7])
+@pytest.mark.parametrize("verb", ["certify", "certify-pd"])
+def test_window_segments_above_the_tangent_slack_are_not_isolated_calm(
+        tmp_path, verb, delta):
+    # each (K x_bar)_J = delta is above the tangent's tol.member, so both
+    # groups move, and Ker Phi meets K^-1 T along the segment x_1 + x_2 = delta
+    code, status, payload = _run(tmp_path, {**WINDOW, "b": [2.0 + delta]}, verb)
+    assert code == 0
+    assert status == "not_isolated_calm"
+    w = np.asarray(payload["conclusion_solution_map"]["witness"])
+    assert np.allclose(np.abs(w), np.sqrt(0.5)) and abs(w.sum()) <= 1e-12
 
 
 CORPUS = range(150)
@@ -125,6 +141,34 @@ def test_preimage_of_a_subspace_forms_no_null_space(monkeypatch):
     k = np.vstack([np.eye(2), np.eye(2)])
     span = Subspace(4, np.array([[1.0, 0.0, 1.0, 0.0]]).T)
     cone = preimage(k, SubspacePlusRays(span, []))
-    assert isinstance(cone, PolyhedralCone)
     assert cone.member(np.array([1.0, 0.0]), 1e-9)
     assert not cone.member(np.array([0.0, 1.0]), 1e-7)
+
+
+def test_face_tangent_and_range_restricted_tangent_decide_alike():
+    # K^-1 (C cap Im K) = K^-1 C: the Ker Phi verdict on the preimage of the
+    # face tangent is the one on the preimage of the range-restricted tangent
+    # (the face tangent itself for a curved face)
+    for seed in range(300):
+        inst = load_instance(json.dumps(corpus_doc(seed)))
+        pair = solve(inst)
+        report = ct.certify_solution_map(inst, pair, seed=seed)
+        tol = inst.tol
+        kx = inst.k.apply(pair.x_bar)
+        face = rz.conj_subdiff_face(inst.reg, report.y_used, tol)
+        cone = cones.tangent_with_range_restriction(face, kx, inst.k, tol)
+        if cone is None:                              # a curved face
+            cone = face.tangent_at(kx, tol)
+        reference = cones.trivial_intersection(
+            inst.phi, preimage(inst.k, cone, tol), tol, seed=seed)
+        assert report.cond_suf.outcome == reference.outcome, seed
+
+
+def test_trivial_kernel_condition_is_necessary_without_qualification():
+    # a nuclear face whose relative interior Im K is not known to meet:
+    # K^-1 T_{F cap Im K} lies in K^-1 T_F, so a trivial verdict carries over
+    inst = load_instance(json.dumps(corpus_doc(1272)))
+    report = ct.certify_solution_map(inst, solve(inst), seed=1272)
+    assert not report.qual_polyhedral and report.qual_ri != "yes"
+    assert report.cond_suf.is_trivial
+    assert report.cond_nes is report.cond_suf
