@@ -11,6 +11,10 @@ T_{F cap Im K} = T_F cap Im K and K^-1 (C cap Im K) = K^-1 C (Rockafellar &
 Wets, Thm 6.42), and for a curved F whose relative interior meets Im K.
 Otherwise a nontrivial cond_suf leaves cond_nes unknown.
 
+The relative-interior qualification is decided only for a curved face
+(nuclear): a polyhedral face is qualified by polyhedrality, and its qual_ri
+is reported as not evaluated.
+
 certify_primal_dual: the same for the primal-dual (Lagrange) solution map,
 adding the adjoint-kernel condition Ker K* cap T_{dg(Kx)}(y) = {0}.
 
@@ -29,10 +33,9 @@ import numpy as np
 # package's import time, and group-Lasso and nuclear solves never need it.
 
 from . import regularizers as rz
-from .cones import (TrivialityVerdict, preimage, polar_cone,
-                    trivial_intersection)
+from .cones import TrivialityVerdict, preimage, trivial_intersection
 from .linalg import null_space
-from .model import LinearOp, materialize
+from .model import materialize
 from .solver import kkt_residual, kkt_within
 
 
@@ -69,6 +72,8 @@ def _verdict_json(v):
 
 
 def _tri_json(value):
+    if value is None:
+        return "not evaluated"
     return {"yes": "holds", "no": "fails", "unknown": "unknown"}[value]
 
 
@@ -79,11 +84,10 @@ class CertificateReport:
     cond_suf: TrivialityVerdict
     cond_nes: TrivialityVerdict
     qual_polyhedral: bool
-    qual_ri: str
+    qual_ri: str                 # yes | no | unknown; None: not evaluated
     qgc: rz.QgcFlags
     conclusion_solution_map: Conclusion
     srcq: TrivialityVerdict = None
-    pd_conditions: dict = None
     conclusion_primal_dual: Conclusion = None
     notes: dict = field(default_factory=dict)
 
@@ -96,8 +100,6 @@ class CertificateReport:
             "qual_polyhedral": bool(self.qual_polyhedral),
             "qual_ri": _tri_json(self.qual_ri),
             "srcq": _verdict_json(self.srcq),
-            "pd_conditions": None if self.pd_conditions is None
-            else {k: _tri_json(v) for k, v in self.pd_conditions.items()},
             "qgc": {"primal_qgc": self.qgc.primal_qgc,
                     "dual_qgc": self.qgc.dual_qgc,
                     "polyhedral_conjugate_face": self.qgc.polyhedral_conjugate_face},
@@ -183,8 +185,7 @@ def _compose_solution_conclusion(cond_suf, cond_nes, qualified, qgc):
 
 
 def _solution_map(instance, pair, seed):
-    """(report, tangent, kx): the solution-map report, the tangent cone of
-    the conjugate face of y_used at kx = K x_bar, and kx."""
+    """(report, kx): the solution-map report and kx = K x_bar."""
     tol = instance.tol
     x, y, _ = prepare_multiplier(instance, pair)
     v = instance.v_of(x)
@@ -199,7 +200,9 @@ def _solution_map(instance, pair, seed):
 
     tangent = face.tangent_at(kx, tol)
     qual_polyhedral = qgc.polyhedral_conjugate_face
-    qual_ri = rz.ri_intersects_range(face, instance.k, tol, x_bar=kx)
+    # a polyhedral face is qualified as it stands: no ri test can add to it
+    qual_ri = None if qual_polyhedral \
+        else rz.ri_intersects_range(face, instance.k, tol, x_bar=kx)
     qualified = qual_polyhedral or qual_ri == "yes"
     cond_suf = trivial_intersection(
         instance.phi, preimage(instance.k, tangent, tol), tol, seed=seed)
@@ -218,7 +221,7 @@ def _solution_map(instance, pair, seed):
         qgc=qgc, conclusion_solution_map=conclusion,
         notes={"face": face.describe(), "seed": int(seed)},
     )
-    return report, tangent, kx
+    return report, kx
 
 
 def certify_solution_map(instance, pair, seed=0):
@@ -230,51 +233,22 @@ def certify_solution_map(instance, pair, seed=0):
 # primal-dual certificate
 
 
-def _combine(flag_a, flag_b):
-    """Tri-state AND over {'yes','no','unknown'}."""
-    if flag_a == "no" or flag_b == "no":
-        return "no"
-    if flag_a == "yes" and flag_b == "yes":
-        return "yes"
-    return "unknown"
-
-
-def _verdict_flag(v):
-    return {"trivial": "yes", "nontrivial": "no", "unknown": "unknown"}[v.outcome]
-
-
 def certify_primal_dual(instance, pair, seed=0):
     """Certificate for the primal-dual solution mapping at (b, mu, 0).
 
-    Reuses the face and tangent cone the solution-map certificate decided on.
+    Extends the solution-map report with srcq and the primal-dual
+    conclusion, which reads srcq, cond_suf and the growth flags only.
     """
-    report, tangent, kx = _solution_map(instance, pair, seed)
+    report, kx = _solution_map(instance, pair, seed)
     tol = instance.tol
-    reg = instance.reg
-    y = report.y_used
-    # K^T as an operator (K = I is its own), so ||K^T|| is computed once
-    kt = instance.k if instance.k.is_identity \
-        else LinearOp.dense(materialize(instance.k).T)
-
-    tangent_sub = rz.tangent_subdiff(reg, kx, y, tol)
+    tangent_sub = rz.tangent_subdiff(instance.reg, kx, report.y_used, tol)
     if tangent_sub is None:
         srcq = TrivialityVerdict.unknown(
             "tangent cone to dg(K x_bar) not representable for this multiplier")
     else:
-        srcq = trivial_intersection(kt, tangent_sub, tol, seed=seed)
-
-    # condition (iii) first: Ker K* against the normal cone (polar of tangent)
-    polar = polar_cone(tangent)
-    if polar is None:
-        cond_iii = "unknown"
-    else:
-        v3 = trivial_intersection(kt, polar, tol, seed=seed)
-        cond_iii = _verdict_flag(v3)
-    cond_i = _combine("yes" if report.qual_polyhedral else "no",
-                      _verdict_flag(srcq))
-    cond_ii = _combine(report.qual_ri, _verdict_flag(srcq))
-    if cond_iii == "yes" and cond_ii == "unknown":
-        cond_ii = "yes"
+        # K^T tied to K, so ||K^T|| = ||K|| is computed once per operator
+        srcq = trivial_intersection(instance.k.adjoint, tangent_sub, tol,
+                                    seed=seed)
 
     qgc = report.qgc
     if srcq.is_nontrivial:
@@ -298,7 +272,6 @@ def certify_primal_dual(instance, pair, seed=0):
                         or "kernel conditions undecided")
 
     report.srcq = srcq
-    report.pd_conditions = {"i": cond_i, "ii": cond_ii, "iii": cond_iii}
     report.conclusion_primal_dual = pd
     return report
 

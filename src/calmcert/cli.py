@@ -15,7 +15,8 @@ from . import certificates as ct
 from . import empirics as em
 from .gallery import curated_cases
 from .model import InstanceError, load_instance, load_vector
-from .reporting import dumps, save_report, tolerances_from_overrides
+from .reporting import (dumps, save_report, table_csv,
+                        tolerances_from_overrides)
 from .solver import SolverConfig, SolverError, kkt_residual, kkt_within, solve
 
 
@@ -145,7 +146,12 @@ def _run_demo(args):
         obt = got.get("solution_map", got.get("error", "?"))[:40]
         print(f"{name:<{name_w}}  {exp:<20} {obt:<20} "
               f"{'PASS' if ok else 'FAIL'}")
-    if args.out is not None:
+    if args.out is not None and args.format == "csv":
+        _emit(table_csv(["case", "expected", "obtained", "pass"],
+                        [[n, e.get("solution_map", ""),
+                          g.get("solution_map", g.get("error", "")), ok]
+                         for n, e, g, ok in rows]), args.out)
+    elif args.out is not None:
         doc = {"kind": "demo",
                "cases": [{"name": n, "expected": e, "obtained": g, "pass": ok}
                          for n, e, g, ok in rows]}

@@ -1,7 +1,7 @@
 """Closed convex cone descriptions and the kernel-intersection decision.
 
 The certificates all reduce to one question: given an operator M (Phi, or
-K^T for the adjoint-kernel conditions) and a described closed convex cone
+K^T for the adjoint-kernel condition) and a described closed convex cone
 C, is {w in C : M w = 0} = {0}?  Every cone is one of four flat
 descriptions: a subspace plus rays (a plain subspace when there are no
 rays), a polyhedral cone {A w <= 0, E w = 0}, an embedded PSD cone, or the
@@ -417,7 +417,7 @@ class PreimageCone:
 
 
 # ---------------------------------------------------------------------------
-# preimages and polars
+# preimages
 
 
 def _pull_back_rows(rows, k, tol):
@@ -446,17 +446,6 @@ def preimage(k_op, cone, tol=DEFAULT_TOL):
                               _pull_back_rows(cone.E, k, tol),
                               ambient=k.shape[1])
     return PreimageCone(k, cone)
-
-
-def polar_cone(cone):
-    """Polar {v : <v, w> <= 0 for all w in C}; None when not representable."""
-    if isinstance(cone, SubspacePlusRays):        # R^T v <= 0, B^T v = 0
-        return PolyhedralCone(cone._ray_matrix().T, cone.span.basis.T,
-                              ambient=cone.ambient)
-    if isinstance(cone, PolyhedralCone):
-        return SubspacePlusRays(Subspace(cone.ambient, cone.E.T),
-                                [row for row in cone.A if np.any(row)])
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ class LinearOp:
     in the last column), each block row-major over (i, j).
 
     An operator is immutable: the dense matrix is a private read-only copy,
-    so its norm, identity test and range are computed once.
+    so its norm, identity test and range are computed once.  K.adjoint is
+    K^T, a read-only view tied to K that reads its norm off K.
     """
 
     def __init__(self, kind, **params):
@@ -67,6 +68,8 @@ class LinearOp:
         return cls("grad2d", n1=int(n1), n2=int(n2))
 
     def _materialize(self):
+        if self.kind == "adjoint":
+            return self.params["of"]._dense.T
         if self.kind == "dense":
             m = np.array(self.params["matrix"], dtype=float)
             if m.ndim != 2:
@@ -138,6 +141,11 @@ class LinearOp:
     def op_norm(self):
         return self._op_norm
 
+    @cached_property
+    def adjoint(self):
+        """K^T as an operator; K = I is its own."""
+        return self if self.is_identity else LinearOp("adjoint", of=self)
+
     def gram(self):
         """A^T A, computed once per operator and read-only."""
         return self._gram
@@ -154,6 +162,8 @@ class LinearOp:
 
     @cached_property
     def _op_norm(self):
+        if self.kind == "adjoint":                  # ||K^T|| = ||K||
+            return self.params["of"].op_norm()
         m = self._dense
         if m.size == 0:
             return 0.0
@@ -162,7 +172,7 @@ class LinearOp:
         return spectral_norm(m, self.gram() if m.shape[0] > m.shape[1] else None)
 
     def to_json_dict(self):
-        if self.kind == "dense":
+        if self.kind in ("dense", "adjoint"):
             return _dense_json(self._dense)
         if self.kind == "identity":
             return {"kind": "identity", "dim": self.params["dim"]}

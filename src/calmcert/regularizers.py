@@ -607,25 +607,6 @@ class GroupLassoFace(_ProjectedFace):
         e = np.vstack([np.eye(n)[~self._on[owner]], house])
         return a, np.zeros(a.shape[0]), e, np.zeros(e.shape[0])
 
-    def ri_meets_range(self, imk, tol, x_bar=None):
-        """Feasibility of (Kx)_J = t_J u_J with t_J >= 1 (homogeneous margin).
-
-        With t = 1 + s and Q an orthonormal basis of Im K, x drops out: the
-        answer is yes when min over s >= 0 of ||(I - Q Q^T)(-U s - u)|| is
-        zero, U holding the u_J of the boundary groups as columns.  With no
-        boundary group the face is {0}, its own relative interior.
-        """
-        if not self.boundary:
-            return "yes"
-        import scipy.optimize
-        q, u = imk.basis, self._u
-        a = np.column_stack([-_segment_columns(u, self._on, self.reg.segments.owner),
-                             u])
-        a -= q @ (q.T @ a)                              # (I - Q Q^T) [-U, u]
-        _, res = scipy.optimize.nnls(a[:, :-1], a[:, -1])
-        return "yes" if res <= 1e3 * tol.member * max(1.0, float(np.linalg.norm(u))) \
-            else "no"
-
     def describe(self):
         return {"kind": "group_lasso",
                 "boundary_groups": list(self.boundary),
@@ -764,25 +745,6 @@ class PolyhedralFace:
     def polyhedral_system(self):
         return self.A, self.c, self.E, self.e
 
-    def ri_meets_range(self, imk, tol, x_bar=None):
-        """Does Im K = span(Q) contain a point with margin on every
-        non-affine-hull row?
-
-        The implicit equalities are detected on the face itself; restricting
-        to Im K afterwards keeps the test faithful to 'Im K meets the
-        relative interior of the face' (mere nonemptiness of the
-        intersection is weaker).
-        """
-        a, c, e, rhs = self.polyhedral_system()
-        implicit, status = _implicit_face_rows(a, c, e, rhs, tol)
-        if status == "ok":
-            status, margin = _max_margin_lp(a, c, e, rhs, implicit, imk.basis)
-        if status == "infeasible":
-            return "no"
-        if status == "trouble":
-            return "unknown"
-        return "yes" if margin > 1e3 * tol.member or implicit.all() else "no"
-
     def describe(self):
         return {"kind": "polyhedral", "support": float(self.support),
                 "equalities": int(self.E.shape[0])}
@@ -830,84 +792,15 @@ def ri_intersects_range(face, k_op, tol=DEFAULT_TOL, x_bar=None):
     Returns 'yes' | 'no' | 'unknown'.  K = I is read from the operator's
     is_identity; a plain matrix is never taken as the identity.  With K = I
     the range is the whole space, which meets the relative interior of any
-    nonempty face, and the face is nonempty: it holds K x_bar.
+    nonempty face, and the face is nonempty: it holds K x_bar.  Otherwise
+    only a curved face (NuclearFace) decides it: a polyhedral face is
+    qualified by polyhedrality, so the certificates never ask.
     """
     if getattr(k_op, "is_identity", False):         # Im K = Y
         return "yes"
     imk = range_space(k_op, tol) if isinstance(k_op, np.ndarray) \
         else k_op.range_space(tol)
     return face.ri_meets_range(imk, tol, x_bar)
-
-
-def _max_margin_lp(a, c, e, rhs, implicit, q):
-    """max t s.t. a[free] y <= c[free] - t, implicit rows at equality, over
-    y = Q z in the span of Q.  Returns (status, margin) with status in
-    {'ok', 'infeasible', 'trouble'}.
-    """
-    import scipy.optimize
-    free = ~implicit
-    nz = q.shape[1]
-    cobj = np.zeros(nz + 1)
-    cobj[-1] = -1.0
-    nfree = int(free.sum())
-    a_ub = np.hstack([a[free] @ q, np.ones((nfree, 1))]) if nfree else None
-    b_ub = c[free] if nfree else None
-    eq_rows = [np.hstack([e @ q, np.zeros((e.shape[0], 1))])]
-    eq_rhs = [rhs]
-    if implicit.any():
-        eq_rows.append(np.hstack([a[implicit] @ q,
-                                  np.zeros((int(implicit.sum()), 1))]))
-        eq_rhs.append(c[implicit])
-    a_eq = np.vstack(eq_rows)
-    b_eq = np.concatenate(eq_rhs)
-    bounds = [(None, None)] * nz + [(0.0, 1.0)]
-    res = scipy.optimize.linprog(cobj, A_ub=a_ub, b_ub=b_ub,
-                                 A_eq=a_eq if a_eq.size else None,
-                                 b_eq=b_eq if a_eq.size else None,
-                                 bounds=bounds, method="highs")
-    if res.status == 2:
-        return "infeasible", 0.0
-    if res.status != 0:
-        return "trouble", 0.0
-    return "ok", float(res.x[-1])
-
-
-def _implicit_face_rows(a, c, e, rhs, tol):
-    """Rows of A y <= c at equality across the whole face (its affine hull).
-
-    Decided row by row (max slack of row i over the face, capped at 1) so
-    that degenerate vertices returned by a single LP cannot misclassify.
-    """
-    import scipy.optimize
-    m, dim = a.shape
-    implicit = np.zeros(m, dtype=bool)
-    feas = scipy.optimize.linprog(np.zeros(dim), A_ub=a, b_ub=c,
-                                  A_eq=e if e.shape[0] else None,
-                                  b_eq=rhs if e.shape[0] else None,
-                                  bounds=[(None, None)] * dim, method="highs")
-    if feas.status == 2:
-        return implicit, "infeasible"
-    if feas.status not in (0, 3):
-        return implicit, "trouble"
-    for i in range(m):
-        cobj = np.zeros(dim + 1)
-        cobj[-1] = -1.0
-        a_ub = np.hstack([a, np.zeros((m, 1))])
-        row = np.zeros(dim + 1)
-        row[:dim] = a[i]
-        row[-1] = 1.0
-        a_ub = np.vstack([a_ub, row])
-        b_ub = np.concatenate([c, [c[i]]])
-        res = scipy.optimize.linprog(
-            cobj, A_ub=a_ub, b_ub=b_ub,
-            A_eq=np.hstack([e, np.zeros((e.shape[0], 1))]) if e.shape[0] else None,
-            b_eq=rhs if e.shape[0] else None,
-            bounds=[(None, None)] * dim + [(0.0, 1.0)], method="highs")
-        if res.status != 0:
-            return implicit, "trouble"
-        if res.x[-1] <= 1e3 * tol.member:
-            implicit[i] = True
-    return implicit, "ok"
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,15 @@ def _csv_text(rows):
     return buf.getvalue()
 
 
+def table_csv(header, rows):
+    """A table as CSV text, fields quoted where they hold a comma (a demo
+    row's error message may)."""
+    import csv
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
 def dumps(doc):
     """The report text of a JSON document, as UTF-8 bytes.
 

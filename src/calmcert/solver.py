@@ -249,9 +249,10 @@ def _newton_finish(instance, x, y, target, kkt=None):
     kkt_residual of the pair returned, with x and res None when the
     residual did not reach target within _NEWTON_STEPS steps, a step found
     no decrease or a Newton system was singular.  The regularization eps
-    is tol.rank ||K||^2 for K != I and tol.rank ||Phi||^2 / mu for K = I,
-    on the scale of the system it regularizes.  For K = I the pair returned is FISTA's
-    (x, v(x)), and only when it too meets target.
+    is tol.rank ||K||^2 for K != I (tol.rank for K = 0) and
+    tol.rank ||Phi||^2 / mu for K = I, on the scale of the system it
+    regularizes.  For K = I the pair returned is FISTA's (x, v(x)), and only
+    when it too meets target.
     """
     if instance.k.is_identity:
         eps = instance.tol.rank * instance.phi.op_norm() ** 2 / instance.mu
@@ -259,7 +260,10 @@ def _newton_finish(instance, x, y, target, kkt=None):
         def direction(stat, graph, u):
             return _identity_direction(instance, eps, stat, graph, u)
     else:
-        eps = instance.tol.rank * instance.k.op_norm() ** 2
+        # a zero K has no scale, and none is needed: K_Z has no entry, and
+        # graph_Z = -prox(y)_Z = 0 where the prox is flat, so dy_Z = 0 for
+        # every eps > 0
+        eps = instance.tol.rank * (instance.k.op_norm() ** 2 or 1.0)
 
         def direction(stat, graph, u):
             return _newton_direction(instance, eps, stat, graph, u)

@@ -152,14 +152,6 @@ def test_pd_multiplier_segment_fails_srcq():
     assert report.conclusion_solution_map.status == "isolated_calm"
 
 
-def test_pd_condition_ordering_iii_implies_ii():
-    inst = instance_for("lasso_scalar")
-    pair = solve(inst)
-    report = certify_primal_dual(inst, pair)
-    if report.pd_conditions["iii"] == "yes":
-        assert report.pd_conditions["ii"] in ("yes",)
-
-
 # ---------------------------------------------------------------------------
 # strong solutions
 
@@ -320,29 +312,29 @@ def test_tv_2d_integration():
     assert report.cond_suf.outcome == report.cond_nes.outcome
 
 
-def _tv4_doc(scale):
-    """TV denoising of a noisy three-level 4x4 image, (b, weight) * scale."""
+def _tv_doc(scale, n=4):
+    """TV denoising of a noisy three-level n x n image, (b, weight) * scale."""
     from calmcert.gallery import tv_groups
     rng = np.random.default_rng([0, 5])
-    img = np.zeros((4, 4))
-    ci, cj = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    img = np.zeros((n, n))
+    ci, cj = int(rng.integers(1, n)), int(rng.integers(1, n))
     levels = rng.uniform(-1.0, 1.0, size=3)
     img[:ci, :] = levels[0]
     img[ci:, :cj] = levels[1]
     img[ci:, cj:] = levels[2]
-    b = img.ravel() + 0.05 * rng.standard_normal(16)
-    return {"phi": {"kind": "identity", "dim": 16},
+    b = img.ravel() + 0.05 * rng.standard_normal(n * n)
+    return {"phi": {"kind": "identity", "dim": n * n},
             "b": [float(v) for v in scale * b], "mu": 1.0,
-            "k": {"kind": "grad2d", "n1": 4, "n2": 4},
-            "reg": {"kind": "group_lasso", "dim": 32, "groups": tv_groups(4, 4),
-                    "weight": 0.1 * scale}}
+            "k": {"kind": "grad2d", "n1": n, "n2": n},
+            "reg": {"kind": "group_lasso", "dim": 2 * n * n,
+                    "groups": tv_groups(n, n), "weight": 0.1 * scale}}
 
 
 def test_tv_verdicts_do_not_change_with_scale():
     # group activity is judged relative to ||K x_bar||: at 1e5 an absolute
     # threshold rejected the solver's own multiplier
     for scale in (1e-3, 1.0, 1e3, 1e5):
-        inst = make(_tv4_doc(scale))
+        inst = make(_tv_doc(scale))
         report = certify_primal_dual(inst, solve(inst))
         assert report.conclusion_solution_map.status == "isolated_calm", scale
         assert report.conclusion_primal_dual.status == "not_isolated_calm", scale
@@ -517,10 +509,9 @@ def _count_calls(monkeypatch, owner, name, counts):
 
 
 def test_primal_dual_builds_its_geometry_once(monkeypatch):
-    # K = I: one conjugate face and one tangent cone serve both certificates
-    # (Ker Phi against T, and the polar of the same T), the necessary
-    # condition is the sufficient one, and the three cone decisions are
-    # Ker Phi vs T, Ker K* vs T_dg and Ker K* vs the polar of T.
+    # K = I: one conjugate face and one tangent cone serve both certificates,
+    # the necessary condition is the sufficient one, and the two cone
+    # decisions are Ker Phi vs T and Ker K* vs T_dg.
     import calmcert.certificates as ct
     from calmcert import regularizers as rz
     inst = instance_for("lasso_segment")
@@ -533,7 +524,7 @@ def test_primal_dual_builds_its_geometry_once(monkeypatch):
     assert report.conclusion_primal_dual.status == "not_isolated_calm"
     assert report.cond_nes is report.cond_suf
     assert counts == {"conj_subdiff_face": 1, "tangent_at": 1,
-                      "trivial_intersection": 3}
+                      "trivial_intersection": 2}
 
 
 def _svds_of(monkeypatch, matrix):
@@ -549,22 +540,43 @@ def _svds_of(monkeypatch, matrix):
     return seen
 
 
-def test_k_range_is_factored_once_and_identity_phi_skips_the_preimages(
-        monkeypatch):
+def test_polyhedral_faces_never_factor_the_range_of_k(monkeypatch):
     import calmcert.certificates as ct
     # TV denoising (Phi = I, K = grad2d): Ker Phi = {0} settles both
-    # kernel conditions; Im K is factored once, for the ri test
-    inst = make(_tv4_doc(1.0))
+    # kernel conditions, and a polyhedral face needs no ri test of Im K
+    inst = make(_tv_doc(1.0))
     pair = solve(inst)
     svds = _svds_of(monkeypatch, materialize(inst.k))
     report = certify_primal_dual(inst, pair)
     assert report.cond_suf.is_trivial and report.cond_nes.is_trivial
-    assert len(svds) == 1
-    # Phi != I: the kernel decision needs no factorization of K
+    assert report.qual_ri is None and not report.has_unknown
+    assert len(svds) == 0
+    # Phi != I: the kernel decision needs no factorization of K either
     inst = make(l1_doc(np.diag([1.0, 2.0, 1.0]), [1.0, 2.0, 3.0],
                        k={"kind": "grad1d", "n": 3}, n=2))
     pair = solve(inst)
     svds = _svds_of(monkeypatch, materialize(inst.k))
     report = certify_primal_dual(inst, pair)
-    assert report.qual_ri != "unknown" and not report.cond_nes.is_unknown
-    assert len(svds) == 1
+    assert report.qual_ri is None and not report.cond_nes.is_unknown
+    assert len(svds) == 0
+
+
+def test_adjoint_norm_is_read_off_k(monkeypatch):
+    # K^T is an operator tied to K: once ||K|| is cached (the solver reads
+    # it), the primal-dual certificate computes no spectral norm
+    import calmcert.cones
+    import calmcert.model
+    from calmcert import linalg
+    inst = make(_tv_doc(1.0, n=8))
+    pair = solve(inst)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linalg.spectral_norm(*args, **kwargs)
+    monkeypatch.setattr(calmcert.cones, "spectral_norm", counted)
+    monkeypatch.setattr(calmcert.model, "spectral_norm", counted)
+    report = certify_primal_dual(inst, pair)
+    assert report.srcq.is_nontrivial
+    assert calls == []
+    assert inst.k.adjoint.op_norm() == inst.k.op_norm()

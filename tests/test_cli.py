@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -61,7 +62,9 @@ def test_certify_pd_populates_fields(instances, tmp_path):
     payload = json.loads(out.read_text())["payload"]
     assert payload["srcq"]["outcome"] == "fails"
     assert payload["conclusion_primal_dual"]["status"] == "not_isolated_calm"
-    assert set(payload["pd_conditions"]) == {"i", "ii", "iii"}
+    # the primal-dual report adds srcq and its conclusion, nothing else
+    assert "pd_conditions" not in payload
+    assert payload["qual_ri"] == "not evaluated"
 
 
 def test_error_exit_code_and_message(tmp_path, capsys):
@@ -385,6 +388,15 @@ def test_demo_passes(capsys):
     assert run(["demo"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_demo_format_csv_writes_the_table(tmp_path):
+    out = tmp_path / "demo.csv"
+    assert run(["demo", "--format", "csv", "--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0] == ["case", "expected", "obtained", "pass"]
+    assert len(rows) == 1 + len(curated_cases())
+    assert all(row[1] == row[2] and row[3] == "True" for row in rows[1:])
 
 
 def _strict_json(text):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from calmcert.cones import (PolyhedralCone, PreimageCone, PsdCone,
-                            SubspacePlusRays, make_psd_embedded, polar_cone,
+                            SubspacePlusRays, make_psd_embedded,
                             preimage, tangent_with_range_restriction,
                             trivial_intersection)
 from calmcert.certificates import certify_primal_dual
@@ -302,60 +302,6 @@ def test_preimage_rays_triviality_through_k():
     n_pos = span(np.array([1.0, 1.0]) / np.sqrt(2))
     v2 = trivial_intersection(kernel_op(n_pos), cone, TOL)
     assert v2.is_nontrivial     # one side of the line maps into the ray
-
-
-# ---------------------------------------------------------------------------
-# polars
-
-
-def test_polar_of_rays_is_halfspaces():
-    cone = SubspacePlusRays(span(np.array([0.0, 0.0, 1.0])),
-                            [np.array([1.0, 0.0, 0.0])])
-    polar = polar_cone(cone)
-    assert isinstance(polar, PolyhedralCone)
-    assert polar.member(np.array([-1.0, 2.0, 0.0]), 1e-8)
-    assert not polar.member(np.array([1.0, 0.0, 0.0]), 1e-7)
-    assert not polar.member(np.array([0.0, 0.0, 1.0]), 1e-7)
-
-
-def test_polar_of_polyhedral_is_generated():
-    cone = PolyhedralCone(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-    polar = polar_cone(cone)
-    assert isinstance(polar, SubspacePlusRays)
-    assert polar.member(np.array([1.0, 0.0]), 1e-8)      # the inequality row
-    assert polar.member(np.array([0.0, -5.0]), 1e-8)     # equality span
-    assert not polar.member(np.array([-1.0, 0.0]), 1e-7)
-
-
-def test_polar_keeps_rows_at_any_scale():
-    # the polar of {w : s (w1 + w2) <= 0} is the ray through (1, 1) at every
-    # row scale s, so the line it spans meets it; a row kept only above an
-    # absolute norm was dropped at s = 1e-8, which left the polar {0}
-    line = kernel_op(span(np.array([1.0, 1.0])))
-    probes = [np.array([1.0, 1.0]), np.array([-1.0, -1.0]),
-              np.array([1.0, -1.0]), np.array([2.0, 1.0])]
-    for s in (1e-8, 1.0, 1e8):
-        polar = polar_cone(PolyhedralCone(s * np.array([[1.0, 1.0]]), None,
-                                          ambient=2))
-        assert [polar.member(w, 1e-9) for w in probes] == [True, False, False,
-                                                            False]
-        assert trivial_intersection(line, polar, TOL).is_nontrivial
-
-
-def test_polar_duality_roundtrip_membership():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        d = 3
-        cone = SubspacePlusRays(Subspace.zero(d),
-                                [rng.standard_normal(d) for _ in range(3)])
-        polar = polar_cone(cone)
-        for _ in range(20):
-            w = rng.standard_normal(d)
-            if cone.member(w, 1e-9):
-                for r in range(10):
-                    v = rng.standard_normal(d)
-                    if polar.member(v, 1e-9):
-                        assert float(v @ w) <= 1e-7
 
 
 # ---------------------------------------------------------------------------

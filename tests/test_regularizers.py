@@ -374,44 +374,6 @@ def test_ri_nuclear_nondegenerate_yes():
     assert out == "yes"
 
 
-def test_ri_group_lasso_orthogonal_range_no():
-    face = rz.conj_subdiff_face(group_lasso([[0, 1]], 2), np.array([1.0, 0.0]),
-                                TOL)
-    k = np.array([[0.0], [1.0]])        # Im K orthogonal to the boundary ray
-    assert rz.ri_intersects_range(face, k, TOL) == "no"
-
-
-def test_ri_group_lasso_aligned_range_yes():
-    face = rz.conj_subdiff_face(group_lasso([[0, 1]], 2), np.array([1.0, 0.0]),
-                                TOL)
-    k = np.array([[1.0], [0.0]])
-    assert rz.ri_intersects_range(face, k, TOL) == "yes"
-
-
-def test_ri_polyhedral_paths():
-    # face of BOX exposed by (1, 0) is {1} x [-1, 1]; the x-axis hits its
-    # relative interior at (1, 0)
-    face = rz.conj_subdiff_face(BOX, np.array([1.0, 0.0]), TOL)
-    out = rz.ri_intersects_range(face, np.array([[1.0], [0.0]]), TOL)
-    assert out == "yes"
-    k2 = np.array([[0.0], [1.0]])       # Im K = y-axis misses {1} x [-1,1]
-    out2 = rz.ri_intersects_range(face, k2, TOL)
-    assert out2 == "no"
-
-
-def test_ri_polyhedral_endpoint_is_not_relative_interior():
-    # face is the segment [0,1] x {0}; the y-axis meets it only at the
-    # endpoint (0,0), which lies on the relative boundary
-    reg = polyhedral_indicator(np.array([[-1.0, 0.0], [1.0, 0.0],
-                                         [0.0, 1.0], [0.0, -1.0]]),
-                               np.array([0.0, 1.0, 0.0, 0.0]))
-    face = rz.conj_subdiff_face(reg, np.array([0.0, 1.0]), TOL)
-    k = np.array([[0.0], [1.0]])
-    assert rz.ri_intersects_range(face, k, TOL) == "no"
-    k2 = np.array([[1.0], [0.0]])       # the x-axis passes through (1/2, 0)
-    assert rz.ri_intersects_range(face, k2, TOL) == "yes"
-
-
 def test_qgc_flags_catalog():
     assert rz.qgc_flags(GL) == rz.QgcFlags(True, True, True)
     assert rz.qgc_flags(NUC) == rz.QgcFlags(True, True, False)

@@ -18,7 +18,9 @@ def test_trivial_verdict_serializes_as_holds():
     doc = json.loads(text)
     assert doc["payload"]["cond_suf"]["outcome"] == "holds"
     assert doc["payload"]["cond_nes"]["outcome"] == "holds"
-    assert doc["payload"]["qual_ri"] == "holds"
+    # a polyhedral face is qualified as it stands: no ri test is made
+    assert doc["payload"]["qual_polyhedral"] is True
+    assert doc["payload"]["qual_ri"] == "not evaluated"
 
 
 def test_witness_serialized_as_array_of_dim_x():
