@@ -36,7 +36,7 @@ from . import regularizers as rz
 from .cones import TrivialityVerdict, preimage, trivial_intersection
 from .linalg import null_space
 from .model import materialize
-from .solver import kkt_residual, kkt_within
+from .solver import kkt_bound, kkt_residual, kkt_within
 
 
 class CertificateError(RuntimeError):
@@ -132,26 +132,26 @@ def prepare_multiplier(instance, pair):
     Returns (x_bar, y, residuals), y being the multiplier the certificates
     use (their y_used).
     """
-    tol = instance.tol
-    scale = 1.0 + float(np.linalg.norm(instance.b))
     x = np.asarray(pair.x_bar, dtype=float)
     y = np.asarray(pair.y_bar, dtype=float)
     res = kkt_residual(instance, x, y)
-    if kkt_within(res, tol.kkt * scale):
+    if kkt_within(res, kkt_bound(instance)):
         return x, y, res
-    if not kkt_within(res, 100 * tol.kkt * scale):
+    bound = kkt_bound(instance, 100)
+    if not kkt_within(res, bound):
         raise CertificateError(
             f"pair is not a KKT point: residuals {res} exceed "
-            f"100 * tol_kkt * scale = {100 * tol.kkt * scale:.3g}")
+            f"100 * tol_kkt * scale = {bound:.3g}")
     # one alternating refinement step: least squares onto {K* y = v_bar},
     # then pulled toward dg(K x_bar)
     v = instance.v_of(x)
     kt = materialize(instance.k).T
     corr, *_ = np.linalg.lstsq(kt, v - kt @ y, rcond=None)
     y1 = y + corr
-    y2 = rz.project_multiplier(instance.reg, instance.k.apply(x), y1, tol)
+    y2 = rz.project_multiplier(instance.reg, instance.k.apply(x), y1,
+                               instance.tol)
     res2 = kkt_residual(instance, x, y2)
-    if not kkt_within(res2, 100 * tol.kkt * scale):
+    if not kkt_within(res2, bound):
         raise CertificateError(
             f"multiplier refinement failed: residuals {res2} after one "
             "alternating step")
@@ -192,7 +192,7 @@ def _solution_map(instance, pair, seed):
     reg = instance.reg
     kx = instance.k.apply(x)
     face = rz.conj_subdiff_face(reg, y, tol)
-    if not face.contains(kx, 10 * tol.member):
+    if not face.contains(kx, tol.derived_member):
         dist = float(np.linalg.norm(kx - face.project(kx)))
         raise CertificateError(
             f"K x_bar is not in the conjugate face of y_used (distance {dist:.3g})")
@@ -385,8 +385,7 @@ def uniqueness_oracle(instance, pair):
         eps = min([1e-2] + [0.5 * s for s in slack if s > 0])
         cand = x + eps * d
         res = kkt_residual(instance, cand, y)
-        scale = 1.0 + float(np.linalg.norm(instance.b))
-        if kkt_within(res, 1e3 * tol.kkt * scale):
+        if kkt_within(res, kkt_bound(instance, 1e3)):
             return cand
         return None
 

@@ -26,9 +26,10 @@ reported.  The embedded-PSD degenerate case uses an alternating-projection
 probe on a kernel basis of M, its starts run as one stack, that can only
 answer Nontrivial-with-witness or Unknown.
 
-Polyhedron is the projection onto {A y <= c, E y = rhs} shared by the
-polyhedral regularizer's prox, its conjugate faces and PolyhedralCone; it
-keeps the factors of its projections for as long as its owner lives.
+Polyhedron is the set {A y <= c, E y = rhs} shared by the polyhedral
+regularizer (its value and prox), its conjugate faces and PolyhedralCone:
+it holds the one polyhedral membership test, and the projection, whose
+factors it keeps for as long as its owner lives.
 """
 
 from dataclasses import dataclass
@@ -171,20 +172,10 @@ class PolyhedralCone:
         self.A = a if a is not None and a.size else np.zeros((0, self.ambient))
         self.E = e if e is not None and e.size else np.zeros((0, self.ambient))
 
-    @cached_property
-    def _row_norms(self):
-        return np.linalg.norm(self.A, axis=1), np.linalg.norm(self.E, axis=1)
-
     def member(self, w, tol):
-        """A w <= 0 and E w = 0, each row i at slack tol ||row_i|| max(1, ||w||),
-        so that rescaling a row does not change the test; an array of slacks
-        gives one answer per slack from one product per block."""
-        w = np.asarray(w, dtype=float)
-        scale = np.multiply(tol, max(1.0, float(np.linalg.norm(w))))
-        a_norms, e_norms = self._row_norms
-        return ~np.any(self.A @ w > np.multiply.outer(scale, a_norms), axis=-1) \
-            & ~np.any(np.abs(self.E @ w) > np.multiply.outer(scale, e_norms),
-                      axis=-1)
+        """Polyhedron.contains of the cone: an array of slacks gives one
+        answer per slack."""
+        return self._set.contains(w, tol)
 
     @cached_property
     def _set(self):
@@ -254,15 +245,25 @@ class Polyhedron:
             return point.copy()
         return point - proj @ (mm @ point - target)
 
-    def _feasible(self, y, slack):
-        m = self.A.shape[0]
-        return not ((self.A @ y - self.c > slack[:m]).any()
-                    or (np.abs(self.E @ y - self.rhs) > slack[m:]).any())
+    def contains(self, y, slack):
+        """A y <= c and E y = rhs, row i at slack ||row_i|| max(1, ||y||).
 
-    def _reuse(self, point, slack):
+        The one polyhedral membership rule: the slack scales with the row, so
+        rescaling a row together with its offset changes no answer.  A stack
+        of points (rows) gives one answer per point, and an array of slacks
+        one answer per slack.
+        """
+        y = np.asarray(y, dtype=float)
+        bound = np.multiply.outer(slack * np.maximum(1.0, row_norms(y)),
+                                  self._norms)
+        m = self.A.shape[0]
+        return ~np.any(y @ self.A.T - self.c > bound[..., :m], axis=-1) \
+            & ~np.any(np.abs(y @ self.E.T - self.rhs) > bound[..., m:], axis=-1)
+
+    def _reuse(self, point, tol):
         """The projection onto the last NNLS's active set when it is the KKT
-        point: every inequality multiplier positive and the result feasible
-        at the slack; None otherwise."""
+        point: every inequality multiplier positive and the result in the
+        set at slack tol; None otherwise."""
         if not self._last:
             return None
         mm, target, proj, gram = self._factor(self._last)
@@ -270,7 +271,7 @@ class Polyhedron:
         if not (gram[:len(self._last)] @ r > 0.0).all():
             return None
         y = point - proj @ r
-        return y if self._feasible(y, slack) else None
+        return y if self.contains(y, tol) else None
 
     def project(self, point, tol=1e-9):
         """Projection of a point by least-distance programming.
@@ -285,17 +286,18 @@ class Polyhedron:
         positive entries mark the active rows.  The answer is the point's
         projection onto those rows at equality and {E y = rhs}, from the
         factors of that set, the same numbers as computed afresh.  h is
-        relaxed by tol * ||a_i|| * max(1, ||point||), the slack of the final
-        feasibility check, so that rows tight only at roundoff (a face's own
-        support row, a cone row that the equalities pin) do not make the set
-        look empty.
+        relaxed by tol * ||a_i|| * max(1, ||y0||), the slack of contains,
+        which checks the result, so that rows tight only at roundoff (a
+        face's own support row, a cone row that the equalities pin) do not
+        make the set look empty.
         """
         point = np.asarray(point, dtype=float)
-        slack = tol * max(1.0, float(np.linalg.norm(point))) * self._norms
         y = self._onto((), point)
-        h = self.A @ y - self.c - slack[:self.A.shape[0]]
+        m = self.A.shape[0]
+        h = self.A @ y - self.c \
+            - tol * max(1.0, float(np.linalg.norm(y))) * self._norms[:m]
         if (h >= 0.0).any():
-            reused = self._reuse(point, slack)
+            reused = self._reuse(point, tol)
             if reused is not None:
                 return reused
             import scipy.optimize
@@ -307,7 +309,7 @@ class Polyhedron:
                 raise RuntimeError("polyhedral projection failed (empty set)")
             self._last = tuple(np.flatnonzero(lam > 0.0).tolist())
             y = self._onto(self._last, point)
-        if not self._feasible(y, slack):
+        if not self.contains(y, tol):
             raise RuntimeError("polyhedral projection failed (infeasible result)")
         return y
 
@@ -477,7 +479,7 @@ def _verify_witness(mat, norm, cone, w, tol):
     w = w / nrm
     if np.linalg.norm(mat @ w) > 10 * tol.rank * norm:
         return None
-    if not cone.member(w, 10 * tol.member):
+    if not cone.member(w, tol.derived_member):
         return None
     return w
 
@@ -655,13 +657,13 @@ def tangent_with_range_restriction(face, z, k_op, tol=DEFAULT_TOL):
     compared against.
     """
     z = np.asarray(z, dtype=float)
-    if not face.contains(z, 10 * tol.member):
+    if not face.contains(z, tol.derived_member):
         raise ValueError("base point is not a member of the face")
     if getattr(k_op, "is_identity", False):       # Im K = Y
         return face.tangent_at(z, tol)
     imk = range_space(k_op, tol) if isinstance(k_op, np.ndarray) \
         else k_op.range_space(tol)            # a LinearOp factors it once
-    if imk.residual(z) > 10 * tol.member * max(1.0, float(np.linalg.norm(z))):
+    if not imk.contains(z, tol.derived_member):
         raise ValueError("base point is not in the range of K")
     if imk.dim == imk.ambient_dim:
         return face.tangent_at(z, tol)
@@ -671,5 +673,5 @@ def tangent_with_range_restriction(face, z, k_op, tol=DEFAULT_TOL):
     a, c, e, _ = system
     comp = imk.complement()
     e_all = np.vstack([e, comp.basis.T]) if e.shape[0] else comp.basis.T
-    return PolyhedralCone(a[active_rows(a, c, z, 10 * tol.member)], e_all,
+    return PolyhedralCone(a[active_rows(a, c, z, tol.derived_member)], e_all,
                           ambient=face.dim)

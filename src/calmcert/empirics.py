@@ -17,8 +17,8 @@ import numpy as np
 from . import regularizers as rz
 from .cones import PolyhedralCone, PsdCone, SubspacePlusRays
 from .linalg import row_dots, row_norms
-from .solver import (SolverConfig, SolverError, kkt_residual, kkt_within,
-                     solve_perturbed)
+from .solver import (SolverConfig, SolverError, kkt_bound, kkt_residual,
+                     kkt_scale, kkt_within, solve_perturbed)
 
 
 @dataclass
@@ -138,8 +138,8 @@ def instability_probe(instance, pair, witness, t_grid):
         face = rz.conj_subdiff_face(instance.reg, y, tol)
     except ValueError as exc:
         return {"available": False, "reason": str(exc), "entries": []}
-    scale = 1.0 + float(np.linalg.norm(instance.b))
-    bound = max(1e-10, 10 * tol.kkt) * scale
+    scale = kkt_scale(instance)
+    bound = kkt_bound(instance, max(10.0, 1e-10 / tol.kkt))  # level 10, floored
     identity = instance.k.is_identity
     x0, db0 = x_bar, np.zeros_like(instance.b)
     base = {"base_shift": 0.0, "base_db_norm": 0.0, "base_verified": None}
@@ -159,7 +159,7 @@ def instability_probe(instance, pair, witness, t_grid):
             x_t = face.project(kc)
             proj_res = float(np.linalg.norm(kc - x_t))
         else:
-            if face.contains(kc, 10 * tol.member):
+            if face.contains(kc, tol.derived_member):
                 x_t = cand
                 proj_res = float(np.linalg.norm(kc - face.project(kc)))
             else:

@@ -25,6 +25,14 @@ class Tolerances:
     member: float = 1e-7
     kkt: float = 1e-10
 
+    @property
+    def derived_member(self):
+        """The membership slack of a point the computation derived (K x_bar
+        on its face, a witness in its cone, a face's base point): 10 * member,
+        since such a point carries the errors of the steps that made it.
+        Derived from member, not a field: no caller sets it."""
+        return 10 * self.member
+
     def __post_init__(self):
         for name in ("rank", "orth", "member", "kkt"):
             v = getattr(self, name)

@@ -84,28 +84,22 @@ class LinearOp:
             if n < 2:
                 raise ValueError("grad1d requires n >= 2")
             d = np.zeros((n - 1, n))
-            for i in range(n - 1):
-                d[i, i] = 1.0
-                d[i, i + 1] = -1.0
+            i = np.arange(n - 1)
+            d[i, i] = 1.0
+            d[i, i + 1] = -1.0
             return d
         if self.kind == "grad2d":
             n1, n2 = self.params["n1"], self.params["n2"]
             if n1 < 1 or n2 < 1:
                 raise ValueError("grad2d requires n1, n2 >= 1")
             m = np.zeros((2 * n1 * n2, n1 * n2))
-            idx = lambda i, j: i * n2 + j
-            for i in range(n1):
-                for j in range(n2):
-                    row = idx(i, j)
-                    if i < n1 - 1:
-                        m[row, idx(i + 1, j)] = 1.0
-                        m[row, idx(i, j)] = -1.0
-            for i in range(n1):
-                for j in range(n2):
-                    row = n1 * n2 + idx(i, j)
-                    if j < n2 - 1:
-                        m[row, idx(i, j + 1)] = 1.0
-                        m[row, idx(i, j)] = -1.0
+            idx = np.arange(n1 * n2).reshape(n1, n2)     # pixel (i, j)
+            down = idx[:-1].ravel()             # i < n1 - 1: its vertical row
+            m[down, down + n2] = 1.0
+            m[down, down] = -1.0
+            right = idx[:, :-1].ravel()         # j < n2 - 1: its horizontal row
+            m[n1 * n2 + right, right + 1] = 1.0
+            m[n1 * n2 + right, right] = -1.0
             return m
         raise ValueError(f"unknown operator kind {self.kind!r}")
 
@@ -155,6 +149,11 @@ class LinearOp:
         if tol.rank not in self._ranges:
             self._ranges[tol.rank] = range_space(self._dense, tol)
         return self._ranges[tol.rank]
+
+    @cached_property
+    def nonzero_rows(self):
+        """The mask of the rows with a nonzero entry, read-only."""
+        return frozen(np.any(self._dense != 0.0, axis=1))
 
     @cached_property
     def _gram(self):

@@ -6,7 +6,8 @@ holds its data and all that depends on the kind, and builds its face class
 for the conjugate-subdifferential face F(y) = {x : y in dg(x)}, which gives
 tangent cones to F(y) and decides whether ri F(y) meets a given range.  The
 module-level functions are the interface: each makes the checks shared by
-every kind and calls the kind's method.
+every kind and calls the kind's method.  Subdifferential membership reads
+only the kind's prox, so it is decided once for every kind.
 
 Weights are folded into g as weight * (base norm); conjugate-ball radii and
 boundary classifications are normalized by the weight so a single tolerance
@@ -22,8 +23,7 @@ import numpy as np
 # scipy.optimize is imported where an LP or NNLS is solved: it is most of the
 # package's import time, and group-Lasso and nuclear solves never need it.
 
-from .linalg import (Subspace, DEFAULT_TOL, frozen, range_space, row_norms,
-                     spectral_norm)
+from .linalg import Subspace, DEFAULT_TOL, frozen, range_space, spectral_norm
 from .cones import (SubspacePlusRays, PolyhedralCone, Polyhedron, active_rows,
                     make_psd_embedded)
 
@@ -134,17 +134,6 @@ class GroupLasso(_Norm):
     def dual_norm(self, y):
         return float(group_norms(self, y).max(initial=0.0))
 
-    def subdiff_contains(self, x, v, tol):
-        # active group: v_J = w x_J / ||x_J||; else ||v_J|| <= w
-        t = tol.member
-        w = self.weight
-        owner = self.segments.owner
-        nx, active = active_groups(self, x, tol)
-        unit = w * x / np.where(active, nx, 1.0)[owner]
-        resid = np.where(active[owner], v - unit, v)
-        bound = np.where(active, t * max(1.0, w), w + t * max(1.0, w))
-        return not np.any(group_norms(self, resid) > bound)
-
     def face(self, y_bar, tol):
         return GroupLassoFace(self, y_bar, tol)
 
@@ -244,10 +233,6 @@ class Nuclear(_Norm):
     def dual_norm(self, y):
         return float(np.linalg.svd(self.mat(y), compute_uv=False).max(initial=0.0))
 
-    def subdiff_contains(self, x, v, tol):
-        return float(np.linalg.norm(x - prox(self, 1.0, x + v))) \
-            <= tol.member * max(1.0, float(np.linalg.norm(x + v)))
-
     def face(self, y_bar, tol):
         return NuclearFace(self, y_bar, tol)
 
@@ -311,13 +296,9 @@ class PolyhedralIndicator:
         return {"kind": self.kind, "A": dense(self.A), "c": self.c.tolist()}
 
     def value(self, y, slack=DEFAULT_TOL.member):
-        """0 where A y <= c holds up to slack * max(1, ||y||), inf elsewhere;
-        per row of a stack."""
-        out = np.zeros(y.shape[:-1])
-        if self.A.shape[0]:
-            bound = slack * np.maximum(1.0, row_norms(y))
-            out[(y @ self.A.T - self.c).max(axis=-1) > bound] = np.inf
-        return out
+        """0 where y is in the set at slack (Polyhedron.contains), inf
+        elsewhere; per row of a stack."""
+        return np.where(self.polyhedron.contains(y, slack), 0.0, np.inf)
 
     def strict_value(self, z):
         """value() with machine-precision domain checks.
@@ -346,14 +327,6 @@ class PolyhedralIndicator:
             return conj_subdiff_face(self, y, DEFAULT_TOL).support
         except ValueError:
             return np.inf
-
-    def subdiff_contains(self, x, v, tol):
-        t = tol.member
-        scale = max(1.0, float(np.linalg.norm(x)))
-        if self.A.shape[0] and float(np.max(self.A @ x - self.c)) > t * scale:
-            return False
-        _, res = _normal_cone_fit(self.A, self.c, x, v, t)
-        return res <= t * max(1.0, float(np.linalg.norm(v)))
 
     def face(self, y_bar, tol):
         """The face of y_bar, built once per (y_bar bytes, tol), so that its
@@ -399,9 +372,9 @@ def group_norms(reg, y):
 def active_groups(reg, x, tol=DEFAULT_TOL):
     """(||x_J||, ||x_J|| > tol.member * max(1, ||x||)) per non-empty group.
 
-    The one activity rule of the GroupLasso methods (membership, tangent
-    cone, multiplier refinement), on the scale of ||x|| as in the faces'
-    tangent cones, so that rescaling the data does not change it.
+    The one activity rule of group Lasso (the tangent cones of dg and of
+    the conjugate face, multiplier refinement), on the scale of ||x||, so
+    that rescaling the data does not change it.
     """
     nx = group_norms(reg, x)
     return nx, nx > tol.member * max(1.0, float(np.linalg.norm(x)))
@@ -458,9 +431,13 @@ def _normal_cone_fit(a, c, x, v, tol):
 
 
 def subdiff_contains(reg, x, v, tol=DEFAULT_TOL):
-    """Is v in dg(x)?"""
-    return reg.subdiff_contains(np.asarray(x, dtype=float),
-                                np.asarray(v, dtype=float), tol)
+    """Is v in dg(x)?  One rule for every kind: v is in dg(x) exactly when
+    x = prox_g(x + v), so the answer is whether the prox-graph residual
+    ||x - prox_g(x + v)|| is at most tol.member * max(1, ||x + v||)."""
+    x = np.asarray(x, dtype=float)
+    u = x + np.asarray(v, dtype=float)
+    return float(np.linalg.norm(x - prox(reg, 1.0, u))) \
+        <= tol.member * max(1.0, float(np.linalg.norm(u)))
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +545,12 @@ class GroupLassoFace(_ProjectedFace):
     def tangent_at(self, x, tol=DEFAULT_TOL):
         """Per group: span (moving ray point), ray (vertex), or {0} (interior).
 
-        The span's columns are the u_J of the moving groups, unit vectors
-        with disjoint supports, so they are orthonormal as they stand.
+        A boundary group moves when active_groups finds x_J active.  The
+        span's columns are the u_J of the moving groups, unit vectors with
+        disjoint supports, so they are orthonormal as they stand.
         """
-        x = np.asarray(x, dtype=float)
         owner = self.reg.segments.owner
-        moving = self._on & \
-            (self._along(x) > tol.member * max(1.0, float(np.linalg.norm(x))))
+        moving = self._on & active_groups(self.reg, x, tol)[1]
         vertex = self._on & ~moving
         span = Subspace._orthonormal(_segment_columns(self._u, moving, owner))
         if vertex.any():
@@ -658,7 +634,7 @@ class NuclearFace(_ProjectedFace):
         s = self._sbar(x)
         lam, q = np.linalg.eigh(s)
         scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-        if float(lam.min()) < -10 * tol.member * scale:
+        if float(lam.min()) < -tol.derived_member * scale:
             raise ValueError("point is not in the face (indefinite compression)")
         kernel = q[:, lam <= tol.member * scale]
         return make_psd_embedded(self.U, self.V, self.p, kernel,
@@ -678,7 +654,7 @@ class NuclearFace(_ProjectedFace):
         the relative interior) or when Im K holds the block's identity
         member; 'unknown' otherwise."""
         if x_bar is not None and self.contains(np.asarray(x_bar, dtype=float),
-                                               10 * tol.member):
+                                               tol.derived_member):
             if self.rank_at(x_bar, tol) == self.p:
                 return "yes"
         target = self._embed(np.eye(self.p))
@@ -722,13 +698,7 @@ class PolyhedralFace:
         self.e = np.asarray([self.support])
 
     def contains(self, x, tol):
-        x = np.asarray(x, dtype=float)
-        slack = tol * max(1.0, float(np.linalg.norm(x)))
-        if self.A.shape[0] and float(np.max(self.A @ x - self.c)) > slack:
-            return False
-        if self.E.shape[0] and float(np.max(np.abs(self.E @ x - self.e))) > slack:
-            return False
-        return True
+        return bool(self._set.contains(x, tol))
 
     @cached_property
     def _set(self):
@@ -738,7 +708,7 @@ class PolyhedralFace:
         return self._set.project(x)
 
     def tangent_at(self, x, tol=DEFAULT_TOL):
-        a = self.A[active_rows(self.A, self.c, x, 10 * tol.member)]
+        a = self.A[active_rows(self.A, self.c, x, tol.derived_member)]
         e = self.E if self.E.shape[0] else None
         return PolyhedralCone(a, e, ambient=self.dim)
 
@@ -758,7 +728,7 @@ def conj_subdiff_face(reg, y_bar, tol=DEFAULT_TOL):
 def member_tangent(face, x_bar, tol=DEFAULT_TOL):
     """face.tangent_at(x_bar) after checking that x_bar is a face member."""
     x_bar = np.asarray(x_bar, dtype=float)
-    if not face.contains(x_bar, 10 * tol.member):
+    if not face.contains(x_bar, tol.derived_member):
         dist = float(np.linalg.norm(x_bar - face.project(x_bar)))
         raise ValueError(f"x_bar is not in the conjugate face (distance {dist:.3g})")
     return face.tangent_at(x_bar, tol)

@@ -37,20 +37,18 @@ def _flatten(prefix, obj, rows):
     return rows
 
 
-def _csv_text(rows):
-    buf = io.StringIO()
-    for row in rows:
-        buf.write(",".join(str(v) for v in row))
-        buf.write("\n")
-    return buf.getvalue()
+def csv_text(rows):
+    """Rows as CSV text by the stdlib writer, each field as str() writes it.
 
-
-def table_csv(header, rows):
-    """A table as CSV text, fields quoted where they hold a comma (a demo
-    row's error message may)."""
+    A field is quoted where it holds a comma, a quote or a line break (a
+    flattened list, or a demo row's error message), so that csv.reader
+    reads each row back with the same fields.  str() first: the writer
+    would take a numpy float for a float and write its repr.
+    """
     import csv
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    csv.writer(buf, lineterminator="\n").writerows(
+        [str(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
@@ -79,12 +77,12 @@ def save_report(report, fmt="json", instance=None, seed=0, kind=None):
     """
     if isinstance(report, KappaEstimate):
         if fmt == "csv":
-            return _csv_text(report.csv_rows())
+            return csv_text(report.csv_rows())
         return dumps(report_document("kappa_estimate", report.to_json_dict(),
                                      instance, seed))
     payload = report.to_json_dict() if hasattr(report, "to_json_dict") else report
     if fmt == "csv":
-        return _csv_text(_flatten("", payload, []))
+        return csv_text(_flatten("", payload, []))
     if kind is None:
         kind = type(report).__name__.lower() if hasattr(report, "to_json_dict") \
             else "report"

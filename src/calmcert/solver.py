@@ -98,6 +98,25 @@ def kkt_residual(instance, x, y):
     return _residuals(stat, graph)
 
 
+def kkt_scale(instance):
+    """1 + ||b||, the scale of the data that every KKT bound is relative to."""
+    return 1.0 + float(np.linalg.norm(instance.b))
+
+
+def kkt_bound(instance, level=1.0, tol_kkt=None):
+    """level * tol_kkt * kkt_scale(instance), the one KKT bound (tol_kkt
+    defaults to instance.tol.kkt).
+
+    Level 1 is a solve's target and the bound of a pair that needs no
+    refinement, 100 that of a pair the certificates accept after one
+    refinement step (or as a user's multiplier), 10 that of the instability
+    probe's alternate points, and 1e3 that of the uniqueness oracle's.
+    """
+    if tol_kkt is None:
+        tol_kkt = instance.tol.kkt
+    return level * tol_kkt * kkt_scale(instance)
+
+
 def kkt_within(res, bound):
     """Whether every residual of `kkt_residual` is at most bound.
 
@@ -195,7 +214,8 @@ def _newton_direction(instance, eps, stat, graph, u):
     relative.  One step of iterative refinement on that residual e, with
     the same S, adds (S^{-1} e, W K S^{-1} e) and restores the accuracy of
     an LU of the saddle system.  When K_Z has no nonzero entry nothing is
-    divided by eps, and the step is skipped.
+    divided by eps, and the step is skipped; the operator's cached mask of
+    nonzero rows decides that without copying K_Z.
     """
     k = instance.k._dense
     on_a, m, along = instance.reg.prox_jacobian(u)
@@ -205,7 +225,7 @@ def _newton_direction(instance, eps, stat, graph, u):
     s = h + k.T @ wk
     dx = np.linalg.solve(s, -stat - k.T @ q)
     dy = wk @ dx + q
-    if np.any(k[~on_a]):
+    if np.any(instance.k.nonzero_rows[~on_a]):
         ddx = np.linalg.solve(s, -stat - h @ dx - k.T @ dy)
         dx += ddx
         dy += wk @ ddx
@@ -313,7 +333,7 @@ class _NewtonTries:
 
     def __init__(self, instance, cfg):
         self.instance = instance
-        self.target = cfg.tol_kkt * (1.0 + float(np.linalg.norm(instance.b)))
+        self.target = kkt_bound(instance, tol_kkt=cfg.tol_kkt)
         self.enabled = hasattr(instance.reg, "prox_jacobian")
         self.steps = 0
         self.checks = 0

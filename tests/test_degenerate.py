@@ -9,6 +9,7 @@ matrix).  Every verb must end with a verdict (exit 0 or 2) or with an
 error that names the field at fault (exit 1), never with an exception.
 """
 
+import csv
 import json
 
 import pytest
@@ -110,3 +111,13 @@ def test_zero_analysis_operator_keeps_its_verdicts(name, tmp_path):
     payload = json.loads(out.read_text())["payload"]
     # Ker K* is all of Y, so it meets the tangent cone to dg(K x_bar)
     assert payload["conclusion_primal_dual"]["status"] == "not_isolated_calm"
+
+
+@pytest.mark.parametrize("verb", ["solve", "certify", "probe", "lab"])
+def test_key_value_csv_reads_back_two_fields_a_row(verb, tmp_path):
+    # v_bar = [-0.0, -0.0] holds commas: unquoted, csv.reader split it
+    path, out = _path(tmp_path, "k_zero"), tmp_path / "out.csv"
+    assert run([verb, str(path), "--format", "csv", "--out", str(out)]) in (0, 2)
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows and all(len(row) == 2 for row in rows), rows

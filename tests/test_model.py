@@ -35,6 +35,46 @@ def test_grad1d_exact_matrix():
     assert np.array_equal(d, np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]))
 
 
+def ref_grad1d(n):
+    """grad1d by the loop over its rows, the reference of the index arrays."""
+    d = np.zeros((n - 1, n))
+    for i in range(n - 1):
+        d[i, i] = 1.0
+        d[i, i + 1] = -1.0
+    return d
+
+
+def ref_grad2d(n1, n2):
+    """grad2d by the loops over the pixels, the reference of the index arrays."""
+    m = np.zeros((2 * n1 * n2, n1 * n2))
+    idx = lambda i, j: i * n2 + j
+    for i in range(n1):
+        for j in range(n2):
+            row = idx(i, j)
+            if i < n1 - 1:
+                m[row, idx(i + 1, j)] = 1.0
+                m[row, idx(i, j)] = -1.0
+    for i in range(n1):
+        for j in range(n2):
+            row = n1 * n2 + idx(i, j)
+            if j < n2 - 1:
+                m[row, idx(i, j + 1)] = 1.0
+                m[row, idx(i, j)] = -1.0
+    return m
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 1), (1, 4), (4, 1), (3, 5), (6, 6),
+                                    (8, 8), (33, 33)])
+def test_grad2d_matches_the_pixel_loops(n1, n2):
+    assert np.array_equal(materialize(LinearOp.grad2d(n1, n2)),
+                          ref_grad2d(n1, n2))
+
+
+@pytest.mark.parametrize("n", [2, 7])
+def test_grad1d_matches_the_row_loop(n):
+    assert np.array_equal(materialize(LinearOp.grad1d(n)), ref_grad1d(n))
+
+
 def test_identity_materialization():
     assert np.array_equal(materialize(LinearOp.identity(2)), np.eye(2))
 
