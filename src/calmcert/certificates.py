@@ -300,129 +300,99 @@ def strong_solution_equivalence(instance, pair, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# brute-force uniqueness oracle (analysis group Lasso)
+# the solution set near x_bar (polyhedral faces)
 
 
-def _strictly_positive_point(w_basis):
-    """A coordinate-wise strictly positive point of a subspace, or None.
+def solution_resolution(instance):
+    """r = 10 tol_kkt (1 + ||b||) / sigma, sigma the least nonzero singular
+    value of Phi (1 when Phi = 0): how far an alternate solution must lie
+    from x_bar to be told apart from the pair's own error.  An interim
+    multiple of the KKT bound, until the thresholds derive from the pair's
+    backward error."""
+    s = np.linalg.svd(materialize(instance.phi), compute_uv=False)
+    s = s[s > instance.tol.rank * s[0]] if s.size else s
+    sigma = float(s[-1]) if s.size else 1.0
+    return kkt_bound(instance, 10) / sigma
 
-    w_basis: (k x d) matrix whose columns span the subspace of achievable
-    margin vectors.  Tries the all-ones target first, then a micro-LP.
+
+def solution_set_extent(instance, pair, c, level):
+    """The far end x_bar + d of the solution set along c, or None.
+
+    For a polyhedral face F of y_bar (group Lasso, l1 included, and a
+    polyhedral g) the solution set S = {x : Phi x = Phi x_bar, K x in F} is
+    a polyhedron.  d maximizes c^T d over {d : Phi d = 0, K (x_bar + d) in F}
+    within ||d||_inf <= max(1, ||x_bar||_inf), one HiGHS LP.  K x_bar meets
+    F's system only to the solver's accuracy, so each row is written
+    relative to it: E K d = 0, and A K d <= c - A K x_bar with that slack
+    floored at 0.  d = 0 is then feasible, and the pair's own error is not
+    read as room to move.
+
+    x_bar + d is returned when it passes KKT with y_bar at `level` (of
+    kkt_bound) and lies farther from x_bar than solution_resolution.  A
+    curved (nuclear) face has no LP: None.
     """
     import scipy.optimize
-    k, d = w_basis.shape
-    if k == 0:
-        return np.zeros(0)
-    if d == 0:
+    x = np.asarray(pair.x_bar, dtype=float)
+    y = np.asarray(pair.y_bar, dtype=float)
+    system = rz.conj_subdiff_face(instance.reg, y, instance.tol).polyhedral_system()
+    if system is None:
         return None
-    sol, *_ = np.linalg.lstsq(w_basis, np.ones(k), rcond=None)
-    m = w_basis @ sol
-    if np.all(m > 0.5) and float(np.linalg.norm(m - 1.0)) <= 1e-8:
-        return m
-    c = np.zeros(d + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([-w_basis, np.ones((k, 1))])
-    res = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=np.zeros(k),
-                                 bounds=[(-1.0, 1.0)] * d + [(0.0, 1.0)],
-                                 method="highs")
-    if res.success and res.x[-1] > 1e-9:
-        return w_basis @ res.x[:d]
-    return None
+    a, c_face, e, _ = system
+    k = materialize(instance.k)
+    phi = materialize(instance.phi)
+    box = max(1.0, float(np.abs(x).max(initial=0.0)))
+    res = scipy.optimize.linprog(
+        -np.asarray(c, dtype=float), A_ub=a @ k,
+        b_ub=np.maximum(c_face - a @ (k @ x), 0.0),
+        A_eq=np.vstack([phi, e @ k]), b_eq=np.zeros(phi.shape[0] + e.shape[0]),
+        bounds=(-box, box), method="highs")
+    if res.status != 0:
+        return None
+    end = x + res.x
+    if float(np.linalg.norm(res.x)) <= solution_resolution(instance) or \
+            not kkt_within(kkt_residual(instance, end, y),
+                           kkt_bound(instance, level)):
+        return None
+    return end
 
 
 def uniqueness_oracle(instance, pair):
-    """Enumerate group support/sign patterns of the true solution set.
+    """(unique, alternate, detail): is x_bar the only solution near itself?
 
-    The solution set of P(b, mu) is {x : Phi x = Phi x_bar} intersected with
-    the set of points whose transform lies on the multiplier's face; its
-    local structure at x_bar is enumerated over subsets of tight boundary
-    groups, and every non-uniqueness claim is verified by re-checking the
-    KKT residuals of an explicit alternate point.
+    Two solution-set LPs, solution_set_extent at +c and -c for a seeded
+    Gaussian c, look for a solution of the same data beyond the pair's
+    resolution; a non-uniqueness claim is that alternate, verified by KKT
+    at level 1e3.  detail holds movement_dim, the dimension of
+    {d : Phi d = 0, E K d = 0} with E the equalities of the multiplier's
+    face (no LP is solved when it is 0), and tight_groups, the boundary
+    groups that active_groups reads as vertices at K x_bar.
     """
     reg = instance.reg
     if not isinstance(reg, rz.GroupLasso):
         raise ValueError("uniqueness oracle supports group lasso only")
     tol = instance.tol
     x = np.asarray(pair.x_bar, dtype=float)
-    y = np.asarray(pair.y_bar, dtype=float)
+    face = rz.conj_subdiff_face(reg, pair.y_bar, tol)
+    e = face.polyhedral_system()[2]
     k = materialize(instance.k)
-    phi = materialize(instance.phi)
-    kx = k @ x
-    w = reg.weight
-
-    boundary, tight = [], []
-    eq_rows = [phi]
-    units = {}
-    for gi, g in enumerate(reg.group_slices):
-        ny = float(np.linalg.norm(y[g])) / w
-        if abs(ny - 1.0) <= tol.member:
-            u = y[g] / np.linalg.norm(y[g])
-            units[gi] = u
-            boundary.append(gi)
-            # movement confined to the ray direction
-            perp = np.eye(len(g)) - np.outer(u, u)
-            eq_rows.append(perp @ k[g, :])
-            if float(u @ kx[g]) <= 1e3 * tol.member * max(1.0, np.linalg.norm(kx)):
-                tight.append(gi)
-        else:
-            eq_rows.append(k[g, :])
-    u_sub = null_space(np.vstack(eq_rows), tol)
-    detail = {"movement_dim": u_sub.dim, "tight_groups": list(tight)}
-    if u_sub.dim == 0:
+    movement = null_space(np.vstack([materialize(instance.phi), e @ k]), tol)
+    boundary = set(face.boundary)
+    active = rz.active_groups(reg, k @ x, tol)[1]
+    tight = [int(g) for g, on in zip(reg.segments.groups, active)
+             if g in boundary and not on]
+    detail = {"movement_dim": movement.dim, "tight_groups": tight}
+    if movement.dim == 0:
         return True, None, detail
-
-    def margins_matrix(groups):
-        if not groups:
-            return np.zeros((0, k.shape[1]))
-        rows = [units[gi] @ k[reg.group_slices[gi], :] for gi in groups]
-        return np.asarray(rows)
-
-    def verify(d):
-        d = d / np.linalg.norm(d)
-        slack = [float(units[gi] @ (k[reg.group_slices[gi], :] @ x)) /
-                 max(abs(float(units[gi] @ (k[reg.group_slices[gi], :] @ d))), 1e-12)
-                 for gi in boundary if gi not in tight]
-        eps = min([1e-2] + [0.5 * s for s in slack if s > 0])
-        cand = x + eps * d
-        res = kkt_residual(instance, cand, y)
-        if kkt_within(res, kkt_bound(instance, 1e3)):
-            return cand
-        return None
-
-    m_tight = margins_matrix(tight)
-    from itertools import combinations
-    for size in range(0, len(tight) + 1):
-        for combo in combinations(range(len(tight)), size):
-            moving = list(combo)
-            staying = [i for i in range(len(tight)) if i not in moving]
-            if staying:
-                stay_rows = m_tight[staying] @ u_sub.basis
-                inner = null_space(stay_rows, tol)
-                basis = u_sub.basis @ inner.basis
-            else:
-                basis = u_sub.basis
-            if basis.shape[1] == 0:
-                continue
-            if not moving:
-                alt = verify(basis[:, 0])
-                if alt is None:
-                    alt = verify(-basis[:, 0])
-                if alt is not None:
-                    return False, alt, detail
-                continue
-            move_rows = m_tight[moving] @ basis
-            margins = _strictly_positive_point(move_rows)
-            if margins is None:
-                continue
-            coeff, *_ = np.linalg.lstsq(move_rows, margins, rcond=None)
-            alt = verify(basis @ coeff)
-            if alt is not None:
-                return False, alt, detail
+    c = np.random.default_rng(0).standard_normal(instance.dim_x)
+    for direction in (c, -c):
+        alternate = solution_set_extent(instance, pair, direction, 1e3)
+        if alternate is not None:
+            return False, alternate, detail
     return True, None, detail
 
 
 def uniqueness_equivalence_check(instance, pair, oracle_budget=8, seed=0):
-    """Compare the certificate conclusion with the brute-force oracle."""
+    """Compare the certificate conclusion with the uniqueness oracle."""
     if not isinstance(instance.reg, rz.GroupLasso):
         raise ValueError("uniqueness equivalence applies to group lasso only")
     if instance.dim_x > oracle_budget:

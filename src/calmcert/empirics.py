@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import regularizers as rz
+from .certificates import solution_resolution, solution_set_extent
 from .cones import PolyhedralCone, PsdCone, SubspacePlusRays
 from .linalg import row_dots, row_norms
 from .solver import (SolverConfig, SolverError, kkt_bound, kkt_residual,
@@ -122,13 +123,18 @@ def instability_probe(instance, pair, witness, t_grid):
     Phi(x_t - x_bar) and bound the ratios.  x0 is verified by KKT for b0 at
     the alternates' bound, and its shift ||x0 - x_bar|| and
     ||Phi(x0 - x_bar)|| are reported.  x_t is the projection of
-    x0 + t*witness onto the face.  For other K the base is x_bar itself, and
-    x_t = x_bar + t*witness when K x_t lies on the face.
-    b_t := b0 + Phi(x_t - x0) makes x_t optimal for P(b_t, mu) whenever the
-    face membership holds, which is re-verified through the KKT residuals;
-    distances are measured from (x0, b0).  A ratio of None means b_t = b0
-    exactly (alternate solution of the SAME problem, the strongest possible
-    refutation).
+    x0 + t*witness onto the face, and b_t := b0 + Phi(x_t - x0) makes x_t
+    optimal for P(b_t, mu) whenever the face membership holds, which is
+    re-verified through the KKT residuals; distances are measured from
+    (x0, b0).  A ratio of None means b_t = b0 exactly (alternate solution
+    of the SAME problem, the strongest possible refutation).
+
+    For other K the base is x_bar itself, and the alternates come from the
+    solution set: "alternate" is its far end along the witness
+    (certificates.solution_set_extent), a solution of the same data, and
+    the entries are that end and the points at distance t from x_bar
+    toward it, for each t of the grid beyond the pair's resolution and
+    short of the end.  A curved (nuclear) face has no such set to measure.
     """
     tol = instance.tol
     x_bar = np.asarray(pair.x_bar, dtype=float)
@@ -139,41 +145,46 @@ def instability_probe(instance, pair, witness, t_grid):
     except ValueError as exc:
         return {"available": False, "reason": str(exc), "entries": []}
     scale = kkt_scale(instance)
-    bound = kkt_bound(instance, max(10.0, 1e-10 / tol.kkt))  # level 10, floored
-    identity = instance.k.is_identity
+    level = max(10.0, 1e-10 / tol.kkt)                  # level 10, floored
+    bound = kkt_bound(instance, level)
     x0, db0 = x_bar, np.zeros_like(instance.b)
     base = {"base_shift": 0.0, "base_db_norm": 0.0, "base_verified": None}
-    if identity:
+    points, extra = [], {}
+    if instance.k.is_identity:
         x0 = face.project(x_bar)
         db0 = instance.phi.apply(x0 - x_bar)
         res0 = kkt_residual(instance.perturbed(db0, 0.0), x0, y)
         base = {"base_shift": float(np.linalg.norm(x0 - x_bar)),
                 "base_db_norm": float(np.linalg.norm(db0)),
                 "base_verified": kkt_within(res0, bound)}
-    entries = []
-    for t in t_grid:
-        t = float(t)
-        cand = x0 + t * w
-        kc = instance.k.apply(cand)
-        if identity:
-            x_t = face.project(kc)
-            proj_res = float(np.linalg.norm(kc - x_t))
+        for t in t_grid:
+            t = float(t)
+            x_t = face.project(x0 + t * w)
+            db = instance.phi.apply(x_t - x0)
+            if float(np.linalg.norm(db)) <= 1e-13 * scale:
+                # the witness lies in Ker Phi to float precision: construct
+                # the alternate solution for the SAME data, exactly
+                db = np.zeros_like(db)
+            points.append((t, x_t, db, float(np.linalg.norm(x0 + t * w - x_t))))
+    elif face.polyhedral_system() is None:
+        extra["reason"] = "no solution-set LP for a curved face"
+    else:
+        end = solution_set_extent(instance, pair, w, level)
+        if end is None:
+            extra["reason"] = ("the solution set reaches no farther than the "
+                               "pair's resolution along the witness")
         else:
-            if face.contains(kc, tol.derived_member):
-                x_t = cand
-                proj_res = float(np.linalg.norm(kc - face.project(kc)))
-            else:
-                entries.append({"t": t, "available": False,
-                                "reason": "projection onto the preimage of the "
-                                          "face is not available for this K"})
-                continue
-        db = instance.phi.apply(x_t - x0)
+            extra["alternate"] = [float(v) for v in end]
+            width = float(np.linalg.norm(end - x_bar))
+            r = solution_resolution(instance)
+            for t in [float(t) for t in t_grid if r < float(t) < width] + [width]:
+                x_t = x_bar + (t / width) * (end - x_bar) if t < width else end
+                k_t = instance.k.apply(x_t)
+                points.append((t, x_t, np.zeros_like(instance.b),
+                               float(np.linalg.norm(k_t - face.project(k_t)))))
+    entries = []
+    for t, x_t, db, proj_res in points:
         b_dist = float(np.linalg.norm(db))
-        if b_dist <= 1e-13 * scale:
-            # the witness lies in Ker Phi to float precision: construct the
-            # alternate solution for the SAME data, exactly
-            db = np.zeros_like(db)
-            b_dist = 0.0
         pert = instance.perturbed(db0 + db, 0.0)
         res = kkt_residual(pert, x_t, y)
         verified = kkt_within(res, bound)
@@ -184,15 +195,14 @@ def instability_probe(instance, pair, witness, t_grid):
                         "stationarity": res["stationarity"],
                         "graph": res["graph"], "verified": verified,
                         "projection_residual": proj_res})
-    usable = [e for e in entries if e.get("available")]
-    finite = [e["ratio"] for e in usable if e["ratio"] is not None]
+    finite = [e["ratio"] for e in entries if e["ratio"] is not None]
     min_ratio = min(finite) if finite else None
-    refuted = base["base_verified"] is not False and bool(usable) and \
-        all(e["verified"] for e in usable) and \
-        all(e["x_dist"] > 0 for e in usable) and \
+    refuted = base["base_verified"] is not False and bool(entries) and \
+        all(e["verified"] for e in entries) and \
+        all(e["x_dist"] > 0 for e in entries) and \
         (min_ratio is None or min_ratio >= 1e6)
-    return {"available": bool(usable), "entries": entries,
-            "min_ratio": min_ratio, "refuted": refuted, **base}
+    return {"available": bool(entries), "entries": entries,
+            "min_ratio": min_ratio, "refuted": refuted, **base, **extra}
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,14 @@ class LinearOp:
     def _op_norm(self):
         if self.kind == "adjoint":                  # ||K^T|| = ||K||
             return self.params["of"].op_norm()
+        if self.kind in ("grad1d", "grad2d"):
+            # K^T K is the Laplacian of a path of n nodes (grad1d) or the
+            # Kronecker sum of two (grad2d); a path's largest eigenvalue is
+            # 4 sin^2(pi (n - 1) / (2 n)), 0 for a single node
+            sides = (self.params["n"],) if self.kind == "grad1d" \
+                else (self.params["n1"], self.params["n2"])
+            return float(np.sqrt(sum(4.0 * np.sin(np.pi * (n - 1) / (2 * n)) ** 2
+                                     for n in sides)))
         m = self._dense
         if m.size == 0:
             return 0.0

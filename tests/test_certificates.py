@@ -3,14 +3,16 @@ import json
 import numpy as np
 import pytest
 
+import uniqueness_reference
 from calmcert.certificates import (CertificateError, certify_primal_dual,
                                    certify_solution_map, prepare_multiplier,
+                                   solution_resolution,
                                    strong_solution_equivalence,
                                    uniqueness_equivalence_check,
                                    uniqueness_oracle)
 from calmcert.gallery import instance_for, random_group_lasso_instance
 from calmcert.model import load_instance, materialize
-from calmcert.solver import kkt_within, solve
+from calmcert.solver import kkt_bound, kkt_residual, kkt_within, solve
 
 
 def make(doc):
@@ -218,9 +220,10 @@ def test_oracle_budget_enforced():
         uniqueness_equivalence_check(inst, pair)
 
 
-def test_three_variable_two_group_agreement_100_seeds():
+def _three_variable_instances():
+    """100 seeded three-variable, two-group Lasso instances, K = I."""
     rng_master = np.random.default_rng(2024)
-    for trial in range(100):
+    for _ in range(100):
         rng = np.random.default_rng(rng_master.integers(2**32))
         phi = rng.standard_normal((int(rng.integers(1, 4)), 3))
         b = 2.0 * rng.standard_normal(phi.shape[0])
@@ -231,22 +234,52 @@ def test_three_variable_two_group_agreement_100_seeds():
                "k": {"kind": "identity", "dim": 3},
                "reg": {"kind": "group_lasso", "dim": 3, "groups": groups,
                        "weight": 1.0}}
-        inst = make(doc)
+        yield make(doc)
+
+
+def test_three_variable_two_group_agreement_100_seeds():
+    for trial, inst in enumerate(_three_variable_instances()):
         pair = solve(inst)
         out = uniqueness_equivalence_check(inst, pair)
         assert out["agrees"] is not False, f"trial {trial}: {out}"
 
 
+def _analysis_k_instances():
+    return [random_group_lasso_instance(seed, k_kinds=("dense",))
+            for seed in range(30)]
+
+
 def test_analysis_k_agreement():
     # general K exercises the analysis route of both oracle and certificate
     mismatches = []
-    for seed in range(30):
-        inst = random_group_lasso_instance(seed, k_kinds=("dense",))
+    for seed, inst in enumerate(_analysis_k_instances()):
         pair = solve(inst)
         out = uniqueness_equivalence_check(inst, pair)
         if out["agrees"] is False:
             mismatches.append(seed)
     assert not mismatches
+
+
+def test_oracle_matches_the_subset_enumeration():
+    # the gate's 200 draws, the 30 dense-K draws and the 100 three-variable
+    # trials: the same answer as the enumeration, and every alternate is a
+    # solution of the same data (KKT at level 1e3) beyond the resolution
+    gate = [random_group_lasso_instance(seed) for seed in range(200)]
+    counts = {True: 0, False: 0}
+    for i, inst in enumerate(gate + _analysis_k_instances()
+                             + list(_three_variable_instances())):
+        pair = solve(inst)
+        want, _, want_detail = uniqueness_reference.uniqueness_oracle(inst, pair)
+        unique, alternate, detail = uniqueness_oracle(inst, pair)
+        assert unique == want, i
+        assert detail["movement_dim"] == want_detail["movement_dim"], i
+        counts[unique] += 1
+        if alternate is not None:
+            assert kkt_within(kkt_residual(inst, alternate, pair.y_bar),
+                              kkt_bound(inst, 1e3)), i
+            assert np.linalg.norm(alternate - pair.x_bar) \
+                > solution_resolution(inst), i
+    assert counts[True] >= 100 and counts[False] >= 40
 
 
 def test_oracle_vertex_pattern_branch():

@@ -283,6 +283,25 @@ def test_op_norm_matches_the_spectral_norm(name):
     assert abs(op.op_norm() - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("size", [(1, 1), (1, 4), (4, 1), (3, 5), (6, 6),
+                                  (8, 8), (16, 16), (33, 33), (2,), (7,), (50,)],
+                         ids=lambda size: "x".join(map(str, size)))
+def test_gradient_op_norm_is_the_closed_form(monkeypatch, size):
+    # the largest eigenvalue of K^T K, read off a path Laplacian's spectrum
+    # with no eigensolve; grad2d of a 1 x 1 image has norm 0 exactly
+    op = LinearOp.grad2d(*size) if len(size) == 2 else LinearOp.grad1d(*size)
+    m = materialize(op)
+    want = float(np.sqrt(max(np.linalg.eigvalsh(m.T @ m)[-1], 0.0)))
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("operator norm from an eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    got = op.op_norm()
+    assert abs(got - want) <= 1e-14 * want
+    assert (got == 0.0) == (size == (1, 1))
+
+
 @pytest.mark.parametrize("op", [LinearOp.identity(7), LinearOp.dense(np.eye(7))],
                          ids=["identity", "dense_identity"])
 def test_identity_op_norm_is_one_without_an_svd(monkeypatch, op):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import calmcert.certificates as ct
+import calmcert.empirics as em
 from calmcert import cones
 from calmcert import regularizers as rz
 from calmcert.cli import run
@@ -85,6 +86,53 @@ def test_window_segments_above_the_tangent_slack_are_not_isolated_calm(
     assert status == "not_isolated_calm"
     w = np.asarray(payload["conclusion_solution_map"]["witness"])
     assert np.allclose(np.abs(w), np.sqrt(0.5)) and abs(w.sum()) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [2e-7, 5e-7, 1e-6, 1e-5])
+def test_probe_refutes_window_segments_with_solution_set_ends(tmp_path, delta):
+    # for K != I the probe's alternate is the far end of the solution set
+    # along the witness, one of the segment's ends delta e_1 and delta e_2,
+    # a solution of the same data
+    doc = {**WINDOW, "b": [2.0 + delta]}
+    code, status, payload = _run(tmp_path, doc, "probe")
+    assert code == 0 and status == "not_isolated_calm"
+    assert payload["refuted"] is True
+    end = np.asarray(payload["alternate"])
+    assert min(np.linalg.norm(end - delta * e) for e in np.eye(2)) \
+        <= 1e-3 * delta
+    r = ct.solution_resolution(load_instance(json.dumps(doc)))
+    assert payload["entries"]
+    for entry in payload["entries"]:
+        assert entry["x_dist"] > r
+        assert entry["b_dist"] == 0.0 and entry["verified"]
+
+
+def test_probe_steps_toward_the_solution_set_end(tmp_path):
+    # grid steps short of the end (7.07e-6 from x_bar) and beyond the
+    # resolution (2.1e-9) join the end; 1e-1 and 1e-12 do not
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps({**WINDOW, "b": [2.0 + 1e-5]}))
+    out = tmp_path / "probe.json"
+    assert run(["probe", str(path), "--t-grid", "1e-1,1e-6,1e-7,1e-12",
+                "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["refuted"] is True
+    steps = [e["t"] for e in payload["entries"]]
+    assert steps[:2] == [1e-6, 1e-7] and len(steps) == 3
+    assert steps[2] == pytest.approx(np.sqrt(0.5) * 1e-5, rel=1e-3)
+    for entry in payload["entries"]:
+        assert entry["x_dist"] == pytest.approx(entry["t"], rel=1e-9)
+
+
+def test_probe_has_no_solution_set_for_a_curved_face():
+    # the nuclear draws of the K corpus: no LP describes their solution set
+    doc = corpus_doc(10)
+    assert doc["reg"]["kind"] == "nuclear" and doc["k"]["kind"] == "dense"
+    inst = load_instance(json.dumps(doc))
+    pair = solve(inst)
+    out = em.instability_probe(inst, pair, np.ones(inst.dim_x), [1e-2])
+    assert out["available"] is False and out["refuted"] is False
+    assert out["entries"] == [] and "curved face" in out["reason"]
 
 
 CORPUS = range(150)
