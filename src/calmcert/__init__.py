@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .linalg import Tolerances, Subspace, null_space, range_space
 from .regularizers import GroupLasso, Nuclear, PolyhedralIndicator
 from .model import (LinearOp, ProblemInstance, SolutionPair,
-                    InstanceError, load_instance, instance_hash, materialize,
+                    InstanceError, load_instance, instance_hash,
                     group_lasso, l1, nuclear, polyhedral_indicator)
 from .solver import SolverConfig, SolverError, solve, solve_perturbed, kkt_residual
 from .certificates import (CertificateReport, CertificateError, Conclusion,

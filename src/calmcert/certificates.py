@@ -35,7 +35,6 @@ import numpy as np
 from . import regularizers as rz
 from .cones import TrivialityVerdict, preimage, trivial_intersection
 from .linalg import null_space
-from .model import materialize
 from .solver import kkt_bound, kkt_residual, kkt_within
 
 
@@ -145,7 +144,7 @@ def prepare_multiplier(instance, pair):
     # one alternating refinement step: least squares onto {K* y = v_bar},
     # then pulled toward dg(K x_bar)
     v = instance.v_of(x)
-    kt = materialize(instance.k).T
+    kt = instance.k.matrix.T       # lstsq factors K^T as a dense matrix
     corr, *_ = np.linalg.lstsq(kt, v - kt @ y, rcond=None)
     y1 = y + corr
     y2 = rz.project_multiplier(instance.reg, instance.k.apply(x), y1,
@@ -241,8 +240,10 @@ def certify_primal_dual(instance, pair, seed=0):
     """
     report, kx = _solution_map(instance, pair, seed)
     tol = instance.tol
-    tangent_sub = rz.tangent_subdiff(instance.reg, kx, report.y_used, tol)
-    if tangent_sub is None:
+    if instance.k.is_identity:      # Ker I = {0}: no tangent is built
+        srcq = TrivialityVerdict.trivial()
+    elif (tangent_sub := rz.tangent_subdiff(instance.reg, kx, report.y_used,
+                                            tol)) is None:
         srcq = TrivialityVerdict.unknown(
             "tangent cone to dg(K x_bar) not representable for this multiplier")
     else:
@@ -309,7 +310,7 @@ def solution_resolution(instance):
     from x_bar to be told apart from the pair's own error.  An interim
     multiple of the KKT bound, until the thresholds derive from the pair's
     backward error."""
-    s = np.linalg.svd(materialize(instance.phi), compute_uv=False)
+    s = instance.phi.singular_values()
     s = s[s > instance.tol.rank * s[0]] if s.size else s
     sigma = float(s[-1]) if s.size else 1.0
     return kkt_bound(instance, 10) / sigma
@@ -338,8 +339,8 @@ def solution_set_extent(instance, pair, c, level):
     if system is None:
         return None
     a, c_face, e, _ = system
-    k = materialize(instance.k)
-    phi = materialize(instance.phi)
+    k = instance.k.matrix           # the LP rows A K, E K and Phi are dense
+    phi = instance.phi.matrix
     box = max(1.0, float(np.abs(x).max(initial=0.0)))
     res = scipy.optimize.linprog(
         -np.asarray(c, dtype=float), A_ub=a @ k,
@@ -374,8 +375,8 @@ def uniqueness_oracle(instance, pair):
     x = np.asarray(pair.x_bar, dtype=float)
     face = rz.conj_subdiff_face(reg, pair.y_bar, tol)
     e = face.polyhedral_system()[2]
-    k = materialize(instance.k)
-    movement = null_space(np.vstack([materialize(instance.phi), e @ k]), tol)
+    k = instance.k.matrix           # null_space factors the stack [Phi; E K]
+    movement = null_space(np.vstack([instance.phi.matrix, e @ k]), tol)
     boundary = set(face.boundary)
     active = rz.active_groups(reg, k @ x, tol)[1]
     tight = [int(g) for g, on in zip(reg.segments.groups, active)

@@ -40,8 +40,7 @@ import numpy as np
 # scipy.optimize is imported where an LP or NNLS is solved: it is most of the
 # package's import time, and group-Lasso and nuclear solves never need it.
 
-from .linalg import (Subspace, DEFAULT_TOL, null_space, range_space, row_norms,
-                     spectral_norm)
+from .linalg import Subspace, DEFAULT_TOL, as_operator, null_space, row_norms
 
 
 @dataclass
@@ -433,16 +432,17 @@ def _pull_back_rows(rows, k, tol):
 
 
 def preimage(k_op, cone, tol=DEFAULT_TOL):
-    """Cone {w : K w in C}.
+    """Cone {w : K w in C}, K a LinearOp or a matrix.
 
     A polyhedral C is pulled back through K row by row; any other C is kept
-    as a PreimageCone.  For an operator with is_identity set it is C itself.
+    as a PreimageCone.  For K = I it is C itself.
     """
-    k = k_op if isinstance(k_op, np.ndarray) else k_op._dense
-    if cone.ambient != k.shape[0]:
+    k_op = as_operator(k_op)
+    if cone.ambient != k_op.rows:
         raise ValueError("operator rows must match cone ambient dimension")
-    if getattr(k_op, "is_identity", False):
+    if k_op.is_identity:
         return cone
+    k = k_op.matrix             # the pulled-back rows and the cone's K are dense
     if isinstance(cone, PolyhedralCone):
         return PolyhedralCone(_pull_back_rows(cone.A, k, tol),
                               _pull_back_rows(cone.E, k, tol),
@@ -595,12 +595,12 @@ def trivial_intersection(m, cone, tol=DEFAULT_TOL, seed=0):
     equality block M F / ||M||, so Ker M is never formed; a singular
     value of M F below tol.rank ||M|| counts as zero.
     """
-    mat = m if isinstance(m, np.ndarray) else m._dense
-    if mat.shape[1] != cone.ambient:
+    m = as_operator(m)
+    if m.cols != cone.ambient:
         raise ValueError("operator columns and cone ambient dimension differ")
-    if getattr(m, "is_identity", False):          # Ker I = {0}
+    if m.is_identity:                             # Ker I = {0}
         return TrivialityVerdict.trivial()
-    norm = m.op_norm() if mat is not m else spectral_norm(mat)
+    mat, norm = m.matrix, m.op_norm()             # M's rows enter the LP system
     scale = norm or 1.0                           # M = 0 leaves zero rows
 
     if isinstance(cone, SubspacePlusRays):        # F = [B R]
@@ -659,10 +659,10 @@ def tangent_with_range_restriction(face, z, k_op, tol=DEFAULT_TOL):
     z = np.asarray(z, dtype=float)
     if not face.contains(z, tol.derived_member):
         raise ValueError("base point is not a member of the face")
-    if getattr(k_op, "is_identity", False):       # Im K = Y
+    k_op = as_operator(k_op)
+    if k_op.is_identity:                          # Im K = Y
         return face.tangent_at(z, tol)
-    imk = range_space(k_op, tol) if isinstance(k_op, np.ndarray) \
-        else k_op.range_space(tol)            # a LinearOp factors it once
+    imk = k_op.range_space(tol)
     if not imk.contains(z, tol.derived_member):
         raise ValueError("base point is not in the range of K")
     if imk.dim == imk.ambient_dim:

@@ -7,13 +7,8 @@ enumeration, or hand singular-value analysis).
 
 import numpy as np
 
+from .linalg import _matrix_json as _matrix
 from .model import load_instance
-
-
-def _dense(mat):
-    mat = np.asarray(mat, dtype=float)
-    return {"kind": "dense", "rows": mat.shape[0], "cols": mat.shape[1],
-            "entries": [float(v) for v in mat.ravel()]}
 
 
 def _l1(dim, weight=1.0):
@@ -28,7 +23,7 @@ def curated_cases():
     # scalar soft threshold: x(b) = b - mu for b > mu, multiplier 1
     cases.append({
         "name": "lasso_scalar",
-        "instance": {"phi": _dense([[1.0]]), "b": [3.0], "mu": 1.0,
+        "instance": {"phi": _matrix([[1.0]]), "b": [3.0], "mu": 1.0,
                      "k": {"kind": "identity", "dim": 1}, "reg": _l1(1)},
         "expected": {"solution_map": "isolated_calm", "x_bar": [2.0],
                      "y_bar": [1.0], "unknown": False},
@@ -37,7 +32,7 @@ def curated_cases():
     # solution segment {x >= 0, x1 + x2 = 1}: isolated calmness fails
     cases.append({
         "name": "lasso_segment",
-        "instance": {"phi": _dense([[1.0, 1.0]]), "b": [2.0], "mu": 1.0,
+        "instance": {"phi": _matrix([[1.0, 1.0]]), "b": [2.0], "mu": 1.0,
                      "k": {"kind": "identity", "dim": 2}, "reg": _l1(2)},
         "expected": {"solution_map": "not_isolated_calm", "probe_refuted": True,
                      "unknown": False},
@@ -46,7 +41,7 @@ def curated_cases():
     # kernel of Phi misses the face tangent: unique despite Ker Phi != 0
     cases.append({
         "name": "lasso_coordinate",
-        "instance": {"phi": _dense([[1.0, 0.0]]), "b": [3.0], "mu": 1.0,
+        "instance": {"phi": _matrix([[1.0, 0.0]]), "b": [3.0], "mu": 1.0,
                      "k": {"kind": "identity", "dim": 2}, "reg": _l1(2)},
         "expected": {"solution_map": "isolated_calm", "x_bar": [2.0, 0.0],
                      "unknown": False},
@@ -65,11 +60,11 @@ def curated_cases():
     # box indicator with a free coordinate: a solution segment again
     cases.append({
         "name": "polyhedral_box",
-        "instance": {"phi": _dense([[1.0, 0.0]]), "b": [2.0], "mu": 1.0,
+        "instance": {"phi": _matrix([[1.0, 0.0]]), "b": [2.0], "mu": 1.0,
                      "k": {"kind": "identity", "dim": 2},
                      "reg": {"kind": "polyhedral_indicator",
-                             "A": _dense([[1.0, 0.0], [-1.0, 0.0],
-                                          [0.0, 1.0], [0.0, -1.0]]),
+                             "A": _matrix([[1.0, 0.0], [-1.0, 0.0],
+                                           [0.0, 1.0], [0.0, -1.0]]),
                              "c": [1.0, 1.0, 1.0, 1.0]}},
         "expected": {"solution_map": "not_isolated_calm", "probe_refuted": True,
                      "unknown": False},
@@ -79,9 +74,9 @@ def curated_cases():
     # the tangent cone collapses to a subspace and the verdict is exact
     cases.append({
         "name": "nuclear_nondegenerate",
-        "instance": {"phi": _dense([[1.0, 0.0, 0.0, 0.0],
-                                    [0.0, 0.0, 1.0, 0.0],
-                                    [0.0, 0.0, 0.0, 1.0]]),
+        "instance": {"phi": _matrix([[1.0, 0.0, 0.0, 0.0],
+                                     [0.0, 0.0, 1.0, 0.0],
+                                     [0.0, 0.0, 0.0, 1.0]]),
                      "b": [2.0, 0.0, 0.5], "mu": 1.0,
                      "k": {"kind": "identity", "dim": 4},
                      "reg": {"kind": "nuclear", "m": 2, "n": 2, "weight": 1.0}},
@@ -92,9 +87,9 @@ def curated_cases():
     # heuristic PSD path must answer Unknown (exit code 2)
     cases.append({
         "name": "nuclear_degenerate",
-        "instance": {"phi": _dense([[1.0, 0.0, 0.0, 0.0],
-                                    [0.0, 0.0, 1.0, 0.0],
-                                    [0.0, 0.0, 0.0, 1.0]]),
+        "instance": {"phi": _matrix([[1.0, 0.0, 0.0, 0.0],
+                                     [0.0, 0.0, 1.0, 0.0],
+                                     [0.0, 0.0, 0.0, 1.0]]),
                      "b": [2.0, 0.0, 1.0], "mu": 1.0,
                      "k": {"kind": "identity", "dim": 4},
                      "reg": {"kind": "nuclear", "m": 2, "n": 2, "weight": 1.0}},
@@ -104,8 +99,8 @@ def curated_cases():
     # non-unique multipliers: the solution map is calm, the primal-dual is not
     cases.append({
         "name": "pd_multiplier_segment",
-        "instance": {"phi": _dense([[1.0]]), "b": [1.0], "mu": 1.0,
-                     "k": _dense([[1.0], [1.0]]), "reg": _l1(2)},
+        "instance": {"phi": _matrix([[1.0]]), "b": [1.0], "mu": 1.0,
+                     "k": _matrix([[1.0], [1.0]]), "reg": _l1(2)},
         "expected": {"solution_map": "isolated_calm",
                      "primal_dual": "not_isolated_calm", "unknown": False},
     })
@@ -160,12 +155,10 @@ def random_group_lasso_instance(seed, dim_max=6, max_groups=3,
     mu = float(rng.uniform(0.5, 2.0))
     kind = k_kinds[int(rng.integers(0, len(k_kinds)))]
     if kind == "dense":
-        k = {"kind": "dense", "rows": n, "cols": n,
-             "entries": [float(v) for v in
-                         (np.eye(n) + 0.3 * rng.standard_normal((n, n))).ravel()]}
+        k = _matrix(np.eye(n) + 0.3 * rng.standard_normal((n, n)))
     else:
         k = {"kind": "identity", "dim": n}
-    doc = {"phi": _dense(phi), "b": [float(v) for v in b], "mu": mu,
+    doc = {"phi": _matrix(phi), "b": [float(v) for v in b], "mu": mu,
            "k": k, "reg": {"kind": "group_lasso", "dim": n, "groups": groups,
                            "weight": 1.0}}
     return load_instance(doc)

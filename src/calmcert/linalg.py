@@ -1,11 +1,15 @@
-"""Dense linear algebra kernel: factorizations, numerical rank, subspaces.
+"""Dense linear algebra kernel: factorizations, numerical rank, subspaces,
+and the linear operators Phi and K.
 
 Everything downstream (cones, certificates) reduces to the operations here.
 Matrices are plain 2-D float64 ndarrays; subspaces always carry orthonormal
-bases so that membership is a single projection residual.
+bases so that membership is a single projection residual.  LinearOp, here
+so that cones can import it, is the one way in to Phi and K: a function
+that also takes a plain matrix coerces it once with as_operator.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -191,3 +195,182 @@ def range_space(a, tol=DEFAULT_TOL):
     """Orthonormal basis of the column space at the relative rank tolerance."""
     a = _as_matrix(a)
     return Subspace._orthonormal(_orth_columns(a, tol.rank))
+
+
+# ---------------------------------------------------------------------------
+# linear operators
+
+
+class LinearOp:
+    """Linear operator given as dense | identity | grad1d | grad2d.
+
+    grad1d(n) is the (n-1) x n map x -> (x_1 - x_2, ..., x_{n-1} - x_n).
+    grad2d(n1, n2) maps an n1 x n2 image (row-major vector) to the stacked
+    forward differences: all vertical entries (x_{i+1,j} - x_{i,j}, zero in
+    the last row) first, then all horizontal ones (x_{i,j+1} - x_{i,j}, zero
+    in the last column), each block row-major over (i, j).
+
+    An operator is immutable: its entries are a private read-only array, so
+    its norm, identity test, range and singular values are computed once.
+    K.adjoint is K^T, a read-only view tied to K that reads its norm off K.
+    `matrix` serves the decisions that must factor or stack the entries;
+    each caller outside this module says why.
+    """
+
+    def __init__(self, kind, **params):
+        self.kind = kind
+        self.params = params
+        self._dense = frozen(self._entries())
+        self.shape = self._dense.shape
+        self.rows, self.cols = self.shape
+        self._ranges = {}
+
+    @classmethod
+    def dense(cls, matrix):
+        return cls("dense", matrix=np.asarray(matrix, dtype=float))
+
+    @classmethod
+    def identity(cls, dim):
+        return cls("identity", dim=int(dim))
+
+    @classmethod
+    def grad1d(cls, n):
+        return cls("grad1d", n=int(n))
+
+    @classmethod
+    def grad2d(cls, n1, n2):
+        return cls("grad2d", n1=int(n1), n2=int(n2))
+
+    def _entries(self):
+        if self.kind == "adjoint":
+            return self.params["of"]._dense.T
+        if self.kind == "dense":
+            m = np.array(self.params["matrix"], dtype=float)
+            if m.ndim != 2:
+                raise ValueError("dense operator must be 2-D")
+            if not np.all(np.isfinite(m)):
+                raise ValueError("dense operator has non-finite entries")
+            return m
+        if self.kind == "identity":
+            return np.eye(self.params["dim"])
+        if self.kind == "grad1d":
+            n = self.params["n"]
+            if n < 2:
+                raise ValueError("grad1d requires n >= 2")
+            return np.eye(n - 1, n) - np.eye(n - 1, n, 1)
+        if self.kind == "grad2d":
+            n1, n2 = self.params["n1"], self.params["n2"]
+            if n1 < 1 or n2 < 1:
+                raise ValueError("grad2d requires n1, n2 >= 1")
+            m = np.zeros((2 * n1 * n2, n1 * n2))
+            idx = np.arange(n1 * n2).reshape(n1, n2)     # pixel (i, j)
+            down = idx[:-1].ravel()             # i < n1 - 1: its vertical row
+            m[down, down + n2] = 1.0
+            m[down, down] = -1.0
+            right = idx[:, :-1].ravel()         # j < n2 - 1: its horizontal row
+            m[n1 * n2 + right, right + 1] = 1.0
+            m[n1 * n2 + right, right] = -1.0
+            return m
+        raise ValueError(f"unknown operator kind {self.kind!r}")
+
+    @property
+    def matrix(self):
+        """The entries as a read-only dense array, shared, not copied."""
+        return self._dense
+
+    @cached_property
+    def is_identity(self):
+        return self.kind == "identity" or self.rows == self.cols \
+            and np.array_equal(self._dense, np.eye(self.rows))
+
+    def apply(self, x):
+        if self.is_identity:            # a copy costs less than I @ x
+            return np.array(x, dtype=float)
+        return self._dense @ np.asarray(x, dtype=float)
+
+    def apply_adjoint(self, y):
+        if self.is_identity:
+            return np.array(y, dtype=float)
+        return self._dense.T @ np.asarray(y, dtype=float)
+
+    def columns(self, idx):
+        """The columns idx as a new array (A_idx)."""
+        return self._dense[:, idx]
+
+    def op_norm(self):
+        return self._op_norm
+
+    @cached_property
+    def adjoint(self):
+        """K^T as an operator; K = I is its own."""
+        return self if self.is_identity else LinearOp("adjoint", of=self)
+
+    def gram(self):
+        """A^T A, computed once per operator and read-only."""
+        return self._gram
+
+    def range_space(self, tol=DEFAULT_TOL):
+        """Im K as a Subspace at tol.rank, factored once per rank tolerance."""
+        if tol.rank not in self._ranges:
+            self._ranges[tol.rank] = range_space(self._dense, tol)
+        return self._ranges[tol.rank]
+
+    def singular_values(self):
+        """The singular values, nonincreasing, computed once and read-only."""
+        return self._singular_values
+
+    @cached_property
+    def nonzero_rows(self):
+        """The mask of the rows with a nonzero entry, read-only."""
+        return frozen(np.any(self._dense != 0.0, axis=1))
+
+    @cached_property
+    def _gram(self):
+        return frozen(self._dense.T @ self._dense)
+
+    @cached_property
+    def _singular_values(self):
+        return frozen(np.linalg.svd(self._dense, compute_uv=False))
+
+    @cached_property
+    def _op_norm(self):
+        if self.kind == "adjoint":                  # ||K^T|| = ||K||
+            return self.params["of"].op_norm()
+        if self.kind in ("grad1d", "grad2d"):
+            # K^T K is the Laplacian of a path of n nodes (grad1d) or the
+            # Kronecker sum of two (grad2d); a path's largest eigenvalue is
+            # 4 sin^2(pi (n - 1) / (2 n)), 0 for a single node
+            sides = (self.params["n"],) if self.kind == "grad1d" \
+                else (self.params["n1"], self.params["n2"])
+            return float(np.sqrt(sum(4.0 * np.sin(np.pi * (n - 1) / (2 * n)) ** 2
+                                     for n in sides)))
+        m = self._dense
+        if m.size == 0:
+            return 0.0
+        if self.is_identity:
+            return 1.0
+        return spectral_norm(m, self.gram() if m.shape[0] > m.shape[1] else None)
+
+    def to_json_dict(self):
+        if self.kind in ("dense", "adjoint"):
+            return _matrix_json(self._dense)
+        return {"kind": self.kind, **self.params}     # identity, grad1d, grad2d
+
+    def __repr__(self):
+        return f"LinearOp({self.kind}, shape={self.shape})"
+
+
+def as_operator(m):
+    """m as a LinearOp: m itself, or LinearOp.dense of a matrix."""
+    return m if isinstance(m, LinearOp) else LinearOp.dense(m)
+
+
+def _matrix_header(matrix):
+    """The JSON form of a dense matrix without its entries."""
+    return {"kind": "dense", "rows": matrix.shape[0], "cols": matrix.shape[1]}
+
+
+def _matrix_json(matrix):
+    """The JSON form of a dense matrix: its header and row-major entries."""
+    matrix = np.asarray(matrix, dtype=float)
+    return {**_matrix_header(matrix), "entries": matrix.ravel().tolist()}

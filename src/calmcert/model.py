@@ -1,20 +1,21 @@
-"""Problem instances P(b, mu), the linear-operator catalog, and JSON I/O.
+"""Problem instances P(b, mu), the catalog constructors, and JSON I/O.
 
 An instance is min_x 1/(2 mu) ||Phi x - b||^2 + g(K x) with g from the
-regularizer catalog.  Dense matrices travel over JSON as
-{"kind": "dense", "rows": R, "cols": C, "entries": [...]} in row-major
-order; structured operators (identity, 1-D/2-D discrete gradients) are
-materialized to dense at desk scale.
+regularizer catalog.  Phi and K are LinearOps (linalg, re-exported here),
+read through their methods; LinearOp.matrix only where a decision must
+factor or stack the entries, with the reason at the call.  Dense matrices
+travel over JSON as {"kind": "dense", "rows": R, "cols": C, "entries": [...]}
+in row-major order, structured operators (identity, gradients) by size.
 """
 
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .linalg import Tolerances, DEFAULT_TOL, frozen, range_space, spectral_norm
+from .linalg import (Tolerances, DEFAULT_TOL, LinearOp, _matrix_header,
+                     _matrix_json)
 from .regularizers import (GroupLasso, Nuclear, PolyhedralIndicator,
                            polyhedron_is_nonempty)
 
@@ -25,185 +26,6 @@ class InstanceError(ValueError):
     def __init__(self, path, message):
         self.path = path
         super().__init__(f"{path}: {message}")
-
-
-# ---------------------------------------------------------------------------
-# linear operators
-
-
-class LinearOp:
-    """Linear operator given as dense | identity | grad1d | grad2d.
-
-    grad1d(n) is the (n-1) x n map x -> (x_1 - x_2, ..., x_{n-1} - x_n).
-    grad2d(n1, n2) maps an n1 x n2 image (row-major vector) to the stacked
-    forward differences: all vertical entries (x_{i+1,j} - x_{i,j}, zero in
-    the last row) first, then all horizontal ones (x_{i,j+1} - x_{i,j}, zero
-    in the last column), each block row-major over (i, j).
-
-    An operator is immutable: the dense matrix is a private read-only copy,
-    so its norm, identity test and range are computed once.  K.adjoint is
-    K^T, a read-only view tied to K that reads its norm off K.
-    """
-
-    def __init__(self, kind, **params):
-        self.kind = kind
-        self.params = params
-        self._dense = frozen(self._materialize())
-        self._ranges = {}
-
-    @classmethod
-    def dense(cls, matrix):
-        return cls("dense", matrix=np.asarray(matrix, dtype=float))
-
-    @classmethod
-    def identity(cls, dim):
-        return cls("identity", dim=int(dim))
-
-    @classmethod
-    def grad1d(cls, n):
-        return cls("grad1d", n=int(n))
-
-    @classmethod
-    def grad2d(cls, n1, n2):
-        return cls("grad2d", n1=int(n1), n2=int(n2))
-
-    def _materialize(self):
-        if self.kind == "adjoint":
-            return self.params["of"]._dense.T
-        if self.kind == "dense":
-            m = np.array(self.params["matrix"], dtype=float)
-            if m.ndim != 2:
-                raise ValueError("dense operator must be 2-D")
-            if not np.all(np.isfinite(m)):
-                raise ValueError("dense operator has non-finite entries")
-            return m
-        if self.kind == "identity":
-            return np.eye(self.params["dim"])
-        if self.kind == "grad1d":
-            n = self.params["n"]
-            if n < 2:
-                raise ValueError("grad1d requires n >= 2")
-            d = np.zeros((n - 1, n))
-            i = np.arange(n - 1)
-            d[i, i] = 1.0
-            d[i, i + 1] = -1.0
-            return d
-        if self.kind == "grad2d":
-            n1, n2 = self.params["n1"], self.params["n2"]
-            if n1 < 1 or n2 < 1:
-                raise ValueError("grad2d requires n1, n2 >= 1")
-            m = np.zeros((2 * n1 * n2, n1 * n2))
-            idx = np.arange(n1 * n2).reshape(n1, n2)     # pixel (i, j)
-            down = idx[:-1].ravel()             # i < n1 - 1: its vertical row
-            m[down, down + n2] = 1.0
-            m[down, down] = -1.0
-            right = idx[:, :-1].ravel()         # j < n2 - 1: its horizontal row
-            m[n1 * n2 + right, right + 1] = 1.0
-            m[n1 * n2 + right, right] = -1.0
-            return m
-        raise ValueError(f"unknown operator kind {self.kind!r}")
-
-    @property
-    def shape(self):
-        return self._dense.shape
-
-    @property
-    def rows(self):
-        return self._dense.shape[0]
-
-    @property
-    def cols(self):
-        return self._dense.shape[1]
-
-    @cached_property
-    def is_identity(self):
-        if self.kind == "identity":
-            return True
-        m = self._dense
-        return m.shape[0] == m.shape[1] and np.array_equal(m, np.eye(m.shape[0]))
-
-    def apply(self, x):
-        if self.is_identity:            # a copy costs less than I @ x
-            return np.array(x, dtype=float)
-        return self._dense @ np.asarray(x, dtype=float)
-
-    def apply_adjoint(self, y):
-        if self.is_identity:
-            return np.array(y, dtype=float)
-        return self._dense.T @ np.asarray(y, dtype=float)
-
-    def op_norm(self):
-        return self._op_norm
-
-    @cached_property
-    def adjoint(self):
-        """K^T as an operator; K = I is its own."""
-        return self if self.is_identity else LinearOp("adjoint", of=self)
-
-    def gram(self):
-        """A^T A, computed once per operator and read-only."""
-        return self._gram
-
-    def range_space(self, tol=DEFAULT_TOL):
-        """Im K as a Subspace at tol.rank, factored once per rank tolerance."""
-        if tol.rank not in self._ranges:
-            self._ranges[tol.rank] = range_space(self._dense, tol)
-        return self._ranges[tol.rank]
-
-    @cached_property
-    def nonzero_rows(self):
-        """The mask of the rows with a nonzero entry, read-only."""
-        return frozen(np.any(self._dense != 0.0, axis=1))
-
-    @cached_property
-    def _gram(self):
-        return frozen(self._dense.T @ self._dense)
-
-    @cached_property
-    def _op_norm(self):
-        if self.kind == "adjoint":                  # ||K^T|| = ||K||
-            return self.params["of"].op_norm()
-        if self.kind in ("grad1d", "grad2d"):
-            # K^T K is the Laplacian of a path of n nodes (grad1d) or the
-            # Kronecker sum of two (grad2d); a path's largest eigenvalue is
-            # 4 sin^2(pi (n - 1) / (2 n)), 0 for a single node
-            sides = (self.params["n"],) if self.kind == "grad1d" \
-                else (self.params["n1"], self.params["n2"])
-            return float(np.sqrt(sum(4.0 * np.sin(np.pi * (n - 1) / (2 * n)) ** 2
-                                     for n in sides)))
-        m = self._dense
-        if m.size == 0:
-            return 0.0
-        if self.is_identity:
-            return 1.0
-        return spectral_norm(m, self.gram() if m.shape[0] > m.shape[1] else None)
-
-    def to_json_dict(self):
-        if self.kind in ("dense", "adjoint"):
-            return _dense_json(self._dense)
-        if self.kind == "identity":
-            return {"kind": "identity", "dim": self.params["dim"]}
-        if self.kind == "grad1d":
-            return {"kind": "grad1d", "n": self.params["n"]}
-        return {"kind": "grad2d", "n1": self.params["n1"], "n2": self.params["n2"]}
-
-    def __repr__(self):
-        return f"LinearOp({self.kind}, shape={self.shape})"
-
-
-def _dense_header(matrix):
-    """The JSON form of a dense matrix without its entries."""
-    return {"kind": "dense", "rows": matrix.shape[0], "cols": matrix.shape[1]}
-
-
-def _dense_json(matrix):
-    """The JSON form of a dense matrix: its header and row-major entries."""
-    return {**_dense_header(matrix), "entries": matrix.ravel().tolist()}
-
-
-def materialize(op):
-    """Dense matrix of a LinearOp (exact integer entries for gradient kinds)."""
-    return op._dense.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +96,7 @@ class ProblemInstance:
             "b": self.b.tolist(),
             "mu": float(self.mu),
             "k": self.k.to_json_dict(),
-            "reg": self.reg.to_json_dict(_dense_json),
+            "reg": self.reg.to_json_dict(_matrix_json),
         }
         if self.tol != DEFAULT_TOL:
             out["tol"] = self._tol_json()
@@ -449,7 +271,8 @@ def _load_regularizer(doc, path):
         except ValueError as exc:
             raise InstanceError(path, str(exc)) from None
     if kind == "polyhedral_indicator":
-        a = materialize(_load_operator(_need(doc, "A", path), f"{path}.A"))
+        # {y : A y <= c} is stored by the rows of A
+        a = _load_operator(_need(doc, "A", path), f"{path}.A").matrix
         c = _vector(_need(doc, "c", path), f"{path}.c")
         if c.size != a.shape[0]:
             raise InstanceError(f"{path}.c", "length must match rows of A")
@@ -536,12 +359,13 @@ def instance_hash(instance):
 
     def header(matrix):
         arrays.append(matrix)
-        return _dense_header(matrix)
+        return _matrix_header(matrix)
 
     doc = {"mu": float(instance.mu)}
     for key in ("phi", "k"):
         op = getattr(instance, key)
-        doc[key] = header(op._dense) if op.kind == "dense" else op.to_json_dict()
+        # a dense operator's entries are hashed as bytes, not as JSON text
+        doc[key] = header(op.matrix) if op.kind == "dense" else op.to_json_dict()
     doc["reg"] = instance.reg.to_json_dict(header)
     if instance.tol != DEFAULT_TOL:
         doc["tol"] = instance._tol_json()

@@ -23,7 +23,7 @@ import numpy as np
 # scipy.optimize is imported where an LP or NNLS is solved: it is most of the
 # package's import time, and group-Lasso and nuclear solves never need it.
 
-from .linalg import Subspace, DEFAULT_TOL, frozen, range_space, spectral_norm
+from .linalg import Subspace, DEFAULT_TOL, as_operator, frozen, spectral_norm
 from .cones import (SubspacePlusRays, PolyhedralCone, Polyhedron, active_rows,
                     make_psd_embedded)
 
@@ -759,18 +759,16 @@ def tangent_subdiff(reg, x_bar, y_bar, tol=DEFAULT_TOL):
 def ri_intersects_range(face, k_op, tol=DEFAULT_TOL, x_bar=None):
     """Does Im K meet the relative interior of the conjugate face?
 
-    Returns 'yes' | 'no' | 'unknown'.  K = I is read from the operator's
-    is_identity; a plain matrix is never taken as the identity.  With K = I
-    the range is the whole space, which meets the relative interior of any
-    nonempty face, and the face is nonempty: it holds K x_bar.  Otherwise
+    Returns 'yes' | 'no' | 'unknown'.  K = I (read from is_identity, so a
+    plain identity matrix too) has the whole space as its range, which meets
+    the relative interior of the face: the face holds K x_bar.  Otherwise
     only a curved face (NuclearFace) decides it: a polyhedral face is
     qualified by polyhedrality, so the certificates never ask.
     """
-    if getattr(k_op, "is_identity", False):         # Im K = Y
+    k_op = as_operator(k_op)
+    if k_op.is_identity:                            # Im K = Y
         return "yes"
-    imk = range_space(k_op, tol) if isinstance(k_op, np.ndarray) \
-        else k_op.range_space(tol)
-    return face.ri_meets_range(imk, tol, x_bar)
+    return face.ri_meets_range(k_op.range_space(tol), tol, x_bar)
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ def _newton_direction(instance, eps, stat, graph, u):
     divided by eps, and the step is skipped; the operator's cached mask of
     nonzero rows decides that without copying K_Z.
     """
-    k = instance.k._dense
+    k = instance.k.matrix       # the Schur complement K^T W K is formed dense
     on_a, m, along = instance.reg.prox_jacobian(u)
     wk = np.where(on_a, m, 1.0 / eps)[:, None] * along(k)          # W K
     q = np.where(on_a, graph + m * along(graph[:, None])[:, 0], graph / eps)
@@ -243,20 +243,20 @@ def _identity_direction(instance, eps, stat, graph, u):
     and dy = -stat - H dx.  Duplicated columns or groups make
     Phi_A^T Phi_A singular; eps > 0 keeps the system solvable.
     """
-    phi = instance.phi._dense
+    phi = instance.phi
     on_a, m, along = instance.reg.prox_jacobian(u)
     a = np.flatnonzero(on_a)
     dx = np.where(on_a, 0.0, -graph)
     if a.size:
-        phi_a = phi[:, a]
+        phi_a = phi.columns(a)
         cols = np.zeros((u.size, a.size))          # the columns of I on A
         cols[a, np.arange(a.size)] = 1.0
         lhs = phi_a.T @ phi_a / instance.mu + m[a, None] * along(cols)[a]
         lhs[np.diag_indices(a.size)] += eps
         dinv_graph = graph[a] + m[a] * along(graph[:, None])[a, 0]
-        rhs = -stat[a] - phi_a.T @ (phi @ dx) / instance.mu - dinv_graph
+        rhs = -stat[a] - phi_a.T @ phi.apply(dx) / instance.mu - dinv_graph
         dx[a] = np.linalg.solve(lhs, rhs)
-    dy = -stat - phi.T @ (phi @ dx) / instance.mu
+    dy = -stat - phi.apply_adjoint(phi.apply(dx)) / instance.mu
     return dx, dy
 
 

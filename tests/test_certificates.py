@@ -11,7 +11,7 @@ from calmcert.certificates import (CertificateError, certify_primal_dual,
                                    uniqueness_equivalence_check,
                                    uniqueness_oracle)
 from calmcert.gallery import instance_for, random_group_lasso_instance
-from calmcert.model import load_instance, materialize
+from calmcert.model import load_instance
 from calmcert.solver import kkt_bound, kkt_residual, kkt_within, solve
 
 
@@ -45,7 +45,7 @@ def test_segment_not_isolated_calm_with_witness():
     direction = np.array([1.0, -1.0]) / np.sqrt(2)
     assert abs(abs(c.witness @ direction) - 1.0) <= 1e-8
     # witness validity: in Ker Phi and inside the tangent cone preimage
-    assert np.linalg.norm(materialize(inst.phi) @ c.witness) <= 1e-8
+    assert np.linalg.norm(inst.phi.matrix @ c.witness) <= 1e-8
 
 
 def test_zero_kernel_is_always_isolated_calm():
@@ -149,7 +149,7 @@ def test_pd_multiplier_segment_fails_srcq():
     assert report.srcq.is_nontrivial
     w = report.srcq.witness
     # witness in Ker K^T
-    assert np.linalg.norm(materialize(inst.k).T @ w) <= 1e-8
+    assert np.linalg.norm(inst.k.matrix.T @ w) <= 1e-8
     assert report.conclusion_primal_dual.status == "not_isolated_calm"
     assert report.conclusion_solution_map.status == "isolated_calm"
 
@@ -341,7 +341,7 @@ def test_tv_2d_integration():
     assert report.srcq.is_nontrivial
     assert report.conclusion_primal_dual.status == "not_isolated_calm"
     w = report.srcq.witness
-    assert np.linalg.norm(materialize(inst.k).T @ w) <= 1e-7
+    assert np.linalg.norm(inst.k.matrix.T @ w) <= 1e-7
     assert report.cond_suf.outcome == report.cond_nes.outcome
 
 
@@ -406,7 +406,7 @@ def test_not_isolated_calm_witnesses_are_valid_everywhere():
             continue
         found += 1
         w = c.witness
-        assert np.linalg.norm(materialize(inst.phi) @ w) <= 10 * inst.tol.member
+        assert np.linalg.norm(inst.phi.matrix @ w) <= 10 * inst.tol.member
         cone = rz.tangent_conj_subdiff(inst.reg, report.y_used,
                                        inst.k.apply(pair.x_bar), inst.tol)
         assert preimage(inst.k, cone, inst.tol).member(w, 10 * inst.tol.member)
@@ -518,7 +518,7 @@ def test_identity_phi_is_decided_without_factoring_phi(monkeypatch):
     # operator, and neither certificate condition factors Phi
     inst = instance_for("tv_grad1d")
     pair = solve(inst)
-    phi = materialize(inst.phi)
+    phi = inst.phi.matrix
     seen = []
     for name in FACTORIZATIONS:
         original = getattr(np.linalg, name)
@@ -543,8 +543,9 @@ def _count_calls(monkeypatch, owner, name, counts):
 
 def test_primal_dual_builds_its_geometry_once(monkeypatch):
     # K = I: one conjugate face and one tangent cone serve both certificates,
-    # the necessary condition is the sufficient one, and the two cone
-    # decisions are Ker Phi vs T and Ker K* vs T_dg.
+    # the necessary condition is the sufficient one, and the one cone
+    # decision is Ker Phi vs T.  Ker K* = Ker I = {0} decides srcq with no
+    # tangent to dg and no certificate.
     import calmcert.certificates as ct
     from calmcert import regularizers as rz
     inst = instance_for("lasso_segment")
@@ -552,12 +553,34 @@ def test_primal_dual_builds_its_geometry_once(monkeypatch):
     counts = {}
     _count_calls(monkeypatch, rz, "conj_subdiff_face", counts)
     _count_calls(monkeypatch, rz.GroupLassoFace, "tangent_at", counts)
+    _count_calls(monkeypatch, rz, "tangent_subdiff", counts)
     _count_calls(monkeypatch, ct, "trivial_intersection", counts)
     report = certify_primal_dual(inst, pair)
     assert report.conclusion_primal_dual.status == "not_isolated_calm"
     assert report.cond_nes is report.cond_suf
+    assert report.srcq.is_trivial and report.srcq.certificate is None
     assert counts == {"conj_subdiff_face": 1, "tangent_at": 1,
-                      "trivial_intersection": 2}
+                      "trivial_intersection": 1}
+
+
+def test_identity_k_builds_no_tangent_to_the_subdifferential(monkeypatch):
+    # Ker K* = Ker I = {0} meets every cone trivially, also where the tangent
+    # to dg has no exact description: the multiplier at x_bar = 0 has two
+    # unit singular values, where srcq used to read unknown
+    from calmcert import regularizers as rz
+    inst = make({"phi": {"kind": "identity", "dim": 4},
+                 "b": [1.0, 0.0, 0.0, 1.0], "mu": 1.0,
+                 "k": {"kind": "identity", "dim": 4},
+                 "reg": {"kind": "nuclear", "m": 2, "n": 2, "weight": 1.0}})
+    pair = solve(inst)
+    assert inst.reg.tangent_subdiff(pair.x_bar, pair.y_bar, inst.tol) is None
+
+    def no_tangent(*args, **kwargs):
+        raise AssertionError("tangent to dg built for K = I")
+    monkeypatch.setattr(rz, "tangent_subdiff", no_tangent)
+    report = certify_primal_dual(inst, pair)
+    assert report.srcq.is_trivial and report.srcq.certificate is None
+    assert report.conclusion_primal_dual.status == "isolated_calm"
 
 
 def _svds_of(monkeypatch, matrix):
@@ -579,7 +602,7 @@ def test_polyhedral_faces_never_factor_the_range_of_k(monkeypatch):
     # kernel conditions, and a polyhedral face needs no ri test of Im K
     inst = make(_tv_doc(1.0))
     pair = solve(inst)
-    svds = _svds_of(monkeypatch, materialize(inst.k))
+    svds = _svds_of(monkeypatch, inst.k.matrix)
     report = certify_primal_dual(inst, pair)
     assert report.cond_suf.is_trivial and report.cond_nes.is_trivial
     assert report.qual_ri is None and not report.has_unknown
@@ -588,7 +611,7 @@ def test_polyhedral_faces_never_factor_the_range_of_k(monkeypatch):
     inst = make(l1_doc(np.diag([1.0, 2.0, 1.0]), [1.0, 2.0, 3.0],
                        k={"kind": "grad1d", "n": 3}, n=2))
     pair = solve(inst)
-    svds = _svds_of(monkeypatch, materialize(inst.k))
+    svds = _svds_of(monkeypatch, inst.k.matrix)
     report = certify_primal_dual(inst, pair)
     assert report.qual_ri is None and not report.cond_nes.is_unknown
     assert len(svds) == 0
@@ -597,18 +620,16 @@ def test_polyhedral_faces_never_factor_the_range_of_k(monkeypatch):
 def test_adjoint_norm_is_read_off_k(monkeypatch):
     # K^T is an operator tied to K: once ||K|| is cached (the solver reads
     # it), the primal-dual certificate computes no spectral norm
-    import calmcert.cones
-    import calmcert.model
     from calmcert import linalg
     inst = make(_tv_doc(1.0, n=8))
     pair = solve(inst)
     calls = []
+    original = linalg.spectral_norm
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return linalg.spectral_norm(*args, **kwargs)
-    monkeypatch.setattr(calmcert.cones, "spectral_norm", counted)
-    monkeypatch.setattr(calmcert.model, "spectral_norm", counted)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(linalg, "spectral_norm", counted)       # LinearOp's
     report = certify_primal_dual(inst, pair)
     assert report.srcq.is_nontrivial
     assert calls == []

@@ -10,7 +10,7 @@ from calmcert.cones import (PolyhedralCone, PreimageCone, PsdCone,
 from calmcert.certificates import certify_primal_dual
 from calmcert.cli import run
 from calmcert.linalg import Subspace, Tolerances
-from calmcert.model import LinearOp, load_instance, materialize
+from calmcert.model import LinearOp, load_instance
 from calmcert.solver import solve
 
 from two_step_reference import kernel_op
@@ -44,7 +44,7 @@ def test_psd_embedded_membership():
 
 def test_preimage_membership_through_grad():
     inner = SubspacePlusRays(Subspace.full(1))
-    cone = PreimageCone(materialize(LinearOp.grad1d(2)), inner)
+    cone = PreimageCone(LinearOp.grad1d(2).matrix, inner)
     assert cone.member(np.array([2.0, 1.0]), 1e-8)
 
 

@@ -37,7 +37,7 @@ def _degenerate_tangent():
     x, y, _ = prepare_multiplier(inst, pair)
     cone = rz.tangent_conj_subdiff(inst.reg, y, inst.k.apply(x), TOL)
     assert isinstance(cone, PsdCone)
-    return inst.phi._dense, cone
+    return inst.phi.matrix, cone
 
 
 def _both_probes(mat, cone, k_mat, inner, seed):

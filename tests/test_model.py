@@ -14,7 +14,7 @@ import pytest
 import calmcert
 from calmcert.linalg import Tolerances, null_space, range_space
 from calmcert.model import (InstanceError, LinearOp, group_lasso, load_instance,
-                            instance_to_json, instance_hash, materialize,
+                            instance_to_json, instance_hash,
                             polyhedral_indicator)
 
 TOL = Tolerances()
@@ -31,7 +31,7 @@ def minimal_doc(**overrides):
 
 
 def test_grad1d_exact_matrix():
-    d = materialize(LinearOp.grad1d(3))
+    d = LinearOp.grad1d(3).matrix
     assert np.array_equal(d, np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]))
 
 
@@ -66,17 +66,17 @@ def ref_grad2d(n1, n2):
 @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 4), (4, 1), (3, 5), (6, 6),
                                     (8, 8), (33, 33)])
 def test_grad2d_matches_the_pixel_loops(n1, n2):
-    assert np.array_equal(materialize(LinearOp.grad2d(n1, n2)),
+    assert np.array_equal(LinearOp.grad2d(n1, n2).matrix,
                           ref_grad2d(n1, n2))
 
 
 @pytest.mark.parametrize("n", [2, 7])
 def test_grad1d_matches_the_row_loop(n):
-    assert np.array_equal(materialize(LinearOp.grad1d(n)), ref_grad1d(n))
+    assert np.array_equal(LinearOp.grad1d(n).matrix, ref_grad1d(n))
 
 
 def test_identity_materialization():
-    assert np.array_equal(materialize(LinearOp.identity(2)), np.eye(2))
+    assert np.array_equal(LinearOp.identity(2).matrix, np.eye(2))
 
 
 def test_identity_apply_returns_a_fresh_copy():
@@ -97,7 +97,7 @@ def test_grad2d_2x2_hand_expansion():
     expected[1] = [0, -1, 0, 1]     # (1,2): x22 - x12
     expected[4] = [-1, 1, 0, 0]     # (1,1): x12 - x11
     expected[6] = [0, 0, -1, 1]     # (2,1): x22 - x21
-    assert np.array_equal(materialize(LinearOp.grad2d(2, 2)), expected)
+    assert np.array_equal(LinearOp.grad2d(2, 2).matrix, expected)
 
 
 def test_grad1d_rejects_small():
@@ -107,18 +107,18 @@ def test_grad1d_rejects_small():
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_grad1d_surjective(n):
-    assert range_space(materialize(LinearOp.grad1d(n)), TOL).dim == n - 1
+    assert range_space(LinearOp.grad1d(n).matrix, TOL).dim == n - 1
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 3)])
 def test_grad2d_not_surjective(n1, n2):
-    d = materialize(LinearOp.grad2d(n1, n2))
+    d = LinearOp.grad2d(n1, n2).matrix
     assert range_space(d, TOL).dim < 2 * n1 * n2
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_grad1d_kernel_is_constants(n):
-    ns = null_space(materialize(LinearOp.grad1d(n)), TOL)
+    ns = null_space(LinearOp.grad1d(n).matrix, TOL)
     assert ns.dim == 1
     ones = np.ones(n) / np.sqrt(n)
     assert abs(abs(ns.basis[:, 0] @ ones) - 1.0) < 1e-10
@@ -188,8 +188,8 @@ def test_round_trip_is_idempotent():
     inst = load_instance(json.dumps(doc))
     text = instance_to_json(inst)
     inst2 = load_instance(text)
-    assert np.array_equal(materialize(inst.phi), materialize(inst2.phi))
-    assert np.array_equal(materialize(inst.k), materialize(inst2.k))
+    assert np.array_equal(inst.phi.matrix, inst2.phi.matrix)
+    assert np.array_equal(inst.k.matrix, inst2.k.matrix)
     assert instance_hash(inst) == instance_hash(inst2)
     assert instance_to_json(inst2) == text
 
@@ -198,7 +198,7 @@ def test_v_of_matches_definition():
     inst = load_instance(json.dumps(minimal_doc()))
     x = np.array([2.0])
     assert np.allclose(inst.v_of(x), -(1.0 / inst.mu) *
-                       materialize(inst.phi).T @ (materialize(inst.phi) @ x - inst.b))
+                       inst.phi.matrix.T @ (inst.phi.matrix @ x - inst.b))
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -220,7 +220,7 @@ def test_cached_arrays_are_read_only():
     reg = group_lasso([[1], [0, 2]], 3)
     box = polyhedral_indicator(np.eye(2), np.ones(2))
     op = LinearOp.grad1d(3)
-    for arr in (box.A, box.c, reg.group_slices[0], *reg.segments, op._dense):
+    for arr in (box.A, box.c, reg.group_slices[0], *reg.segments, op.matrix):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
 
@@ -278,7 +278,7 @@ NORM_CASES = _norm_cases()
 @pytest.mark.parametrize("name", sorted(NORM_CASES))
 def test_op_norm_matches_the_spectral_norm(name):
     op = NORM_CASES[name]
-    m = materialize(op)
+    m = op.matrix
     want = float(np.linalg.norm(m, 2)) if m.size else 0.0
     assert abs(op.op_norm() - want) <= 1e-12 * want
 
@@ -290,7 +290,7 @@ def test_gradient_op_norm_is_the_closed_form(monkeypatch, size):
     # the largest eigenvalue of K^T K, read off a path Laplacian's spectrum
     # with no eigensolve; grad2d of a 1 x 1 image has norm 0 exactly
     op = LinearOp.grad2d(*size) if len(size) == 2 else LinearOp.grad1d(*size)
-    m = materialize(op)
+    m = op.matrix
     want = float(np.sqrt(max(np.linalg.eigvalsh(m.T @ m)[-1], 0.0)))
 
     def no_eigensolve(*args, **kwargs):
@@ -387,7 +387,7 @@ def test_instance_hash_tells_identity_from_dense_identity():
     structured = load_instance(minimal_doc())
     dense = load_instance(minimal_doc(
         k={"kind": "dense", "rows": 1, "cols": 1, "entries": [1.0]}))
-    assert np.array_equal(materialize(structured.k), materialize(dense.k))
+    assert np.array_equal(structured.k.matrix, dense.k.matrix)
     assert instance_hash(structured) != instance_hash(dense)
 
 
@@ -396,7 +396,7 @@ def _entry_list_hash(instance):
     doc = instance.to_json_dict()
     del doc["b"]
     arrays = [instance.b]
-    dense = [(doc["phi"], instance.phi._dense), (doc["k"], instance.k._dense)]
+    dense = [(doc["phi"], instance.phi.matrix), (doc["k"], instance.k.matrix)]
     if instance.reg.kind == "polyhedral_indicator":
         dense.append((doc["reg"]["A"], instance.reg.A))
     for part, matrix in dense:

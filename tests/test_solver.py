@@ -8,7 +8,7 @@ import pytest
 from calmcert import regularizers as rz
 from calmcert import solver as solver_module
 from calmcert.gallery import instance_for
-from calmcert.model import load_instance, materialize
+from calmcert.model import load_instance
 from calmcert.solver import (SolverConfig, SolverError, kkt_residual,
                              objective, solve, solve_perturbed)
 from fista_reference import _fista, lasso
@@ -311,7 +311,7 @@ def _saddle_direction(instance, eps, stat, graph, u):
     """The reference direction: one LU of
     [[H + K_A^T M K_A, K_Z^T], [K_Z, -eps I]] (dx, dy_Z)
         = (-stat - K_A^T D_A^{-1} graph_A, -graph_Z)."""
-    k = instance.k._dense
+    k = instance.k.matrix
     on_a, m, along = instance.reg.prox_jacobian(u)
     mk = m[:, None] * along(k)
     dinv_graph = graph + m * along(graph[:, None])[:, 0]
@@ -376,7 +376,7 @@ def test_schur_direction_matches_the_saddle_system(monkeypatch, name):
     inst = (instance_for(name) if name not in DIRECTION_CASES
             else make(DIRECTION_CASES[name]))
     eps = inst.tol.rank * inst.k.op_norm() ** 2
-    k = inst.k._dense
+    k = inst.k.matrix
     h = inst.phi.gram() / inst.mu
     states = _try_states(monkeypatch, inst)
     assert states
@@ -426,7 +426,7 @@ def test_schur_direction_refines_only_where_k_z_is_nonzero(monkeypatch, name,
     (instance, x, y), *_ = _try_states(monkeypatch, inst)
     stat, graph, u = solver_module._kkt_vectors(instance, x, y)
     on_a = instance.reg.prox_jacobian(u)[0]
-    assert np.any(instance.k._dense[~on_a]) == (solves == 2)
+    assert np.any(instance.k.matrix[~on_a]) == (solves == 2)
     shapes = []
     linsolve = np.linalg.solve
 

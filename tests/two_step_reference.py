@@ -64,7 +64,7 @@ def kernel_op(n_sub):
 
 def ref_trivial_intersection(m, cone, tol=DEFAULT_TOL):
     """null_space(M) followed by the old decision."""
-    mat = m if isinstance(m, np.ndarray) else m._dense
+    mat = m if isinstance(m, np.ndarray) else m.matrix
     return trivial_intersection(null_space(mat, tol), cone, tol)
 
 

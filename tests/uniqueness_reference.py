@@ -13,7 +13,6 @@ import numpy as np
 
 from calmcert import regularizers as rz
 from calmcert.linalg import null_space
-from calmcert.model import materialize
 from calmcert.solver import kkt_bound, kkt_residual, kkt_within
 
 
@@ -59,8 +58,8 @@ def uniqueness_oracle(instance, pair):
     tol = instance.tol
     x = np.asarray(pair.x_bar, dtype=float)
     y = np.asarray(pair.y_bar, dtype=float)
-    k = materialize(instance.k)
-    phi = materialize(instance.phi)
+    k = instance.k.matrix
+    phi = instance.phi.matrix
     kx = k @ x
     w = reg.weight
 
