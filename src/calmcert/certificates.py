@@ -84,7 +84,6 @@ class CertificateReport:
     cond_nes: TrivialityVerdict
     qual_polyhedral: bool
     qual_ri: str                 # yes | no | unknown; None: not evaluated
-    qgc: rz.QgcFlags
     conclusion_solution_map: Conclusion
     srcq: TrivialityVerdict = None
     conclusion_primal_dual: Conclusion = None
@@ -99,9 +98,6 @@ class CertificateReport:
             "qual_polyhedral": bool(self.qual_polyhedral),
             "qual_ri": _tri_json(self.qual_ri),
             "srcq": _verdict_json(self.srcq),
-            "qgc": {"primal_qgc": self.qgc.primal_qgc,
-                    "dual_qgc": self.qgc.dual_qgc,
-                    "polyhedral_conjugate_face": self.qgc.polyhedral_conjugate_face},
             "conclusion_solution_map": self.conclusion_solution_map.to_json_dict(),
             "conclusion_primal_dual": None if self.conclusion_primal_dual is None
             else self.conclusion_primal_dual.to_json_dict(),
@@ -161,12 +157,12 @@ def prepare_multiplier(instance, pair):
 # solution-map certificate
 
 
-def _compose_solution_conclusion(cond_suf, cond_nes, qualified, qgc):
+def _compose_solution_conclusion(cond_suf, cond_nes, qualified):
     if cond_nes.is_nontrivial:
         return Conclusion("not_isolated_calm", witness=cond_nes.witness,
                           reason="necessary condition fails: nonzero direction "
                                  "in Ker Phi meeting the restricted tangent cone")
-    if cond_suf.is_trivial and qgc.primal_qgc:
+    if cond_suf.is_trivial:
         return Conclusion("isolated_calm",
                           reason="sufficient condition holds under the "
                                  "quadratic growth condition")
@@ -188,17 +184,15 @@ def _solution_map(instance, pair, seed):
     tol = instance.tol
     x, y, _ = prepare_multiplier(instance, pair)
     v = instance.v_of(x)
-    reg = instance.reg
     kx = instance.k.apply(x)
-    face = rz.conj_subdiff_face(reg, y, tol)
+    face = rz.conj_subdiff_face(instance.reg, y, tol)
     if not face.contains(kx, tol.derived_member):
         dist = float(np.linalg.norm(kx - face.project(kx)))
         raise CertificateError(
             f"K x_bar is not in the conjugate face of y_used (distance {dist:.3g})")
-    qgc = rz.qgc_flags(reg)
 
     tangent = face.tangent_at(kx, tol)
-    qual_polyhedral = qgc.polyhedral_conjugate_face
+    qual_polyhedral = face.polyhedral_system() is not None
     # a polyhedral face is qualified as it stands: no ri test can add to it
     qual_ri = None if qual_polyhedral \
         else rz.ri_intersects_range(face, instance.k, tol, x_bar=kx)
@@ -212,12 +206,12 @@ def _solution_map(instance, pair, seed):
             "range-restricted tangent cone has no exact description for "
             "this face")
 
-    conclusion = _compose_solution_conclusion(cond_suf, cond_nes, qualified, qgc)
+    conclusion = _compose_solution_conclusion(cond_suf, cond_nes, qualified)
     report = CertificateReport(
         v_bar=v, y_used=y,
         cond_suf=cond_suf, cond_nes=cond_nes,
         qual_polyhedral=qual_polyhedral, qual_ri=qual_ri,
-        qgc=qgc, conclusion_solution_map=conclusion,
+        conclusion_solution_map=conclusion,
         notes={"face": face.describe(), "seed": int(seed)},
     )
     return report, kx
@@ -236,7 +230,7 @@ def certify_primal_dual(instance, pair, seed=0):
     """Certificate for the primal-dual solution mapping at (b, mu, 0).
 
     Extends the solution-map report with srcq and the primal-dual
-    conclusion, which reads srcq, cond_suf and the growth flags only.
+    conclusion, which reads srcq and cond_suf only.
     """
     report, kx = _solution_map(instance, pair, seed)
     tol = instance.tol
@@ -251,7 +245,6 @@ def certify_primal_dual(instance, pair, seed=0):
         srcq = trivial_intersection(instance.k.adjoint, tangent_sub, tol,
                                     seed=seed)
 
-    qgc = report.qgc
     if srcq.is_nontrivial:
         pd = Conclusion("not_isolated_calm", witness=srcq.witness,
                         reason="adjoint-kernel condition fails: nonzero "
@@ -261,8 +254,7 @@ def certify_primal_dual(instance, pair, seed=0):
         pd = Conclusion("not_isolated_calm", witness=report.cond_suf.witness,
                         reason="kernel condition fails: nonzero direction in "
                                "Ker Phi meeting the tangent cone preimage")
-    elif srcq.is_trivial and report.cond_suf.is_trivial \
-            and qgc.primal_qgc and qgc.dual_qgc:
+    elif srcq.is_trivial and report.cond_suf.is_trivial:
         pd = Conclusion("isolated_calm",
                         reason="both kernel conditions hold under the "
                                "primal-dual quadratic growth condition")
@@ -285,10 +277,7 @@ def strong_solution_equivalence(instance, pair, seed=0):
     """Relabel the kernel-tangent verdict as a strong-solution statement."""
     if not instance.k.is_identity:
         raise ValueError("strong-solution equivalence requires K = identity")
-    report = certify_solution_map(instance, pair, seed=seed)
-    if not report.qgc.primal_qgc:
-        raise ValueError("requires the primal quadratic growth condition")
-    v = report.cond_suf
+    v = certify_solution_map(instance, pair, seed=seed).cond_suf
     if v.is_trivial:
         return {"strong_solution": True, "witness": None,
                 "statement": "x_bar is a strong solution"}

@@ -19,13 +19,11 @@ class Tolerances:
     """Numerical thresholds shared across the package.
 
     rank:   singular values below rank * sigma_max are treated as zero
-    orth:   orthogonality / symmetry slack
     member: set-membership slack (boundary classification)
     kkt:    optimality residual target
     """
 
     rank: float = 1e-9
-    orth: float = 1e-8
     member: float = 1e-7
     kkt: float = 1e-10
 
@@ -38,7 +36,7 @@ class Tolerances:
         return 10 * self.member
 
     def __post_init__(self):
-        for name in ("rank", "orth", "member", "kkt"):
+        for name in ("rank", "member", "kkt"):
             v = getattr(self, name)
             if not (v > 0.0 and np.isfinite(v)):
                 raise ValueError(f"tolerance {name!r} must be strictly positive")
@@ -280,8 +278,13 @@ class LinearOp:
 
     @cached_property
     def is_identity(self):
-        return self.kind == "identity" or self.rows == self.cols \
-            and np.array_equal(self._dense, np.eye(self.rows))
+        # a unit diagonal and no other nonzero entry, read in place: no
+        # n x n identity is built to compare with
+        if self.kind == "identity":
+            return True
+        d = self._dense
+        return self.rows == self.cols and bool(np.all(np.diagonal(d) == 1.0)) \
+            and int(np.count_nonzero(d)) == self.rows
 
     def apply(self, x):
         if self.is_identity:            # a copy costs less than I @ x

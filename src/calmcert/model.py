@@ -114,7 +114,7 @@ class SolutionPair:
     x_bar: np.ndarray
     y_bar: np.ndarray
     v_bar: np.ndarray
-    residuals: dict
+    residuals: dict                 # kkt_residual: stationarity, graph
     iterations: int = 0             # first-order iterations
     newton_steps: int = 0
 
@@ -123,9 +123,7 @@ class SolutionPair:
             "x_bar": [float(v) for v in self.x_bar],
             "y_bar": [float(v) for v in self.y_bar],
             "v_bar": [float(v) for v in self.v_bar],
-            # null: not finite (gap_proxy when g(K x) or g*(y) is infinite)
-            "residuals": {k: float(v) if np.isfinite(v) else None
-                          for k, v in self.residuals.items()},
+            "residuals": dict(self.residuals),
             "iterations": int(self.iterations),
             "newton_steps": int(self.newton_steps),
         }

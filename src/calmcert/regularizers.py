@@ -7,14 +7,14 @@ for the conjugate-subdifferential face F(y) = {x : y in dg(x)}, which gives
 tangent cones to F(y) and decides whether ri F(y) meets a given range.  The
 module-level functions are the interface: each makes the checks shared by
 every kind and calls the kind's method.  Subdifferential membership reads
-only the kind's prox, so it is decided once for every kind.
+only the kind's prox (y is in dg(x) exactly when x = prox_g(x + y)), so it
+is decided once for every kind, and no kind carries g* or its prox.
 
 Weights are folded into g as weight * (base norm); conjugate-ball radii and
 boundary classifications are normalized by the weight so a single tolerance
 applies.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -26,13 +26,6 @@ import numpy as np
 from .linalg import Subspace, DEFAULT_TOL, as_operator, frozen, spectral_norm
 from .cones import (SubspacePlusRays, PolyhedralCone, Polyhedron, active_rows,
                     make_psd_embedded)
-
-
-@dataclass(frozen=True)
-class QgcFlags:
-    primal_qgc: bool
-    dual_qgc: bool
-    polyhedral_conjugate_face: bool
 
 
 # ---------------------------------------------------------------------------
@@ -65,13 +58,7 @@ class GroupSegments(NamedTuple):
 
 
 class _Norm:
-    """weight * a norm: g* is the indicator of the dual ball of radius weight."""
-
-    def dual_violation(self, y):
-        return max(0.0, self.dual_norm(y) - self.weight)
-
-    def conjugate_value(self, y):
-        return 0.0              # on the dual ball; leaving it is dual_violation
+    """weight * a norm."""
 
     def strict_value(self, z):
         return value(self, z)   # a norm has no domain to check
@@ -81,7 +68,6 @@ class GroupLasso(_Norm):
     """weight * sum_J ||y_J|| over a partition of 0..dim-1 into groups."""
 
     kind = "group_lasso"
-    qgc = QgcFlags(True, True, True)
 
     def __init__(self, groups, dim, weight=1.0):
         self.groups = tuple(tuple(int(i) for i in g) for g in groups)
@@ -125,14 +111,6 @@ class GroupLasso(_Norm):
         fac = 1.0 - tw / np.maximum(nrm, tw)
         owner = self.segments.owner
         return np.where((nrm <= tw)[owner], 0.0, fac[owner] * yt).T
-
-    def prox_conjugate(self, t, y):
-        # project each y_J onto the w-ball; fmax keeps y_J when its norm is NaN
-        fac = self.weight / np.fmax(group_norms(self, y), self.weight)
-        return fac[self.segments.owner] * y
-
-    def dual_norm(self, y):
-        return float(group_norms(self, y).max(initial=0.0))
 
     def face(self, y_bar, tol):
         return GroupLassoFace(self, y_bar, tol)
@@ -197,7 +175,6 @@ class Nuclear(_Norm):
     """weight * nuclear norm of the m x n matrix, m <= n, vec'd row-major."""
 
     kind = "nuclear"
-    qgc = QgcFlags(True, True, False)
 
     def __init__(self, m, n, weight=1.0):
         self.m, self.n, self.dim = m, n, m * n
@@ -226,20 +203,13 @@ class Nuclear(_Norm):
         s = np.clip(s - t * self.weight, 0.0, None)
         return ((u * s[..., None, :]) @ vt).reshape(y.shape)
 
-    def prox_conjugate(self, t, y):
-        u, s, vt = np.linalg.svd(self.mat(y), full_matrices=False)
-        return (u @ np.diag(np.clip(s, None, self.weight)) @ vt).ravel()
-
-    def dual_norm(self, y):
-        return float(np.linalg.svd(self.mat(y), compute_uv=False).max(initial=0.0))
-
     def face(self, y_bar, tol):
         return NuclearFace(self, y_bar, tol)
 
     def tangent_subdiff(self, x_bar, y_bar, tol):
         # supported cases only (interior block, or a simple unit top singular
         # value in the residual block); None propagates as Unknown
-        u, v, sx, sy = simultaneous_svd(self.mat(x_bar), self.mat(y_bar), tol)
+        u, v, sx, sy = simultaneous_svd(self.mat(x_bar), self.mat(y_bar))
         scale = max(1.0, float(sx.max(initial=0.0)))
         r = int(np.sum(sx > tol.member * scale))
         m, n = self.m, self.n
@@ -259,7 +229,9 @@ class Nuclear(_Norm):
         return None
 
     def project_multiplier(self, z, y, tol):
-        return prox_conjugate(self, 1.0, y)
+        # y's singular values clipped at w: the nearest point of the w-ball
+        u, s, vt = np.linalg.svd(self.mat(y), full_matrices=False)
+        return (u @ np.diag(np.clip(s, None, self.weight)) @ vt).ravel()
 
     def reach(self, x_bar):
         """1 / (least curvature of g at x_bar): sigma_max(X) / w."""
@@ -275,7 +247,6 @@ class PolyhedralIndicator:
     """
 
     kind = "polyhedral_indicator"
-    qgc = QgcFlags(True, True, True)
 
     def __init__(self, a, c):
         self.A = frozen(np.array(a, dtype=float))
@@ -313,20 +284,6 @@ class PolyhedralIndicator:
     def prox(self, t, y):
         return np.array([self.polyhedron.project(r)
                          for r in y.reshape(-1, self.dim)]).reshape(y.shape)
-
-    def prox_conjugate(self, t, y):
-        return y - t * prox(self, 1.0 / t, y / t)
-
-    def dual_violation(self, y):
-        return 0.0              # g* is a support function: no dual-norm bound
-
-    def conjugate_value(self, y):
-        """g*(y), the support function, from the face LP; inf when the face
-        is empty (the set is unbounded along y)."""
-        try:
-            return conj_subdiff_face(self, y, DEFAULT_TOL).support
-        except ValueError:
-            return np.inf
 
     def face(self, y_bar, tol):
         """The face of y_bar, built once per (y_bar bytes, tol), so that its
@@ -394,12 +351,6 @@ def prox(reg, t, y):
     return reg.prox(t, np.asarray(y, dtype=float))
 
 
-def prox_conjugate(reg, t, y):
-    """Prox of g* (independent implementations where the dual set is known,
-    the Moreau identity elsewhere)."""
-    return reg.prox_conjugate(t, np.asarray(y, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # polyhedral workhorses
 
@@ -444,7 +395,7 @@ def subdiff_contains(reg, x, v, tol=DEFAULT_TOL):
 # simultaneous ordered singular decomposition (nuclear pairs)
 
 
-def simultaneous_svd(x_mat, y_mat, tol=DEFAULT_TOL):
+def simultaneous_svd(x_mat, y_mat):
     """Common (U, V) with U^T X V and U^T Y V diagonal, both nonincreasing.
 
     Exists whenever (X, Y) is a nuclear-norm subgradient pair, and is then
@@ -466,7 +417,8 @@ def simultaneous_svd(x_mat, y_mat, tol=DEFAULT_TOL):
     dx = np.diag(dx_full)[:k]
     dy = np.diag(dy_full)[:k]
     off = max(_offdiag_max(dx_full), _offdiag_max(dy_full))
-    slack = 1e3 * tol.orth * scale
+    # off-diagonal and ordering slack, relative to the largest entry
+    slack = 1e-5 * scale
     if not (off <= slack
             and np.all(dx >= -slack) and np.all(dy >= -slack)
             and np.all(np.diff(dx) <= slack)
@@ -772,15 +724,10 @@ def ri_intersects_range(face, k_op, tol=DEFAULT_TOL, x_bar=None):
 
 
 # ---------------------------------------------------------------------------
-# multiplier refinement and growth conditions
+# multiplier refinement
 
 
 def project_multiplier(reg, z, y, tol=DEFAULT_TOL):
     """Best-effort pull of y toward dg(z) (used for near-KKT refinement)."""
     return reg.project_multiplier(np.asarray(z, dtype=float),
                                   np.asarray(y, dtype=float), tol)
-
-
-def qgc_flags(reg):
-    """Growth-condition flags per catalog class (fixed, not computed)."""
-    return reg.qgc

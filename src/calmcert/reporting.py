@@ -13,7 +13,6 @@ def provenance(instance, seed):
     return {"instance_hash": instance_hash(instance),
             "seed": int(seed),
             "tolerances": {"rank": instance.tol.rank,
-                           "orth": instance.tol.orth,
                            "member": instance.tol.member,
                            "kkt": instance.tol.kkt},
             "version": __version__}
@@ -91,6 +90,5 @@ def save_report(report, fmt="json", instance=None, seed=0, kind=None):
 
 def tolerances_from_overrides(base, rank=None, member=None, kkt=None):
     return Tolerances(rank=rank if rank is not None else base.rank,
-                      orth=base.orth,
                       member=member if member is not None else base.member,
                       kkt=kkt if kkt is not None else base.kkt)

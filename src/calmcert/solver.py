@@ -37,7 +37,8 @@ Convergence is declared on the KKT residuals, not on iterate increments:
 stationarity ||(1/mu) Phi^T(Phi x - b) + K^T y|| and the subgradient graph
 residual ||K x - prox_g(K x + y)||, both relative to scale = 1 + ||b||.  A
 Newton iterate is returned only when it meets that same rule; for K = I the
-pair returned is FISTA's (x, v(x)).  SolutionPair.iterations counts
+pair returned is FISTA's (x, v(x)).  SolutionPair.residuals holds the two
+residuals the pair was accepted on.  SolutionPair.iterations counts
 first-order iterations (0 for a solve that ends at its start check),
 newton_steps the Newton steps (linear solves) taken across all tries.
 """
@@ -127,27 +128,17 @@ def kkt_within(res, bound):
     return all(r <= bound for r in res.values())
 
 
-def _gap_proxy(reg, kx, y):
-    """Fenchel-Young gap g(Kx) + g*(y) - <y, Kx> restricted to finite g*."""
-    gval = rz.value(reg, kx)
-    if not np.isfinite(gval):
-        return np.inf
-    return abs(gval + reg.conjugate_value(y) - float(np.dot(y, kx)))
-
-
 def _make_pair(instance, x, y, iters, newton_steps=0, res=None):
-    """The SolutionPair of (x, y); res is kkt_residual(instance, x, y) when
-    the caller has it."""
-    v = instance.v_of(x)
+    """The SolutionPair of (x, y), whose residuals are res, the
+    kkt_residual(instance, x, y) that the caller accepted it on (computed
+    when the caller has none)."""
     if res is None:
         res = kkt_residual(instance, x, y)
     return SolutionPair(
         x_bar=np.asarray(x, dtype=float),
         y_bar=np.asarray(y, dtype=float),
-        v_bar=v,
-        residuals={"stationarity": res["stationarity"],
-                   "dual_feas": instance.reg.dual_violation(y),
-                   "gap_proxy": _gap_proxy(instance.reg, instance.k.apply(x), y)},
+        v_bar=instance.v_of(x),
+        residuals=res,
         iterations=iters,
         newton_steps=newton_steps,
     )

@@ -140,9 +140,12 @@ def diff(expected, got):
     """Lines naming each row that was added, removed or changed."""
     old = {r["doc"]: r for r in expected}
     new = {r["doc"]: r for r in got}
-    lines = [f"removed: {old[n]}" for n in old if n not in new]
-    lines += [f"added: {new[n]}" for n in new if n not in old]
-    lines += [f"changed: {old[n]} -> {new[n]}"
+
+    def text(r):
+        return json.dumps(r, sort_keys=True)
+    lines = [f"removed: {text(old[n])}" for n in old if n not in new]
+    lines += [f"added: {text(new[n])}" for n in new if n not in old]
+    lines += [f"changed: {text(old[n])} -> {text(new[n])}"
               for n in old if n in new and old[n] != new[n]]
     return lines
 

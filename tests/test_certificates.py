@@ -292,8 +292,7 @@ def test_oracle_vertex_pattern_branch():
     x = np.array([1.0, 0.0])
     y = np.array([1.0, -1.0])
     pair = SolutionPair(x_bar=x, y_bar=y, v_bar=inst.v_of(x),
-                        residuals={"stationarity": 0.0, "dual_feas": 0.0,
-                                   "gap_proxy": 0.0})
+                        residuals={"stationarity": 0.0, "graph": 0.0})
     from calmcert.solver import kkt_residual
     assert max(kkt_residual(inst, x, y).values()) <= 1e-12
     unique, alternate, detail = uniqueness_oracle(inst, pair)
@@ -314,8 +313,7 @@ def test_oracle_vertex_unique_case():
     x = np.zeros(2)
     y = np.array([1.0, -1.0])
     pair = SolutionPair(x_bar=x, y_bar=y, v_bar=inst.v_of(x),
-                        residuals={"stationarity": 0.0, "dual_feas": 0.0,
-                                   "gap_proxy": 0.0})
+                        residuals={"stationarity": 0.0, "graph": 0.0})
     assert max(kkt_residual(inst, x, y).values()) <= 1e-12
     unique, _, detail = uniqueness_oracle(inst, pair)
     assert unique

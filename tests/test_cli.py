@@ -36,6 +36,7 @@ def test_solve_writes_solution(instances, tmp_path, capsys):
     assert doc["kind"] == "solution"
     assert doc["payload"]["x_bar"][0] == pytest.approx(2.0, abs=1e-8)
     assert doc["payload"]["y_bar"][0] == pytest.approx(1.0, abs=1e-8)
+    assert set(doc["payload"]["residuals"]) == {"stationarity", "graph"}
     assert "instance_hash" in doc["provenance"]
     assert doc["provenance"]["seed"] == 0
 
@@ -380,6 +381,7 @@ def test_tolerance_overrides_recorded(instances, tmp_path):
     assert run(["certify", str(instances["lasso_scalar"]), "--out", str(out),
                 "--tol-member", "1e-6", "--tol-kkt", "1e-9"]) == 0
     prov = json.loads(out.read_text())["provenance"]
+    assert set(prov["tolerances"]) == {"rank", "member", "kkt"}
     assert prov["tolerances"]["member"] == 1e-6
     assert prov["tolerances"]["kkt"] == 1e-9
 
@@ -407,8 +409,8 @@ def _strict_json(text):
 
 
 def test_every_report_is_valid_json(instances, tmp_path):
-    # a lab quotient off the domain of g, the min_inner of no samples and an
-    # infinite gap_proxy are written null, never Infinity
+    # a lab quotient off the domain of g and the min_inner of no samples are
+    # written null, never Infinity
     rng = np.random.default_rng(4)
     paths = dict(instances)
     for name, args in (("box8", (4, True, 1)), ("box12", (6, False, 2))):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from calmcert.linalg import Tolerances, Subspace, null_space, range_space
+from calmcert.linalg import (LinearOp, Tolerances, Subspace, null_space,
+                            range_space)
 
 from two_step_reference import intersect_subspaces
 
@@ -221,3 +224,38 @@ def test_constructed_bases_are_orthonormal_without_qr(monkeypatch):
     assert [s.dim for s in spaces] == [7, 0, 4, 3, 3]
     for s in spaces:
         assert np.abs(s.basis.T @ s.basis - np.eye(s.dim)).max(initial=0.0) <= 1e-12
+
+
+def test_is_identity_matches_array_equal():
+    # the in-place test reads a matrix as the identity exactly where
+    # np.array_equal(d, np.eye(n)) does: -0.0 equals 0.0, 1e-300 does not
+    signed = np.eye(3)
+    signed[0, 1] = signed[2, 0] = -0.0
+    tiny = np.eye(3)
+    tiny[1, 2] = 1e-300
+    cases = {"eye": np.eye(3), "signed zeros": signed,
+             "permutation": np.eye(3)[[1, 2, 0]], "2I": 2.0 * np.eye(3),
+             "1e-300 off the diagonal": tiny, "non-square": np.eye(2, 3),
+             "0 x 0": np.zeros((0, 0)), "1 x 1": np.ones((1, 1))}
+    for name, d in cases.items():
+        expected = d.shape[0] == d.shape[1] and np.array_equal(d, np.eye(d.shape[0]))
+        assert LinearOp.dense(d).is_identity is expected, name
+        assert LinearOp.dense(d).adjoint.is_identity is expected, name
+    assert [name for name, d in cases.items()
+            if LinearOp.dense(d).is_identity] == ["eye", "signed zeros",
+                                                   "0 x 0", "1 x 1"]
+
+
+def test_is_identity_builds_no_identity():
+    # at n = 2000 an n x n identity to compare with would take n^2 * 8 bytes
+    n = 2000
+    ops = [LinearOp.dense(np.eye(n)), LinearOp.dense(2.0 * np.eye(n))]
+    for op in ops:
+        tracemalloc.start()
+        try:
+            op.is_identity
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8, peak
+    assert [op.is_identity for op in ops] == [True, False]

@@ -66,10 +66,9 @@ def test_prox_nuclear_svt():
     assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
 
 
-def test_moreau_identity_direct_conjugates():
-    # one contract for every kind: prox(t, y) + t prox_conj(1/t, y/t) = y, a
-    # stack gives its rows' answers, and y - prox(1, y) is in dg(prox(1, y));
-    # the polyhedron with no rows is g = 0
+def test_prox_stack_and_graph_membership():
+    # one contract for every kind: a stack gives its rows' answers, and
+    # y - prox(1, y) is in dg(prox(1, y)); the polyhedron with no rows is g = 0
     rng = np.random.default_rng(0)
     zero_rows = polyhedral_indicator(np.zeros((0, 2)), np.zeros(0))
     for reg in (GL, l1(4), group_lasso([[0, 3], [1], [2, 4]], 5), NUC,
@@ -79,8 +78,6 @@ def test_moreau_identity_direct_conjugates():
             stacked = rz.prox(reg, t, ys)
             for y, row in zip(ys, stacked):
                 lone = rz.prox(reg, t, y)
-                lhs = lone + t * rz.prox_conjugate(reg, 1.0 / t, y / t)
-                assert np.linalg.norm(lhs - y) <= 1e-8
                 assert np.linalg.norm(row - lone) \
                     <= 1e-12 * max(1.0, np.linalg.norm(y))
         for y in ys:
@@ -374,10 +371,24 @@ def test_ri_nuclear_nondegenerate_yes():
     assert out == "yes"
 
 
-def test_qgc_flags_catalog():
-    assert rz.qgc_flags(GL) == rz.QgcFlags(True, True, True)
-    assert rz.qgc_flags(NUC) == rz.QgcFlags(True, True, False)
-    assert rz.qgc_flags(BOX) == rz.QgcFlags(True, True, True)
+def test_qual_polyhedral_per_kind():
+    # the certificate reads qual_polyhedral off the face: group Lasso, l1 and
+    # the polyhedral indicator have polyhedral faces, and only the nuclear
+    # face is curved, so only it decides qual_ri
+    from calmcert.certificates import certify_solution_map
+    from calmcert.gallery import instance_for
+    from calmcert.model import LinearOp, ProblemInstance
+    from calmcert.solver import solve
+    grouped = ProblemInstance(phi=LinearOp.dense([[1.0, 0.0, 0.5]]),
+                              b=np.array([3.0]), mu=1.0,
+                              k=LinearOp.identity(3), reg=GL)
+    for inst, polyhedral in ((grouped, True),
+                             (instance_for("lasso_scalar"), True),
+                             (instance_for("nuclear_nondegenerate"), False),
+                             (instance_for("polyhedral_box"), True)):
+        report = certify_solution_map(inst, solve(inst))
+        assert report.qual_polyhedral is polyhedral, inst.reg.kind
+        assert (report.qual_ri is None) is polyhedral, inst.reg.kind
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +443,13 @@ def test_polyhedral_unbounded_face_error():
 
 
 def test_simultaneous_svd_repeated_values():
-    u, v, dx, dy = rz.simultaneous_svd(np.diag([1.0, 0.0]), np.eye(2), TOL)
+    u, v, dx, dy = rz.simultaneous_svd(np.diag([1.0, 0.0]), np.eye(2))
     assert np.allclose(dx, [1.0, 0.0])
     assert np.allclose(dy, [1.0, 1.0])
     assert np.allclose(u @ u.T, np.eye(2))
     with pytest.raises(ValueError):
         rz.simultaneous_svd(np.array([[1.0, 0.0], [0.0, 0.0]]),
-                            np.array([[0.0, 1.0], [1.0, 0.0]]), TOL)
+                            np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_simultaneous_svd_ignores_noise_in_small_singular_values():
@@ -451,7 +462,7 @@ def test_simultaneous_svd_ignores_noise_in_small_singular_values():
     w = 1.7
     x = 2.0 * np.outer(u[:, 0], v[:, 0]) + 1e-10 * rng.standard_normal((2, 3))
     y = w * np.outer(u[:, 0], v[:, 0]) + 0.5 * w * np.outer(u[:, 1], v[:, 1])
-    uu, vv, dx, dy = rz.simultaneous_svd(x, y, TOL)
+    uu, vv, dx, dy = rz.simultaneous_svd(x, y)
     assert np.allclose(dx, [2.0, 0.0], atol=1e-9)
     assert np.allclose(dy, [w, 0.5 * w])
     assert np.allclose(uu.T @ y @ vv, np.eye(2, 3) * dy[:, None], atol=1e-9)

@@ -7,10 +7,11 @@ import pytest
 
 from calmcert import regularizers as rz
 from calmcert import solver as solver_module
-from calmcert.gallery import instance_for
+from calmcert.gallery import curated_cases, instance_for
 from calmcert.model import load_instance
-from calmcert.solver import (SolverConfig, SolverError, kkt_residual,
-                             objective, solve, solve_perturbed)
+from calmcert.solver import (SolverConfig, SolverError, kkt_bound,
+                             kkt_residual, kkt_within, objective, solve,
+                             solve_perturbed)
 from fista_reference import _fista, lasso
 from splitting_reference import SLOW_TV, _splitting, tv_image
 
@@ -160,13 +161,33 @@ def test_splitting_solves_analysis_problem():
     assert max(res.values()) <= 1e-9
 
 
-def test_dual_feasibility_of_returned_multiplier():
+def test_returned_multiplier_meets_the_graph_bound():
     rng = np.random.default_rng(4)
     for _ in range(5):
         phi = rng.standard_normal((2, 3))
         b = rng.standard_normal(2)
-        pair = solve(make(l1_doc(phi, b)))
-        assert pair.residuals["dual_feas"] <= 1e-8
+        inst = make(l1_doc(phi, b))
+        pair = solve(inst)
+        assert pair.residuals["graph"] <= kkt_bound(inst)
+
+
+def test_pair_reports_the_residuals_it_was_accepted_on():
+    # on every gallery case (l1, nuclear and polyhedral with K = I; l1 with
+    # K = grad1d and K = [1; 1]) and a group Lasso with a two-index group,
+    # the residuals are kkt_residual of the pair itself, within the target
+    grouped = {"phi": {"kind": "dense", "rows": 2, "cols": 3,
+                       "entries": [1.0, 0.0, 0.5, 0.0, 1.0, -0.5]},
+               "b": [3.0, -1.0], "mu": 1.0, "k": {"kind": "identity", "dim": 3},
+               "reg": {"kind": "group_lasso", "dim": 3, "groups": [[0, 1], [2]],
+                       "weight": 1.0}}
+    instances = [instance_for(case["name"]) for case in curated_cases()]
+    instances.append(make(grouped))
+    assert {inst.reg.kind for inst in instances} == \
+        {"group_lasso", "nuclear", "polyhedral_indicator"}
+    for inst in instances:
+        pair = solve(inst)
+        assert pair.residuals == kkt_residual(inst, pair.x_bar, pair.y_bar)
+        assert kkt_within(pair.residuals, kkt_bound(inst, 1))
 
 
 def test_multistart_agreement_on_certified_instance():
