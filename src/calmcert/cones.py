@@ -185,15 +185,6 @@ class PolyhedralCone:
         """Projection onto the cone (Polyhedron.project, factors reused)."""
         return self._set.project(w)
 
-    def residual(self, w):
-        w = np.asarray(w, dtype=float)
-        parts = [0.0]
-        if self.A.shape[0]:
-            parts.append(float(np.max(np.clip(self.A @ w, 0.0, None), initial=0.0)))
-        if self.E.shape[0]:
-            parts.append(float(np.max(np.abs(self.E @ w), initial=0.0)))
-        return max(parts)
-
     def __repr__(self):
         return (f"PolyhedralCone(ineq={self.A.shape[0]}, eq={self.E.shape[0]}, "
                 f"ambient={self.ambient})")

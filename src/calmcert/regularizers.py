@@ -3,12 +3,16 @@ exact set descriptions the certificates are built from.
 
 One class per kind (GroupLasso, l1 included; Nuclear; PolyhedralIndicator)
 holds its data and all that depends on the kind, and builds its face class
-for the conjugate-subdifferential face F(y) = {x : y in dg(x)}, which gives
-tangent cones to F(y) and decides whether ri F(y) meets a given range.  The
-module-level functions are the interface: each makes the checks shared by
-every kind and calls the kind's method.  Subdifferential membership reads
-only the kind's prox (y is in dg(x) exactly when x = prox_g(x + y)), so it
-is decided once for every kind, and no kind carries g* or its prox.
+for the conjugate-subdifferential face F(y) = {x : y in dg(x)}, which
+decides whether ri F(y) meets a given range and gives both tangent cones of
+the zero-product pair at (x, y): T_{F(y)}(x) and T_{dg(x)}(y), read from one
+activity rule per kind.  For the nuclear norm the face's singular basis of
+y, rotated in its unit block by x's compression, is common to x and y, so
+no simultaneous SVD of the pair is taken.  The module-level functions are
+the interface: each makes the checks shared by every kind and calls the
+kind's method.  Subdifferential membership reads only the kind's prox (y is
+in dg(x) exactly when x = prox_g(x + y)), so it is decided once for every
+kind, and no kind carries g* or its prox.
 
 Weights are folded into g as weight * (base norm); conjugate-ball radii and
 boundary classifications are normalized by the weight so a single tolerance
@@ -115,21 +119,6 @@ class GroupLasso(_Norm):
     def face(self, y_bar, tol):
         return GroupLassoFace(self, y_bar, tol)
 
-    def tangent_subdiff(self, x_bar, y_bar, tol):
-        # per group: {0} when active, free when ||y_J|| < w (interior), and
-        # the half-space <y_J, w_J> <= 0 when inactive on the boundary
-        seg = self.segments
-        _, active = active_groups(self, x_bar, tol)
-        free = ~active & (group_norms(self, y_bar) / self.weight < 1.0 - tol.member)
-        tight = ~active & ~free
-        eye = np.eye(self.dim)
-        in_perm = seg.owner[seg.perm]           # segment of each perm entry
-        if not tight.any():
-            return SubspacePlusRays(Subspace._orthonormal(
-                eye[:, seg.perm[free[in_perm]]]))
-        return PolyhedralCone(_segment_columns(y_bar, tight, seg.owner).T,
-                              eye[seg.perm[active[in_perm]]], ambient=self.dim)
-
     def project_multiplier(self, z, y, tol):
         # active group: w z_J / ||z_J||; else y_J pulled into the w-ball
         w = self.weight
@@ -206,28 +195,6 @@ class Nuclear(_Norm):
     def face(self, y_bar, tol):
         return NuclearFace(self, y_bar, tol)
 
-    def tangent_subdiff(self, x_bar, y_bar, tol):
-        # supported cases only (interior block, or a simple unit top singular
-        # value in the residual block); None propagates as Unknown
-        u, v, sx, sy = simultaneous_svd(self.mat(x_bar), self.mat(y_bar))
-        scale = max(1.0, float(sx.max(initial=0.0)))
-        r = int(np.sum(sx > tol.member * scale))
-        m, n = self.m, self.n
-        if r == m:
-            return SubspacePlusRays(Subspace.zero(self.dim))
-        tail = sy[r:] / self.weight
-        block_cols = [np.outer(u[:, i], v[:, j]).ravel()
-                      for i in range(r, m) for j in range(r, n)]
-        block = Subspace(self.dim, np.stack(block_cols, axis=1))
-        if tail.size == 0 or tail[0] < 1.0 - tol.member:
-            return SubspacePlusRays(block)
-        if tail.size == 1 or tail[1] < 1.0 - tol.member:
-            grad = np.outer(u[:, r], v[:, r]).ravel()
-            comp = block.complement()
-            return PolyhedralCone(grad.reshape(1, -1), comp.basis.T,
-                                  ambient=self.dim)
-        return None
-
     def project_multiplier(self, z, y, tol):
         # y's singular values clipped at w: the nearest point of the w-ball
         u, s, vt = np.linalg.svd(self.mat(y), full_matrices=False)
@@ -292,15 +259,6 @@ class PolyhedralIndicator:
         if key not in self._faces:
             self._faces[key] = PolyhedralFace(self, y_bar, tol)
         return self._faces[key]
-
-    def tangent_subdiff(self, x_bar, y_bar, tol):
-        a = self.A
-        rays = [r for r in a[active_rows(a, self.c, x_bar, tol.member)]
-                if np.any(r)]
-        ny = float(np.linalg.norm(y_bar))
-        span = (Subspace(self.dim, y_bar.reshape(-1, 1)) if ny > tol.member
-                else Subspace.zero(self.dim))
-        return SubspacePlusRays(span, rays)
 
     def project_multiplier(self, z, y, tol):
         return _normal_cone_fit(self.A, self.c, z, y, tol.member)[0]
@@ -392,50 +350,6 @@ def subdiff_contains(reg, x, v, tol=DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# simultaneous ordered singular decomposition (nuclear pairs)
-
-
-def simultaneous_svd(x_mat, y_mat):
-    """Common (U, V) with U^T X V and U^T Y V diagonal, both nonincreasing.
-
-    Exists whenever (X, Y) is a nuclear-norm subgradient pair, and is then
-    computed from one SVD of X + Y: sigma(X + Y) = sigma(X) + sigma(Y), and
-    sigma(Y) = w on the support of X and <= w off it, so the sums separate
-    that block from the rest, and a value repeated in the sums is repeated
-    in both X and Y.  Noise in X's small singular values, which would
-    decide the singular vectors of X alone, cannot.
-    """
-    x_mat = np.asarray(x_mat, dtype=float)
-    y_mat = np.asarray(y_mat, dtype=float)
-    scale = max(1.0, float(np.abs(x_mat).max(initial=0.0)),
-                float(np.abs(y_mat).max(initial=0.0)))
-    u, _, vt = np.linalg.svd(x_mat + y_mat, full_matrices=True)
-    v = vt.T
-    dx_full = u.T @ x_mat @ v
-    dy_full = u.T @ y_mat @ v
-    k = min(x_mat.shape)
-    dx = np.diag(dx_full)[:k]
-    dy = np.diag(dy_full)[:k]
-    off = max(_offdiag_max(dx_full), _offdiag_max(dy_full))
-    # off-diagonal and ordering slack, relative to the largest entry
-    slack = 1e-5 * scale
-    if not (off <= slack
-            and np.all(dx >= -slack) and np.all(dy >= -slack)
-            and np.all(np.diff(dx) <= slack)
-            and np.all(np.diff(dy) <= slack)):
-        raise ValueError("matrices admit no simultaneous ordered decomposition "
-                         "(not a nuclear-norm subgradient pair?)")
-    return u, v, np.clip(dx, 0.0, None), np.clip(dy, 0.0, None)
-
-
-def _offdiag_max(mat):
-    m = np.asarray(mat, dtype=float).copy()
-    k = min(m.shape)
-    m[np.arange(k), np.arange(k)] = 0.0
-    return float(np.abs(m).max(initial=0.0))
-
-
-# ---------------------------------------------------------------------------
 # faces of the conjugate subdifferential
 
 
@@ -477,6 +391,7 @@ class GroupLassoFace(_ProjectedFace):
             raise ValueError(f"group {seg.groups[j]}: ||y_J|| exceeds the dual "
                              f"bound by {ratio[j] - 1.0:.3g}")
         self._on = np.abs(ratio - 1.0) <= tol.member      # per segment
+        self._free = ratio < 1.0 - tol.member             # dg's free groups
         # u_J = y_J / ||y_J|| on boundary groups, zero elsewhere
         self._u = np.where(self._on[seg.owner], self.y_bar, 0.0) \
             / np.where(self._on, norms, 1.0)[seg.owner]
@@ -508,6 +423,22 @@ class GroupLassoFace(_ProjectedFace):
         if vertex.any():
             return SubspacePlusRays(span, _segment_columns(self._u, vertex, owner).T)
         return SubspacePlusRays(span)
+
+    def subdiff_tangent(self, x, tol=DEFAULT_TOL):
+        """T_{dg(x)}(y_bar) per group: {0} where active_groups finds x_J
+        active, free where ||y_J|| < w (1 - member), and the half-space
+        <y_J, d_J> <= 0 otherwise."""
+        seg = self.reg.segments
+        active = active_groups(self.reg, x, tol)[1]
+        free = ~active & self._free
+        tight = ~active & ~self._free
+        eye = np.eye(self.dim)
+        in_perm = seg.owner[seg.perm]           # segment of each perm entry
+        if not tight.any():
+            return SubspacePlusRays(Subspace._orthonormal(
+                eye[:, seg.perm[free[in_perm]]]))
+        return PolyhedralCone(_segment_columns(self.y_bar, tight, seg.owner).T,
+                              eye[seg.perm[active[in_perm]]], ambient=self.dim)
 
     def polyhedral_system(self):
         """(A, c, E, e) with F = {y : A y <= c, E y = e}.
@@ -572,25 +503,49 @@ class NuclearFace(_ProjectedFace):
         lam, q = np.linalg.eigh(s)
         return self._embed(q @ np.diag(np.clip(lam, 0.0, None)) @ q.T)
 
+    def _spectrum(self, x, tol):
+        """(lam, q, scale, kernel): the eigenpairs of the p x p compression
+        of x (ascending), the scale max(1, max |lam|), and the mask of the
+        eigenvalues at most tol.member * scale.  The one activity reading of
+        the face: its rank is the count of the others."""
+        lam, q = np.linalg.eigh(self._sbar(x))
+        scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
+        return lam, q, scale, lam <= tol.member * scale
+
     def rank_at(self, x, tol=DEFAULT_TOL):
         """Rank of the p x p compression of a face member."""
-        if self.p == 0:
-            return 0
-        lam = np.linalg.eigvalsh(self._sbar(x))
-        scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-        return int(np.sum(lam > tol.member * scale))
+        return self.p - int(np.count_nonzero(self._spectrum(x, tol)[3]))
 
     def tangent_at(self, x, tol=DEFAULT_TOL):
         if self.p == 0:
             return SubspacePlusRays(Subspace.zero(self.dim))
-        s = self._sbar(x)
-        lam, q = np.linalg.eigh(s)
-        scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
+        lam, q, scale, kernel = self._spectrum(x, tol)
         if float(lam.min()) < -tol.derived_member * scale:
             raise ValueError("point is not in the face (indefinite compression)")
-        kernel = q[:, lam <= tol.member * scale]
-        return make_psd_embedded(self.U, self.V, self.p, kernel,
+        return make_psd_embedded(self.U, self.V, self.p, q[:, kernel],
                                  self.reg.m, self.reg.n)
+
+    def subdiff_tangent(self, x, tol=DEFAULT_TOL):
+        """T_{dg(x)}(y_bar), or None where no exact description is supported.
+
+        U and V with the unit block rotated by the eigenvectors of x's
+        compression are a singular basis common to x and y_bar.  Its columns
+        past x's rank r span the block B = {u_i v_j^T : i, j >= r}.  The cone
+        is B when r = p, the half-space {d in B : <u_r v_r^T, d> <= 0} when
+        r = p - 1, and None when two or more unit values lie off x's support.
+        """
+        p = self.p
+        _, q, _, kernel = self._spectrum(x, tol)
+        spare = int(np.count_nonzero(kernel))           # p - r
+        if spare > 1:
+            return None
+        uk = np.hstack([self.U[:, :p] @ q[:, kernel], self.U[:, p:]])
+        vk = np.hstack([self.V[:, :p] @ q[:, kernel], self.V[:, p:]])
+        block = Subspace._orthonormal(np.kron(uk, vk))  # u_r v_r^T first
+        if not spare:
+            return SubspacePlusRays(block)
+        return PolyhedralCone(block.basis[:, :1].T, block.complement().basis.T,
+                              ambient=self.dim)
 
     def polyhedral_system(self):
         return None
@@ -659,10 +614,22 @@ class PolyhedralFace:
     def project(self, x):
         return self._set.project(x)
 
+    def _active(self, x, tol):
+        """The rows of A active at x, at the slack of a derived point: the
+        one activity reading of both tangent cones."""
+        return self.A[active_rows(self.A, self.c, x, tol.derived_member)]
+
     def tangent_at(self, x, tol=DEFAULT_TOL):
-        a = self.A[active_rows(self.A, self.c, x, tol.derived_member)]
         e = self.E if self.E.shape[0] else None
-        return PolyhedralCone(a, e, ambient=self.dim)
+        return PolyhedralCone(self._active(x, tol), e, ambient=self.dim)
+
+    def subdiff_tangent(self, x, tol=DEFAULT_TOL):
+        """T_{dg(x)}(y_bar): the rows active at x as rays, plus the line of
+        y_bar when the face has its equality row."""
+        span = (Subspace(self.dim, self.y_bar.reshape(-1, 1)) if self.E.shape[0]
+                else Subspace.zero(self.dim))
+        return SubspacePlusRays(span, [r for r in self._active(x, tol)
+                                       if np.any(r)])
 
     def polyhedral_system(self):
         return self.A, self.c, self.E, self.e
@@ -696,12 +663,13 @@ def tangent_conj_subdiff(reg, y_bar, x_bar, tol=DEFAULT_TOL):
 
 
 def tangent_subdiff(reg, x_bar, y_bar, tol=DEFAULT_TOL):
-    """T_{dg(x_bar)}(y_bar), or None when no exact description is supported."""
+    """T_{dg(x_bar)}(y_bar), read off the conjugate face of y_bar, or None
+    when no exact description is supported."""
     x_bar = np.asarray(x_bar, dtype=float)
     y_bar = np.asarray(y_bar, dtype=float)
     if not subdiff_contains(reg, x_bar, y_bar, tol):
         raise ValueError("y_bar is not in dg(x_bar)")
-    return reg.tangent_subdiff(x_bar, y_bar, tol)
+    return conj_subdiff_face(reg, y_bar, tol).subdiff_tangent(x_bar, tol)
 
 
 # ---------------------------------------------------------------------------

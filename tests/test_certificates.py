@@ -82,6 +82,34 @@ def test_nan_multiplier_rejected(entry):
         prepare_multiplier(inst, pair)
 
 
+def test_multiplier_refinement_failure_is_reported():
+    # K maps R^2 onto e_11 and, at singular value 1e-3, onto
+    # (e_12 + e_22) / sqrt 2 of the 2 x 2 matrices; Ker K* holds
+    # (e_22 - e_12) / sqrt 2.  y = y_bar + eps e_22 stays in dg(K x_bar) and
+    # misses K* y = v by 10 kkt_bound.  The least-squares step leaves
+    # eps (e_22 - e_12) / 2 in y, which rotates the unit singular pair by
+    # far more than the level-100 bound, and clipping the singular values
+    # at w undoes no rotation.  The solver does not converge on this K, so
+    # the exact pair is built by hand.
+    from calmcert.model import SolutionPair
+    h = 1e-3 / np.sqrt(2)
+    inst = make({"phi": {"kind": "identity", "dim": 2}, "b": [2.0, 0.5 * h],
+                 "mu": 1.0,
+                 "k": {"kind": "dense", "rows": 4, "cols": 2,
+                       "entries": [1.0, 0.0, 0.0, h, 0.0, 0.0, 0.0, h]},
+                 "reg": {"kind": "nuclear", "m": 2, "n": 2, "weight": 1.0}})
+    x, y_bar = np.array([1.0, 0.0]), np.diag([1.0, 0.5]).ravel()
+    assert max(kkt_residual(inst, x, y_bar).values()) <= 1e-15
+    y = y_bar + 10 * kkt_bound(inst) / h * np.array([0.0, 0.0, 0.0, 1.0])
+    res = kkt_residual(inst, x, y)
+    assert not kkt_within(res, kkt_bound(inst))
+    assert kkt_within(res, kkt_bound(inst, 100))
+    pair = SolutionPair(x_bar=x, y_bar=y, v_bar=inst.v_of(x), residuals=res)
+    with pytest.raises(CertificateError,
+                       match="multiplier refinement failed: residuals"):
+        certify_primal_dual(inst, pair)
+
+
 def test_nan_residual_fails_the_gate_in_either_order():
     for res in ({"stationarity": 0.1, "graph": np.nan},
                 {"stationarity": np.nan, "graph": 0.1}):
@@ -571,7 +599,7 @@ def test_identity_k_builds_no_tangent_to_the_subdifferential(monkeypatch):
                  "k": {"kind": "identity", "dim": 4},
                  "reg": {"kind": "nuclear", "m": 2, "n": 2, "weight": 1.0}})
     pair = solve(inst)
-    assert inst.reg.tangent_subdiff(pair.x_bar, pair.y_bar, inst.tol) is None
+    assert rz.tangent_subdiff(inst.reg, pair.x_bar, pair.y_bar, inst.tol) is None
 
     def no_tangent(*args, **kwargs):
         raise AssertionError("tangent to dg built for K = I")

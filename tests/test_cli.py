@@ -347,6 +347,46 @@ def test_y_override(instances, tmp_path):
                 "--y-override", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("name", ["nuclear_nondegenerate", "polyhedral_box"])
+def test_y_override_is_refined_by_the_kind(instances, tmp_path, monkeypatch,
+                                           name):
+    # y = y_bar + delta with KKT residuals between levels 1 and 100 of
+    # kkt_bound: certify-pd refines it once, through the kind's
+    # project_multiplier, to a y_used within level 100, and issues the
+    # verdict it issues without the override
+    from calmcert.gallery import instance_for
+    from calmcert.solver import kkt_bound, kkt_within, solve
+    inst = instance_for(name)
+    pair = solve(inst)
+    delta = np.ones(pair.y_bar.size) / np.sqrt(pair.y_bar.size)
+    y = pair.y_bar + 10 * kkt_bound(inst) * delta
+    res = kkt_residual(inst, pair.x_bar, y)
+    assert not kkt_within(res, kkt_bound(inst))
+    assert kkt_within(res, kkt_bound(inst, 100))
+    calls = []
+    kind = type(inst.reg)
+    project = kind.project_multiplier
+    monkeypatch.setattr(kind, "project_multiplier",
+                        lambda *args: calls.append(1) or project(*args))
+    override = tmp_path / "y.json"
+    override.write_text(json.dumps(y.tolist()))
+    payloads = []
+    for extra in ([], ["--y-override", str(override)]):
+        out = tmp_path / f"r{len(payloads)}.json"
+        code = run(["certify-pd", str(instances[name]), "--out", str(out)]
+                   + extra)
+        payload = json.loads(out.read_text())["payload"]
+        payloads.append((code, [payload[c]["status"] for c in (
+            "conclusion_solution_map", "conclusion_primal_dual")],
+            [payload[v]["outcome"] for v in ("cond_suf", "cond_nes", "srcq")],
+            payload["y_used"]))
+    assert calls == [1]
+    assert payloads[1][:3] == payloads[0][:3]
+    assert payloads[1][3] != y.tolist()
+    assert kkt_within(kkt_residual(inst, pair.x_bar, np.array(payloads[1][3])),
+                      kkt_bound(inst, 100))
+
+
 @pytest.mark.parametrize("override", ["[NaN, NaN]", "[Infinity, Infinity]"])
 def test_non_finite_y_override_is_an_error(instances, tmp_path, capsys, override):
     y = tmp_path / "y.json"

@@ -7,6 +7,8 @@ from calmcert.cones import PolyhedralCone, PsdCone, SubspacePlusRays
 from calmcert.linalg import Tolerances
 from calmcert.model import group_lasso, l1, nuclear, polyhedral_indicator
 
+import subdiff_reference
+
 TOL = Tolerances()
 
 GL = group_lasso([[0, 1], [2]], 3)
@@ -442,27 +444,105 @@ def test_polyhedral_unbounded_face_error():
         rz.conj_subdiff_face(reg, np.array([-1.0, 0.0]), TOL)
 
 
-def test_simultaneous_svd_repeated_values():
-    u, v, dx, dy = rz.simultaneous_svd(np.diag([1.0, 0.0]), np.eye(2))
-    assert np.allclose(dx, [1.0, 0.0])
-    assert np.allclose(dy, [1.0, 1.0])
-    assert np.allclose(u @ u.T, np.eye(2))
-    with pytest.raises(ValueError):
-        rz.simultaneous_svd(np.array([[1.0, 0.0], [0.0, 0.0]]),
-                            np.array([[0.0, 1.0], [1.0, 0.0]]))
+def test_tangent_subdiff_nuclear_repeated_unit_values():
+    # X = diag(1, 0) with Y = I: one unit value of Y lies off X's support,
+    # and the cone is the half-space of the block {e_2 e_2^T} with normal
+    # e_2 e_2^T
+    cone = rz.tangent_subdiff(NUC, np.diag([1.0, 0.0]).ravel(),
+                              np.eye(2).ravel(), TOL)
+    assert isinstance(cone, PolyhedralCone) and cone.A.shape[0] == 1
+    normal = cone.A[0] / np.linalg.norm(cone.A[0])
+    assert np.allclose(normal, np.diag([0.0, 1.0]).ravel(), atol=1e-12)
+    with pytest.raises(ValueError, match="not in dg"):
+        rz.tangent_subdiff(NUC, np.diag([1.0, 0.0]).ravel(),
+                           np.array([[0.0, 1.0], [1.0, 0.0]]).ravel(), TOL)
 
 
-def test_simultaneous_svd_ignores_noise_in_small_singular_values():
+def test_tangent_subdiff_nuclear_ignores_noise_in_small_singular_values():
     # a solver leaves X = K x_bar a ~1e-10 second singular value: its
     # singular vectors, taken from X alone, are noise that Y's tail block
-    # (0.5 w, below the unit block) is not diagonal in
+    # (0.5 w, below the unit block) is not diagonal in.  The cone is the
+    # block u_1 (v_1, v_2)^T all the same.
     rng = np.random.default_rng(8)
     u, _ = np.linalg.qr(rng.standard_normal((2, 2)))
     v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     w = 1.7
     x = 2.0 * np.outer(u[:, 0], v[:, 0]) + 1e-10 * rng.standard_normal((2, 3))
     y = w * np.outer(u[:, 0], v[:, 0]) + 0.5 * w * np.outer(u[:, 1], v[:, 1])
-    uu, vv, dx, dy = rz.simultaneous_svd(x, y)
-    assert np.allclose(dx, [2.0, 0.0], atol=1e-9)
-    assert np.allclose(dy, [w, 0.5 * w])
-    assert np.allclose(uu.T @ y @ vv, np.eye(2, 3) * dy[:, None], atol=1e-9)
+    cone = rz.tangent_subdiff(nuclear(2, 3, w), x.ravel(), y.ravel(), TOL)
+    assert isinstance(cone, SubspacePlusRays) and not cone.rays
+    block = np.kron(u[:, 1:], v[:, 1:])
+    assert np.allclose(cone.span.basis @ cone.span.basis.T, block @ block.T,
+                       atol=1e-8)
+
+
+NUCLEAR_SHAPES = ((2, 2), (2, 3), (3, 3), (3, 4), (1, 3))
+NUCLEAR_CASES = [(m, n, r, extra) for m, n in NUCLEAR_SHAPES
+                 for r in range(m + 1) for extra in range(m - r + 1)]
+
+
+def nuclear_pair(i):
+    """A seeded subgradient pair (X, Y) of weight * nuclear norm.
+
+    Case i cycles through the shapes, every rank r of X and every count of
+    unit values of Y / w past X's support (the rest of Y below 0.9 w); one
+    draw in seven gives X a 1e-10 singular value past its rank.
+    """
+    rng = np.random.default_rng([i, 7])
+    m, n, r, extra = NUCLEAR_CASES[i % len(NUCLEAR_CASES)]
+    w = float(rng.uniform(0.3, 3.0))
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :m]
+    sx = np.zeros(m)
+    sx[:r] = rng.uniform(0.5, 3.0, r)
+    if i % 7 == 0 and r < m:
+        sx[r] = 1e-10
+    sy = np.ones(m)
+    sy[r + extra:] = np.sort(rng.uniform(0.0, 0.9, m - r - extra))[::-1]
+    return (nuclear(m, n, w), ((u * sx) @ v.T).ravel(),
+            (w * (u * sy) @ v.T).ravel())
+
+
+def _projector(rows):
+    """The orthogonal projector onto the span of the rows."""
+    q = np.linalg.qr(rows.T)[0] if rows.shape[0] else rows.T
+    return q @ q.T
+
+
+def test_nuclear_subdiff_tangent_matches_the_simultaneous_svd_reference():
+    # the face's rotated singular basis against the reference's
+    # simultaneous SVD of X + Y: the same variant, span, rays and unit
+    # normal, and None where the reference gives None
+    seen = {}
+    for i in range(3000):
+        reg, x, y = nuclear_pair(i)
+        new = rz.tangent_subdiff(reg, x, y, TOL)
+        ref = subdiff_reference.tangent_subdiff(reg, x, y, TOL)
+        variant = "None" if ref is None else type(ref).__name__
+        seen[variant] = seen.get(variant, 0) + 1
+        assert type(new) is type(ref), i
+        if isinstance(ref, SubspacePlusRays):
+            gap = _projector(new.span.basis.T) - _projector(ref.span.basis.T)
+            assert np.abs(gap).max(initial=0.0) <= 1e-8, i
+            assert len(new.rays) == len(ref.rays) == 0, i
+        elif ref is not None:
+            gap = _projector(new.E) - _projector(ref.E)
+            assert np.abs(gap).max(initial=0.0) <= 1e-8, i
+            assert new.A.shape == ref.A.shape == (1, reg.dim), i
+            unit = [a[0] / np.linalg.norm(a[0]) for a in (new.A, ref.A)]
+            assert np.abs(unit[0] - unit[1]).max() <= 1e-8, i
+    assert set(seen) == {"SubspacePlusRays", "PolyhedralCone", "None"}
+
+
+def test_polyhedral_tangents_read_the_same_active_rows():
+    # x_1 <= 1 at slack 5e-7 ||row|| (x_1 = 1 - 5e-7 ||x||), between member
+    # and derived_member: both tangent cones of the zero-product pair read
+    # it as active, at the slack of a derived point
+    x = np.array([1.0, 0.3])
+    x[0] -= 5e-7 * np.linalg.norm(x)
+    y = np.zeros(2)
+    assert rz.subdiff_contains(BOX, x, y, TOL)
+    rows = rz.conj_subdiff_face(BOX, y, TOL).tangent_at(x, TOL).A
+    rays = rz.tangent_subdiff(BOX, x, y, TOL).rays
+    assert np.array_equal(rows, [[1.0, 0.0]])
+    assert np.allclose(rays, rows, rtol=0.0, atol=1e-15)
