@@ -192,7 +192,7 @@ def _solution_map(instance, pair, seed):
             f"K x_bar is not in the conjugate face of y_used (distance {dist:.3g})")
 
     tangent = face.tangent_at(kx, tol)
-    qual_polyhedral = face.polyhedral_system() is not None
+    qual_polyhedral = face.is_polyhedral
     # a polyhedral face is qualified as it stands: no ri test can add to it
     qual_ri = None if qual_polyhedral \
         else rz.ri_intersects_range(face, instance.k, tol, x_bar=kx)
@@ -324,10 +324,10 @@ def solution_set_extent(instance, pair, c, level):
     import scipy.optimize
     x = np.asarray(pair.x_bar, dtype=float)
     y = np.asarray(pair.y_bar, dtype=float)
-    system = rz.conj_subdiff_face(instance.reg, y, instance.tol).polyhedral_system()
-    if system is None:
+    face = rz.conj_subdiff_face(instance.reg, y, instance.tol)
+    if not face.is_polyhedral:
         return None
-    a, c_face, e, _ = system
+    a, c_face, e, _ = face.polyhedral_system()
     k = instance.k.matrix           # the LP rows A K, E K and Phi are dense
     phi = instance.phi.matrix
     box = max(1.0, float(np.abs(x).max(initial=0.0)))

@@ -96,8 +96,18 @@ def _emit(data, out):
         sys.stdout.write(data if isinstance(data, str) else data.decode())
 
 
-def _floats(spec_text):
-    return [float(v) for v in spec_text.split(",") if v.strip()]
+def _floats(spec_text, flag):
+    """The comma-separated entries of a flag's value, each a finite float."""
+    values = []
+    for entry in filter(None, (v.strip() for v in spec_text.split(","))):
+        try:
+            value = float(entry)
+        except ValueError:
+            value = np.nan
+        if not np.isfinite(value):
+            raise ValueError(f"{flag}: entry {entry!r} is not a finite number")
+        values.append(value)
+    return values
 
 
 def _run_demo(args):
@@ -184,7 +194,8 @@ def run(argv):
                       file=sys.stderr)
             return 2 if report.has_unknown else 0
         if args.verb == "sweep":
-            estimate = em.perturbation_sweep(instance, pair, _floats(args.radii),
+            estimate = em.perturbation_sweep(instance, pair,
+                                             _floats(args.radii, "--radii"),
                                              n_per_radius=args.samples,
                                              seed=args.seed)
             _emit(save_report(estimate, args.format, instance, args.seed),
@@ -194,6 +205,7 @@ def run(argv):
                 csv_path.write_text(save_report(estimate, "csv"))
             return 0
         if args.verb == "probe":
+            t_grid = _floats(args.t_grid, "--t-grid")
             report = ct.certify_solution_map(instance, pair, seed=args.seed)
             conc = report.conclusion_solution_map
             if conc.witness is None:
@@ -203,7 +215,7 @@ def run(argv):
                 code = 0 if conc.is_decisive else 2
             else:
                 payload = em.instability_probe(instance, pair, conc.witness,
-                                               _floats(args.t_grid))
+                                               t_grid)
                 payload["certificate"] = conc.to_json_dict()
                 code = 0
             _emit(save_report(payload, args.format, instance, args.seed,

@@ -658,10 +658,9 @@ def tangent_with_range_restriction(face, z, k_op, tol=DEFAULT_TOL):
         raise ValueError("base point is not in the range of K")
     if imk.dim == imk.ambient_dim:
         return face.tangent_at(z, tol)
-    system = face.polyhedral_system()
-    if system is None:
+    if not face.is_polyhedral:
         return None
-    a, c, e, _ = system
+    a, c, e, _ = face.polyhedral_system()
     comp = imk.complement()
     e_all = np.vstack([e, comp.basis.T]) if e.shape[0] else comp.basis.T
     return PolyhedralCone(a[active_rows(a, c, z, tol.derived_member)], e_all,

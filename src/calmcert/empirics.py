@@ -166,7 +166,7 @@ def instability_probe(instance, pair, witness, t_grid):
                 # the alternate solution for the SAME data, exactly
                 db = np.zeros_like(db)
             points.append((t, x_t, db, float(np.linalg.norm(x0 + t * w - x_t))))
-    elif face.polyhedral_system() is None:
+    elif not face.is_polyhedral:
         extra["reason"] = "no solution-set LP for a curved face"
     else:
         end = solution_set_extent(instance, pair, w, level)
@@ -227,8 +227,7 @@ def _face_projector(reg, v_bar):
     if callable(reg):
         return None
     try:
-        face = rz.conj_subdiff_face(reg, np.asarray(v_bar, dtype=float),
-                                    rz.DEFAULT_TOL)
+        face = rz.conj_subdiff_face(reg, v_bar, rz.DEFAULT_TOL)
     except ValueError:
         return None
     return face.project

@@ -6,9 +6,10 @@ holds its data and all that depends on the kind, and builds its face class
 for the conjugate-subdifferential face F(y) = {x : y in dg(x)}, which
 decides whether ri F(y) meets a given range and gives both tangent cones of
 the zero-product pair at (x, y): T_{F(y)}(x) and T_{dg(x)}(y), read from one
-activity rule per kind.  For the nuclear norm the face's singular basis of
-y, rotated in its unit block by x's compression, is common to x and y, so
-no simultaneous SVD of the pair is taken.  The module-level functions are
+activity rule per kind; one face per (y, tol) is kept for every reader.
+For the nuclear norm the face's singular basis of y, rotated in its unit
+block by x's compression, is common to x and y, so no simultaneous SVD of
+the pair is taken.  The module-level functions are
 the interface: each makes the checks shared by every kind and calls the
 kind's method.  Subdifferential membership reads only the kind's prox (y is
 in dg(x) exactly when x = prox_g(x + y)), so it is decided once for every
@@ -209,8 +210,8 @@ class PolyhedralIndicator:
     """The indicator of {y : A y <= c}, A a read-only (rows x dim) array.
 
     With no rows the set is all of R^dim, and g = 0.  The polyhedron's
-    projection factors and the conjugate faces are kept, so that every
-    caller reuses them.
+    projection factors are kept, as the conjugate faces are for every kind
+    (conj_subdiff_face), so that every caller reuses them.
     """
 
     kind = "polyhedral_indicator"
@@ -221,9 +222,6 @@ class PolyhedralIndicator:
         self.dim = self.A.shape[1]
         if self.c.shape != self.A.shape[:1]:
             raise ValueError("polyhedral offset length must match rows")
-        # conjugate faces by (multiplier bytes, tolerances); LinearOp keeps
-        # its ranges per rank tolerance the same way
-        self._faces = {}
 
     @cached_property
     def polyhedron(self):
@@ -253,12 +251,7 @@ class PolyhedralIndicator:
                          for r in y.reshape(-1, self.dim)]).reshape(y.shape)
 
     def face(self, y_bar, tol):
-        """The face of y_bar, built once per (y_bar bytes, tol), so that its
-        support LP and projection factors serve every caller."""
-        key = (y_bar.tobytes(), tol)
-        if key not in self._faces:
-            self._faces[key] = PolyhedralFace(self, y_bar, tol)
-        return self._faces[key]
+        return PolyhedralFace(self, y_bar, tol)
 
     def project_multiplier(self, z, y, tol):
         return _normal_cone_fit(self.A, self.c, z, y, tol.member)[0]
@@ -374,13 +367,16 @@ class _ProjectedFace:
 class GroupLassoFace(_ProjectedFace):
     """F(y) = prod over groups of a ray R+ y_J (boundary) or {0} (interior).
 
-    A group is boundary when ||y_J|| / w is within tol.member of 1; empty
-    groups are interior.  Everything is computed on reg.segments.
+    A group is boundary when ||y_J|| / w >= 1 - tol.member (past
+    1 + tol.member the build raises), for both tangent cones; empty groups
+    are interior.  Everything is computed on reg.segments.
     """
+
+    is_polyhedral = True
 
     def __init__(self, reg, y_bar, tol):
         self.reg = reg
-        self.y_bar = np.asarray(y_bar, dtype=float)
+        self.y_bar = y_bar
         self.dim = reg.dim
         seg = reg.segments
         norms = group_norms(reg, self.y_bar)
@@ -390,8 +386,7 @@ class GroupLassoFace(_ProjectedFace):
             j = over[0]
             raise ValueError(f"group {seg.groups[j]}: ||y_J|| exceeds the dual "
                              f"bound by {ratio[j] - 1.0:.3g}")
-        self._on = np.abs(ratio - 1.0) <= tol.member      # per segment
-        self._free = ratio < 1.0 - tol.member             # dg's free groups
+        self._on = ratio >= 1.0 - tol.member              # per segment
         # u_J = y_J / ||y_J|| on boundary groups, zero elsewhere
         self._u = np.where(self._on[seg.owner], self.y_bar, 0.0) \
             / np.where(self._on, norms, 1.0)[seg.owner]
@@ -426,12 +421,12 @@ class GroupLassoFace(_ProjectedFace):
 
     def subdiff_tangent(self, x, tol=DEFAULT_TOL):
         """T_{dg(x)}(y_bar) per group: {0} where active_groups finds x_J
-        active, free where ||y_J|| < w (1 - member), and the half-space
-        <y_J, d_J> <= 0 otherwise."""
+        active, the half-space <y_J, d_J> <= 0 on the other boundary groups,
+        and free on the interior ones."""
         seg = self.reg.segments
         active = active_groups(self.reg, x, tol)[1]
-        free = ~active & self._free
-        tight = ~active & ~self._free
+        free = ~active & ~self._on
+        tight = ~active & self._on
         eye = np.eye(self.dim)
         in_perm = seg.owner[seg.perm]           # segment of each perm entry
         if not tight.any():
@@ -475,9 +470,11 @@ class GroupLassoFace(_ProjectedFace):
 class NuclearFace(_ProjectedFace):
     """F(Y) = {U [S 0; 0 0] V^T : S psd p x p} for the unit singular block."""
 
+    is_polyhedral = False
+
     def __init__(self, reg, y_bar, tol):
         self.reg = reg
-        self.y_bar = np.asarray(y_bar, dtype=float)
+        self.y_bar = y_bar
         self.dim = reg.dim
         w = reg.weight
         u, s, vt = np.linalg.svd(reg.mat(self.y_bar), full_matrices=True)
@@ -547,9 +544,6 @@ class NuclearFace(_ProjectedFace):
         return PolyhedralCone(block.basis[:, :1].T, block.complement().basis.T,
                               ambient=self.dim)
 
-    def polyhedral_system(self):
-        return None
-
     def _embed(self, s):
         """U [S 0; 0 0] V^T for a p x p block S, vec'd."""
         full = np.zeros((self.reg.m, self.reg.n))
@@ -576,14 +570,16 @@ class NuclearFace(_ProjectedFace):
 class PolyhedralFace:
     """Exposed face argmax_{A y <= c} <y_bar, y>, as inequalities + equalities.
 
-    Built through conj_subdiff_face, which keeps one face per multiplier on
-    the regularizer, so its support LP is solved once.
+    Built through conj_subdiff_face, which keeps one face per (y_bar, tol)
+    for every kind, so its support LP is solved once.
     """
+
+    is_polyhedral = True
 
     def __init__(self, reg, y_bar, tol):
         import scipy.optimize
         self.reg = reg
-        self.y_bar = np.array(y_bar, dtype=float)     # a copy: faces are shared
+        self.y_bar = y_bar
         self.dim = reg.dim
         self.A = reg.A
         self.c = reg.c
@@ -640,8 +636,15 @@ class PolyhedralFace:
 
 
 def conj_subdiff_face(reg, y_bar, tol=DEFAULT_TOL):
-    """Exact description of dg*(y_bar) = {x : y_bar in dg(x)}."""
-    return reg.face(np.asarray(y_bar, dtype=float), tol)
+    """Exact description of dg*(y_bar) = {x : y_bar in dg(x)}, kept on reg
+    per (y_bar bytes, tol) for every kind and built from a read-only copy of
+    y_bar, so that every reader shares it; a failed build keeps nothing."""
+    y_bar = np.asarray(y_bar, dtype=float)
+    faces = vars(reg).setdefault("_faces", {})
+    key = (y_bar.tobytes(), tol)
+    if key not in faces:
+        faces[key] = reg.face(frozen(y_bar.copy()), tol)
+    return faces[key]
 
 
 def member_tangent(face, x_bar, tol=DEFAULT_TOL):
@@ -666,7 +669,6 @@ def tangent_subdiff(reg, x_bar, y_bar, tol=DEFAULT_TOL):
     """T_{dg(x_bar)}(y_bar), read off the conjugate face of y_bar, or None
     when no exact description is supported."""
     x_bar = np.asarray(x_bar, dtype=float)
-    y_bar = np.asarray(y_bar, dtype=float)
     if not subdiff_contains(reg, x_bar, y_bar, tol):
         raise ValueError("y_bar is not in dg(x_bar)")
     return conj_subdiff_face(reg, y_bar, tol).subdiff_tangent(x_bar, tol)

@@ -643,6 +643,45 @@ def test_polyhedral_faces_never_factor_the_range_of_k(monkeypatch):
     assert len(svds) == 0
 
 
+def test_one_nuclear_face_per_certificate_and_lab_check(monkeypatch):
+    # a nuclear draw of the K corpus (K != I): the certificate, its tangent
+    # to dg and the zero-product check's two cones share one face of y_used
+    from calmcert import empirics as em
+    from calmcert import regularizers as rz
+    from k_corpus import corpus_doc
+    inst = make(corpus_doc(10))
+    assert inst.reg.kind == "nuclear" and not inst.k.is_identity
+    pair = solve(inst)
+    counts = {}
+    _count_calls(monkeypatch, rz.NuclearFace, "__init__", counts)
+    report = certify_primal_dual(inst, pair)
+    assert report.srcq.is_trivial and counts == {"__init__": 1}
+    lab = make(corpus_doc(10))          # a regularizer that holds no face
+    _, y, _ = prepare_multiplier(lab, pair)
+    counts.clear()
+    em.zero_product_check(lab.reg, lab.k.apply(pair.x_bar), y, n_samples=20,
+                          cone_tol=lab.tol)
+    assert counts == {"__init__": 1}
+
+
+@pytest.mark.parametrize("build", [lambda: instance_for("lasso_segment"),
+                                   lambda: make(_tv_doc(1.0))],
+                         ids=["lasso_segment", "tv"])
+def test_group_certificates_build_no_face_system(monkeypatch, build):
+    # whether a face is polyhedral is its kind's attribute: neither
+    # certificate builds the dense group-face system to find out
+    from calmcert import regularizers as rz
+    inst = build()
+    pair = solve(inst)
+
+    def no_system(self):
+        raise AssertionError("group-face system built")
+    monkeypatch.setattr(rz.GroupLassoFace, "polyhedral_system", no_system)
+    report = certify_solution_map(inst, pair)
+    assert report.qual_polyhedral and report.qual_ri is None
+    assert certify_primal_dual(inst, pair).conclusion_primal_dual.is_decisive
+
+
 def test_adjoint_norm_is_read_off_k(monkeypatch):
     # K^T is an operator tied to K: once ||K|| is cached (the solver reads
     # it), the primal-dual certificate computes no spectral norm

@@ -265,6 +265,21 @@ def test_sweep_base_pair_meets_the_sweep_tolerance(tmp_path, monkeypatch):
     assert max(kkt_residual(instance, pair.x_bar, pair.y_bar).values()) <= target
 
 
+@pytest.mark.parametrize("verb, flag, spec, entry", [
+    ("sweep", "--radii", "1e-2,nan", "nan"), ("sweep", "--radii", "inf", "inf"),
+    ("sweep", "--radii", "1e-2, abc", "abc"),
+    ("probe", "--t-grid", "nan,1e-2", "nan")])
+def test_non_finite_step_entries_are_rejected(instances, tmp_path, capsys,
+                                              verb, flag, spec, entry):
+    # the entry is named with its flag, before it reaches a perturbation
+    out = tmp_path / "r.json"
+    assert run([verb, str(instances["lasso_segment"]), flag, spec,
+                "--out", str(out)]) == 1
+    assert f"error: {flag}: entry '{entry}' is not a finite number" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_probe_refutes_segment(instances, tmp_path):
     out = tmp_path / "probe.json"
     assert run(["probe", str(instances["lasso_segment"]), "--out", str(out),

@@ -259,7 +259,7 @@ def ref_face(reg, y, tol):
         if ratio > 1.0 + tol.member:
             raise ValueError(
                 f"group {gi}: ||y_J|| exceeds the dual bound by {ratio - 1.0:.3g}")
-        (boundary if abs(ratio - 1.0) <= tol.member else interior).append(gi)
+        (boundary if ratio >= 1.0 - tol.member else interior).append(gi)
     return boundary, interior
 
 

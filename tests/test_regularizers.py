@@ -546,3 +546,54 @@ def test_polyhedral_tangents_read_the_same_active_rows():
     rays = rz.tangent_subdiff(BOX, x, y, TOL).rays
     assert np.array_equal(rows, [[1.0, 0.0]])
     assert np.allclose(rays, rows, rtol=0.0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# one conjugate face per (multiplier, tolerance)
+
+
+FACE_CASES = {
+    "group_lasso": (lambda: group_lasso([[0, 1], [2]], 3), [0.6, 0.8, 0.5]),
+    "nuclear": (lambda: nuclear(2, 2), [1.0, 0.0, 0.0, 0.5]),
+    "polyhedral": (lambda: polyhedral_indicator(
+        np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)), [1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FACE_CASES))
+def test_one_face_per_multiplier_and_tolerance(kind):
+    make, y = FACE_CASES[kind]
+    reg, y = make(), np.array(y)
+    face = rz.conj_subdiff_face(reg, y, TOL)
+    assert rz.conj_subdiff_face(reg, y.copy(), TOL) is face
+    assert rz.conj_subdiff_face(reg, y, Tolerances(member=2e-7)) is not face
+    # the face holds its own read-only copy of the multiplier
+    kept = face.y_bar.copy()
+    y[0] = 0.25
+    assert np.array_equal(face.y_bar, kept) and not face.y_bar.flags.writeable
+    assert rz.conj_subdiff_face(reg, y, TOL) is not face
+
+
+def test_a_failed_face_build_is_not_kept(monkeypatch):
+    reg = group_lasso([[0, 1], [2]], 3)
+    builds, build = [], reg.face
+    monkeypatch.setattr(reg, "face",
+                        lambda *args: builds.append(1) or build(*args))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="dual bound"):
+            rz.conj_subdiff_face(reg, np.array([1.2, 0.9, 0.0]), TOL)
+    assert len(builds) == 2
+
+
+def test_group_just_past_the_unit_sphere_is_tight_for_both_cones():
+    # ||y_J|| / w = 1.0000001 lies within the dual bound 1 + member in
+    # doubles, though |ratio - 1| exceeds member by 6e-17: the face and the
+    # tangent to dg both read the group as a boundary group at x = 0
+    reg, y, x = l1(1), np.array([1.0000001]), np.zeros(1)
+    assert rz.subdiff_contains(reg, x, y, TOL)
+    face = rz.conj_subdiff_face(reg, y, TOL)
+    assert face.boundary == [0] and face.interior == []
+    ray = face.tangent_at(x, TOL)                       # R+ e_1
+    assert ray.member(np.ones(1), 1e-9) and not ray.member(-np.ones(1), 1e-9)
+    half = rz.tangent_subdiff(reg, x, y, TOL)           # d <= 0
+    assert half.member(-np.ones(1), 1e-9) and not half.member(np.ones(1), 1e-9)
