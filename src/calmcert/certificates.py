@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# scipy.optimize is imported where an LP or NNLS is solved: it is most of the
+# scipy.optimize is imported where an LP is solved: it is most of the
 # package's import time, and group-Lasso and nuclear solves never need it.
 
 from . import regularizers as rz
@@ -118,65 +118,52 @@ class CertificateReport:
 
 
 # ---------------------------------------------------------------------------
-# multiplier validation / refinement
+# multiplier validation
 
 
 def prepare_multiplier(instance, pair):
-    """Validate the KKT pair; refine a near-feasible multiplier once.
+    """Accept the pair under a solve's own bound, kkt_bound(instance).
 
-    Returns (x_bar, y, residuals), y being the multiplier the certificates
-    use (their y_used).
+    Returns (x_bar, y, residuals), y being pair.y_bar as given: the
+    multiplier the certificates use (their y_used).  A pair past the bound
+    raises CertificateError; no multiplier is repaired.
     """
     x = np.asarray(pair.x_bar, dtype=float)
     y = np.asarray(pair.y_bar, dtype=float)
     res = kkt_residual(instance, x, y)
-    if kkt_within(res, kkt_bound(instance)):
-        return x, y, res
-    bound = kkt_bound(instance, 100)
+    bound = kkt_bound(instance)
     if not kkt_within(res, bound):
         raise CertificateError(
             f"pair is not a KKT point: residuals {res} exceed "
-            f"100 * tol_kkt * scale = {bound:.3g}")
-    # one alternating refinement step: least squares onto {K* y = v_bar},
-    # then pulled toward dg(K x_bar)
-    v = instance.v_of(x)
-    kt = instance.k.matrix.T       # lstsq factors K^T as a dense matrix
-    corr, *_ = np.linalg.lstsq(kt, v - kt @ y, rcond=None)
-    y1 = y + corr
-    y2 = rz.project_multiplier(instance.reg, instance.k.apply(x), y1,
-                               instance.tol)
-    res2 = kkt_residual(instance, x, y2)
-    if not kkt_within(res2, bound):
-        raise CertificateError(
-            f"multiplier refinement failed: residuals {res2} after one "
-            "alternating step")
-    return x, y2, res2
+            f"tol_kkt * scale = {bound:.3g}")
+    return x, y, res
 
 
 # ---------------------------------------------------------------------------
 # solution-map certificate
 
 
-def _compose_solution_conclusion(cond_suf, cond_nes, qualified):
-    if cond_nes.is_nontrivial:
-        return Conclusion("not_isolated_calm", witness=cond_nes.witness,
-                          reason="necessary condition fails: nonzero direction "
-                                 "in Ker Phi meeting the restricted tangent cone")
+def _compose_solution_conclusion(cond_suf, qualified):
+    """(cond_nes, conclusion).  K^-1 T_{F cap Im K} lies in K^-1 T_F, with
+    equality under the qualification: cond_nes is cond_suf when the face is
+    qualified or cond_suf holds, and unknown otherwise."""
     if cond_suf.is_trivial:
-        return Conclusion("isolated_calm",
-                          reason="sufficient condition holds under the "
-                                 "quadratic growth condition")
+        return cond_suf, Conclusion(
+            "isolated_calm", reason="sufficient condition holds under the "
+                                    "quadratic growth condition")
     if cond_suf.is_unknown:
-        return Conclusion("inconclusive", reason=cond_suf.reason
-                          or "sufficient condition undecided")
-    if cond_suf.is_nontrivial and not qualified:
-        return Conclusion("inconclusive",
-                          reason="sufficient condition fails but no "
-                                 "qualification closes the gap to necessity")
-    if cond_nes.is_unknown:
-        return Conclusion("inconclusive", reason=cond_nes.reason
-                          or "necessary condition undecided")
-    return Conclusion("inconclusive", reason="no decisive branch")
+        reason = cond_suf.reason or "sufficient condition undecided"
+    elif qualified:
+        return cond_suf, Conclusion(
+            "not_isolated_calm", witness=cond_suf.witness,
+            reason="necessary condition fails: nonzero direction in Ker Phi "
+                   "meeting the restricted tangent cone")
+    else:
+        reason = ("sufficient condition fails but no qualification closes "
+                  "the gap to necessity")
+    cond_nes = cond_suf if qualified else TrivialityVerdict.unknown(
+        "range-restricted tangent cone has no exact description for this face")
+    return cond_nes, Conclusion("inconclusive", reason=reason)
 
 
 def _solution_map(instance, pair, seed):
@@ -199,14 +186,7 @@ def _solution_map(instance, pair, seed):
     qualified = qual_polyhedral or qual_ri == "yes"
     cond_suf = trivial_intersection(
         instance.phi, preimage(instance.k, tangent, tol), tol, seed=seed)
-    # K^-1 T_{F cap Im K} lies in K^-1 T_F, with equality under the
-    # qualification
-    cond_nes = cond_suf if qualified or cond_suf.is_trivial \
-        else TrivialityVerdict.unknown(
-            "range-restricted tangent cone has no exact description for "
-            "this face")
-
-    conclusion = _compose_solution_conclusion(cond_suf, cond_nes, qualified)
+    cond_nes, conclusion = _compose_solution_conclusion(cond_suf, qualified)
     report = CertificateReport(
         v_bar=v, y_used=y,
         cond_suf=cond_suf, cond_nes=cond_nes,

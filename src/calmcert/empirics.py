@@ -60,8 +60,14 @@ def perturbation_sweep(instance, pair, radii, n_per_radius=16, seed=0, cfg=None)
 
     Samples whose solution jumps far from x_bar (possibly a different branch
     of the solution set) are flagged 'nonlocal' and excluded from kappa_hat;
-    non-converged solves are flagged, never dropped silently.
+    non-converged solves are flagged, never dropped silently.  A radius that
+    is not positive, or whose perturbation has no finite norm, raises
+    ValueError naming it.
     """
+    radii = [float(r) for r in radii]
+    for r in radii:
+        if not r > 0:
+            raise ValueError(f"sweep radius {r!r} is not positive")
     rng = np.random.default_rng(seed)
     cfg = cfg or SolverConfig(tol_kkt=min(SWEEP_TOL_KKT, instance.tol.kkt))
     ne = len(instance.b)
@@ -69,7 +75,6 @@ def perturbation_sweep(instance, pair, radii, n_per_radius=16, seed=0, cfg=None)
     local_cap = 0.1 * float(np.linalg.norm(x_bar)) + 0.1
     samples = []
     kappa = []
-    radii = [float(r) for r in radii]
     for r in radii:
         best = None
         for _ in range(n_per_radius):
@@ -78,9 +83,13 @@ def perturbation_sweep(instance, pair, radii, n_per_radius=16, seed=0, cfg=None)
             db, dmu = z[:ne], float(z[ne])
             if instance.mu + dmu < instance.mu / 2.0:
                 dmu = -instance.mu / 2.0
-            denom = float(np.linalg.norm(db)) + abs(dmu)
-            entry = {"radius": r, "db_norm": float(np.linalg.norm(db)),
-                     "dmu": dmu}
+            with np.errstate(over="ignore"):
+                db_norm = float(np.linalg.norm(db))
+            denom = db_norm + abs(dmu)
+            if not np.isfinite(denom):
+                raise ValueError(
+                    f"sweep radius {r!r}: the perturbation has no finite norm")
+            entry = {"radius": r, "db_norm": db_norm, "dmu": dmu}
             try:
                 sol = solve_perturbed(instance, db, dmu, pair, cfg)
                 dist = float(np.linalg.norm(sol.x_bar - x_bar))

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# scipy.optimize is imported where an LP or NNLS is solved: it is most of the
+# scipy.optimize is imported where an LP is solved: it is most of the
 # package's import time, and group-Lasso and nuclear solves never need it.
 
 from .linalg import Subspace, DEFAULT_TOL, as_operator, frozen, spectral_norm
@@ -120,15 +120,6 @@ class GroupLasso(_Norm):
     def face(self, y_bar, tol):
         return GroupLassoFace(self, y_bar, tol)
 
-    def project_multiplier(self, z, y, tol):
-        # active group: w z_J / ||z_J||; else y_J pulled into the w-ball
-        w = self.weight
-        owner = self.segments.owner
-        nz, active = active_groups(self, z, tol)
-        fac = w / np.fmax(group_norms(self, y), w)
-        return np.where(active[owner], w * z / np.where(active, nz, 1.0)[owner],
-                        fac[owner] * y)
-
     def reach(self, x_bar):
         """1 / (least curvature of g at x_bar): ||x_J|| / w over the groups
         of two or more indices, 0 for l1, which has no curved piece."""
@@ -196,11 +187,6 @@ class Nuclear(_Norm):
     def face(self, y_bar, tol):
         return NuclearFace(self, y_bar, tol)
 
-    def project_multiplier(self, z, y, tol):
-        # y's singular values clipped at w: the nearest point of the w-ball
-        u, s, vt = np.linalg.svd(self.mat(y), full_matrices=False)
-        return (u @ np.diag(np.clip(s, None, self.weight)) @ vt).ravel()
-
     def reach(self, x_bar):
         """1 / (least curvature of g at x_bar): sigma_max(X) / w."""
         return spectral_norm(self.mat(x_bar)) / self.weight
@@ -253,9 +239,6 @@ class PolyhedralIndicator:
     def face(self, y_bar, tol):
         return PolyhedralFace(self, y_bar, tol)
 
-    def project_multiplier(self, z, y, tol):
-        return _normal_cone_fit(self.A, self.c, z, y, tol.member)[0]
-
     def reach(self, x_bar):
         return 0.0              # the indicator has no curved piece
 
@@ -281,8 +264,8 @@ def active_groups(reg, x, tol=DEFAULT_TOL):
     """(||x_J||, ||x_J|| > tol.member * max(1, ||x||)) per non-empty group.
 
     The one activity rule of group Lasso (the tangent cones of dg and of
-    the conjugate face, multiplier refinement), on the scale of ||x||, so
-    that rescaling the data does not change it.
+    the conjugate face, and the uniqueness oracle's tight groups), on the
+    scale of ||x||, so that rescaling the data does not change it.
     """
     nx = group_norms(reg, x)
     return nx, nx > tol.member * max(1.0, float(np.linalg.norm(x)))
@@ -303,7 +286,7 @@ def prox(reg, t, y):
 
 
 # ---------------------------------------------------------------------------
-# polyhedral workhorses
+# polyhedral feasibility (instance loading)
 
 
 def polyhedron_is_nonempty(a, c):
@@ -316,16 +299,6 @@ def polyhedron_is_nonempty(a, c):
                                  bounds=[(None, None)] * a.shape[1],
                                  method="highs")
     return res.status in (0, 3)     # feasible (3 = unbounded ray, still nonempty)
-
-
-def _normal_cone_fit(a, c, x, v, tol):
-    """NNLS fit of v by the rows of {A y <= c} active at x: (fit, residual)."""
-    import scipy.optimize
-    act = a[active_rows(a, c, x, tol)]
-    if not act.shape[0]:
-        return np.zeros_like(v), float(np.linalg.norm(v))
-    lam, res = scipy.optimize.nnls(act.T, v)
-    return act.T @ lam, float(res)
 
 
 # ---------------------------------------------------------------------------
@@ -691,13 +664,3 @@ def ri_intersects_range(face, k_op, tol=DEFAULT_TOL, x_bar=None):
     if k_op.is_identity:                            # Im K = Y
         return "yes"
     return face.ri_meets_range(k_op.range_space(tol), tol, x_bar)
-
-
-# ---------------------------------------------------------------------------
-# multiplier refinement
-
-
-def project_multiplier(reg, z, y, tol=DEFAULT_TOL):
-    """Best-effort pull of y toward dg(z) (used for near-KKT refinement)."""
-    return reg.project_multiplier(np.asarray(z, dtype=float),
-                                  np.asarray(y, dtype=float), tol)

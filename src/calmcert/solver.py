@@ -62,11 +62,11 @@ class SolverError(RuntimeError):
 @dataclass
 class SolverConfig:
     max_iter: int = 200000
-    tol_kkt: float = 1e-10
+    tol_kkt: float = None           # None: the instance's own tol.kkt
     check_every: int = 25
 
     def __post_init__(self):
-        if not self.tol_kkt > 0:
+        if self.tol_kkt is not None and not self.tol_kkt > 0:
             raise ValueError("tol_kkt must be positive")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be at least 1")
@@ -108,10 +108,10 @@ def kkt_bound(instance, level=1.0, tol_kkt=None):
     """level * tol_kkt * kkt_scale(instance), the one KKT bound (tol_kkt
     defaults to instance.tol.kkt).
 
-    Level 1 is a solve's target and the bound of a pair that needs no
-    refinement, 100 that of a pair the certificates accept after one
-    refinement step (or as a user's multiplier), 10 that of the instability
-    probe's alternate points, and 1e3 that of the uniqueness oracle's.
+    Level 1 is a solve's target and the bound of every pair that enters a
+    verb, the solver's or one with a user's multiplier; 10 is that of the
+    instability probe's alternate points, and 1e3 that of the uniqueness
+    oracle's.
     """
     if tol_kkt is None:
         tol_kkt = instance.tol.kkt
@@ -382,7 +382,8 @@ def _splitting(instance, cfg, x, y, tries):
 
 
 def solve(instance, cfg=None, x0=None, y0=None):
-    """Solve P(b, mu) to KKT residuals <= tol_kkt * (1 + ||b||).
+    """Solve P(b, mu) to KKT residuals <= tol_kkt * (1 + ||b||), tol_kkt
+    being cfg's, or the instance's own tol.kkt when cfg sets none.
 
     A solve given a start x0 (with y0, or zero; v(x0) when K = I) makes its
     first KKT check, and so its first Newton try, there, before any

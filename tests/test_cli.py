@@ -363,28 +363,28 @@ def test_y_override(instances, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["nuclear_nondegenerate", "polyhedral_box"])
-def test_y_override_is_refined_by_the_kind(instances, tmp_path, monkeypatch,
-                                           name):
-    # y = y_bar + delta with KKT residuals between levels 1 and 100 of
-    # kkt_bound: certify-pd refines it once, through the kind's
-    # project_multiplier, to a y_used within level 100, and issues the
-    # verdict it issues without the override
+def test_y_override_is_used_as_given_or_refused(instances, tmp_path, capsys,
+                                                name):
+    # y_bar + eps delta: at eps = 10 kkt_bound the pair misses the solve's
+    # own bound and certify-pd refuses it, naming y_override; at
+    # eps = kkt_bound / 10 it is used as given, and issues the verdicts of
+    # the run without it
     from calmcert.gallery import instance_for
     from calmcert.solver import kkt_bound, kkt_within, solve
     inst = instance_for(name)
     pair = solve(inst)
     delta = np.ones(pair.y_bar.size) / np.sqrt(pair.y_bar.size)
-    y = pair.y_bar + 10 * kkt_bound(inst) * delta
-    res = kkt_residual(inst, pair.x_bar, y)
-    assert not kkt_within(res, kkt_bound(inst))
-    assert kkt_within(res, kkt_bound(inst, 100))
-    calls = []
-    kind = type(inst.reg)
-    project = kind.project_multiplier
-    monkeypatch.setattr(kind, "project_multiplier",
-                        lambda *args: calls.append(1) or project(*args))
-    override = tmp_path / "y.json"
-    override.write_text(json.dumps(y.tolist()))
+    far = pair.y_bar + 10 * kkt_bound(inst) * delta
+    near = pair.y_bar + 0.1 * kkt_bound(inst) * delta
+    assert not kkt_within(kkt_residual(inst, pair.x_bar, far), kkt_bound(inst))
+    override = tmp_path / "far.json"
+    override.write_text(json.dumps(far.tolist()))
+    capsys.readouterr()
+    assert run(["certify-pd", str(instances[name]),
+                "--y-override", str(override)]) == 1
+    assert "y_override" in capsys.readouterr().err
+    override = tmp_path / "near.json"
+    override.write_text(json.dumps(near.tolist()))
     payloads = []
     for extra in ([], ["--y-override", str(override)]):
         out = tmp_path / f"r{len(payloads)}.json"
@@ -395,11 +395,58 @@ def test_y_override_is_refined_by_the_kind(instances, tmp_path, monkeypatch,
             "conclusion_solution_map", "conclusion_primal_dual")],
             [payload[v]["outcome"] for v in ("cond_suf", "cond_nes", "srcq")],
             payload["y_used"]))
-    assert calls == [1]
     assert payloads[1][:3] == payloads[0][:3]
-    assert payloads[1][3] != y.tolist()
-    assert kkt_within(kkt_residual(inst, pair.x_bar, np.array(payloads[1][3])),
-                      kkt_bound(inst, 100))
+    assert payloads[1][3] == near.tolist()
+
+
+def test_box_override_is_one_multiplier_for_every_verb(instances, tmp_path,
+                                                       capsys):
+    # the gallery box's y_bar = (1, 0) tilted by 3e-9, ten times its KKT
+    # bound, is refused by every verb, naming y_override; tilted by 1.5e-11
+    # it is used as given: certify reports it as y_used, and probe reads
+    # the same multiplier and refutes the verdict
+    box = str(instances["polyhedral_box"])
+    far, near = tmp_path / "far.json", tmp_path / "near.json"
+    far.write_text("[1.0, 3e-09]")
+    near.write_text("[1.0, 1.5e-11]")
+    capsys.readouterr()
+    for verb in ("solve", "certify", "certify-pd", "probe", "sweep", "lab"):
+        assert run([verb, box, "--y-override", str(far)]) == 1, verb
+        err = capsys.readouterr().err
+        assert "y_override" in err and "Traceback" not in err, verb
+    out = tmp_path / "certify.json"
+    assert run(["certify", box, "--y-override", str(near),
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["payload"]["y_used"] == [1.0, 1.5e-11]
+    out = tmp_path / "probe.json"
+    assert run(["probe", box, "--y-override", str(near),
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["payload"]["refuted"] is True
+
+
+def test_solve_override_reports_its_own_residuals(instances, tmp_path):
+    from calmcert.gallery import instance_for
+    y = tmp_path / "y.json"
+    y.write_text("[0.3, 0.7000000001]")
+    out = tmp_path / "solve.json"
+    assert run(["solve", str(instances["pd_multiplier_segment"]),
+                "--y-override", str(y), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["y_bar"] == [0.3, 0.7000000001]
+    assert payload["residuals"] == kkt_residual(
+        instance_for("pd_multiplier_segment"), np.array(payload["x_bar"]),
+        np.array(payload["y_bar"]))
+    assert payload["residuals"]["stationarity"] > 0.0
+
+
+@pytest.mark.parametrize("radius", ["-1e-2", "0", "1e300"])
+def test_sweep_radius_without_a_perturbation_is_an_error(instances, capsys,
+                                                         radius):
+    capsys.readouterr()
+    assert run(["sweep", str(instances["lasso_scalar"]), f"--radii={radius}",
+                "--samples", "2"]) == 1
+    err = capsys.readouterr().err
+    assert repr(float(radius)) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("override", ["[NaN, NaN]", "[Infinity, Infinity]"])

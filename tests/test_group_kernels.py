@@ -56,21 +56,6 @@ def assert_membership_matches(reg, x, v, ref_reg=None):
     assert ref is None or rz.subdiff_contains(reg, x, v, TOL) == ref
 
 
-def ref_project_multiplier(reg, z, y, tol):
-    out = y.copy()
-    w = reg.weight
-    on = tol.member * max(1.0, float(np.linalg.norm(z)))
-    for g in reg.group_slices:
-        nz = float(np.linalg.norm(z[g]))
-        if nz > on:
-            out[g] = w * z[g] / nz
-        else:
-            ny = float(np.linalg.norm(y[g]))
-            if ny > w:
-                out[g] = w / ny * y[g]
-    return out
-
-
 def assert_close(new, ref, *inputs):
     scale = max([1.0, float(np.linalg.norm(ref))]
                 + [float(np.linalg.norm(a)) for a in inputs])
@@ -169,9 +154,6 @@ def test_membership_and_multiplier_match_reference(case):
     reg, _, x, v, y = case
     assert_membership_matches(reg, x, v)
     assert_membership_matches(reg, x, y)
-    for mult in (v, 3.0 * y):
-        assert_close(rz.project_multiplier(reg, x, mult, TOL),
-                     ref_project_multiplier(reg, x, mult, TOL), mult, reg.weight)
 
 
 def test_membership_reference_cases_cover_both_outcomes():
@@ -208,9 +190,6 @@ def test_empty_group_contributes_nothing(groups):
         for r in (reg, plain):
             assert rz.value(r, y) == pytest.approx(ref_value(reg, y), rel=REL)
             assert_close(rz.prox(r, 0.5, y), ref_prox(reg, 0.5, y), y)
-            v = rz.project_multiplier(r, x, y, TOL)
-            assert_close(v, ref_project_multiplier(reg, x, y, TOL), y)
-            assert rz.subdiff_contains(r, x, v, TOL)
             assert_membership_matches(r, x, y, reg)
 
 

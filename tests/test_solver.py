@@ -118,7 +118,7 @@ def test_perturbed_b_and_mu_closed_forms():
     assert remu.x_bar[0] == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("field", ["max_iter", "check_every"])
+@pytest.mark.parametrize("field", ["max_iter", "check_every", "tol_kkt"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_config_rejects_fewer_than_one_iteration_or_check(field, value):
     with pytest.raises(ValueError, match=field):
@@ -131,6 +131,20 @@ def test_config_accepts_one_iteration_and_one_check():
                  SolverConfig(max_iter=1, check_every=1))
     assert pair.iterations == 1
     assert np.allclose(pair.x_bar, [2.0, 2.0, 2.0], atol=1e-8)
+
+
+def test_solve_targets_the_instance_kkt_tolerance():
+    # a random gallery draw with tol.kkt = 1e-12: solve(inst) meets that
+    # bound, not a fixed 1e-10, and the certificate accepts its pair
+    from dataclasses import replace
+    from calmcert.certificates import certify_solution_map
+    from calmcert.gallery import random_group_lasso_instance
+    inst = random_group_lasso_instance(1)
+    inst.tol = replace(inst.tol, kkt=1e-12)
+    pair = solve(inst)
+    assert kkt_within(pair.residuals, 1e-12 * (1.0 + np.linalg.norm(inst.b)))
+    assert certify_solution_map(inst, pair).y_used.tolist() \
+        == pair.y_bar.tolist()
 
 
 def test_perturbed_rejects_nonpositive_mu():
