@@ -320,8 +320,6 @@ def load_instance(text):
     phi = _load_operator(_need(doc, "phi", ""), "phi")
     b = _vector(_need(doc, "b", ""), "b")
     mu = _number(_need(doc, "mu", ""), "mu")
-    if mu <= 0:
-        raise InstanceError("mu", "mu must be positive")
     k = _load_operator(_need(doc, "k", ""), "k")
     reg = _load_regularizer(_need(doc, "reg", ""), "reg")
     tol = DEFAULT_TOL

@@ -1,20 +1,25 @@
 """High-accuracy primal-dual solver for min 1/(2 mu)||Phi x - b||^2 + g(K x).
 
+First-order steps come from one of two generators, which know nothing of
+checks:
 K = identity: FISTA with gradient-based adaptive restart.
 General K:    primal-dual splitting (gradient step on the smooth quadratic,
               proximal step on the dual of g), steps fixed from operator
               norms so that tau * (L_f / 2 + sigma ||K||^2) < 1.
 
-Both loops check the KKT residuals every check_every iterations.  A solve
-given a start (x0, and y0 for general K) also checks it at iteration 0,
-before any first-order step; a cold solve starts at zero and checks first at
-check_every.
+`solve` holds the one loop that drives them.  It checks the KKT residuals
+every check_every iterations and at max_iter; a solve given a start (x0,
+and y0 for general K) also checks it at iteration 0, before any first-order
+step, while a cold solve starts at zero and checks first at check_every.
+For K = I a check reads the multiplier y = v(x).  A solve that reaches
+max_iter raises SolverError with its last iterate and the residuals of its
+last check.
 
 For a group-Lasso g (l1 and TV included), a check that fails tries a
 semismooth Newton finish on
 F(x, y) = (grad f(x) + K^T y, K x - prox_g(K x + y)) = 0: steps on the
 generalized Jacobian of the group prox, each halved until
-max(||stat||, ||graph||) drops.  The first-order loops alone converge only
+max(||stat||, ||graph||) drops.  The first-order steps alone converge only
 linearly; under isolated calmness, the property this package certifies, the
 Newton steps converge fast locally (Li, Sun & Toh, SIAM J. Optim. 28, 2018;
 Hintermueller & Stadler, SIAM J. Sci. Comput. 28, 2006).  A perturbed
@@ -28,10 +33,10 @@ exactly on A, and on the inactive rows Z through K_Z dx - eps dy_Z =
 -graph_Z, eps = tol.rank ||K||^2, which leaves the n x n Schur complement
 of the (n + |Z|) saddle system, solved and then refined once with the same
 matrix (Benzi, Golub & Liesen, Acta Numerica 14, 2005).  A try that
-fails leaves the iterate as it was, and doubles the number of checks until
-the next try, so an instance where Newton cannot win pays for
-O(log(checks)) tries.  Nuclear and polyhedral g run the first-order loops
-alone.
+fails leaves the iterate as it was; tries are made at checks 1, 3, 7, 15,
+..., the next at 2 * checks + 1, so an instance where Newton cannot win pays
+for O(log(checks)) tries.  Nuclear and polyhedral g run the first-order
+steps alone.
 
 Convergence is declared on the KKT residuals, not on iterate increments:
 stationarity ||(1/mu) Phi^T(Phi x - b) + K^T y|| and the subgradient graph
@@ -52,7 +57,8 @@ from .model import SolutionPair
 
 
 class SolverError(RuntimeError):
-    """Non-convergence; carries the best iterate found."""
+    """Non-convergence; carries the last iterate and the residuals of its
+    check as a SolutionPair."""
 
     def __init__(self, message, pair):
         super().__init__(message)
@@ -144,17 +150,16 @@ def _make_pair(instance, x, y, iters, newton_steps=0, res=None):
     )
 
 
-def _fista(instance, cfg, x, tries):
-    """FISTA for K = identity from x; the multiplier is y = v(x) at
-    convergence.  Group-Lasso regularizers get the semismooth Newton finish."""
+def _fista(instance, x):
+    """FISTA with gradient-based adaptive restart for K = identity from x:
+    yields (x, None) after each step, the multiplier being read at a check
+    as y = v(x)."""
     reg = instance.reg
     lsmooth = instance.phi.op_norm() ** 2 / instance.mu
     step = 1.0 if lsmooth == 0.0 else 1.0 / lsmooth
     z = x.copy()
     theta = 1.0
-    best_obj = objective(instance, x)
-    best_x = x.copy()
-    for it in range(1, cfg.max_iter + 1):
+    while True:
         grad = instance.smooth_grad(z)
         x_new = rz.prox(reg, step, z - step * grad)
         if float(np.dot(z - x_new, x_new - x)) > 0.0:
@@ -165,19 +170,7 @@ def _fista(instance, cfg, x, tries):
             z = x_new + (theta - 1.0) / theta_new * (x_new - x)
             theta = theta_new
         x = x_new
-        if it % cfg.check_every == 0 or it == cfg.max_iter:
-            obj = objective(instance, x)
-            if obj < best_obj:
-                best_obj = obj
-                best_x = x.copy()
-            found = tries.check(x, instance.v_of(x), it)
-            if found is not None:
-                return found
-    y = instance.v_of(best_x)
-    raise SolverError(
-        f"no convergence after {cfg.max_iter} iterations "
-        f"(residuals {kkt_residual(instance, best_x, y)})",
-        _make_pair(instance, best_x, y, cfg.max_iter, tries.steps))
+        yield x, None
 
 
 # A Newton try gives up after this many steps, and a step after this many
@@ -311,50 +304,9 @@ def _newton_finish(instance, x, y, target, kkt=None):
     return x, y, steps, res
 
 
-class _NewtonTries:
-    """The KKT checks of one solve, and the Newton tries made at them.
-
-    Only a regularizer with a prox Jacobian (group Lasso) is tried.  The
-    first try is at the first check: iteration 0 for a solve given a start,
-    check_every for a cold one.  A try that fails leaves the first-order
-    iterate as it was and doubles the number of checks until the next, so
-    an instance where Newton cannot win pays for O(log(checks)) tries.
-    steps counts the Newton steps of all tries.
-    """
-
-    def __init__(self, instance, cfg):
-        self.instance = instance
-        self.target = kkt_bound(instance, tol_kkt=cfg.tol_kkt)
-        self.enabled = hasattr(instance.reg, "prox_jacobian")
-        self.steps = 0
-        self.checks = 0
-        self.next_try, self.gap = 1, 1
-
-    def check(self, x, y, it):
-        """The solution pair at iteration it, or None: (x, y) itself when it
-        meets the target, else a Newton try's result when this check tries
-        and the try succeeds."""
-        self.checks += 1
-        kkt = _kkt_vectors(self.instance, x, y)
-        res = _residuals(kkt[0], kkt[1])
-        if kkt_within(res, self.target):
-            return _make_pair(self.instance, x, y, it, self.steps, res)
-        if not self.enabled or self.checks != self.next_try:
-            return None
-        xn, yn, steps, res = _newton_finish(self.instance, x, y, self.target,
-                                            kkt)
-        self.steps += steps
-        if xn is None:
-            self.gap *= 2
-            self.next_try = self.checks + self.gap
-            return None
-        return _make_pair(self.instance, xn, yn, it, self.steps, res)
-
-
-def _splitting(instance, cfg, x, y, tries):
-    """Primal-dual splitting for general K from (x, y) (smooth term by
-    gradient step), finished by semismooth Newton on group-Lasso
-    regularizers."""
+def _splitting(instance, x, y):
+    """Primal-dual splitting for general K from (x, y), the smooth term by
+    gradient step: yields (x, y) after each step."""
     reg = instance.reg
     knorm = instance.k.op_norm()
     lsmooth = instance.phi.op_norm() ** 2 / instance.mu
@@ -366,50 +318,63 @@ def _splitting(instance, cfg, x, y, tries):
         s = (-lsmooth / 2.0 + np.sqrt(lsmooth ** 2 / 4.0 + 4.0 * 0.99 * knorm ** 2)) \
             / (2.0 * knorm ** 2)
         tau = sigma = s
-    for it in range(1, cfg.max_iter + 1):
+    while True:
         x_new = x - tau * (instance.smooth_grad(x) + instance.k.apply_adjoint(y))
         u = y + sigma * instance.k.apply(2.0 * x_new - x)
         y = u - sigma * rz.prox(reg, 1.0 / sigma, u / sigma)
         x = x_new
-        if it % cfg.check_every == 0 or it == cfg.max_iter:
-            found = tries.check(x, y, it)
-            if found is not None:
-                return found
-    raise SolverError(
-        f"no convergence after {cfg.max_iter} iterations "
-        f"(residuals {kkt_residual(instance, x, y)})",
-        _make_pair(instance, x, y, cfg.max_iter, tries.steps))
+        yield x, y
 
 
 def solve(instance, cfg=None, x0=None, y0=None):
     """Solve P(b, mu) to KKT residuals <= tol_kkt * (1 + ||b||), tol_kkt
     being cfg's, or the instance's own tol.kkt when cfg sets none.
 
-    A solve given a start x0 (with y0, or zero; v(x0) when K = I) makes its
-    first KKT check, and so its first Newton try, there, before any
-    first-order step; a cold solve starts at zero and checks first at
-    check_every.
+    One loop drives the first-order steps (FISTA for K = I, splitting
+    otherwise).  It checks the KKT residuals every check_every iterations
+    and at max_iter, and at iteration 0 when a start x0 is given (with y0,
+    or zero; v(x0) when K = I); for K = I the check reads y = v(x).  A
+    group-Lasso g gets a Newton try at checks 1, 3, 7, 15, ...: a try that
+    fails leaves the iterate as it was, and the next is at 2 * checks + 1.
+    A solve that does not converge raises SolverError with its last iterate,
+    whose residuals are those of its check at max_iter.
     """
     cfg = cfg or SolverConfig()
-    tries = _NewtonTries(instance, cfg)
+    target = kkt_bound(instance, tol_kkt=cfg.tol_kkt)
+    newton = hasattr(instance.reg, "prox_jacobian")
     x = np.zeros(instance.dim_x) if x0 is None else np.array(x0, dtype=float)
     y = np.zeros(instance.dim_y) if y0 is None else np.array(y0, dtype=float)
-    if x0 is not None:
-        found = tries.check(x, instance.v_of(x) if instance.k.is_identity
-                            else y, 0)
-        if found is not None:
-            return found
-    if instance.k.is_identity:
-        return _fista(instance, cfg, x, tries)
-    return _splitting(instance, cfg, x, y, tries)
+    identity = instance.k.is_identity
+    steps = _fista(instance, x) if identity else _splitting(instance, x, y)
+    checks, next_try, newton_steps = 0, 1, 0
+    for it in range(0 if x0 is not None else 1, cfg.max_iter + 1):
+        if it:
+            x, y = next(steps)
+        if it % cfg.check_every and it != cfg.max_iter:
+            continue
+        if identity:
+            y = instance.v_of(x)
+        checks += 1
+        kkt = _kkt_vectors(instance, x, y)
+        res = _residuals(kkt[0], kkt[1])
+        if kkt_within(res, target):
+            return _make_pair(instance, x, y, it, newton_steps, res)
+        if newton and checks == next_try:
+            xn, yn, n, nres = _newton_finish(instance, x, y, target, kkt)
+            newton_steps += n
+            if xn is not None:
+                return _make_pair(instance, xn, yn, it, newton_steps, nres)
+            next_try = 2 * checks + 1
+    raise SolverError(
+        f"no convergence after {cfg.max_iter} iterations (residuals {res})",
+        _make_pair(instance, x, y, cfg.max_iter, newton_steps, res))
 
 
 def solve_perturbed(instance, db, dmu, warm, cfg=None):
     """Solve P(b + db, mu + dmu) warm-started at a known solution pair.
 
     The start check returns the pair itself, with iterations == 0, when it
-    already meets the target (as it does for db = 0, dmu = 0)."""
-    if instance.mu + dmu <= 0:
-        raise ValueError("perturbed mu must stay positive")
+    already meets the target (as it does for db = 0, dmu = 0).  A perturbed
+    mu that is not positive raises the instance's InstanceError."""
     pert = instance.perturbed(db, dmu)
     return solve(pert, cfg, x0=warm.x_bar, y0=warm.y_bar)
