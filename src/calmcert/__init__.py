@@ -12,8 +12,7 @@ from .certificates import (CertificateReport, CertificateError, Conclusion,
                            certify_solution_map, certify_primal_dual,
                            strong_solution_equivalence,
                            uniqueness_equivalence_check)
-from .empirics import (KappaEstimate, perturbation_sweep,
-                       instability_probe, second_subderivative_estimate,
+from .empirics import (KappaEstimate, perturbation_sweep, instability_probe,
                        kernel_formula_check, zero_product_check)
 from .cones import (TrivialityVerdict, trivial_intersection, preimage,
                     tangent_with_range_restriction)

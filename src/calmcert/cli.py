@@ -17,7 +17,7 @@ from .gallery import curated_cases
 from .model import InstanceError, load_instance, load_vector
 from .reporting import (csv_text, dumps, save_report,
                         tolerances_from_overrides)
-from .solver import SolverConfig, SolverError, solve
+from .solver import SolverError, solve
 
 
 @functools.cache
@@ -74,9 +74,8 @@ def _solve_pair(instance, args):
     """The solver's pair, its multiplier replaced by --y-override's when
     given: that pair is accepted under the solve's own bound, and carries
     its own residuals."""
-    cfg = SolverConfig(tol_kkt=min(em.SWEEP_TOL_KKT, instance.tol.kkt)) \
-        if args.verb == "sweep" else None
-    pair = solve(instance, cfg)
+    pair = solve(instance, em.sweep_config(instance)
+                 if args.verb == "sweep" else None)
     if args.y_override is not None:
         y = load_vector(Path(args.y_override).read_bytes(), "y_override")
         if y.shape != pair.y_bar.shape:
@@ -98,7 +97,8 @@ def _emit(data, out):
 
 
 def _floats(spec_text, flag):
-    """The comma-separated entries of a flag's value, each a finite float."""
+    """The comma-separated entries of a flag's value, each a finite float;
+    a value with no entry is an error."""
     values = []
     for entry in filter(None, (v.strip() for v in spec_text.split(","))):
         try:
@@ -108,7 +108,16 @@ def _floats(spec_text, flag):
         if not np.isfinite(value):
             raise ValueError(f"{flag}: entry {entry!r} is not a finite number")
         values.append(value)
+    if not values:
+        raise ValueError(f"{flag}: no entry")
     return values
+
+
+def _samples(args, least):
+    """--samples, an error when it is below least."""
+    if args.samples < least:
+        raise ValueError(f"--samples: {args.samples} is below {least}")
+    return args.samples
 
 
 def _run_demo(args):
@@ -197,7 +206,7 @@ def run(argv):
         if args.verb == "sweep":
             estimate = em.perturbation_sweep(instance, pair,
                                              _floats(args.radii, "--radii"),
-                                             n_per_radius=args.samples,
+                                             n_per_radius=_samples(args, 1),
                                              seed=args.seed)
             _emit(save_report(estimate, args.format, instance, args.seed),
                   args.out)
@@ -223,13 +232,14 @@ def run(argv):
                               kind="instability_probe"), args.out)
             return code
         if args.verb == "lab":
+            samples = _samples(args, 0)
             kx, y = instance.k.apply(pair.x_bar), pair.y_bar
             kernel = em.kernel_formula_check(instance.reg, kx, y,
-                                             n_dirs=min(args.samples, 50),
+                                             n_dirs=min(samples, 50),
                                              seed=args.seed, tol=instance.tol)
             zero = em.zero_product_check(instance.reg, kx, y,
-                                         n_samples=args.samples, seed=args.seed,
-                                         cone_tol=instance.tol)
+                                         n_samples=samples, seed=args.seed,
+                                         tol=instance.tol)
             payload = {"kernel_formula": kernel, "zero_product": zero}
             _emit(save_report(payload, args.format, instance, args.seed,
                               kind="lab"), args.out)

@@ -7,7 +7,7 @@ tangent-cone membership against second-order quotients and proximal graph
 samples.  The laboratory evaluates in stacks: the candidate directions of a
 refined quotient take one regularizer value call, and all graph samples of
 a zero-product check one prox call, each row giving bit for bit what it
-gives on its own.
+gives on its own.  kernel_formula_check is its one quotient estimator.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,6 @@ import numpy as np
 
 from . import regularizers as rz
 from .certificates import solution_resolution, solution_set_extent
-from .cones import PolyhedralCone, PsdCone, SubspacePlusRays
 from .linalg import row_dots, row_norms
 from .solver import (SolverConfig, SolverError, kkt_bound, kkt_residual,
                      kkt_scale, kkt_within, solve_perturbed)
@@ -51,11 +50,16 @@ class KappaEstimate:
 
 # KKT target of the sweep's perturbed solves (or the instance's own, if
 # finer).  Every ratio is a distance from x_bar, so a caller solves the base
-# pair to the same target (the `sweep` verb does).
+# pair to the same target (the `sweep` verb does, with sweep_config).
 SWEEP_TOL_KKT = 1e-12
 
 
-def perturbation_sweep(instance, pair, radii, n_per_radius=16, seed=0, cfg=None):
+def sweep_config(instance):
+    """The solver configuration of the sweep's solves, base pair included."""
+    return SolverConfig(tol_kkt=min(SWEEP_TOL_KKT, instance.tol.kkt))
+
+
+def perturbation_sweep(instance, pair, radii, n_per_radius=16, seed=0):
     """Max displacement-to-perturbation ratios over random (db, dmu) spheres.
 
     Samples whose solution jumps far from x_bar (possibly a different branch
@@ -69,7 +73,7 @@ def perturbation_sweep(instance, pair, radii, n_per_radius=16, seed=0, cfg=None)
         if not r > 0:
             raise ValueError(f"sweep radius {r!r} is not positive")
     rng = np.random.default_rng(seed)
-    cfg = cfg or SolverConfig(tol_kkt=min(SWEEP_TOL_KKT, instance.tol.kkt))
+    cfg = sweep_config(instance)
     ne = len(instance.b)
     x_bar = np.asarray(pair.x_bar, dtype=float)
     local_cap = 0.1 * float(np.linalg.norm(x_bar)) + 0.1
@@ -151,16 +155,18 @@ def instability_probe(instance, pair, witness, t_grid):
     w = np.asarray(witness, dtype=float)
     try:
         face = rz.conj_subdiff_face(instance.reg, y, tol)
-    except ValueError as exc:
+        x0 = face.project(x_bar) if instance.k.is_identity else x_bar
+    except (ValueError, RuntimeError) as exc:
+        # no face, or one that cannot project (a polyhedral face of a
+        # multiplier tilted off a facet normal)
         return {"available": False, "reason": str(exc), "entries": []}
     scale = kkt_scale(instance)
     level = max(10.0, 1e-10 / tol.kkt)                  # level 10, floored
     bound = kkt_bound(instance, level)
-    x0, db0 = x_bar, np.zeros_like(instance.b)
+    db0 = np.zeros_like(instance.b)
     base = {"base_shift": 0.0, "base_db_norm": 0.0, "base_verified": None}
     points, extra = [], {}
     if instance.k.is_identity:
-        x0 = face.project(x_bar)
         db0 = instance.phi.apply(x0 - x_bar)
         res0 = kkt_residual(instance.perturbed(db0, 0.0), x0, y)
         base = {"base_shift": float(np.linalg.norm(x0 - x_bar)),
@@ -218,65 +224,6 @@ def instability_probe(instance, pair, witness, t_grid):
 # second-subderivative difference quotients
 
 
-def _strict_value_fn(reg):
-    """Regularizer value with machine-precision domain checks (the kind's
-    strict_value), for one point or a stack of points (rows); a callable reg
-    is applied row by row."""
-    if callable(reg):
-        def fn(z):
-            z = np.asarray(z, dtype=float)
-            return reg(z) if z.ndim == 1 else np.array([reg(r) for r in z])
-
-        return fn
-    return reg.strict_value
-
-
-def _face_projector(reg, v_bar):
-    """Projection onto the conjugate face of v_bar, or None."""
-    if callable(reg):
-        return None
-    try:
-        face = rz.conj_subdiff_face(reg, v_bar, rz.DEFAULT_TOL)
-    except ValueError:
-        return None
-    return face.project
-
-
-def second_subderivative_estimate(reg, x_bar, v_bar, w, t_grid, perturb=1e-3,
-                                  refine_above=None):
-    """Difference quotients [g(x+tw) - g(x) - t<v,w>] / (t^2/2) along t_grid.
-
-    Raw quotients by default (divergent directions show up as large or
-    infinite values).  With refine_above set, any raw quotient exceeding it
-    is re-minimized over nearby directions, a desk approximation of the
-    liminf: a per-coordinate perturbation grid of w, plus the face-projected
-    secant (the canonical recovery sequence for tangent directions of curved
-    faces, e.g. embedded PSD blocks in a rotated basis).  Both stay within
-    the locality radius `perturb` of w.
-    """
-    return _quotients(_strict_value_fn(reg), x_bar, v_bar, w, t_grid, perturb,
-                      refine_above, _face_projector(reg, v_bar))
-
-
-def _quotients(fn, x_bar, v_bar, w, t_grid, perturb, refine_above, projector):
-    """second_subderivative_estimate for the value function fn (one point or
-    a stack of rows), refining with projector (onto the conjugate face of
-    v_bar, or None)."""
-    x_bar = np.asarray(x_bar, dtype=float)
-    v_bar = np.asarray(v_bar, dtype=float)
-    w = np.asarray(w, dtype=float)
-    base = fn(x_bar)
-    cutoff = np.inf if refine_above is None else float(refine_above)
-    out = []
-    for t in t_grid:
-        t = float(t)
-        q = float(_quotient(fn, base, x_bar, v_bar, t, w)[0])
-        if q > cutoff or not np.isfinite(q):
-            q = _refined(fn, base, x_bar, v_bar, w, t, q, perturb, projector)
-        out.append(q)
-    return out
-
-
 def _quotient(fn, base, x_bar, v_bar, t, directions):
     """(quotients, values g(x_bar + t d)) for one direction or a stack; a
     step off the domain of g has quotient +inf."""
@@ -288,27 +235,20 @@ def _quotient(fn, base, x_bar, v_bar, t, directions):
 
 def _refined(fn, base, x_bar, v_bar, w, t, q, perturb, projector):
     """The least of w's quotient q and those of its candidates: the 2n
-    directions w +- perturb e_i, and the face-projected secant when it lies
-    within perturb of w.  One fn call scores all the candidates."""
+    directions w +- perturb e_i, and the secant through projector (onto the
+    conjugate face of v_bar) when it lies within perturb of w.  One fn call
+    scores all the candidates."""
     coord = np.arange(w.size)
     candidates = np.repeat(w[None, :], 2 * w.size, axis=0)
     candidates[2 * coord, coord] += perturb
     candidates[2 * coord + 1, coord] -= perturb
-    if projector is not None:
-        secant = (projector(x_bar + t * w) - x_bar) / t
-        if float(np.linalg.norm(secant - w)) <= perturb:
-            candidates = np.vstack([candidates, secant])
+    secant = (projector(x_bar + t * w) - x_bar) / t
+    if float(np.linalg.norm(secant - w)) <= perturb:
+        candidates = np.vstack([candidates, secant])
     return min(q, float(_quotient(fn, base, x_bar, v_bar, t, candidates)[0].min()))
 
 
-def _cone_project(cone, w):
-    if isinstance(cone, (SubspacePlusRays, PsdCone, PolyhedralCone)):
-        return cone.project(w)
-    return None
-
-
-def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0, t=1e-5,
-                         tol=None):
+def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0, tol=None):
     """Classify directions by the quotient estimator vs cone membership.
 
     Directions are half uniform on the sphere, half projected onto the
@@ -317,12 +257,17 @@ def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0, t=1e-5,
     tangent cone and the secant projector of the quotient refinement.
 
     The estimator reads d as a member when its quotient
-    q = [g(x+td) - g(x) - t<v,d>] / (t^2/2) is at most the error floor
+    q = [g(x+td) - g(x) - t<v,d>] / (t^2/2), at t = 1e-5, is at most the
+    error floor
 
         nu = 8 eps (|g(x)| + |g(x+td)| + t sum_i |v_i d_i|) / (t^2/2) + 2 rho / t,
 
-    and refines q (see second_subderivative_estimate) only above it.  A
-    member's exact second subderivative is 0, so nu bounds what is left:
+    and refines q only above it, a desk approximation of the liminf: q
+    becomes the least quotient of d, of the directions d +- perturb e_i and
+    of the face-projected secant (the recovery sequence of a tangent
+    direction of a curved face, such as an embedded PSD block in a rotated
+    basis) when it lies within perturb of d.  A member's exact second
+    subderivative is 0, so nu bounds what is left:
     * Roundoff.  Each term of the numerator carries an error of a few ulps
       of its size (sum_i |v_i d_i| bounds that of the inner product), and
       the division by t^2/2 magnifies it.
@@ -346,28 +291,27 @@ def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0, t=1e-5,
     its resolution is perturb + sqrt(nu * reach).  A non-member within it is
     listed in "near_boundary" (indices into "details") and counted neither
     as an agreement nor as a disagreement.  Each detail row carries its
-    floor nu, its distance delta (null when the cone has no projection)
-    and its resolution.
+    floor nu, its distance delta and its resolution.
     """
+    t, perturb = 1e-5, 1e-3
     tol = tol or rz.DEFAULT_TOL
     rng = np.random.default_rng(seed)
     x_bar = np.asarray(x_bar, dtype=float)
     v_bar = np.asarray(v_bar, dtype=float)
     face = rz.conj_subdiff_face(reg, v_bar, tol)
     cone = rz.member_tangent(face, x_bar, tol)
-    fn = _strict_value_fn(reg)
+    fn = reg.strict_value
     n = x_bar.size
     dirs = []
     for i in range(n_dirs):
         d = rng.standard_normal(n)
         d /= np.linalg.norm(d)
         if i % 2 == 1:
-            p = _cone_project(cone, d)
-            if p is not None and np.linalg.norm(p) > 1e-9:
+            p = cone.project(d)
+            if np.linalg.norm(p) > 1e-9:
                 d = p / np.linalg.norm(p)
         dirs.append(d)
     dirs = np.reshape(dirs, (n_dirs, n))
-    perturb = 1e-3
     base = fn(x_bar)
     raw, values = _quotient(fn, base, x_bar, v_bar, t, dirs)
     # a step off the domain of g adds no roundoff: its value is not summed
@@ -384,10 +328,9 @@ def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0, t=1e-5,
         if q > floor or not np.isfinite(q):
             q = _refined(fn, base, x_bar, v_bar, d, t, q, perturb, face.project)
         est_member = q <= floor
-        proj = _cone_project(cone, d)
-        distance = None if proj is None else float(np.linalg.norm(d - proj))
+        distance = float(np.linalg.norm(d - cone.project(d)))
         resolution = perturb + float(np.sqrt(floor * reach))
-        if not member and distance is not None and distance <= resolution:
+        if not member and distance <= resolution:
             near.append(i)
         elif member == est_member:
             agreements += 1
@@ -407,11 +350,12 @@ def kernel_formula_check(reg, x_bar, v_bar, n_dirs=50, seed=0, t=1e-5,
 # zero-product property on proximal graph samples
 
 
-def zero_product_check(reg, x_bar, v_bar, n_samples=200, seed=0,
-                       t=1e-6, tol=1e-6, cone_tol=None):
+def zero_product_check(reg, x_bar, v_bar, n_samples=200, seed=0, tol=None):
     """Two-way zero-product test on random proximal graph samples.
 
-    For each sample (w, z) of the subgradient graphical derivative:
+    For each sample (w, z) of the subgradient graphical derivative, taken
+    at t = 1e-6 (tol gives the tangent cones; the float slack of "~ 0" and
+    of the memberships is s = 1e-6):
       * positivity: <z, w> >= -1e-8 (1 + ||z|| ||w||)  (monotonicity)
       * product ~ 0  =>  z and w lie in the respective tangent cones
       * both memberships (strict)  =>  product ~ 0
@@ -433,14 +377,15 @@ def zero_product_check(reg, x_bar, v_bar, n_samples=200, seed=0,
     prox call on their stack.
     "min_inner" is null when there are no samples.
     """
-    cone_tol = cone_tol or rz.DEFAULT_TOL
+    t, slack = 1e-6, 1e-6
+    tol = tol or rz.DEFAULT_TOL
     rng = np.random.default_rng(seed)
     x_in = np.asarray(x_bar, dtype=float)
     arg = x_in + np.asarray(v_bar, dtype=float)
     x_bar = rz.prox(reg, 1.0, arg)
     v_bar = arg - x_bar
-    t_primal = rz.tangent_subdiff(reg, x_bar, v_bar, cone_tol)
-    t_dual = rz.tangent_conj_subdiff(reg, v_bar, x_bar, cone_tol)
+    t_primal = rz.tangent_subdiff(reg, x_bar, v_bar, tol)
+    t_dual = rz.tangent_conj_subdiff(reg, v_bar, x_bar, tol)
     if t_primal is None:
         return {"available": False,
                 "reason": "tangent cone to dg(x_bar) not representable"}
@@ -452,8 +397,8 @@ def zero_product_check(reg, x_bar, v_bar, n_samples=200, seed=0,
     z = (p - u - v_bar) / t
     inner = row_dots(z, w)
     norms = row_norms(z) * row_norms(w)
-    near_zero = inner <= tol * (norms + 1.0)
-    loose = 3.0 * np.sqrt(np.maximum(inner, 0.0) + tol) + 10 * tol
+    near_zero = inner <= slack * (norms + 1.0)
+    loose = 3.0 * np.sqrt(np.maximum(inner, 0.0) + slack) + 10 * slack
     counts = {"n": n_samples,
               "positivity_violations": int(np.sum(inner < -1e-8 * (1.0 + norms))),
               "forward_violations": 0, "backward_violations": 0,
@@ -461,7 +406,7 @@ def zero_product_check(reg, x_bar, v_bar, n_samples=200, seed=0,
               "min_inner": float(np.min(inner / (1.0 + norms))) if n_samples
               else None,
               "center_shift": float(np.linalg.norm(x_bar - x_in))}
-    strict = 10 * tol
+    strict = 10 * slack
     for i in range(n_samples):
         # a w is tested only when z passes a slack, as loose >= strict
         slacks = np.array((strict, loose[i]) if near_zero[i] else (strict,))
@@ -471,7 +416,7 @@ def zero_product_check(reg, x_bar, v_bar, n_samples=200, seed=0,
             counts["forward_violations"] += 1
         if z_in[0] and w_in[0]:
             counts["both_members"] += 1
-            if abs(inner[i]) > 10 * tol * (norms[i] + 1.0):
+            if abs(inner[i]) > 10 * slack * (norms[i] + 1.0):
                 counts["backward_violations"] += 1
     counts["available"] = True
     return counts

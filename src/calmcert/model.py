@@ -79,10 +79,6 @@ class ProblemInstance:
         """v(x) = -(1/mu) Phi^T (Phi x - b)."""
         return -self.phi.apply_adjoint(self.phi.apply(x) - self.b) / self.mu
 
-    def smooth_value(self, x):
-        r = self.phi.apply(x) - self.b
-        return float(r @ r) / (2.0 * self.mu)
-
     def smooth_grad(self, x):
         return self.phi.apply_adjoint(self.phi.apply(x) - self.b) / self.mu
 

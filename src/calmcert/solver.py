@@ -80,10 +80,6 @@ class SolverConfig:
             raise ValueError("check_every must be at least 1")
 
 
-def objective(instance, x):
-    return instance.smooth_value(x) + rz.value(instance.reg, instance.k.apply(x))
-
-
 def _kkt_vectors(instance, x, y):
     """(stationarity, graph, u = K x + y): the KKT residual vectors."""
     x = np.asarray(x, dtype=float)

@@ -9,7 +9,14 @@ them duplicated), so that the solver tests run on the same instances.
 import numpy as np
 
 from calmcert import regularizers as rz
-from calmcert.solver import SolverError, _make_pair, kkt_residual, objective
+from calmcert.solver import SolverError, _make_pair, kkt_residual
+
+
+def objective(instance, x):
+    """1/(2 mu) ||Phi x - b||^2 + g(K x)."""
+    r = instance.phi.apply(x) - instance.b
+    return float(r @ r) / (2.0 * instance.mu) \
+        + rz.value(instance.reg, instance.k.apply(x))
 
 
 def _fista(instance, cfg, x0):

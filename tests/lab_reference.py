@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from calmcert import regularizers as rz
-from calmcert.empirics import _cone_project, _strict_value_fn
 
 
 @dataclass
@@ -88,14 +87,14 @@ def kernel_formula_check(reg, x_bar, v_bar, floors, n_dirs=50, seed=0,
     v_bar = np.asarray(v_bar, dtype=float)
     face = rz.conj_subdiff_face(reg, v_bar, tol)
     cone = rz.member_tangent(face, x_bar, tol)
-    fn = _strict_value_fn(reg)
+    fn = reg.strict_value
     n = x_bar.size
     dirs = []
     for i in range(n_dirs):
         d = rng.standard_normal(n)
         d /= np.linalg.norm(d)
         if i % 2 == 1:
-            p = _cone_project(cone, d)
+            p = cone.project(d)
             if p is not None and np.linalg.norm(p) > 1e-9:
                 d = p / np.linalg.norm(p)
         dirs.append(d)

@@ -655,7 +655,7 @@ def test_one_nuclear_face_per_certificate_and_lab_check(monkeypatch):
     _, y, _ = prepare_multiplier(lab, pair)
     counts.clear()
     em.zero_product_check(lab.reg, lab.k.apply(pair.x_bar), y, n_samples=20,
-                          cone_tol=lab.tol)
+                          tol=lab.tol)
     assert counts == {"__init__": 1}
 
 

@@ -280,6 +280,24 @@ def test_non_finite_step_entries_are_rejected(instances, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["sweep", "--samples", "-3"], "--samples: -3 is below 1"),
+    (["sweep", "--samples", "0"], "--samples: 0 is below 1"),
+    (["lab", "--samples", "-1"], "--samples: -1 is below 0"),
+    (["sweep", "--radii", ","], "--radii: no entry"),
+    (["sweep", "--radii", ""], "--radii: no entry"),
+    (["probe", "--t-grid", ","], "--t-grid: no entry")])
+def test_inputs_that_make_no_measurement_are_rejected(instances, tmp_path,
+                                                      capsys, args, message):
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run([args[0], str(instances["lasso_segment"]), *args[1:],
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_probe_refutes_segment(instances, tmp_path):
     out = tmp_path / "probe.json"
     assert run(["probe", str(instances["lasso_segment"]), "--out", str(out),

@@ -9,9 +9,7 @@ from lab_reference import graph_sample
 from calmcert import empirics
 from calmcert import regularizers as rz
 from calmcert.empirics import (instability_probe, kernel_formula_check,
-                               perturbation_sweep,
-                               second_subderivative_estimate,
-                               zero_product_check)
+                               perturbation_sweep, zero_product_check)
 from calmcert.gallery import instance_for
 from calmcert.cones import PsdCone, SubspacePlusRays
 from calmcert.linalg import Subspace, Tolerances
@@ -99,26 +97,44 @@ def test_probe_one_sided_ray_direction():
     assert not out["refuted"]    # projection collapses to x_bar, x_dist = 0
 
 
+def test_probe_unavailable_when_the_face_cannot_project():
+    # the box's multiplier tilted off the facet normal: its face is the one
+    # vertex (1, 1), whose projection of x_bar reports an infeasible result
+    inst = instance_for("polyhedral_box")
+    pair = solve(inst)
+    pair.y_bar = np.array([1.0, 3e-9])
+    out = instability_probe(inst, pair, np.array([0.0, 1.0]), [1e-1, 1e-2])
+    assert out == {"available": False, "entries": [],
+                   "reason": "polyhedral projection failed (infeasible result)"}
+
+
 # ---------------------------------------------------------------------------
 # second subderivative quotients
 
 
+def _raw(fn, x, v, w, t):
+    """w's difference quotient [g(x+tw) - g(x) - t<v,w>] / (t^2/2)."""
+    return float(empirics._quotient(fn, fn(x), x, v, t, w)[0])
+
+
 def test_quotient_affine_region_is_zero():
-    q = second_subderivative_estimate(l1(1), np.array([1.0]), np.array([1.0]),
-                                      np.array([3.0]), [1e-1, 1e-2, 1e-3])
+    fn = l1(1).strict_value
+    q = [_raw(fn, np.array([1.0]), np.array([1.0]), np.array([3.0]), t)
+         for t in (1e-1, 1e-2, 1e-3)]
     assert np.allclose(q, 0.0, atol=1e-9)
 
 
 def test_quotient_kink_diverges():
-    q = second_subderivative_estimate(l1(1), np.array([0.0]), np.array([0.0]),
-                                      np.array([1.0]), [1e-1, 1e-2])
-    assert q[0] == pytest.approx(2.0 / 1e-1)
-    assert q[1] == pytest.approx(2.0 / 1e-2)
+    fn = l1(1).strict_value
+    for t in (1e-1, 1e-2):
+        q = _raw(fn, np.array([0.0]), np.array([0.0]), np.array([1.0]), t)
+        assert q == pytest.approx(2.0 / t)
 
 
 def test_quotient_one_sided_boundary_is_zero():
-    q = second_subderivative_estimate(l1(1), np.array([0.0]), np.array([1.0]),
-                                      np.array([1.0]), [1e-2, 1e-4])
+    fn = l1(1).strict_value
+    q = [_raw(fn, np.array([0.0]), np.array([1.0]), np.array([1.0]), t)
+         for t in (1e-2, 1e-4)]
     assert np.allclose(q, 0.0, atol=1e-9)
 
 
@@ -131,7 +147,7 @@ def test_quotient_calibrates_against_known_hessian():
     grad = 2.0 / mu * phi.T @ phi @ x
     for _ in range(5):
         w = rng.standard_normal(4)
-        q = second_subderivative_estimate(fn, x, grad, w, [1e-3])[0]
+        q = _raw(fn, x, grad, w, 1e-3)
         expected = 2.0 / mu * float(np.linalg.norm(phi @ w) ** 2)
         assert q == pytest.approx(expected, rel=1e-6)
 
@@ -143,10 +159,12 @@ def test_quotient_refinement_exposes_curved_tangent():
     x = np.diag([1.0, 0.0]).ravel()
     v = np.eye(2).ravel()
     w = np.array([[0.0, 1.0], [1.0, 0.0]]).ravel()
-    raw = second_subderivative_estimate(reg, x, v, w, [1e-5])[0]
+    fn = reg.strict_value
+    raw = _raw(fn, x, v, w, 1e-5)
     assert raw == pytest.approx(4.0, rel=1e-3)
-    refined = second_subderivative_estimate(reg, x, v, w, [1e-5],
-                                            refine_above=1e-4)[0]
+    face = rz.conj_subdiff_face(reg, v, TOL)
+    refined = empirics._refined(fn, fn(x), x, v, w, 1e-5, raw, 1e-3,
+                                face.project)
     assert refined <= 1e-4
 
 
@@ -167,8 +185,8 @@ def test_kernel_formula_group_boundary_one_sided():
     reg = group_lasso([[0, 1]], 2)
     x = np.zeros(2)
     v = np.array([0.6, 0.8])
-    plus = second_subderivative_estimate(reg, x, v, v, [1e-5])[0]
-    minus = second_subderivative_estimate(reg, x, v, -v, [1e-5])[0]
+    plus = _raw(reg.strict_value, x, v, v, 1e-5)
+    minus = _raw(reg.strict_value, x, v, -v, 1e-5)
     assert plus <= 1e-9
     assert minus >= 1e3
     cone = rz.tangent_conj_subdiff(reg, v, x, TOL)
@@ -297,6 +315,24 @@ def test_positivity_across_catalog():
             inner = float(s.z @ s.w)
             assert inner >= -1e-8 * (1.0 + np.linalg.norm(s.z) *
                                      np.linalg.norm(s.w))
+
+
+def test_kernel_formula_distance_is_finite_on_every_row():
+    # every cone the lab reads projects: l1 (a subspace), a group point
+    # with span and rays, a nuclear PSD point and the gallery box
+    group = group_lasso([[0, 1], [2, 3]], 4)
+    points = [_lab_point(_lab_instance("l1", 2)),
+              (group, np.array([0.6, 0.8, 0.0, 0.0]),
+               np.array([0.6, 0.8, 0.6, 0.8])),
+              (nuclear(2, 2), np.diag([1.0, 0.0]).ravel(), np.eye(2).ravel()),
+              _lab_point(instance_for("polyhedral_box"))]
+    cones = [rz.tangent_conj_subdiff(reg, v, x, TOL) for reg, x, v in points]
+    assert cones[1].span.dim and cones[1].rays
+    assert isinstance(cones[2], PsdCone)
+    for reg, x, v in points:
+        details = kernel_formula_check(reg, x, v, n_dirs=20, seed=0)["details"]
+        assert len(details) == 20
+        assert all(np.isfinite(row["distance"]) for row in details)
 
 
 def test_kernel_formula_check_builds_one_face(monkeypatch):
@@ -487,13 +523,6 @@ def test_lab_regularizer_calls_do_not_grow_with_the_samples(monkeypatch, kind):
         assert zero_product_check(reg, kx, y, n_samples=n_samples)["available"]
         counts.append(len(proxes))
     assert counts[0] == counts[1]
-
-
-def test_callable_values_are_applied_row_by_row():
-    fn = empirics._strict_value_fn(lambda z: float(z @ z))
-    z = np.arange(6.0).reshape(3, 2)
-    assert fn(z[0]) == 1.0
-    assert np.array_equal(fn(z), [1.0, 13.0, 41.0])
 
 
 def _widened(cone):

@@ -327,9 +327,8 @@ def test_tangent_realizability_polyhedral(t):
         cone = face.tangent_at(x, TOL)
         for _ in range(8):
             d = rng.standard_normal(2)
-            from calmcert.empirics import _cone_project
-            p = _cone_project(cone, d)
-            if p is None or np.linalg.norm(p) < 1e-9:
+            p = cone.project(d)
+            if np.linalg.norm(p) < 1e-9:
                 continue
             d = p / np.linalg.norm(p)
             step = x + t * d

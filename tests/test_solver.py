@@ -9,9 +9,8 @@ from calmcert import solver as solver_module
 from calmcert.gallery import curated_cases, instance_for
 from calmcert.model import load_instance
 from calmcert.solver import (SolverConfig, SolverError, kkt_bound,
-                             kkt_residual, kkt_within, objective, solve,
-                             solve_perturbed)
-from fista_reference import _fista, lasso
+                             kkt_residual, kkt_within, solve, solve_perturbed)
+from fista_reference import _fista, lasso, objective
 from splitting_reference import SLOW_TV, _splitting, tv_image
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from calmcert import regularizers as rz
 from calmcert.cones import Polyhedron
-from calmcert.empirics import _strict_value_fn
 from calmcert.linalg import row_dots, row_norms
 from calmcert.model import group_lasso, nuclear, polyhedral_indicator
 
@@ -121,5 +120,5 @@ def polyhedral_cases(draw):
 def test_stacked_polyhedral_matches_rows(case):
     reg, y = case
     _rows_agree(reg, y, exact_prox=False)
-    strict = _strict_value_fn(reg)
+    strict = reg.strict_value
     assert np.array_equal(strict(y), [strict(row) for row in y])
