@@ -29,11 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# scipy.optimize is imported where an LP is solved: it is most of the
-# package's import time, and group-Lasso and nuclear solves never need it.
-
 from . import regularizers as rz
-from .cones import TrivialityVerdict, preimage, trivial_intersection
+from .cones import (TrivialityVerdict, linear_program, preimage,
+                    trivial_intersection)
 from .linalg import null_space
 from .solver import kkt_bound, kkt_residual, kkt_within
 
@@ -301,7 +299,6 @@ def solution_set_extent(instance, pair, c, level):
     kkt_bound) and lies farther from x_bar than solution_resolution.  A
     curved (nuclear) face has no LP: None.
     """
-    import scipy.optimize
     x = np.asarray(pair.x_bar, dtype=float)
     y = np.asarray(pair.y_bar, dtype=float)
     face = rz.conj_subdiff_face(instance.reg, y, instance.tol)
@@ -309,17 +306,15 @@ def solution_set_extent(instance, pair, c, level):
         return None
     a, c_face, e, _ = face.polyhedral_system()
     k = instance.k.matrix           # the LP rows A K, E K and Phi are dense
-    phi = instance.phi.matrix
+    eq = np.vstack([instance.phi.matrix, e @ k])
     box = max(1.0, float(np.abs(x).max(initial=0.0)))
-    res = scipy.optimize.linprog(
-        -np.asarray(c, dtype=float), A_ub=a @ k,
-        b_ub=np.maximum(c_face - a @ (k @ x), 0.0),
-        A_eq=np.vstack([phi, e @ k]), b_eq=np.zeros(phi.shape[0] + e.shape[0]),
-        bounds=(-box, box), method="highs")
-    if res.status != 0:
+    lp = linear_program(-np.asarray(c, dtype=float), a @ k,
+                        np.maximum(c_face - a @ (k @ x), 0.0), eq,
+                        np.zeros(eq.shape[0]), bounds=(-box, box))
+    if lp.status != 0:
         return None
-    end = x + res.x
-    if float(np.linalg.norm(res.x)) <= solution_resolution(instance) or \
+    end = x + lp.x
+    if float(np.linalg.norm(lp.x)) <= solution_resolution(instance) or \
             not kkt_within(kkt_residual(instance, end, y),
                            kkt_bound(instance, level)):
         return None

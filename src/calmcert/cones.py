@@ -32,6 +32,7 @@ it holds the one polyhedral membership test, and the projection, whose
 factors it keeps for as long as its owner lives.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -190,6 +191,9 @@ class PolyhedralCone:
                 f"ambient={self.ambient})")
 
 
+PROJECTION_SLACK = 1e-9        # of a projection's rows and its result check
+
+
 class Polyhedron:
     """{y : A y <= c, E y = rhs} and the factors its projections reuse.
 
@@ -250,10 +254,10 @@ class Polyhedron:
         return ~np.any(y @ self.A.T - self.c > bound[..., :m], axis=-1) \
             & ~np.any(np.abs(y @ self.E.T - self.rhs) > bound[..., m:], axis=-1)
 
-    def _reuse(self, point, tol):
+    def _reuse(self, point):
         """The projection onto the last NNLS's active set when it is the KKT
         point: every inequality multiplier positive and the result in the
-        set at slack tol; None otherwise."""
+        set at PROJECTION_SLACK; None otherwise."""
         if not self._last:
             return None
         mm, target, proj, gram = self._factor(self._last)
@@ -261,9 +265,9 @@ class Polyhedron:
         if not (gram[:len(self._last)] @ r > 0.0).all():
             return None
         y = point - proj @ r
-        return y if self.contains(y, tol) else None
+        return y if self.contains(y, PROJECTION_SLACK) else None
 
-    def project(self, point, tol=1e-9):
+    def project(self, point):
         """Projection of a point by least-distance programming.
 
         With y0 the projection of the point onto {E y = rhs}, the answer is
@@ -276,18 +280,18 @@ class Polyhedron:
         positive entries mark the active rows.  The answer is the point's
         projection onto those rows at equality and {E y = rhs}, from the
         factors of that set, the same numbers as computed afresh.  h is
-        relaxed by tol * ||a_i|| * max(1, ||y0||), the slack of contains,
-        which checks the result, so that rows tight only at roundoff (a
-        face's own support row, a cone row that the equalities pin) do not
-        make the set look empty.
+        relaxed by PROJECTION_SLACK * ||a_i|| * max(1, ||y0||), the slack of
+        contains, which checks the result, so that rows tight only at
+        roundoff (a face's own support row, a cone row that the equalities
+        pin) do not make the set look empty.
         """
         point = np.asarray(point, dtype=float)
         y = self._onto((), point)
         m = self.A.shape[0]
-        h = self.A @ y - self.c \
-            - tol * max(1.0, float(np.linalg.norm(y))) * self._norms[:m]
+        slack = PROJECTION_SLACK * max(1.0, float(np.linalg.norm(y)))
+        h = self.A @ y - self.c - slack * self._norms[:m]
         if (h >= 0.0).any():
-            reused = self._reuse(point, tol)
+            reused = self._reuse(point)
             if reused is not None:
                 return reused
             import scipy.optimize
@@ -299,7 +303,7 @@ class Polyhedron:
                 raise RuntimeError("polyhedral projection failed (empty set)")
             self._last = tuple(np.flatnonzero(lam > 0.0).tolist())
             y = self._onto(self._last, point)
-        if not self.contains(y, tol):
+        if not self.contains(y, PROJECTION_SLACK):
             raise RuntimeError("polyhedral projection failed (infeasible result)")
         return y
 
@@ -490,6 +494,32 @@ def _preimage_system(mk, k, inner):
     return g, h, np.eye(n, n + tail)
 
 
+# HiGHS's feasibility tolerances, at the solver's floor: its default 1e-7
+# lets an LP's answer miss the KKT bound that it is checked at.
+LP_TOLERANCE = 1e-10
+
+LinearProgram = namedtuple("LinearProgram", "status message x value ineq eq",
+                           defaults=(None,) * 4)
+
+
+def linear_program(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
+                   bounds=(-np.inf, np.inf)):
+    """The package's one LP, by HiGHS (Huangfu & Hall, Math. Prog. Comp. 10,
+    2018): min c^T x over A_ub x <= b_ub, A_eq x = b_eq and bounds (one pair
+    for all or one per variable).  status: 0 solved, 2 infeasible, 3
+    unbounded, else a failure that message names.  Solved, the multipliers
+    ineq >= 0 and eq make c + A_ub^T ineq + A_eq^T eq zero on free variables."""
+    import scipy.optimize
+    res = scipy.optimize.linprog(
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
+        method="highs", options={"primal_feasibility_tolerance": LP_TOLERANCE,
+                                 "dual_feasibility_tolerance": LP_TOLERANCE})
+    if res.status != 0:
+        return LinearProgram(res.status, res.message)
+    return LinearProgram(0, res.message, res.x, float(res.fun),
+                         -res.ineqlin.marginals, -res.eqlin.marginals)
+
+
 def _decide(mat, norm, cone, g, h, f, tol):
     """Decide Ker M cap C = {0} as: is F zero on all of Q = {G z <= 0, H z = 0}?
 
@@ -508,17 +538,15 @@ def _decide(mat, norm, cone, g, h, f, tol):
     mu, beta = np.zeros(m), np.zeros(h.shape[0])
     basis = _null(h, tol)
     if m and np.linalg.norm(f @ basis) > tol.member:
-        import scipy.optimize
-        res = scipy.optimize.linprog(
+        lp = linear_program(
             np.concatenate([np.zeros(dz), -np.ones(m)]),
-            A_ub=np.hstack([g, np.eye(m)]), b_ub=np.zeros(m),
-            A_eq=np.hstack([h, np.zeros((h.shape[0], m))]),
-            b_eq=np.zeros(h.shape[0]),
-            bounds=[(None, None)] * dz + [(0.0, 1.0)] * m, method="highs")
-        if res.status != 0:
-            return TrivialityVerdict.unknown(f"cone LP failed: {res.message}")
-        z_star, implicit = res.x[:dz], res.x[dz:] < 0.5
-        mu, beta = np.clip(-res.ineqlin.marginals, 0.0, None), -res.eqlin.marginals
+            np.hstack([g, np.eye(m)]), np.zeros(m),
+            np.hstack([h, np.zeros((h.shape[0], m))]), np.zeros(h.shape[0]),
+            bounds=np.repeat([[-np.inf, np.inf], [0.0, 1.0]], [dz, m], axis=0))
+        if lp.status != 0:
+            return TrivialityVerdict.unknown(f"cone LP failed: {lp.message}")
+        z_star, implicit = lp.x[:dz], lp.x[dz:] < 0.5
+        mu, beta = np.clip(lp.ineq, 0.0, None), lp.eq
         basis = _null(np.vstack([h, g[implicit]]), tol)
     _, gains, vt = np.linalg.svd(f @ basis, full_matrices=False)
     if gains.size and gains[0] > tol.member:

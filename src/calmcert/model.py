@@ -16,8 +16,8 @@ import numpy as np
 
 from .linalg import (Tolerances, DEFAULT_TOL, LinearOp, _matrix_header,
                      _matrix_json)
-from .regularizers import (GroupLasso, Nuclear, PolyhedralIndicator,
-                           polyhedron_is_nonempty)
+from .cones import linear_program
+from .regularizers import GroupLasso, Nuclear, PolyhedralIndicator
 
 
 class InstanceError(ValueError):
@@ -270,7 +270,8 @@ def _load_regularizer(doc, path):
         c = _vector(_need(doc, "c", path), f"{path}.c")
         if c.size != a.shape[0]:
             raise InstanceError(f"{path}.c", "length must match rows of A")
-        if not polyhedron_is_nonempty(a, c):
+        # a zero-cost LP over the rows is solved exactly when they meet
+        if a.shape[0] and linear_program(np.zeros(a.shape[1]), a, c).status != 0:
             raise InstanceError(path, "polyhedral set {y : A y <= c} is empty")
         return polyhedral_indicator(a, c)
     raise InstanceError(f"{path}.kind", f"unknown regularizer kind {kind!r}")

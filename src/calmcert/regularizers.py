@@ -25,12 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# scipy.optimize is imported where an LP is solved: it is most of the
-# package's import time, and group-Lasso and nuclear solves never need it.
-
 from .linalg import Subspace, DEFAULT_TOL, as_operator, frozen, spectral_norm
 from .cones import (SubspacePlusRays, PolyhedralCone, Polyhedron, active_rows,
-                    make_psd_embedded)
+                    linear_program, make_psd_embedded)
 
 
 # ---------------------------------------------------------------------------
@@ -286,22 +283,6 @@ def prox(reg, t, y):
 
 
 # ---------------------------------------------------------------------------
-# polyhedral feasibility (instance loading)
-
-
-def polyhedron_is_nonempty(a, c):
-    import scipy.optimize
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if a.shape[0] == 0:
-        return True
-    res = scipy.optimize.linprog(np.zeros(a.shape[1]), A_ub=a, b_ub=c,
-                                 bounds=[(None, None)] * a.shape[1],
-                                 method="highs")
-    return res.status in (0, 3)     # feasible (3 = unbounded ray, still nonempty)
-
-
-# ---------------------------------------------------------------------------
 # subdifferential membership
 
 
@@ -550,28 +531,22 @@ class PolyhedralFace:
     is_polyhedral = True
 
     def __init__(self, reg, y_bar, tol):
-        import scipy.optimize
         self.reg = reg
         self.y_bar = y_bar
         self.dim = reg.dim
         self.A = reg.A
         self.c = reg.c
         if float(np.linalg.norm(self.y_bar)) <= tol.member:
-            self.E = np.zeros((0, self.dim))
-            self.e = np.zeros(0)
+            self.E, self.e = np.zeros((0, self.dim)), np.zeros(0)
             self.support = 0.0
             return
-        res = scipy.optimize.linprog(-self.y_bar, A_ub=self.A, b_ub=self.c,
-                                     bounds=[(None, None)] * self.dim,
-                                     method="highs")
-        if res.status == 3:
-            raise ValueError("unbounded face: the exposed face of the "
-                             "polyhedron in this direction is empty")
-        if res.status != 0:
-            raise ValueError(f"face computation failed (LP status {res.status})")
-        self.support = float(-res.fun)
-        self.E = self.y_bar.reshape(1, -1)
-        self.e = np.asarray([self.support])
+        lp = linear_program(-self.y_bar, self.A, self.c)
+        if lp.status != 0:
+            raise ValueError("unbounded face: the exposed face of the polyhedron "
+                             "in this direction is empty" if lp.status == 3 else
+                             f"face computation failed (LP status {lp.status})")
+        self.support = -lp.value
+        self.E, self.e = self.y_bar.reshape(1, -1), np.asarray([self.support])
 
     def contains(self, x, tol):
         return bool(self._set.contains(x, tol))

@@ -1,7 +1,10 @@
 """The verdict ledger, tests/ledger.json: one row per document.
 
-    PYTHONPATH=.:src python tests/make_ledger.py           # rewrite the file
-    PYTHONPATH=.:src python tests/make_ledger.py --check   # exit 1 on a change
+    PYTHONPATH=src python tests/make_ledger.py           # rewrite the file
+    PYTHONPATH=src python tests/make_ledger.py --check   # exit 1 on a change
+
+The script puts the repository root on sys.path for perfbench itself, so
+`PYTHONPATH=.:src` works as well.
 
 The documents are the gallery's curated cases, the K corpus
 (tests/k_corpus.py, seeds 0-1599) and the certify and certify-pd documents
@@ -39,6 +42,7 @@ from calmcert.model import instance_hash, load_instance
 from k_corpus import corpus_doc
 
 LEDGER = Path(__file__).with_name("ledger.json")
+ROOT = Path(__file__).resolve().parents[1]          # holds perfbench
 CORPUS_SEEDS = range(1600)
 BENCH_SEEDS = range(11, 21)
 
@@ -53,6 +57,8 @@ def corpus_documents(seeds=CORPUS_SEEDS):
 
 
 def bench_documents(seeds=BENCH_SEEDS):
+    if str(ROOT) not in sys.path:
+        sys.path.append(str(ROOT))
     from perfbench.instances import build
     return [(f"perfbench/{seed}/{op['name']}", op["doc"])
             for seed in seeds for op in build("certify", seed)

@@ -6,13 +6,14 @@ import pytest
 import uniqueness_reference
 from calmcert.certificates import (CertificateError, certify_primal_dual,
                                    certify_solution_map, prepare_multiplier,
-                                   solution_resolution,
+                                   solution_resolution, solution_set_extent,
                                    strong_solution_equivalence,
                                    uniqueness_equivalence_check,
                                    uniqueness_oracle)
 from calmcert.gallery import instance_for, random_group_lasso_instance
 from calmcert.model import load_instance
 from calmcert.solver import kkt_bound, kkt_residual, kkt_within, solve
+from fista_reference import lasso
 
 
 def make(doc):
@@ -209,6 +210,25 @@ def test_strong_solution_requires_identity_k():
     inst = instance_for("tv_grad1d")
     with pytest.raises(ValueError, match="identity"):
         strong_solution_equivalence(inst, solve(inst))
+
+
+# ---------------------------------------------------------------------------
+# the solution set's far end
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_duplicated_group_reaches_a_same_data_end_along_its_witness(seed):
+    # a group copied onto an inactive one gives a segment of solutions; the
+    # extent LP's far end along the witness passes KKT at level 10 only when
+    # the LP is solved tighter than HiGHS's default 1e-7 feasibility
+    doc = lasso(np.random.default_rng([seed, 60, 7]), 60, grouped=True, dup=True)
+    inst = make(doc)
+    pair = solve(inst)
+    conclusion = certify_solution_map(inst, pair).conclusion_solution_map
+    assert conclusion.status == "not_isolated_calm"
+    end = solution_set_extent(inst, pair, conclusion.witness, 10)
+    assert end is not None
+    assert np.linalg.norm(end - pair.x_bar) > solution_resolution(inst)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from calmcert.cones import (PolyhedralCone, PreimageCone, SubspacePlusRays,
-                            preimage, trivial_intersection)
+from calmcert.cones import (LP_TOLERANCE, PolyhedralCone, PreimageCone,
+                            SubspacePlusRays, linear_program, preimage,
+                            trivial_intersection)
 from calmcert.linalg import Subspace, Tolerances
 from calmcert.model import LinearOp
 
@@ -404,3 +405,53 @@ def test_one_lp_per_decision(lp_calls):
         v = trivial_intersection(kernel_op(n_sub), cone, TOL)
         assert not v.is_unknown
         assert len(lp_calls) - before == 1
+
+
+# ---------------------------------------------------------------------------
+# the one LP entry
+
+
+def test_linear_program_variables_are_free_unless_bounded():
+    # min x0 + x1 over x0 >= -2 (written -x0 <= 2) and x0 + x1 = -1
+    lp = linear_program(np.array([1.0, 1.0]), [[-1.0, 0.0]], [2.0],
+                        [[1.0, 1.0]], [-1.0])
+    assert lp.status == 0 and lp.value == pytest.approx(-1.0)
+    lp = linear_program(np.array([1.0, 0.0]), [[-1.0, 0.0]], [2.0])
+    assert lp.status == 0 and lp.x[0] == pytest.approx(-2.0)
+    lp = linear_program(np.array([1.0, 0.0]), bounds=(0.5, 3.0))
+    assert lp.status == 0 and lp.x[0] == pytest.approx(0.5)
+
+
+def test_linear_program_multipliers_cancel_the_cost():
+    # c + A_ub^T ineq + A_eq^T eq = 0 on the free variables, ineq >= 0
+    rng = np.random.default_rng(3)
+    a_ub, a_eq = rng.standard_normal((6, 3)), rng.standard_normal((1, 3))
+    c = -a_ub.T @ rng.uniform(0.5, 1.0, 6)        # bounded below
+    lp = linear_program(c, a_ub, np.ones(6), a_eq, np.zeros(1))
+    assert lp.status == 0
+    assert np.all(lp.ineq >= -1e-12)
+    assert np.allclose(c + a_ub.T @ lp.ineq + a_eq.T @ lp.eq, 0.0, atol=1e-9)
+    assert lp.value == pytest.approx(float(c @ lp.x))
+
+
+def test_linear_program_statuses_carry_no_point():
+    infeasible = linear_program(np.zeros(1), [[1.0], [-1.0]], [-1.0, -1.0])
+    unbounded = linear_program(np.array([1.0]), [[1.0]], [1.0])
+    assert (infeasible.status, unbounded.status) == (2, 3)
+    assert infeasible.x is None and unbounded.ineq is None
+    assert "infeasible" in infeasible.message
+
+
+def test_linear_program_solves_at_the_solver_floor(monkeypatch):
+    seen = []
+    real = scipy.optimize.linprog
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    linear_program(np.zeros(2), [[1.0, 1.0]], [1.0])
+    assert seen[0]["method"] == "highs"
+    assert seen[0]["options"] == {"primal_feasibility_tolerance": LP_TOLERANCE,
+                                  "dual_feasibility_tolerance": LP_TOLERANCE}
+    assert LP_TOLERANCE == 1e-10
