@@ -32,7 +32,7 @@ import numpy as np
 from . import regularizers as rz
 from .cones import (TrivialityVerdict, linear_program, preimage,
                     trivial_intersection)
-from .linalg import null_space
+from .linalg import nonzero, null_space
 from .solver import kkt_bound, kkt_residual, kkt_within
 
 
@@ -278,7 +278,7 @@ def solution_resolution(instance):
     multiple of the KKT bound, until the thresholds derive from the pair's
     backward error."""
     s = instance.phi.singular_values()
-    s = s[s > instance.tol.rank * s[0]] if s.size else s
+    s = s[nonzero(s, instance.tol.rank, s[0])] if s.size else s
     sigma = float(s[-1]) if s.size else 1.0
     return kkt_bound(instance, 10) / sigma
 

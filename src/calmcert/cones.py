@@ -41,7 +41,8 @@ import numpy as np
 # scipy.optimize is imported where an LP or NNLS is solved: it is most of the
 # package's import time, and group-Lasso and nuclear solves never need it.
 
-from .linalg import Subspace, DEFAULT_TOL, as_operator, null_space, row_norms
+from .linalg import (Subspace, DEFAULT_TOL, as_operator, beyond, member_slack,
+                     nonzero, null_space, rank_count, row_norms, within)
 
 
 @dataclass
@@ -62,12 +63,12 @@ class DualCertificate:
 
     def verify(self, tol=DEFAULT_TOL):
         i = self.implicit
-        if np.any(self.mu < 0) or np.any(self.mu[i] < 1.0):
-            return False
-        if np.linalg.norm(self.g.T @ self.mu + self.h.T @ self.beta) > tol.member:
+        if np.any(self.mu < 0) or np.any(self.mu[i] < 1.0) or beyond(
+                np.linalg.norm(self.g.T @ self.mu + self.h.T @ self.beta),
+                tol.member):
             return False
         span = _null(np.vstack([self.h, self.g[i]]), tol)
-        return float(np.linalg.norm(self.f @ span)) <= tol.member
+        return within(float(np.linalg.norm(self.f @ span)), tol.member)
 
 
 @dataclass
@@ -132,9 +133,9 @@ class SubspacePlusRays:
         return float(np.linalg.norm(w - self.project(w)))
 
     def member(self, w, tol):
-        """residual(w) <= tol * max(1, ||w||); an array of slacks gives one
+        """within(residual(w), tol, ||w||); an array of slacks gives one
         answer per slack from one residual."""
-        return self.residual(w) <= tol * max(1.0, float(np.linalg.norm(w)))
+        return within(self.residual(w), tol, np.linalg.norm(w))
 
     @cached_property
     def _rays_off_span(self):
@@ -240,7 +241,7 @@ class Polyhedron:
         return point - proj @ (mm @ point - target)
 
     def contains(self, y, slack):
-        """A y <= c and E y = rhs, row i at slack ||row_i|| max(1, ||y||).
+        """A y <= c, E y = rhs, row i at ||row_i|| member_slack(slack, ||y||).
 
         The one polyhedral membership rule: the slack scales with the row, so
         rescaling a row together with its offset changes no answer.  A stack
@@ -248,8 +249,7 @@ class Polyhedron:
         one answer per slack.
         """
         y = np.asarray(y, dtype=float)
-        bound = np.multiply.outer(slack * np.maximum(1.0, row_norms(y)),
-                                  self._norms)
+        bound = np.multiply.outer(member_slack(slack, row_norms(y)), self._norms)
         m = self.A.shape[0]
         return ~np.any(y @ self.A.T - self.c > bound[..., :m], axis=-1) \
             & ~np.any(np.abs(y @ self.E.T - self.rhs) > bound[..., m:], axis=-1)
@@ -280,7 +280,7 @@ class Polyhedron:
         positive entries mark the active rows.  The answer is the point's
         projection onto those rows at equality and {E y = rhs}, from the
         factors of that set, the same numbers as computed afresh.  h is
-        relaxed by PROJECTION_SLACK * ||a_i|| * max(1, ||y0||), the slack of
+        relaxed by ||a_i|| member_slack(PROJECTION_SLACK, ||y0||), the slack of
         contains, which checks the result, so that rows tight only at
         roundoff (a face's own support row, a cone row that the equalities
         pin) do not make the set look empty.
@@ -288,7 +288,7 @@ class Polyhedron:
         point = np.asarray(point, dtype=float)
         y = self._onto((), point)
         m = self.A.shape[0]
-        slack = PROJECTION_SLACK * max(1.0, float(np.linalg.norm(y)))
+        slack = member_slack(PROJECTION_SLACK, np.linalg.norm(y))
         h = self.A @ y - self.c - slack * self._norms[:m]
         if (h >= 0.0).any():
             reused = self._reuse(point)
@@ -337,10 +337,10 @@ class PsdCone:
 
     def member(self, w, tol):
         """The compression of w vanishes off the p x p block, the block is
-        symmetric and its kernel compression is PSD, each at slack
-        tol max(1, ||w||); an array of slacks gives one answer per slack from
-        one compression."""
-        slack = np.multiply(tol, max(1.0, float(np.linalg.norm(w))))
+        symmetric and its kernel compression is PSD, each at the slack
+        member_slack(tol, ||w||); an array of slacks gives one answer per
+        slack from one compression."""
+        slack = member_slack(tol, np.linalg.norm(w))
         c = self._compress(w)
         off = c.copy()
         off[:self.p, :self.p] = 0.0
@@ -402,11 +402,11 @@ class PreimageCone:
         self.ambient = self.K.shape[1]
 
     def member(self, w, tol):
-        """K w within tol ||K||_F max(1, ||w||) of the inner cone: the error
+        """K w within tol ||K||_F of the inner cone at scale ||w||: the error
         K passes on from w scales with K, so rescaling K changes nothing."""
         w = np.asarray(w, dtype=float)
-        return self.residual(w) <= \
-            tol * float(np.linalg.norm(self.K)) * max(1.0, float(np.linalg.norm(w)))
+        return within(self.residual(w), tol * float(np.linalg.norm(self.K)),
+                      np.linalg.norm(w))
 
     def residual(self, w):
         return self.inner.residual(self.K @ np.asarray(w, dtype=float))
@@ -417,13 +417,12 @@ class PreimageCone:
 
 
 def _pull_back_rows(rows, k, tol):
-    """rows @ k without the rows K maps to roundoff size (norm <= tol.rank *
-    ||row|| ||K||_F): their constraint holds for every w, and their
+    """rows @ k without the rows K maps to roundoff size (zero at tol.rank on
+    the scale ||row|| ||K||_F): their constraint holds for every w, and their
     direction is noise that a per-row membership slack would not forgive."""
     out = rows @ k
-    keep = np.linalg.norm(out, axis=1) > \
-        tol.rank * np.linalg.norm(rows, axis=1) * np.linalg.norm(k)
-    return out[keep]
+    return out[nonzero(np.linalg.norm(out, axis=1), tol.rank,
+                       np.linalg.norm(rows, axis=1), np.linalg.norm(k))]
 
 
 def preimage(k_op, cone, tol=DEFAULT_TOL):
@@ -455,7 +454,7 @@ def _null(a, tol):
     if a.shape[0] == 0:
         return np.eye(a.shape[1])
     _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    return vt[int(np.sum(s > tol.rank)):].T
+    return vt[rank_count(s, tol.rank):].T
 
 
 def _unit_rows(mat):
@@ -466,13 +465,13 @@ def _unit_rows(mat):
 
 
 def _verify_witness(mat, norm, cone, w, tol):
-    """w at unit norm when M w = 0 at the decision's rank scale tol.rank ||M||
+    """w at unit norm when M w = 0 at tol.derived_rank on the scale ||M||
     and w is in the cone; None otherwise."""
     nrm = float(np.linalg.norm(w))
     if nrm <= 0:
         return None
     w = w / nrm
-    if np.linalg.norm(mat @ w) > 10 * tol.rank * norm:
+    if nonzero(np.linalg.norm(mat @ w), tol.derived_rank, norm):
         return None
     if not cone.member(w, tol.derived_member):
         return None
@@ -537,7 +536,7 @@ def _decide(mat, norm, cone, g, h, f, tol):
     z_star, implicit = np.zeros(dz), np.zeros(m, dtype=bool)
     mu, beta = np.zeros(m), np.zeros(h.shape[0])
     basis = _null(h, tol)
-    if m and np.linalg.norm(f @ basis) > tol.member:
+    if m and beyond(np.linalg.norm(f @ basis), tol.member):
         lp = linear_program(
             np.concatenate([np.zeros(dz), -np.ones(m)]),
             np.hstack([g, np.eye(m)]), np.zeros(m),
@@ -549,7 +548,7 @@ def _decide(mat, norm, cone, g, h, f, tol):
         mu, beta = np.clip(lp.ineq, 0.0, None), lp.eq
         basis = _null(np.vstack([h, g[implicit]]), tol)
     _, gains, vt = np.linalg.svd(f @ basis, full_matrices=False)
-    if gains.size and gains[0] > tol.member:
+    if gains.size and beyond(gains[0], tol.member):
         b = basis @ vt[0]
         z_c = basis @ (basis.T @ z_star)
         if (f @ z_c) @ (f @ b) < 0:               # F z* and F b must not cancel
@@ -655,13 +654,13 @@ def trivial_intersection(m, cone, tol=DEFAULT_TOL, seed=0):
 
 
 def active_rows(a, c, x, slack):
-    """Rows i of A x <= c with a_i x >= c_i - slack ||a_i|| max(1, ||x||).
+    """Rows i of A x <= c with a_i x >= c_i - ||a_i|| member_slack(slack, x).
 
     The slack scales with ||a_i||, as in PolyhedralCone.member, so that
     rescaling a row together with c_i does not change the answer.
     """
     x = np.asarray(x, dtype=float)
-    scale = slack * max(1.0, float(np.linalg.norm(x)))
+    scale = member_slack(slack, np.linalg.norm(x))
     return a @ x >= c - scale * np.linalg.norm(a, axis=1)
 
 

@@ -18,8 +18,8 @@ import numpy as np
 class Tolerances:
     """Numerical thresholds shared across the package.
 
-    rank:   singular values below rank * sigma_max are treated as zero
-    member: set-membership slack (boundary classification)
+    rank:   a singular value at most rank * sigma_max is zero (nonzero)
+    member: set-membership slack (within, beyond, dual_ball)
     kkt:    optimality residual target
     """
 
@@ -35,6 +35,12 @@ class Tolerances:
         Derived from member, not a field: no caller sets it."""
         return 10 * self.member
 
+    @property
+    def derived_rank(self):
+        """The rank cut of a vector the computation derived (a cone witness
+        in Ker M): 10 * rank, derived as derived_member is."""
+        return 10 * self.rank
+
     def __post_init__(self):
         for name in ("rank", "member", "kkt"):
             v = getattr(self, name)
@@ -45,6 +51,56 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+
+# ---------------------------------------------------------------------------
+# the tolerance rules: every comparison of the package with tol.member,
+# tol.derived_member or tol.rank goes through one of three rules, membership
+# (member_slack, within, beyond), rank (nonzero, rank_count) and the dual
+# ball (dual_ball)
+
+
+def member_slack(slack, scale=0.0):
+    """slack * max(1, scale): the membership slack at a point of norm scale,
+    absolute up to unit scale.  An array of scales (one per row of a stack)
+    gives one slack per row, an array of slacks one per slack."""
+    if np.ndim(scale):
+        return slack * np.maximum(1.0, scale)
+    return slack * max(1.0, float(scale))
+
+
+def within(value, slack, scale=0.0):
+    """Membership: value <= member_slack(slack, scale), entry by entry.
+    A NaN value is not within."""
+    return value <= member_slack(slack, scale)
+
+
+def beyond(value, slack, scale=0.0):
+    """value > member_slack(slack, scale), entry by entry.  A NaN value is
+    not beyond either, so this is not `not within`."""
+    return value > member_slack(slack, scale)
+
+
+def nonzero(values, rank, *scales):
+    """Rank: a value is zero when at most rank times its scale, the factors
+    multiplied in the order given; True on the values above that (not on
+    NaN), entry by entry."""
+    bound = rank
+    for factor in scales:
+        bound = bound * factor
+    return values > bound
+
+
+def rank_count(s, rank, *scales):
+    """The number of singular values s that nonzero keeps."""
+    return int(np.sum(nonzero(s, rank, *scales)))
+
+
+def dual_ball(ratio, member):
+    """(outside, boundary) for ratios ||y_J|| / w or sigma_i / w of a
+    multiplier to the dual ball's radius: above 1 + member it is outside
+    (the multiplier is rejected), at least 1 - member on the boundary."""
+    return ratio > 1.0 + member, ratio >= 1.0 - member
 
 
 def frozen(array):
@@ -107,7 +163,7 @@ class Subspace:
         return float(np.linalg.norm(w - self.project(w)))
 
     def contains(self, w, tol):
-        return self.residual(w) <= tol * max(1.0, float(np.linalg.norm(w)))
+        return within(self.residual(w), tol, np.linalg.norm(w))
 
     def complement(self):
         """Orthogonal complement as a Subspace."""
@@ -139,8 +195,7 @@ def _orth_columns(a, tol_rank):
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[0], 0))
-    r = int(np.sum(s > tol_rank * s[0]))
-    return u[:, :r]
+    return u[:, :rank_count(s, tol_rank, s[0])]
 
 
 def row_dots(a, b):
@@ -185,8 +240,7 @@ def null_space(a, tol=DEFAULT_TOL):
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return Subspace.full(n)
-    r = int(np.sum(s > tol.rank * smax))
-    return Subspace._orthonormal(vt[r:].T)
+    return Subspace._orthonormal(vt[rank_count(s, tol.rank, smax):].T)
 
 
 def range_space(a, tol=DEFAULT_TOL):

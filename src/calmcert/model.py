@@ -267,6 +267,8 @@ def _load_regularizer(doc, path):
     if kind == "polyhedral_indicator":
         # {y : A y <= c} is stored by the rows of A
         a = _load_operator(_need(doc, "A", path), f"{path}.A").matrix
+        if a.shape[0] and not a.shape[1]:
+            raise InstanceError(f"{path}.A", "A has rows but no column")
         c = _vector(_need(doc, "c", path), f"{path}.c")
         if c.size != a.shape[0]:
             raise InstanceError(f"{path}.c", "length must match rows of A")

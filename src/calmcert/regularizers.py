@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import Subspace, DEFAULT_TOL, as_operator, frozen, spectral_norm
+from .linalg import (Subspace, DEFAULT_TOL, as_operator, beyond, dual_ball,
+                     frozen, spectral_norm, within)
 from .cones import (SubspacePlusRays, PolyhedralCone, Polyhedron, active_rows,
                     linear_program, make_psd_embedded)
 
@@ -258,14 +259,14 @@ def group_norms(reg, y):
 
 
 def active_groups(reg, x, tol=DEFAULT_TOL):
-    """(||x_J||, ||x_J|| > tol.member * max(1, ||x||)) per non-empty group.
+    """(||x_J||, beyond(||x_J||, tol.member, ||x||)) per non-empty group.
 
     The one activity rule of group Lasso (the tangent cones of dg and of
     the conjugate face, and the uniqueness oracle's tight groups), on the
     scale of ||x||, so that rescaling the data does not change it.
     """
     nx = group_norms(reg, x)
-    return nx, nx > tol.member * max(1.0, float(np.linalg.norm(x)))
+    return nx, beyond(nx, tol.member, np.linalg.norm(x))
 
 
 def value(reg, y):
@@ -289,11 +290,11 @@ def prox(reg, t, y):
 def subdiff_contains(reg, x, v, tol=DEFAULT_TOL):
     """Is v in dg(x)?  One rule for every kind: v is in dg(x) exactly when
     x = prox_g(x + v), so the answer is whether the prox-graph residual
-    ||x - prox_g(x + v)|| is at most tol.member * max(1, ||x + v||)."""
+    ||x - prox_g(x + v)|| is within tol.member at the scale ||x + v||."""
     x = np.asarray(x, dtype=float)
     u = x + np.asarray(v, dtype=float)
-    return float(np.linalg.norm(x - prox(reg, 1.0, u))) \
-        <= tol.member * max(1.0, float(np.linalg.norm(u)))
+    return within(float(np.linalg.norm(x - prox(reg, 1.0, u))), tol.member,
+                  np.linalg.norm(u))
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +315,16 @@ class _ProjectedFace:
 
     def contains(self, x, tol):
         x = np.asarray(x, dtype=float)
-        slack = tol * max(1.0, float(np.linalg.norm(x)))
-        return float(np.linalg.norm(x - self.project(x))) <= slack
+        return within(float(np.linalg.norm(x - self.project(x))), tol,
+                      np.linalg.norm(x))
 
 
 class GroupLassoFace(_ProjectedFace):
     """F(y) = prod over groups of a ray R+ y_J (boundary) or {0} (interior).
 
-    A group is boundary when ||y_J|| / w >= 1 - tol.member (past
-    1 + tol.member the build raises), for both tangent cones; empty groups
-    are interior.  Everything is computed on reg.segments.
+    A group is boundary when dual_ball reads ||y_J|| / w on the boundary
+    (outside, the build raises), for both tangent cones; empty groups are
+    interior.  Everything is computed on reg.segments.
     """
 
     is_polyhedral = True
@@ -335,12 +336,12 @@ class GroupLassoFace(_ProjectedFace):
         seg = reg.segments
         norms = group_norms(reg, self.y_bar)
         ratio = norms / reg.weight
-        over = np.flatnonzero(ratio > 1.0 + tol.member)
+        outside, self._on = dual_ball(ratio, tol.member)  # per segment
+        over = np.flatnonzero(outside)
         if over.size:
             j = over[0]
             raise ValueError(f"group {seg.groups[j]}: ||y_J|| exceeds the dual "
                              f"bound by {ratio[j] - 1.0:.3g}")
-        self._on = ratio >= 1.0 - tol.member              # per segment
         # u_J = y_J / ||y_J|| on boundary groups, zero elsewhere
         self._u = np.where(self._on[seg.owner], self.y_bar, 0.0) \
             / np.where(self._on, norms, 1.0)[seg.owner]
@@ -432,12 +433,13 @@ class NuclearFace(_ProjectedFace):
         self.dim = reg.dim
         w = reg.weight
         u, s, vt = np.linalg.svd(reg.mat(self.y_bar), full_matrices=True)
-        if s.size and s[0] / w > 1.0 + tol.member:
+        outside, on = dual_ball(s / w, tol.member)
+        if s.size and outside[0]:
             raise ValueError(
                 f"spectral norm exceeds the dual bound by {s[0] / w - 1.0:.3g}")
         self.U, self.V = u, vt.T
         self.sigma_y = s
-        self.p = int(np.sum(s / w >= 1.0 - tol.member))
+        self.p = int(np.sum(on))
 
     def _compress(self, x):
         return self.U.T @ self.reg.mat(x) @ self.V
@@ -456,12 +458,12 @@ class NuclearFace(_ProjectedFace):
 
     def _spectrum(self, x, tol):
         """(lam, q, scale, kernel): the eigenpairs of the p x p compression
-        of x (ascending), the scale max(1, max |lam|), and the mask of the
-        eigenvalues at most tol.member * scale.  The one activity reading of
-        the face: its rank is the count of the others."""
+        of x (ascending), the scale max |lam|, and the mask of the eigenvalues
+        within tol.member at that scale.  The one activity reading of the
+        face: its rank is the count of the others."""
         lam, q = np.linalg.eigh(self._sbar(x))
-        scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-        return lam, q, scale, lam <= tol.member * scale
+        scale = float(np.abs(lam).max(initial=0.0))
+        return lam, q, scale, within(lam, tol.member, scale)
 
     def rank_at(self, x, tol=DEFAULT_TOL):
         """Rank of the p x p compression of a face member."""
@@ -471,7 +473,7 @@ class NuclearFace(_ProjectedFace):
         if self.p == 0:
             return SubspacePlusRays(Subspace.zero(self.dim))
         lam, q, scale, kernel = self._spectrum(x, tol)
-        if float(lam.min()) < -tol.derived_member * scale:
+        if beyond(-float(lam.min()), tol.derived_member, scale):
             raise ValueError("point is not in the face (indefinite compression)")
         return make_psd_embedded(self.U, self.V, self.p, q[:, kernel],
                                  self.reg.m, self.reg.n)
@@ -513,8 +515,8 @@ class NuclearFace(_ProjectedFace):
             if self.rank_at(x_bar, tol) == self.p:
                 return "yes"
         target = self._embed(np.eye(self.p))
-        slack = tol.member * max(1.0, float(np.linalg.norm(target)))
-        return "yes" if imk.residual(target) <= slack else "unknown"
+        return "yes" if within(imk.residual(target), tol.member,
+                               np.linalg.norm(target)) else "unknown"
 
     def describe(self):
         return {"kind": "nuclear", "p": self.p,
@@ -536,7 +538,7 @@ class PolyhedralFace:
         self.dim = reg.dim
         self.A = reg.A
         self.c = reg.c
-        if float(np.linalg.norm(self.y_bar)) <= tol.member:
+        if within(float(np.linalg.norm(self.y_bar)), tol.member):
             self.E, self.e = np.zeros((0, self.dim)), np.zeros(0)
             self.support = 0.0
             return

@@ -8,11 +8,11 @@ General K:    primal-dual splitting (gradient step on the smooth quadratic,
               norms so that tau * (L_f / 2 + sigma ||K||^2) < 1.
 
 `solve` holds the one loop that drives them.  It checks the KKT residuals
-every check_every iterations and at max_iter; a solve given a start (x0,
+every CHECK_EVERY iterations and at MAX_ITER; a solve given a start (x0,
 and y0 for general K) also checks it at iteration 0, before any first-order
-step, while a cold solve starts at zero and checks first at check_every.
+step, while a cold solve starts at zero and checks first at CHECK_EVERY.
 For K = I a check reads the multiplier y = v(x).  A solve that reaches
-max_iter raises SolverError with its last iterate and the residuals of its
+MAX_ITER raises SolverError with its last iterate and the residuals of its
 last check.
 
 For a group-Lasso g (l1 and TV included), a check that fails tries a
@@ -65,19 +65,17 @@ class SolverError(RuntimeError):
         self.pair = pair
 
 
+MAX_ITER = 200000              # first-order iterations of one solve
+CHECK_EVERY = 25               # iterations between two KKT checks
+
+
 @dataclass
 class SolverConfig:
-    max_iter: int = 200000
     tol_kkt: float = None           # None: the instance's own tol.kkt
-    check_every: int = 25
 
     def __post_init__(self):
         if self.tol_kkt is not None and not self.tol_kkt > 0:
             raise ValueError("tol_kkt must be positive")
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be at least 1")
-        if not self.check_every >= 1:
-            raise ValueError("check_every must be at least 1")
 
 
 def _kkt_vectors(instance, x, y):
@@ -327,13 +325,13 @@ def solve(instance, cfg=None, x0=None, y0=None):
     being cfg's, or the instance's own tol.kkt when cfg sets none.
 
     One loop drives the first-order steps (FISTA for K = I, splitting
-    otherwise).  It checks the KKT residuals every check_every iterations
-    and at max_iter, and at iteration 0 when a start x0 is given (with y0,
+    otherwise).  It checks the KKT residuals every CHECK_EVERY iterations
+    and at MAX_ITER, and at iteration 0 when a start x0 is given (with y0,
     or zero; v(x0) when K = I); for K = I the check reads y = v(x).  A
     group-Lasso g gets a Newton try at checks 1, 3, 7, 15, ...: a try that
     fails leaves the iterate as it was, and the next is at 2 * checks + 1.
     A solve that does not converge raises SolverError with its last iterate,
-    whose residuals are those of its check at max_iter.
+    whose residuals are those of its check at MAX_ITER.
     """
     cfg = cfg or SolverConfig()
     target = kkt_bound(instance, tol_kkt=cfg.tol_kkt)
@@ -343,10 +341,10 @@ def solve(instance, cfg=None, x0=None, y0=None):
     identity = instance.k.is_identity
     steps = _fista(instance, x) if identity else _splitting(instance, x, y)
     checks, next_try, newton_steps = 0, 1, 0
-    for it in range(0 if x0 is not None else 1, cfg.max_iter + 1):
+    for it in range(0 if x0 is not None else 1, MAX_ITER + 1):
         if it:
             x, y = next(steps)
-        if it % cfg.check_every and it != cfg.max_iter:
+        if it % CHECK_EVERY and it != MAX_ITER:
             continue
         if identity:
             y = instance.v_of(x)
@@ -362,8 +360,8 @@ def solve(instance, cfg=None, x0=None, y0=None):
                 return _make_pair(instance, xn, yn, it, newton_steps, nres)
             next_try = 2 * checks + 1
     raise SolverError(
-        f"no convergence after {cfg.max_iter} iterations (residuals {res})",
-        _make_pair(instance, x, y, cfg.max_iter, newton_steps, res))
+        f"no convergence after {MAX_ITER} iterations (residuals {res})",
+        _make_pair(instance, x, y, MAX_ITER, newton_steps, res))
 
 
 def solve_perturbed(instance, db, dmu, warm, cfg=None):

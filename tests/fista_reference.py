@@ -9,6 +9,7 @@ them duplicated), so that the solver tests run on the same instances.
 import numpy as np
 
 from calmcert import regularizers as rz
+from calmcert import solver
 from calmcert.solver import SolverError, _make_pair, kkt_residual
 
 
@@ -30,7 +31,7 @@ def _fista(instance, cfg, x0):
     theta = 1.0
     best_obj = objective(instance, x)
     best_x = x.copy()
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, solver.MAX_ITER + 1):
         grad = instance.smooth_grad(z)
         x_new = rz.prox(reg, step, z - step * grad)
         if float(np.dot(z - x_new, x_new - x)) > 0.0:
@@ -41,7 +42,7 @@ def _fista(instance, cfg, x0):
             z = x_new + (theta - 1.0) / theta_new * (x_new - x)
             theta = theta_new
         x = x_new
-        if it % cfg.check_every == 0 or it == cfg.max_iter:
+        if it % solver.CHECK_EVERY == 0 or it == solver.MAX_ITER:
             obj = objective(instance, x)
             if obj < best_obj:
                 best_obj = obj
@@ -52,9 +53,9 @@ def _fista(instance, cfg, x0):
                 return _make_pair(instance, x, y, it)
     y = instance.v_of(best_x)
     raise SolverError(
-        f"no convergence after {cfg.max_iter} iterations "
+        f"no convergence after {solver.MAX_ITER} iterations "
         f"(residuals {kkt_residual(instance, best_x, y)})",
-        _make_pair(instance, best_x, y, cfg.max_iter))
+        _make_pair(instance, best_x, y, solver.MAX_ITER))
 
 
 def lasso(rng, n, grouped=False, dup=False):

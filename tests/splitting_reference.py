@@ -9,6 +9,7 @@ the solver tests run on the same slow-regime instances.
 import numpy as np
 
 from calmcert import regularizers as rz
+from calmcert import solver
 from calmcert.gallery import tv_groups
 from calmcert.solver import SolverError, _make_pair, kkt_residual
 
@@ -29,19 +30,19 @@ def _splitting(instance, cfg, x0, y0):
     scale = 1.0 + float(np.linalg.norm(instance.b))
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0, dtype=float).copy()
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, solver.MAX_ITER + 1):
         x_new = x - tau * (instance.smooth_grad(x) + instance.k.apply_adjoint(y))
         u = y + sigma * instance.k.apply(2.0 * x_new - x)
         y = u - sigma * rz.prox(reg, 1.0 / sigma, u / sigma)
         x = x_new
-        if it % cfg.check_every == 0 or it == cfg.max_iter:
+        if it % solver.CHECK_EVERY == 0 or it == solver.MAX_ITER:
             res = kkt_residual(instance, x, y)
             if max(res["stationarity"], res["graph"]) <= cfg.tol_kkt * scale:
                 return _make_pair(instance, x, y, it)
     raise SolverError(
-        f"no convergence after {cfg.max_iter} iterations "
+        f"no convergence after {solver.MAX_ITER} iterations "
         f"(residuals {kkt_residual(instance, x, y)})",
-        _make_pair(instance, x, y, cfg.max_iter))
+        _make_pair(instance, x, y, solver.MAX_ITER))
 
 
 

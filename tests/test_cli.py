@@ -218,6 +218,85 @@ def test_zero_row_polyhedron_verdicts(tmp_path, verb):
         assert payload["conclusion_primal_dual"]["status"] == "isolated_calm"
 
 
+@pytest.mark.parametrize("verb", ["solve", "certify", "certify-pd", "sweep",
+                                  "probe", "lab"])
+@pytest.mark.parametrize("c", [[1.0, -1.0], [1.0, 1.0]])
+def test_zero_column_polyhedron_is_rejected(tmp_path, capsys, c, verb):
+    # an A with rows but no column: an empty set (c = (1, -1)) and all of
+    # R^0 (c = (1, 1)) alike are refused by the loader, naming reg.A
+    doc = {"phi": _dense(np.zeros((1, 0))), "b": [1.0], "mu": 1.0,
+           "k": {"kind": "identity", "dim": 0},
+           "reg": {"kind": "polyhedral_indicator",
+                   "A": _dense(np.zeros((2, 0))), "c": c}}
+    path = tmp_path / "zero_cols.json"
+    path.write_text(json.dumps(doc))
+    assert run([verb, str(path), "--out", str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err == "error: reg.A: A has rows but no column\n"
+
+
+def _seed7_nuclear(tmp_path):
+    """(path, d): the planted nuclear document of the seed-7 recipe and the
+    unit direction of its segment of solutions.
+
+    K = I, nuclear g on 3 x 4 matrices, weight 1, mu = 1.  y_bar = x0 =
+    U V_1^T (p = 3), d = U diag(-2, 1, 1) V_1^T with <y_bar, d> = 0, Phi's
+    first row vec(y_bar) and six Gaussian rows orthogonal to d, b = Phi x0
+    + e_1: every x0 + t d, t in [-1, 1/2], solves the same data.
+    """
+    rng = np.random.default_rng(7)
+    u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    v = np.linalg.qr(rng.standard_normal((4, 4)))[0][:, :3]
+    y_bar = (u @ v.T).ravel()
+    d = (u @ np.diag([-2.0, 1.0, 1.0]) @ v.T).ravel()
+    rows = [y_bar]
+    for _ in range(6):
+        r = rng.standard_normal(12)
+        rows.append(r - (r @ d) / (d @ d) * d)
+    phi = np.array(rows)
+    b = phi @ y_bar
+    b[0] += 1.0
+    path = tmp_path / "seed7.json"
+    path.write_text(json.dumps({
+        "phi": _dense(phi), "b": b.tolist(), "mu": 1.0,
+        "k": {"kind": "identity", "dim": 12},
+        "reg": {"kind": "nuclear", "m": 3, "n": 4, "weight": 1.0}}))
+    return path, d / np.linalg.norm(d)
+
+
+@pytest.mark.xfail(strict=True, reason="the rank cut of cones._null (tol.rank "
+                   "= 1e-9) keeps a singular value of 1.6e-9 that the pair's "
+                   "error puts into the tangent (ROADMAP items 5 and 20)")
+def test_seed7_nuclear_segment_is_refuted_at_default_tolerances(tmp_path):
+    path, _ = _seed7_nuclear(tmp_path)
+    out = tmp_path / "r.json"
+    assert run(["certify", str(path), "--out", str(out)]) == 0
+    verdict = json.loads(out.read_text())["payload"]["conclusion_solution_map"]
+    assert verdict["status"] == "not_isolated_calm"
+
+
+@pytest.mark.parametrize("verb", ["certify", "certify-pd"])
+def test_seed7_nuclear_segment_is_refuted_at_twice_the_rank_cut(tmp_path,
+                                                                verb):
+    path, d = _seed7_nuclear(tmp_path)
+    out = tmp_path / "r.json"
+    assert run([verb, str(path), "--tol-rank", "2e-9", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    keys = ["conclusion_solution_map"] + (["conclusion_primal_dual"]
+                                          if verb == "certify-pd" else [])
+    for key in keys:
+        assert payload[key]["status"] == "not_isolated_calm"
+    witness = np.asarray(payload["conclusion_solution_map"]["witness"])
+    assert abs(witness @ d) == pytest.approx(1.0, abs=1e-5)
+
+
+def test_seed7_nuclear_segment_probe_refutes_at_twice_the_rank_cut(tmp_path):
+    path, _ = _seed7_nuclear(tmp_path)
+    out = tmp_path / "p.json"
+    assert run(["probe", str(path), "--tol-rank", "2e-9",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["payload"]["refuted"] is True
+
+
 def test_integral_group_indices_load(tmp_path):
     path = tmp_path / "ok.json"
     path.write_text(json.dumps(_one_by_one(**{"reg.groups": [[0.0]]})))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from calmcert.linalg import (LinearOp, Tolerances, Subspace, null_space,
-                            range_space)
+from calmcert.linalg import (LinearOp, Tolerances, Subspace, beyond, dual_ball,
+                            member_slack, nonzero, null_space, range_space,
+                            rank_count, within)
 
 from two_step_reference import intersect_subspaces
 
@@ -23,6 +24,75 @@ def test_tolerances_validation():
         Tolerances(rank=2.0)
     with pytest.raises(ValueError):
         Tolerances(kkt=-1e-9)
+
+
+def test_derived_thresholds_are_ten_times_their_fields():
+    tol = Tolerances(rank=3e-9, member=7e-8)
+    assert tol.derived_rank == 10 * 3e-9 and tol.derived_member == 10 * 7e-8
+
+
+# ---------------------------------------------------------------------------
+# the tolerance rules
+
+FLOATS = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(value=FLOATS, slack=st.floats(1e-12, 1e-3), scale=FLOATS)
+def test_membership_is_slack_times_the_unit_floor_of_the_scale(value, slack,
+                                                               scale):
+    # bit for bit the product slack * max(1, scale), in that order
+    assert member_slack(slack, scale) == slack * max(1.0, scale)
+    assert within(value, slack, scale) == (value <= slack * max(1.0, scale))
+    assert beyond(value, slack, scale) == (value > slack * max(1.0, scale))
+
+
+def test_membership_is_absolute_up_to_unit_scale():
+    assert within(1e-7, 1e-7) and within(1e-7, 1e-7, 0.5)
+    assert beyond(2e-7, 1e-7, 1.0) and within(2e-7, 1e-7, 2.0)
+
+
+def test_membership_answers_per_row_of_a_stack_and_per_slack():
+    values, scales = np.array([1e-7, 3e-7, 3e-7]), np.array([0.0, 2.0, 4.0])
+    assert within(values, 1e-7, scales).tolist() == [True, False, True]
+    assert [within(v, 1e-7, s) for v, s in zip(values, scales)] \
+        == [True, False, True]
+    slacks = np.array([1e-8, 1e-7, 1e-6])
+    assert within(2e-7, slacks, 2.0).tolist() == [False, True, True]
+    assert beyond(2e-7, slacks, 2.0).tolist() == [True, False, False]
+
+
+def test_a_nan_is_neither_within_nor_beyond():
+    nan = float("nan")
+    assert not within(nan, 1e-7) and not beyond(nan, 1e-7)
+    assert not within(np.array([nan]), 1e-7, np.array([nan])).any()
+    assert not beyond(np.array([nan]), 1e-7, np.array([nan])).any()
+    assert not nonzero(nan, 1e-9, 1.0)
+    outside, boundary = dual_ball(np.array([nan]), 1e-7)
+    assert not outside.any() and not boundary.any()
+
+
+def test_rank_counts_values_above_rank_times_scale():
+    s = np.array([4.0, 4e-9, 3.9e-9, 0.0])
+    assert nonzero(s, 1e-9, s[0]).tolist() == [True, False, False, False]
+    assert rank_count(s, 1e-9, s[0]) == 1 and rank_count(s, 1e-9) == 3
+    assert rank_count(s, 1e-9, 2.0, 0.5) == 3     # scale 2 * 0.5 = 1
+
+
+def test_rank_multiplies_its_scales_in_order():
+    rng = np.random.default_rng(3)
+    a, b = rng.uniform(0.1, 10.0, (2, 1000))
+    bound = 1e-9 * a * b
+    assert np.array_equal(nonzero(bound, 1e-9, a, b), np.zeros(1000, bool))
+    assert np.array_equal(nonzero(np.nextafter(bound, 1.0), 1e-9, a, b),
+                          np.ones(1000, bool))
+
+
+def test_dual_ball_reads_outside_and_boundary():
+    ratio = np.array([1.0 + 2e-7, 1.0 + 1e-7, 1.0, 1.0 - 1e-7, 1.0 - 2e-7])
+    outside, boundary = dual_ball(ratio, 1e-7)
+    assert outside.tolist() == [True, False, False, False, False]
+    assert boundary.tolist() == [True, True, True, True, False]
 
 
 def test_null_space_single_row():

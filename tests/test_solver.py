@@ -116,17 +116,25 @@ def test_perturbed_b_and_mu_closed_forms():
     assert remu.x_bar[0] == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("field", ["max_iter", "check_every", "tol_kkt"])
+@pytest.mark.parametrize("field", ["tol_kkt"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_config_rejects_fewer_than_one_iteration_or_check(field, value):
+    # the iteration cap and the check period are solver constants; the one
+    # field left is the KKT tolerance, which must be positive
     with pytest.raises(ValueError, match=field):
         SolverConfig(**{field: value})
 
 
-def test_config_accepts_one_iteration_and_one_check():
+def _iterations(monkeypatch, max_iter, check_every):
+    """Set the solver's iteration cap and check period for one test."""
+    monkeypatch.setattr(solver_module, "MAX_ITER", max_iter)
+    monkeypatch.setattr(solver_module, "CHECK_EVERY", check_every)
+
+
+def test_config_accepts_one_iteration_and_one_check(monkeypatch):
     # the Newton try at the one check solves tv_grad1d exactly
-    pair = solve(instance_for("tv_grad1d"),
-                 SolverConfig(max_iter=1, check_every=1))
+    _iterations(monkeypatch, 1, 1)
+    pair = solve(instance_for("tv_grad1d"))
     assert pair.iterations == 1
     assert np.allclose(pair.x_bar, [2.0, 2.0, 2.0], atol=1e-8)
 
@@ -233,20 +241,21 @@ def _assert_failure_pair(err, inst, iterations):
     assert str(pair.residuals) in str(err.value)
 
 
-def test_nonconvergence_carries_last_iterate():
+def test_nonconvergence_carries_last_iterate(monkeypatch):
     # the Newton finish solves tv_grad1d at the first check, to a residual
     # of exactly 0 at b = (1, 2, 3): only an unreachable tolerance, and data
     # whose solution (2, 2, 2.1) has no exact binary form, keep the solve
     # from converging
     inst = instance_for("tv_grad1d").perturbed(np.array([0.0, 0.0, 0.1]))
+    _iterations(monkeypatch, 3, 1)
     with pytest.raises(SolverError) as err:
-        solve(inst, SolverConfig(max_iter=3, tol_kkt=1e-300, check_every=1))
+        solve(inst, SolverConfig(tol_kkt=1e-300))
     assert err.value.pair.x_bar.shape == (3,)
     _assert_failure_pair(err, inst, 3)
 
 
 @pytest.mark.parametrize("name", ["polyhedral_box", "nuclear_nondegenerate"])
-def test_fista_nonconvergence_carries_last_iterate(name):
+def test_fista_nonconvergence_carries_last_iterate(monkeypatch, name):
     # FISTA alone (no Newton finish for these kinds); its multiplier is
     # v(x) of the last iterate, bit for bit.  The gallery cases' Phi has one
     # singular value, so FISTA's first step lands on the solution: a
@@ -259,8 +268,9 @@ def test_fista_nonconvergence_carries_last_iterate(name):
                   "entries": np.diag(scale).ravel().tolist()}
     doc["b"] = (scale * np.linspace(0.3, 0.7, n)).tolist()
     inst = make(doc)
+    _iterations(monkeypatch, 3, 1)
     with pytest.raises(SolverError) as err:
-        solve(inst, SolverConfig(max_iter=3, tol_kkt=1e-300, check_every=1))
+        solve(inst, SolverConfig(tol_kkt=1e-300))
     pair = err.value.pair
     assert np.array_equal(pair.y_bar, inst.v_of(pair.x_bar))
     _assert_failure_pair(err, inst, 3)
@@ -327,14 +337,15 @@ def _assert_tries_back_off(monkeypatch, far_start):
 
     monkeypatch.setattr(solver_module, "_newton_finish", counted)
     inst = make(SPLITTING_CASES["slow_tv0"])
-    cfg = SolverConfig(tol_kkt=1e-300, max_iter=2000, check_every=25)
+    _iterations(monkeypatch, 2000, 25)
+    cfg = SolverConfig(tol_kkt=1e-300)
     x0 = None
     if far_start:
         x0 = np.random.default_rng(5).standard_normal(inst.dim_x)
     with pytest.raises(SolverError) as err:
         solve(inst, cfg, x0=x0)
     assert len(tries) == 6
-    assert err.value.pair.iterations == cfg.max_iter
+    assert err.value.pair.iterations == 2000
 
 
 def test_newton_tries_back_off_on_a_solve_that_cannot_converge(monkeypatch):
@@ -345,11 +356,12 @@ def test_newton_tries_back_off_from_a_far_start(monkeypatch):
     _assert_tries_back_off(monkeypatch, far_start=True)
 
 
-def test_tv8x8_draw_solves_within_2000_iterations():
+def test_tv8x8_draw_solves_within_2000_iterations(monkeypatch):
     # the first-order loop alone needs about 9,200 iterations here
     inst = make(tv_image(np.random.default_rng([2, 11]), 8, 8, noise=0.05,
                          weight=0.1))
-    pair = solve(inst, SolverConfig(max_iter=2000))
+    _iterations(monkeypatch, 2000, solver_module.CHECK_EVERY)
+    pair = solve(inst)
     res = kkt_residual(inst, pair.x_bar, pair.y_bar)
     assert max(res.values()) <= 1e-10 * (1.0 + np.linalg.norm(inst.b))
     assert pair.iterations <= 2000
@@ -358,7 +370,7 @@ def test_tv8x8_draw_solves_within_2000_iterations():
 def test_newton_steps_are_reported_apart_from_iterations():
     inst = instance_for("tv_grad1d")
     doc = solve(inst).to_json_dict()
-    assert doc["iterations"] % SolverConfig().check_every == 0
+    assert doc["iterations"] % solver_module.CHECK_EVERY == 0
     assert doc["newton_steps"] >= 1
     fista = solve(instance_for("lasso_scalar")).to_json_dict()
     assert fista["newton_steps"] == 0
@@ -585,7 +597,7 @@ def test_generic_lasso_ends_at_the_first_check():
     # FISTA alone needs 125 iterations on this draw
     inst = make(lasso(np.random.default_rng([0, 60, 7]), 60))
     pair = solve(inst)
-    assert pair.iterations == SolverConfig().check_every
+    assert pair.iterations == solver_module.CHECK_EVERY
     assert pair.newton_steps >= 1
 
 
