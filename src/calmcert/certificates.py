@@ -32,7 +32,7 @@ import numpy as np
 from . import regularizers as rz
 from .cones import (TrivialityVerdict, linear_program, preimage,
                     trivial_intersection)
-from .linalg import nonzero, null_space
+from .linalg import nonzero, null_space, row_norms
 from .solver import kkt_bound, kkt_residual, kkt_within
 
 
@@ -293,7 +293,9 @@ def solution_set_extent(instance, pair, c, level):
     F's system only to the solver's accuracy, so each row is written
     relative to it: E K d = 0, and A K d <= c - A K x_bar with that slack
     floored at 0.  d = 0 is then feasible, and the pair's own error is not
-    read as room to move.
+    read as room to move.  A coordinate that a row of E K pins at 0 (for
+    K = I, each index of an interior group) leaves the LP; when none is
+    left, no LP is solved.
 
     x_bar + d is returned when it passes KKT with y_bar at `level` (of
     kkt_bound) and lies farther from x_bar than solution_resolution.  A
@@ -305,16 +307,29 @@ def solution_set_extent(instance, pair, c, level):
     if not face.is_polyhedral:
         return None
     a, c_face, e, _ = face.polyhedral_system()
-    k = instance.k.matrix           # the LP rows A K, E K and Phi are dense
-    eq = np.vstack([instance.phi.matrix, e @ k])
+    # the LP rows A K, E K and Phi are dense, and E K is read entry by entry
+    k = instance.k.matrix
+    ek = e @ k
+    # a row of E K with one entry that nonzero keeps on the row's scale
+    # ||e_i|| ||K||_F pins that coordinate; a row with none constrains nothing
+    kept = nonzero(np.abs(ek), instance.tol.rank, row_norms(e)[:, None],
+                   float(np.linalg.norm(k)))
+    count = kept.sum(axis=1)
+    free = ~kept[count == 1].any(axis=0)
+    if not free.any():
+        return None
+    # the LP's columns are Phi's free ones
+    eq = np.vstack([instance.phi.matrix[:, free], ek[count > 1][:, free]])
     box = max(1.0, float(np.abs(x).max(initial=0.0)))
-    lp = linear_program(-np.asarray(c, dtype=float), a @ k,
+    lp = linear_program(-np.asarray(c, dtype=float)[free], (a @ k)[:, free],
                         np.maximum(c_face - a @ (k @ x), 0.0), eq,
                         np.zeros(eq.shape[0]), bounds=(-box, box))
     if lp.status != 0:
         return None
-    end = x + lp.x
-    if float(np.linalg.norm(lp.x)) <= solution_resolution(instance) or \
+    d = np.zeros_like(x)
+    d[free] = lp.x
+    end = x + d
+    if float(np.linalg.norm(d)) <= solution_resolution(instance) or \
             not kkt_within(kkt_residual(instance, end, y),
                            kkt_bound(instance, level)):
         return None

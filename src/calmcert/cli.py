@@ -113,11 +113,11 @@ def _floats(spec_text, flag):
     return values
 
 
-def _samples(args, least):
-    """--samples, an error when it is below least."""
-    if args.samples < least:
-        raise ValueError(f"--samples: {args.samples} is below {least}")
-    return args.samples
+def _at_least(value, least, flag):
+    """A flag's integer value, an error naming the flag below least."""
+    if value < least:
+        raise ValueError(f"{flag}: {value} is below {least}")
+    return value
 
 
 def _run_demo(args):
@@ -182,6 +182,7 @@ def _run_demo(args):
 def run(argv):
     args = _parser().parse_args(argv)
     try:
+        _at_least(args.seed, 0, "--seed")
         if args.verb == "demo":
             return _run_demo(args)
         instance = _load(args)
@@ -204,10 +205,10 @@ def run(argv):
                       file=sys.stderr)
             return 2 if report.has_unknown else 0
         if args.verb == "sweep":
-            estimate = em.perturbation_sweep(instance, pair,
-                                             _floats(args.radii, "--radii"),
-                                             n_per_radius=_samples(args, 1),
-                                             seed=args.seed)
+            radii = _floats(args.radii, "--radii")
+            samples = _at_least(args.samples, 1, "--samples")
+            estimate = em.perturbation_sweep(instance, pair, radii,
+                                             n_per_radius=samples, seed=args.seed)
             _emit(save_report(estimate, args.format, instance, args.seed),
                   args.out)
             if args.out is not None and args.format == "json":
@@ -216,6 +217,8 @@ def run(argv):
             return 0
         if args.verb == "probe":
             t_grid = _floats(args.t_grid, "--t-grid")
+            if min(t_grid) <= 0:
+                raise ValueError(f"--t-grid: step {min(t_grid)!r} is not positive")
             report = ct.certify_solution_map(instance, pair, seed=args.seed)
             conc = report.conclusion_solution_map
             if conc.witness is None:
@@ -232,7 +235,7 @@ def run(argv):
                               kind="instability_probe"), args.out)
             return code
         if args.verb == "lab":
-            samples = _samples(args, 0)
+            samples = _at_least(args.samples, 0, "--samples")
             kx, y = instance.k.apply(pair.x_bar), pair.y_bar
             kernel = em.kernel_formula_check(instance.reg, kx, y,
                                              n_dirs=min(samples, 50),

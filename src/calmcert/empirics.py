@@ -130,60 +130,34 @@ def perturbation_sweep(instance, pair, radii, n_per_radius=16, seed=0):
 def instability_probe(instance, pair, witness, t_grid):
     """Build alternate solutions x_t along a witness and verify them by KKT.
 
-    For K = I the base point is x0 = face.project(x_bar), the face point
-    nearest the computed x_bar, with data b0 = b + Phi(x0 - x_bar): x_bar
-    lies off the face by the solver error, which would otherwise enter every
-    Phi(x_t - x_bar) and bound the ratios.  x0 is verified by KKT for b0 at
-    the alternates' bound, and its shift ||x0 - x_bar|| and
-    ||Phi(x0 - x_bar)|| are reported.  x_t is the projection of
-    x0 + t*witness onto the face, and b_t := b0 + Phi(x_t - x0) makes x_t
-    optimal for P(b_t, mu) whenever the face membership holds, which is
-    re-verified through the KKT residuals; distances are measured from
-    (x0, b0).  A ratio of None means b_t = b0 exactly (alternate solution
-    of the SAME problem, the strongest possible refutation).
+    A polyhedral face (group Lasso, l1 included, and a polyhedral g) is
+    measured from x_bar, whatever K: "alternate" is the far end of the
+    solution set along the witness (certificates.solution_set_extent), and
+    the entries are that end and the points at distance t from x_bar toward
+    it, for each t of the grid beyond the pair's resolution and short of
+    the end: solutions of the SAME data, with b_dist = 0 and ratio None.
 
-    For other K the base is x_bar itself, and the alternates come from the
-    solution set: "alternate" is its far end along the witness
-    (certificates.solution_set_extent), a solution of the same data, and
-    the entries are that end and the points at distance t from x_bar
-    toward it, for each t of the grid beyond the pair's resolution and
-    short of the end.  A curved (nuclear) face has no such set to measure.
+    The nuclear face has no solution-set LP.  For K = I the base is
+    x0 = face.project(x_bar) with data b0 = b + Phi(x0 - x_bar), verified
+    by KKT at the alternates' bound and its shift reported: x_bar lies off
+    the face by the solver error, which would otherwise bound the ratios.
+    x_t is the projection of x0 + t*witness onto the face, optimal for
+    b_t := b0 + Phi(x_t - x0) as its KKT residuals verify, and distances
+    are measured from (x0, b0).  For other K it has no alternates.
     """
-    tol = instance.tol
     x_bar = np.asarray(pair.x_bar, dtype=float)
     y = np.asarray(pair.y_bar, dtype=float)
     w = np.asarray(witness, dtype=float)
     try:
-        face = rz.conj_subdiff_face(instance.reg, y, tol)
-        x0 = face.project(x_bar) if instance.k.is_identity else x_bar
+        face = rz.conj_subdiff_face(instance.reg, y, instance.tol)
     except (ValueError, RuntimeError) as exc:
-        # no face, or one that cannot project (a polyhedral face of a
-        # multiplier tilted off a facet normal)
         return {"available": False, "reason": str(exc), "entries": []}
-    scale = kkt_scale(instance)
-    level = max(10.0, 1e-10 / tol.kkt)                  # level 10, floored
+    level = max(10.0, 1e-10 / instance.tol.kkt)         # level 10, floored
     bound = kkt_bound(instance, level)
-    db0 = np.zeros_like(instance.b)
+    x0, db0 = x_bar, np.zeros_like(instance.b)
     base = {"base_shift": 0.0, "base_db_norm": 0.0, "base_verified": None}
     points, extra = [], {}
-    if instance.k.is_identity:
-        db0 = instance.phi.apply(x0 - x_bar)
-        res0 = kkt_residual(instance.perturbed(db0, 0.0), x0, y)
-        base = {"base_shift": float(np.linalg.norm(x0 - x_bar)),
-                "base_db_norm": float(np.linalg.norm(db0)),
-                "base_verified": kkt_within(res0, bound)}
-        for t in t_grid:
-            t = float(t)
-            x_t = face.project(x0 + t * w)
-            db = instance.phi.apply(x_t - x0)
-            if float(np.linalg.norm(db)) <= 1e-13 * scale:
-                # the witness lies in Ker Phi to float precision: construct
-                # the alternate solution for the SAME data, exactly
-                db = np.zeros_like(db)
-            points.append((t, x_t, db, float(np.linalg.norm(x0 + t * w - x_t))))
-    elif not face.is_polyhedral:
-        extra["reason"] = "no solution-set LP for a curved face"
-    else:
+    if face.is_polyhedral:
         end = solution_set_extent(instance, pair, w, level)
         if end is None:
             extra["reason"] = ("the solution set reaches no farther than the "
@@ -197,6 +171,24 @@ def instability_probe(instance, pair, witness, t_grid):
                 k_t = instance.k.apply(x_t)
                 points.append((t, x_t, np.zeros_like(instance.b),
                                float(np.linalg.norm(k_t - face.project(k_t)))))
+    elif not instance.k.is_identity:
+        extra["reason"] = "no solution-set LP for a curved face"
+    else:
+        x0 = face.project(x_bar)
+        db0 = instance.phi.apply(x0 - x_bar)
+        res0 = kkt_residual(instance.perturbed(db0, 0.0), x0, y)
+        base = {"base_shift": float(np.linalg.norm(x0 - x_bar)),
+                "base_db_norm": float(np.linalg.norm(db0)),
+                "base_verified": kkt_within(res0, bound)}
+        for t in t_grid:
+            t = float(t)
+            x_t = face.project(x0 + t * w)
+            db = instance.phi.apply(x_t - x0)
+            if float(np.linalg.norm(db)) <= 1e-13 * kkt_scale(instance):
+                # the witness lies in Ker Phi to float precision: construct
+                # the alternate solution for the SAME data, exactly
+                db = np.zeros_like(db)
+            points.append((t, x_t, db, float(np.linalg.norm(x0 + t * w - x_t))))
     entries = []
     for t, x_t, db, proj_res in points:
         b_dist = float(np.linalg.norm(db))

@@ -1,9 +1,12 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
 import uniqueness_reference
+import calmcert.certificates as ct
+from calmcert import regularizers as rz
 from calmcert.certificates import (CertificateError, certify_primal_dual,
                                    certify_solution_map, prepare_multiplier,
                                    solution_resolution, solution_set_extent,
@@ -13,7 +16,9 @@ from calmcert.certificates import (CertificateError, certify_primal_dual,
 from calmcert.gallery import instance_for, random_group_lasso_instance
 from calmcert.model import load_instance
 from calmcert.solver import kkt_bound, kkt_residual, kkt_within, solve
+from extent_reference import full_extent
 from fista_reference import lasso
+from k_corpus import corpus_doc
 
 
 def make(doc):
@@ -216,19 +221,89 @@ def test_strong_solution_requires_identity_k():
 # the solution set's far end
 
 
+@functools.cache
+def _duplicated_group(seed):
+    """(instance, pair, conclusion) of a Lasso draw with a group copied
+    onto an inactive one."""
+    inst = make(lasso(np.random.default_rng([seed, 60, 7]), 60, grouped=True,
+                      dup=True))
+    pair = solve(inst)
+    return inst, pair, certify_solution_map(inst, pair).conclusion_solution_map
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_duplicated_group_reaches_a_same_data_end_along_its_witness(seed):
     # a group copied onto an inactive one gives a segment of solutions; the
     # extent LP's far end along the witness passes KKT at level 10 only when
     # the LP is solved tighter than HiGHS's default 1e-7 feasibility
-    doc = lasso(np.random.default_rng([seed, 60, 7]), 60, grouped=True, dup=True)
-    inst = make(doc)
-    pair = solve(inst)
-    conclusion = certify_solution_map(inst, pair).conclusion_solution_map
+    inst, pair, conclusion = _duplicated_group(seed)
     assert conclusion.status == "not_isolated_calm"
     end = solution_set_extent(inst, pair, conclusion.witness, 10)
     assert end is not None
     assert np.linalg.norm(end - pair.x_bar) > solution_resolution(inst)
+
+
+def _end_gap(inst, pair, c):
+    """The reduced LP's end against the unreduced one's: 0 when neither
+    finds one, their distance relative to the unreduced end when both do,
+    inf otherwise."""
+    end = solution_set_extent(inst, pair, c, 10)
+    ref = full_extent(inst, pair, c, 10)
+    if end is None or ref is None:
+        return 0.0 if end is ref else np.inf
+    return np.linalg.norm(end - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_duplicated_group_end_is_the_unreduced_lp_end(seed):
+    # K = I: every index of an interior group is pinned at 0 and leaves the
+    # LP, which moves only the boundary groups' coordinates
+    inst, pair, conclusion = _duplicated_group(seed)
+    assert _end_gap(inst, pair, conclusion.witness) <= 1e-12
+
+
+def test_k_corpus_refutations_reach_the_unreduced_lp_end():
+    checked = 0
+    for seed in range(200):
+        doc = corpus_doc(seed)
+        if doc["reg"]["kind"] == "nuclear":             # no solution-set LP
+            continue
+        inst = make(doc)
+        pair = solve(inst)
+        conclusion = certify_solution_map(inst, pair).conclusion_solution_map
+        if conclusion.status == "not_isolated_calm":
+            assert _end_gap(inst, pair, conclusion.witness) <= 1e-12, seed
+            checked += 1
+    assert checked >= 6                 # six draws of seeds 0-199 refute
+
+
+def test_a_roundoff_only_row_pins_nothing():
+    # K = [I; I] with groups {i, i + 2}: E's rows are (e_i - e_{i+2})/sqrt(2),
+    # so E K holds one entry ~1e-16 a row, and a count of the nonzero entries
+    # would pin both coordinates of a segment of solutions
+    inst = make(corpus_doc(23))
+    pair = solve(inst)
+    conclusion = certify_solution_map(inst, pair).conclusion_solution_map
+    assert conclusion.status == "not_isolated_calm"
+    face = rz.conj_subdiff_face(inst.reg, pair.y_bar, inst.tol)
+    ek = face.polyhedral_system()[2] @ inst.k.matrix
+    assert (np.count_nonzero(ek, axis=1) == 1).all()
+    assert np.abs(ek).max() < 1e-15
+    assert solution_set_extent(inst, pair, conclusion.witness, 10) is not None
+    assert _end_gap(inst, pair, conclusion.witness) <= 1e-12
+
+
+def test_a_face_that_pins_every_coordinate_solves_no_lp(monkeypatch):
+    # x_bar = 0 with y_bar inside the dual ball: both groups are interior
+    inst = make(l1_doc([[1.0, 1.0]], [0.5]))
+    pair = solve(inst)
+    assert np.abs(pair.y_bar).max() < 1.0
+    calls = []
+    lp = ct.linear_program
+    monkeypatch.setattr(ct, "linear_program",
+                        lambda *a, **k: calls.append(1) or lp(*a, **k))
+    assert solution_set_extent(inst, pair, np.array([1.0, -1.0]), 10) is None
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,9 @@ def test_non_finite_step_entries_are_rejected(instances, tmp_path, capsys,
     (["lab", "--samples", "-1"], "--samples: -1 is below 0"),
     (["sweep", "--radii", ","], "--radii: no entry"),
     (["sweep", "--radii", ""], "--radii: no entry"),
-    (["probe", "--t-grid", ","], "--t-grid: no entry")])
+    (["probe", "--t-grid", ","], "--t-grid: no entry"),
+    (["probe", "--t-grid", "0"], "--t-grid: step 0.0 is not positive"),
+    (["probe", "--t-grid", "1e-2,-0.5"], "--t-grid: step -0.5 is not positive")])
 def test_inputs_that_make_no_measurement_are_rejected(instances, tmp_path,
                                                       capsys, args, message):
     out = tmp_path / "r.json"
@@ -374,6 +376,28 @@ def test_inputs_that_make_no_measurement_are_rejected(instances, tmp_path,
                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["solve", "certify", "certify-pd", "sweep",
+                                  "probe", "lab"])
+@pytest.mark.parametrize("name", ["lasso_segment", "nuclear_degenerate"])
+def test_a_negative_seed_is_rejected_on_every_verb(instances, tmp_path, capsys,
+                                                   verb, name):
+    # numpy's generators refuse it with an error that names no flag, and
+    # where none is drawn it would be written into the provenance
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run([verb, str(instances[name]), "--seed=-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: --seed: -1 is below 0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_negative_seed_is_rejected_by_demo(tmp_path, capsys):
+    out = tmp_path / "demo.json"
+    assert run(["demo", "--seed=-1", "--out", str(out)]) == 1
+    assert "error: --seed: -1 is below 0" in capsys.readouterr().err
     assert not out.exists()
 
 

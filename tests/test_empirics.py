@@ -97,15 +97,18 @@ def test_probe_one_sided_ray_direction():
     assert not out["refuted"]    # projection collapses to x_bar, x_dist = 0
 
 
-def test_probe_unavailable_when_the_face_cannot_project():
+def test_probe_finds_no_alternate_for_a_tilted_box_multiplier():
     # the box's multiplier tilted off the facet normal: its face is the one
-    # vertex (1, 1), whose projection of x_bar reports an infeasible result
+    # vertex (1, 1), so the solution-set LP has no room to move from x_bar
     inst = instance_for("polyhedral_box")
     pair = solve(inst)
     pair.y_bar = np.array([1.0, 3e-9])
     out = instability_probe(inst, pair, np.array([0.0, 1.0]), [1e-1, 1e-2])
-    assert out == {"available": False, "entries": [],
-                   "reason": "polyhedral projection failed (infeasible result)"}
+    assert out == {"available": False, "entries": [], "min_ratio": None,
+                   "refuted": False, "base_shift": 0.0, "base_db_norm": 0.0,
+                   "base_verified": None,
+                   "reason": "the solution set reaches no farther than the "
+                             "pair's resolution along the witness"}
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +371,7 @@ def test_lab_runs_no_cone_decision(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# probe base point on the face
+# K = I probes read the solution set
 
 
 def _duplicated_group_instance(seed):
@@ -397,31 +400,26 @@ def _duplicated_group_instance(seed):
     return load_instance(json.dumps(doc))
 
 
-def test_probe_measures_from_the_face_point():
-    # x_bar lies off the face by the solver error (~1e-9); measured from
-    # x_bar, ||b_t - b|| was that error and the ratio at t = 1e-3 fell under
-    # 1e6.  From x0 = face.project(x_bar) the alternates solve the same data.
-    from calmcert.certificates import certify_solution_map
+def test_probe_reads_a_same_data_end_off_the_solution_set_for_k_identity():
+    # K = I: x_bar lies off the face by the solver error (~1e-9), but the
+    # alternates are read off the solution set from x_bar itself, so they
+    # solve the same data and no base point is moved
+    from calmcert.certificates import certify_solution_map, solution_set_extent
     inst = _duplicated_group_instance(3)
     pair = solve(inst)
     report = certify_solution_map(inst, pair)
     witness = report.conclusion_solution_map.witness
     assert report.conclusion_solution_map.status == "not_isolated_calm"
     out = instability_probe(inst, pair, witness, [1e-1, 1e-2, 1e-3])
-    assert out["refuted"]
-    assert all(e["ratio"] is None and e["verified"] for e in out["entries"])
-    assert out["base_verified"]
-    assert 0.0 < out["base_shift"] <= 1e-6
-    assert out["base_db_norm"] <= 1e-6
-    # a face direction outside Ker Phi moves the data: no refutation
-    face = rz.conj_subdiff_face(inst.reg, pair.y_bar, TOL)
-    g = inst.reg.group_slices[face.boundary[0]]
-    w = np.zeros(inst.dim_x)
-    w[g] = pair.y_bar[g] / np.linalg.norm(pair.y_bar[g])
-    assert float(np.linalg.norm(inst.phi.apply(w))) > 0.1
-    out = instability_probe(inst, pair, w, [1e-1, 1e-2, 1e-3])
-    assert out["base_verified"] and not out["refuted"]
-    assert all(e["verified"] and e["ratio"] < 1e3 for e in out["entries"])
+    end = solution_set_extent(inst, pair, witness, 10)
+    assert out["alternate"] == [float(v) for v in end]
+    assert out["refuted"] and out["base_verified"] is None
+    assert out["base_shift"] == out["base_db_norm"] == 0.0
+    assert [e["t"] for e in out["entries"]][:3] == [1e-1, 1e-2, 1e-3]
+    assert all(e["b_dist"] == 0.0 and e["ratio"] is None and e["verified"]
+               for e in out["entries"])
+    assert np.linalg.norm(inst.phi.apply(end - pair.x_bar)) <= 1e-9
+    assert float(witness @ (end - pair.x_bar)) > 0.0
 
 
 # ---------------------------------------------------------------------------

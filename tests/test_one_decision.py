@@ -24,9 +24,10 @@ from calmcert import regularizers as rz
 from calmcert.cli import run
 from calmcert.cones import SubspacePlusRays, preimage
 from calmcert.linalg import Subspace
-from calmcert.model import load_instance
+from calmcert.model import instance_hash, load_instance
 from calmcert.solver import solve
 
+import make_ledger
 from k_corpus import corpus_doc, dense_doc
 
 
@@ -122,6 +123,27 @@ def test_probe_steps_toward_the_solution_set_end(tmp_path):
     assert steps[2] == pytest.approx(np.sqrt(0.5) * 1e-5, rel=1e-3)
     for entry in payload["entries"]:
         assert entry["x_dist"] == pytest.approx(entry["t"], rel=1e-9)
+
+
+def test_probe_refutes_every_polyhedral_verdict_with_a_same_data_end(tmp_path):
+    # the polyhedral not_isolated_calm documents of the gallery and of one
+    # benchmark certify cycle (verdicts read off the ledger), all K = I: the
+    # K != I ones of the K corpus are probed by the ledger's CI step
+    status = {r["hash"]: r["solution_map"] for r in make_ledger.load()}
+    docs = [(name, doc) for name, doc in make_ledger.gallery_documents()
+            + make_ledger.bench_documents([11])
+            if doc["reg"]["kind"] != "nuclear" and status[instance_hash(
+                load_instance(json.dumps(doc)))] == "not_isolated_calm"]
+    assert len(docs) >= 10 and all(doc["k"]["kind"] == "identity"
+                                   for _, doc in docs)
+    failed = []
+    for name, doc in docs:
+        code, verdict, payload = _run(tmp_path, doc, "probe")
+        if not (code == 0 and verdict == "not_isolated_calm"
+                and payload["refuted"] is True and "alternate" in payload
+                and all(e["b_dist"] == 0.0 for e in payload["entries"])):
+            failed.append(name)
+    assert failed == []
 
 
 def test_probe_has_no_solution_set_for_a_curved_face():
