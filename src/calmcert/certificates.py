@@ -283,29 +283,8 @@ def solution_resolution(instance):
     return kkt_bound(instance, 10) / sigma
 
 
-def solution_set_extent(instance, pair, c, level):
-    """The far end x_bar + d of the solution set along c, or None.
-
-    For a polyhedral face F of y_bar (group Lasso, l1 included, and a
-    polyhedral g) the solution set S = {x : Phi x = Phi x_bar, K x in F} is
-    a polyhedron.  d maximizes c^T d over {d : Phi d = 0, K (x_bar + d) in F}
-    within ||d||_inf <= max(1, ||x_bar||_inf), one HiGHS LP.  K x_bar meets
-    F's system only to the solver's accuracy, so each row is written
-    relative to it: E K d = 0, and A K d <= c - A K x_bar with that slack
-    floored at 0.  d = 0 is then feasible, and the pair's own error is not
-    read as room to move.  A coordinate that a row of E K pins at 0 (for
-    K = I, each index of an interior group) leaves the LP; when none is
-    left, no LP is solved.
-
-    x_bar + d is returned when it passes KKT with y_bar at `level` (of
-    kkt_bound) and lies farther from x_bar than solution_resolution.  A
-    curved (nuclear) face has no LP: None.
-    """
-    x = np.asarray(pair.x_bar, dtype=float)
-    y = np.asarray(pair.y_bar, dtype=float)
-    face = rz.conj_subdiff_face(instance.reg, y, instance.tol)
-    if not face.is_polyhedral:
-        return None
+def _polyhedral_step(instance, face, x, c, box):
+    """The LP's step along c, or None."""
     a, c_face, e, _ = face.polyhedral_system()
     # the LP rows A K, E K and Phi are dense, and E K is read entry by entry
     k = instance.k.matrix
@@ -320,20 +299,68 @@ def solution_set_extent(instance, pair, c, level):
         return None
     # the LP's columns are Phi's free ones
     eq = np.vstack([instance.phi.matrix[:, free], ek[count > 1][:, free]])
-    box = max(1.0, float(np.abs(x).max(initial=0.0)))
-    lp = linear_program(-np.asarray(c, dtype=float)[free], (a @ k)[:, free],
+    lp = linear_program(-c[free], (a @ k)[:, free],
                         np.maximum(c_face - a @ (k @ x), 0.0), eq,
                         np.zeros(eq.shape[0]), bounds=(-box, box))
     if lp.status != 0:
         return None
     d = np.zeros_like(x)
     d[free] = lp.x
-    end = x + d
-    if float(np.linalg.norm(d)) <= solution_resolution(instance) or \
-            not kkt_within(kkt_residual(instance, end, y),
-                           kkt_bound(instance, level)):
+    return d
+
+
+def _nuclear_step(instance, face, x, c, box):
+    """The step along d, c projected onto L = {d : Phi d = 0, K d in span F},
+    or None when c has no component in L."""
+    k, basis = instance.k.matrix, face.span_basis()   # the stack is dense
+    line = null_space(np.vstack([  # each block at unit scale
+        instance.phi.matrix / (instance.phi.op_norm() or 1.0),
+        (k - basis @ (basis.T @ k)) / (instance.k.op_norm() or 1.0)]),
+        instance.tol)
+    d = line.project(c)
+    norm = float(np.linalg.norm(d))
+    if not nonzero(norm, instance.tol.rank, float(np.linalg.norm(c))):
         return None
-    return end
+    t = face.reach_along(instance.k.apply(x), instance.k.apply(d / norm),
+                         instance.tol)
+    return min(t, box * norm / float(np.abs(d).max())) * d / norm
+
+
+def solution_set_extent(instance, pair, c, level):
+    """The far end x_bar + d of the solution set along c, or None.
+
+    Near x_bar the solution set is S = {x : Phi x = Phi x_bar, K x in F}, F
+    the face of y_bar, and d stays within ||d||_inf <= max(1, ||x_bar||_inf).
+    * A polyhedral face (group Lasso, l1 included, and a polyhedral g) makes
+      S a polyhedron, and d maximizes c^T d over {d : Phi d = 0,
+      K (x_bar + d) in F}, one HiGHS LP.  K x_bar meets F's system only to
+      the solver's accuracy, so each row is written relative to it: E K d =
+      0, and A K d <= c - A K x_bar with that slack floored at 0.  d = 0 is
+      then feasible, and the pair's own error is not read as room to move.
+      A coordinate that a row of E K pins at 0 (for K = I, each index of an
+      interior group) leaves the LP; when none is left, no LP is solved.
+    * The nuclear face {U_1 S V_1^T : S psd} is curved (the faces of the psd
+      cone are {Q W Q^T : W psd}; Pataki, Handbook of Semidefinite
+      Programming, 2000, ch. 3), and S is read along the line of c's
+      projection onto L = {d : Phi d = 0, K d in the span of F}, the null
+      space of [Phi; (I - B B^T) K], B the span's orthonormal basis: d is
+      the farthest step with S_bar + t D psd (NuclearFace.reach_along),
+      S_bar and D the compressions of K x_bar and K d.
+
+    x_bar + d is returned when it passes KKT with y_bar at `level` (of
+    kkt_bound) and lies farther from x_bar than solution_resolution.
+    """
+    x = np.asarray(pair.x_bar, dtype=float)
+    y = np.asarray(pair.y_bar, dtype=float)
+    face = rz.conj_subdiff_face(instance.reg, y, instance.tol)
+    box = max(1.0, float(np.abs(x).max(initial=0.0)))
+    step = _polyhedral_step if face.is_polyhedral else _nuclear_step
+    d = step(instance, face, x, np.asarray(c, dtype=float), box)
+    if d is None or float(np.linalg.norm(d)) <= solution_resolution(instance) \
+            or not kkt_within(kkt_residual(instance, x + d, y),
+                              kkt_bound(instance, level)):
+        return None
+    return x + d
 
 
 def uniqueness_oracle(instance, pair):

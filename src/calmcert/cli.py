@@ -17,7 +17,7 @@ from .gallery import curated_cases
 from .model import InstanceError, load_instance, load_vector
 from .reporting import (csv_text, dumps, save_report,
                         tolerances_from_overrides)
-from .solver import SolverError, solve
+from .solver import SolverError, pair_config, solve
 
 
 @functools.cache
@@ -71,11 +71,10 @@ def _load(args):
 
 
 def _solve_pair(instance, args):
-    """The solver's pair, its multiplier replaced by --y-override's when
-    given: that pair is accepted under the solve's own bound, and carries
-    its own residuals."""
-    pair = solve(instance, em.sweep_config(instance)
-                 if args.verb == "sweep" else None)
+    """The solver's pair at pair_config's target, the same for every verb,
+    its multiplier replaced by --y-override's when given: that pair is
+    accepted under the level-1 bound, and carries its own residuals."""
+    pair = solve(instance, pair_config(instance))
     if args.y_override is not None:
         y = load_vector(Path(args.y_override).read_bytes(), "y_override")
         if y.shape != pair.y_bar.shape:
@@ -127,7 +126,7 @@ def _run_demo(args):
         instance = load_instance(case["instance"])
         expected = case["expected"]
         try:
-            pair = solve(instance)
+            pair = solve(instance, pair_config(instance))
             wants_pd = "primal_dual" in expected
             report = (ct.certify_primal_dual(instance, pair, seed=args.seed)
                       if wants_pd else

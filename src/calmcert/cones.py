@@ -374,22 +374,26 @@ class PsdCone:
         return f"PsdCone(p={self.p}, kernel={self.P.shape[1]}, {self.m}x{self.n})"
 
 
+def symmetric_block_basis(u, v, p):
+    """Orthonormal basis (vec'd columns) of {U_p H V_p^T : H in S^p}."""
+    cols = []
+    up, vp = np.asarray(u)[:, :p], np.asarray(v)[:, :p]
+    for i in range(p):
+        for j in range(i, p):
+            h = np.zeros((p, p))
+            if i == j:
+                h[i, i] = 1.0
+            else:
+                h[i, j] = h[j, i] = 1.0 / np.sqrt(2.0)
+            cols.append((up @ h @ vp.T).ravel())
+    return np.stack(cols, axis=1) if cols else np.zeros((len(u) * len(v), 0))
+
+
 def make_psd_embedded(u, v, p, kernel_basis, m, n):
     """PSD-embedded tangent cone; collapses to a subspace when the kernel is 0."""
     kernel_basis = np.asarray(kernel_basis, dtype=float).reshape(p, -1)
     if kernel_basis.shape[1] == 0:
-        cols = []
-        up, vp = np.asarray(u)[:, :p], np.asarray(v)[:, :p]
-        for i in range(p):
-            for j in range(i, p):
-                h = np.zeros((p, p))
-                if i == j:
-                    h[i, i] = 1.0
-                else:
-                    h[i, j] = h[j, i] = 1.0 / np.sqrt(2.0)
-                cols.append((up @ h @ vp.T).ravel())
-        basis = np.stack(cols, axis=1) if cols else np.zeros((m * n, 0))
-        return SubspacePlusRays(Subspace(m * n, basis))
+        return SubspacePlusRays(Subspace(m * n, symmetric_block_basis(u, v, p)))
     return PsdCone(u, v, p, kernel_basis, m, n)
 
 

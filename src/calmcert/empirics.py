@@ -17,8 +17,8 @@ import numpy as np
 from . import regularizers as rz
 from .certificates import solution_resolution, solution_set_extent
 from .linalg import row_dots, row_norms
-from .solver import (SolverConfig, SolverError, kkt_bound, kkt_residual,
-                     kkt_scale, kkt_within, solve_perturbed)
+from .solver import (SolverError, kkt_bound, kkt_residual, kkt_within,
+                     pair_config, solve_perturbed)
 
 
 @dataclass
@@ -48,32 +48,22 @@ class KappaEstimate:
         return rows
 
 
-# KKT target of the sweep's perturbed solves (or the instance's own, if
-# finer).  Every ratio is a distance from x_bar, so a caller solves the base
-# pair to the same target (the `sweep` verb does, with sweep_config).
-SWEEP_TOL_KKT = 1e-12
-
-
-def sweep_config(instance):
-    """The solver configuration of the sweep's solves, base pair included."""
-    return SolverConfig(tol_kkt=min(SWEEP_TOL_KKT, instance.tol.kkt))
-
-
 def perturbation_sweep(instance, pair, radii, n_per_radius=16, seed=0):
     """Max displacement-to-perturbation ratios over random (db, dmu) spheres.
 
     Samples whose solution jumps far from x_bar (possibly a different branch
     of the solution set) are flagged 'nonlocal' and excluded from kappa_hat;
-    non-converged solves are flagged, never dropped silently.  A radius that
-    is not positive, or whose perturbation has no finite norm, raises
-    ValueError naming it.
+    non-converged solves are flagged, never dropped silently.  Every solve
+    meets pair_config's target, the one the verbs solve their pairs to:
+    every ratio is a distance from x_bar.  A radius that is not positive, or
+    whose perturbation has no finite norm, raises ValueError naming it.
     """
     radii = [float(r) for r in radii]
     for r in radii:
         if not r > 0:
             raise ValueError(f"sweep radius {r!r} is not positive")
     rng = np.random.default_rng(seed)
-    cfg = sweep_config(instance)
+    cfg = pair_config(instance)
     ne = len(instance.b)
     x_bar = np.asarray(pair.x_bar, dtype=float)
     local_cap = 0.1 * float(np.linalg.norm(x_bar)) + 0.1
@@ -128,88 +118,42 @@ def perturbation_sweep(instance, pair, radii, n_per_radius=16, seed=0):
 
 
 def instability_probe(instance, pair, witness, t_grid):
-    """Build alternate solutions x_t along a witness and verify them by KKT.
+    """Alternate solutions of the SAME data along a witness, verified by KKT.
 
-    A polyhedral face (group Lasso, l1 included, and a polyhedral g) is
-    measured from x_bar, whatever K: "alternate" is the far end of the
-    solution set along the witness (certificates.solution_set_extent), and
-    the entries are that end and the points at distance t from x_bar toward
-    it, for each t of the grid beyond the pair's resolution and short of
-    the end: solutions of the SAME data, with b_dist = 0 and ratio None.
-
-    The nuclear face has no solution-set LP.  For K = I the base is
-    x0 = face.project(x_bar) with data b0 = b + Phi(x0 - x_bar), verified
-    by KKT at the alternates' bound and its shift reported: x_bar lies off
-    the face by the solver error, which would otherwise bound the ratios.
-    x_t is the projection of x0 + t*witness onto the face, optimal for
-    b_t := b0 + Phi(x_t - x0) as its KKT residuals verify, and distances
-    are measured from (x0, b0).  For other K it has no alternates.
+    For every face and every K, "alternate" is the far end of the solution
+    set along the witness (certificates.solution_set_extent), and the
+    entries are that end and the points at distance t from x_bar toward it,
+    for each t of the grid beyond the pair's resolution and short of the
+    end: each has b_dist 0 and ratio None.  The probe refutes when every
+    entry passes KKT with y_bar at level 10 of kkt_bound.
     """
     x_bar = np.asarray(pair.x_bar, dtype=float)
-    y = np.asarray(pair.y_bar, dtype=float)
-    w = np.asarray(witness, dtype=float)
     try:
-        face = rz.conj_subdiff_face(instance.reg, y, instance.tol)
+        face = rz.conj_subdiff_face(instance.reg, pair.y_bar, instance.tol)
     except (ValueError, RuntimeError) as exc:
         return {"available": False, "reason": str(exc), "entries": []}
     level = max(10.0, 1e-10 / instance.tol.kkt)         # level 10, floored
-    bound = kkt_bound(instance, level)
-    x0, db0 = x_bar, np.zeros_like(instance.b)
-    base = {"base_shift": 0.0, "base_db_norm": 0.0, "base_verified": None}
-    points, extra = [], {}
-    if face.is_polyhedral:
-        end = solution_set_extent(instance, pair, w, level)
-        if end is None:
-            extra["reason"] = ("the solution set reaches no farther than the "
-                               "pair's resolution along the witness")
-        else:
-            extra["alternate"] = [float(v) for v in end]
-            width = float(np.linalg.norm(end - x_bar))
-            r = solution_resolution(instance)
-            for t in [float(t) for t in t_grid if r < float(t) < width] + [width]:
-                x_t = x_bar + (t / width) * (end - x_bar) if t < width else end
-                k_t = instance.k.apply(x_t)
-                points.append((t, x_t, np.zeros_like(instance.b),
-                               float(np.linalg.norm(k_t - face.project(k_t)))))
-    elif not instance.k.is_identity:
-        extra["reason"] = "no solution-set LP for a curved face"
-    else:
-        x0 = face.project(x_bar)
-        db0 = instance.phi.apply(x0 - x_bar)
-        res0 = kkt_residual(instance.perturbed(db0, 0.0), x0, y)
-        base = {"base_shift": float(np.linalg.norm(x0 - x_bar)),
-                "base_db_norm": float(np.linalg.norm(db0)),
-                "base_verified": kkt_within(res0, bound)}
-        for t in t_grid:
-            t = float(t)
-            x_t = face.project(x0 + t * w)
-            db = instance.phi.apply(x_t - x0)
-            if float(np.linalg.norm(db)) <= 1e-13 * kkt_scale(instance):
-                # the witness lies in Ker Phi to float precision: construct
-                # the alternate solution for the SAME data, exactly
-                db = np.zeros_like(db)
-            points.append((t, x_t, db, float(np.linalg.norm(x0 + t * w - x_t))))
+    end = solution_set_extent(instance, pair, witness, level)
+    if end is None:
+        return {"available": False, "entries": [], "refuted": False,
+                "reason": "the solution set reaches no farther than the "
+                          "pair's resolution along the witness"}
+    width = float(np.linalg.norm(end - x_bar))
+    r = solution_resolution(instance)
     entries = []
-    for t, x_t, db, proj_res in points:
-        b_dist = float(np.linalg.norm(db))
-        pert = instance.perturbed(db0 + db, 0.0)
-        res = kkt_residual(pert, x_t, y)
-        verified = kkt_within(res, bound)
-        x_dist = float(np.linalg.norm(x_t - x0))
-        ratio = None if b_dist == 0.0 else x_dist / b_dist
-        entries.append({"t": t, "available": True, "x_dist": x_dist,
-                        "b_dist": b_dist, "ratio": ratio,
-                        "stationarity": res["stationarity"],
-                        "graph": res["graph"], "verified": verified,
-                        "projection_residual": proj_res})
-    finite = [e["ratio"] for e in entries if e["ratio"] is not None]
-    min_ratio = min(finite) if finite else None
-    refuted = base["base_verified"] is not False and bool(entries) and \
-        all(e["verified"] for e in entries) and \
-        all(e["x_dist"] > 0 for e in entries) and \
-        (min_ratio is None or min_ratio >= 1e6)
-    return {"available": bool(entries), "entries": entries,
-            "min_ratio": min_ratio, "refuted": refuted, **base, **extra}
+    for t in [float(t) for t in t_grid if r < float(t) < width] + [width]:
+        x_t = x_bar + (t / width) * (end - x_bar) if t < width else end
+        k_t = instance.k.apply(x_t)
+        res = kkt_residual(instance, x_t, pair.y_bar)
+        entries.append({"t": t, "available": True,
+                        "x_dist": float(np.linalg.norm(x_t - x_bar)),
+                        "b_dist": 0.0, "ratio": None, **res,
+                        "verified": kkt_within(res, kkt_bound(instance, level)),
+                        "projection_residual":
+                            float(np.linalg.norm(k_t - face.project(k_t)))})
+    return {"available": True, "entries": entries,
+            "refuted": all(e["verified"] for e in entries),
+            "alternate": [float(v) for v in end]}
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 from .linalg import (Subspace, DEFAULT_TOL, as_operator, beyond, dual_ball,
                      frozen, spectral_norm, within)
 from .cones import (SubspacePlusRays, PolyhedralCone, Polyhedron, active_rows,
-                    linear_program, make_psd_embedded)
+                    linear_program, make_psd_embedded, symmetric_block_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +499,24 @@ class NuclearFace(_ProjectedFace):
             return SubspacePlusRays(block)
         return PolyhedralCone(block.basis[:, :1].T, block.complement().basis.T,
                               ambient=self.dim)
+
+    def span_basis(self):
+        """Orthonormal basis of the face's span {U [S 0; 0 0] V^T : S in S^p}."""
+        return symmetric_block_basis(self.U, self.V, self.p)
+
+    def reach_along(self, x, d, tol):
+        """The largest t with S + t D psd, S and D the compressions of x (a
+        face member) and d: 0 when D is not psd on S's kernel (at
+        tol.derived_member), else from S^-1/2 D S^-1/2 on S's range."""
+        lam, q, _, kernel = self._spectrum(x, tol)
+        dq = q.T @ self._sbar(d) @ q
+        low = np.linalg.eigvalsh(dq[np.ix_(kernel, kernel)]).min(initial=0.0)
+        if beyond(-low, tol.derived_member, np.linalg.norm(dq)):
+            return 0.0
+        root = 1.0 / np.sqrt(lam[~kernel])          # above the kernel's slack
+        m = np.linalg.eigvalsh(root[:, None] * dq[np.ix_(~kernel, ~kernel)]
+                               * root).min(initial=0.0)
+        return np.inf if m >= 0.0 else -1.0 / m
 
     def _embed(self, s):
         """U [S 0; 0 0] V^T for a p x p block S, vec'd."""

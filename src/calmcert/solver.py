@@ -108,14 +108,22 @@ def kkt_bound(instance, level=1.0, tol_kkt=None):
     """level * tol_kkt * kkt_scale(instance), the one KKT bound (tol_kkt
     defaults to instance.tol.kkt).
 
-    Level 1 is a solve's target and the bound of every pair that enters a
-    verb, the solver's or one with a user's multiplier; 10 is that of the
-    instability probe's alternate points, and 1e3 that of the uniqueness
-    oracle's.
+    Level 1 is the bound every pair that enters a verb is accepted at, the
+    solver's or one with a user's multiplier, and the default target of
+    `solve`; the verbs solve their pairs finer, to pair_config's target.
+    10 is the bound of the instability probe's alternate points, and 1e3
+    that of the uniqueness oracle's.
     """
     if tol_kkt is None:
         tol_kkt = instance.tol.kkt
     return level * tol_kkt * kkt_scale(instance)
+
+
+def pair_config(instance):
+    """The solver configuration of every verb's pair and of the sweep's
+    perturbed solves, min(1e-12, tol.kkt): the sweep's ratios are distances
+    from x_bar, and a nuclear solution set is read off the pair's face."""
+    return SolverConfig(tol_kkt=min(1e-12, instance.tol.kkt))
 
 
 def kkt_within(res, bound):

@@ -14,6 +14,7 @@ from calmcert.gallery import curated_cases
 from calmcert.solver import kkt_residual
 
 from box_instances import box_document
+from planted_nuclear import planted_nuclear
 from splitting_reference import SLOW_TV, tv_image
 
 
@@ -235,37 +236,15 @@ def test_zero_column_polyhedron_is_rejected(tmp_path, capsys, c, verb):
 
 
 def _seed7_nuclear(tmp_path):
-    """(path, d): the planted nuclear document of the seed-7 recipe and the
-    unit direction of its segment of solutions.
-
-    K = I, nuclear g on 3 x 4 matrices, weight 1, mu = 1.  y_bar = x0 =
-    U V_1^T (p = 3), d = U diag(-2, 1, 1) V_1^T with <y_bar, d> = 0, Phi's
-    first row vec(y_bar) and six Gaussian rows orthogonal to d, b = Phi x0
-    + e_1: every x0 + t d, t in [-1, 1/2], solves the same data.
-    """
-    rng = np.random.default_rng(7)
-    u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-    v = np.linalg.qr(rng.standard_normal((4, 4)))[0][:, :3]
-    y_bar = (u @ v.T).ravel()
-    d = (u @ np.diag([-2.0, 1.0, 1.0]) @ v.T).ravel()
-    rows = [y_bar]
-    for _ in range(6):
-        r = rng.standard_normal(12)
-        rows.append(r - (r @ d) / (d @ d) * d)
-    phi = np.array(rows)
-    b = phi @ y_bar
-    b[0] += 1.0
+    """(path, d): the planted nuclear document of seed 7 (refuting, K = I,
+    tests/planted_nuclear.py) and the unit direction of its segment of
+    solutions."""
+    doc, _, d = planted_nuclear(7)
     path = tmp_path / "seed7.json"
-    path.write_text(json.dumps({
-        "phi": _dense(phi), "b": b.tolist(), "mu": 1.0,
-        "k": {"kind": "identity", "dim": 12},
-        "reg": {"kind": "nuclear", "m": 3, "n": 4, "weight": 1.0}}))
+    path.write_text(json.dumps(doc))
     return path, d / np.linalg.norm(d)
 
 
-@pytest.mark.xfail(strict=True, reason="the rank cut of cones._null (tol.rank "
-                   "= 1e-9) keeps a singular value of 1.6e-9 that the pair's "
-                   "error puts into the tangent (ROADMAP items 5 and 20)")
 def test_seed7_nuclear_segment_is_refuted_at_default_tolerances(tmp_path):
     path, _ = _seed7_nuclear(tmp_path)
     out = tmp_path / "r.json"
@@ -295,6 +274,18 @@ def test_seed7_nuclear_segment_probe_refutes_at_twice_the_rank_cut(tmp_path):
     assert run(["probe", str(path), "--tol-rank", "2e-9",
                 "--out", str(out)]) == 0
     assert json.loads(out.read_text())["payload"]["refuted"] is True
+
+
+def test_seed7_nuclear_probe_is_byte_identical_across_runs(tmp_path):
+    path, _ = _seed7_nuclear(tmp_path)
+    reports = []
+    for name in ("p1.json", "p2.json"):
+        out = tmp_path / name
+        assert run(["probe", str(path), "--tol-rank", "2e-9",
+                    "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["payload"]["refuted"] is True
 
 
 def test_integral_group_indices_load(tmp_path):

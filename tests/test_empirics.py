@@ -104,9 +104,7 @@ def test_probe_finds_no_alternate_for_a_tilted_box_multiplier():
     pair = solve(inst)
     pair.y_bar = np.array([1.0, 3e-9])
     out = instability_probe(inst, pair, np.array([0.0, 1.0]), [1e-1, 1e-2])
-    assert out == {"available": False, "entries": [], "min_ratio": None,
-                   "refuted": False, "base_shift": 0.0, "base_db_norm": 0.0,
-                   "base_verified": None,
+    assert out == {"available": False, "entries": [], "refuted": False,
                    "reason": "the solution set reaches no farther than the "
                              "pair's resolution along the witness"}
 
@@ -413,8 +411,9 @@ def test_probe_reads_a_same_data_end_off_the_solution_set_for_k_identity():
     out = instability_probe(inst, pair, witness, [1e-1, 1e-2, 1e-3])
     end = solution_set_extent(inst, pair, witness, 10)
     assert out["alternate"] == [float(v) for v in end]
-    assert out["refuted"] and out["base_verified"] is None
-    assert out["base_shift"] == out["base_db_norm"] == 0.0
+    assert out["refuted"]
+    assert not {"min_ratio", "base_shift", "base_db_norm",
+                "base_verified"} & out.keys()
     assert [e["t"] for e in out["entries"]][:3] == [1e-1, 1e-2, 1e-3]
     assert all(e["b_dist"] == 0.0 and e["ratio"] is None and e["verified"]
                for e in out["entries"])

@@ -18,17 +18,17 @@ import numpy as np
 import pytest
 
 import calmcert.certificates as ct
-import calmcert.empirics as em
 from calmcert import cones
 from calmcert import regularizers as rz
 from calmcert.cli import run
 from calmcert.cones import SubspacePlusRays, preimage
 from calmcert.linalg import Subspace
 from calmcert.model import instance_hash, load_instance
-from calmcert.solver import solve
+from calmcert.solver import pair_config, solve
 
 import make_ledger
 from k_corpus import corpus_doc, dense_doc
+from planted_nuclear import SEGMENT, planted_nuclear, tilted_k
 
 
 # Phi = [1 1], K = [I; I]: g(K x) = sqrt(2) ||x||_1, and the solution set is
@@ -146,15 +146,59 @@ def test_probe_refutes_every_polyhedral_verdict_with_a_same_data_end(tmp_path):
     assert failed == []
 
 
-def test_probe_has_no_solution_set_for_a_curved_face():
-    # the nuclear draws of the K corpus: no LP describes their solution set
-    doc = corpus_doc(10)
-    assert doc["reg"]["kind"] == "nuclear" and doc["k"]["kind"] == "dense"
-    inst = load_instance(json.dumps(doc))
-    pair = solve(inst)
-    out = em.instability_probe(inst, pair, np.ones(inst.dim_x), [1e-2])
-    assert out["available"] is False and out["refuted"] is False
-    assert out["entries"] == [] and "curved face" in out["reason"]
+def _on_the_planted_line(payload, x0, d):
+    """The alternate's t along x0 + t d, after checking that it lies within
+    1e-6 ||d|| of that line."""
+    w = np.asarray(payload["alternate"]) - x0
+    t = float(w @ d) / float(d @ d)
+    assert np.linalg.norm(w - t * d) <= 1e-6 * np.linalg.norm(d)
+    return t
+
+
+def _refuted_with_a_same_data_end(tmp_path, doc, x0, d):
+    """The t of a refuted planted draw's end, after checking its probe."""
+    code, status, payload = _run(tmp_path, doc, "probe")
+    assert code == 0 and status == "not_isolated_calm"
+    assert payload["refuted"] is True and payload["entries"]
+    assert all(e["b_dist"] == 0.0 and e["ratio"] is None and e["verified"]
+               for e in payload["entries"])
+    return _on_the_planted_line(payload, x0, d)
+
+
+def test_planted_nuclear_draws_get_their_verdicts_and_same_data_ends(tmp_path):
+    # K = I, seeds 0-59 (tests/planted_nuclear.py): every transverse draw
+    # reads isolated_calm, and every refuting one is refuted by probe with an
+    # end on its planted segment, at the segment's end unless the box
+    # ||x - x_bar||_inf <= max(1, ||x_bar||_inf) caps it first; x_bar, the
+    # verbs' pair, is a point of the segment
+    uncapped = 0
+    for seed in range(60):
+        doc, _, _ = planted_nuclear(seed, refute=False)
+        assert _run(tmp_path, doc, "certify")[1] == "isolated_calm", seed
+        doc, x0, d = planted_nuclear(seed)
+        t = _refuted_with_a_same_data_end(tmp_path, doc, x0, d)
+        inst = load_instance(json.dumps(doc))
+        x_bar = solve(inst, pair_config(inst)).x_bar
+        t_bar = float((x_bar - x0) @ d) / float(d @ d)
+        planted = SEGMENT[1] if t > t_bar else SEGMENT[0]
+        box = max(1.0, float(np.abs(x_bar).max()))
+        reach = abs(planted - t_bar) * float(np.abs(d).max())
+        if reach < box * (1 - 1e-6):
+            uncapped += 1
+            assert t == pytest.approx(planted, abs=1e-6), seed
+        else:
+            assert abs(t - t_bar) * float(np.abs(d).max()) == \
+                pytest.approx(box, rel=1e-6), seed
+    assert uncapped == 29
+
+
+def test_probe_reads_the_nuclear_solution_set_for_a_tilted_k(tmp_path):
+    # K = I + 0.3 G: the curved face's solution set is read off the pair's
+    # face as for K = I, and the end is the planted one
+    k = tilted_k(1)
+    doc, x0, d = planted_nuclear(1, k=k)
+    t = _refuted_with_a_same_data_end(tmp_path, doc, x0, d)
+    assert t == pytest.approx(SEGMENT[1], abs=1e-6)
 
 
 CORPUS = range(150)
