@@ -327,7 +327,8 @@ def _nuclear_step(instance, face, x, c, box):
 
 
 def solution_set_extent(instance, pair, c, level):
-    """The far end x_bar + d of the solution set along c, or None.
+    """(end, None) with end = x_bar + d the far end of the solution set
+    along c, or (None, cause).
 
     Near x_bar the solution set is S = {x : Phi x = Phi x_bar, K x in F}, F
     the face of y_bar, and d stays within ||d||_inf <= max(1, ||x_bar||_inf).
@@ -347,8 +348,12 @@ def solution_set_extent(instance, pair, c, level):
       the farthest step with S_bar + t D psd (NuclearFace.reach_along),
       S_bar and D the compressions of K x_bar and K d.
 
-    x_bar + d is returned when it passes KKT with y_bar at `level` (of
-    kkt_bound) and lies farther from x_bar than solution_resolution.
+    The end is returned when it passes KKT with y_bar at `level` (of
+    kkt_bound) and lies farther from x_bar than solution_resolution.  The
+    cause names why it is not: there is no step along c (the face pins
+    every coordinate, its LP is infeasible, or c has no component in L),
+    the end lies within solution_resolution, or the end fails KKT at
+    `level`, given with its distance and residuals.
     """
     x = np.asarray(pair.x_bar, dtype=float)
     y = np.asarray(pair.y_bar, dtype=float)
@@ -356,11 +361,21 @@ def solution_set_extent(instance, pair, c, level):
     box = max(1.0, float(np.abs(x).max(initial=0.0)))
     step = _polyhedral_step if face.is_polyhedral else _nuclear_step
     d = step(instance, face, x, np.asarray(c, dtype=float), box)
-    if d is None or float(np.linalg.norm(d)) <= solution_resolution(instance) \
-            or not kkt_within(kkt_residual(instance, x + d, y),
-                              kkt_bound(instance, level)):
-        return None
-    return x + d
+    if d is None:
+        return None, ("the solution-set LP finds no step along the witness"
+                      if face.is_polyhedral else "the witness has no "
+                      "component along the span of the face")
+    if float(np.linalg.norm(d)) <= solution_resolution(instance):
+        return None, ("the solution set reaches no farther than the pair's "
+                      "resolution along the witness")
+    res, bound = kkt_residual(instance, x + d, y), kkt_bound(instance, level)
+    if not kkt_within(res, bound):
+        return None, (f"the solution set's end along the witness lies "
+                      f"{float(np.linalg.norm(d)):.3g} from x_bar and fails "
+                      f"KKT at level {level:g}: stationarity "
+                      f"{res['stationarity']:.3g}, graph {res['graph']:.3g}, "
+                      f"bound {bound:.3g}")
+    return x + d, None
 
 
 def uniqueness_oracle(instance, pair):
@@ -392,7 +407,7 @@ def uniqueness_oracle(instance, pair):
         return True, None, detail
     c = np.random.default_rng(0).standard_normal(instance.dim_x)
     for direction in (c, -c):
-        alternate = solution_set_extent(instance, pair, direction, 1e3)
+        alternate = solution_set_extent(instance, pair, direction, 1e3)[0]
         if alternate is not None:
             return False, alternate, detail
     return True, None, detail

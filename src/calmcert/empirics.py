@@ -133,11 +133,10 @@ def instability_probe(instance, pair, witness, t_grid):
     except (ValueError, RuntimeError) as exc:
         return {"available": False, "reason": str(exc), "entries": []}
     level = max(10.0, 1e-10 / instance.tol.kkt)         # level 10, floored
-    end = solution_set_extent(instance, pair, witness, level)
+    end, cause = solution_set_extent(instance, pair, witness, level)
     if end is None:
         return {"available": False, "entries": [], "refuted": False,
-                "reason": "the solution set reaches no farther than the "
-                          "pair's resolution along the witness"}
+                "reason": cause}
     width = float(np.linalg.norm(end - x_bar))
     r = solution_resolution(instance)
     entries = []

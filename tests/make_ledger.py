@@ -3,10 +3,10 @@
     PYTHONPATH=src python tests/make_ledger.py           # rewrite the file
     PYTHONPATH=src python tests/make_ledger.py --check   # exit 1 on a change
 
-The script puts the repository root on sys.path for perfbench itself, so
+tests/corpus.py puts the repository root on sys.path for perfbench, so
 `PYTHONPATH=.:src` works as well.
 
-The documents are the gallery's curated cases, the K corpus
+The documents (tests/corpus.py) are the gallery's curated cases, the K corpus
 (tests/k_corpus.py, seeds 0-1599) and the certify and certify-pd documents
 of one benchmark certify cycle per seed 11-20 (perfbench.instances.build).
 A document whose instance hash an earlier row holds is left out: it would
@@ -27,46 +27,20 @@ rewrites the file in the same commit.
 
 import argparse
 import contextlib
-import copy
 import io
 import json
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
+
+import orjson
 
 from calmcert import cli
-from calmcert.gallery import curated_cases
 from calmcert.model import instance_hash, load_instance
 
-from k_corpus import corpus_doc
+from corpus import documents, one_solve
 
 LEDGER = Path(__file__).with_name("ledger.json")
-ROOT = Path(__file__).resolve().parents[1]          # holds perfbench
-CORPUS_SEEDS = range(1600)
-BENCH_SEEDS = range(11, 21)
-
-
-def gallery_documents():
-    return [(f"gallery/{case['name']}", case["instance"])
-            for case in curated_cases()]
-
-
-def corpus_documents(seeds=CORPUS_SEEDS):
-    return [(f"k_corpus/{seed}", corpus_doc(seed)) for seed in seeds]
-
-
-def bench_documents(seeds=BENCH_SEEDS):
-    if str(ROOT) not in sys.path:
-        sys.path.append(str(ROOT))
-    from perfbench.instances import build
-    return [(f"perfbench/{seed}/{op['name']}", op["doc"])
-            for seed in seeds for op in build("certify", seed)
-            if op["verb"] in ("certify", "certify-pd")]
-
-
-def documents():
-    return gallery_documents() + corpus_documents() + bench_documents()
 
 
 def _verb(tmp, verb, path):
@@ -89,25 +63,10 @@ def _outcome(payload, condition):
     return None if payload is None else payload[condition]["outcome"]
 
 
-@contextlib.contextmanager
-def _one_solve():
-    """cli's solve, made once per (instance hash, configuration): each call
-    gets its own copy of the pair.  A solve that raises is not kept."""
-    solve, pairs = cli.solve, {}
-
-    def once(instance, cfg=None):
-        key = (instance_hash(instance), repr(cfg))
-        if key not in pairs:
-            pairs[key] = solve(instance, cfg)
-        return copy.deepcopy(pairs[key])
-    with mock.patch.object(cli, "solve", once):
-        yield
-
-
-def row(name, doc, digest, tmp):
+def row(name, text, digest, tmp):
     path = tmp / "instance.json"
-    path.write_text(json.dumps(doc))
-    with _one_solve():
+    path.write_bytes(text)
+    with one_solve():
         code, sm = _verb(tmp, "certify", path)
         code_pd, pd = _verb(tmp, "certify-pd", path)
     return {"doc": name, "hash": digest,
@@ -124,10 +83,11 @@ def rows(docs):
     out, seen = [], set()
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in docs:
-            digest = instance_hash(load_instance(json.dumps(doc)))
+            text = orjson.dumps(doc)
+            digest = instance_hash(load_instance(text))
             if digest not in seen:
                 seen.add(digest)
-                out.append(row(name, doc, digest, Path(tmp)))
+                out.append(row(name, text, digest, Path(tmp)))
     return out
 
 

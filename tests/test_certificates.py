@@ -238,7 +238,7 @@ def test_duplicated_group_reaches_a_same_data_end_along_its_witness(seed):
     # the LP is solved tighter than HiGHS's default 1e-7 feasibility
     inst, pair, conclusion = _duplicated_group(seed)
     assert conclusion.status == "not_isolated_calm"
-    end = solution_set_extent(inst, pair, conclusion.witness, 10)
+    end = solution_set_extent(inst, pair, conclusion.witness, 10)[0]
     assert end is not None
     assert np.linalg.norm(end - pair.x_bar) > solution_resolution(inst)
 
@@ -247,7 +247,7 @@ def _end_gap(inst, pair, c):
     """The reduced LP's end against the unreduced one's: 0 when neither
     finds one, their distance relative to the unreduced end when both do,
     inf otherwise."""
-    end = solution_set_extent(inst, pair, c, 10)
+    end = solution_set_extent(inst, pair, c, 10)[0]
     ref = full_extent(inst, pair, c, 10)
     if end is None or ref is None:
         return 0.0 if end is ref else np.inf
@@ -289,7 +289,8 @@ def test_a_roundoff_only_row_pins_nothing():
     ek = face.polyhedral_system()[2] @ inst.k.matrix
     assert (np.count_nonzero(ek, axis=1) == 1).all()
     assert np.abs(ek).max() < 1e-15
-    assert solution_set_extent(inst, pair, conclusion.witness, 10) is not None
+    end, _ = solution_set_extent(inst, pair, conclusion.witness, 10)
+    assert end is not None
     assert _end_gap(inst, pair, conclusion.witness) <= 1e-12
 
 
@@ -302,7 +303,8 @@ def test_a_face_that_pins_every_coordinate_solves_no_lp(monkeypatch):
     lp = ct.linear_program
     monkeypatch.setattr(ct, "linear_program",
                         lambda *a, **k: calls.append(1) or lp(*a, **k))
-    assert solution_set_extent(inst, pair, np.array([1.0, -1.0]), 10) is None
+    assert solution_set_extent(inst, pair, np.array([1.0, -1.0]), 10) == (
+        None, "the solution-set LP finds no step along the witness")
     assert calls == []
 
 

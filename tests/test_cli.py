@@ -14,30 +14,51 @@ from calmcert.gallery import curated_cases
 from calmcert.solver import kkt_residual
 
 from box_instances import box_document
+from corpus import bench_ops
 from planted_nuclear import planted_nuclear
 from splitting_reference import SLOW_TV, tv_image
+from test_degenerate import DOCS
+from test_one_decision import WINDOW
 
 
 @pytest.fixture(scope="module")
 def instances(tmp_path_factory):
+    # the gallery, benchmark certify documents, a TV 8x8, the window, K = 0
     root = tmp_path_factory.mktemp("instances")
+    docs = {op["name"]: op["doc"] for op in bench_ops("certify", 0)}
+    docs.update((case["name"], case["instance"]) for case in curated_cases())
+    n, noise, weight, image = next(s for s in SLOW_TV if s[0] == 8)
+    docs.update(tv8=tv_image(np.random.default_rng([image, 11]), n, n,
+                             noise=noise, weight=weight),
+                window=WINDOW, k_zero=DOCS["k_zero"])
     paths = {}
-    for case in curated_cases():
-        p = root / f"{case['name']}.json"
-        p.write_text(json.dumps(case["instance"]))
-        paths[case["name"]] = p
+    for name, doc in docs.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
     return paths
 
 
-def test_solve_writes_solution(instances, tmp_path, capsys):
+SOLUTIONS = {"lasso_scalar": ([2.0], [1.0]),
+             "k_zero": ([1.0, 1.0], [0.0, 0.0]),
+             "window": ([2.5e-7, 2.5e-7], [1.0, 1.0, 0.0])}
+
+
+@pytest.mark.parametrize("name", SOLUTIONS)
+def test_solve_writes_solution(instances, tmp_path, name):
+    # the two residuals its pair was accepted on, within tol_kkt (1 + ||b||)
+    x_bar, y_bar = SOLUTIONS[name]
     out = tmp_path / "sol.json"
-    code = run(["solve", str(instances["lasso_scalar"]), "--out", str(out)])
+    code = run(["solve", str(instances[name]), "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["kind"] == "solution"
-    assert doc["payload"]["x_bar"][0] == pytest.approx(2.0, abs=1e-8)
-    assert doc["payload"]["y_bar"][0] == pytest.approx(1.0, abs=1e-8)
-    assert set(doc["payload"]["residuals"]) == {"stationarity", "graph"}
+    assert doc["payload"]["x_bar"] == pytest.approx(x_bar, abs=1e-8)
+    assert doc["payload"]["y_bar"] == pytest.approx(y_bar, abs=1e-8)
+    residuals = doc["payload"]["residuals"]
+    assert set(residuals) == {"stationarity", "graph"}
+    b = json.loads(instances[name].read_text())["b"]
+    bound = doc["provenance"]["tolerances"]["kkt"] * (1 + np.linalg.norm(b))
+    assert all(v <= bound for v in residuals.values())
     assert "instance_hash" in doc["provenance"]
     assert doc["provenance"]["seed"] == 0
 
@@ -336,7 +357,8 @@ def test_sweep_base_pair_meets_the_sweep_tolerance(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("verb, flag, spec, entry", [
-    ("sweep", "--radii", "1e-2,nan", "nan"), ("sweep", "--radii", "inf", "inf"),
+    ("sweep", "--radii", "1e-2,nan", "nan"), ("sweep", "--radii", "nan", "nan"),
+    ("sweep", "--radii", "inf", "inf"),
     ("sweep", "--radii", "1e-2, abc", "abc"),
     ("probe", "--t-grid", "nan,1e-2", "nan")])
 def test_non_finite_step_entries_are_rejected(instances, tmp_path, capsys,
@@ -461,13 +483,20 @@ def test_solve_and_sweep_leave_scipy_unimported(tmp_path):
 
 
 def test_y_override(instances, tmp_path):
+    from calmcert.gallery import instance_for
     y = tmp_path / "y.json"
     y.write_text(json.dumps([0.5, 0.5]))
     out = tmp_path / "r.json"
     assert run(["certify-pd", str(instances["pd_multiplier_segment"]),
                 "--y-override", str(y), "--out", str(out)]) == 0
     payload = json.loads(out.read_text())["payload"]
-    assert np.allclose(payload["y_used"], [0.5, 0.5], atol=1e-8)
+    assert payload["y_used"] == [0.5, 0.5]
+    assert run(["solve", str(instances["pd_multiplier_segment"]),
+                "--y-override", str(y), "--out", str(out)]) == 0
+    pair = json.loads(out.read_text())["payload"]
+    assert pair["residuals"] == kkt_residual(
+        instance_for("pd_multiplier_segment"), np.array(pair["x_bar"]),
+        np.array(pair["y_bar"]))
     bad = tmp_path / "ybad.json"
     bad.write_text(json.dumps([5.0, -4.0]))
     assert run(["certify-pd", str(instances["pd_multiplier_segment"]),
@@ -573,13 +602,20 @@ def test_non_finite_y_override_is_an_error(instances, tmp_path, capsys, override
 
 
 def test_byte_identical_reports(instances, tmp_path):
-    # every verb, with the sweep's CSV side file and a CSV report
+    # every verb, with the sweep's CSV side file and CSV reports
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     segment, scalar = str(instances["lasso_segment"]), str(instances["lasso_scalar"])
+    doc = {name: str(path) for name, path in instances.items()}
     for argv in (["solve", segment], ["certify", segment],
                  ["certify-pd", str(instances["nuclear_degenerate"])],
                  ["probe", segment], ["lab", str(instances["nuclear_degenerate"])],
                  ["sweep", scalar, "--radii", "1e-2", "--samples", "5"],
+                 ["sweep", doc["tv8"], "--radii", "1e-2,1e-3", "--samples", "2"],
+                 *(["solve", doc[n]] for n in ("nuclear6x8", "box8", "group400_0")),
+                 *(["lab", doc[n]] for n in ("lab_l1_40_0", "lab_nuclear6x8",
+                                             "polyhedral_box")),
+                 ["certify-pd", doc["window"]], ["probe", doc["window"]],
+                 ["certify-pd", doc["window"], "--format", "csv"],
                  ["certify", segment, "--format", "csv"], ["demo"]):
         codes = [run(argv + ["--seed", "7", "--out", str(path)])
                  for path in (a, b)]
@@ -626,7 +662,7 @@ def test_every_report_is_valid_json(instances, tmp_path):
     # a lab quotient off the domain of g and the min_inner of no samples are
     # written null, never Infinity
     rng = np.random.default_rng(4)
-    paths = dict(instances)
+    paths = {case["name"]: instances[case["name"]] for case in curated_cases()}
     for name, args in (("box8", (4, True, 1)), ("box12", (6, False, 2))):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(box_document(rng, *args)))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,15 +7,17 @@ import pytest
 import lab_reference
 from box_instances import box_document
 from lab_reference import graph_sample
+from planted_nuclear import planted_nuclear
 from calmcert import empirics
 from calmcert import regularizers as rz
 from calmcert.empirics import (instability_probe, kernel_formula_check,
                                perturbation_sweep, zero_product_check)
+from calmcert.certificates import certify_solution_map
 from calmcert.gallery import instance_for
 from calmcert.cones import PsdCone, SubspacePlusRays
 from calmcert.linalg import Subspace, Tolerances
 from calmcert.model import group_lasso, l1, load_instance, nuclear
-from calmcert.solver import solve
+from calmcert.solver import SolverConfig, solve
 
 TOL = Tolerances()
 
@@ -107,6 +110,29 @@ def test_probe_finds_no_alternate_for_a_tilted_box_multiplier():
     assert out == {"available": False, "entries": [], "refuted": False,
                    "reason": "the solution set reaches no farther than the "
                              "pair's resolution along the witness"}
+
+
+def test_probe_names_why_it_finds_no_alternate():
+    # no step: a transverse nuclear draw's line L is {0}
+    inst = load_instance(json.dumps(planted_nuclear(0, refute=False)[0]))
+    out = instability_probe(inst, solve(inst), np.ones(12), [1e-2])
+    assert out["reason"] == "the witness has no component along the span " \
+                            "of the face"
+    # an end that fails KKT: the planted seed-55 segment, read off a pair at
+    # tol_kkt 1e-10, ends 1.78 from x_bar with stationarity 7.7e-9 against a
+    # level-10 bound of 5.9e-9
+    inst = load_instance(json.dumps(planted_nuclear(55)[0]))
+    pair = solve(inst, SolverConfig(tol_kkt=1e-10))
+    witness = certify_solution_map(inst, pair).conclusion_solution_map.witness
+    out = instability_probe(inst, pair, witness, [1e-1, 1e-2])
+    assert out["available"] is False and out["entries"] == []
+    found = re.fullmatch(
+        r"the solution set's end along the witness lies (\S+) from x_bar and "
+        r"fails KKT at level 10: stationarity (\S+), graph (\S+), "
+        r"bound (\S+)", out["reason"])
+    dist, stationarity, graph, bound = map(float, found.groups())
+    assert dist == pytest.approx(1.78, abs=0.01)
+    assert graph <= bound < stationarity
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +435,7 @@ def test_probe_reads_a_same_data_end_off_the_solution_set_for_k_identity():
     witness = report.conclusion_solution_map.witness
     assert report.conclusion_solution_map.status == "not_isolated_calm"
     out = instability_probe(inst, pair, witness, [1e-1, 1e-2, 1e-3])
-    end = solution_set_extent(inst, pair, witness, 10)
+    end = solution_set_extent(inst, pair, witness, 10)[0]
     assert out["alternate"] == [float(v) for v in end]
     assert out["refuted"]
     assert not {"min_ratio", "base_shift", "base_db_norm",

@@ -2,12 +2,13 @@
 
 The gallery and K-corpus seeds 0-199 are re-run here; the whole ledger,
 with the rest of the corpus and the benchmark cycles, is checked by
-`PYTHONPATH=.:src python tests/make_ledger.py --check`.
+`python -m pytest -m corpus` (tests/test_corpus.py).
 """
 
+import corpus
 import make_ledger
 
-FAST = make_ledger.gallery_documents() + make_ledger.corpus_documents(range(200))
+FAST = corpus.gallery_documents() + corpus.corpus_documents(range(200))
 
 
 def test_fast_rows_match_the_ledger():
@@ -26,8 +27,8 @@ def test_ledger_rows_are_unique_and_hold_no_float():
 
 
 def test_check_fails_on_an_edited_row(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(make_ledger, "documents", make_ledger.gallery_documents)
-    rows = make_ledger.rows(make_ledger.gallery_documents())
+    monkeypatch.setattr(make_ledger, "documents", corpus.gallery_documents)
+    rows = make_ledger.rows(corpus.gallery_documents())
     path = tmp_path / "ledger.json"
     path.write_text(make_ledger.dumps(rows))
     assert make_ledger.main(["--check", "--ledger", str(path)]) == 0

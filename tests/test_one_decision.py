@@ -26,6 +26,7 @@ from calmcert.linalg import Subspace
 from calmcert.model import instance_hash, load_instance
 from calmcert.solver import pair_config, solve
 
+import corpus
 import make_ledger
 from k_corpus import corpus_doc, dense_doc
 from planted_nuclear import SEGMENT, planted_nuclear, tilted_k
@@ -128,10 +129,10 @@ def test_probe_steps_toward_the_solution_set_end(tmp_path):
 def test_probe_refutes_every_polyhedral_verdict_with_a_same_data_end(tmp_path):
     # the polyhedral not_isolated_calm documents of the gallery and of one
     # benchmark certify cycle (verdicts read off the ledger), all K = I: the
-    # K != I ones of the K corpus are probed by the ledger's CI step
+    # K != I ones of the K corpus are probed by tests/test_corpus.py
     status = {r["hash"]: r["solution_map"] for r in make_ledger.load()}
-    docs = [(name, doc) for name, doc in make_ledger.gallery_documents()
-            + make_ledger.bench_documents([11])
+    docs = [(name, doc) for name, doc in corpus.gallery_documents()
+            + corpus.bench_documents([11])
             if doc["reg"]["kind"] != "nuclear" and status[instance_hash(
                 load_instance(json.dumps(doc)))] == "not_isolated_calm"]
     assert len(docs) >= 10 and all(doc["k"]["kind"] == "identity"
