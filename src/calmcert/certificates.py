@@ -413,13 +413,10 @@ def uniqueness_oracle(instance, pair):
     return True, None, detail
 
 
-def uniqueness_equivalence_check(instance, pair, oracle_budget=8, seed=0):
+def uniqueness_equivalence_check(instance, pair, seed=0):
     """Compare the certificate conclusion with the uniqueness oracle."""
     if not isinstance(instance.reg, rz.GroupLasso):
         raise ValueError("uniqueness equivalence applies to group lasso only")
-    if instance.dim_x > oracle_budget:
-        raise ValueError(f"oracle budget exceeded: dim X = {instance.dim_x} "
-                         f"> {oracle_budget}")
     unique, alternate, detail = uniqueness_oracle(instance, pair)
     report = certify_solution_map(instance, pair, seed=seed)
     status = report.conclusion_solution_map.status

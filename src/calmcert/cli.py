@@ -14,7 +14,7 @@ import numpy as np
 from . import certificates as ct
 from . import empirics as em
 from .gallery import curated_cases
-from .model import InstanceError, load_instance, load_vector
+from .model import InstanceError, at_field, load_instance, load_vector
 from .reporting import (csv_text, dumps, save_report,
                         tolerances_from_overrides)
 from .solver import SolverError, pair_config, solve
@@ -64,9 +64,8 @@ def _parser():
 
 def _load(args):
     instance = load_instance(Path(args.instance).read_bytes())
-    tol = tolerances_from_overrides(instance.tol, args.tol_rank,
-                                    args.tol_member, args.tol_kkt)
-    instance.tol = tol
+    instance.tol = at_field("--tol-", tolerances_from_overrides, instance.tol,
+                            args.tol_rank, args.tol_member, args.tol_kkt)
     return instance
 
 

@@ -26,10 +26,10 @@ reported.  The embedded-PSD degenerate case uses an alternating-projection
 probe on a kernel basis of M, its starts run as one stack, that can only
 answer Nontrivial-with-witness or Unknown.
 
-Polyhedron is the set {A y <= c, E y = rhs} shared by the polyhedral
-regularizer (its value and prox), its conjugate faces and PolyhedralCone:
-it holds the one polyhedral membership test, and the projection, whose
-factors it keeps for as long as its owner lives.
+Polyhedron is the set {A y <= c, E y = rhs}: the polyhedral regularizer
+holds one (its value and prox), and PolyhedralCone and the polyhedral
+conjugate face are Polyhedrons.  It holds the one polyhedral membership
+test, and the projection, whose factors it keeps for as long as it lives.
 """
 
 from collections import namedtuple
@@ -160,38 +160,6 @@ class SubspacePlusRays:
                 f"rays={len(self.rays)}, ambient={self.ambient})")
 
 
-class PolyhedralCone:
-    """{w : A w <= 0, E w = 0}; either block may be empty."""
-
-    def __init__(self, a, e=None, ambient=None):
-        a = np.asarray(a, dtype=float) if a is not None else None
-        e = np.asarray(e, dtype=float) if e is not None else None
-        if a is None and e is None:
-            raise ValueError("polyhedral cone needs at least one block")
-        self.ambient = ambient if ambient is not None else (
-            a.shape[1] if a is not None and a.size else e.shape[1])
-        self.A = a if a is not None and a.size else np.zeros((0, self.ambient))
-        self.E = e if e is not None and e.size else np.zeros((0, self.ambient))
-
-    def member(self, w, tol):
-        """Polyhedron.contains of the cone: an array of slacks gives one
-        answer per slack."""
-        return self._set.contains(w, tol)
-
-    @cached_property
-    def _set(self):
-        return Polyhedron(self.A, np.zeros(self.A.shape[0]),
-                          self.E, np.zeros(self.E.shape[0]))
-
-    def project(self, w):
-        """Projection onto the cone (Polyhedron.project, factors reused)."""
-        return self._set.project(w)
-
-    def __repr__(self):
-        return (f"PolyhedralCone(ineq={self.A.shape[0]}, eq={self.E.shape[0]}, "
-                f"ambient={self.ambient})")
-
-
 PROJECTION_SLACK = 1e-9        # of a projection's rows and its result check
 
 
@@ -200,9 +168,9 @@ class Polyhedron:
 
     The set holds its row norms, A Z for an orthonormal basis Z of Ker E,
     and, per active row set J, the factors M^T (M M^T)^+ and (M M^T)^+ of
-    M = [A_J; E].  It lives as long as its owner (a PolyhedralIndicator, a
-    polyhedral conjugate face, a PolyhedralCone) and remembers the active
-    set of its last NNLS.
+    M = [A_J; E].  It lives as long as its owner (a PolyhedralIndicator) or
+    as itself (a polyhedral conjugate face, a PolyhedralCone), and
+    remembers the active set of its last NNLS.
     """
 
     def __init__(self, a, c, e=None, rhs=None):
@@ -212,9 +180,12 @@ class Polyhedron:
         self.E = np.zeros((0, dim)) if e is None else np.asarray(e, dtype=float)
         self.rhs = np.zeros(self.E.shape[0]) if rhs is None \
             else np.asarray(rhs, dtype=float)
-        self._norms = np.linalg.norm(np.vstack([self.A, self.E]), axis=1)
         self._factors = {}
         self._last = ()
+
+    @cached_property
+    def _norms(self):
+        return np.linalg.norm(np.vstack([self.A, self.E]), axis=1)
 
     @cached_property
     def _az(self):
@@ -308,28 +279,58 @@ class Polyhedron:
         return y
 
 
+class PolyhedralCone(Polyhedron):
+    """{w : A w <= 0, E w = 0}; either block may be empty."""
+
+    def __init__(self, a, e=None, ambient=None):
+        a = np.asarray(a, dtype=float) if a is not None else None
+        e = np.asarray(e, dtype=float) if e is not None else None
+        if a is None and e is None:
+            raise ValueError("polyhedral cone needs at least one block")
+        self.ambient = ambient if ambient is not None else (
+            a.shape[1] if a is not None and a.size else e.shape[1])
+        a = a if a is not None and a.size else np.zeros((0, self.ambient))
+        e = e if e is not None and e.size else np.zeros((0, self.ambient))
+        super().__init__(a, np.zeros(a.shape[0]), e)
+
+    member = Polyhedron.contains
+
+    def __repr__(self):
+        return (f"PolyhedralCone(ineq={self.A.shape[0]}, eq={self.E.shape[0]}, "
+                f"ambient={self.ambient})")
+
+
 class PsdCone:
     """{U_p H V_p^T embedded in R^{m x n} : H in S^p, P^T H P >= 0}.
 
-    U, V are the orthogonal factors of the carrying face, p the block size,
-    kernel_basis P (p x q) spans the nullspace of the base point's p x p
-    compression.  q = 0 never reaches this class (the cone is then a plain
-    subspace); construct via make_psd_embedded.
+    U, V are the orthogonal factors of the carrying face, p the block size
+    (p = 0 gives {0}), kernel_basis P (p x q).  P = I_p is the nuclear face
+    itself; a tangent cone's P spans the nullspace of the base point's
+    compression, and make_psd_embedded makes it a subspace when q = 0.
     """
 
     def __init__(self, u, v, p, kernel_basis, m, n):
         self.U = np.asarray(u, dtype=float)
         self.V = np.asarray(v, dtype=float)
         self.p = int(p)
-        self.P = np.asarray(kernel_basis, dtype=float).reshape(self.p, -1)
+        # reshape cannot infer the width of an empty block's empty kernel
+        self.P = np.asarray(kernel_basis, dtype=float).reshape(self.p, -1) \
+            if self.p else np.zeros((0, 0))
         self.m, self.n = int(m), int(n)
         self.ambient = self.m * self.n
 
-    def _compress(self, w):
+    def compress(self, w):
+        """U^T W V for w (or each row of a stack) vec'd as an m x n W."""
         w = np.asarray(w, dtype=float)
         return self.U.T @ w.reshape(w.shape[:-1] + (self.m, self.n)) @ self.V
 
-    def _embed(self, h):
+    def block(self, w):
+        """The symmetric part of the p x p block of w's compression."""
+        c = self.compress(w)[..., :self.p, :self.p]
+        return 0.5 * (c + c.swapaxes(-1, -2))
+
+    def embed(self, h):
+        """U [H 0; 0 0] V^T, vec'd, for a p x p block H (or a stack)."""
         full = np.zeros(h.shape[:-2] + (self.m, self.n))
         full[..., :self.p, :self.p] = h
         out = self.U @ full @ self.V.T
@@ -341,7 +342,7 @@ class PsdCone:
         member_slack(tol, ||w||); an array of slacks gives one answer per
         slack from one compression."""
         slack = member_slack(tol, np.linalg.norm(w))
-        c = self._compress(w)
+        c = self.compress(w)
         off = c.copy()
         off[:self.p, :self.p] = 0.0
         h = c[:self.p, :self.p]
@@ -357,15 +358,14 @@ class PsdCone:
 
         For a stack of points (rows), one batched eigh projects them all.
         """
-        c = self._compress(w)[..., :self.p, :self.p]
-        h = 0.5 * (c + c.swapaxes(-1, -2))
+        h = self.block(w)
         if self.P.shape[1]:
             g = self.P.T @ h @ self.P
             lam, q = np.linalg.eigh(0.5 * (g + g.swapaxes(-1, -2)))
             # Q diag(lam+) Q^T as (Q * lam+) Q^T: the same numbers
             gplus = (q * np.clip(lam, 0.0, None)[..., None, :]) @ q.swapaxes(-1, -2)
             h = h + self.P @ (gplus - self.P.T @ h @ self.P) @ self.P.T
-        return self._embed(h)
+        return self.embed(h)
 
     def residual(self, w):
         return float(np.linalg.norm(np.asarray(w, dtype=float) - self.project(w)))
@@ -391,10 +391,10 @@ def symmetric_block_basis(u, v, p):
 
 def make_psd_embedded(u, v, p, kernel_basis, m, n):
     """PSD-embedded tangent cone; collapses to a subspace when the kernel is 0."""
-    kernel_basis = np.asarray(kernel_basis, dtype=float).reshape(p, -1)
-    if kernel_basis.shape[1] == 0:
-        return SubspacePlusRays(Subspace(m * n, symmetric_block_basis(u, v, p)))
-    return PsdCone(u, v, p, kernel_basis, m, n)
+    cone = PsdCone(u, v, p, kernel_basis, m, n)
+    if cone.P.shape[1]:
+        return cone
+    return SubspacePlusRays(Subspace._orthonormal(symmetric_block_basis(u, v, p)))
 
 
 class PreimageCone:
@@ -692,7 +692,6 @@ def tangent_with_range_restriction(face, z, k_op, tol=DEFAULT_TOL):
     if not face.is_polyhedral:
         return None
     a, c, e, _ = face.polyhedral_system()
-    comp = imk.complement()
-    e_all = np.vstack([e, comp.basis.T]) if e.shape[0] else comp.basis.T
+    e_all = np.vstack([e, imk.complement().basis.T])
     return PolyhedralCone(a[active_rows(a, c, z, tol.derived_member)], e_all,
                           ambient=face.dim)

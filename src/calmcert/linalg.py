@@ -14,6 +14,16 @@ from functools import cached_property
 import numpy as np
 
 
+class InstanceError(ValueError):
+    """Schema or dimension violation; carries the offending field path.
+    Tolerances and LinearOp raise it at their field's name (`rank`, `n1`),
+    which model.at_field re-raises at its path (`tol.rank`, `--tol-rank`)."""
+
+    def __init__(self, path, message):
+        self.path, self.message = path, message
+        super().__init__(f"{path}: {message}")
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds shared across the package.
@@ -45,9 +55,9 @@ class Tolerances:
         for name in ("rank", "member", "kkt"):
             v = getattr(self, name)
             if not (v > 0.0 and np.isfinite(v)):
-                raise ValueError(f"tolerance {name!r} must be strictly positive")
+                raise InstanceError(name, "must be strictly positive and finite")
         if self.rank >= 1.0:
-            raise ValueError("tolerance 'rank' must be < 1")
+            raise InstanceError("rank", "must be < 1")
 
 
 DEFAULT_TOL = Tolerances()
@@ -121,7 +131,9 @@ def _as_matrix(a):
 
 
 class Subspace:
-    """Linear subspace of R^n stored as an orthonormal basis (n x k)."""
+    """Linear subspace of R^n stored as an orthonormal basis (n x k): the
+    SVD basis of the given columns at DEFAULT_TOL.rank (_orth_columns), or
+    one orthonormal by construction (_orthonormal)."""
 
     def __init__(self, ambient_dim, basis=None):
         self.ambient_dim = int(ambient_dim)
@@ -132,11 +144,11 @@ class Subspace:
             basis = basis.reshape(-1, 1)
         if basis.shape[0] != self.ambient_dim:
             raise ValueError("basis rows do not match ambient dimension")
-        self.basis = _reorthonormalize(basis)
+        self.basis = _orth_columns(basis, DEFAULT_TOL.rank)
 
     @classmethod
     def _orthonormal(cls, basis):
-        """Subspace over a basis that is orthonormal by construction (no QR)."""
+        """Subspace over a basis orthonormal by construction (unfactored)."""
         sub = cls.__new__(cls)
         sub.ambient_dim = basis.shape[0]
         sub.basis = basis
@@ -166,26 +178,11 @@ class Subspace:
         return within(self.residual(w), tol, np.linalg.norm(w))
 
     def complement(self):
-        """Orthogonal complement as a Subspace."""
-        n = self.ambient_dim
-        if self.dim == 0:
-            return Subspace.full(n)
-        if self.dim == n:
-            return Subspace.zero(n)
-        q, _ = np.linalg.qr(self.basis, mode="complete")
-        return Subspace._orthonormal(q[:, self.dim:])
+        """Orthogonal complement: the null space of the basis's transpose."""
+        return null_space(self.basis.T)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def _reorthonormalize(basis):
-    """QR re-orthonormalization; drops numerically dependent columns."""
-    if basis.shape[1] == 0:
-        return basis
-    q, r = np.linalg.qr(basis)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(np.diag(r)).max())
-    return q[:, keep]
 
 
 def _orth_columns(a, tol_rank):
@@ -193,9 +190,7 @@ def _orth_columns(a, tol_rank):
     if a.size == 0:
         return np.zeros((a.shape[0], 0))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[0], 0))
-    return u[:, :rank_count(s, tol_rank, s[0])]
+    return u[:, :rank_count(s, tol_rank, s[0])]     # none when s[0] is 0
 
 
 def row_dots(a, b):
@@ -308,12 +303,13 @@ class LinearOp:
         if self.kind == "grad1d":
             n = self.params["n"]
             if n < 2:
-                raise ValueError("grad1d requires n >= 2")
+                raise InstanceError("n", "grad1d requires n >= 2")
             return np.eye(n - 1, n) - np.eye(n - 1, n, 1)
         if self.kind == "grad2d":
             n1, n2 = self.params["n1"], self.params["n2"]
             if n1 < 1 or n2 < 1:
-                raise ValueError("grad2d requires n1, n2 >= 1")
+                raise InstanceError("n1" if n1 < 1 else "n2",
+                                    "grad2d requires n1, n2 >= 1")
             m = np.zeros((2 * n1 * n2, n1 * n2))
             idx = np.arange(n1 * n2).reshape(n1, n2)     # pixel (i, j)
             down = idx[:-1].ravel()             # i < n1 - 1: its vertical row

@@ -14,18 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (Tolerances, DEFAULT_TOL, LinearOp, _matrix_header,
-                     _matrix_json)
+from .linalg import (Tolerances, DEFAULT_TOL, InstanceError, LinearOp,
+                     _matrix_header, _matrix_json)
 from .cones import linear_program
 from .regularizers import GroupLasso, Nuclear, PolyhedralIndicator
-
-
-class InstanceError(ValueError):
-    """Schema or dimension violation; carries the offending field path."""
-
-    def __init__(self, path, message):
-        self.path = path
-        super().__init__(f"{path}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +210,19 @@ def _vector(value, path):
     return np.asarray([_number(v, f"{path}[{i}]") for i, v in enumerate(value)])
 
 
+# the sizes of each structured operator kind, LinearOp's parameters
+_SIZES = {"identity": ("dim",), "grad1d": ("n",), "grad2d": ("n1", "n2")}
+
+
+def at_field(prefix, build, *args, **kwargs):
+    """build(*args, **kwargs), its InstanceError re-raised at prefix + its
+    field: the path of an operator size or a tolerance, or a flag."""
+    try:
+        return build(*args, **kwargs)
+    except InstanceError as exc:
+        raise InstanceError(prefix + exc.path, exc.message) from None
+
+
 def _load_operator(doc, path):
     if not isinstance(doc, dict):
         raise InstanceError(path, "expected an operator object")
@@ -230,16 +235,10 @@ def _load_operator(doc, path):
             raise InstanceError(f"{path}.entries",
                                 f"expected {rows * cols} entries, got {entries.size}")
         return LinearOp.dense(entries.reshape(rows, cols))
-    if kind == "identity":
-        return LinearOp.identity(_int(_need(doc, "dim", path), f"{path}.dim"))
-    if kind == "grad1d":
-        n = _int(_need(doc, "n", path), f"{path}.n")
-        if n < 2:
-            raise InstanceError(f"{path}.n", "grad1d requires n >= 2")
-        return LinearOp.grad1d(n)
-    if kind == "grad2d":
-        return LinearOp.grad2d(_int(_need(doc, "n1", path), f"{path}.n1"),
-                               _int(_need(doc, "n2", path), f"{path}.n2"))
+    if kind in _SIZES:
+        sizes = {name: _int(_need(doc, name, path), f"{path}.{name}")
+                 for name in _SIZES[kind]}
+        return at_field(path + ".", LinearOp, kind, **sizes)
     raise InstanceError(f"{path}.kind", f"unknown operator kind {kind!r}")
 
 
@@ -326,11 +325,9 @@ def load_instance(text):
         t = doc["tol"]
         if not isinstance(t, dict):
             raise InstanceError("tol", "expected an object")
-        kw = {}
-        for key in ("rank", "member", "kkt"):
-            if key in t:
-                kw[key] = _number(t[key], f"tol.{key}")
-        tol = Tolerances(**kw)
+        kw = {key: _number(t[key], f"tol.{key}")
+              for key in ("rank", "member", "kkt") if key in t}
+        tol = at_field("tol.", Tolerances, **kw)
     return ProblemInstance(phi=phi, b=b, mu=mu, k=k, reg=reg, tol=tol)
 
 

@@ -7,11 +7,13 @@ for the conjugate-subdifferential face F(y) = {x : y in dg(x)}, which
 decides whether ri F(y) meets a given range and gives both tangent cones of
 the zero-product pair at (x, y): T_{F(y)}(x) and T_{dg(x)}(y), read from one
 activity rule per kind; one face per (y, tol) is kept for every reader.
-For the nuclear norm the face's singular basis of y, rotated in its unit
-block by x's compression, is common to x and y, so no simultaneous SVD of
-the pair is taken.  The module-level functions are
-the interface: each makes the checks shared by every kind and calls the
-kind's method.  Subdifferential membership reads only the kind's prox (y is
+The faces are the sets of cones.py: a polyhedral face is a Polyhedron,
+and the nuclear face holds its block as a PsdCone, which compresses,
+embeds and projects for it.  For the nuclear norm the face's singular
+basis of y, rotated in its unit block by x's compression, is common to x
+and y, so no simultaneous SVD of the pair is taken.  The module-level
+functions are the interface: each makes the checks shared by every kind
+and calls the kind's method.  Subdifferential membership reads only the kind's prox (y is
 in dg(x) exactly when x = prox_g(x + y)), so it is decided once for every
 kind, and no kind carries g* or its prox.
 
@@ -27,8 +29,9 @@ import numpy as np
 
 from .linalg import (Subspace, DEFAULT_TOL, as_operator, beyond, dual_ball,
                      frozen, spectral_norm, within)
-from .cones import (SubspacePlusRays, PolyhedralCone, Polyhedron, active_rows,
-                    linear_program, make_psd_embedded, symmetric_block_basis)
+from .cones import (SubspacePlusRays, PolyhedralCone, Polyhedron, PsdCone,
+                    active_rows, linear_program, make_psd_embedded,
+                    symmetric_block_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +426,8 @@ class GroupLassoFace(_ProjectedFace):
 
 
 class NuclearFace(_ProjectedFace):
-    """F(Y) = {U [S 0; 0 0] V^T : S psd p x p} for the unit singular block."""
+    """F(Y) = {U [S 0; 0 0] V^T : S psd p x p} for the unit singular block,
+    held as the PsdCone with kernel basis I_p."""
 
     is_polyhedral = False
 
@@ -437,31 +441,19 @@ class NuclearFace(_ProjectedFace):
         if s.size and outside[0]:
             raise ValueError(
                 f"spectral norm exceeds the dual bound by {s[0] / w - 1.0:.3g}")
-        self.U, self.V = u, vt.T
         self.sigma_y = s
         self.p = int(np.sum(on))
-
-    def _compress(self, x):
-        return self.U.T @ self.reg.mat(x) @ self.V
-
-    def _sbar(self, x):
-        c = self._compress(x)
-        return 0.5 * (c[:self.p, :self.p] + c[:self.p, :self.p].T)
+        self.cone = PsdCone(u, vt.T, self.p, np.eye(self.p), reg.m, reg.n)
 
     def project(self, x):
-        """Zero outside the block, symmetrize, clip negative eigenvalues."""
-        s = self._sbar(x)
-        if self.p == 0:
-            return np.zeros(self.dim)
-        lam, q = np.linalg.eigh(s)
-        return self._embed(q @ np.diag(np.clip(lam, 0.0, None)) @ q.T)
+        return self.cone.project(x)
 
     def _spectrum(self, x, tol):
         """(lam, q, scale, kernel): the eigenpairs of the p x p compression
         of x (ascending), the scale max |lam|, and the mask of the eigenvalues
         within tol.member at that scale.  The one activity reading of the
         face: its rank is the count of the others."""
-        lam, q = np.linalg.eigh(self._sbar(x))
+        lam, q = np.linalg.eigh(self.cone.block(x))
         scale = float(np.abs(lam).max(initial=0.0))
         return lam, q, scale, within(lam, tol.member, scale)
 
@@ -470,13 +462,11 @@ class NuclearFace(_ProjectedFace):
         return self.p - int(np.count_nonzero(self._spectrum(x, tol)[3]))
 
     def tangent_at(self, x, tol=DEFAULT_TOL):
-        if self.p == 0:
-            return SubspacePlusRays(Subspace.zero(self.dim))
         lam, q, scale, kernel = self._spectrum(x, tol)
-        if beyond(-float(lam.min()), tol.derived_member, scale):
+        if beyond(-float(lam.min(initial=0.0)), tol.derived_member, scale):
             raise ValueError("point is not in the face (indefinite compression)")
-        return make_psd_embedded(self.U, self.V, self.p, q[:, kernel],
-                                 self.reg.m, self.reg.n)
+        return make_psd_embedded(self.cone.U, self.cone.V, self.p,
+                                 q[:, kernel], self.reg.m, self.reg.n)
 
     def subdiff_tangent(self, x, tol=DEFAULT_TOL):
         """T_{dg(x)}(y_bar), or None where no exact description is supported.
@@ -487,13 +477,13 @@ class NuclearFace(_ProjectedFace):
         is B when r = p, the half-space {d in B : <u_r v_r^T, d> <= 0} when
         r = p - 1, and None when two or more unit values lie off x's support.
         """
-        p = self.p
+        p, u, v = self.p, self.cone.U, self.cone.V
         _, q, _, kernel = self._spectrum(x, tol)
         spare = int(np.count_nonzero(kernel))           # p - r
         if spare > 1:
             return None
-        uk = np.hstack([self.U[:, :p] @ q[:, kernel], self.U[:, p:]])
-        vk = np.hstack([self.V[:, :p] @ q[:, kernel], self.V[:, p:]])
+        uk = np.hstack([u[:, :p] @ q[:, kernel], u[:, p:]])
+        vk = np.hstack([v[:, :p] @ q[:, kernel], v[:, p:]])
         block = Subspace._orthonormal(np.kron(uk, vk))  # u_r v_r^T first
         if not spare:
             return SubspacePlusRays(block)
@@ -502,14 +492,14 @@ class NuclearFace(_ProjectedFace):
 
     def span_basis(self):
         """Orthonormal basis of the face's span {U [S 0; 0 0] V^T : S in S^p}."""
-        return symmetric_block_basis(self.U, self.V, self.p)
+        return symmetric_block_basis(self.cone.U, self.cone.V, self.p)
 
     def reach_along(self, x, d, tol):
         """The largest t with S + t D psd, S and D the compressions of x (a
         face member) and d: 0 when D is not psd on S's kernel (at
         tol.derived_member), else from S^-1/2 D S^-1/2 on S's range."""
         lam, q, _, kernel = self._spectrum(x, tol)
-        dq = q.T @ self._sbar(d) @ q
+        dq = q.T @ self.cone.block(d) @ q
         low = np.linalg.eigvalsh(dq[np.ix_(kernel, kernel)]).min(initial=0.0)
         if beyond(-low, tol.derived_member, np.linalg.norm(dq)):
             return 0.0
@@ -517,12 +507,6 @@ class NuclearFace(_ProjectedFace):
         m = np.linalg.eigvalsh(root[:, None] * dq[np.ix_(~kernel, ~kernel)]
                                * root).min(initial=0.0)
         return np.inf if m >= 0.0 else -1.0 / m
-
-    def _embed(self, s):
-        """U [S 0; 0 0] V^T for a p x p block S, vec'd."""
-        full = np.zeros((self.reg.m, self.reg.n))
-        full[:self.p, :self.p] = s
-        return (self.U @ full @ self.V.T).ravel()
 
     def ri_meets_range(self, imk, tol, x_bar=None):
         """'yes' when K x_bar is a face member of full block rank (it is in
@@ -532,7 +516,7 @@ class NuclearFace(_ProjectedFace):
                                                tol.derived_member):
             if self.rank_at(x_bar, tol) == self.p:
                 return "yes"
-        target = self._embed(np.eye(self.p))
+        target = self.cone.embed(np.eye(self.p))
         return "yes" if within(imk.residual(target), tol.member,
                                np.linalg.norm(target)) else "unknown"
 
@@ -541,8 +525,9 @@ class NuclearFace(_ProjectedFace):
                 "sigma_y": [float(v) for v in self.sigma_y]}
 
 
-class PolyhedralFace:
-    """Exposed face argmax_{A y <= c} <y_bar, y>, as inequalities + equalities.
+class PolyhedralFace(Polyhedron):
+    """Exposed face argmax_{A y <= c} <y_bar, y>: a Polyhedron with the
+    equality <y_bar, y> = support (none when y_bar is zero).
 
     Built through conj_subdiff_face, which keeps one face per (y_bar, tol)
     for every kind, so its support LP is solved once.
@@ -554,29 +539,17 @@ class PolyhedralFace:
         self.reg = reg
         self.y_bar = y_bar
         self.dim = reg.dim
-        self.A = reg.A
-        self.c = reg.c
-        if within(float(np.linalg.norm(self.y_bar)), tol.member):
-            self.E, self.e = np.zeros((0, self.dim)), np.zeros(0)
-            self.support = 0.0
-            return
-        lp = linear_program(-self.y_bar, self.A, self.c)
-        if lp.status != 0:
-            raise ValueError("unbounded face: the exposed face of the polyhedron "
-                             "in this direction is empty" if lp.status == 3 else
-                             f"face computation failed (LP status {lp.status})")
-        self.support = -lp.value
-        self.E, self.e = self.y_bar.reshape(1, -1), np.asarray([self.support])
-
-    def contains(self, x, tol):
-        return bool(self._set.contains(x, tol))
-
-    @cached_property
-    def _set(self):
-        return Polyhedron(self.A, self.c, self.E, self.e)
-
-    def project(self, x):
-        return self._set.project(x)
+        self.support, e, rhs = 0.0, None, None
+        if not within(float(np.linalg.norm(self.y_bar)), tol.member):
+            lp = linear_program(-self.y_bar, reg.A, reg.c)
+            if lp.status != 0:
+                raise ValueError("unbounded face: the exposed face of the "
+                                 "polyhedron in this direction is empty"
+                                 if lp.status == 3 else
+                                 f"face computation failed (LP status {lp.status})")
+            self.support = -lp.value
+            e, rhs = self.y_bar.reshape(1, -1), np.asarray([self.support])
+        super().__init__(reg.A, reg.c, e, rhs)
 
     def _active(self, x, tol):
         """The rows of A active at x, at the slack of a derived point: the
@@ -584,19 +557,18 @@ class PolyhedralFace:
         return self.A[active_rows(self.A, self.c, x, tol.derived_member)]
 
     def tangent_at(self, x, tol=DEFAULT_TOL):
-        e = self.E if self.E.shape[0] else None
-        return PolyhedralCone(self._active(x, tol), e, ambient=self.dim)
+        return PolyhedralCone(self._active(x, tol), self.E, ambient=self.dim)
 
     def subdiff_tangent(self, x, tol=DEFAULT_TOL):
         """T_{dg(x)}(y_bar): the rows active at x as rays, plus the line of
         y_bar when the face has its equality row."""
-        span = (Subspace(self.dim, self.y_bar.reshape(-1, 1)) if self.E.shape[0]
-                else Subspace.zero(self.dim))
+        span = (Subspace._orthonormal(self.E.T / np.linalg.norm(self.y_bar))
+                if self.E.shape[0] else Subspace.zero(self.dim))
         return SubspacePlusRays(span, [r for r in self._active(x, tol)
                                        if np.any(r)])
 
     def polyhedral_system(self):
-        return self.A, self.c, self.E, self.e
+        return self.A, self.c, self.E, self.rhs
 
     def describe(self):
         return {"kind": "polyhedral", "support": float(self.support),

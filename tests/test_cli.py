@@ -380,7 +380,11 @@ def test_non_finite_step_entries_are_rejected(instances, tmp_path, capsys,
     (["sweep", "--radii", ""], "--radii: no entry"),
     (["probe", "--t-grid", ","], "--t-grid: no entry"),
     (["probe", "--t-grid", "0"], "--t-grid: step 0.0 is not positive"),
-    (["probe", "--t-grid", "1e-2,-0.5"], "--t-grid: step -0.5 is not positive")])
+    (["probe", "--t-grid", "1e-2,-0.5"], "--t-grid: step -0.5 is not positive"),
+    (["certify", "--tol-rank", "2"], "--tol-rank: must be < 1"),
+    (["certify", "--tol-kkt", "0"], "--tol-kkt: must be strictly positive"),
+    (["certify", "--tol-member", "nan"],
+     "--tol-member: must be strictly positive")])
 def test_inputs_that_make_no_measurement_are_rejected(instances, tmp_path,
                                                       capsys, args, message):
     out = tmp_path / "r.json"

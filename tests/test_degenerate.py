@@ -3,14 +3,16 @@
 Each document sits at an edge of the instance format: a zero Phi, a zero
 b, no unknowns, a 1 x 1 nuclear norm, the shortest grad1d, polyhedra with
 no rows, with equality rows only and reduced to one point, a huge mu, a
-tiny b with a tiny weight, and an analysis operator K with no nonzero
+tiny b with a tiny weight, an analysis operator K with no nonzero
 entry (a zero matrix, and grad2d of a 1 x 1 image, which is a 2 x 1 zero
-matrix).  Every verb must end with a verdict (exit 0 or 2) or with an
-error that names the field at fault (exit 1), never with an exception.
+matrix), a grad2d image with no rows and a zero membership tolerance.
+Every verb must end with a verdict (exit 0 or 2) or with an error that
+names the field at fault (exit 1), never with an exception.
 """
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -67,12 +69,19 @@ DOCS = {
                    "k": {"kind": "grad2d", "n1": 1, "n2": 1},
                    "reg": {"kind": "group_lasso", "dim": 2,
                            "groups": [[0, 1]], "weight": 1.0}},
+    "grad2d_0x1": {"phi": I1, "b": [1.0], "mu": 1.0,
+                   "k": {"kind": "grad2d", "n1": 0, "n2": 1}, "reg": _l1(2)},
+    "tol_member_0": {"phi": PHI, "b": [1.0, 1.0], "mu": 1.0, "k": I2,
+                     "reg": _l1(2), "tol": {"member": 0}},
 }
 
 VERBS = (["solve"], ["certify"], ["certify-pd"], ["probe"],
          ["sweep", "--radii", "1e-2", "--samples", "2"],
          ["lab", "--samples", "10"])
 FIELDS = ("phi", "b", "mu", "k", "reg", "tol", "y_override")
+# an error line that starts with a field's path: the field, then a
+# sub-field, a colon or an index
+NAMES_A_FIELD = re.compile(rf"^error: ({'|'.join(FIELDS)})[.:\[]", re.M)
 
 
 def _path(tmp_path, name):
@@ -91,7 +100,7 @@ def test_every_verb_ends_with_a_verdict_or_names_the_field(name, tmp_path,
         err = capsys.readouterr().err
         assert "Traceback" not in err, (name, verb)
         if code == 1:
-            assert any(field in err for field in FIELDS), (name, verb, err)
+            assert NAMES_A_FIELD.search(err), (name, verb, err)
             continue
         assert code in (0, 2), (name, verb)
         payload = json.loads(out.read_text())["payload"]

@@ -69,7 +69,7 @@ def test_projection_keeps_faces_tight_at_roundoff(monkeypatch):
                                np.array([0.3, 0.7, 1.1, 0.9]))
     face = rz.conj_subdiff_face(box, np.array([1.0, 0.0]), Tolerances())
     for point in ([5.0, 5.0], [-5.0, 0.2], [0.3, -0.9]):
-        want = enumerated(point, face.A, face.c, face.E, face.e)
+        want = enumerated(point, face.A, face.c, face.E, face.rhs)
         assert np.allclose(face.project(point), want, atol=1e-12)
     assert len(calls) == 1
 

@@ -161,6 +161,21 @@ def test_face_nuclear_degenerate_psd_block():
     assert not face.contains(np.array([[0.0, 1.0], [0.0, 0.0]]).ravel(), 1e-7)
 
 
+def test_face_nuclear_empty_block():
+    # ||Y|| < w: no unit singular value, so the face and its tangent are {0}
+    reg = nuclear(2, 3)
+    face = rz.conj_subdiff_face(reg, np.array([0.5, 0.1, 0.0, 0.0, 0.3, 0.2]),
+                                TOL)
+    assert face.p == 0
+    x = np.random.default_rng(4).standard_normal(reg.dim)
+    assert np.array_equal(face.project(x), np.zeros(reg.dim))
+    assert face.contains(np.zeros(reg.dim), 1e-9)
+    assert not face.contains(x, 1e-7)
+    cone = face.tangent_at(np.zeros(reg.dim), TOL)
+    assert cone.span.dim == 0 and not cone.rays
+    assert np.array_equal(cone.project(x), np.zeros(reg.dim))
+
+
 def test_tangent_conj_group_lasso_moving_point():
     cone = rz.tangent_conj_subdiff(GL, np.array([0.6, 0.8, 0.5]),
                                    np.array([0.6, 0.8, 0.0]), TOL)
