@@ -5,6 +5,7 @@ Exit codes: 0 decisive, 2 completed with Unknown verdicts, 1 error.
 """
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -15,9 +16,10 @@ from . import certificates as ct
 from . import empirics as em
 from .gallery import curated_cases
 from .model import InstanceError, at_field, load_instance, load_vector
-from .reporting import (csv_text, dumps, save_report,
-                        tolerances_from_overrides)
+from .reporting import csv_text, dumps, save_report
 from .solver import SolverError, pair_config, solve
+
+T_GRID = "1e-1,1e-2,1e-3"       # the default --t-grid, and the demo's
 
 
 @functools.cache
@@ -52,7 +54,7 @@ def _parser():
     sp.add_argument("--samples", type=int, default=16, help="samples per radius")
     sp = sub.add_parser("probe", help="witness-direction instability probe")
     common(sp)
-    sp.add_argument("--t-grid", default="1e-1,1e-2,1e-3",
+    sp.add_argument("--t-grid", default=T_GRID,
                     help="comma-separated step sizes along the witness")
     sp = sub.add_parser("lab", help="kernel-formula and zero-product checks")
     common(sp)
@@ -64,8 +66,9 @@ def _parser():
 
 def _load(args):
     instance = load_instance(Path(args.instance).read_bytes())
-    instance.tol = at_field("--tol-", tolerances_from_overrides, instance.tol,
-                            args.tol_rank, args.tol_member, args.tol_kkt)
+    given = {name: value for name in ("rank", "member", "kkt")
+             if (value := getattr(args, f"tol_{name}")) is not None}
+    instance.tol = at_field("--tol-", dataclasses.replace, instance.tol, **given)
     return instance
 
 
@@ -137,7 +140,7 @@ def _run_demo(args):
             if expected.get("probe_refuted"):
                 witness = report.conclusion_solution_map.witness
                 probe = em.instability_probe(instance, pair, witness,
-                                             [1e-1, 1e-2, 1e-3])
+                                             _floats(T_GRID, "--t-grid"))
                 got["probe_refuted"] = probe["refuted"]
             if "x_bar" in expected:
                 got["x_bar_ok"] = bool(np.allclose(pair.x_bar, expected["x_bar"],

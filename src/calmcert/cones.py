@@ -26,10 +26,11 @@ reported.  The embedded-PSD degenerate case uses an alternating-projection
 probe on a kernel basis of M, its starts run as one stack, that can only
 answer Nontrivial-with-witness or Unknown.
 
-Polyhedron is the set {A y <= c, E y = rhs}: the polyhedral regularizer
-holds one (its value and prox), and PolyhedralCone and the polyhedral
-conjugate face are Polyhedrons.  It holds the one polyhedral membership
-test, and the projection, whose factors it keeps for as long as it lives.
+Polyhedron is the set {A y <= c, E y = rhs}: the polyhedral regularizer,
+PolyhedralCone and the polyhedral conjugate face are Polyhedrons.  It holds
+the one polyhedral membership test, and one least-distance NNLS that both
+projects (keeping its factors for as long as the set lives) and decides
+whether the set is empty.
 """
 
 from collections import namedtuple
@@ -168,9 +169,9 @@ class Polyhedron:
 
     The set holds its row norms, A Z for an orthonormal basis Z of Ker E,
     and, per active row set J, the factors M^T (M M^T)^+ and (M M^T)^+ of
-    M = [A_J; E].  It lives as long as its owner (a PolyhedralIndicator) or
-    as itself (a polyhedral conjugate face, a PolyhedralCone), and
-    remembers the active set of its last NNLS.
+    M = [A_J; E].  The polyhedral regularizer, a polyhedral conjugate face
+    and a PolyhedralCone are each one, and it remembers the active set of
+    its last projection's NNLS.
     """
 
     def __init__(self, a, c, e=None, rhs=None):
@@ -211,6 +212,38 @@ class Polyhedron:
             return point.copy()
         return point - proj @ (mm @ point - target)
 
+    def _least_distance(self, h):
+        """The multipliers of min ||z|| over -(A Z) z >= h: one NNLS of
+        [-(A Z)^T; h^T] against the last unit vector (Lawson & Hanson, Solving
+        Least Squares Problems, 1974, ch. 23), whose positive entries mark the
+        active rows; None when its residual vanishes, which happens only when
+        no z meets the rows."""
+        import scipy.optimize
+        az = self._az
+        unit = np.zeros(az.shape[1] + 1)
+        unit[-1] = 1.0
+        lam, res = scipy.optimize.nnls(np.vstack([-az.T, h]), unit)
+        return None if res <= np.finfo(float).eps else lam
+
+    def _gaps(self, point, slack):
+        """(y0, h): y0 the point's projection onto {E y = rhs}, and h =
+        A y0 - c relaxed by ||a_i|| member_slack(slack, ||y0||)."""
+        y = self._onto((), point)
+        relax = member_slack(slack, np.linalg.norm(y))
+        return y, self.A @ y - self.c - relax * self._norms[:self.A.shape[0]]
+
+    def is_empty(self):
+        """Whether no y meets A y <= c and E y = rhs, by the least-distance
+        NNLS of project for the point 0, at no slack.  E y = rhs is taken as
+        consistent, and y0 is exact only without equalities: with them, an
+        inequality that they hold tight can read empty at roundoff.  With no
+        rows of A the set is not empty, and no NNLS is solved.  The active
+        set that project reuses is left as it was."""
+        if not self.A.shape[0]:
+            return False
+        h = self._gaps(np.zeros(self.A.shape[1]), 0.0)[1]
+        return self._least_distance(h) is None
+
     def contains(self, y, slack):
         """A y <= c, E y = rhs, row i at ||row_i|| member_slack(slack, ||y||).
 
@@ -245,10 +278,8 @@ class Polyhedron:
         y0 + Z z for the z of least norm with -(A Z) z >= h = A y0 - c.  When
         h < 0 that z is 0, and y0 is returned without an NNLS.  Otherwise the
         active set of the last NNLS is tried (see _reuse); only when it fails
-        does one NNLS of [-(A Z)^T; h^T] against the last unit vector solve
-        the problem (Lawson & Hanson, Solving Least Squares Problems, 1974,
-        ch. 23): its residual vanishes only when the set is empty, and its
-        positive entries mark the active rows.  The answer is the point's
+        does the least-distance NNLS (_least_distance) solve the problem, and
+        its active rows become the ones reused next.  The answer is the point's
         projection onto those rows at equality and {E y = rhs}, from the
         factors of that set, the same numbers as computed afresh.  h is
         relaxed by ||a_i|| member_slack(PROJECTION_SLACK, ||y0||), the slack of
@@ -257,20 +288,13 @@ class Polyhedron:
         pin) do not make the set look empty.
         """
         point = np.asarray(point, dtype=float)
-        y = self._onto((), point)
-        m = self.A.shape[0]
-        slack = member_slack(PROJECTION_SLACK, np.linalg.norm(y))
-        h = self.A @ y - self.c - slack * self._norms[:m]
+        y, h = self._gaps(point, PROJECTION_SLACK)
         if (h >= 0.0).any():
             reused = self._reuse(point)
             if reused is not None:
                 return reused
-            import scipy.optimize
-            az = self._az
-            unit = np.zeros(az.shape[1] + 1)
-            unit[-1] = 1.0
-            lam, res = scipy.optimize.nnls(np.vstack([-az.T, h]), unit)
-            if res <= np.finfo(float).eps:
+            lam = self._least_distance(h)
+            if lam is None:
                 raise RuntimeError("polyhedral projection failed (empty set)")
             self._last = tuple(np.flatnonzero(lam > 0.0).tolist())
             y = self._onto(self._last, point)

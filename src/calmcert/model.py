@@ -16,7 +16,6 @@ import numpy as np
 
 from .linalg import (Tolerances, DEFAULT_TOL, InstanceError, LinearOp,
                      _matrix_header, _matrix_json)
-from .cones import linear_program
 from .regularizers import GroupLasso, Nuclear, PolyhedralIndicator
 
 
@@ -271,10 +270,10 @@ def _load_regularizer(doc, path):
         c = _vector(_need(doc, "c", path), f"{path}.c")
         if c.size != a.shape[0]:
             raise InstanceError(f"{path}.c", "length must match rows of A")
-        # a zero-cost LP over the rows is solved exactly when they meet
-        if a.shape[0] and linear_program(np.zeros(a.shape[1]), a, c).status != 0:
+        reg = polyhedral_indicator(a, c)
+        if reg.is_empty():
             raise InstanceError(path, "polyhedral set {y : A y <= c} is empty")
-        return polyhedral_indicator(a, c)
+        return reg
     raise InstanceError(f"{path}.kind", f"unknown regularizer kind {kind!r}")
 
 

@@ -7,15 +7,16 @@ for the conjugate-subdifferential face F(y) = {x : y in dg(x)}, which
 decides whether ri F(y) meets a given range and gives both tangent cones of
 the zero-product pair at (x, y): T_{F(y)}(x) and T_{dg(x)}(y), read from one
 activity rule per kind; one face per (y, tol) is kept for every reader.
-The faces are the sets of cones.py: a polyhedral face is a Polyhedron,
-and the nuclear face holds its block as a PsdCone, which compresses,
-embeds and projects for it.  For the nuclear norm the face's singular
-basis of y, rotated in its unit block by x's compression, is common to x
-and y, so no simultaneous SVD of the pair is taken.  The module-level
-functions are the interface: each makes the checks shared by every kind
-and calls the kind's method.  Subdifferential membership reads only the kind's prox (y is
-in dg(x) exactly when x = prox_g(x + y)), so it is decided once for every
-kind, and no kind carries g* or its prox.
+The faces are the sets of cones.py: a polyhedral face is a Polyhedron, as
+the polyhedral indicator itself is, and the nuclear face holds its block as
+a PsdCone, which compresses, embeds and projects for it.  For the nuclear
+norm the face's singular basis of y, rotated in its unit block by x's
+compression, is common to x and y, so no simultaneous SVD of the pair is
+taken.  The module-level functions are the interface: each makes the
+checks shared by every kind and calls the kind's method.  Subdifferential
+membership reads only the kind's prox (y is in dg(x) exactly when
+x = prox_g(x + y)), so it is decided once for every kind, and no kind
+carries g* or its prox.
 
 Weights are folded into g as weight * (base norm); conjugate-ball radii and
 boundary classifications are normalized by the weight so a single tolerance
@@ -193,27 +194,24 @@ class Nuclear(_Norm):
         return spectral_norm(self.mat(x_bar)) / self.weight
 
 
-class PolyhedralIndicator:
-    """The indicator of {y : A y <= c}, A a read-only (rows x dim) array.
+class PolyhedralIndicator(Polyhedron):
+    """The indicator of the Polyhedron {y : A y <= c}, A a read-only
+    (rows x dim) array.
 
-    With no rows the set is all of R^dim, and g = 0.  The polyhedron's
-    projection factors are kept, as the conjugate faces are for every kind
-    (conj_subdiff_face), so that every caller reuses them.
+    With no rows the set is all of R^dim, and g = 0.  value and prox are the
+    set's own membership and projection, whose factors it keeps, as the
+    conjugate faces are kept for every kind (conj_subdiff_face), so that
+    every caller reuses them.
     """
 
     kind = "polyhedral_indicator"
 
     def __init__(self, a, c):
-        self.A = frozen(np.array(a, dtype=float))
-        self.c = frozen(np.array(c, dtype=float))
+        super().__init__(frozen(np.array(a, dtype=float)),
+                         frozen(np.array(c, dtype=float)))
         self.dim = self.A.shape[1]
         if self.c.shape != self.A.shape[:1]:
             raise ValueError("polyhedral offset length must match rows")
-
-    @cached_property
-    def polyhedron(self):
-        """{y : A y <= c}, whose projections (the prox) reuse its factors."""
-        return Polyhedron(self.A, self.c)
 
     def to_json_dict(self, dense):
         return {"kind": self.kind, "A": dense(self.A), "c": self.c.tolist()}
@@ -221,7 +219,7 @@ class PolyhedralIndicator:
     def value(self, y, slack=DEFAULT_TOL.member):
         """0 where y is in the set at slack (Polyhedron.contains), inf
         elsewhere; per row of a stack."""
-        return np.where(self.polyhedron.contains(y, slack), 0.0, np.inf)
+        return np.where(self.contains(y, slack), 0.0, np.inf)
 
     def strict_value(self, z):
         """value() with machine-precision domain checks.
@@ -234,7 +232,7 @@ class PolyhedralIndicator:
         return float(out) if z.ndim == 1 else out
 
     def prox(self, t, y):
-        return np.array([self.polyhedron.project(r)
+        return np.array([self.project(r)
                          for r in y.reshape(-1, self.dim)]).reshape(y.shape)
 
     def face(self, y_bar, tol):

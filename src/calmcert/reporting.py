@@ -4,7 +4,6 @@ import io
 import json
 
 from .empirics import KappaEstimate
-from .linalg import Tolerances
 from .model import instance_hash
 
 
@@ -86,9 +85,3 @@ def save_report(report, fmt="json", instance=None, seed=0, kind=None):
         kind = type(report).__name__.lower() if hasattr(report, "to_json_dict") \
             else "report"
     return dumps(report_document(kind, payload, instance, seed))
-
-
-def tolerances_from_overrides(base, rank=None, member=None, kkt=None):
-    return Tolerances(rank=rank if rank is not None else base.rank,
-                      member=member if member is not None else base.member,
-                      kkt=kkt if kkt is not None else base.kkt)

@@ -11,9 +11,13 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import orjson
+
 from calmcert import cli
+from calmcert.certificates import certify_primal_dual
 from calmcert.gallery import curated_cases
-from calmcert.model import instance_hash
+from calmcert.model import instance_hash, load_instance
+from calmcert.solver import kkt_bound, kkt_residual, kkt_within, pair_config
 
 from k_corpus import corpus_doc
 
@@ -62,3 +66,16 @@ def one_solve():
         return copy.deepcopy(_PAIRS[key])
     with mock.patch.object(cli, "solve", once):
         yield
+
+
+def alternate_multipliers_verify(doc, t):
+    """Whether (x_bar, y_bar + t eta) passes the probe's KKT bound (level
+    10), for the pair that cli solves (within one_solve) and eta the srcq
+    witness of certify_primal_dual; False when srcq has no witness."""
+    instance = load_instance(orjson.dumps(doc))
+    with one_solve():
+        pair = cli.solve(instance, pair_config(instance))
+    eta = certify_primal_dual(instance, pair).srcq.witness
+    return eta is not None and kkt_within(
+        kkt_residual(instance, pair.x_bar, pair.y_bar + t * eta),
+        kkt_bound(instance, 10))

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import corpus
 import uniqueness_reference
 import calmcert.certificates as ct
 from calmcert import regularizers as rz
@@ -181,6 +182,17 @@ def test_pd_multiplier_segment_fails_srcq():
     assert np.linalg.norm(inst.k.matrix.T @ w) <= 1e-8
     assert report.conclusion_primal_dual.status == "not_isolated_calm"
     assert report.conclusion_solution_map.status == "isolated_calm"
+
+
+@pytest.mark.parametrize("name", ["gallery/pd_multiplier_segment",
+                                  "k_corpus/1", "k_corpus/2", "k_corpus/13",
+                                  "k_corpus/28"])
+def test_srcq_witness_moves_the_multiplier_along_a_segment(name):
+    # a subset of the corpus tier's check (tests/test_corpus.py), at a
+    # step ten times its own: y_bar + t eta is again a multiplier of x_bar
+    docs = dict(corpus.gallery_documents()
+                + corpus.corpus_documents([1, 2, 13, 28]))
+    assert corpus.alternate_multipliers_verify(docs[name], 1e-3)
 
 
 # ---------------------------------------------------------------------------

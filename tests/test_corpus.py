@@ -46,6 +46,17 @@ def test_every_refutation_carries_a_same_data_alternate(sources, tmp_path):
     assert probed and failed == []
 
 
+def test_every_srcq_refutation_has_verified_alternate_multipliers(sources):
+    # eta, the srcq witness, moves y_bar along Ker K* and stays a multiplier:
+    # 838 rows, all at t = 1e-4 (836 at 1e-3, 813 at 1e-2); about 10 s
+    # alone, under 1 s after the ledger test, whose solves it shares
+    fails = {r["doc"] for r in make_ledger.load() if r["srcq"] == "fails"}
+    checked = {name for name, _ in sources if name in fails}
+    wrong = [name for name, doc in sources if name in fails
+             and not corpus.alternate_multipliers_verify(doc, 1e-4)]
+    assert checked == fails and wrong == []
+
+
 @pytest.mark.parametrize("workload", ["certify", "sweep"])
 def test_one_benchmark_run_is_correct(workload):
     # it checks every output; CI keeps .perfbench/result-*-seed0-trace0.json

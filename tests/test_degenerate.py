@@ -11,6 +11,7 @@ names the field at fault (exit 1), never with an exception.
 """
 
 import csv
+import functools
 import json
 import re
 
@@ -18,6 +19,7 @@ import pytest
 
 from calmcert.cli import run
 
+from corpus import bench_ops
 from k_corpus import corpus_doc
 
 
@@ -153,6 +155,26 @@ def test_a_scaled_pair_that_solve_accepts_gets_a_verdict(name, verb, tmp_path):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(SCALED[name]))
     assert run([verb, str(path), "--out", str(tmp_path / "out.json")]) in (0, 2)
+
+
+@functools.cache
+def _l160_14():
+    return next(op["doc"] for op in bench_ops("certify", 11)
+                if op["name"] == "l160_14")
+
+
+@pytest.mark.parametrize("verb", ["solve", "certify", "certify-pd", "probe",
+                                  "lab"])
+@pytest.mark.parametrize("name", ["l160_14", "k_corpus_294"])
+def test_every_verb_decides_at_a_tighter_member_tolerance(name, verb,
+                                                          tmp_path):
+    # at --tol-member 1e-9 every verb but solve once refused these pairs,
+    # "group 17: ||y_J|| exceeds the dual bound by 1.27e-09" on l160_14
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_l160_14() if name == "l160_14"
+                               else corpus_doc(294)))
+    assert run([verb, str(path), "--tol-member", "1e-9",
+                "--out", str(tmp_path / "out.json")]) in (0, 2)
 
 
 @pytest.mark.xfail(strict=True, reason="the scaled x_bar, 1e6 times the "

@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import orjson
 import pytest
+import scipy.optimize
 
 import calmcert
+from calmcert import cones
 from calmcert.linalg import Tolerances, null_space, range_space
 from calmcert.model import (InstanceError, LinearOp, group_lasso, load_instance,
                             instance_to_json, instance_hash,
@@ -171,6 +173,27 @@ def test_load_rejects_empty_polyhedron():
                            "c": [-1.0, -1.0]})
     with pytest.raises(InstanceError, match="empty"):
         load_instance(json.dumps(doc))
+
+
+@pytest.mark.parametrize("c, empty", [
+    ([-1e-6, -1e-6], True),         # empty by a margin of 1e-6
+    ([0.0, 0.0], False),            # one point
+    ([-1.0, 2.0], False),           # away from 0
+])
+def test_load_decides_emptiness_by_the_sets_own_projection(c, empty,
+                                                           monkeypatch):
+    # {x : x <= c0, -x <= c1}; the loader solves no LP
+    monkeypatch.setattr(scipy.optimize, "linprog", None)
+    doc = minimal_doc(reg={"kind": "polyhedral_indicator",
+                           "A": {"kind": "dense", "rows": 2, "cols": 1,
+                                 "entries": [1.0, -1.0]}, "c": c})
+    if not empty:
+        assert isinstance(load_instance(json.dumps(doc)).reg, cones.Polyhedron)
+        return
+    with pytest.raises(InstanceError) as exc:
+        load_instance(json.dumps(doc))
+    assert (exc.value.path, exc.value.message) == (
+        "reg", "polyhedral set {y : A y <= c} is empty")
 
 
 def test_entries_accept_decimal_strings():

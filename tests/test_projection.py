@@ -107,15 +107,51 @@ def test_point_inside_is_returned_without_an_nnls(monkeypatch):
     assert not calls
 
 
-@pytest.mark.parametrize("a, c, e, rhs", [
-    ([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0], None, None),
-    ([[1.0, 0.0]], [0.0], [[1.0, 0.0]], [1.0]),
-    ([[0.0, 0.0]], [-1.0], None, None),
-])
+EMPTY = [([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0], None, None),
+         ([[1.0, 0.0]], [0.0], [[1.0, 0.0]], [1.0]),
+         ([[0.0, 0.0]], [-1.0], None, None)]
+
+
+@pytest.mark.parametrize("a, c, e, rhs", EMPTY)
 def test_projection_of_empty_set_raises(a, c, e, rhs):
     e = None if e is None else np.asarray(e)
     with pytest.raises(RuntimeError):
         cones.Polyhedron(a, c, e, rhs).project(np.zeros(2))
+
+
+@pytest.mark.parametrize("a, c, e, rhs", EMPTY)
+def test_an_empty_set_reads_empty(a, c, e, rhs):
+    e = None if e is None else np.asarray(e)
+    assert cones.Polyhedron(a, c, e, rhs).is_empty()
+
+
+@pytest.mark.parametrize("cone", [False, True])
+def test_a_drawn_set_without_equalities_is_not_empty(cone):
+    # a cone holds 0 on its boundary, another draw a point on its tight rows
+    rng = np.random.default_rng([0, int(cone), 8])
+    for _ in range(60):
+        assert not cones.Polyhedron(*_draw(rng, cone, 0)).is_empty()
+
+
+def test_emptiness_agrees_with_a_zero_cost_lp():
+    rng = np.random.default_rng(11)
+    empty = []
+    for _ in range(100):
+        m, d = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        a, c = rng.standard_normal((m, d)), rng.standard_normal(m)
+        empty.append(cones.linear_program(np.zeros(d), a, c).status != 0)
+        assert cones.Polyhedron(a, c).is_empty() == empty[-1]
+    assert 0 < sum(empty) < len(empty)
+
+
+def test_emptiness_keeps_the_active_set_that_projections_reuse(monkeypatch):
+    box = polyhedral_indicator(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+    box.project(np.array([3.0, 0.5]))
+    last = box._last
+    assert last and not box.is_empty() and box._last == last
+    # a set with no rows is all of its space: no NNLS is solved for it
+    monkeypatch.setattr(scipy.optimize, "nnls", None)
+    assert not polyhedral_indicator(np.zeros((0, 3)), np.zeros(0)).is_empty()
 
 
 def test_box_with_32_rows_certifies(tmp_path):
