@@ -133,25 +133,19 @@ class GroupLasso(_Norm):
         """The generalized Jacobian D = d prox_g(u) of the group prox, by group.
 
         D_J = I - c_J (I - uu^T) when c_J = w / ||u_J|| < 1 (u the unit u_J),
-        on the invertible blocks A, and 0 otherwise.  Returns (on_a, m,
-        along): the mask of the indices in A, the per-index factor
-        m = c_J / (1 - c_J), zero off A, so that M = D^{-1}(I - D) is
-        m (I - uu^T) on A, and along(rows), (I - uu^T) rows_J per group for
-        rows with one column per right-hand side.
+        on the invertible blocks A, and 0 otherwise.  Returns (a, m): the
+        ascending indices of A and the |A| x |A| block M_A = D_A^{-1}(I - D_A),
+        which is c_J / (1 - c_J) (I - uu^T) on each group of A and 0 across
+        groups (0 for l1, whose D_A is I).
         """
-        seg = self.segments
-        owner = seg.owner
-        nrm = group_norms(self, u)
-        active = nrm > self.weight
-        inv = np.where(active, 1.0 / np.where(active, nrm, 1.0), 0.0)
-        c = self.weight * inv                           # zero off A
-        unit = inv[owner] * u
-
-        def along(rows):
-            dots = np.add.reduceat((unit[:, None] * rows)[seg.perm], seg.starts)
-            return rows - unit[:, None] * dots[owner]
-
-        return active[owner], (c / (1.0 - c))[owner], along
+        owner = self.segments.owner
+        nrm = group_norms(self, u)[owner]               # ||u_J|| per index
+        a = np.flatnonzero(nrm > self.weight)
+        c = self.weight / nrm[a]
+        unit = u[a] / nrm[a]
+        same = owner[a][:, None] == owner[a]
+        m = np.eye(a.size) - np.where(same, np.outer(unit, unit), 0.0)
+        return a, (c / (1.0 - c))[:, None] * m
 
 
 class Nuclear(_Norm):

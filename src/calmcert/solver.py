@@ -186,7 +186,8 @@ def _newton_direction(instance, eps, stat, graph, u):
 
     The equations are H dx + K^T dy = -stat and (I - D) K dx - D dy = -graph,
     H = Phi^T Phi / mu from the Gram matrix that Phi caches.  On the
-    invertible blocks A they give dy_A = M K_A dx + D_A^{-1} graph_A.  On Z,
+    invertible blocks A they give dy_A = M K_A dx + D_A^{-1} graph_A, M the
+    |A| x |A| block of prox_jacobian and D_A^{-1} = I + M.  On Z,
     where D = 0, K_Z dx = -graph_Z is regularized to
     K_Z dx - eps dy_Z = -graph_Z, since K_Z loses rank on TV (the cycles of
     the grid graph); so dy_Z = (K_Z dx + graph_Z) / eps.  Both read
@@ -204,14 +205,16 @@ def _newton_direction(instance, eps, stat, graph, u):
     nonzero rows decides that without copying K_Z.
     """
     k = instance.k.matrix       # the Schur complement K^T W K is formed dense
-    on_a, m, along = instance.reg.prox_jacobian(u)
-    wk = np.where(on_a, m, 1.0 / eps)[:, None] * along(k)          # W K
-    q = np.where(on_a, graph + m * along(graph[:, None])[:, 0], graph / eps)
+    a, m = instance.reg.prox_jacobian(u)
+    wk = k * (1.0 / eps)                                            # W K
+    wk[a] = m @ k[a]
+    q = graph / eps
+    q[a] = graph[a] + m @ graph[a]
     h = instance.phi.gram() / instance.mu
     s = h + k.T @ wk
     dx = np.linalg.solve(s, -stat - k.T @ q)
     dy = wk @ dx + q
-    if np.any(instance.k.nonzero_rows[~on_a]):
+    if np.delete(instance.k.nonzero_rows, a).any():
         ddx = np.linalg.solve(s, -stat - h @ dx - k.T @ dy)
         dx += ddx
         dy += wk @ ddx
@@ -223,23 +226,22 @@ def _identity_direction(instance, eps, stat, graph, u):
 
     The equations are H dx + dy = -stat and (I - D) dx - D dy = -graph.  On
     Z the prox is zero, so dx_Z = -graph_Z; on A, dy_A = M_A dx_A +
-    D_A^{-1} graph_A leaves one |A| x |A| system
+    D_A^{-1} graph_A (M_A prox_jacobian's block, D_A^{-1} = I + M_A) leaves
+    one |A| x |A| system
     (Phi_A^T Phi_A / mu + M_A + eps I) dx_A
         = -stat_A - Phi_A^T Phi_Z dx_Z / mu - D_A^{-1} graph_A,
     and dy = -stat - H dx.  Duplicated columns or groups make
     Phi_A^T Phi_A singular; eps > 0 keeps the system solvable.
     """
     phi = instance.phi
-    on_a, m, along = instance.reg.prox_jacobian(u)
-    a = np.flatnonzero(on_a)
-    dx = np.where(on_a, 0.0, -graph)
+    a, m = instance.reg.prox_jacobian(u)
+    dx = -graph
+    dx[a] = 0.0
     if a.size:
         phi_a = phi.columns(a)
-        cols = np.zeros((u.size, a.size))          # the columns of I on A
-        cols[a, np.arange(a.size)] = 1.0
-        lhs = phi_a.T @ phi_a / instance.mu + m[a, None] * along(cols)[a]
+        lhs = phi_a.T @ phi_a / instance.mu + m
         lhs[np.diag_indices(a.size)] += eps
-        dinv_graph = graph[a] + m[a] * along(graph[:, None])[a, 0]
+        dinv_graph = graph[a] + m @ graph[a]
         rhs = -stat[a] - phi_a.T @ phi.apply(dx) / instance.mu - dinv_graph
         dx[a] = np.linalg.solve(lhs, rhs)
     dy = -stat - phi.apply_adjoint(phi.apply(dx)) / instance.mu
@@ -261,18 +263,14 @@ def _newton_finish(instance, x, y, target, kkt=None):
     when it too meets target.
     """
     if instance.k.is_identity:
+        direction = _identity_direction
         eps = instance.tol.rank * instance.phi.op_norm() ** 2 / instance.mu
-
-        def direction(stat, graph, u):
-            return _identity_direction(instance, eps, stat, graph, u)
     else:
         # a zero K has no scale, and none is needed: K_Z has no entry, and
         # graph_Z = -prox(y)_Z = 0 where the prox is flat, so dy_Z = 0 for
         # every eps > 0
+        direction = _newton_direction
         eps = instance.tol.rank * (instance.k.op_norm() ** 2 or 1.0)
-
-        def direction(stat, graph, u):
-            return _newton_direction(instance, eps, stat, graph, u)
     stat, graph, u = _kkt_vectors(instance, x, y) if kkt is None else kkt
     res = _residuals(stat, graph)
     merit = max(res.values())
@@ -282,7 +280,7 @@ def _newton_finish(instance, x, y, target, kkt=None):
             return None, None, steps, None
         steps += 1
         try:
-            dx, dy = direction(stat, graph, u)
+            dx, dy = direction(instance, eps, stat, graph, u)
         except np.linalg.LinAlgError:
             return None, None, steps, None
         t = 1.0

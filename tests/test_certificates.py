@@ -16,7 +16,8 @@ from calmcert.certificates import (CertificateError, certify_primal_dual,
                                    uniqueness_oracle)
 from calmcert.gallery import instance_for, random_group_lasso_instance
 from calmcert.model import load_instance
-from calmcert.solver import kkt_bound, kkt_residual, kkt_within, solve
+from calmcert.solver import (kkt_bound, kkt_residual, kkt_within,
+                             pair_config, solve)
 from extent_reference import full_extent
 from fista_reference import lasso
 from k_corpus import corpus_doc
@@ -304,6 +305,25 @@ def test_a_roundoff_only_row_pins_nothing():
     end, _ = solution_set_extent(inst, pair, conclusion.witness, 10)
     assert end is not None
     assert _end_gap(inst, pair, conclusion.witness) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 24: the solver's "
+                   "multiplier from a far start pins the K = [I; I] group")
+@pytest.mark.parametrize("seed", [23, 143, 203])
+def test_k_corpus_refutation_holds_from_a_seeded_start(seed):
+    # the solution set is a segment, whatever the start: from x0, y0 drawn
+    # at unit scale the solver lands elsewhere on it (2.77 from the default
+    # x_bar on seed 23), with a multiplier 4.2e-7 off the default one, and
+    # both maps read isolated_calm there
+    inst = make(corpus_doc(seed))
+    rng = np.random.default_rng(12345)
+    x0 = rng.standard_normal(inst.dim_x)
+    y0 = rng.standard_normal(inst.dim_y)
+    pair = solve(inst, pair_config(inst), x0=x0, y0=y0)
+    for certify in (certify_solution_map, certify_primal_dual):
+        conclusion = certify(inst, pair).conclusion_solution_map
+        assert conclusion.status == "not_isolated_calm"
 
 
 def test_a_face_that_pins_every_coordinate_solves_no_lp(monkeypatch):

@@ -4,6 +4,7 @@ import scipy.optimize
 
 from calmcert import regularizers as rz
 from calmcert.cones import PolyhedralCone, PsdCone, SubspacePlusRays, active_rows
+from calmcert.gallery import tv_groups
 from calmcert.linalg import Tolerances
 from calmcert.model import group_lasso, l1, nuclear, polyhedral_indicator
 
@@ -94,6 +95,64 @@ def test_firm_nonexpansiveness():
             y1, y2 = 2.0 * rand_point(reg, rng), 2.0 * rand_point(reg, rng)
             d = np.linalg.norm(rz.prox(reg, 1.0, y1) - rz.prox(reg, 1.0, y2))
             assert d <= np.linalg.norm(y1 - y2) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the generalized Jacobian of the group prox, against the prox itself
+
+
+# l1, groups of 2 and of 4 (interleaved), and TV's mixed pairs and
+# singletons on a 4 x 4 grid
+JACOBIAN_CASES = {
+    "l1": l1(12),
+    "pairs": group_lasso([[0, 5], [1, 2], [3, 4], [6, 9], [7, 8]], 10),
+    "fours": group_lasso([[0, 2, 4, 6], [1, 3, 5, 7], [8, 9, 10, 11]], 12,
+                         weight=1.8),
+    "tv4x4": group_lasso(tv_groups(4, 4), 32, weight=0.5)}
+
+
+@pytest.mark.parametrize("name", sorted(JACOBIAN_CASES))
+@pytest.mark.parametrize("seed", range(3))
+def test_prox_jacobian_matches_central_differences(name, seed):
+    # D = (I + M_A)^{-1} on A, 0 on Z, read off a central difference of the
+    # prox at a point with both A and Z nonempty, whose group norms all lie
+    # 5e-2 or more off the kink
+    reg = JACOBIAN_CASES[name]
+    rng = np.random.default_rng([seed, 23])
+    while True:
+        u = rng.standard_normal(reg.dim)
+        gap = rz.group_norms(reg, u) - reg.weight
+        if np.all(np.abs(gap) > 5e-2) and np.any(gap > 0) and np.any(gap < 0):
+            break
+    a, m = reg.prox_jacobian(u)
+    assert np.all(np.diff(a) > 0)
+    assert m.shape == (a.size, a.size)
+    z = np.setdiff1d(np.arange(reg.dim), a)
+    tau = 1e-6
+    for _ in range(4):
+        h = rng.standard_normal(reg.dim)
+        fd = (reg.prox(1.0, u + tau * h) - reg.prox(1.0, u - tau * h)) \
+            / (2.0 * tau)
+        assert np.allclose(fd[a], np.linalg.solve(np.eye(a.size) + m, h[a]),
+                           rtol=0.0, atol=1e-8)
+        assert np.allclose(fd[z], 0.0, rtol=0.0, atol=1e-8)
+
+
+def test_prox_jacobian_block_closed_form():
+    # groups {0, 2}, {1}, {3, 4} at w = 1: u_{0,2} = (3, 4) gives c = 1/5,
+    # c / (1 - c) = 1/4 and unit (0.6, 0.8), so M = (I - uu^T) / 4; the
+    # active singleton {1} has D = 1 and M = 0; {3, 4} is in Z.  Groups of
+    # 4 at w = 1: u_J = (1, 1, 1, 1) gives c = 1/2, c / (1 - c) = 1 and
+    # M = I - ones / 4.
+    reg = group_lasso([[0, 2], [1], [3, 4]], 5)
+    a, m = reg.prox_jacobian(np.array([3.0, 2.0, 4.0, 0.1, 0.2]))
+    assert a.tolist() == [0, 1, 2]
+    assert np.allclose(m, [[0.16, 0.0, -0.12], [0.0, 0.0, 0.0],
+                           [-0.12, 0.0, 0.09]], rtol=0.0, atol=1e-15)
+    reg = group_lasso([[0, 1, 2, 3], [4, 5, 6, 7]], 8)
+    a, m = reg.prox_jacobian(np.r_[np.ones(4), 0.2 * np.ones(4)])
+    assert a.tolist() == [0, 1, 2, 3]
+    assert np.allclose(m, np.eye(4) - 0.25, rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
