@@ -180,7 +180,71 @@ def _run_demo(args):
     return 0 if all_pass else 1
 
 
+def _certify(instance, pair, args):
+    """certify or certify-pd: the report, and its conclusions as the note."""
+    certify = ct.certify_solution_map if args.verb == "certify" \
+        else ct.certify_primal_dual
+    report = certify(instance, pair, seed=args.seed)
+    conc, pd = report.conclusion_solution_map, report.conclusion_primal_dual
+    note = f"conclusion: {conc.status}" + (
+        f" (witness {np.round(conc.witness, 6).tolist()})"
+        if conc.witness is not None else "")
+    if pd is not None:
+        note += f"\nprimal-dual: {pd.status}"
+    return report, None, 2 if report.has_unknown else 0, note
+
+
+def _sweep(instance, pair, args):
+    """The sweep's estimate; with a JSON --out, its samples also go as CSV
+    to the same path with the suffix .csv."""
+    radii = _floats(args.radii, "--radii")
+    samples = _at_least(args.samples, 1, "--samples")
+    estimate = em.perturbation_sweep(instance, pair, radii,
+                                     n_per_radius=samples, seed=args.seed)
+    if args.out is not None and args.format == "json":
+        Path(args.out).with_suffix(".csv").write_text(save_report(estimate, "csv"))
+    return estimate, None, 0, None
+
+
+def _probe(instance, pair, args):
+    t_grid = _floats(args.t_grid, "--t-grid")
+    if min(t_grid) <= 0:
+        raise ValueError(f"--t-grid: step {min(t_grid)!r} is not positive")
+    conc = ct.certify_solution_map(instance, pair, seed=args.seed) \
+        .conclusion_solution_map
+    if conc.witness is None:
+        payload = {"available": False,
+                   "reason": f"no witness: conclusion is {conc.status}"}
+        code = 0 if conc.is_decisive else 2
+    else:
+        payload = em.instability_probe(instance, pair, conc.witness, t_grid)
+        code = 0
+    payload["certificate"] = conc.to_json_dict()
+    return payload, "instability_probe", code, None
+
+
+def _lab(instance, pair, args):
+    samples = _at_least(args.samples, 0, "--samples")
+    kx, y = instance.k.apply(pair.x_bar), pair.y_bar
+    kernel = em.kernel_formula_check(instance.reg, kx, y, n_dirs=min(samples, 50),
+                                     seed=args.seed, tol=instance.tol)
+    zero = em.zero_product_check(instance.reg, kx, y, n_samples=samples,
+                                 seed=args.seed, tol=instance.tol)
+    return ({"kernel_formula": kernel, "zero_product": zero}, "lab",
+            0 if zero.get("available", False) else 2, None)
+
+
+# each instance verb: (instance, pair, args) -> (report, its kind for
+# save_report (None: the report's own), exit code, stderr note or None)
+_VERBS = {"solve": lambda instance, pair, args: (pair, "solution", 0, None),
+          "certify": _certify, "certify-pd": _certify, "sweep": _sweep,
+          "probe": _probe, "lab": _lab}
+_PREFIXES = {SolverError: "solver error", ct.CertificateError: "certificate error"}
+
+
 def run(argv):
+    """Run one verb: its report written once to --out or stdout, then its
+    note to stderr; every error is one stderr line and exit code 1."""
     args = _parser().parse_args(argv)
     try:
         _at_least(args.seed, 0, "--seed")
@@ -188,78 +252,14 @@ def run(argv):
             return _run_demo(args)
         instance = _load(args)
         pair = _solve_pair(instance, args)
-        if args.verb == "solve":
-            _emit(save_report(pair, args.format, instance, args.seed,
-                              kind="solution"), args.out)
-            return 0
-        if args.verb in ("certify", "certify-pd"):
-            report = (ct.certify_solution_map(instance, pair, seed=args.seed)
-                      if args.verb == "certify" else
-                      ct.certify_primal_dual(instance, pair, seed=args.seed))
-            _emit(save_report(report, args.format, instance, args.seed), args.out)
-            conc = report.conclusion_solution_map
-            print(f"conclusion: {conc.status}"
-                  + (f" (witness {np.round(conc.witness, 6).tolist()})"
-                     if conc.witness is not None else ""), file=sys.stderr)
-            if report.conclusion_primal_dual is not None:
-                print(f"primal-dual: {report.conclusion_primal_dual.status}",
-                      file=sys.stderr)
-            return 2 if report.has_unknown else 0
-        if args.verb == "sweep":
-            radii = _floats(args.radii, "--radii")
-            samples = _at_least(args.samples, 1, "--samples")
-            estimate = em.perturbation_sweep(instance, pair, radii,
-                                             n_per_radius=samples, seed=args.seed)
-            _emit(save_report(estimate, args.format, instance, args.seed),
-                  args.out)
-            if args.out is not None and args.format == "json":
-                csv_path = Path(args.out).with_suffix(".csv")
-                csv_path.write_text(save_report(estimate, "csv"))
-            return 0
-        if args.verb == "probe":
-            t_grid = _floats(args.t_grid, "--t-grid")
-            if min(t_grid) <= 0:
-                raise ValueError(f"--t-grid: step {min(t_grid)!r} is not positive")
-            report = ct.certify_solution_map(instance, pair, seed=args.seed)
-            conc = report.conclusion_solution_map
-            if conc.witness is None:
-                payload = {"available": False,
-                           "reason": f"no witness: conclusion is {conc.status}",
-                           "certificate": conc.to_json_dict()}
-                code = 0 if conc.is_decisive else 2
-            else:
-                payload = em.instability_probe(instance, pair, conc.witness,
-                                               t_grid)
-                payload["certificate"] = conc.to_json_dict()
-                code = 0
-            _emit(save_report(payload, args.format, instance, args.seed,
-                              kind="instability_probe"), args.out)
-            return code
-        if args.verb == "lab":
-            samples = _at_least(args.samples, 0, "--samples")
-            kx, y = instance.k.apply(pair.x_bar), pair.y_bar
-            kernel = em.kernel_formula_check(instance.reg, kx, y,
-                                             n_dirs=min(samples, 50),
-                                             seed=args.seed, tol=instance.tol)
-            zero = em.zero_product_check(instance.reg, kx, y,
-                                         n_samples=samples, seed=args.seed,
-                                         tol=instance.tol)
-            payload = {"kernel_formula": kernel, "zero_product": zero}
-            _emit(save_report(payload, args.format, instance, args.seed,
-                              kind="lab"), args.out)
-            return 0 if zero.get("available", False) else 2
-        raise ValueError(f"unknown verb {args.verb!r}")
-    except (InstanceError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 1
-    except ct.CertificateError as exc:
-        print(f"certificate error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        report, kind, code, note = _VERBS[args.verb](instance, pair, args)
+        _emit(save_report(report, args.format, instance, args.seed, kind=kind),
+              args.out)
+        if note is not None:
+            print(note, file=sys.stderr)
+        return code
+    except (FileNotFoundError, ValueError, RuntimeError) as exc:
+        print(f"{_PREFIXES.get(type(exc), 'error')}: {exc}", file=sys.stderr)
         return 1
 
 

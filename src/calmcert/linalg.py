@@ -16,8 +16,9 @@ import numpy as np
 
 class InstanceError(ValueError):
     """Schema or dimension violation; carries the offending field path.
-    Tolerances and LinearOp raise it at their field's name (`rank`, `n1`),
-    which model.at_field re-raises at its path (`tol.rank`, `--tol-rank`)."""
+    Tolerances, LinearOp, GroupLasso and Nuclear raise it at their field's
+    name (`rank`, `n1`, `m`), which model.at_field re-raises at its path
+    (`tol.rank`, `--tol-rank`, `reg.m`)."""
 
     def __init__(self, path, message):
         self.path, self.message = path, message

@@ -215,7 +215,8 @@ _SIZES = {"identity": ("dim",), "grad1d": ("n",), "grad2d": ("n1", "n2")}
 
 def at_field(prefix, build, *args, **kwargs):
     """build(*args, **kwargs), its InstanceError re-raised at prefix + its
-    field: the path of an operator size or a tolerance, or a flag."""
+    field: the path of an operator size, a regularizer field or a
+    tolerance, or a flag."""
     try:
         return build(*args, **kwargs)
     except InstanceError as exc:
@@ -250,18 +251,12 @@ def _load_regularizer(doc, path):
         groups = _need(doc, "groups", path)
         _check_groups(groups, f"{path}.groups", dim)
         weight = _number(_need(doc, "weight", path), f"{path}.weight")
-        try:
-            return group_lasso(groups, dim, weight)
-        except ValueError as exc:
-            raise InstanceError(path, str(exc)) from None
+        return at_field(path + ".", group_lasso, groups, dim, weight)
     if kind == "nuclear":
         m = _int(_need(doc, "m", path), f"{path}.m")
         n = _int(_need(doc, "n", path), f"{path}.n")
         weight = _number(_need(doc, "weight", path), f"{path}.weight")
-        try:
-            return nuclear(m, n, weight)
-        except ValueError as exc:
-            raise InstanceError(path, str(exc)) from None
+        return at_field(path + ".", nuclear, m, n, weight)
     if kind == "polyhedral_indicator":
         # {y : A y <= c} is stored by the rows of A
         a = _load_operator(_need(doc, "A", path), f"{path}.A").matrix

@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (Subspace, DEFAULT_TOL, as_operator, beyond, dual_ball,
-                     frozen, spectral_norm, within)
+from .linalg import (Subspace, DEFAULT_TOL, InstanceError, as_operator, beyond,
+                     dual_ball, frozen, spectral_norm, within)
 from .cones import (SubspacePlusRays, PolyhedralCone, Polyhedron, PsdCone,
                     active_rows, linear_program, make_psd_embedded,
                     symmetric_block_basis)
@@ -81,9 +81,10 @@ class GroupLasso(_Norm):
         self.dim = dim
         self.weight = weight
         if sorted(i for g in self.groups for i in g) != list(range(dim)):
-            raise ValueError("group_lasso groups must partition 0..dim-1")
+            raise InstanceError("groups",
+                                "group_lasso groups must partition 0..dim-1")
         if not weight > 0:
-            raise ValueError("group_lasso weight must be positive")
+            raise InstanceError("weight", "group_lasso weight must be positive")
 
     @cached_property
     def group_slices(self):
@@ -157,9 +158,10 @@ class Nuclear(_Norm):
         self.m, self.n, self.dim = m, n, m * n
         self.weight = weight
         if m > n:
-            raise ValueError("nuclear requires m <= n (transpose the model)")
+            raise InstanceError("m",
+                                "nuclear requires m <= n (transpose the model)")
         if not weight > 0:
-            raise ValueError("nuclear weight must be positive")
+            raise InstanceError("weight", "nuclear weight must be positive")
 
     def to_json_dict(self, dense):
         return {"kind": self.kind, "m": self.m, "n": self.n,

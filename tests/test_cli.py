@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calmcert import empirics
+from calmcert import cones, empirics
 from calmcert.cli import run
 from calmcert.gallery import curated_cases
 from calmcert.solver import kkt_residual
@@ -163,6 +163,7 @@ def test_size_fields_are_checked_integers(tmp_path, capsys, field, value, doc,
     ([[-1]], "reg.groups[0][0]", "must be non-negative"),
     ([[0, 1]], "reg.groups[0][1]", "index 1 is out of range for dim 1"),
     ([[0], [2 ** 64]], "reg.groups[1][0]", "exceeds the largest array size"),
+    ([[0], [0]], "reg.groups", "group_lasso groups must partition 0..dim-1"),
 ])
 def test_group_indices_are_checked(tmp_path, capsys, groups, field, message):
     # null, [[null]] and [5] used to escape as TypeError, and [[0.7]] to be
@@ -182,7 +183,23 @@ def test_nuclear_with_more_rows_than_columns_is_rejected(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["certify", str(path)]) == 1
     assert capsys.readouterr().err.startswith(
-        "error: reg: nuclear requires m <= n")
+        "error: reg.m: nuclear requires m <= n")
+
+
+@pytest.mark.parametrize("reg, kind", [
+    ({"kind": "group_lasso", "dim": 1, "groups": [[0]]}, "group_lasso"),
+    (NUCLEAR, "nuclear"),
+])
+@pytest.mark.parametrize("weight", [0.0, -1.0])
+def test_a_weight_that_is_not_positive_is_rejected(tmp_path, capsys, reg, kind,
+                                                    weight):
+    doc = _one_by_one()
+    doc["reg"] = dict(reg, weight=weight)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["certify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: reg.weight: {kind} weight must be positive")
 
 
 # g = 0 as the indicator of a polyhedron with no rows: (Phi, K), K None for
@@ -527,7 +544,8 @@ def test_y_override_is_used_as_given_or_refused(instances, tmp_path, capsys,
     capsys.readouterr()
     assert run(["certify-pd", str(instances[name]),
                 "--y-override", str(override)]) == 1
-    assert "y_override" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "certificate error: y_override: pair is not a KKT point: ")
     override = tmp_path / "near.json"
     override.write_text(json.dumps(near.tolist()))
     payloads = []
@@ -582,6 +600,90 @@ def test_solve_override_reports_its_own_residuals(instances, tmp_path):
         instance_for("pd_multiplier_segment"), np.array(payload["x_bar"]),
         np.array(payload["y_bar"]))
     assert payload["residuals"]["stationarity"] > 0.0
+
+
+def test_a_solve_that_stops_at_its_cap_is_a_solver_error(tmp_path, capsys,
+                                                         monkeypatch):
+    # the benchmark's 6 x 8 nuclear document needs more than 25 iterations
+    from calmcert import solver
+    from corpus import ROOT
+    if str(ROOT) not in sys.path:
+        sys.path.append(str(ROOT))
+    from perfbench.instances import nuclear
+    path = tmp_path / "nuclear.json"
+    path.write_text(json.dumps(nuclear(np.random.default_rng(0), 6, 8)))
+    monkeypatch.setattr(solver, "MAX_ITER", 25)
+    assert run(["certify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "solver error: no convergence after 25 iterations ")
+
+
+def test_a_y_override_of_the_wrong_dimension_is_an_error(instances, tmp_path,
+                                                         capsys):
+    y = tmp_path / "y.json"
+    y.write_text("[1.0]")
+    assert run(["certify", str(instances["lasso_segment"]),
+                "--y-override", str(y)]) == 1
+    assert capsys.readouterr().err == \
+        "error: y_override: multiplier has the wrong dimension\n"
+
+
+def test_a_report_that_cannot_be_written_is_an_error_without_a_note(
+        instances, tmp_path, capsys):
+    # the conclusion is printed only once its report is written
+    out = tmp_path / "missing" / "r.json"
+    assert run(["certify", str(instances["lasso_segment"]),
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+# a step of the cone decision that fails: (gallery case, what is replaced,
+# the replacement, the reason cond_suf gives)
+FAILED_STEPS = {
+    "lp": ("polyhedral_box", (cones, "linear_program"),
+           lambda *args, **kwargs: cones.LinearProgram(4, "Numerical trouble."),
+           "cone LP failed: Numerical trouble."),
+    "witness": ("lasso_segment", (cones, "_verify_witness"),
+                lambda *args: None, "cone witness failed verification"),
+    "certificate": ("lasso_coordinate", (cones.DualCertificate, "verify"),
+                    lambda self, tol: False,
+                    "dual certificate failed verification"),
+}
+
+
+@pytest.mark.parametrize("step", sorted(FAILED_STEPS))
+def test_a_failed_decision_step_is_unknown(instances, tmp_path, capsys,
+                                           monkeypatch, step):
+    # a decision that cannot be backed is unknown, never a decisive verdict
+    name, (owner, attr), replacement, reason = FAILED_STEPS[step]
+    monkeypatch.setattr(owner, attr, replacement)
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run(["certify", str(instances[name]), "--out", str(out)]) == 2
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["cond_suf"] == {"outcome": "unknown", "reason": reason,
+                                   "witness": None}
+    assert payload["conclusion_solution_map"]["status"] == "inconclusive"
+    assert capsys.readouterr().err == "conclusion: inconclusive\n"
+
+
+def test_srcq_without_a_tangent_cone_is_unknown(tmp_path, capsys):
+    # K = 2 I, nuclear 2 x 2: the solution map is decided, srcq is not
+    doc = {"phi": {"kind": "identity", "dim": 4}, "b": [1.0, 0.0, 0.0, 1.0],
+           "mu": 1.0, "k": _dense(2 * np.eye(4)),
+           "reg": {"kind": "nuclear", "m": 2, "n": 2, "weight": 0.5}}
+    path, out = tmp_path / "pd.json", tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert run(["certify-pd", str(path), "--out", str(out)]) == 2
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["srcq"] == {
+        "outcome": "unknown", "witness": None, "reason": "tangent cone to "
+        "dg(K x_bar) not representable for this multiplier"}
+    assert payload["conclusion_solution_map"]["status"] == "isolated_calm"
+    assert payload["conclusion_primal_dual"]["status"] == "inconclusive"
+    assert capsys.readouterr().err == \
+        "conclusion: isolated_calm\nprimal-dual: inconclusive\n"
 
 
 @pytest.mark.parametrize("radius", ["-1e-2", "0", "1e300"])
