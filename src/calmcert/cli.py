@@ -22,27 +22,32 @@ from .solver import SolverError, pair_config, solve
 T_GRID = "1e-1,1e-2,1e-3"       # the default --t-grid, and the demo's
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is raised, for run to map like any other error."""
+        raise ValueError(message)
+
+
 @functools.cache
 def _parser():
     """The argument parser, built once per process (it holds no state)."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="calmcert",
         description="Certify isolated calmness of regularized least-squares "
                     "solution mappings and cross-validate with numerical probes.")
     sub = p.add_subparsers(dest="verb", required=True)
 
     def common(sp, needs_instance=True):
-        if needs_instance:
-            sp.add_argument("instance", help="instance JSON path")
         sp.add_argument("--out", type=Path, default=None, help="output path")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol-rank", type=float, default=None)
-        sp.add_argument("--tol-member", type=float, default=None)
-        sp.add_argument("--tol-kkt", type=float, default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--y-override", type=Path, default=None,
-                        help="JSON array with a multiplier to use instead of "
-                             "the solver's")
+        if needs_instance:
+            sp.add_argument("instance", help="instance JSON path")
+            for name in ("rank", "member", "kkt"):
+                sp.add_argument(f"--tol-{name}", type=float, default=None)
+            sp.add_argument("--y-override", type=Path, default=None,
+                            help="JSON array with a multiplier to use instead "
+                                 "of the solver's")
 
     common(sub.add_parser("solve", help="compute a primal-dual pair"))
     common(sub.add_parser("certify", help="solution-map certificate"))
@@ -122,43 +127,36 @@ def _at_least(value, least, flag):
 
 
 def _run_demo(args):
+    """The curated table, each case through the verb functions: the pair
+    every verb solves, certify (certify-pd where a primal-dual verdict is
+    expected) and probe (where a refutation is); a case passes when every
+    expected value is obtained, and an error reads as run would print it.
+    Prints the table; returns its --out document and the exit code."""
     rows = []
-    all_pass = True
     for case in curated_cases():
-        instance = load_instance(case["instance"])
         expected = case["expected"]
+        case_args = argparse.Namespace(
+            verb="certify-pd" if "primal_dual" in expected else "certify",
+            seed=args.seed, y_override=None, t_grid=T_GRID)
         try:
-            pair = solve(instance, pair_config(instance))
-            wants_pd = "primal_dual" in expected
-            report = (ct.certify_primal_dual(instance, pair, seed=args.seed)
-                      if wants_pd else
-                      ct.certify_solution_map(instance, pair, seed=args.seed))
+            instance = load_instance(case["instance"])
+            pair = _solve_pair(instance, case_args)
+            report = _certify(instance, pair, case_args)[0]
             got = {"solution_map": report.conclusion_solution_map.status,
                    "unknown": report.has_unknown}
-            if wants_pd:
+            if report.conclusion_primal_dual is not None:
                 got["primal_dual"] = report.conclusion_primal_dual.status
-            if expected.get("probe_refuted"):
-                witness = report.conclusion_solution_map.witness
-                probe = em.instability_probe(instance, pair, witness,
-                                             _floats(T_GRID, "--t-grid"))
-                got["probe_refuted"] = probe["refuted"]
-            if "x_bar" in expected:
-                got["x_bar_ok"] = bool(np.allclose(pair.x_bar, expected["x_bar"],
-                                                   atol=1e-6))
-            if "y_bar" in expected:
-                got["y_bar_ok"] = bool(np.allclose(pair.y_bar, expected["y_bar"],
-                                                   atol=1e-6))
-            ok = got["solution_map"] == expected["solution_map"] \
-                and got["unknown"] == expected["unknown"] \
-                and all(got.get(k, True) for k in ("x_bar_ok", "y_bar_ok")) \
-                and (not wants_pd
-                     or got["primal_dual"] == expected["primal_dual"]) \
-                and (not expected.get("probe_refuted")
-                     or got.get("probe_refuted"))
-        except Exception as exc:   # demo table reports failures, never crashes
-            got = {"error": f"{type(exc).__name__}: {exc}"}
-            ok = False
-        all_pass &= ok
+            if "probe_refuted" in expected:
+                probe = _probe(instance, pair, case_args)[0]
+                got["probe_refuted"] = probe.get("refuted", False)
+            for key in ("x_bar", "y_bar"):
+                if key in expected:
+                    got[f"{key}_ok"] = bool(np.allclose(
+                        getattr(pair, key), expected[key], atol=1e-6))
+            ok = all(got[f"{key}_ok"] if key in ("x_bar", "y_bar")
+                     else got[key] == value for key, value in expected.items())
+        except _ERRORS as exc:
+            got, ok = {"error": _message(exc)}, False
         rows.append((case["name"], expected, got, ok))
     name_w = max(len(r[0]) for r in rows)
     print(f"{'case':<{name_w}}  {'expected':<20} {'obtained':<20} result")
@@ -167,17 +165,16 @@ def _run_demo(args):
         obt = got.get("solution_map", got.get("error", "?"))[:40]
         print(f"{name:<{name_w}}  {exp:<20} {obt:<20} "
               f"{'PASS' if ok else 'FAIL'}")
-    if args.out is not None and args.format == "csv":
-        _emit(csv_text([["case", "expected", "obtained", "pass"],
+    if args.format == "csv":
+        doc = csv_text([["case", "expected", "obtained", "pass"],
                         *([n, e.get("solution_map", ""),
                            g.get("solution_map", g.get("error", "")), ok]
-                          for n, e, g, ok in rows)]), args.out)
-    elif args.out is not None:
-        doc = {"kind": "demo",
-               "cases": [{"name": n, "expected": e, "obtained": g, "pass": ok}
-                         for n, e, g, ok in rows]}
-        _emit(dumps(doc), args.out)
-    return 0 if all_pass else 1
+                          for n, e, g, ok in rows)])
+    else:
+        doc = dumps({"kind": "demo",
+                     "cases": [{"name": n, "expected": e, "obtained": g,
+                                "pass": ok} for n, e, g, ok in rows]})
+    return doc, 0 if all(row[3] for row in rows) else 1
 
 
 def _certify(instance, pair, args):
@@ -195,15 +192,10 @@ def _certify(instance, pair, args):
 
 
 def _sweep(instance, pair, args):
-    """The sweep's estimate; with a JSON --out, its samples also go as CSV
-    to the same path with the suffix .csv."""
     radii = _floats(args.radii, "--radii")
     samples = _at_least(args.samples, 1, "--samples")
-    estimate = em.perturbation_sweep(instance, pair, radii,
-                                     n_per_radius=samples, seed=args.seed)
-    if args.out is not None and args.format == "json":
-        Path(args.out).with_suffix(".csv").write_text(save_report(estimate, "csv"))
-    return estimate, None, 0, None
+    return (em.perturbation_sweep(instance, pair, radii, n_per_radius=samples,
+                                  seed=args.seed), None, 0, None)
 
 
 def _probe(instance, pair, args):
@@ -240,26 +232,39 @@ _VERBS = {"solve": lambda instance, pair, args: (pair, "solution", 0, None),
           "certify": _certify, "certify-pd": _certify, "sweep": _sweep,
           "probe": _probe, "lab": _lab}
 _PREFIXES = {SolverError: "solver error", ct.CertificateError: "certificate error"}
+_ERRORS = (OSError, ValueError, RuntimeError)
+
+
+def _message(exc):
+    """An error's stderr line: its prefix, then its text."""
+    return f"{_PREFIXES.get(type(exc), 'error')}: {exc}"
 
 
 def run(argv):
-    """Run one verb: its report written once to --out or stdout, then its
-    note to stderr; every error is one stderr line and exit code 1."""
-    args = _parser().parse_args(argv)
+    """Run one verb: its report written once to --out or stdout (a JSON
+    sweep's samples first as CSV to --out with the suffix .csv), then its
+    note to stderr; every error, a usage error included, is one stderr line
+    and exit code 1."""
     try:
+        args = _parser().parse_args(argv)
         _at_least(args.seed, 0, "--seed")
         if args.verb == "demo":
-            return _run_demo(args)
+            doc, code = _run_demo(args)
+            if args.out is not None:
+                _emit(doc, args.out)
+            return code
         instance = _load(args)
         pair = _solve_pair(instance, args)
         report, kind, code, note = _VERBS[args.verb](instance, pair, args)
+        if args.verb == "sweep" and args.out is not None and args.format == "json":
+            _emit(save_report(report, "csv"), args.out.with_suffix(".csv"))
         _emit(save_report(report, args.format, instance, args.seed, kind=kind),
               args.out)
         if note is not None:
             print(note, file=sys.stderr)
         return code
-    except (FileNotFoundError, ValueError, RuntimeError) as exc:
-        print(f"{_PREFIXES.get(type(exc), 'error')}: {exc}", file=sys.stderr)
+    except _ERRORS as exc:
+        print(_message(exc), file=sys.stderr)
         return 1
 
 

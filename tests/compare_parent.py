@@ -8,7 +8,9 @@ each in a process of its own that imports calmcert from that tree's src/:
 * the ledger's sources (tests/corpus.py) through `certify` and `certify-pd`;
 * one benchmark certify cycle and one sweep cycle per seed 11-20
   (perfbench.instances.build), with the arguments perfbench/run.py gives
-  the first cycle.
+  the first cycle;
+* the first `certify` op and the first `sweep` op again with
+  `--format csv`, and `demo` in JSON and with `--format csv`.
 The documents and the op list come from this tree and are written once, so
 both trees read the same bytes.  The two processes run side by side, each
 with one BLAS thread.  The script prints, per verb, how many ops end with
@@ -55,7 +57,10 @@ def write_ops(docs):
                 ops.append((f"perfbench/{workload}/{seed}/{op['name']}",
                             [op["verb"], path(op["doc"]),
                              "--seed", str(run_seed)] + op["args"]))
-    return ops
+    csv = [next(op for op in ops if op[1][0] == verb)
+           for verb in ("certify", "sweep")]
+    ops += [(f"{name}/csv", argv + ["--format", "csv"]) for name, argv in csv]
+    return ops + [("demo", ["demo"]), ("demo/csv", ["demo", "--format", "csv"])]
 
 
 def worker(tree, manifest, out):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calmcert import cones, empirics
+from calmcert import cli, cones, empirics
 from calmcert.cli import run
 from calmcert.gallery import curated_cases
-from calmcert.solver import kkt_residual
+from calmcert.model import instance_hash, load_instance
+from calmcert.solver import SolverError, kkt_residual
 
 from box_instances import box_document
 from corpus import bench_ops
@@ -435,6 +437,43 @@ def test_a_negative_seed_is_rejected_by_demo(tmp_path, capsys):
     assert not out.exists()
 
 
+# a usage error: (argv, what its one error line names); "doc" is an instance
+USAGE_ERRORS = {"no_instance": (["certify"], "instance"),
+                "seed_not_an_integer": (["certify", "doc", "--seed", "x"],
+                                        "--seed"),
+                "demo_tolerance": (["demo", "--tol-rank", "2"], "--tol-rank")}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_a_usage_error_is_one_error_line(instances, capsys, case):
+    # exit 1 like every other error: exit 2 means "some verdict is unknown"
+    argv, named = USAGE_ERRORS[case]
+    argv = [str(instances["lasso_scalar"]) if a == "doc" else a for a in argv]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+def test_demo_offers_only_the_flags_it_reads(capsys):
+    # and --help still prints the usage and exits 0
+    with pytest.raises(SystemExit) as stop:
+        run(["demo", "--help"])
+    assert stop.value.code == 0
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == \
+        {"--help", "--out", "--seed", "--format"}
+
+
+def test_demo_refuses_a_y_override(tmp_path, capsys):
+    y, out = tmp_path / "y.json", tmp_path / "demo.json"
+    y.write_text("[1.0]")
+    capsys.readouterr()
+    assert run(["demo", "--y-override", str(y), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: unrecognized arguments: --y-override {y}\n"
+    assert not out.exists()
+
+
 def test_probe_refutes_segment(instances, tmp_path):
     out = tmp_path / "probe.json"
     assert run(["probe", str(instances["lasso_segment"]), "--out", str(out),
@@ -638,6 +677,37 @@ def test_a_report_that_cannot_be_written_is_an_error_without_a_note(
         f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
+def test_an_out_that_is_a_directory_is_an_error(instances, tmp_path, capsys):
+    capsys.readouterr()
+    assert run(["certify", str(instances["lasso_segment"]),
+                "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Is a directory" in err and str(tmp_path) in err
+
+
+def test_a_sweep_twin_that_cannot_be_written_is_an_error(instances, tmp_path,
+                                                         capsys):
+    # the CSV twin is written first, so the JSON report is not written either
+    (tmp_path / "r.csv").mkdir()
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run(["sweep", str(instances["lasso_scalar"]), "--out", str(out),
+                "--radii", "1e-2", "--samples", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Is a directory" in err and str(tmp_path / "r.csv") in err
+    assert not out.exists()
+
+
+def test_a_json_sweep_to_a_csv_path_leaves_the_json_there(instances, tmp_path):
+    # the twin goes to the same path, and the JSON report is written after it
+    out = tmp_path / "x.csv"
+    assert run(["sweep", str(instances["lasso_scalar"]), "--out", str(out),
+                "--radii", "1e-2", "--samples", "2"]) == 0
+    assert json.loads(out.read_text())["kind"] == "kappa_estimate"
+
+
 # a step of the cone decision that fails: (gallery case, what is replaced,
 # the replacement, the reason cond_suf gives)
 FAILED_STEPS = {
@@ -755,6 +825,32 @@ def test_demo_format_csv_writes_the_table(tmp_path):
     assert rows[0] == ["case", "expected", "obtained", "pass"]
     assert len(rows) == 1 + len(curated_cases())
     assert all(row[1] == row[2] and row[3] == "True" for row in rows[1:])
+
+
+def test_a_demo_case_that_fails_reads_as_its_error(monkeypatch, tmp_path,
+                                                  capsys):
+    # the demo certifies through the certify verb, and maps its errors as run
+    certify, case = cli._certify, curated_cases()[2]
+    failing, target = case["name"], instance_hash(load_instance(case["instance"]))
+
+    def certify_but_one(instance, pair, args):
+        if instance_hash(instance) == target:
+            raise SolverError("no convergence after 7 iterations", pair)
+        return certify(instance, pair, args)
+    monkeypatch.setattr(cli, "_certify", certify_but_one)
+    out = tmp_path / "demo.json"
+    capsys.readouterr()
+    assert run(["demo", "--out", str(out)]) == 1
+    rows = {line.split()[0]: line for line in
+            capsys.readouterr().out.splitlines()[1:]}
+    assert rows.keys() == {case["name"] for case in curated_cases()}
+    assert "solver error: no convergence" in rows[failing]
+    assert rows.pop(failing).endswith("FAIL")
+    assert all(row.endswith("PASS") for row in rows.values())
+    cases = {case["name"]: case for case in json.loads(out.read_text())["cases"]}
+    assert cases[failing]["obtained"] == \
+        {"error": "solver error: no convergence after 7 iterations"}
+    assert [name for name, case in cases.items() if not case["pass"]] == [failing]
 
 
 def _strict_json(text):
