@@ -9,8 +9,8 @@ from .model import (LinearOp, ProblemInstance, SolutionPair,
                     group_lasso, l1, nuclear, polyhedral_indicator)
 from .solver import SolverConfig, SolverError, solve, solve_perturbed, kkt_residual
 from .certificates import (CertificateReport, CertificateError, Conclusion,
-                           certify_solution_map, certify_primal_dual,
-                           strong_solution_equivalence,
+                           read_pair, certify_solution_map,
+                           certify_primal_dual, strong_solution_equivalence,
                            uniqueness_equivalence_check)
 from .empirics import (KappaEstimate, perturbation_sweep, instability_probe,
                        kernel_formula_check, zero_product_check)

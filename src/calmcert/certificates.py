@@ -21,6 +21,9 @@ adding the adjoint-kernel condition Ker K* cap T_{dg(Kx)}(y) = {0}.
 Each condition hands its operator, Phi or K^T, to trivial_intersection;
 neither Ker Phi nor Ker K* is ever formed.
 
+Every reader of a pair reads it through read_pair, which builds the face once
+(a Reading); a reader handed a Reading reads that one.
+
 Verdict logic is three-valued and conservative: Unknown cone answers never
 upgrade to a decisive conclusion.
 """
@@ -116,7 +119,29 @@ class CertificateReport:
 
 
 # ---------------------------------------------------------------------------
-# multiplier validation
+# the pair's reading and multiplier validation
+
+
+@dataclass(frozen=True)
+class Reading:
+    """One reading of a pair: x_bar and y_bar as given (float arrays), K x_bar,
+    and the conjugate-subdifferential face of y_bar, read at the instance's
+    tolerances.  It has the pair's x_bar and y_bar, so every reader that
+    takes a pair takes it too."""
+    x_bar: np.ndarray
+    y_bar: np.ndarray
+    kx: np.ndarray
+    face: object
+
+
+def read_pair(instance, pair):
+    """The pair's Reading; a Reading is returned unchanged.  A face that
+    cannot be built raises its ValueError; no KKT test is made here."""
+    if isinstance(pair, Reading):
+        return pair
+    x = np.asarray(pair.x_bar, dtype=float)
+    face = rz.conj_subdiff_face(instance.reg, pair.y_bar, instance.tol)
+    return Reading(x, face.y_bar, instance.k.apply(x), face)
 
 
 def prepare_multiplier(instance, pair):
@@ -165,12 +190,12 @@ def _compose_solution_conclusion(cond_suf, qualified):
 
 
 def _solution_map(instance, pair, seed):
-    """(report, kx): the solution-map report and kx = K x_bar."""
+    """(report, reading): the solution-map report and the pair's Reading,
+    read after the KKT gate."""
     tol = instance.tol
     x, y, _ = prepare_multiplier(instance, pair)
-    v = instance.v_of(x)
-    kx = instance.k.apply(x)
-    face = rz.conj_subdiff_face(instance.reg, y, tol)
+    reading = read_pair(instance, pair)
+    kx, face = reading.kx, reading.face
     if not face.contains(kx, tol.derived_member):
         dist = float(np.linalg.norm(kx - face.project(kx)))
         raise CertificateError(
@@ -186,13 +211,13 @@ def _solution_map(instance, pair, seed):
         instance.phi, preimage(instance.k, tangent, tol), tol, seed=seed)
     cond_nes, conclusion = _compose_solution_conclusion(cond_suf, qualified)
     report = CertificateReport(
-        v_bar=v, y_used=y,
+        v_bar=instance.v_of(x), y_used=y,
         cond_suf=cond_suf, cond_nes=cond_nes,
         qual_polyhedral=qual_polyhedral, qual_ri=qual_ri,
         conclusion_solution_map=conclusion,
         notes={"face": face.describe(), "seed": int(seed)},
     )
-    return report, kx
+    return report, reading
 
 
 def certify_solution_map(instance, pair, seed=0):
@@ -210,12 +235,11 @@ def certify_primal_dual(instance, pair, seed=0):
     Extends the solution-map report with srcq and the primal-dual
     conclusion, which reads srcq and cond_suf only.
     """
-    report, kx = _solution_map(instance, pair, seed)
+    report, reading = _solution_map(instance, pair, seed)
     tol = instance.tol
     if instance.k.is_identity:      # Ker I = {0}: no tangent is built
         srcq = TrivialityVerdict.trivial()
-    elif (tangent_sub := rz.tangent_subdiff(instance.reg, kx, report.y_used,
-                                            tol)) is None:
+    elif (tangent_sub := rz.subdiff_tangent(reading.face, reading.kx, tol)) is None:
         srcq = TrivialityVerdict.unknown(
             "tangent cone to dg(K x_bar) not representable for this multiplier")
     else:
@@ -355,9 +379,8 @@ def solution_set_extent(instance, pair, c, level):
     the end lies within solution_resolution, or the end fails KKT at
     `level`, given with its distance and residuals.
     """
-    x = np.asarray(pair.x_bar, dtype=float)
-    y = np.asarray(pair.y_bar, dtype=float)
-    face = rz.conj_subdiff_face(instance.reg, y, instance.tol)
+    reading = read_pair(instance, pair)
+    x, y, face = reading.x_bar, reading.y_bar, reading.face
     box = max(1.0, float(np.abs(x).max(initial=0.0)))
     step = _polyhedral_step if face.is_polyhedral else _nuclear_step
     d = step(instance, face, x, np.asarray(c, dtype=float), box)
@@ -393,8 +416,8 @@ def uniqueness_oracle(instance, pair):
     if not isinstance(reg, rz.GroupLasso):
         raise ValueError("uniqueness oracle supports group lasso only")
     tol = instance.tol
-    x = np.asarray(pair.x_bar, dtype=float)
-    face = rz.conj_subdiff_face(reg, pair.y_bar, tol)
+    reading = read_pair(instance, pair)
+    x, face = reading.x_bar, reading.face
     e = face.polyhedral_system()[2]
     k = instance.k.matrix           # null_space factors the stack [Phi; E K]
     movement = null_space(np.vstack([instance.phi.matrix, e @ k]), tol)
@@ -407,7 +430,7 @@ def uniqueness_oracle(instance, pair):
         return True, None, detail
     c = np.random.default_rng(0).standard_normal(instance.dim_x)
     for direction in (c, -c):
-        alternate = solution_set_extent(instance, pair, direction, 1e3)[0]
+        alternate = solution_set_extent(instance, reading, direction, 1e3)[0]
         if alternate is not None:
             return False, alternate, detail
     return True, None, detail
@@ -417,8 +440,9 @@ def uniqueness_equivalence_check(instance, pair, seed=0):
     """Compare the certificate conclusion with the uniqueness oracle."""
     if not isinstance(instance.reg, rz.GroupLasso):
         raise ValueError("uniqueness equivalence applies to group lasso only")
-    unique, alternate, detail = uniqueness_oracle(instance, pair)
-    report = certify_solution_map(instance, pair, seed=seed)
+    reading = read_pair(instance, pair)
+    unique, alternate, detail = uniqueness_oracle(instance, reading)
+    report = certify_solution_map(instance, reading, seed=seed)
     status = report.conclusion_solution_map.status
     if status == "inconclusive":
         agrees = None

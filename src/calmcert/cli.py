@@ -128,10 +128,11 @@ def _at_least(value, least, flag):
 
 def _run_demo(args):
     """The curated table, each case through the verb functions: the pair
-    every verb solves, certify (certify-pd where a primal-dual verdict is
-    expected) and probe (where a refutation is); a case passes when every
-    expected value is obtained, and an error reads as run would print it.
-    Prints the table; returns its --out document and the exit code."""
+    every verb solves, read once, certify (certify-pd where a primal-dual
+    verdict is expected) and probe (where a refutation is) on the report's
+    conclusion; a case passes when every expected value is obtained, and an
+    error reads as run would print it.  Prints the table; returns its --out
+    document and the exit code."""
     rows = []
     for case in curated_cases():
         expected = case["expected"]
@@ -140,14 +141,15 @@ def _run_demo(args):
             seed=args.seed, y_override=None, t_grid=T_GRID)
         try:
             instance = load_instance(case["instance"])
-            pair = _solve_pair(instance, case_args)
+            pair = ct.read_pair(instance, _solve_pair(instance, case_args))
             report = _certify(instance, pair, case_args)[0]
             got = {"solution_map": report.conclusion_solution_map.status,
                    "unknown": report.has_unknown}
             if report.conclusion_primal_dual is not None:
                 got["primal_dual"] = report.conclusion_primal_dual.status
             if "probe_refuted" in expected:
-                probe = _probe(instance, pair, case_args)[0]
+                probe = _probe(instance, pair, case_args,
+                               report.conclusion_solution_map)[0]
                 got["probe_refuted"] = probe.get("refuted", False)
             for key in ("x_bar", "y_bar"):
                 if key in expected:
@@ -198,12 +200,15 @@ def _sweep(instance, pair, args):
                                   seed=args.seed), None, 0, None)
 
 
-def _probe(instance, pair, args):
+def _probe(instance, pair, args, conc=None):
+    """probe along the witness of conc, the pair's solution-map conclusion;
+    the pair is certified for it only when no conc is given."""
     t_grid = _floats(args.t_grid, "--t-grid")
     if min(t_grid) <= 0:
         raise ValueError(f"--t-grid: step {min(t_grid)!r} is not positive")
-    conc = ct.certify_solution_map(instance, pair, seed=args.seed) \
-        .conclusion_solution_map
+    pair = ct.read_pair(instance, pair)
+    conc = conc or ct.certify_solution_map(
+        instance, pair, seed=args.seed).conclusion_solution_map
     if conc.witness is None:
         payload = {"available": False,
                    "reason": f"no witness: conclusion is {conc.status}"}

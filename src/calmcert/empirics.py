@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import regularizers as rz
-from .certificates import solution_resolution, solution_set_extent
+from .certificates import read_pair, solution_resolution, solution_set_extent
 from .linalg import row_dots, row_norms
 from .solver import (SolverError, kkt_bound, kkt_residual, kkt_within,
                      pair_config, solve_perturbed)
@@ -125,25 +125,28 @@ def instability_probe(instance, pair, witness, t_grid):
     entries are that end and the points at distance t from x_bar toward it,
     for each t of the grid beyond the pair's resolution and short of the
     end: each has b_dist 0 and ratio None.  The probe refutes when every
-    entry passes KKT with y_bar at level 10 of kkt_bound.
+    entry passes KKT with y_bar at level 10 of kkt_bound.  A pair whose face
+    cannot be built, or a witness with no far end, gives no entry and does
+    not refute.
     """
-    x_bar = np.asarray(pair.x_bar, dtype=float)
-    try:
-        face = rz.conj_subdiff_face(instance.reg, pair.y_bar, instance.tol)
-    except (ValueError, RuntimeError) as exc:
-        return {"available": False, "reason": str(exc), "entries": []}
     level = max(10.0, 1e-10 / instance.tol.kkt)         # level 10, floored
-    end, cause = solution_set_extent(instance, pair, witness, level)
+    try:
+        reading = read_pair(instance, pair)
+    except (ValueError, RuntimeError) as exc:
+        end, cause = None, str(exc)
+    else:
+        end, cause = solution_set_extent(instance, reading, witness, level)
     if end is None:
         return {"available": False, "entries": [], "refuted": False,
                 "reason": cause}
+    x_bar, face = reading.x_bar, reading.face
     width = float(np.linalg.norm(end - x_bar))
     r = solution_resolution(instance)
     entries = []
     for t in [float(t) for t in t_grid if r < float(t) < width] + [width]:
         x_t = x_bar + (t / width) * (end - x_bar) if t < width else end
         k_t = instance.k.apply(x_t)
-        res = kkt_residual(instance, x_t, pair.y_bar)
+        res = kkt_residual(instance, x_t, reading.y_bar)
         entries.append({"t": t, "available": True,
                         "x_dist": float(np.linalg.norm(x_t - x_bar)),
                         "b_dist": 0.0, "ratio": None, **res,
@@ -319,8 +322,9 @@ def zero_product_check(reg, x_bar, v_bar, n_samples=200, seed=0, tol=None):
     arg = x_in + np.asarray(v_bar, dtype=float)
     x_bar = rz.prox(reg, 1.0, arg)
     v_bar = arg - x_bar
-    t_primal = rz.tangent_subdiff(reg, x_bar, v_bar, tol)
-    t_dual = rz.tangent_conj_subdiff(reg, v_bar, x_bar, tol)
+    face = rz.conj_subdiff_face(reg, v_bar, tol)      # one face, both cones
+    t_primal = rz.subdiff_tangent(face, x_bar, tol)
+    t_dual = rz.member_tangent(face, x_bar, tol)
     if t_primal is None:
         return {"available": False,
                 "reason": "tangent cone to dg(x_bar) not representable"}

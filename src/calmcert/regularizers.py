@@ -6,7 +6,8 @@ holds its data and all that depends on the kind, and builds its face class
 for the conjugate-subdifferential face F(y) = {x : y in dg(x)}, which
 decides whether ri F(y) meets a given range and gives both tangent cones of
 the zero-product pair at (x, y): T_{F(y)}(x) and T_{dg(x)}(y), read from one
-activity rule per kind; one face per (y, tol) is kept for every reader.
+activity rule per kind.  A face is built for each call of conj_subdiff_face;
+the certificates read it once per pair (certificates.read_pair).
 The faces are the sets of cones.py: a polyhedral face is a Polyhedron, as
 the polyhedral indicator itself is, and the nuclear face holds its block as
 a PsdCone, which compresses, embeds and projects for it.  For the nuclear
@@ -195,8 +196,7 @@ class PolyhedralIndicator(Polyhedron):
     (rows x dim) array.
 
     With no rows the set is all of R^dim, and g = 0.  value and prox are the
-    set's own membership and projection, whose factors it keeps, as the
-    conjugate faces are kept for every kind (conj_subdiff_face), so that
+    set's own membership and projection, whose factors it keeps, so that
     every caller reuses them.
     """
 
@@ -523,8 +523,8 @@ class PolyhedralFace(Polyhedron):
     """Exposed face argmax_{A y <= c} <y_bar, y>: a Polyhedron with the
     equality <y_bar, y> = support (none when y_bar is zero).
 
-    Built through conj_subdiff_face, which keeps one face per (y_bar, tol)
-    for every kind, so its support LP is solved once.
+    Its support LP is solved once per build; the certificates build one
+    face per pair (certificates.read_pair).
     """
 
     is_polyhedral = True
@@ -570,15 +570,9 @@ class PolyhedralFace(Polyhedron):
 
 
 def conj_subdiff_face(reg, y_bar, tol=DEFAULT_TOL):
-    """Exact description of dg*(y_bar) = {x : y_bar in dg(x)}, kept on reg
-    per (y_bar bytes, tol) for every kind and built from a read-only copy of
-    y_bar, so that every reader shares it; a failed build keeps nothing."""
-    y_bar = np.asarray(y_bar, dtype=float)
-    faces = vars(reg).setdefault("_faces", {})
-    key = (y_bar.tobytes(), tol)
-    if key not in faces:
-        faces[key] = reg.face(frozen(y_bar.copy()), tol)
-    return faces[key]
+    """Exact description of dg*(y_bar) = {x : y_bar in dg(x)}, built from a
+    read-only copy of y_bar, so that no caller can edit the face's own."""
+    return reg.face(frozen(np.array(y_bar, dtype=float)), tol)
 
 
 def member_tangent(face, x_bar, tol=DEFAULT_TOL):
@@ -599,13 +593,20 @@ def tangent_conj_subdiff(reg, y_bar, x_bar, tol=DEFAULT_TOL):
 # tangent to the subdifferential at the multiplier (adjoint-kernel condition)
 
 
+def subdiff_tangent(face, x_bar, tol=DEFAULT_TOL):
+    """face.subdiff_tangent(x_bar), T_{dg(x_bar)}(y_bar) for the face's
+    y_bar or None when no exact description is supported, after checking
+    that y_bar is in dg(x_bar)."""
+    x_bar = np.asarray(x_bar, dtype=float)
+    if not subdiff_contains(face.reg, x_bar, face.y_bar, tol):
+        raise ValueError("y_bar is not in dg(x_bar)")
+    return face.subdiff_tangent(x_bar, tol)
+
+
 def tangent_subdiff(reg, x_bar, y_bar, tol=DEFAULT_TOL):
     """T_{dg(x_bar)}(y_bar), read off the conjugate face of y_bar, or None
     when no exact description is supported."""
-    x_bar = np.asarray(x_bar, dtype=float)
-    if not subdiff_contains(reg, x_bar, y_bar, tol):
-        raise ValueError("y_bar is not in dg(x_bar)")
-    return conj_subdiff_face(reg, y_bar, tol).subdiff_tangent(x_bar, tol)
+    return subdiff_tangent(conj_subdiff_face(reg, y_bar, tol), x_bar, tol)
 
 
 # ---------------------------------------------------------------------------

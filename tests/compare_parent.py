@@ -5,7 +5,10 @@
 PARENT_TREE is a checkout of the commit to compare with (`git archive` or
 `git clone` it into a directory of its own).  Both trees run the same ops,
 each in a process of its own that imports calmcert from that tree's src/:
-* the ledger's sources (tests/corpus.py) through `certify` and `certify-pd`;
+* the ledger's sources (tests/corpus.py) through `certify` and `certify-pd`,
+  and through `probe` where tests/ledger.json reads the solution map
+  `not_isolated_calm`: those are the ops that read the solution set
+  (certificates.solution_set_extent) along a witness;
 * one benchmark certify cycle and one sweep cycle per seed 11-20
   (perfbench.instances.build), with the arguments perfbench/run.py gives
   the first cycle;
@@ -41,6 +44,8 @@ def write_ops(docs):
     """[(name, argv without --out)] of every op, each document written
     under docs."""
     import corpus
+    refuted = {r["doc"] for r in json.loads((HERE / "ledger.json").read_text())
+               if r["solution_map"] == "not_isolated_calm"}
     ops = []
 
     def path(doc):
@@ -49,7 +54,8 @@ def write_ops(docs):
         return str(p)
     for name, doc in corpus.documents():
         p = path(doc)
-        ops += [(name, [verb, p]) for verb in ("certify", "certify-pd")]
+        verbs = ("certify", "certify-pd") + (("probe",) if name in refuted else ())
+        ops += [(name, [verb, p]) for verb in verbs]
     for workload in ("certify", "sweep"):
         for seed in CYCLE_SEEDS:
             for op in corpus.bench_ops(workload, seed):

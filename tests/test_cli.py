@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from calmcert import certificates as ct
 from calmcert import cli, cones, empirics
 from calmcert.cli import run
 from calmcert.gallery import curated_cases
@@ -816,6 +817,16 @@ def test_demo_passes(capsys):
     assert run(["demo"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_demo_certifies_each_case_once(monkeypatch, capsys):
+    # a probe case hands its report's conclusion to the probe verb, which
+    # then certifies nothing
+    calls, solution_map = [], ct._solution_map
+    monkeypatch.setattr(ct, "_solution_map",
+                        lambda *args: calls.append(1) or solution_map(*args))
+    assert run(["demo"]) == 0
+    assert len(calls) == len(curated_cases())
 
 
 def test_demo_format_csv_writes_the_table(tmp_path):

@@ -112,6 +112,16 @@ def test_probe_finds_no_alternate_for_a_tilted_box_multiplier():
                              "pair's resolution along the witness"}
 
 
+def test_probe_does_not_refute_a_multiplier_that_has_no_face():
+    # y_bar scaled past the dual ball: no face is built, so no entry
+    inst = instance_for("lasso_segment")
+    pair = solve(inst)
+    pair.y_bar = 1.5 * pair.y_bar
+    out = instability_probe(inst, pair, np.array([1.0, -1.0]), [1e-1, 1e-2])
+    assert out == {"available": False, "entries": [], "refuted": False,
+                   "reason": "group 0: ||y_J|| exceeds the dual bound by 0.5"}
+
+
 def test_probe_names_why_it_finds_no_alternate():
     # no step: a transverse nuclear draw's line L is {0}
     inst = load_instance(json.dumps(planted_nuclear(0, refute=False)[0]))

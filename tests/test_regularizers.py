@@ -622,7 +622,7 @@ def test_polyhedral_tangents_read_the_same_active_rows():
 
 
 # ---------------------------------------------------------------------------
-# one conjugate face per (multiplier, tolerance)
+# a conjugate face per build, nothing kept on the regularizer
 
 
 FACE_CASES = {
@@ -634,17 +634,20 @@ FACE_CASES = {
 
 
 @pytest.mark.parametrize("kind", sorted(FACE_CASES))
-def test_one_face_per_multiplier_and_tolerance(kind):
+def test_each_face_build_keeps_its_own_multiplier_and_nothing_on_reg(kind):
     make, y = FACE_CASES[kind]
     reg, y = make(), np.array(y)
     face = rz.conj_subdiff_face(reg, y, TOL)
-    assert rz.conj_subdiff_face(reg, y.copy(), TOL) is face
-    assert rz.conj_subdiff_face(reg, y, Tolerances(member=2e-7)) is not face
+    attributes = dict(vars(reg))
+    again = rz.conj_subdiff_face(reg, y, TOL)
+    assert again is not face and np.array_equal(again.y_bar, face.y_bar)
+    rz.conj_subdiff_face(reg, y, Tolerances(member=2e-7))
+    assert vars(reg) == attributes          # no face is kept on reg
     # the face holds its own read-only copy of the multiplier
     kept = face.y_bar.copy()
     y[0] = 0.25
     assert np.array_equal(face.y_bar, kept) and not face.y_bar.flags.writeable
-    assert rz.conj_subdiff_face(reg, y, TOL) is not face
+    assert not np.array_equal(rz.conj_subdiff_face(reg, y, TOL).y_bar, kept)
 
 
 def test_a_failed_face_build_is_not_kept(monkeypatch):
