@@ -2,29 +2,28 @@
 
 The certificates all reduce to one question: given an operator M (Phi, or
 K^T for the adjoint-kernel condition) and a described closed convex cone
-C, is {w in C : M w = 0} = {0}?  Every cone is one of four flat
-descriptions: a subspace plus rays (a plain subspace when there are no
-rays), a polyhedral cone {A w <= 0, E w = 0}, an embedded PSD cone, or the
-preimage under K of a subspace plus rays or of a PSD cone.  `preimage` is
-the one push-in: it pulls a polyhedral cone back through K row by row.  The
-regularizers write their cones in these forms directly, group-Lasso ones
-included, whatever the number of groups.
+C, is {w in C : M w = 0} = {0}?  Each cone answers through one of two
+procedures, and its class attribute `exact` says which.  Each exact cone
+lifts itself: `lifted(mat, scale)` writes Ker M cap C as one system
+Q = {z : G z <= 0, H z = 0} with M / scale in its equality block, and a
+linear map F with F Q = Ker M cap C.  The exact cones are a subspace plus
+rays (a plain subspace when there are no rays), a polyhedral cone
+{A w <= 0, E w = 0}, and the preimage under K of either, which lifts its
+inner cone's system.  PSD cones hand the probe their projection:
+`probe_parts()` gives the K (None for K = I) and the embedded PSD cone that
+the probe projects through.  `preimage` asks the cone to pull itself back:
+a polyhedral cone is pulled back through K row by row, any other cone is
+kept as a PreimageCone.  The regularizers write their cones in these forms
+directly, group-Lasso ones included, whatever the number of groups.
 
-Every exact cone is one system Q = {z : G z <= 0, H z = 0} with M in its
-equality block, and a linear map F with F Q = Ker M cap C (G = -I on lam):
-
-  span(B) + rays R           z = (xi, lam)     H = [M B, M R]     F = [B R]
-  {A w <= 0, E w = 0}        z = w             H = [M; E], G = A  F = I
-  preimage of span(S) + R    z = (w, s, lam)   H = [M 0 0; K -S -R]
-
-F keeps w in the preimage.  The kernel of M is never formed.  When F
-vanishes on null(H) the equalities decide; otherwise one LP for a
-relative-interior point of Q does.  A nontrivial answer carries a witness
-w in C with M w = 0, a trivial one the LP duals (a Stiemke/Gordan
-alternative, zero when the equalities decide), each verified before it is
-reported.  The embedded-PSD degenerate case uses an alternating-projection
-probe on a kernel basis of M, its starts run as one stack, that can only
-answer Nontrivial-with-witness or Unknown.
+The kernel of M is never formed.  When F vanishes on null(H) the
+equalities decide; otherwise one LP for a relative-interior point of Q
+does.  A nontrivial answer carries a witness w in C with M w = 0, a trivial
+one the LP duals (a Stiemke/Gordan alternative, zero when the equalities
+decide), each verified before it is reported.  The embedded-PSD degenerate
+case uses an alternating-projection probe on a kernel basis of M, its
+starts run as one stack, that can only answer Nontrivial-with-witness or
+Unknown.
 
 Polyhedron is the set {A y <= c, E y = rhs}: the polyhedral regularizer,
 PolyhedralCone and the polyhedral conjugate face are Polyhedrons.  It holds
@@ -108,30 +107,41 @@ class TrivialityVerdict:
 # cone variants
 
 
-class SubspacePlusRays:
+class Cone:
+    """What trivial_intersection and preimage ask of a cone.
+
+    An exact cone (exact = True) defines lifted(mat, scale) -> (G, H, F),
+    the system _decide reads; a PSD cone defines probe_parts() -> (K or
+    None, the embedded PSD cone), what _psd_probe projects through.
+    """
+
+    exact = True
+
+    def residual(self, w):
+        w = np.asarray(w, dtype=float)
+        return float(np.linalg.norm(w - self.project(w)))
+
+    def pulled_back(self, k, tol):
+        """{w : K w in C}, for a dense K."""
+        return PreimageCone(k, self)
+
+
+class SubspacePlusRays(Cone):
     """span + nonnegative combinations of the given rays (rays normalized);
     with no rays, the subspace itself."""
 
     def __init__(self, span, rays=()):
         self.span = span
         self.ambient = span.ambient_dim
-        rs = []
-        for r in rays:
-            r = np.asarray(r, dtype=float)
-            nrm = np.linalg.norm(r)
-            if nrm <= 0:
-                raise ValueError("zero ray in cone description")
-            rs.append(r / nrm)
-        self.rays = rs
+        rays = [np.asarray(r, dtype=float) for r in rays]
+        norms = [np.linalg.norm(r) for r in rays]
+        if any(nrm <= 0 for nrm in norms):
+            raise ValueError("zero ray in cone description")
+        self.rays = [r / nrm for r, nrm in zip(rays, norms)]
 
     def _ray_matrix(self):
-        if not self.rays:
-            return np.zeros((self.ambient, 0))
-        return np.stack(self.rays, axis=1)
-
-    def residual(self, w):
-        w = np.asarray(w, dtype=float)
-        return float(np.linalg.norm(w - self.project(w)))
+        return np.stack(self.rays, axis=1) if self.rays \
+            else np.zeros((self.ambient, 0))
 
     def member(self, w, tol):
         """within(residual(w), tol, ||w||); an array of slacks gives one
@@ -155,6 +165,14 @@ class SubspacePlusRays:
         import scipy.optimize
         lam, _ = scipy.optimize.nnls(rp, w - ws)
         return ws + rp @ lam
+
+    def lifted(self, mat, scale):
+        """z = (xi, lam), F = [B R] (B the span's basis, R the rays):
+        H = M F / scale, and G = -I on lam."""
+        r = self._ray_matrix()
+        f = np.hstack([self.span.basis, r])
+        g = np.hstack([np.zeros((r.shape[1], self.span.dim)), -np.eye(r.shape[1])])
+        return g, mat @ f / scale, f
 
     def __repr__(self):
         return (f"SubspacePlusRays(span_dim={self.span.dim}, "
@@ -213,17 +231,18 @@ class Polyhedron:
         return point - proj @ (mm @ point - target)
 
     def _least_distance(self, h):
-        """The multipliers of min ||z|| over -(A Z) z >= h: one NNLS of
-        [-(A Z)^T; h^T] against the last unit vector (Lawson & Hanson, Solving
-        Least Squares Problems, 1974, ch. 23), whose positive entries mark the
-        active rows; None when its residual vanishes, which happens only when
-        no z meets the rows."""
+        """The active rows of min ||z|| over -(A Z) z >= h: the positive
+        multipliers of one NNLS of [-(A Z)^T; h^T] against the last unit
+        vector (Lawson & Hanson, Solving Least Squares Problems, 1974, ch.
+        23); None when its residual vanishes, which happens only when no z
+        meets the rows."""
         import scipy.optimize
         az = self._az
         unit = np.zeros(az.shape[1] + 1)
         unit[-1] = 1.0
         lam, res = scipy.optimize.nnls(np.vstack([-az.T, h]), unit)
-        return None if res <= np.finfo(float).eps else lam
+        return None if res <= np.finfo(float).eps \
+            else tuple(np.flatnonzero(lam > 0.0).tolist())
 
     def _gaps(self, point, slack):
         """(y0, h): y0 the point's projection onto {E y = rhs}, and h =
@@ -233,16 +252,20 @@ class Polyhedron:
         return y, self.A @ y - self.c - relax * self._norms[:self.A.shape[0]]
 
     def is_empty(self):
-        """Whether no y meets A y <= c and E y = rhs, by the least-distance
-        NNLS of project for the point 0, at no slack.  E y = rhs is taken as
-        consistent, and y0 is exact only without equalities: with them, an
-        inequality that they hold tight can read empty at roundoff.  With no
+        """Whether project finds no point for the point 0: its least-distance
+        NNLS reads no z, or the projection onto the active rows it reads
+        fails contains, both at PROJECTION_SLACK.  So an inequality that the
+        equalities hold tight does not read empty at roundoff, and an NNLS
+        residual of a contradictory pair of rows that stays above roundoff
+        does not read nonempty.  E y = rhs is taken as consistent.  With no
         rows of A the set is not empty, and no NNLS is solved.  The active
         set that project reuses is left as it was."""
         if not self.A.shape[0]:
             return False
-        h = self._gaps(np.zeros(self.A.shape[1]), 0.0)[1]
-        return self._least_distance(h) is None
+        point = np.zeros(self.A.shape[1])
+        rows = self._least_distance(self._gaps(point, PROJECTION_SLACK)[1])
+        return rows is None or \
+            not self.contains(self._onto(rows, point), PROJECTION_SLACK)
 
     def contains(self, y, slack):
         """A y <= c, E y = rhs, row i at ||row_i|| member_slack(slack, ||y||).
@@ -293,17 +316,17 @@ class Polyhedron:
             reused = self._reuse(point)
             if reused is not None:
                 return reused
-            lam = self._least_distance(h)
-            if lam is None:
+            rows = self._least_distance(h)
+            if rows is None:
                 raise RuntimeError("polyhedral projection failed (empty set)")
-            self._last = tuple(np.flatnonzero(lam > 0.0).tolist())
-            y = self._onto(self._last, point)
+            self._last = rows
+            y = self._onto(rows, point)
         if not self.contains(y, PROJECTION_SLACK):
             raise RuntimeError("polyhedral projection failed (infeasible result)")
         return y
 
 
-class PolyhedralCone(Polyhedron):
+class PolyhedralCone(Polyhedron, Cone):
     """{w : A w <= 0, E w = 0}; either block may be empty."""
 
     def __init__(self, a, e=None, ambient=None):
@@ -319,12 +342,22 @@ class PolyhedralCone(Polyhedron):
 
     member = Polyhedron.contains
 
+    def lifted(self, mat, scale):
+        """z = w, F = I: G = A and H = [M / scale; E], A and E at unit rows."""
+        return (_unit_rows(self.A), np.vstack([mat / scale, _unit_rows(self.E)]),
+                np.eye(self.ambient))
+
+    def pulled_back(self, k, tol):
+        """{w : A K w <= 0, E K w = 0}, row by row (see _pull_back_rows)."""
+        return PolyhedralCone(_pull_back_rows(self.A, k, tol),
+                              _pull_back_rows(self.E, k, tol), ambient=k.shape[1])
+
     def __repr__(self):
         return (f"PolyhedralCone(ineq={self.A.shape[0]}, eq={self.E.shape[0]}, "
                 f"ambient={self.ambient})")
 
 
-class PsdCone:
+class PsdCone(Cone):
     """{U_p H V_p^T embedded in R^{m x n} : H in S^p, P^T H P >= 0}.
 
     U, V are the orthogonal factors of the carrying face, p the block size
@@ -332,6 +365,8 @@ class PsdCone:
     itself; a tangent cone's P spans the nullspace of the base point's
     compression, and make_psd_embedded makes it a subspace when q = 0.
     """
+
+    exact = False
 
     def __init__(self, u, v, p, kernel_basis, m, n):
         self.U = np.asarray(u, dtype=float)
@@ -391,8 +426,9 @@ class PsdCone:
             h = h + self.P @ (gplus - self.P.T @ h @ self.P) @ self.P.T
         return self.embed(h)
 
-    def residual(self, w):
-        return float(np.linalg.norm(np.asarray(w, dtype=float) - self.project(w)))
+    def probe_parts(self):
+        """(K, inner) for the probe: K = I, which it reads as None."""
+        return None, self
 
     def __repr__(self):
         return f"PsdCone(p={self.p}, kernel={self.P.shape[1]}, {self.m}x{self.n})"
@@ -421,13 +457,14 @@ def make_psd_embedded(u, v, p, kernel_basis, m, n):
     return SubspacePlusRays(Subspace._orthonormal(symmetric_block_basis(u, v, p)))
 
 
-class PreimageCone:
-    """{w : K w in inner}, for a subspace-plus-rays or a PSD inner cone."""
+class PreimageCone(Cone):
+    """{w : K w in inner}: exact when the inner cone is."""
 
     def __init__(self, k_matrix, inner):
         self.K = np.asarray(k_matrix, dtype=float)
         self.inner = inner
         self.ambient = self.K.shape[1]
+        self.exact = inner.exact
 
     def member(self, w, tol):
         """K w within tol ||K||_F of the inner cone at scale ||w||: the error
@@ -438,6 +475,27 @@ class PreimageCone:
 
     def residual(self, w):
         return self.inner.residual(self.K @ np.asarray(w, dtype=float))
+
+    def lifted(self, mat, scale):
+        """z = (w, z'), with (G', H', F') the inner cone's own lift (no M rows):
+        M w = 0, K w = F' z', G' z' <= 0, H' z' = 0.  Over span(S) + rays R
+        that is z = (w, s, lam) and H = [M 0 0; K -S -R].
+
+        K is scaled to unit largest column and the rows of [K, -F'] to unit
+        norm, which leaves Q unchanged; F keeps the w block.
+        """
+        g, h, f = self.inner.lifted(np.zeros((0, self.inner.ambient)), 1.0)
+        n, tail = self.ambient, f.shape[1]
+        k_scale = float(np.linalg.norm(self.K, axis=0).max(initial=0.0)) or 1.0
+        h = np.vstack([np.hstack([mat / scale, np.zeros((mat.shape[0], tail))]),
+                       _unit_rows(np.hstack([self.K / k_scale, -f])),
+                       np.hstack([np.zeros((h.shape[0], n)), h])])
+        return np.hstack([np.zeros((g.shape[0], n)), g]), h, np.eye(n, n + tail)
+
+    def probe_parts(self):
+        """(K, inner) for the probe, K composed with the inner cone's own."""
+        k, psd = self.inner.probe_parts()
+        return (self.K if k is None else k @ self.K), psd
 
 
 # ---------------------------------------------------------------------------
@@ -456,20 +514,16 @@ def _pull_back_rows(rows, k, tol):
 def preimage(k_op, cone, tol=DEFAULT_TOL):
     """Cone {w : K w in C}, K a LinearOp or a matrix.
 
-    A polyhedral C is pulled back through K row by row; any other C is kept
-    as a PreimageCone.  For K = I it is C itself.
+    The cone pulls itself back: a polyhedral C row by row, any other C as a
+    PreimageCone.  For K = I it is C itself.
     """
     k_op = as_operator(k_op)
     if cone.ambient != k_op.rows:
         raise ValueError("operator rows must match cone ambient dimension")
     if k_op.is_identity:
         return cone
-    k = k_op.matrix             # the pulled-back rows and the cone's K are dense
-    if isinstance(cone, PolyhedralCone):
-        return PolyhedralCone(_pull_back_rows(cone.A, k, tol),
-                              _pull_back_rows(cone.E, k, tol),
-                              ambient=k.shape[1])
-    return PreimageCone(k, cone)
+    # the pulled-back rows and the cone's K are dense
+    return cone.pulled_back(k_op.matrix, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -504,21 +558,6 @@ def _verify_witness(mat, norm, cone, w, tol):
     if not cone.member(w, tol.derived_member):
         return None
     return w
-
-
-def _preimage_system(mk, k, inner):
-    """(G, H, F) over z = (w, s, lam): M w = 0, K w = S s + R lam, lam >= 0.
-
-    K is scaled to unit largest column and the rows of [K, -S, -R] to unit
-    norm, which leaves Q unchanged; F keeps the w block.
-    """
-    r, s = inner._ray_matrix(), inner.span.basis
-    n, tail = k.shape[1], s.shape[1] + r.shape[1]
-    scale = float(np.linalg.norm(k, axis=0).max(initial=0.0)) or 1.0
-    h = np.vstack([np.hstack([mk, np.zeros((mk.shape[0], tail))]),
-                   _unit_rows(np.hstack([k / scale, -s, -r]))])
-    g = np.hstack([np.zeros((r.shape[1], n + s.shape[1])), -np.eye(r.shape[1])])
-    return g, h, np.eye(n, n + tail)
 
 
 # HiGHS's feasibility tolerances, at the solver's floor: its default 1e-7
@@ -636,10 +675,12 @@ def _psd_probe(mat, norm, cone, k_mat, inner_psd, tol, seed):
 def trivial_intersection(m, cone, tol=DEFAULT_TOL, seed=0):
     """Decide Ker M cap C = {0}, M a LinearOp or a matrix.
 
-    A nontrivial verdict carries a verified witness, a trivial one on an
-    exact cone a verified DualCertificate.  M enters the LP system as the
-    equality block M F / ||M||, so Ker M is never formed; a singular
-    value of M F below tol.rank ||M|| counts as zero.
+    An exact cone lifts itself (lifted) and _decide decides its system; a
+    PSD cone hands _psd_probe its parts (probe_parts).  A nontrivial verdict
+    carries a verified witness, a trivial one on an exact cone a verified
+    DualCertificate.  M enters the LP system as an equality block at scale
+    1 / ||M||, so Ker M is never formed; a singular value of M F below
+    tol.rank ||M|| counts as zero.
     """
     m = as_operator(m)
     if m.cols != cone.ambient:
@@ -648,33 +689,9 @@ def trivial_intersection(m, cone, tol=DEFAULT_TOL, seed=0):
         return TrivialityVerdict.trivial()
     mat, norm = m.matrix, m.op_norm()             # M's rows enter the LP system
     scale = norm or 1.0                           # M = 0 leaves zero rows
-
-    if isinstance(cone, SubspacePlusRays):        # F = [B R]
-        span, r = cone.span, cone._ray_matrix()
-        f = np.hstack([span.basis, r])
-        g = np.hstack([np.zeros((r.shape[1], span.dim)), -np.eye(r.shape[1])])
-        return _decide(mat, norm, cone, g, mat @ f / scale, f, tol)
-
-    if isinstance(cone, PolyhedralCone):          # z = w, F = I
-        h = np.vstack([mat / scale, _unit_rows(cone.E)])
-        return _decide(mat, norm, cone, _unit_rows(cone.A), h,
-                       np.eye(cone.ambient), tol)
-
-    if isinstance(cone, PsdCone):
-        return _psd_probe(mat, norm, cone, None, cone, tol, seed)
-
-    if isinstance(cone, PreimageCone):
-        inner = cone.inner
-        if isinstance(inner, SubspacePlusRays):
-            return _decide(mat, norm, cone,
-                           *_preimage_system(mat / scale, cone.K, inner), tol)
-        if isinstance(inner, PsdCone):
-            return _psd_probe(mat, norm, cone, cone.K, inner, tol, seed)
-        return TrivialityVerdict.unknown(
-            f"no decision procedure for preimage of {type(inner).__name__}")
-
-    return TrivialityVerdict.unknown(
-        f"no decision procedure for {type(cone).__name__}")
+    if cone.exact:
+        return _decide(mat, norm, cone, *cone.lifted(mat, scale), tol)
+    return _psd_probe(mat, norm, cone, *cone.probe_parts(), tol, seed)
 
 
 # ---------------------------------------------------------------------------

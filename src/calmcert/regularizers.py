@@ -146,7 +146,8 @@ class GroupLasso(_Norm):
         c = self.weight / nrm[a]
         unit = u[a] / nrm[a]
         same = owner[a][:, None] == owner[a]
-        m = np.eye(a.size) - np.where(same, np.outer(unit, unit), 0.0)
+        m = np.where(same, unit[:, None] * -unit, 0.0)     # -uu^T within groups
+        m[np.diag_indices(a.size)] += 1.0
         return a, (c / (1.0 - c))[:, None] * m
 
 

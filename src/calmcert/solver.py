@@ -201,8 +201,8 @@ def _newton_direction(instance, eps, stat, graph, u):
     relative.  One step of iterative refinement on that residual e, with
     the same S, adds (S^{-1} e, W K S^{-1} e) and restores the accuracy of
     an LU of the saddle system.  When K_Z has no nonzero entry nothing is
-    divided by eps, and the step is skipped; the operator's cached mask of
-    nonzero rows decides that without copying K_Z.
+    divided by eps, and the step is skipped; a count on the operator's cached
+    mask of nonzero rows decides that without copying K_Z.
     """
     k = instance.k.matrix       # the Schur complement K^T W K is formed dense
     a, m = instance.reg.prox_jacobian(u)
@@ -214,7 +214,7 @@ def _newton_direction(instance, eps, stat, graph, u):
     s = h + k.T @ wk
     dx = np.linalg.solve(s, -stat - k.T @ q)
     dy = wk @ dx + q
-    if np.delete(instance.k.nonzero_rows, a).any():
+    if instance.k.nonzero_rows.sum() > instance.k.nonzero_rows[a].sum():
         ddx = np.linalg.solve(s, -stat - h @ dx - k.T @ dy)
         dx += ddx
         dy += wk @ ddx

@@ -16,10 +16,13 @@ each in a process of its own that imports calmcert from that tree's src/:
   `--format csv`, and `demo` in JSON and with `--format csv`.
 The documents and the op list come from this tree and are written once, so
 both trees read the same bytes.  The two processes run side by side, each
-with one BLAS thread.  The script prints, per verb, how many ops end with
-a different exit code and how many write different report bytes (a sweep's
-CSV side file included), and names the first few of each.  The documents,
-the op list (ops.json) and both trees' reports stay under --out.
+with one BLAS thread, and each counts the calls every op makes to
+scipy.optimize.linprog and scipy.optimize.nnls (both wrapped before the
+first op).  The script prints, per verb, how many ops end with a different
+exit code and how many write different report bytes (a sweep's CSV side
+file included), and each tree's LP and NNLS totals; it names the first few
+differing ops.  The documents, the op list (ops.json) and both trees'
+reports and counts stay under --out.
 """
 
 import argparse
@@ -33,11 +36,13 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import orjson
 
 HERE = Path(__file__).resolve().parent
 CYCLE_SEEDS = range(11, 21)
 SHOWN = 5
+SOLVERS = ("linprog", "nnls")          # the scipy.optimize calls counted
 
 
 def write_ops(docs):
@@ -69,19 +74,39 @@ def write_ops(docs):
     return ops + [("demo", ["demo"]), ("demo/csv", ["demo", "--format", "csv"])]
 
 
+def _count_calls(calls):
+    """Wrap each of SOLVERS in scipy.optimize so that a call adds 1 to
+    calls[name]; the package reads them as scipy.optimize attributes."""
+    import scipy.optimize
+
+    def counted(name, solver):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return solver(*args, **kwargs)
+        return call
+    for name in SOLVERS:
+        setattr(scipy.optimize, name, counted(name, getattr(scipy.optimize, name)))
+
+
 def worker(tree, manifest, out):
     """Run every op of manifest through tree's calmcert; each report goes
-    to out/<index>.json, and the exit codes to out/codes.json."""
+    to out/<index>.json, the exit codes to out/codes.json, and each op's
+    [linprog, nnls] call counts to out/calls.json."""
     import calmcert
     from calmcert.cli import run
     if not Path(calmcert.__file__).resolve().is_relative_to(Path(tree).resolve()):
         sys.exit(f"calmcert was imported from {calmcert.__file__}, not {tree}")
-    codes = []
+    calls = Counter()
+    _count_calls(calls)
+    codes, counts = [], []
     for index, (_, argv) in enumerate(json.loads(Path(manifest).read_text())):
+        calls.clear()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             codes.append(run(argv + ["--out", str(Path(out) / f"{index}.json")]))
+        counts.append([calls[name] for name in SOLVERS])
     (Path(out) / "codes.json").write_text(json.dumps(codes))
+    (Path(out) / "calls.json").write_text(json.dumps(counts))
 
 
 def _reports(out, index):
@@ -90,13 +115,18 @@ def _reports(out, index):
 
 
 def compare(ops, parent, child):
-    """Per verb: (ops, differing exit codes, differing reports, names)."""
-    codes = [json.loads((side / "codes.json").read_text())
-             for side in (parent, child)]
+    """Per verb: (ops, differing exit codes, differing reports, names, and
+    the [[linprog, nnls] parent, [linprog, nnls] child] call totals)."""
+    codes, counts = ([json.loads((side / f).read_text())
+                      for side in (parent, child)]
+                     for f in ("codes.json", "calls.json"))
     total, code_diff, byte_diff, names = Counter(), Counter(), Counter(), {}
+    calls = {}
     for index, (name, argv) in enumerate(ops):
         verb = argv[0]
         total[verb] += 1
+        sums = calls.setdefault(verb, np.zeros((2, len(SOLVERS)), dtype=int))
+        sums += [side[index] for side in counts]
         if codes[0][index] != codes[1][index]:
             code_diff[verb] += 1
             names.setdefault(verb, []).append(
@@ -105,7 +135,8 @@ def compare(ops, parent, child):
             byte_diff[verb] += 1
             names.setdefault(verb, []).append(f"{name}: report {index}")
     return {verb: (total[verb], code_diff[verb], byte_diff[verb],
-                   names.get(verb, [])) for verb in sorted(total)}
+                   names.get(verb, []), calls[verb].tolist())
+            for verb in sorted(total)}
 
 
 def main(argv=None):
@@ -138,10 +169,13 @@ def main(argv=None):
         return 1
     print(f"{len(ops)} ops; reports under {out}")
     print(f"{'verb':<12} {'ops':>6} {'exit codes differ':>18} "
-          f"{'reports differ':>15}")
+          f"{'reports differ':>15} {'LPs parent/child':>17} "
+          f"{'NNLS parent/child':>18}")
     rows = compare(ops, out / "parent", out / "child")
-    for verb, (total, codes, reports, names) in rows.items():
-        print(f"{verb:<12} {total:>6} {codes:>18} {reports:>15}")
+    for verb, (total, codes, reports, names, calls) in rows.items():
+        (lp0, nnls0), (lp1, nnls1) = calls
+        print(f"{verb:<12} {total:>6} {codes:>18} {reports:>15} "
+              f"{f'{lp0}/{lp1}':>17} {f'{nnls0}/{nnls1}':>18}")
         for name in names[:SHOWN]:
             print(f"    {name}")
     return 0

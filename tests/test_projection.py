@@ -37,13 +37,19 @@ def _draw(rng, cone, k):
     return a, c, e, e @ y_in
 
 
-@pytest.mark.parametrize("cone", [False, True])
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_projection_matches_enumeration(cone, k):
+def _enumeration_draws(cone, k):
+    """The 60 (a, c, e, rhs, p) of one enumeration case: a drawn set and the
+    point projected onto it."""
     rng = np.random.default_rng([k, int(cone), 8])
     for _ in range(60):
         a, c, e, rhs = _draw(rng, cone, k)
-        p = 3.0 * rng.standard_normal(a.shape[1])
+        yield a, c, e, rhs, 3.0 * rng.standard_normal(a.shape[1])
+
+
+@pytest.mark.parametrize("cone", [False, True])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_projection_matches_enumeration(cone, k):
+    for a, c, e, rhs, p in _enumeration_draws(cone, k):
         got = cones.Polyhedron(a, c, e, rhs).project(p)
         want = enumerated(p, a, c, e, rhs)
         assert np.linalg.norm(got - want) <= 1e-9 * max(1.0, np.linalg.norm(p))
@@ -131,6 +137,18 @@ def test_a_drawn_set_without_equalities_is_not_empty(cone):
     rng = np.random.default_rng([0, int(cone), 8])
     for _ in range(60):
         assert not cones.Polyhedron(*_draw(rng, cone, 0)).is_empty()
+
+
+@pytest.mark.parametrize("cone", [False, True])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_emptiness_reads_the_enumeration_draws(cone, k):
+    # every draw is nonempty by construction, a row held tight by the
+    # equalities included; a row that contradicts row 0 (a_0 y >= c_0 + 1)
+    # empties it
+    for a, c, e, rhs, _ in _enumeration_draws(cone, k):
+        assert not cones.Polyhedron(a, c, e, rhs).is_empty()
+        assert cones.Polyhedron(np.vstack([a, -a[0]]), np.append(c, -c[0] - 1.0),
+                                e, rhs).is_empty()
 
 
 def test_emptiness_agrees_with_a_zero_cost_lp():

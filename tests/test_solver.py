@@ -471,6 +471,55 @@ def test_schur_direction_matches_the_saddle_system(monkeypatch, name):
                 <= 1e-12 * np.linalg.norm(stat)
 
 
+def _outer_jacobian(reg, u):
+    """GroupLasso.prox_jacobian by its former formula: M_A = I minus the
+    outer product of the unit blocks, masked to the groups."""
+    owner = reg.segments.owner
+    nrm = rz.group_norms(reg, u)[owner]
+    a = np.flatnonzero(nrm > reg.weight)
+    c = reg.weight / nrm[a]
+    unit = u[a] / nrm[a]
+    same = owner[a][:, None] == owner[a]
+    m = np.eye(a.size) - np.where(same, np.outer(unit, unit), 0.0)
+    return a, (c / (1.0 - c))[:, None] * m
+
+
+def _deleting_direction(instance, eps, stat, graph, u):
+    """_newton_direction by its former steps: that Jacobian, and the nonzero
+    rows of K_Z read by deleting A from the mask."""
+    k = instance.k.matrix
+    a, m = _outer_jacobian(instance.reg, u)
+    wk = k * (1.0 / eps)
+    wk[a] = m @ k[a]
+    q = graph / eps
+    q[a] = graph[a] + m @ graph[a]
+    h = instance.phi.gram() / instance.mu
+    s = h + k.T @ wk
+    dx = np.linalg.solve(s, -stat - k.T @ q)
+    dy = wk @ dx + q
+    if np.delete(instance.k.nonzero_rows, a).any():
+        ddx = np.linalg.solve(s, -stat - h @ dx - k.T @ dy)
+        dx += ddx
+        dy += wk @ ddx
+    return dx, dy
+
+
+@pytest.mark.parametrize("name", sorted(DIRECTION_CASES))
+def test_direction_matches_its_former_formulas_bit_for_bit(monkeypatch, name):
+    inst = make(DIRECTION_CASES[name])
+    eps = inst.tol.rank * inst.k.op_norm() ** 2
+    states = _try_states(monkeypatch, inst)
+    assert states
+    for instance, x, y in states:
+        stat, graph, u = solver_module._kkt_vectors(instance, x, y)
+        for got, want in ((instance.reg.prox_jacobian(u),
+                           _outer_jacobian(instance.reg, u)),
+                          (solver_module._newton_direction(
+                              instance, eps, stat, graph, u),
+                           _deleting_direction(instance, eps, stat, graph, u))):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_schur_direction_is_exact_where_x_stays_on_the_segment():
     # pd_multiplier_segment warm-started 1e-2 away: x = 0 stays optimal, both
     # rows of K = [1; 1] are in Z, and dx = -(stat + (g_1 + g_2) / eps) /
