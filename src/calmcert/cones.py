@@ -11,10 +11,10 @@ rays (a plain subspace when there are no rays), a polyhedral cone
 {A w <= 0, E w = 0}, and the preimage under K of either, which lifts its
 inner cone's system.  PSD cones hand the probe their projection:
 `probe_parts()` gives the K (None for K = I) and the embedded PSD cone that
-the probe projects through.  `preimage` asks the cone to pull itself back:
-a polyhedral cone is pulled back through K row by row, any other cone is
-kept as a PreimageCone.  The regularizers write their cones in these forms
-directly, group-Lasso ones included, whatever the number of groups.
+the probe projects through.  `preimage` keeps every cone as a
+PreimageCone, whose decision is its inner cone's.  The regularizers write
+their cones in these forms directly, group-Lasso ones included, whatever
+the number of groups.
 
 The kernel of M is never formed.  When F vanishes on null(H) the
 equalities decide; otherwise one LP for a relative-interior point of Q
@@ -108,7 +108,7 @@ class TrivialityVerdict:
 
 
 class Cone:
-    """What trivial_intersection and preimage ask of a cone.
+    """What trivial_intersection asks of a cone.
 
     An exact cone (exact = True) defines lifted(mat, scale) -> (G, H, F),
     the system _decide reads; a PSD cone defines probe_parts() -> (K or
@@ -120,10 +120,6 @@ class Cone:
     def residual(self, w):
         w = np.asarray(w, dtype=float)
         return float(np.linalg.norm(w - self.project(w)))
-
-    def pulled_back(self, k, tol):
-        """{w : K w in C}, for a dense K."""
-        return PreimageCone(k, self)
 
 
 class SubspacePlusRays(Cone):
@@ -347,11 +343,6 @@ class PolyhedralCone(Polyhedron, Cone):
         return (_unit_rows(self.A), np.vstack([mat / scale, _unit_rows(self.E)]),
                 np.eye(self.ambient))
 
-    def pulled_back(self, k, tol):
-        """{w : A K w <= 0, E K w = 0}, row by row (see _pull_back_rows)."""
-        return PolyhedralCone(_pull_back_rows(self.A, k, tol),
-                              _pull_back_rows(self.E, k, tol), ambient=k.shape[1])
-
     def __repr__(self):
         return (f"PolyhedralCone(ineq={self.A.shape[0]}, eq={self.E.shape[0]}, "
                 f"ambient={self.ambient})")
@@ -502,28 +493,18 @@ class PreimageCone(Cone):
 # preimages
 
 
-def _pull_back_rows(rows, k, tol):
-    """rows @ k without the rows K maps to roundoff size (zero at tol.rank on
-    the scale ||row|| ||K||_F): their constraint holds for every w, and their
-    direction is noise that a per-row membership slack would not forgive."""
-    out = rows @ k
-    return out[nonzero(np.linalg.norm(out, axis=1), tol.rank,
-                       np.linalg.norm(rows, axis=1), np.linalg.norm(k))]
-
-
 def preimage(k_op, cone, tol=DEFAULT_TOL):
-    """Cone {w : K w in C}, K a LinearOp or a matrix.
-
-    The cone pulls itself back: a polyhedral C row by row, any other C as a
-    PreimageCone.  For K = I it is C itself.
+    """Cone {w : K w in C}, K a LinearOp or a matrix: C itself for K = I,
+    otherwise a PreimageCone over C, decided through C's own procedure.
+    tol is not read; the signature keeps it for the callers that pass one.
     """
     k_op = as_operator(k_op)
     if cone.ambient != k_op.rows:
         raise ValueError("operator rows must match cone ambient dimension")
     if k_op.is_identity:
         return cone
-    # the pulled-back rows and the cone's K are dense
-    return cone.pulled_back(k_op.matrix, tol)
+    # the PreimageCone's K is dense
+    return PreimageCone(k_op.matrix, cone)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,23 @@ def test_kkt_precondition_rejected():
         certify_solution_map(inst, pair)
 
 
+def test_a_pair_off_its_face_is_refused():
+    # x_bar = 2 with y = 0.999 on the scalar Lasso (b = 3, mu = 1): both KKT
+    # residuals are 1e-3, within tol.kkt (1 + ||b||) = 4e-3 at tol.kkt =
+    # 1e-3, but |y| < 1 makes the conjugate face {0}, 2 away from K x_bar
+    from dataclasses import replace
+    from calmcert.model import SolutionPair
+    inst = instance_for("lasso_scalar")
+    inst.tol = replace(inst.tol, kkt=1e-3)
+    x, y = np.array([2.0]), np.array([0.999])
+    pair = SolutionPair(x_bar=x, y_bar=y, v_bar=inst.v_of(x),
+                        residuals=kkt_residual(inst, x, y))
+    assert kkt_within(pair.residuals, kkt_bound(inst))
+    with pytest.raises(CertificateError, match=r"K x_bar is not in the "
+                       r"conjugate face of y_used \(distance 2\)"):
+        certify_solution_map(inst, pair)
+
+
 @pytest.mark.parametrize("entry", [0, 1])
 def test_nan_multiplier_rejected(entry):
     inst = instance_for("tv_grad1d")

@@ -21,8 +21,8 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from calmcert.cones import (LP_TOLERANCE, PolyhedralCone, PreimageCone,
-                            SubspacePlusRays, linear_program, preimage,
-                            trivial_intersection)
+                            SubspacePlusRays, _verify_witness, linear_program,
+                            preimage, trivial_intersection)
 from calmcert.linalg import Subspace, Tolerances
 from calmcert.model import LinearOp
 
@@ -316,6 +316,18 @@ def test_kernel_of_k_is_a_witness():
     v = trivial_intersection(kernel_op(n_sub), cone, TOL)
     check_verdict(n_sub, cone, v)
     assert v.is_nontrivial
+
+
+def test_a_witness_is_refused_unless_it_is_nonzero_in_the_kernel_and_cone():
+    # M = [1 0] (||M|| = 1), C the ray through e2: only a positive multiple
+    # of e2 verifies, and it comes back at unit norm
+    m = np.array([[1.0, 0.0]])
+    ray = SubspacePlusRays(Subspace.zero(2), [np.array([0.0, 1.0])])
+    assert _verify_witness(m, 1.0, ray, np.zeros(2), TOL) is None
+    assert _verify_witness(m, 1.0, ray, np.array([1e-6, 1.0]), TOL) is None
+    assert _verify_witness(m, 1.0, ray, np.array([0.0, -1.0]), TOL) is None
+    assert _verify_witness(m, 1.0, ray, np.array([0.0, 3.0]), TOL).tolist() \
+        == [0.0, 1.0]
 
 
 def test_duplicated_rows_pointed_cone_is_trivial():

@@ -287,7 +287,6 @@ def test_preimage_polyhedral_pushes_in():
     inner = PolyhedralCone(np.array([[1.0, 0.0]]), None, ambient=2)
     k = np.array([[1.0, 1.0], [0.0, 1.0]])
     cone = preimage(k, inner, TOL)
-    assert isinstance(cone, PolyhedralCone)
     assert cone.member(np.array([-1.0, 0.0]), 1e-8)
     assert not cone.member(np.array([1.0, 0.5]), 1e-7)
 

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lab_reference import graph_sample
 from planted_nuclear import planted_nuclear
 from calmcert import empirics
 from calmcert import regularizers as rz
+from calmcert import solver as solver_module
 from calmcert.empirics import (instability_probe, kernel_formula_check,
                                perturbation_sweep, zero_product_check)
 from calmcert.certificates import certify_solution_map
@@ -17,7 +19,7 @@ from calmcert.gallery import instance_for
 from calmcert.cones import PsdCone, SubspacePlusRays
 from calmcert.linalg import Subspace, Tolerances
 from calmcert.model import group_lasso, l1, load_instance, nuclear
-from calmcert.solver import SolverConfig, solve
+from calmcert.solver import SolverConfig, SolverError, solve
 
 TOL = Tolerances()
 
@@ -60,6 +62,88 @@ def test_sweep_records_every_sample():
     assert rows[0] == ["radius", "db_norm", "dmu", "x_dist", "ratio",
                        "solver_iters", "flag"]
     assert len(rows) == 8
+
+
+def _recorded_solves(monkeypatch):
+    """The pair of every perturbed solve of a sweep, in order: the solution,
+    or the last iterate its SolverError carries."""
+    seen = []
+    real = empirics.solve_perturbed
+
+    def recorded(*args):
+        try:
+            pair = real(*args)
+        except SolverError as exc:
+            seen.append(exc.pair)
+            raise
+        seen.append(pair)
+        return pair
+    monkeypatch.setattr(empirics, "solve_perturbed", recorded)
+    return seen
+
+
+def _rows_read_their_solves(est, seen, x_bar):
+    """Each sample's solver_iters and x_dist are its solve's, and the CSV
+    carries the sample's x_dist, solver_iters and flag."""
+    assert len(seen) == len(est.samples)
+    for s, pair in zip(est.samples, seen):
+        assert s["solver_iters"] == pair.iterations
+        assert s["x_dist"] == float(np.linalg.norm(pair.x_bar - x_bar))
+    assert [[r[3], r[5], r[6]] for r in est.csv_rows()[1:]] == \
+        [[s["x_dist"], s["solver_iters"], s["flag"]] for s in est.samples]
+
+
+def test_sweep_flags_a_far_solution_nonlocal_and_leaves_it_out(monkeypatch):
+    # at radius 1 the soft threshold x = b - mu moves past the local cap
+    # 0.1 ||x_bar|| + 0.1 = 0.3 on three of the four samples
+    inst = instance_for("lasso_scalar")
+    pair = solve(inst)
+    seen = _recorded_solves(monkeypatch)
+    est = perturbation_sweep(inst, pair, [1.0], n_per_radius=4, seed=0)
+    flags = [s["flag"] for s in est.samples]
+    assert sorted(flags) == ["nonlocal"] * 3 + ["ok"]
+    _rows_read_their_solves(est, seen, pair.x_bar)
+    for s in est.samples:
+        assert (s["x_dist"] > 0.3) == (s["flag"] == "nonlocal")
+    ok = next(s for s in est.samples if s["flag"] == "ok")
+    assert est.kappa_hat_per_radius == [ok["ratio"]]
+
+
+def test_sweep_flags_a_capped_solve_nonconverged_and_keeps_its_row(
+        monkeypatch):
+    # a nuclear g has no Newton finish, and 10 first-order iterations do not
+    # reach the sweep's target: each solve raises SolverError, and its row
+    # reads the last iterate
+    inst = instance_for("nuclear_nondegenerate")
+    pair = solve(inst)
+    monkeypatch.setattr(solver_module, "MAX_ITER", 10)
+    seen = _recorded_solves(monkeypatch)
+    est = perturbation_sweep(inst, pair, [1e-2], n_per_radius=3, seed=0)
+    assert [s["flag"] for s in est.samples] == ["nonconverged"] * 3
+    _rows_read_their_solves(est, seen, pair.x_bar)
+    for s in est.samples:
+        assert s["solver_iters"] == 10 and s["x_dist"] > 0
+        assert s["ratio"] == s["x_dist"] / (s["db_norm"] + abs(s["dmu"]))
+    assert est.kappa_hat_per_radius == [None]
+
+
+def test_sweep_flags_ratios_that_blow_up(monkeypatch):
+    # a displacement of sqrt(||db|| + |dmu|), Hoelder and not calm: the
+    # ratios grow 100 times from radius 1e-2 to 1e-6, past the 10 times that
+    # two radii 99 times apart allow
+    inst = instance_for("lasso_scalar")
+    pair = solve(inst)
+
+    def hoelder(instance, db, dmu, warm, cfg):
+        step = np.sqrt(np.linalg.norm(db) + abs(dmu))
+        return replace(warm, x_bar=warm.x_bar + step)
+    monkeypatch.setattr(empirics, "solve_perturbed", hoelder)
+    est = perturbation_sweep(inst, pair, [1e-2, 1e-6], n_per_radius=4, seed=0)
+    assert all(s["flag"] == "ok" for s in est.samples)
+    large, small = est.kappa_hat_per_radius
+    assert small >= 10 * large
+    assert est.blowup_flag
+    assert est.to_json_dict()["blowup_flag"] is True
 
 
 # ---------------------------------------------------------------------------

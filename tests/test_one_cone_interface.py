@@ -1,12 +1,12 @@
 """One cone interface: each cone carries its own decision procedure.
 
 An exact cone lifts itself (`lifted`, the system `_decide` reads) and a PSD
-cone hands the probe its parts (`probe_parts`); `trivial_intersection` and
-`preimage` ask the cone and never which class it is.  The scan below holds
-that in the source, and the behavioural test holds every cone form to the
-references that still branch on the class: the two-step decision
-(tests/two_step_reference.py) for exact cones, the per-start probe
-(tests/psd_probe_reference.py) for PSD ones.
+cone hands the probe its parts (`probe_parts`); `trivial_intersection` asks
+the cone and never which class it is, and `preimage` makes every preimage a
+`PreimageCone`.  The scans below hold that in the source, and the
+behavioural test holds every cone form to the references that still branch
+on the class: the two-step decision (tests/two_step_reference.py) for exact
+cones, the per-start probe (tests/psd_probe_reference.py) for PSD ones.
 """
 
 import ast
@@ -168,9 +168,19 @@ def test_every_cone_form_decides_as_the_references(name, cone, ms):
     assert outcomes == expected
 
 
-def test_a_polyhedral_preimage_pulls_back_row_by_row_to_the_same_answers():
-    _, cone, ms = next(f for f in FORMS if f[0] == "preimage_of_polyhedral")
-    pulled = preimage(cone.K, cone.inner, TOL)
-    assert isinstance(pulled, PolyhedralCone)
-    assert [trivial_intersection(m, pulled, TOL).outcome for m in ms] \
-        == [trivial_intersection(m, cone, TOL).outcome for m in ms]
+def test_every_preimage_is_a_preimage_cone():
+    # one pull-back path: no cone pulls itself back, and preimage returns
+    # the cone for K = I and a PreimageCone over it otherwise
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert "pulled_back" not in text and "_pull_back_rows" not in text, \
+            path.name
+    returns = {ast.unparse(n.value) for n in ast.walk(_function("preimage"))
+               if isinstance(n, ast.Return)}
+    assert returns == {"cone", "PreimageCone(k_op.matrix, cone)"}
+    k = np.random.default_rng(55).standard_normal((4, 4))
+    for name, cone, _ in FORMS:
+        assert preimage(LinearOp.identity(4), cone, TOL) is cone, name
+        pre = preimage(k, cone, TOL)
+        assert type(pre) is PreimageCone and pre.inner is cone, name
+        assert pre.K.tobytes() == k.tobytes(), name

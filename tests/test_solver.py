@@ -586,6 +586,31 @@ def test_singular_newton_system_fails_the_try():
     assert np.allclose(pair.y_bar, [1.0], atol=1e-8)
 
 
+def test_a_try_gives_up_at_the_step_cap_and_the_solve_goes_on(monkeypatch):
+    # the first Newton try on group-Lasso draw 4 takes two steps; with a cap
+    # of one it gives up, and the solve still converges, its newton_steps
+    # counting the steps of every try
+    from calmcert.gallery import random_group_lasso_instance
+    inst = random_group_lasso_instance(4)
+    finish, tries = solver_module._newton_finish, []
+
+    def recorded(instance, x, y, target, kkt=None):
+        out = finish(instance, x, y, target, kkt)
+        tries.append((x, y, target, out))
+        return out
+    monkeypatch.setattr(solver_module, "_newton_finish", recorded)
+    solve(inst)
+    x, y, target, out = tries[0]
+    assert out[0] is not None and out[2] == 2
+    monkeypatch.setattr(solver_module, "_NEWTON_STEPS", 1)
+    assert finish(inst, x, y, target) == (None, None, 1, None)
+    tries.clear()
+    pair = solve(inst)
+    assert tries[0][3] == (None, None, 1, None)
+    assert pair.newton_steps == sum(out[2] for *_, out in tries) >= 1
+    assert kkt_within(pair.residuals, kkt_bound(inst))
+
+
 @pytest.mark.parametrize("name", ["slow_tv0", "tv6x6_draw0", "tv4x4_scaled"])
 def test_solution_pair_residuals_are_those_of_the_pair(name):
     # the residuals a check or a Newton try computed are passed to the pair,

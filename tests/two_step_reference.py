@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from calmcert.cones import (PolyhedralCone, PreimageCone, SubspacePlusRays,
-                            TrivialityVerdict, _pull_back_rows)
-from calmcert.linalg import DEFAULT_TOL, Subspace, null_space
+                            TrivialityVerdict)
+from calmcert.linalg import DEFAULT_TOL, Subspace, nonzero, null_space
 
 
 class SubspaceCone(SubspacePlusRays):
@@ -35,6 +35,15 @@ class SubspaceCone(SubspacePlusRays):
     @classmethod
     def full(cls, n):
         return cls(Subspace.full(n))
+
+
+def _pull_back_rows(rows, k, tol):
+    """rows @ k without the rows K maps to roundoff size (zero at tol.rank on
+    the scale ||row|| ||K||_F): their constraint holds for every w, and their
+    direction is noise that a per-row membership slack would not forgive."""
+    out = rows @ k
+    return out[nonzero(np.linalg.norm(out, axis=1), tol.rank,
+                       np.linalg.norm(rows, axis=1), np.linalg.norm(k))]
 
 
 def simplify(cone, tol=DEFAULT_TOL):
